@@ -21,7 +21,8 @@ int main() {
 
   dod::bench::PrintHeader(
       "Ablation — reducer allocation policy (DMT plan, same partitions)",
-      "Makespan of the detection reduce stage under each packing policy.");
+      "Makespan of the detection reduce stage under each packing policy.",
+      dod::bench::TimeBase::kSimulated);
 
   std::printf("%-16s %14s %14s %12s\n", "policy", "reduce (s)",
               "est. imbalance", "realized");

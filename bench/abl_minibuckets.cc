@@ -19,7 +19,8 @@ int main() {
 
   dod::bench::PrintHeader(
       "Ablation — DMT vs mini-bucket grid resolution",
-      "buckets/dim controls the granularity of DSHC's clustering.");
+      "buckets/dim controls the granularity of DSHC's clustering.",
+      dod::bench::TimeBase::kSimulated);
 
   std::printf("%-12s %12s %12s %12s %12s\n", "buckets/dim", "preprocess",
               "reduce", "total", "partitions");

@@ -20,7 +20,8 @@ int main() {
 
   dod::bench::PrintHeader(
       "Ablation — DMT plan quality vs sampling rate Υ",
-      "Lower rates make preprocessing cheaper but plans noisier.");
+      "Lower rates make preprocessing cheaper but plans noisier.",
+      dod::bench::TimeBase::kSimulated);
 
   std::printf("%-8s %12s %12s %12s %12s %12s\n", "rate", "preprocess",
               "reduce", "total", "partitions", "imbalance");

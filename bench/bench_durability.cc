@@ -60,7 +60,8 @@ int main() {
       "The full DMT pipeline with per-task checkpoints vs without; then a\n"
       "run crashed after its first committed reduce task and resumed. The\n"
       "checkpointed wall time must stay within 5% of the baseline, and the\n"
-      "resumed run must reproduce the baseline outlier set exactly.");
+      "resumed run must reproduce the baseline outlier set exactly.",
+      dod::bench::TimeBase::kWallClock);
 
   const dod::bench::RunResult baseline =
       dod::bench::RunPipeline(base, data, "baseline", /*repeats=*/5);

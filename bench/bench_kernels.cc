@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
   dod::bench::PrintHeader(
       "Distance-kernel throughput — scalar vs blocked vs AVX2, 2-d",
       "Uncapped neighbor counting of sampled queries against the full\n"
-      "dataset; every implementation is checked against the scalar counts.");
+      "dataset; every implementation is checked against the scalar counts.",
+      dod::bench::TimeBase::kWallClock);
 
   const dod::Dataset data = dod::GenerateTigerLike(n, 1234);
   dod::SoABlock soa(data.dims());

@@ -107,7 +107,8 @@ int main() {
   dod::bench::PrintHeader(
       "Parallel runtime scaling — threads 1/2/4/8 on a geo-like workload",
       "Wall time of the same job on the thread-pool executor; the outlier\n"
-      "set is asserted identical at every thread count.");
+      "set is asserted identical at every thread count.",
+      dod::bench::TimeBase::kWallClock);
 
   dod::DodConfig config = BenchConfig(dod::StrategyKind::kDmt,
                                       dod::AlgorithmKind::kCellBased, params,

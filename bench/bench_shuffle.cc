@@ -248,7 +248,8 @@ int main() {
       "Shuffle grouping — columnar counting sort vs sorted merge",
       "One reduce-task bucket of dense cell keys + packed id|support words;\n"
       "best-of-repeats grouping throughput, then the full pipeline under\n"
-      "both --shuffle modes with the outlier set asserted identical.");
+      "both --shuffle modes with the outlier set asserted identical.",
+      dod::bench::TimeBase::kWallClock);
 
   const GroupingPoint sorted =
       MeasureGrouping(bucket, ShuffleMode::kSorted, /*repeats=*/7);

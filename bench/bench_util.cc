@@ -95,11 +95,14 @@ void WriteMetricsJson(const char* path,
   std::printf("wrote %s\n", path);
 }
 
-void PrintHeader(const std::string& title, const std::string& note) {
+void PrintHeader(const std::string& title, const std::string& note,
+                 TimeBase time_base) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   if (!note.empty()) std::printf("%s\n", note.c_str());
-  std::printf("(scale=%.2f; times are simulated cluster seconds)\n", Scale());
+  std::printf("(scale=%.2f; times are %s)\n", Scale(),
+              time_base == TimeBase::kSimulated ? "simulated cluster seconds"
+                                                : "wall-clock seconds");
   std::printf("================================================================\n");
 }
 

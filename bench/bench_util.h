@@ -59,8 +59,14 @@ DodConfig BenchConfig(StrategyKind strategy, AlgorithmKind algorithm,
 void WriteMetricsJson(const char* path,
                       const std::vector<PartitionProfile>& profiles);
 
-// Figure-style output helpers.
-void PrintHeader(const std::string& title, const std::string& note);
+// What a bench's times measure: the paper's simulated cluster seconds
+// (makespans over measured task durations) or single-machine wall clock.
+enum class TimeBase { kSimulated, kWallClock };
+
+// Figure-style output helpers. The header states which time base the
+// bench's times come from.
+void PrintHeader(const std::string& title, const std::string& note,
+                 TimeBase time_base);
 void PrintRow(const std::vector<std::string>& cells,
               const std::vector<int>& widths);
 std::string FormatSeconds(double seconds);

@@ -18,7 +18,8 @@ int main() {
       "Extension — density-based clustering on the DOD framework",
       "Centralized DBSCAN vs the supporting-area distributed variant.\n"
       "Wall = single-machine execution; the distributed variant's "
-      "partitions\nwould run in parallel on a cluster.");
+      "partitions\nwould run in parallel on a cluster.",
+      dod::bench::TimeBase::kWallClock);
 
   const dod::DbscanParams params{/*eps=*/4.0, /*min_pts=*/8};
   std::printf("%-8s %10s %14s %14s %10s %10s\n", "level", "points",

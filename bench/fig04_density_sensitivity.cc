@@ -33,7 +33,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 4 — Nested-Loop execution time vs dataset density",
       "Equal cardinality; D-Dense covers 1/4 of D-Sparse's domain area.\n"
-      "Paper: D-Sparse ≈ 4.5x slower than D-Dense.");
+      "Paper: D-Sparse ≈ 4.5x slower than D-Dense.",
+      dod::bench::TimeBase::kSimulated);
 
   dod::NestedLoopDetector detector;
   auto measure = [&](const dod::Dataset& data) {

@@ -23,7 +23,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 5 — Nested-Loop vs Cell-Based across densities",
       "Constant cardinality, domain area varied. Paper: Cell-Based wins at\n"
-      "both density extremes, Nested-Loop wins in the middle.");
+      "both density extremes, Nested-Loop wins in the middle.",
+      dod::bench::TimeBase::kSimulated);
 
   const std::unique_ptr<dod::Detector> nested_loop =
       dod::MakeDetector(dod::AlgorithmKind::kNestedLoop);

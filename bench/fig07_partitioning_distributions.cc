@@ -60,7 +60,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 7 — Partitioning strategies across distributions (OH/MA/CA/NY)",
       "Bars are execution time relative to the CDriven partitioner.\n"
-      "Paper: CDriven wins up to 5x; DDriven > uniSpace > Domain.");
+      "Paper: CDriven wins up to 5x; DDriven > uniSpace > Domain.",
+      dod::bench::TimeBase::kSimulated);
   RunPart(dod::AlgorithmKind::kNestedLoop, "a", n);
   RunPart(dod::AlgorithmKind::kCellBased, "b", n);
   return 0;

@@ -59,7 +59,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 8 — Partitioning scalability MA → NE → US → Planet",
       "Paper: CDriven wins in all cases, and wins more as data grows\n"
-      "(6x over DDriven and 17x over Domain at planet scale).");
+      "(6x over DDriven and 17x over Domain at planet scale).",
+      dod::bench::TimeBase::kSimulated);
   RunPart(dod::AlgorithmKind::kNestedLoop, "a", base_n);
   RunPart(dod::AlgorithmKind::kCellBased, "b", base_n);
   return 0;

@@ -55,7 +55,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 9 — Detection methods (partitioning fixed to CDriven)",
       "Paper: CB wins on dense CA/NY, NL wins on sparse OH, DMT stable and\n"
-      "best everywhere; DMT's margin grows with data size.");
+      "best everywhere; DMT's margin grows with data size.",
+      dod::bench::TimeBase::kSimulated);
 
   const size_t n = dod::bench::ScaledN(30000);
   std::printf("\n--- Fig 9(a): varying distributions ---\n");

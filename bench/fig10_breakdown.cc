@@ -46,7 +46,8 @@ int main() {
   dod::bench::PrintHeader(
       "Figure 10 — Execution time breakdown",
       "Paper: (a) DMT reduce up to 10x faster on the distorted synthetic\n"
-      "data; (b) DMT up to 20x faster overall on TIGER.");
+      "data; (b) DMT up to 20x faster overall on TIGER.",
+      dod::bench::TimeBase::kSimulated);
 
   // ---- (a) distorted synthetic (the paper's 2TB workload, scaled) -------
   {

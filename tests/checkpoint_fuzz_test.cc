@@ -363,12 +363,13 @@ TEST(PayloadFuzzTest, FailedReaderStaysFailed) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile stream snapshots: the v3 codec's watermark/reorder section is
-// attacker-controlled state a restore must never trust. Every malformed
-// record — duplicate ids, non-finite clocks/timestamps/coordinates, dims
-// skew, arrival-sequence skew, source-order violations, truncations, random
-// byte mutations — degrades into a structured Status, never UB or a
-// silently admitted out-of-order block.
+// Hostile stream snapshots: the v4 codec's per-point summaries and
+// watermark/reorder section are attacker-controlled state a restore must
+// never trust. Every malformed record — duplicate ids, non-finite
+// clocks/timestamps/coordinates, dims skew, arrival-sequence skew,
+// source-order violations, summaries that contradict the flagged set,
+// truncations, random byte mutations — degrades into a structured Status,
+// never UB, a silently admitted out-of-order block, or a wrong verdict.
 
 namespace fs = std::filesystem;
 
@@ -392,17 +393,21 @@ StreamingConfig HostileRestoreConfig(const std::string& dir) {
   config.params.radius = 1.0;
   config.params.min_neighbors = 2;
   config.params.seed = 7;
-  config.summaries = false;
   config.watermark.enabled = true;
   config.watermark.lateness = 5.0;
   config.checkpoint_dir = dir;
   return config;
 }
 
-// Knobs for hand-crafting a v3 snapshot; the defaults produce a valid one
-// (one source window of two resident points, one buffered block).
-struct V3Knobs {
+// Knobs for hand-crafting a v4 snapshot; the defaults produce a valid one
+// (one source window of two isolated, flagged resident points with exact
+// zero counts, one buffered block).
+struct V4Knobs {
   std::vector<uint32_t> window_sources = {0};
+  // (count, saturated) of resident ids 1 and 2, and the flagged set.
+  std::pair<uint32_t, uint8_t> summary1 = {0, 0};
+  std::pair<uint32_t, uint8_t> summary2 = {0, 0};
+  std::vector<uint32_t> outliers = {1, 2};
   std::vector<std::pair<uint32_t, double>> clocks = {{0, 10.0}};
   uint64_t pending_arrival = 2;
   double pending_ts = 9.0;
@@ -411,13 +416,12 @@ struct V3Knobs {
   std::vector<uint32_t> pending_ids = {7};
 };
 
-std::string V3StreamPayload(const V3Knobs& k) {
+std::string V4StreamPayload(const V4Knobs& k) {
   PayloadWriter w;
-  w.U32(3);  // version
+  w.U32(4);  // version
   w.U64(1);  // round
   w.U64(1);  // next_seq
   w.U32(2);  // dims
-  w.U8(0);   // no persisted summaries
   w.U64(k.window_sources.size());
   for (size_t s = 0; s < k.window_sources.size(); ++s) {
     w.U32(k.window_sources[s]);
@@ -433,15 +437,18 @@ std::string V3StreamPayload(const V3Knobs& k) {
       const double p2[2] = {50.0, 50.0};
       w.U32(1);
       w.Raw(p1, sizeof(p1));
+      w.U32(k.summary1.first);
+      w.U8(k.summary1.second);
       w.U32(2);
       w.Raw(p2, sizeof(p2));
+      w.U32(k.summary2.first);
+      w.U8(k.summary2.second);
     } else {
       w.U64(0);  // later sources carry no blocks
     }
   }
-  w.U64(2);  // outliers
-  w.U32(1);
-  w.U32(2);
+  w.U64(k.outliers.size());
+  for (uint32_t id : k.outliers) w.U32(id);
   // Watermark/reorder section.
   w.U64(3);   // arrivals
   w.U64(0);   // late_dropped
@@ -478,16 +485,17 @@ void CommitHostileSnapshot(const std::string& dir, const std::string& key,
   ASSERT_TRUE(store.value()->CommitTask("latest", 0, latest.str()).ok());
 }
 
-TEST(StreamSnapshotFuzzTest, ValidV3PayloadRestores) {
+TEST(StreamSnapshotFuzzTest, ValidV4PayloadRestores) {
   StreamTempDir dir("dod-ckfuzz-stream-valid");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   CommitHostileSnapshot(dir.str(), StreamingDetector::JobKeyFor(base),
-                        V3StreamPayload(V3Knobs{}));
+                        V4StreamPayload(V4Knobs{}));
   StreamingConfig config = base;
   config.resume = true;
   auto resumed = StreamingDetector::Create(config);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed.value()->rounds(), 1u);
+  EXPECT_EQ(resumed.value()->outliers(), (std::vector<PointId>{1, 2}));
   EXPECT_EQ(resumed.value()->arrivals(), 3u);
   EXPECT_EQ(resumed.value()->buffered_blocks(), 1u);
   EXPECT_EQ(resumed.value()->resident_points(), 2u);
@@ -496,7 +504,7 @@ TEST(StreamSnapshotFuzzTest, ValidV3PayloadRestores) {
 TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   struct Case {
     const char* name;
-    V3Knobs knobs;
+    V4Knobs knobs;
   };
   std::vector<Case> cases;
   {
@@ -555,7 +563,7 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   const std::string key = StreamingDetector::JobKeyFor(base);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    CommitHostileSnapshot(dir.str(), key, V3StreamPayload(c.knobs));
+    CommitHostileSnapshot(dir.str(), key, V4StreamPayload(c.knobs));
     StreamingConfig config = base;
     config.resume = true;
     auto resumed = StreamingDetector::Create(config);
@@ -564,10 +572,52 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   }
 }
 
-// 60 seeded truncations: every strict prefix of a valid v3 snapshot fails
+TEST(StreamSnapshotFuzzTest, SummariesContradictingVerdictsAreIoErrors) {
+  // r=1, k=2. A restored summary must agree with the flagged set: a
+  // saturated bound is never below k, and a point is flagged exactly when
+  // its exact count is below k. Anything else is a corrupt snapshot.
+  struct Case {
+    const char* name;
+    V4Knobs knobs;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"saturated point whose count is below k", {}};
+    c.knobs.summary1 = {1, 1};
+    c.knobs.outliers = {2};
+    cases.push_back(c);
+  }
+  {
+    Case c{"exact count below k that is not flagged", {}};
+    c.knobs.summary1 = {1, 0};
+    c.knobs.outliers = {2};
+    cases.push_back(c);
+  }
+  {
+    Case c{"flagged point whose exact count is at least k", {}};
+    c.knobs.summary1 = {5, 0};
+    cases.push_back(c);
+  }
+
+  StreamTempDir dir("dod-ckfuzz-stream-summaries");
+  const StreamingConfig base = HostileRestoreConfig(dir.str());
+  const std::string key = StreamingDetector::JobKeyFor(base);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CommitHostileSnapshot(dir.str(), key, V4StreamPayload(c.knobs));
+    StreamingConfig config = base;
+    config.resume = true;
+    auto resumed = StreamingDetector::Create(config);
+    ASSERT_FALSE(resumed.ok()) << c.name;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kIoError)
+        << resumed.status().ToString();
+  }
+}
+
+// 60 seeded truncations: every strict prefix of a valid v4 snapshot fails
 // somewhere in the fixed-width read sequence — never a partial restore.
 TEST(StreamSnapshotFuzzTest, TruncatedSnapshotsNeverRestore) {
-  const std::string payload = V3StreamPayload(V3Knobs{});
+  const std::string payload = V4StreamPayload(V4Knobs{});
   StreamTempDir dir("dod-ckfuzz-stream-trunc");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   const std::string key = StreamingDetector::JobKeyFor(base);
@@ -587,7 +637,7 @@ TEST(StreamSnapshotFuzzTest, TruncatedSnapshotsNeverRestore) {
 // flip landed in a value) or fails with a structured Status — never UB
 // (the ASan/UBSan CI leg runs this too).
 TEST(StreamSnapshotFuzzTest, MutatedSnapshotsAreStructuredOrStillValid) {
-  const std::string payload = V3StreamPayload(V3Knobs{});
+  const std::string payload = V4StreamPayload(V4Knobs{});
   StreamTempDir dir("dod-ckfuzz-stream-mut");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   const std::string key = StreamingDetector::JobKeyFor(base);

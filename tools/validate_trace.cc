@@ -23,17 +23,16 @@
 // runtime.steal.{local,remote} counters of the locality-aware pool.
 //
 // With --require_streaming the run must have come from the streaming
-// service (dod_stream_cli): the trace must hold at least one
-// "stream"-category span — with summary_update/summary_recount spans
-// appearing in lockstep and reorder_admit spans carrying their numeric
-// args — and the metrics dump must carry the stream.*, stream.summary.*
-// and stream.watermark.* schemas (round/delta/pair/late-drop counters,
+// service (dod_stream_cli): the trace must hold at least one "round"
+// span, exactly one summary_update and one summary_recount span per round
+// span, and reorder_admit spans carrying their numeric args — and the
+// metrics dump must carry the stream.*, stream.summary.* and
+// stream.watermark.* schemas (round/delta/pair/late-drop counters,
 // dirty-fraction, round-latency and recount-queue histograms,
 // resident/saturated-point and buffered-block/source gauges) with at
-// least one completed round and the two path counters summing to
-// stream.rounds.
+// least one completed round.
 // Streaming runs pass --min_task_spans 0 --min_partitions 0 — the
-// incremental path re-detects cells directly, without MapReduce tasks or
+// incremental path counts cells directly, without MapReduce tasks or
 // partition profiles.
 //
 // Exits 0 when both documents validate, 1 with a diagnostic otherwise.
@@ -87,6 +86,7 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
   long long spill_spans = 0;
   long long merge_spans = 0;
   long long stream_spans = 0;
+  long long round_spans = 0;
   long long summary_update_spans = 0;
   long long summary_recount_spans = 0;
   long long reorder_admit_spans = 0;
@@ -130,7 +130,9 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
     if (event.Get("cat").string_value() == "stream") {
       ++stream_spans;
       const std::string& name = event.Get("name").string_value();
-      if (name == "reorder_admit") {
+      if (name == "round") {
+        ++round_spans;
+      } else if (name == "reorder_admit") {
         ++reorder_admit_spans;
         for (const char* key : {"source", "arrival", "buffered"}) {
           if (!event.Get("args").Get(key).is_number()) {
@@ -166,31 +168,31 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
     return Fail("trace: no durability spans (checkpoint_commit / "
                 "checkpoint_restore) in a run that required them");
   }
-  if (require_streaming && stream_spans == 0) {
-    return Fail("trace: no stream spans (stream.round) in a run that "
-                "required them");
+  if (require_streaming && round_spans == 0) {
+    return Fail("trace: no stream.round spans in a run that required them");
   }
   if (require_spill && spill_spans == 0) {
     return Fail("trace: no shuffle_spill spans in a run that required "
                 "spilling");
   }
-  // Summary rounds emit the update and re-count spans in lockstep; a run
-  // with one but not the other dropped half the fast path's telemetry.
-  // (A summaries-off run legitimately has neither.)
-  if (require_streaming &&
-      (summary_update_spans == 0) != (summary_recount_spans == 0)) {
-    return Fail("trace: " + std::to_string(summary_update_spans) +
-                " summary_update spans vs " +
+  // Every round runs exactly one summary update and one re-count pass; a
+  // mismatch means a round dropped part of its telemetry, or a pass ran
+  // outside a round.
+  if (require_streaming && (summary_update_spans != round_spans ||
+                            summary_recount_spans != round_spans)) {
+    return Fail("trace: " + std::to_string(round_spans) + " round spans vs " +
+                std::to_string(summary_update_spans) +
+                " summary_update and " +
                 std::to_string(summary_recount_spans) +
-                " summary_recount spans (must appear together)");
+                " summary_recount spans (must be equal)");
   }
   std::printf(
       "trace ok: %zu events, %lld task spans, %lld durability spans, "
       "%lld spill spans, %lld merge spans, "
-      "%lld stream spans (%lld summary_update, %lld summary_recount, "
-      "%lld reorder_admit)\n",
+      "%lld stream spans (%lld round, %lld summary_update, "
+      "%lld summary_recount, %lld reorder_admit)\n",
       events.size(), task_spans, durability_spans, spill_spans, merge_spans,
-      stream_spans, summary_update_spans, summary_recount_spans,
+      stream_spans, round_spans, summary_update_spans, summary_recount_spans,
       reorder_admit_spans);
   return EXIT_SUCCESS;
 }
@@ -291,8 +293,7 @@ int ValidateStreamingMetrics(const dod::JsonValue& metrics) {
   const dod::JsonValue& counters = metrics.Get("counters");
   for (const char* name :
        {"stream.rounds", "stream.cells_redetected", "stream.delta_flagged",
-        "stream.delta_cleared", "stream.summary.rounds",
-        "stream.summary.rounds_bypassed", "stream.summary.insert_count_pairs",
+        "stream.delta_cleared", "stream.summary.insert_count_pairs",
         "stream.summary.expiry_count_pairs",
         "stream.summary.full_count_points",
         "stream.summary.recount_points", "stream.late_dropped",
@@ -336,21 +337,10 @@ int ValidateStreamingMetrics(const dod::JsonValue& metrics) {
     return Fail("metrics: stream.rounds == 0 in a run that required "
                 "streaming");
   }
-  // Every round takes exactly one of the two paths.
-  const double summary_rounds =
-      counters.Get("stream.summary.rounds").number_value();
-  const double bypassed =
-      counters.Get("stream.summary.rounds_bypassed").number_value();
-  if (summary_rounds + bypassed != rounds) {
-    return Fail("metrics: stream.summary.rounds (" +
-                std::to_string(summary_rounds) + ") + rounds_bypassed (" +
-                std::to_string(bypassed) + ") != stream.rounds (" +
-                std::to_string(rounds) + ")");
-  }
   std::printf(
-      "streaming ok: %.0f rounds (%.0f summary, %.0f re-detect), %.0f cells "
-      "re-detected, %.0f reorder-admitted, %.0f late-dropped\n",
-      rounds, summary_rounds, bypassed,
+      "streaming ok: %.0f rounds, %.0f dirty cells, %.0f reorder-admitted, "
+      "%.0f late-dropped\n",
+      rounds,
       counters.Get("stream.cells_redetected").number_value(),
       reorder_admitted, late_dropped);
   return EXIT_SUCCESS;

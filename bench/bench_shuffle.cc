@@ -12,8 +12,9 @@
 //
 //   2. Spill regime: the same bucket written out as sorted runs and
 //      grouped straight off disk — the columnar two-pass histogram for the
-//      spill overhead ratio, the sorted loser-tree merge for merge
-//      throughput. Group structure is asserted identical to in-memory.
+//      spill overhead ratio, the sorted path (append every run, one stable
+//      sort) for merge throughput. Group structure is asserted identical
+//      to in-memory.
 //
 //   3. End-to-end: the full pipeline under --shuffle sorted vs columnar on
 //      a geo-like workload; the outlier set is asserted identical (speed
@@ -93,9 +94,9 @@ struct GroupingPoint {
   uint64_t checksum = 0;  // defeats dead-code elimination; equality-checked
 };
 
-// Best-of-`repeats` grouping throughput. The sorted path mutates its
-// bucket, so every iteration regroups a fresh copy; the copy is outside
-// the timed region for both modes to keep the comparison clean.
+// Best-of-`repeats` grouping throughput. Every iteration groups a fresh
+// copy of the bucket (the copy is outside the timed region) so both modes
+// start from the same cold emission-order input.
 GroupingPoint MeasureGrouping(const Bucket& pristine, ShuffleMode mode,
                               int repeats) {
   GroupingPoint point;
@@ -129,7 +130,7 @@ GroupingPoint MeasureGrouping(const Bucket& pristine, ShuffleMode mode,
 
 struct SpillRegimePoint {
   double spill_group_seconds = 0.0;   // write runs + columnar two-pass
-  double merge_records_per_sec = 0.0; // sorted loser-tree merge off runs
+  double merge_records_per_sec = 0.0; // sorted path off runs
   size_t runs = 0;
   size_t groups = 0;
   uint64_t checksum = 0;
@@ -147,7 +148,7 @@ uint64_t GroupChecksum(const GroupedView<uint32_t, uint32_t>& groups) {
 // Best-of-`repeats` grouping through on-disk runs. Each repeat re-spills
 // the bucket in `slices` flushes (as a map task under a tiny threshold
 // would), so the write cost is inside the timed region — that is the
-// overhead being measured. The sorted merge is timed over the same runs.
+// overhead being measured. The sorted path is timed over the same runs.
 SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
                                     size_t slices) {
   namespace fs = std::filesystem;
@@ -179,7 +180,7 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
     segments.reserve(runs.size());
     for (const dod::internal::SpillRunInfo& run : runs) {
       segments.push_back(
-          dod::internal::ShuffleSegment<uint32_t, uint32_t>{nullptr, &run});
+          dod::internal::ShuffleSegment<uint32_t, uint32_t>{nullptr, run});
     }
     GroupScratch<uint32_t, uint32_t> scratch;
     GroupPath path;
@@ -188,15 +189,14 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
         segments, ShuffleMode::kColumnar, &scratch, &path, &reason,
         /*budget=*/nullptr);
     const double spill_seconds = spill_watch.ElapsedSeconds();
-    if (!grouped.ok() || path != GroupPath::kColumnarSpilled) {
+    if (!grouped.ok() || path != GroupPath::kColumnar) {
       std::fprintf(stderr, "FATAL: spilled columnar grouping failed\n");
       std::exit(1);
     }
     const uint64_t checksum = GroupChecksum(grouped.value());
     const size_t num_groups = grouped.value().num_groups();
 
-    // Sorted loser-tree merge over the same runs (run segments are
-    // read-only; only memory segments get sorted in place).
+    // Sorted path over the same runs: append them all, one stable sort.
     GroupScratch<uint32_t, uint32_t> merge_scratch;
     GroupPath merge_path;
     dod::internal::FallbackReason merge_reason;
@@ -205,7 +205,7 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
         segments, ShuffleMode::kSorted, &merge_scratch, &merge_path,
         &merge_reason, /*budget=*/nullptr);
     const double merge_seconds = merge_watch.ElapsedSeconds();
-    if (!merged.ok() || merge_path != GroupPath::kSortedSpilled ||
+    if (!merged.ok() || merge_path != GroupPath::kSorted ||
         GroupChecksum(merged.value()) != checksum) {
       std::fprintf(stderr, "FATAL: sorted merge off runs disagrees\n");
       std::exit(1);
@@ -272,7 +272,7 @@ int main() {
   // the full spilled pass (run writes + columnar two-pass off disk)
   // against the in-memory sorted grouping — the path the engine would
   // otherwise degrade to under the same budget pressure, so this ratio is
-  // the price of choosing the spill over the kSortedBudget fallback.
+  // the price of choosing the spill over the budget fallback.
   const SpillRegimePoint spill =
       MeasureSpillRegime(bucket, /*repeats=*/7, /*slices=*/4);
   if (spill.checksum != columnar.checksum || spill.groups != columnar.groups) {

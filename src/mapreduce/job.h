@@ -8,6 +8,14 @@
 // reduce task processes its groups independently with no communication to
 // other reducers (shared-nothing, no synchronization).
 //
+// RunMapReduce runs three phases. Map tasks stage their records into
+// per-reduce-task buckets (spilling them as sorted disk runs past a
+// threshold, see mapreduce/spill.h). The shuffle handoff gives every reduce
+// task its ordered segment list — those buckets and runs, in (split, flush)
+// order. Each reduce task groups its segments (mapreduce/shuffle.h) and
+// reduces the groups. Map and reduce tasks share one durable lifecycle:
+// restore-or-run, commit, checkpoint, optional injected crash.
+//
 // Every task is actually executed, and its duration measured. Stage times
 // are then derived by scheduling the measured task costs onto the cluster's
 // slots (see cluster.h). This yields the end-to-end execution time metric
@@ -169,8 +177,8 @@ struct JobSpec {
   ShuffleMode shuffle = ShuffleMode::kColumnar;
   // Spill-to-disk shuffle (see mapreduce/spill.h). Orthogonal to the
   // grouping mode: a map task whose emitted bytes cross the (budget-wired)
-  // threshold flushes its buckets as sorted runs, and reduce grouping
-  // merges runs and memory segments back together — job output stays
+  // threshold flushes its buckets as sorted runs, and reduce grouping reads
+  // runs and memory segments back together — job output stays
   // byte-identical to the all-in-memory shuffle. Disabled when dir is
   // empty. Requires trivially copyable K/V (enforced with a structured
   // error, like checkpointing).
@@ -201,11 +209,13 @@ struct JobSpec {
   // between phases; a fired condition aborts with kDeadlineExceeded /
   // kCancelled (see `partial_stats`).
   const RunControl* control = nullptr;
-  // Memory budget. Deterministically degrades the columnar shuffle to the
-  // sorted path when its scratch would not fit (result-identical, counted
-  // in mr.shuffle.budget_fallback_tasks), skips shuffle-bucket
-  // pre-reserves that would not fit, and turns allocation failures inside
-  // attempts into kResourceExhausted.
+  // Memory budget. Deterministically degrades the columnar shuffle — to
+  // the sorted path when its scratch would not fit (counted in
+  // mr.shuffle.fallback.budget), or, with spilling enabled, to spilled
+  // input when only scratch plus the resident input would not
+  // (mr.shuffle.fallback.spill); both result-identical. Also skips
+  // shuffle-bucket pre-reserves that would not fit, and turns allocation
+  // failures inside attempts into kResourceExhausted.
   MemoryBudget* memory = nullptr;
   // When set, a failing job merges the stats of all work that did complete
   // into *partial_stats before returning its error — partial-progress
@@ -406,65 +416,22 @@ Result<JobOutput<Out>> RunMapReduce(
   // Registered unconditionally so the durability.* schema is always
   // present in metrics dumps; Id() is idempotent across instantiations.
   MetricsRegistry& dmetrics = MetricsRegistry::Global();
-  static const uint32_t kCkptTasksWritten = dmetrics.Id(
+  [[maybe_unused]] static const uint32_t kCkptTasksWritten = dmetrics.Id(
       "durability.checkpoint.tasks_written", MetricKind::kCounter);
   [[maybe_unused]] static const uint32_t kCkptTasksResumed = dmetrics.Id(
       "durability.checkpoint.tasks_resumed", MetricKind::kCounter);
-  static const uint32_t kCkptBytesWritten = dmetrics.Id(
+  [[maybe_unused]] static const uint32_t kCkptBytesWritten = dmetrics.Id(
       "durability.checkpoint.bytes_written", MetricKind::kCounter);
-  static const uint32_t kCkptWriteSeconds = dmetrics.Id(
+  [[maybe_unused]] static const uint32_t kCkptWriteSeconds = dmetrics.Id(
       "durability.checkpoint.write_seconds", MetricKind::kHistogram);
   [[maybe_unused]] static const uint32_t kCkptLoadFailures = dmetrics.Id(
       "durability.checkpoint.load_failures", MetricKind::kCounter);
   static const uint32_t kControlAborts =
       dmetrics.Id("durability.control.aborts", MetricKind::kCounter);
-  static const uint32_t kBudgetShuffleFallbacks = dmetrics.Id(
-      "durability.memory.shuffle_budget_fallbacks", MetricKind::kCounter);
   static const uint32_t kBudgetReserveSkipped = dmetrics.Id(
       "durability.memory.reserve_skipped", MetricKind::kCounter);
   static const uint32_t kBudgetPeakBytes =
       dmetrics.Id("durability.memory.peak_bytes", MetricKind::kGauge);
-
-  // Durably records one committed task. Best-effort: a failed write only
-  // costs resumability, never the job.
-  auto persist_checkpoint = [&](TaskPhase phase, int index,
-                                const PayloadWriter& payload) {
-    trace::Span span("durability", "checkpoint_commit");
-    span.Arg("phase", TaskPhaseName(phase))
-        .Arg("task", index)
-        .Arg("bytes", static_cast<uint64_t>(payload.size()));
-    StopWatch watch;
-    const Status status = spec.checkpoint->CommitTask(TaskPhaseName(phase),
-                                                      index, payload.str());
-    if (!status.ok()) {
-      span.Arg("status", "failed");
-      DOD_LOG(Warning) << "checkpoint write for " << TaskPhaseName(phase)
-                       << " task " << index
-                       << " failed: " << status.ToString();
-      return;
-    }
-    span.Arg("status", "ok");
-    dmetrics.Increment(kCkptTasksWritten);
-    dmetrics.Increment(kCkptBytesWritten, payload.size());
-    dmetrics.Observe(kCkptWriteSeconds, watch.ElapsedSeconds());
-  };
-
-  // Fires the configured crash after task (phase, index) committed (and,
-  // when checkpointing, after its record is durable) — see FaultSpec.
-  auto maybe_crash = [&](TaskPhase phase, int index) -> Status {
-    if (spec.faults.crash_at_task != index ||
-        spec.faults.crash_phase != phase) {
-      return Status::Ok();
-    }
-    if (spec.faults.crash_exit) {
-      // Simulated kill -9: no destructors, no stream flushes. Only the
-      // durably committed checkpoints survive — which is the point.
-      std::_Exit(42);
-    }
-    return Status::Unavailable(std::string("injected crash after ") +
-                               TaskPhaseName(phase) + " task " +
-                               std::to_string(index) + " committed");
-  };
 
   // Merges the completed work's accounting into *spec.partial_stats (when
   // requested) before a failing job returns `failure`.
@@ -479,11 +446,107 @@ Result<JobOutput<Out>> RunMapReduce(
     return failure;
   };
 
+  // Runs task `index` of `phase` (state `task`) through its durable
+  // lifecycle: restore it from its checkpoint when resuming — a record that
+  // fails validation is discarded and the task re-runs (self-healing) —
+  // else `run` it; then durably record the committed task (`save`) and
+  // fire a configured crash. Every payload opens with the task's stats
+  // delta and slot costs and closes with the caller's extra state;
+  // `restore` / `save` own the phase-specific middle.
+  auto run_durably = [&](TaskPhase phase, size_t index, auto& state,
+                         auto&& restore, auto&& run, auto&& save) -> Status {
+    const int task = static_cast<int>(index);
+    const char* name = TaskPhaseName(phase);
+    if constexpr (kCheckpointable) {
+      if (spec.checkpoint != nullptr && spec.resume &&
+          spec.checkpoint->HasTask(name, task)) {
+        trace::Span span("durability", "checkpoint_restore");
+        span.Arg("phase", name).Arg("task", static_cast<uint64_t>(index));
+        const Status restored = [&]() -> Status {
+          DOD_ASSIGN_OR_RETURN(std::string payload,
+                               spec.checkpoint->LoadTask(name, task));
+          PayloadReader reader(payload);
+          DOD_RETURN_IF_ERROR(DeserializeJobStatsDelta(&reader, &state.stats));
+          DOD_RETURN_IF_ERROR(reader.F64Vec(&state.slot_costs));
+          DOD_RETURN_IF_ERROR(restore(state, reader));
+          if (spec.restore_extra) {
+            DOD_RETURN_IF_ERROR(spec.restore_extra(phase, task, reader));
+          }
+          return reader.ExpectDone();
+        }();
+        if (restored.ok()) {
+          span.Arg("status", "ok");
+          dmetrics.Increment(kCkptTasksResumed);
+          return Status::Ok();
+        }
+        span.Arg("status", "failed");
+        dmetrics.Increment(kCkptLoadFailures);
+        DOD_LOG(Warning) << name << " task " << index
+                         << " checkpoint unusable (" << restored.ToString()
+                         << "); re-running";
+        state = std::remove_reference_t<decltype(state)>();
+      }
+    }
+    DOD_RETURN_IF_ERROR(run(state, index));
+    if constexpr (kCheckpointable) {
+      if (spec.checkpoint != nullptr) {
+        PayloadWriter payload;
+        SerializeJobStatsDelta(state.stats, &payload);
+        payload.F64Vec(state.slot_costs);
+        save(state, payload);
+        if (spec.checkpoint_extra) spec.checkpoint_extra(phase, task, payload);
+        // Best-effort: a failed write only costs resumability, never the
+        // job.
+        trace::Span span("durability", "checkpoint_commit");
+        span.Arg("phase", name)
+            .Arg("task", task)
+            .Arg("bytes", static_cast<uint64_t>(payload.size()));
+        StopWatch watch;
+        const Status status =
+            spec.checkpoint->CommitTask(name, task, payload.str());
+        if (status.ok()) {
+          span.Arg("status", "ok");
+          dmetrics.Increment(kCkptTasksWritten);
+          dmetrics.Increment(kCkptBytesWritten, payload.size());
+          dmetrics.Observe(kCkptWriteSeconds, watch.ElapsedSeconds());
+        } else {
+          span.Arg("status", "failed");
+          DOD_LOG(Warning) << "checkpoint write for " << name << " task "
+                           << index << " failed: " << status.ToString();
+        }
+      }
+    }
+    // The configured crash (see FaultSpec) fires after the task committed
+    // and, when checkpointing, after its record is durable.
+    if (spec.faults.crash_at_task == task && spec.faults.crash_phase == phase) {
+      if (spec.faults.crash_exit) {
+        // Simulated kill -9: no destructors, no stream flushes. Only the
+        // durably committed checkpoints survive — which is the point.
+        std::_Exit(42);
+      }
+      return Status::Unavailable(std::string("injected crash after ") + name +
+                                 " task " + std::to_string(index) +
+                                 " committed");
+    }
+    return Status::Ok();
+  };
+
+  // Folds a phase's per-task stats deltas and slot costs into the job's,
+  // in task-index order — after success and failure alike, so a failing
+  // job's partial-progress stats cover every completed task.
+  auto fold_stats = [&stats](auto& tasks, std::vector<double>* task_seconds) {
+    for (auto& task : tasks) {
+      stats.MergeFrom(task.stats);
+      task_seconds->insert(task_seconds->end(), task.slot_costs.begin(),
+                           task.slot_costs.end());
+    }
+  };
+
   // ---- Map phase -------------------------------------------------------
   // Every map task stages into private buckets; the winning attempt's
-  // staging is committed into the task's slot and merged into the global
-  // shuffle after the barrier, in split order — so the shuffled buckets
-  // are byte-identical no matter how tasks interleave.
+  // staging is committed into the task's slot and handed to the reduce
+  // tasks after the barrier, in split order — so every reduce task's input
+  // is byte-identical no matter how tasks interleave.
   struct MapTaskState {
     Buckets staging;
     Buckets committed;
@@ -502,254 +565,187 @@ Result<JobOutput<Out>> RunMapReduce(
   std::vector<MapTaskState> map_tasks(num_splits);
   const double read_bytes_per_second =
       spec.cluster.disk_read_mbps_per_slot * 1e6;
+
+  // Map checkpoint payload: a spilled flag, then either the run
+  // descriptors (the runs themselves are already on disk and survive a
+  // crash) or the committed buckets.
+  auto restore_map = [&](MapTaskState& task, PayloadReader& reader) -> Status {
+    uint8_t spilled_flag = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&spilled_flag));
+    if (spilled_flag > 1) {
+      return Status::IoError("map checkpoint has unknown layout");
+    }
+    task.committed.assign(num_reduce, typename Buckets::value_type());
+    if (spilled_flag == 1) {
+      // A crash deliberately leaves the runs on disk (SpillGc destructors
+      // never ran). Validate each run's backing file before trusting the
+      // descriptor; a vanished or shrunken file fails the restore and the
+      // task re-runs (self-healing).
+      uint64_t num_runs = 0;
+      DOD_RETURN_IF_ERROR(reader.U64(&num_runs));
+      task.runs.clear();
+      for (uint64_t i = 0; i < num_runs; ++i) {
+        internal::SpillRunInfo run;
+        DOD_RETURN_IF_ERROR(reader.String(&run.file));
+        DOD_RETURN_IF_ERROR(reader.U32(&run.partition));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.records));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.offset));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.bytes));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.checksum));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.min_key));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.max_key));
+        if (run.partition >= num_reduce) {
+          return Status::IoError("map checkpoint spill run has bad partition");
+        }
+        std::error_code ec;
+        const uint64_t size = std::filesystem::file_size(run.file, ec);
+        if (ec || size < run.offset + run.bytes) {
+          return Status::IoError("map checkpoint spill run file " + run.file +
+                                 " missing or short");
+        }
+        task.runs.push_back(std::move(run));
+      }
+      for (const internal::SpillRunInfo& run : task.runs) {
+        spill_gc.Track(run.file);
+      }
+      return Status::Ok();
+    }
+    uint64_t num_buckets = 0;
+    DOD_RETURN_IF_ERROR(reader.U64(&num_buckets));
+    if (num_buckets != num_reduce) {
+      return Status::IoError("map checkpoint bucket count mismatch");
+    }
+    for (auto& bucket : task.committed) {
+      uint64_t count = 0;
+      DOD_RETURN_IF_ERROR(reader.U64(&count));
+      if (count > reader.remaining() / sizeof(std::pair<K, V>)) {
+        return Status::IoError("map checkpoint bucket overruns payload");
+      }
+      bucket.resize(static_cast<size_t>(count));
+      DOD_RETURN_IF_ERROR(reader.Raw(
+          bucket.data(), static_cast<size_t>(count) * sizeof(std::pair<K, V>)));
+    }
+    return Status::Ok();
+  };
+  auto save_map = [](const MapTaskState& task, PayloadWriter& payload) {
+    payload.U8(task.runs.empty() ? 0 : 1);
+    if (!task.runs.empty()) {
+      payload.U64(task.runs.size());
+      for (const internal::SpillRunInfo& run : task.runs) {
+        payload.String(run.file);
+        payload.U32(run.partition);
+        payload.U64(run.records);
+        payload.U64(run.offset);
+        payload.U64(run.bytes);
+        payload.U64(run.checksum);
+        payload.U64(run.min_key);
+        payload.U64(run.max_key);
+      }
+      return;
+    }
+    payload.U64(task.committed.size());
+    for (const auto& bucket : task.committed) {
+      payload.U64(bucket.size());
+      payload.Raw(bucket.data(), bucket.size() * sizeof(std::pair<K, V>));
+    }
+  };
+  auto run_map = [&](MapTaskState& task, size_t split) -> Status {
+    task.staging.resize(num_reduce);
+    if (split < spec.split_record_hints.size() &&
+        spec.split_record_hints[split] > 0) {
+      // Pre-size buckets from the split's expected record count, with 50%
+      // headroom so a moderately skewed allocation still avoids regrowth.
+      // reserve() survives the per-attempt clear() below; the commit
+      // shrinks the buckets back to their contents.
+      const uint64_t hint = spec.split_record_hints[split];
+      const size_t per_bucket = static_cast<size_t>(
+          hint / num_reduce + hint / (2 * num_reduce) + 1);
+      const uint64_t reserve_bytes = static_cast<uint64_t>(per_bucket) *
+                                     num_reduce * sizeof(std::pair<K, V>);
+      if (spec.memory != nullptr && !spec.memory->FitsAlone(reserve_bytes)) {
+        // Deterministic degrade: emit into un-presized buckets (slower,
+        // identical records) instead of reserving past the budget.
+        dmetrics.Increment(kBudgetReserveSkipped);
+      } else {
+        for (auto& bucket : task.staging) bucket.reserve(per_bucket);
+      }
+    }
+    const double scan_seconds =
+        split < spec.split_input_bytes.size()
+            ? static_cast<double>(spec.split_input_bytes[split]) /
+                  read_bytes_per_second
+            : 0.0;
+    // One spiller (and run file) per task, reset at each attempt: attempts
+    // are sequential and speculative duplicates are simulated only
+    // (task_runner.h), so truncating the file cannot race and a failed
+    // attempt leaves no orphan — its successor reuses the path.
+    std::optional<internal::TaskSpiller<K, V>> spiller;
+    if (spilling) {
+      spiller.emplace(
+          internal::SpillFilePath(spill_dir, "map", static_cast<int>(split)),
+          &spill_gc);
+    }
+    return runner.RunTask(
+        TaskPhase::kMap, static_cast<int>(split), scan_seconds,
+        [&](int attempt) -> Status {
+          for (auto& bucket : task.staging) bucket.clear();
+          task.accounting = internal::ShuffleAccounting{};
+          if (spiller.has_value()) spiller->Reset();
+          ShuffleFaultFilter filter(injector, TaskPhase::kMap,
+                                    static_cast<int>(split), attempt);
+          internal::ShuffleEmitter<K, V> emitter(
+              task.staging, partition, dense_partition, record_bytes,
+              record_size, task.accounting,
+              injector.enabled() ? &filter : nullptr,
+              spiller.has_value() ? &*spiller : nullptr, spill_threshold);
+          const Status map_status = mapper.TryMap(split, emitter);
+          task.stats.shuffle_records_dropped += filter.dropped();
+          task.stats.shuffle_records_corrupted += filter.corrupted();
+          if (!map_status.ok()) return map_status;
+          if (spiller.has_value()) {
+            // Tasks that spilled flush their remainder so the task's
+            // records live entirely in runs; surface write errors as
+            // attempt failures (retried like any task error).
+            DOD_RETURN_IF_ERROR(spiller->Finish(task.staging));
+          }
+          task.worker_group = ThreadPool::CurrentWorkerGroup();
+          return filter.AttemptStatus();
+        },
+        [&]() {
+          // The committed buckets live until the job ends (reduce tasks
+          // read them in place), so drop the reserve headroom — and a
+          // spilled task's emptied buffers — now.
+          task.committed = std::move(task.staging);
+          for (auto& bucket : task.committed) bucket.shrink_to_fit();
+          if (spiller.has_value()) task.runs = spiller->TakeRuns();
+          task.stats.records_shuffled += task.accounting.records;
+          task.stats.bytes_shuffled += task.accounting.bytes;
+        },
+        task.stats, task.slot_costs);
+  };
+
   StopWatch map_wall;
   Status map_status;
   {
     trace::Span phase_span("phase", "map");
     phase_span.Arg("tasks", static_cast<uint64_t>(num_splits));
-    map_status = executor.RunTasks(
-      num_splits, [&](size_t split) -> Status {
-        MapTaskState& task = map_tasks[split];
-        if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr && spec.resume &&
-              spec.checkpoint->HasTask("map", static_cast<int>(split))) {
-            trace::Span span("durability", "checkpoint_restore");
-            span.Arg("phase", "map").Arg("task",
-                                         static_cast<uint64_t>(split));
-            Status restored = [&]() -> Status {
-              DOD_ASSIGN_OR_RETURN(
-                  std::string payload,
-                  spec.checkpoint->LoadTask("map", static_cast<int>(split)));
-              PayloadReader reader(payload);
-              DOD_RETURN_IF_ERROR(
-                  DeserializeJobStatsDelta(&reader, &task.stats));
-              DOD_RETURN_IF_ERROR(reader.F64Vec(&task.slot_costs));
-              uint8_t spilled_flag = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&spilled_flag));
-              if (spilled_flag > 1) {
-                return Status::IoError("map checkpoint has unknown layout");
-              }
-              if (spilled_flag == 1) {
-                // The task's shuffle output lives in spill runs, which a
-                // crash deliberately leaves on disk (SpillGc destructors
-                // never ran). Validate each run's backing file before
-                // trusting the descriptor; a vanished or shrunken file
-                // fails the restore and the task re-runs (self-healing).
-                uint64_t num_runs = 0;
-                DOD_RETURN_IF_ERROR(reader.U64(&num_runs));
-                task.runs.clear();
-                for (uint64_t i = 0; i < num_runs; ++i) {
-                  internal::SpillRunInfo run;
-                  DOD_RETURN_IF_ERROR(reader.String(&run.file));
-                  DOD_RETURN_IF_ERROR(reader.U32(&run.partition));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.records));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.offset));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.bytes));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.checksum));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.min_key));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.max_key));
-                  if (run.partition >= num_reduce) {
-                    return Status::IoError(
-                        "map checkpoint spill run has bad partition");
-                  }
-                  std::error_code ec;
-                  const uint64_t size =
-                      std::filesystem::file_size(run.file, ec);
-                  if (ec || size < run.offset + run.bytes) {
-                    return Status::IoError("map checkpoint spill run file " +
-                                           run.file + " missing or short");
-                  }
-                  task.runs.push_back(std::move(run));
-                }
-                for (const internal::SpillRunInfo& run : task.runs) {
-                  spill_gc.Track(run.file);
-                }
-                task.committed.assign(num_reduce,
-                                      typename Buckets::value_type());
-              } else {
-                uint64_t num_buckets = 0;
-                DOD_RETURN_IF_ERROR(reader.U64(&num_buckets));
-                if (num_buckets != num_reduce) {
-                  return Status::IoError(
-                      "map checkpoint bucket count mismatch");
-                }
-                task.committed.assign(num_reduce,
-                                      typename Buckets::value_type());
-                for (auto& bucket : task.committed) {
-                  uint64_t count = 0;
-                  DOD_RETURN_IF_ERROR(reader.U64(&count));
-                  if (count > reader.remaining() / sizeof(std::pair<K, V>)) {
-                    return Status::IoError(
-                        "map checkpoint bucket overruns payload");
-                  }
-                  bucket.resize(static_cast<size_t>(count));
-                  DOD_RETURN_IF_ERROR(reader.Raw(
-                      bucket.data(),
-                      static_cast<size_t>(count) * sizeof(std::pair<K, V>)));
-                }
-              }
-              if (spec.restore_extra) {
-                DOD_RETURN_IF_ERROR(spec.restore_extra(
-                    TaskPhase::kMap, static_cast<int>(split), reader));
-              }
-              return reader.ExpectDone();
-            }();
-            if (restored.ok()) {
-              span.Arg("status", "ok");
-              dmetrics.Increment(kCkptTasksResumed);
-              return Status::Ok();
-            }
-            // Self-healing: a record that fails validation is discarded
-            // and the task re-runs from scratch.
-            span.Arg("status", "failed");
-            dmetrics.Increment(kCkptLoadFailures);
-            DOD_LOG(Warning)
-                << "map task " << split << " checkpoint unusable ("
-                << restored.ToString() << "); re-running";
-            task.stats = JobStats();
-            task.slot_costs.clear();
-            task.committed = Buckets();
-            task.runs.clear();
-          }
-        }
-        task.staging.resize(num_reduce);
-        if (split < spec.split_record_hints.size() &&
-            spec.split_record_hints[split] > 0) {
-          // Pre-size buckets from the split's expected record count, with
-          // 50% headroom so a moderately skewed allocation still avoids
-          // regrowth. reserve() survives the per-attempt clear() below.
-          const uint64_t hint = spec.split_record_hints[split];
-          const size_t per_bucket = static_cast<size_t>(
-              hint / num_reduce + hint / (2 * num_reduce) + 1);
-          const uint64_t reserve_bytes = static_cast<uint64_t>(per_bucket) *
-                                         num_reduce *
-                                         sizeof(std::pair<K, V>);
-          if (spec.memory != nullptr &&
-              !spec.memory->FitsAlone(reserve_bytes)) {
-            // Deterministic degrade: emit into un-presized buckets (slower,
-            // identical records) instead of reserving past the budget.
-            dmetrics.Increment(kBudgetReserveSkipped);
-          } else {
-            for (auto& bucket : task.staging) bucket.reserve(per_bucket);
-          }
-        }
-        const double scan_seconds =
-            split < spec.split_input_bytes.size()
-                ? static_cast<double>(spec.split_input_bytes[split]) /
-                      read_bytes_per_second
-                : 0.0;
-        // One spiller (and run file) per task, reset at each attempt:
-        // attempts are sequential and speculative duplicates are simulated
-        // only (task_runner.h), so truncating the file cannot race and a
-        // failed attempt leaves no orphan — its successor reuses the path.
-        std::optional<internal::TaskSpiller<K, V>> spiller;
-        if (spilling) {
-          spiller.emplace(internal::SpillFilePath(spill_dir, "map",
-                                                  static_cast<int>(split)),
-                          &spill_gc);
-        }
-        const Status run_status = runner.RunTask(
-            TaskPhase::kMap, static_cast<int>(split), scan_seconds,
-            [&](int attempt) -> Status {
-              for (auto& bucket : task.staging) bucket.clear();
-              task.accounting = internal::ShuffleAccounting{};
-              if (spiller.has_value()) spiller->Reset();
-              ShuffleFaultFilter filter(injector, TaskPhase::kMap,
-                                        static_cast<int>(split), attempt);
-              internal::ShuffleEmitter<K, V> emitter(
-                  task.staging, partition, dense_partition, record_bytes,
-                  record_size, task.accounting,
-                  injector.enabled() ? &filter : nullptr,
-                  spiller.has_value() ? &*spiller : nullptr, spill_threshold);
-              const Status map_status = mapper.TryMap(split, emitter);
-              task.stats.shuffle_records_dropped += filter.dropped();
-              task.stats.shuffle_records_corrupted += filter.corrupted();
-              if (!map_status.ok()) return map_status;
-              if (spiller.has_value()) {
-                // Tasks that spilled flush their remainder so the task's
-                // records live entirely in runs; surface write errors as
-                // attempt failures (retried like any task error).
-                DOD_RETURN_IF_ERROR(spiller->Finish(task.staging));
-              }
-              task.worker_group = ThreadPool::CurrentWorkerGroup();
-              return filter.AttemptStatus();
-            },
-            [&]() {
-              task.committed = std::move(task.staging);
-              if (spiller.has_value()) task.runs = spiller->TakeRuns();
-              task.stats.records_shuffled += task.accounting.records;
-              task.stats.bytes_shuffled += task.accounting.bytes;
-            },
-            task.stats, task.slot_costs);
-        if (!run_status.ok()) return run_status;
-        if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr) {
-            PayloadWriter payload;
-            SerializeJobStatsDelta(task.stats, &payload);
-            payload.F64Vec(task.slot_costs);
-            if (!task.runs.empty()) {
-              // Spilled task: checkpoint the run descriptors, not the data
-              // — the runs themselves are already on disk and survive a
-              // crash (see the restore path's validation).
-              payload.U8(1);
-              payload.U64(task.runs.size());
-              for (const internal::SpillRunInfo& run : task.runs) {
-                payload.String(run.file);
-                payload.U32(run.partition);
-                payload.U64(run.records);
-                payload.U64(run.offset);
-                payload.U64(run.bytes);
-                payload.U64(run.checksum);
-                payload.U64(run.min_key);
-                payload.U64(run.max_key);
-              }
-            } else {
-              payload.U8(0);
-              payload.U64(task.committed.size());
-              for (const auto& bucket : task.committed) {
-                payload.U64(bucket.size());
-                payload.Raw(bucket.data(),
-                            bucket.size() * sizeof(std::pair<K, V>));
-              }
-            }
-            if (spec.checkpoint_extra) {
-              spec.checkpoint_extra(TaskPhase::kMap, static_cast<int>(split),
-                                    payload);
-            }
-            persist_checkpoint(TaskPhase::kMap, static_cast<int>(split),
-                               payload);
-          }
-        }
-        return maybe_crash(TaskPhase::kMap, static_cast<int>(split));
-      });
-  }
-  if (!map_status.ok()) {
-    // Fold the completed tasks' accounting in so partial-progress stats
-    // are available to the caller.
-    stats.map_wall_seconds = map_wall.ElapsedSeconds();
-    for (MapTaskState& task : map_tasks) {
-      stats.MergeFrom(task.stats);
-      stats.map_task_seconds.insert(stats.map_task_seconds.end(),
-                                    task.slot_costs.begin(),
-                                    task.slot_costs.end());
-    }
-    return fail_job(map_status);
+    map_status = executor.RunTasks(num_splits, [&](size_t split) {
+      return run_durably(TaskPhase::kMap, split, map_tasks[split],
+                         restore_map, run_map, save_map);
+    });
   }
   stats.map_wall_seconds = map_wall.ElapsedSeconds();
+  fold_stats(map_tasks, &stats.map_task_seconds);
+  if (!map_status.ok()) return fail_job(map_status);
 
-  // Deterministic shuffle merge: split order, then bucket order. With no
-  // spilled map task the records are concatenated into per-reduce buckets
-  // exactly as before; when any task spilled, concatenation is deferred —
-  // each reduce task instead gets an ordered segment list (in-memory
-  // buckets of non-spilled tasks, disk runs of spilled ones, still in
-  // (split, flush) order) that the grouping layer merges back together.
-  bool any_spilled = false;
-  for (const MapTaskState& task : map_tasks) {
-    if (!task.runs.empty()) any_spilled = true;
-  }
-  Buckets buckets(num_reduce);
-  // segments[r]: reduce task r's input pieces; empty unless any_spilled.
-  std::vector<std::vector<internal::ShuffleSegment<K, V>>> segments;
+  // ---- Shuffle handoff --------------------------------------------------
+  // Reduce task r's input is the segment list segments[r]: the committed
+  // in-memory buckets of non-spilled map tasks (referenced in place —
+  // map_tasks outlives the reduce phase) and the disk runs of spilled ones,
+  // in (split, flush) order, which preserves emission order per reduce
+  // task. The grouping layer (mapreduce/shuffle.h) reads them back.
+  std::vector<std::vector<internal::ShuffleSegment<K, V>>> segments(
+      num_reduce);
   // group_records[r][g]: records of reduce task r produced by map tasks
   // that ran on worker group g — the placement-hint scorecard.
   const int exec_groups = executor.num_groups();
@@ -757,63 +753,21 @@ Result<JobOutput<Out>> RunMapReduce(
       num_reduce, std::vector<uint64_t>(static_cast<size_t>(exec_groups), 0));
   {
     trace::Span shuffle_span("phase", "shuffle");
-    stats.map_task_seconds.reserve(num_splits);
-    if (any_spilled) segments.resize(num_reduce);
-    try {
-      for (MapTaskState& task : map_tasks) {
-        stats.MergeFrom(task.stats);
-        stats.map_task_seconds.insert(stats.map_task_seconds.end(),
-                                      task.slot_costs.begin(),
-                                      task.slot_costs.end());
-        const bool count_group =
-            task.worker_group >= 0 && task.worker_group < exec_groups;
-        for (size_t r = 0; r < task.committed.size(); ++r) {
-          if (count_group) {
-            group_records[r][static_cast<size_t>(task.worker_group)] +=
-                task.committed[r].size();
-          }
+    for (MapTaskState& task : map_tasks) {
+      const auto add = [&](size_t r, internal::ShuffleSegment<K, V> segment,
+                           uint64_t records) {
+        if (task.worker_group >= 0 && task.worker_group < exec_groups) {
+          group_records[r][static_cast<size_t>(task.worker_group)] += records;
         }
-        for (const internal::SpillRunInfo& run : task.runs) {
-          if (count_group) {
-            group_records[run.partition]
-                         [static_cast<size_t>(task.worker_group)] +=
-                run.records;
-          }
-        }
-        if (!any_spilled) {
-          for (size_t r = 0; r < task.committed.size(); ++r) {
-            auto& committed = buckets[r];
-            auto& staged = task.committed[r];
-            committed.insert(committed.end(),
-                             std::make_move_iterator(staged.begin()),
-                             std::make_move_iterator(staged.end()));
-          }
-          // Free the per-task buffers eagerly; the shuffle owns the data.
-          task.committed = Buckets();
-        } else {
-          // Segment mode: the per-task buckets stay alive (map_tasks
-          // outlives the reduce phase) and are referenced in place.
-          if (task.runs.empty()) {
-            for (size_t r = 0; r < task.committed.size(); ++r) {
-              if (task.committed[r].empty()) continue;
-              segments[r].push_back(internal::ShuffleSegment<K, V>{
-                  &task.committed[r], nullptr});
-            }
-          } else {
-            // Runs were flushed in time-slice order and each carries its
-            // partition; appending in recorded order preserves emission
-            // order per reduce task.
-            for (const internal::SpillRunInfo& run : task.runs) {
-              segments[run.partition].push_back(
-                  internal::ShuffleSegment<K, V>{nullptr, &run});
-            }
-          }
-        }
-        task.staging = Buckets();
+        segments[r].push_back(std::move(segment));
+      };
+      for (size_t r = 0; r < task.committed.size(); ++r) {
+        if (task.committed[r].empty()) continue;
+        add(r, {&task.committed[r], {}}, task.committed[r].size());
       }
-    } catch (const std::bad_alloc&) {
-      return fail_job(Status::ResourceExhausted(
-          "shuffle merge failed to allocate the merged buckets"));
+      for (const internal::SpillRunInfo& run : task.runs) {
+        add(run.partition, {nullptr, run}, run.records);
+      }
     }
     stats.records_mapped = stats.records_shuffled;
     shuffle_span.Arg("records", stats.records_shuffled)
@@ -854,188 +808,112 @@ Result<JobOutput<Out>> RunMapReduce(
     uint64_t groups = 0;
     internal::GroupPath group_path = internal::GroupPath::kSorted;
     internal::FallbackReason fallback = internal::FallbackReason::kNone;
-    // Reduce-side spill degrade (see GroupBucketOrSpill): the bucket,
-    // sorted and written out as runs so the columnar histogram could run
-    // without it resident. Task-level so a retry regroups from the
-    // existing runs instead of re-spilling an already-freed bucket.
+    // Runs the reduce-side spill degrade wrote (see GroupSegments).
     std::vector<internal::SpillRunInfo> spill_runs;
     double group_seconds = 0.0;
     JobStats stats;
     std::vector<double> slot_costs;
   };
-  std::vector<ReduceTaskState> reduce_tasks(buckets.size());
+  std::vector<ReduceTaskState> reduce_tasks(num_reduce);
+
+  // Reduce checkpoint payload: group path and fallback reason (one byte
+  // each), group seconds, then the committed output.
+  auto restore_reduce = [](ReduceTaskState& task,
+                           PayloadReader& reader) -> Status {
+    uint8_t path = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&path));
+    if (path > static_cast<uint8_t>(internal::GroupPath::kSorted)) {
+      return Status::IoError("reduce checkpoint has unknown group path");
+    }
+    task.group_path = static_cast<internal::GroupPath>(path);
+    uint8_t reason = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&reason));
+    if (reason > static_cast<uint8_t>(internal::FallbackReason::kSpill)) {
+      return Status::IoError("reduce checkpoint has unknown fallback reason");
+    }
+    task.fallback = static_cast<internal::FallbackReason>(reason);
+    DOD_RETURN_IF_ERROR(reader.F64(&task.group_seconds));
+    uint64_t count = 0;
+    DOD_RETURN_IF_ERROR(reader.U64(&count));
+    if (count > reader.remaining() / sizeof(Out)) {
+      return Status::IoError("reduce checkpoint output overruns payload");
+    }
+    task.committed.resize(static_cast<size_t>(count));
+    return reader.Raw(task.committed.data(),
+                      static_cast<size_t>(count) * sizeof(Out));
+  };
+  auto save_reduce = [](const ReduceTaskState& task, PayloadWriter& payload) {
+    payload.U8(static_cast<uint8_t>(task.group_path));
+    payload.U8(static_cast<uint8_t>(task.fallback));
+    payload.F64(task.group_seconds);
+    payload.U64(task.committed.size());
+    payload.Raw(task.committed.data(), task.committed.size() * sizeof(Out));
+  };
+  auto run_reduce = [&](ReduceTaskState& task, size_t index) -> Status {
+    // The spill degrade target: one run file per task, kept across
+    // attempts, so a retry regroups from the runs an earlier attempt
+    // wrote in place of its memory segments.
+    std::optional<internal::TaskSpiller<K, V>> spiller;
+    if (spilling) {
+      spiller.emplace(internal::SpillFilePath(spill_dir, "reduce",
+                                              static_cast<int>(index)),
+                      &spill_gc);
+    }
+    return runner.RunTask(
+        TaskPhase::kReduce, static_cast<int>(index), /*extra_seconds=*/0.0,
+        [&](int /*attempt*/) -> Status {
+          task.staged.clear();
+          task.counters = Counters();
+          task.groups = 0;
+          // Grouping is part of the attempt's cost, like Hadoop's
+          // reducer-side sort, and idempotent: it never mutates its input
+          // beyond the order-preserving spill degrade, so it re-runs
+          // safely after a failure. Both paths yield identical groups (see
+          // mapreduce/shuffle.h), so job output depends on neither the
+          // mode nor the spilling.
+          StopWatch group_watch;
+          internal::GroupScratch<K, V> scratch;
+          auto grouped = internal::GroupSegments(
+              segments[index], spec.shuffle, &scratch, &task.group_path,
+              &task.fallback, spec.memory,
+              spiller.has_value() ? &*spiller : nullptr);
+          if (!grouped.ok()) return grouped.status();
+          const GroupedView<K, V>& groups = grouped.value();
+          task.group_seconds = group_watch.ElapsedSeconds();
+          DOD_RETURN_IF_ERROR(
+              reducer.TryReduceTask(groups, task.staged, task.counters));
+          task.groups = groups.num_groups();
+          return Status::Ok();
+        },
+        [&]() {
+          task.committed = std::move(task.staged);
+          task.stats.counters.MergeFrom(task.counters);
+          task.stats.groups_reduced += task.groups;
+          if (spiller.has_value()) task.spill_runs = spiller->TakeRuns();
+        },
+        task.stats, task.slot_costs);
+  };
+
   StopWatch reduce_wall;
   Status reduce_status;
   {
     trace::Span phase_span("phase", "reduce");
-    phase_span.Arg("tasks", static_cast<uint64_t>(buckets.size()))
+    phase_span.Arg("tasks", static_cast<uint64_t>(num_reduce))
         .Arg("shuffle", ShuffleModeName(spec.shuffle));
     reduce_status = executor.RunTasks(
-      buckets.size(), [&](size_t index) -> Status {
-        ReduceTaskState& task = reduce_tasks[index];
-        auto& bucket = buckets[index];
-        if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr && spec.resume &&
-              spec.checkpoint->HasTask("reduce", static_cast<int>(index))) {
-            trace::Span span("durability", "checkpoint_restore");
-            span.Arg("phase", "reduce")
-                .Arg("task", static_cast<uint64_t>(index));
-            Status restored = [&]() -> Status {
-              DOD_ASSIGN_OR_RETURN(std::string payload,
-                                   spec.checkpoint->LoadTask(
-                                       "reduce", static_cast<int>(index)));
-              PayloadReader reader(payload);
-              DOD_RETURN_IF_ERROR(
-                  DeserializeJobStatsDelta(&reader, &task.stats));
-              DOD_RETURN_IF_ERROR(reader.F64Vec(&task.slot_costs));
-              uint8_t path = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&path));
-              if (path > static_cast<uint8_t>(
-                             internal::GroupPath::kSortedSpilled)) {
-                return Status::IoError(
-                    "reduce checkpoint has unknown group path");
-              }
-              task.group_path = static_cast<internal::GroupPath>(path);
-              uint8_t reason = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&reason));
-              if (reason > static_cast<uint8_t>(
-                               internal::FallbackReason::kSpill)) {
-                return Status::IoError(
-                    "reduce checkpoint has unknown fallback reason");
-              }
-              task.fallback = static_cast<internal::FallbackReason>(reason);
-              DOD_RETURN_IF_ERROR(reader.F64(&task.group_seconds));
-              uint64_t count = 0;
-              DOD_RETURN_IF_ERROR(reader.U64(&count));
-              if (count > reader.remaining() / sizeof(Out)) {
-                return Status::IoError(
-                    "reduce checkpoint output overruns payload");
-              }
-              task.committed.resize(static_cast<size_t>(count));
-              DOD_RETURN_IF_ERROR(
-                  reader.Raw(task.committed.data(),
-                             static_cast<size_t>(count) * sizeof(Out)));
-              if (spec.restore_extra) {
-                DOD_RETURN_IF_ERROR(spec.restore_extra(
-                    TaskPhase::kReduce, static_cast<int>(index), reader));
-              }
-              return reader.ExpectDone();
-            }();
-            if (restored.ok()) {
-              span.Arg("status", "ok");
-              dmetrics.Increment(kCkptTasksResumed);
-              return Status::Ok();
-            }
-            span.Arg("status", "failed");
-            dmetrics.Increment(kCkptLoadFailures);
-            DOD_LOG(Warning)
-                << "reduce task " << index << " checkpoint unusable ("
-                << restored.ToString() << "); re-running";
-            task.stats = JobStats();
-            task.slot_costs.clear();
-            task.committed = std::vector<Out>();
-          }
-        }
-        const Status run_status = runner.RunTask(
-            TaskPhase::kReduce, static_cast<int>(index),
-            /*extra_seconds=*/0.0,
-            [&](int /*attempt*/) -> Status {
-              task.staged.clear();
-              task.counters = Counters();
-              task.groups = 0;
-              // Grouping is part of the attempt's cost, like Hadoop's
-              // reducer-side sort, and idempotent: the sorted path's
-              // in-place stable sort, the columnar path's scratch rebuild,
-              // and the spilled paths' re-merge of immutable runs all
-              // re-run safely after a failure. Every path yields identical
-              // groups (see mapreduce/shuffle.h and mapreduce/spill.h), so
-              // job output depends on neither the mode nor the spilling.
-              StopWatch group_watch;
-              internal::GroupScratch<K, V> scratch;
-              std::optional<GroupedView<K, V>> groups;
-              std::vector<internal::ShuffleSegment<K, V>> segment_scratch;
-              if (any_spilled) {
-                // Spilled shuffle: group the segment list (memory buckets
-                // of non-spilled map tasks + disk runs of spilled ones).
-                auto grouped = internal::GroupSegments(
-                    segments[index], spec.shuffle, &scratch,
-                    &task.group_path, &task.fallback, spec.memory);
-                if (!grouped.ok()) return grouped.status();
-                groups.emplace(std::move(grouped).value());
-              } else if (spilling) {
-                // In-memory bucket, spill directory available: the budget
-                // guard can degrade to spill-then-stream instead of the
-                // sorted-only fallback.
-                auto grouped = internal::GroupBucketOrSpill(
-                    bucket, spec.shuffle, &scratch, &task.group_path,
-                    &task.fallback, spec.memory, spec.spill,
-                    internal::SpillFilePath(spill_dir, "reduce",
-                                            static_cast<int>(index)),
-                    &spill_gc, &task.spill_runs, &segment_scratch);
-                if (!grouped.ok()) return grouped.status();
-                groups.emplace(std::move(grouped).value());
-              } else {
-                groups.emplace(internal::GroupBucket(bucket, spec.shuffle,
-                                                     &scratch,
-                                                     &task.group_path,
-                                                     spec.memory));
-                task.fallback = internal::ReasonFromPath(task.group_path);
-              }
-              task.group_seconds = group_watch.ElapsedSeconds();
-              DOD_RETURN_IF_ERROR(reducer.TryReduceTask(*groups, task.staged,
-                                                        task.counters));
-              task.groups = groups->num_groups();
-              return Status::Ok();
-            },
-            [&]() {
-              task.committed = std::move(task.staged);
-              task.stats.counters.MergeFrom(task.counters);
-              task.stats.groups_reduced += task.groups;
-            },
-            task.stats, task.slot_costs);
-        if (!run_status.ok()) return run_status;
-        if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr) {
-            PayloadWriter payload;
-            SerializeJobStatsDelta(task.stats, &payload);
-            payload.F64Vec(task.slot_costs);
-            payload.U8(static_cast<uint8_t>(task.group_path));
-            payload.U8(static_cast<uint8_t>(task.fallback));
-            payload.F64(task.group_seconds);
-            payload.U64(task.committed.size());
-            payload.Raw(task.committed.data(),
-                        task.committed.size() * sizeof(Out));
-            if (spec.checkpoint_extra) {
-              spec.checkpoint_extra(TaskPhase::kReduce,
-                                    static_cast<int>(index), payload);
-            }
-            persist_checkpoint(TaskPhase::kReduce, static_cast<int>(index),
-                               payload);
-          }
-        }
-        return maybe_crash(TaskPhase::kReduce, static_cast<int>(index));
-      },
-      [&](size_t index) { return reduce_hints[index]; });
-  }
-  if (!reduce_status.ok()) {
-    stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
-    for (ReduceTaskState& task : reduce_tasks) {
-      stats.MergeFrom(task.stats);
-      stats.reduce_task_seconds.insert(stats.reduce_task_seconds.end(),
-                                       task.slot_costs.begin(),
-                                       task.slot_costs.end());
-    }
-    return fail_job(reduce_status);
+        num_reduce,
+        [&](size_t index) {
+          return run_durably(TaskPhase::kReduce, index, reduce_tasks[index],
+                             restore_reduce, run_reduce, save_reduce);
+        },
+        [&](size_t index) { return reduce_hints[index]; });
   }
   stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
+  fold_stats(reduce_tasks, &stats.reduce_task_seconds);
+  if (!reduce_status.ok()) return fail_job(reduce_status);
 
   // Deterministic output commit: reduce-task index order.
-  stats.reduce_task_seconds.reserve(buckets.size());
   for (ReduceTaskState& task : reduce_tasks) {
-    stats.MergeFrom(task.stats);
-    stats.reduce_task_seconds.insert(stats.reduce_task_seconds.end(),
-                                     task.slot_costs.begin(),
-                                     task.slot_costs.end());
     for (Out& out : task.committed) result.output.push_back(std::move(out));
     task.committed = std::vector<Out>();
   }
@@ -1083,14 +961,6 @@ Result<JobOutput<Out>> RunMapReduce(
         metrics.Id("mr.shuffle.columnar_tasks", MetricKind::kCounter);
     static const uint32_t kShuffleSorted =
         metrics.Id("mr.shuffle.sorted_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleFallback =
-        metrics.Id("mr.shuffle.fallback_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleBudgetFallback =
-        metrics.Id("mr.shuffle.budget_fallback_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleColumnarSpilled = metrics.Id(
-        "mr.shuffle.columnar_spilled_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleSortedSpilled =
-        metrics.Id("mr.shuffle.sorted_spilled_tasks", MetricKind::kCounter);
     // Reason-labeled fallback counters: which guard pushed a columnar-
     // requested task off the counting-sort fast path (see FallbackReason).
     static const uint32_t kFallbackDensity =
@@ -1131,7 +1001,7 @@ Result<JobOutput<Out>> RunMapReduce(
         metrics.Id("mr.job_wall_seconds", MetricKind::kHistogram);
     metrics.Increment(kJobs);
     metrics.Increment(kMapTasks, static_cast<uint64_t>(num_splits));
-    metrics.Increment(kReduceTasks, static_cast<uint64_t>(buckets.size()));
+    metrics.Increment(kReduceTasks, static_cast<uint64_t>(num_reduce));
     metrics.Increment(kAttempts, stats.task_attempts);
     metrics.Increment(kFailures, stats.task_failures);
     metrics.Increment(kRetries, stats.task_retries);
@@ -1139,28 +1009,28 @@ Result<JobOutput<Out>> RunMapReduce(
     metrics.Increment(kRecords, stats.records_shuffled);
     metrics.Increment(kBytes, stats.bytes_shuffled);
     metrics.Increment(kGroups, stats.groups_reduced);
-    for (const ReduceTaskState& task : reduce_tasks) {
-      switch (task.group_path) {
-        case internal::GroupPath::kColumnar:
-          metrics.Increment(kShuffleColumnar);
-          break;
-        case internal::GroupPath::kSorted:
-          metrics.Increment(kShuffleSorted);
-          break;
-        case internal::GroupPath::kSortedFallback:
-          metrics.Increment(kShuffleFallback);
-          break;
-        case internal::GroupPath::kSortedBudget:
-          metrics.Increment(kShuffleBudgetFallback);
-          metrics.Increment(kBudgetShuffleFallbacks);
-          break;
-        case internal::GroupPath::kColumnarSpilled:
-          metrics.Increment(kShuffleColumnarSpilled);
-          break;
-        case internal::GroupPath::kSortedSpilled:
-          metrics.Increment(kShuffleSortedSpilled);
-          break;
+    // Spill accounting, from the committed run descriptors — failed
+    // attempts' truncated files never show up here. Each run counts once
+    // as written (by the map task or the reduce degrade that wrote it) and
+    // once as merged (from the segment list its reduce task read).
+    const auto count_written = [&](const std::vector<internal::SpillRunInfo>&
+                                       runs,
+                                   uint32_t tasks_id) {
+      if (runs.empty()) return;
+      metrics.Increment(tasks_id);
+      for (const internal::SpillRunInfo& run : runs) {
+        metrics.Increment(kSpillRunsWritten);
+        metrics.Increment(kSpillBytesWritten, run.bytes);
+        metrics.Observe(kSpillRunRecords, static_cast<double>(run.records));
       }
+    };
+    for (const MapTaskState& task : map_tasks) {
+      count_written(task.runs, kSpillMapTasks);
+    }
+    for (const ReduceTaskState& task : reduce_tasks) {
+      metrics.Increment(task.group_path == internal::GroupPath::kColumnar
+                            ? kShuffleColumnar
+                            : kShuffleSorted);
       switch (task.fallback) {
         case internal::FallbackReason::kNone:
           break;
@@ -1175,36 +1045,13 @@ Result<JobOutput<Out>> RunMapReduce(
           break;
       }
       metrics.Observe(kShuffleGroupSeconds, task.group_seconds);
-    }
-    // Spill accounting, from the committed run descriptors — failed
-    // attempts' truncated files never show up here.
-    for (const MapTaskState& task : map_tasks) {
-      if (task.runs.empty()) continue;
-      metrics.Increment(kSpillMapTasks);
-      for (const internal::SpillRunInfo& run : task.runs) {
-        metrics.Increment(kSpillRunsWritten);
-        metrics.Increment(kSpillBytesWritten, run.bytes);
-        metrics.Observe(kSpillRunRecords,
-                        static_cast<double>(run.records));
-      }
-    }
-    for (const ReduceTaskState& task : reduce_tasks) {
-      if (task.spill_runs.empty()) continue;
-      metrics.Increment(kSpillReduceTasks);
-      for (const internal::SpillRunInfo& run : task.spill_runs) {
-        metrics.Increment(kSpillRunsWritten);
-        metrics.Increment(kSpillBytesWritten, run.bytes);
-        metrics.Observe(kSpillRunRecords,
-                        static_cast<double>(run.records));
-        metrics.Increment(kSpillRunsMerged);
-        metrics.Increment(kSpillBytesRead, run.bytes);
-      }
+      count_written(task.spill_runs, kSpillReduceTasks);
     }
     for (const auto& segment_list : segments) {
       for (const internal::ShuffleSegment<K, V>& segment : segment_list) {
-        if (segment.run == nullptr) continue;
+        if (segment.memory != nullptr) continue;
         metrics.Increment(kSpillRunsMerged);
-        metrics.Increment(kSpillBytesRead, segment.run->bytes);
+        metrics.Increment(kSpillBytesRead, segment.run.bytes);
       }
     }
     metrics.SetMax(kWorkerGroups, static_cast<double>(exec_groups));

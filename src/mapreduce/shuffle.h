@@ -1,29 +1,34 @@
 // Copyright 2026 The DOD Authors.
 //
-// Reduce-side shuffle grouping: turn one reduce task's bucket of
-// (key, value) records into key groups.
+// Reduce-side shuffle grouping: turn one reduce task's input into key
+// groups.
 //
-// Two interchangeable paths produce byte-identical grouping:
+// A reduce task's input is an ordered segment list — in-memory buckets of
+// non-spilled map tasks and disk runs of spilled ones (mapreduce/spill.h),
+// in (split, flush) order. GroupSegments is the one grouping function; it
+// has two interchangeable paths that produce byte-identical groups, equal
+// to a stable sort of the concatenated emission-order records:
 //
-//  - kSorted: Hadoop's classic merge — a stable sort of the record pairs by
-//    key, groups read off as equal-key runs. Works for any ordered key type.
+//  - kSorted: Hadoop's classic merge — the segments appended into one
+//    vector and stable-sorted by key, groups read off as equal-key runs.
+//    Works for any ordered key type.
 //
 //  - kColumnar: a two-pass counting sort specialized for dense integral
 //    keys (DOD's cell ids). Pass 1 histograms the keys and prefix-sums the
 //    histogram into per-key column segments; pass 2 scatters the *values*
 //    into one contiguous column, leaving the keys behind (each group knows
 //    its key, so per-record keys never need to be materialized again).
-//    Scattering in record order is stable by construction, so groups come
+//    Scattering in segment order is stable by construction, so groups come
 //    out in ascending key order with the exact within-group record order of
 //    the sorted path — reducers cannot tell the difference, which is what
 //    keeps job output byte-identical across the --shuffle escape hatch.
 //
-// The columnar path guards against adversarially sparse key spaces: when
-// the key range is much larger than the record count (a counting histogram
-// would waste memory), it falls back to the sorted path. The guard is a
-// pure function of the bucket contents, so the chosen path — and therefore
-// every downstream byte — is identical across thread counts and fault
-// schedules.
+// The columnar path is admitted by two guards: a density guard against
+// adversarially sparse key spaces (the key range much larger than the
+// record count would make the histogram waste memory) and a memory-budget
+// check on its scratch. Both are pure functions of the input, so the
+// chosen path — and therefore every downstream byte — is identical across
+// thread counts and fault schedules.
 //
 // Reducers consume groups through GroupedView, a zero-copy cursor over
 // either backing layout. The engine's default reduce loop copies each
@@ -43,7 +48,10 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "durability/memory_budget.h"
+#include "mapreduce/spill.h"
+#include "observability/trace.h"
 
 namespace dod {
 
@@ -63,17 +71,15 @@ bool ParseShuffleMode(std::string_view name, ShuffleMode* mode);
 namespace internal {
 
 // Owning scratch behind a GroupedView; one instance per reduce-task
-// attempt. Either `values` (columnar) or the caller's pair bucket (sorted)
-// backs the group contents; `offsets` delimits groups in both layouts.
+// attempt. Either `values` (columnar) or `merged` (sorted) backs the group
+// contents; `offsets` delimits groups in both layouts.
 template <typename K, typename V>
 struct GroupScratch {
   std::vector<K> keys;         // columnar only: ascending distinct keys
   std::vector<V> values;       // columnar only: value column, grouped
   std::vector<size_t> offsets; // group g spans [offsets[g], offsets[g+1])
   std::vector<size_t> histogram;  // columnar working space (reused)
-  // Spilled input only: the loser-tree merge of memory segments and disk
-  // runs materializes here, then backs a sorted-layout GroupedView.
-  std::vector<std::pair<K, V>> merged;
+  std::vector<std::pair<K, V>> merged;  // sorted only: key-sorted records
 };
 
 }  // namespace internal
@@ -131,6 +137,36 @@ class GroupedView {
 
 namespace internal {
 
+// One piece of a reduce task's input, in (split, flush) order: either a
+// non-spilled map task's in-memory bucket (emission order) or one disk run
+// (stably sorted). `memory` is null for a run.
+template <typename K, typename V>
+struct ShuffleSegment {
+  std::vector<std::pair<K, V>>* memory = nullptr;
+  SpillRunInfo run;
+};
+
+// Grouping outcome, for the engine's shuffle accounting.
+enum class GroupPath : uint8_t {
+  kColumnar = 0,  // counting sort
+  kSorted = 1,    // stable sort — requested, or a columnar fallback
+};
+
+// Which guard pushed a columnar-requested task off the plain counting
+// sort over its resident segments. Orthogonal to GroupPath: a kSorted
+// task carries the guard that rejected the histogram (kDensity, kBudget),
+// a kColumnar task carries kSpill when its memory segments were written
+// out as runs so the histogram could run with only its scratch resident.
+// Feeds the reason-labeled mr.shuffle.fallback.* counters.
+enum class FallbackReason : uint8_t {
+  kNone = 0,
+  kDensity,  // key range too sparse for a counting histogram
+  kBudget,   // histogram scratch exceeds the memory budget
+  kSpill,    // scratch + resident segments exceed the budget; the segments
+             // were spilled so the histogram could run with only scratch
+             // resident
+};
+
 // Sparsity guard for the counting histogram: fall back to sorting when the
 // key range exceeds this multiple of the record count (plus slack for tiny
 // buckets). Cell-id key spaces are dense, so real jobs never trip it.
@@ -139,8 +175,8 @@ inline constexpr uint64_t kDenseRangePerRecord = 4;
 
 // Bytes of scratch the columnar path would allocate for `records` records
 // over a key `range`: histogram + value column + worst-case keys/offsets.
-// A pure function of the bucket contents, so budget decisions built on it
-// are deterministic (see GroupBucket).
+// A pure function of the input, so budget decisions built on it are
+// deterministic.
 inline uint64_t ColumnarScratchBytes(uint64_t records, uint64_t range,
                                      size_t key_bytes, size_t value_bytes) {
   const uint64_t groups = std::min(records, range);
@@ -148,72 +184,38 @@ inline uint64_t ColumnarScratchBytes(uint64_t records, uint64_t range,
          groups * key_bytes + (groups + 1) * sizeof(size_t);
 }
 
-// Groups `bucket` by key with a stable two-pass counting sort; the caller
-// guarantees K is integral and the bucket is non-empty. Returns false —
-// leaving `scratch` untouched — when the key range fails the density
-// guard, or when `budget` (optional) cannot admit the scratch the sort
-// would allocate (`*budget_denied` distinguishes the latter). The budget
-// check uses MemoryBudget::FitsAlone, a pure function of (estimate,
-// limit), so the chosen path never depends on concurrent allocations.
-template <typename K, typename V>
-bool CountingSortGroups(const std::vector<std::pair<K, V>>& bucket,
-                        GroupScratch<K, V>* scratch,
-                        const MemoryBudget* budget = nullptr,
-                        bool* budget_denied = nullptr) {
-  static_assert(std::is_integral_v<K>,
-                "counting sort requires integral keys");
-  using U = std::make_unsigned_t<K>;
-  K min_key = bucket.front().first;
-  K max_key = min_key;
-  for (const std::pair<K, V>& record : bucket) {
-    min_key = std::min(min_key, record.first);
-    max_key = std::max(max_key, record.first);
+// Columnar admission: the density guard, then the budget check on the
+// histogram scratch. MemoryBudget::FitsAlone is a pure function of
+// (estimate, limit), so the verdict never depends on concurrent
+// allocations — the chosen path is identical across thread counts and
+// fault schedules.
+inline FallbackReason AdmitColumnar(uint64_t records, uint64_t range,
+                                    uint64_t scratch_bytes,
+                                    const MemoryBudget* budget) {
+  if (range > kDenseRangeSlack + kDenseRangePerRecord * records) {
+    return FallbackReason::kDensity;
   }
-  // Two's-complement subtraction in the unsigned domain handles negative
-  // keys and cannot overflow.
-  const uint64_t range =
-      static_cast<uint64_t>(static_cast<U>(max_key) -
-                            static_cast<U>(min_key)) + 1;
-  if (range > kDenseRangeSlack +
-                  kDenseRangePerRecord * static_cast<uint64_t>(bucket.size())) {
-    return false;
+  if (budget != nullptr && !budget->FitsAlone(scratch_bytes)) {
+    return FallbackReason::kBudget;
   }
-  if (budget != nullptr &&
-      !budget->FitsAlone(ColumnarScratchBytes(bucket.size(), range, sizeof(K),
-                                              sizeof(V)))) {
-    if (budget_denied != nullptr) *budget_denied = true;
-    return false;
-  }
+  return FallbackReason::kNone;
+}
 
-  // Pass 1: histogram keys, then prefix-sum into per-key write cursors.
-  std::vector<size_t>& cursor = scratch->histogram;
-  cursor.assign(static_cast<size_t>(range), 0);
-  for (const std::pair<K, V>& record : bucket) {
-    ++cursor[static_cast<size_t>(static_cast<U>(record.first) -
-                                 static_cast<U>(min_key))];
+// Calls fn(record) for every record of `segment` in stored order; runs
+// stream through the checksum-verifying SpillRunCursor.
+template <typename K, typename V, typename Fn>
+Status ForEachRecord(const ShuffleSegment<K, V>& segment, Fn&& fn) {
+  if (segment.memory != nullptr) {
+    for (const std::pair<K, V>& record : *segment.memory) fn(record);
+    return Status::Ok();
   }
-  scratch->keys.clear();
-  scratch->offsets.clear();
-  size_t total = 0;
-  for (size_t slot = 0; slot < cursor.size(); ++slot) {
-    const size_t count = cursor[slot];
-    if (count == 0) continue;  // absent keys produce no group
-    scratch->keys.push_back(
-        static_cast<K>(static_cast<U>(min_key) + static_cast<U>(slot)));
-    scratch->offsets.push_back(total);
-    cursor[slot] = total;  // becomes the group's write cursor
-    total += count;
+  SpillRunCursor<K, V> cursor;
+  DOD_RETURN_IF_ERROR(cursor.Open(segment.run));
+  while (!cursor.AtEnd()) {
+    fn(cursor.Head());
+    DOD_RETURN_IF_ERROR(cursor.Advance());
   }
-  scratch->offsets.push_back(total);
-
-  // Pass 2: scatter the values into the column in record order (stable).
-  scratch->values.resize(bucket.size());
-  for (const std::pair<K, V>& record : bucket) {
-    const size_t slot = static_cast<size_t>(
-        static_cast<U>(record.first) - static_cast<U>(min_key));
-    scratch->values[cursor[slot]++] = record.second;
-  }
-  return true;
+  return Status::Ok();
 }
 
 // Reads group offsets off a key-sorted pair sequence (equal-key runs).
@@ -234,90 +236,190 @@ void ComputeGroupOffsets(const std::vector<std::pair<K, V>>& pairs,
   offsets->push_back(pairs.size());
 }
 
-// Stable-sorts `bucket` by key in place and records group offsets. The
-// generic path: only requires operator< on K.
+// Groups one reduce task's segment list under `mode` — the only grouping
+// function. Both paths yield the groups of a stable sort of the segments'
+// concatenation, byte for byte:
+//
+//  * columnar: a two-pass counting sort streamed over the segments
+//    (histogram, then value scatter), admitted by AdmitColumnar over the
+//    segments' key span (integral K only);
+//  * sorted: every segment appended in order into scratch->merged, then
+//    one std::stable_sort.
+//
+// `degrade` (optional, spilling jobs only) is the task's run writer. When
+// the histogram passes both guards but its scratch next to the resident
+// memory segments exceeds `budget`, each memory segment is written out as
+// a run, freed, and replaced by that run in place — order holds, and a
+// retry regroups from the runs with no special case. A task whose degrade
+// target holds runs reports FallbackReason::kSpill.
+//
+// Segments are never mutated otherwise, so attempt retries are safe.
 template <typename K, typename V>
-void SortGroups(std::vector<std::pair<K, V>>* bucket,
-                GroupScratch<K, V>* scratch) {
-  std::stable_sort(bucket->begin(), bucket->end(),
-                   [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                     return a.first < b.first;
-                   });
-  ComputeGroupOffsets(*bucket, &scratch->offsets);
-}
-
-// Grouping outcome, for the engine's shuffle accounting.
-enum class GroupPath {
-  kColumnar,         // counting sort
-  kSorted,           // stable sort, as requested
-  kSortedFallback,   // columnar requested but unavailable (key type/range)
-  kSortedBudget,     // columnar requested but its scratch exceeds the
-                     // memory budget — degraded to the sorted path
-  kColumnarSpilled,  // counting-sort histogram computed over spilled runs
-                     // (two streaming passes; see mapreduce/spill.h)
-  kSortedSpilled,    // loser-tree k-way merge of spilled runs + memory
-                     // segments into a sorted backing
-};
-
-// Which guard pushed a columnar-requested task off the counting-sort path.
-// Orthogonal to GroupPath: a kColumnarSpilled task can carry kSpill (the
-// budget guard fired and spilling — not plain sorting — absorbed it), and
-// a kSortedSpilled task carries the guard that rejected the histogram over
-// its runs. Feeds the reason-labeled mr.shuffle.fallback.* counters.
-enum class FallbackReason : uint8_t {
-  kNone = 0,
-  kDensity,  // key range too sparse for a counting histogram
-  kBudget,   // histogram scratch exceeds the memory budget
-  kSpill,    // scratch + resident bucket exceed the budget; the bucket was
-             // spilled so the histogram could run with only scratch
-             // resident
-};
-
-inline FallbackReason ReasonFromPath(GroupPath path) {
-  switch (path) {
-    case GroupPath::kSortedFallback:
-      return FallbackReason::kDensity;
-    case GroupPath::kSortedBudget:
-      return FallbackReason::kBudget;
-    default:
-      return FallbackReason::kNone;
+Result<GroupedView<K, V>> GroupSegments(
+    std::vector<ShuffleSegment<K, V>>& segments, ShuffleMode mode,
+    GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
+    const MemoryBudget* budget, TaskSpiller<K, V>* degrade = nullptr) {
+  *reason = FallbackReason::kNone;
+  uint64_t records = 0;
+  uint64_t resident_bytes = 0;
+  for (const ShuffleSegment<K, V>& segment : segments) {
+    if (segment.memory != nullptr) {
+      records += segment.memory->size();
+      resident_bytes += segment.memory->size() * sizeof(std::pair<K, V>);
+    } else {
+      records += segment.run.records;
+    }
   }
-}
+  *path = mode == ShuffleMode::kColumnar ? GroupPath::kColumnar
+                                         : GroupPath::kSorted;
+  if (records == 0) {
+    scratch->merged.clear();
+    scratch->offsets.clear();
+    return GroupedView<K, V>(scratch->merged, scratch->offsets);
+  }
 
-// Groups one reduce-task bucket under `mode`. The sorted path mutates the
-// bucket (in-place stable sort — idempotent, so attempt retries are safe);
-// the columnar path leaves it untouched and stages into `scratch`. Both
-// yield identical groups. A `budget` may veto the columnar path's scratch
-// allocation, degrading to the (in-place, allocation-light) sorted path;
-// the veto is deterministic and both paths group identically, so results
-// never change — only `*path` and the engine's fallback counters do.
-template <typename K, typename V>
-GroupedView<K, V> GroupBucket(std::vector<std::pair<K, V>>& bucket,
-                              ShuffleMode mode,
-                              GroupScratch<K, V>* scratch,
-                              GroupPath* path,
-                              const MemoryBudget* budget = nullptr) {
-  if (mode == ShuffleMode::kColumnar && !bucket.empty()) {
-    bool budget_denied = false;
+  if (mode == ShuffleMode::kColumnar) {
     if constexpr (std::is_integral_v<K>) {
-      if (CountingSortGroups(bucket, scratch, budget, &budget_denied)) {
-        *path = GroupPath::kColumnar;
+      using U = std::make_unsigned_t<K>;
+      // Key span in the signed K domain: memory segments are scanned, runs
+      // contribute the bit-casts of their signed extremes (decoded through
+      // U — the raw u64 values do not order across signs).
+      bool have_keys = false;
+      K min_key{};
+      K max_key{};
+      const auto fold = [&](K key) {
+        min_key = have_keys ? std::min(min_key, key) : key;
+        max_key = have_keys ? std::max(max_key, key) : key;
+        have_keys = true;
+      };
+      for (const ShuffleSegment<K, V>& segment : segments) {
+        if (segment.memory != nullptr) {
+          for (const std::pair<K, V>& record : *segment.memory) {
+            fold(record.first);
+          }
+        } else if (segment.run.records > 0) {
+          fold(static_cast<K>(static_cast<U>(segment.run.min_key)));
+          fold(static_cast<K>(static_cast<U>(segment.run.max_key)));
+        }
+      }
+      // Two's-complement subtraction in the unsigned domain handles
+      // negative keys and cannot overflow. (For keys narrower than int the
+      // operands promote, a mixed-sign span goes negative, and the density
+      // guard rejects it.)
+      const uint64_t range =
+          static_cast<uint64_t>(static_cast<U>(max_key) -
+                                static_cast<U>(min_key)) + 1;
+      const uint64_t scratch_bytes =
+          ColumnarScratchBytes(records, range, sizeof(K), sizeof(V));
+      *reason = AdmitColumnar(records, range, scratch_bytes, budget);
+      if (*reason == FallbackReason::kNone) {
+        if (degrade != nullptr && budget != nullptr && resident_bytes > 0 &&
+            !budget->FitsAlone(scratch_bytes + resident_bytes)) {
+          for (ShuffleSegment<K, V>& segment : segments) {
+            if (segment.memory == nullptr || segment.memory->empty()) continue;
+            DOD_ASSIGN_OR_RETURN(segment.run,
+                                 degrade->SpillSegment(*segment.memory));
+            // Free the resident bucket for real — the histogram must run
+            // with only its scratch resident, which is the point.
+            *segment.memory = std::vector<std::pair<K, V>>();
+            segment.memory = nullptr;
+          }
+        }
+        if (degrade != nullptr && degrade->spilled()) {
+          *reason = FallbackReason::kSpill;
+        }
+        // Pass 1: histogram the keys, then prefix-sum into per-key write
+        // cursors. Slots subtract in the U domain, so negative keys land
+        // like any other.
+        const auto slot = [min_key](K key) {
+          return static_cast<size_t>(static_cast<U>(key) -
+                                     static_cast<U>(min_key));
+        };
+        std::vector<size_t>& cursor = scratch->histogram;
+        cursor.assign(static_cast<size_t>(range), 0);
+        for (const ShuffleSegment<K, V>& segment : segments) {
+          DOD_RETURN_IF_ERROR(
+              ForEachRecord(segment, [&](const std::pair<K, V>& record) {
+                ++cursor[slot(record.first)];
+              }));
+        }
+        scratch->keys.clear();
+        scratch->offsets.clear();
+        size_t total = 0;
+        for (size_t s = 0; s < cursor.size(); ++s) {
+          const size_t count = cursor[s];
+          if (count == 0) continue;  // absent keys produce no group
+          scratch->keys.push_back(
+              static_cast<K>(static_cast<U>(min_key) + static_cast<U>(s)));
+          scratch->offsets.push_back(total);
+          cursor[s] = total;  // becomes the group's write cursor
+          total += count;
+        }
+        scratch->offsets.push_back(total);
+        // Pass 2: scatter the values segment by segment in the same order.
+        // Within a key, records land in (segment, position) order — the
+        // emission order (runs are time-sliced and stably sorted).
+        scratch->values.resize(static_cast<size_t>(records));
+        for (const ShuffleSegment<K, V>& segment : segments) {
+          DOD_RETURN_IF_ERROR(
+              ForEachRecord(segment, [&](const std::pair<K, V>& record) {
+                scratch->values[cursor[slot(record.first)]++] = record.second;
+              }));
+        }
         return GroupedView<K, V>(scratch->keys, scratch->values,
                                  scratch->offsets);
       }
-    }
-    *path = budget_denied ? GroupPath::kSortedBudget
-                          : GroupPath::kSortedFallback;
-  } else {
-    *path = mode == ShuffleMode::kColumnar ? GroupPath::kColumnar
-                                           : GroupPath::kSorted;
-    if (bucket.empty()) {
-      scratch->offsets.clear();
-      return GroupedView<K, V>(bucket, scratch->offsets);
+    } else {
+      *reason = FallbackReason::kDensity;  // non-integral keys cannot count
     }
   }
-  SortGroups(&bucket, scratch);
-  return GroupedView<K, V>(bucket, scratch->offsets);
+
+  // Sorted path: concatenate, then one stable sort. Runs are time-sliced
+  // and stably sorted, so equal keys already sit in emission order in the
+  // concatenation.
+  *path = GroupPath::kSorted;
+  {
+    trace::Span span("shuffle", "merge");
+    span.Arg("segments", static_cast<uint64_t>(segments.size()))
+        .Arg("records", records);
+    std::vector<std::pair<K, V>>& merged = scratch->merged;
+    merged.clear();
+    merged.reserve(static_cast<size_t>(records));
+    for (const ShuffleSegment<K, V>& segment : segments) {
+      if (segment.memory != nullptr) {
+        merged.insert(merged.end(), segment.memory->begin(),
+                      segment.memory->end());
+      } else {
+        DOD_RETURN_IF_ERROR(
+            ForEachRecord(segment, [&merged](const std::pair<K, V>& record) {
+              merged.push_back(record);
+            }));
+      }
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+                       return a.first < b.first;
+                     });
+  }
+  ComputeGroupOffsets(scratch->merged, &scratch->offsets);
+  return GroupedView<K, V>(scratch->merged, scratch->offsets);
+}
+
+// Groups one in-memory bucket: GroupSegments over a single memory
+// segment. Leaves the bucket untouched.
+template <typename K, typename V>
+GroupedView<K, V> GroupBucket(std::vector<std::pair<K, V>>& bucket,
+                              ShuffleMode mode, GroupScratch<K, V>* scratch,
+                              GroupPath* path,
+                              const MemoryBudget* budget = nullptr,
+                              FallbackReason* reason = nullptr) {
+  std::vector<ShuffleSegment<K, V>> segments(1);
+  segments[0].memory = &bucket;
+  FallbackReason ignored;
+  // Memory segments involve no I/O, so grouping cannot fail.
+  return GroupSegments(segments, mode, scratch, path,
+                       reason != nullptr ? reason : &ignored, budget)
+      .ValueOrDie();
 }
 
 }  // namespace internal

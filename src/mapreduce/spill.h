@@ -13,24 +13,12 @@
 // threshold. A task that spilled once flushes its remainder at attempt end,
 // so a task's records live either entirely in memory or entirely in runs.
 //
-// Reduce side: a reduce task's input becomes an ordered list of segments —
-// in-memory buckets of non-spilled map tasks plus disk runs of spilled
-// ones, in (split, flush) order. Grouping happens either by a two-pass
-// counting-sort histogram streamed over the segments (columnar) or by a
-// loser-tree k-way merge of the stably-sorted segments with ordinal
-// tie-breaking (sorted). Both orders equal a stable sort of the
-// concatenated emission-order records, which is exactly what the in-memory
-// paths produce — so spilling is invisible in the job output:
-//
-//  * runs are time-sliced (every record of flush i was emitted before any
-//    record of flush i+1) and each flush is stably sorted, so scanning a
-//    task's runs in flush order visits equal keys in emission order;
-//  * the loser tree breaks key ties by segment ordinal, and merging
-//    stably-sorted segments with ordinal tie-breaks reproduces the stable
-//    sort of their concatenation;
-//  * the columnar scatter visits segments in the same order, so each
-//    group's column comes out in emission order, matching the in-memory
-//    counting sort.
+// Reduce side: runs are segments of a reduce task's input, read back
+// through SpillRunCursor by the grouping layer (see mapreduce/shuffle.h).
+// Runs are time-sliced (every record of flush i was emitted before any
+// record of flush i+1) and each flush is stably sorted, so scanning a
+// task's runs in flush order visits equal keys in emission order — which
+// is why spilling is invisible in the job output.
 //
 // Attempt retries are safe: the run file is truncated at the start of each
 // spilling attempt (attempts are sequential and speculative duplicates
@@ -46,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -57,7 +44,6 @@
 #include "common/status.h"
 #include "durability/memory_budget.h"
 #include "durability/payload.h"
-#include "mapreduce/shuffle.h"
 #include "observability/trace.h"
 
 namespace dod {
@@ -164,14 +150,16 @@ uint64_t SpillKeyCast(const K& key) {
   }
 }
 
-// Writes one task's spill runs. One instance per map task (or per
-// reduce-side degrade), driven by the ShuffleEmitter: Spill() flushes all
-// non-empty buckets as sorted runs, Finish() flushes the remainder iff the
-// task spilled at all. Errors are sticky; the attempt surfaces them.
+// Writes one task's spill runs. One instance per map task, driven by the
+// ShuffleEmitter — Spill() flushes all non-empty buckets as sorted runs,
+// Finish() flushes the remainder iff the task spilled at all — or per
+// reduce task, as the grouping layer's degrade target (SpillSegment()).
+// Errors are sticky; the attempt surfaces them.
 template <typename K, typename V>
 class TaskSpiller {
  public:
-  using Buckets = std::vector<std::vector<std::pair<K, V>>>;
+  using Bucket = std::vector<std::pair<K, V>>;
+  using Buckets = std::vector<Bucket>;
 
   TaskSpiller(std::string file, SpillGc* gc)
       : file_(std::move(file)), gc_(gc) {}
@@ -193,61 +181,17 @@ class TaskSpiller {
   // Flushes every non-empty bucket as one sorted run and clears it.
   void Spill(Buckets& buckets) {
     if (!status_.ok()) return;
-    if (!opened_) {
-      out_.open(file_, std::ios::binary | std::ios::trunc);
-      if (!out_) {
-        status_ = Status::IoError("spill: cannot open run file " + file_);
-        return;
-      }
-      opened_ = true;
-      if (gc_ != nullptr) gc_->Track(file_);
-    }
     trace::Span span("shuffle", "shuffle_spill");
     uint64_t spilled_records = 0;
-    uint64_t spilled_bytes = 0;
     for (size_t p = 0; p < buckets.size(); ++p) {
-      auto& bucket = buckets[p];
-      if (bucket.empty()) continue;
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                         return a.first < b.first;
-                       });
-      const size_t payload_bytes = bucket.size() * sizeof(std::pair<K, V>);
-      const std::string_view payload(
-          reinterpret_cast<const char*>(bucket.data()), payload_bytes);
-      SpillRunInfo run;
-      run.file = file_;
-      run.partition = static_cast<uint32_t>(p);
-      run.records = bucket.size();
-      run.bytes = payload_bytes;
-      run.checksum = Fnv1a64(payload);
-      run.min_key = SpillKeyCast(bucket.front().first);
-      run.max_key = SpillKeyCast(bucket.back().first);
-      PayloadWriter header;
-      header.U32(kSpillRunMagic);
-      header.U32(run.partition);
-      header.U64(run.records);
-      header.U64(run.bytes);
-      header.U64(run.checksum);
-      header.U64(run.min_key);
-      header.U64(run.max_key);
-      run.offset = offset_ + header.size();
-      out_.write(header.str().data(),
-                 static_cast<std::streamsize>(header.size()));
-      out_.write(payload.data(), static_cast<std::streamsize>(payload_bytes));
-      offset_ += header.size() + payload_bytes;
-      runs_.push_back(std::move(run));
-      spilled_records += bucket.size();
-      spilled_bytes += payload_bytes;
-      bucket.clear();  // capacity retained for the next fill
+      if (buckets[p].empty()) continue;
+      spilled_records += buckets[p].size();
+      Append(static_cast<uint32_t>(p), buckets[p]);
+      buckets[p].clear();  // capacity retained for the next fill
     }
-    out_.flush();
-    if (!out_) {
-      status_ = Status::IoError("spill: write to run file " + file_ +
-                                " failed");
-      return;
-    }
-    span.Arg("records", spilled_records).Arg("bytes", spilled_bytes);
+    Flush();
+    span.Arg("records", spilled_records)
+        .Arg("bytes", spilled_records * sizeof(std::pair<K, V>));
   }
 
   // Attempt end: a task that spilled flushes its remainder too, so its
@@ -257,7 +201,72 @@ class TaskSpiller {
     return status_;
   }
 
+  // Writes one in-memory segment as a single sorted run (sorting it in
+  // place) and returns the run's descriptor.
+  Result<SpillRunInfo> SpillSegment(Bucket& records) {
+    trace::Span span("shuffle", "shuffle_spill");
+    Append(0, records);
+    Flush();
+    if (!status_.ok()) return status_;
+    span.Arg("records", static_cast<uint64_t>(records.size()))
+        .Arg("bytes", runs_.back().bytes);
+    return runs_.back();
+  }
+
  private:
+  // Stable-sorts `bucket` by key and appends it to the run file as one
+  // framed run tagged with `partition`.
+  void Append(uint32_t partition, Bucket& bucket) {
+    if (!status_.ok()) return;
+    if (!opened_) {
+      out_.open(file_, std::ios::binary | std::ios::trunc);
+      if (!out_) {
+        status_ = Status::IoError("spill: cannot open run file " + file_);
+        return;
+      }
+      opened_ = true;
+      if (gc_ != nullptr) gc_->Track(file_);
+    }
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+                       return a.first < b.first;
+                     });
+    const size_t payload_bytes = bucket.size() * sizeof(std::pair<K, V>);
+    const std::string_view payload(
+        reinterpret_cast<const char*>(bucket.data()), payload_bytes);
+    SpillRunInfo run;
+    run.file = file_;
+    run.partition = partition;
+    run.records = bucket.size();
+    run.bytes = payload_bytes;
+    run.checksum = Fnv1a64(payload);
+    run.min_key = SpillKeyCast(bucket.front().first);
+    run.max_key = SpillKeyCast(bucket.back().first);
+    PayloadWriter header;
+    header.U32(kSpillRunMagic);
+    header.U32(run.partition);
+    header.U64(run.records);
+    header.U64(run.bytes);
+    header.U64(run.checksum);
+    header.U64(run.min_key);
+    header.U64(run.max_key);
+    run.offset = offset_ + header.size();
+    out_.write(header.str().data(),
+               static_cast<std::streamsize>(header.size()));
+    out_.write(payload.data(), static_cast<std::streamsize>(payload_bytes));
+    offset_ += header.size() + payload_bytes;
+    runs_.push_back(std::move(run));
+  }
+
+  void Flush() {
+    if (!status_.ok() || !opened_) return;
+    out_.flush();
+    if (!out_) {
+      status_ = Status::IoError("spill: write to run file " + file_ +
+                                " failed");
+    }
+  }
+
   std::string file_;
   SpillGc* gc_;
   std::ofstream out_;
@@ -339,343 +348,6 @@ class SpillRunCursor {
   uint64_t remaining_ = 0;
   uint64_t hash_ = 0;
 };
-
-// One piece of a reduce task's input, in (split, flush) order: either a
-// non-spilled map task's in-memory bucket (emission order; the sorted path
-// stable-sorts it in place, which is idempotent across attempt retries) or
-// one disk run (already sorted).
-template <typename K, typename V>
-struct ShuffleSegment {
-  std::vector<std::pair<K, V>>* memory = nullptr;
-  const SpillRunInfo* run = nullptr;
-};
-
-// Uniform cursor over a (sorted) segment for the loser-tree merge.
-template <typename K, typename V>
-class SegmentCursor {
- public:
-  Status Open(const ShuffleSegment<K, V>& segment) {
-    segment_ = &segment;
-    if (segment.run != nullptr) return run_.Open(*segment.run);
-    return Status::Ok();
-  }
-  bool AtEnd() const {
-    return segment_->run != nullptr ? run_.AtEnd()
-                                    : index_ >= segment_->memory->size();
-  }
-  const std::pair<K, V>& Head() const {
-    return segment_->run != nullptr ? run_.Head()
-                                    : (*segment_->memory)[index_];
-  }
-  Status Advance() {
-    if (segment_->run != nullptr) return run_.Advance();
-    ++index_;
-    return Status::Ok();
-  }
-
- private:
-  const ShuffleSegment<K, V>* segment_ = nullptr;
-  SpillRunCursor<K, V> run_;
-  size_t index_ = 0;
-};
-
-// Loser-tree k-way merge of stably-sorted segments into *out, breaking
-// key ties by segment ordinal — which reproduces the stable sort of the
-// segments' concatenation, byte for byte. A real loser tree (internal
-// nodes remember match losers; re-seeding a leaf replays one root path),
-// so each record costs O(log k) comparisons however skewed the runs are.
-template <typename K, typename V>
-Status MergeSegments(std::vector<SegmentCursor<K, V>>& cursors,
-                     std::vector<std::pair<K, V>>* out) {
-  const size_t s = cursors.size();
-  if (s == 0) return Status::Ok();
-  constexpr size_t kNone = std::numeric_limits<size_t>::max();
-  // beats(a, b): segment a's head comes before segment b's. Exhausted
-  // segments lose to everything; key ties go to the lower ordinal.
-  const auto beats = [&cursors](size_t a, size_t b) {
-    if (cursors[a].AtEnd()) return false;
-    if (cursors[b].AtEnd()) return true;
-    const K& ka = cursors[a].Head().first;
-    const K& kb = cursors[b].Head().first;
-    if (ka < kb) return true;
-    if (kb < ka) return false;
-    return a < b;
-  };
-  std::vector<size_t> losers(s, kNone);
-  size_t winner = kNone;
-  // Plays leaf j up the tree: deposits into the first empty slot (initial
-  // seeding) or swaps with recorded losers it beats; the climber that
-  // reaches the root is the overall winner.
-  const auto adjust = [&](size_t j) {
-    size_t w = j;
-    for (size_t t = (j + s) / 2; t > 0; t /= 2) {
-      if (losers[t] == kNone) {
-        losers[t] = w;
-        return;
-      }
-      if (beats(losers[t], w)) std::swap(losers[t], w);
-    }
-    winner = w;
-  };
-  for (size_t j = 0; j < s; ++j) adjust(j);
-  while (winner != kNone && !cursors[winner].AtEnd()) {
-    out->push_back(cursors[winner].Head());
-    DOD_RETURN_IF_ERROR(cursors[winner].Advance());
-    adjust(winner);
-  }
-  return Status::Ok();
-}
-
-// Groups a reduce task's segment list (the spilled-input analogue of
-// GroupBucket). The columnar admission — density guard over the segments'
-// key ranges, budget check on the histogram scratch — is a pure function
-// of segment metadata and contents, so the chosen path is identical
-// across thread counts and fault schedules; both paths yield groups
-// byte-identical to grouping the concatenated in-memory bucket.
-template <typename K, typename V>
-Result<GroupedView<K, V>> GroupSegments(
-    std::vector<ShuffleSegment<K, V>>& segments, ShuffleMode mode,
-    GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
-    const MemoryBudget* budget) {
-  *reason = FallbackReason::kNone;
-  uint64_t records = 0;
-  bool any_runs = false;
-  for (const ShuffleSegment<K, V>& segment : segments) {
-    if (segment.run != nullptr) {
-      any_runs = true;
-      records += segment.run->records;
-    } else {
-      records += segment.memory->size();
-    }
-  }
-  if (records == 0) {
-    scratch->merged.clear();
-    scratch->offsets.clear();
-    *path = mode == ShuffleMode::kColumnar ? GroupPath::kColumnar
-                                           : GroupPath::kSorted;
-    return GroupedView<K, V>(scratch->merged, scratch->offsets);
-  }
-
-  if (mode == ShuffleMode::kColumnar) {
-    if constexpr (std::is_integral_v<K>) {
-      using U = std::make_unsigned_t<K>;
-      // Min/max live in the signed K domain — CountingSortGroups'
-      // convention — so mixed-sign key spaces guard and group exactly like
-      // the in-memory paths. Run metadata holds the bit-casts of each
-      // run's signed extremes; decode through U before comparing (the raw
-      // u64 values do not order across signs).
-      bool have_keys = false;
-      K min_key{};
-      K max_key{};
-      const auto fold = [&](K key) {
-        min_key = have_keys ? std::min(min_key, key) : key;
-        max_key = have_keys ? std::max(max_key, key) : key;
-        have_keys = true;
-      };
-      for (const ShuffleSegment<K, V>& segment : segments) {
-        if (segment.run != nullptr) {
-          if (segment.run->records == 0) continue;
-          fold(static_cast<K>(static_cast<U>(segment.run->min_key)));
-          fold(static_cast<K>(static_cast<U>(segment.run->max_key)));
-        } else {
-          for (const std::pair<K, V>& record : *segment.memory) {
-            fold(record.first);
-          }
-        }
-      }
-      // Unsigned-domain subtraction: the exact expression
-      // CountingSortGroups uses, so the guard admits and rejects the same
-      // key spaces as the in-memory columnar path.
-      const uint64_t range =
-          static_cast<uint64_t>(static_cast<U>(max_key) -
-                                static_cast<U>(min_key)) + 1;
-      if (range >
-          kDenseRangeSlack + kDenseRangePerRecord * records) {
-        *reason = FallbackReason::kDensity;
-      } else if (budget != nullptr &&
-                 !budget->FitsAlone(ColumnarScratchBytes(
-                     records, range, sizeof(K), sizeof(V)))) {
-        *reason = FallbackReason::kBudget;
-      } else {
-        // Pass 1: histogram the keys across every segment. Slots subtract
-        // in the U domain (two's-complement wraparound), mirroring
-        // CountingSortGroups, so negative keys land identically.
-        std::vector<size_t>& cursor = scratch->histogram;
-        cursor.assign(static_cast<size_t>(range), 0);
-        for (ShuffleSegment<K, V>& segment : segments) {
-          if (segment.run == nullptr) {
-            for (const std::pair<K, V>& record : *segment.memory) {
-              ++cursor[static_cast<size_t>(static_cast<U>(record.first) -
-                                           static_cast<U>(min_key))];
-            }
-          } else {
-            SpillRunCursor<K, V> run;
-            DOD_RETURN_IF_ERROR(run.Open(*segment.run));
-            while (!run.AtEnd()) {
-              ++cursor[static_cast<size_t>(static_cast<U>(run.Head().first) -
-                                           static_cast<U>(min_key))];
-              DOD_RETURN_IF_ERROR(run.Advance());
-            }
-          }
-        }
-        scratch->keys.clear();
-        scratch->offsets.clear();
-        size_t total = 0;
-        for (size_t slot = 0; slot < cursor.size(); ++slot) {
-          const size_t count = cursor[slot];
-          if (count == 0) continue;
-          scratch->keys.push_back(static_cast<K>(
-              static_cast<U>(min_key) + static_cast<U>(slot)));
-          scratch->offsets.push_back(total);
-          cursor[slot] = total;
-          total += count;
-        }
-        scratch->offsets.push_back(total);
-        // Pass 2: scatter the values, segment by segment in the same
-        // order. Within a key, records land in (segment, position) order
-        // — the emission order (runs are time-sliced and stably sorted).
-        scratch->values.resize(static_cast<size_t>(records));
-        for (ShuffleSegment<K, V>& segment : segments) {
-          if (segment.run == nullptr) {
-            for (const std::pair<K, V>& record : *segment.memory) {
-              const size_t slot = static_cast<size_t>(
-                  static_cast<U>(record.first) - static_cast<U>(min_key));
-              scratch->values[cursor[slot]++] = record.second;
-            }
-          } else {
-            SpillRunCursor<K, V> run;
-            DOD_RETURN_IF_ERROR(run.Open(*segment.run));
-            while (!run.AtEnd()) {
-              const size_t slot = static_cast<size_t>(
-                  static_cast<U>(run.Head().first) - static_cast<U>(min_key));
-              scratch->values[cursor[slot]++] = run.Head().second;
-              DOD_RETURN_IF_ERROR(run.Advance());
-            }
-          }
-        }
-        *path = any_runs ? GroupPath::kColumnarSpilled : GroupPath::kColumnar;
-        return GroupedView<K, V>(scratch->keys, scratch->values,
-                                 scratch->offsets);
-      }
-    } else {
-      *reason = FallbackReason::kDensity;  // non-integral keys cannot count
-    }
-  }
-
-  // Sorted path: stable-sort the memory segments in place (idempotent
-  // across retries), then merge everything with the loser tree.
-  {
-    trace::Span span("shuffle", "merge");
-    span.Arg("segments", static_cast<uint64_t>(segments.size()))
-        .Arg("records", records);
-    for (ShuffleSegment<K, V>& segment : segments) {
-      if (segment.memory != nullptr) {
-        std::stable_sort(
-            segment.memory->begin(), segment.memory->end(),
-            [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-              return a.first < b.first;
-            });
-      }
-    }
-    std::vector<SegmentCursor<K, V>> cursors(segments.size());
-    for (size_t i = 0; i < segments.size(); ++i) {
-      DOD_RETURN_IF_ERROR(cursors[i].Open(segments[i]));
-    }
-    scratch->merged.clear();
-    scratch->merged.reserve(static_cast<size_t>(records));
-    DOD_RETURN_IF_ERROR(MergeSegments(cursors, &scratch->merged));
-  }
-  ComputeGroupOffsets(scratch->merged, &scratch->offsets);
-  if (any_runs) {
-    *path = GroupPath::kSortedSpilled;
-  } else if (mode == ShuffleMode::kColumnar) {
-    *path = *reason == FallbackReason::kBudget ? GroupPath::kSortedBudget
-                                               : GroupPath::kSortedFallback;
-  } else {
-    *path = GroupPath::kSorted;
-  }
-  return GroupedView<K, V>(scratch->merged, scratch->offsets);
-}
-
-// Groups an in-memory reduce bucket, with the spill degradation in front:
-// when the columnar histogram passes the density guard but scratch +
-// resident bucket together exceed the budget (the regime that previously
-// forced the sorted-only kSortedBudget fallback), and a spill directory is
-// available, the bucket is stable-sorted in place, written out as one run,
-// and freed — the histogram then streams over the run with only its
-// scratch resident (GroupPath::kColumnarSpilled, FallbackReason::kSpill).
-// Everything else defers to GroupBucket. The spilled state persists in
-// *spilled_runs across attempt retries: a later attempt regroups from the
-// existing run instead of re-spilling an already-emptied bucket.
-template <typename K, typename V>
-Result<GroupedView<K, V>> GroupBucketOrSpill(
-    std::vector<std::pair<K, V>>& bucket, ShuffleMode mode,
-    GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
-    const MemoryBudget* budget, const SpillPolicy& spill,
-    const std::string& spill_file, SpillGc* gc,
-    std::vector<SpillRunInfo>* spilled_runs,
-    std::vector<ShuffleSegment<K, V>>* segment_scratch) {
-  *reason = FallbackReason::kNone;
-  if constexpr (std::is_integral_v<K>) {
-    const bool regroup_spilled = spilled_runs != nullptr &&
-                                 !spilled_runs->empty();
-    bool degrade = false;
-    if (!regroup_spilled && spill.enabled() &&
-        mode == ShuffleMode::kColumnar && !bucket.empty() &&
-        budget != nullptr && gc != nullptr && spilled_runs != nullptr) {
-      using U = std::make_unsigned_t<K>;
-      K min_key = bucket.front().first;
-      K max_key = min_key;
-      for (const std::pair<K, V>& record : bucket) {
-        min_key = std::min(min_key, record.first);
-        max_key = std::max(max_key, record.first);
-      }
-      const uint64_t range = static_cast<uint64_t>(static_cast<U>(max_key) -
-                                                   static_cast<U>(min_key)) +
-                             1;
-      const uint64_t scratch_bytes = ColumnarScratchBytes(
-          bucket.size(), range, sizeof(K), sizeof(V));
-      const uint64_t bucket_bytes =
-          static_cast<uint64_t>(bucket.size()) * sizeof(std::pair<K, V>);
-      degrade = range <= kDenseRangeSlack +
-                             kDenseRangePerRecord *
-                                 static_cast<uint64_t>(bucket.size()) &&
-                budget->FitsAlone(scratch_bytes) &&
-                !budget->FitsAlone(scratch_bytes + bucket_bytes);
-    }
-    if (degrade) {
-      TaskSpiller<K, V> spiller(spill_file, gc);
-      typename TaskSpiller<K, V>::Buckets one;
-      one.push_back(std::move(bucket));
-      spiller.Spill(one);
-      DOD_RETURN_IF_ERROR(spiller.Finish(one));
-      *spilled_runs = spiller.TakeRuns();
-      // Free the resident bucket for real — the histogram pass must run
-      // with only its scratch resident, which was the point.
-      bucket = std::vector<std::pair<K, V>>();
-    }
-    if (degrade || regroup_spilled) {
-      segment_scratch->clear();
-      for (const SpillRunInfo& run : *spilled_runs) {
-        segment_scratch->push_back(ShuffleSegment<K, V>{nullptr, &run});
-      }
-      GroupPath seg_path;
-      FallbackReason seg_reason;
-      auto grouped = GroupSegments(*segment_scratch, mode, scratch,
-                                   &seg_path, &seg_reason, budget);
-      if (grouped.ok()) {
-        *path = seg_path;
-        *reason = seg_path == GroupPath::kColumnarSpilled
-                      ? FallbackReason::kSpill
-                      : seg_reason;
-      }
-      return grouped;
-    }
-  }
-  GroupedView<K, V> view = GroupBucket(bucket, mode, scratch, path, budget);
-  *reason = ReasonFromPath(*path);
-  return view;
-}
 
 }  // namespace internal
 }  // namespace dod

@@ -26,6 +26,7 @@
 #include "detection/partition_view.h"
 #include "mapreduce/job.h"
 #include "mapreduce/shuffle.h"
+#include "observability/metrics.h"
 
 namespace dod {
 namespace {
@@ -322,6 +323,61 @@ TEST(EngineDurabilityTest, CorruptedCheckpointSelfHealsByRerunning) {
   ExpectSameJob(baseline, RunSumJob(resuming).ValueOrDie());
 }
 
+TEST(EngineDurabilityTest, UnknownGroupPathRecordReruns) {
+  // Group-path bytes above kSorted (e.g. the values of retired grouping
+  // paths) must fail the reduce restore's range check: the record is
+  // discarded, the task re-runs, and the job output is unchanged.
+  const JobOutput<KeySum> baseline =
+      RunSumJob(BaseSpec(1, ShuffleMode::kColumnar)).ValueOrDie();
+  const std::string dir = FreshDir("grouppath");
+  {
+    auto store =
+        CheckpointStore::Open(dir, "sum-job", /*resume=*/false).ValueOrDie();
+    JobSpec spec = BaseSpec(1, ShuffleMode::kColumnar);
+    spec.checkpoint = store.get();
+    ASSERT_TRUE(RunSumJob(spec).ok());
+  }
+  size_t path_offset = 0;
+  {
+    auto store =
+        CheckpointStore::Open(dir, "sum-job", /*resume=*/true).ValueOrDie();
+    std::string payload = store->LoadTask("reduce", 1).ValueOrDie();
+    // The path byte follows the stats delta and the slot costs.
+    PayloadReader reader(payload);
+    JobStats stats;
+    std::vector<double> slot_costs;
+    ASSERT_TRUE(DeserializeJobStatsDelta(&reader, &stats).ok());
+    ASSERT_TRUE(reader.F64Vec(&slot_costs).ok());
+    path_offset = payload.size() - reader.remaining();
+    ASSERT_LE(payload[path_offset], 1);
+    payload[path_offset] = 4;
+    ASSERT_TRUE(store->CommitTask("reduce", 1, payload).ok());
+  }
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.Reset();
+  auto store =
+      CheckpointStore::Open(dir, "sum-job", /*resume=*/true).ValueOrDie();
+  JobSpec resuming = BaseSpec(1, ShuffleMode::kColumnar);
+  resuming.checkpoint = store.get();
+  resuming.resume = true;
+  const JobOutput<KeySum> resumed = RunSumJob(resuming).ValueOrDie();
+  EXPECT_EQ(resumed.output, baseline.output);
+  EXPECT_EQ(resumed.stats.groups_reduced, baseline.stats.groups_reduced);
+  uint64_t load_failures = 0;
+  uint64_t tasks_written = 0;
+  for (const MetricSnapshot& m : metrics.Snapshot()) {
+    if (m.name == "durability.checkpoint.load_failures") {
+      load_failures = m.count;
+    } else if (m.name == "durability.checkpoint.tasks_written") {
+      tasks_written = m.count;
+    }
+  }
+  EXPECT_EQ(load_failures, 1u);
+  EXPECT_EQ(tasks_written, 1u);  // only the re-run reduce task
+  // The re-run task replaced the bad record.
+  EXPECT_LE(store->LoadTask("reduce", 1).ValueOrDie()[path_offset], 1);
+}
+
 TEST(EngineDurabilityTest, CheckpointRequiresTriviallyCopyableTypes) {
   class StringReducer : public Reducer<int, int, std::string> {
    public:
@@ -480,14 +536,18 @@ TEST(ShuffleBudgetTest, ColumnarDegradesToSortedWithIdenticalGroups) {
 
   internal::GroupScratch<uint32_t, int> plain_scratch, budget_scratch;
   internal::GroupPath plain_path, budget_path;
-  const GroupedView<uint32_t, int> columnar = internal::GroupBucket(
-      plain, ShuffleMode::kColumnar, &plain_scratch, &plain_path);
+  internal::FallbackReason plain_reason, budget_reason;
+  const GroupedView<uint32_t, int> columnar =
+      internal::GroupBucket(plain, ShuffleMode::kColumnar, &plain_scratch,
+                            &plain_path, nullptr, &plain_reason);
   MemoryBudget tiny(16);  // denies any real scratch
   const GroupedView<uint32_t, int> degraded =
       internal::GroupBucket(budgeted, ShuffleMode::kColumnar, &budget_scratch,
-                            &budget_path, &tiny);
+                            &budget_path, &tiny, &budget_reason);
   EXPECT_EQ(plain_path, internal::GroupPath::kColumnar);
-  EXPECT_EQ(budget_path, internal::GroupPath::kSortedBudget);
+  EXPECT_EQ(plain_reason, internal::FallbackReason::kNone);
+  EXPECT_EQ(budget_path, internal::GroupPath::kSorted);
+  EXPECT_EQ(budget_reason, internal::FallbackReason::kBudget);
   ASSERT_EQ(columnar.num_groups(), degraded.num_groups());
   ASSERT_EQ(columnar.num_records(), degraded.num_records());
   for (size_t g = 0; g < columnar.num_groups(); ++g) {

@@ -3,9 +3,9 @@
 // Property / metamorphic tests of the outlier definition (Def. 2.2) and
 // its implementations. Each invariant runs over >= 200 seeded random
 // datasets, across the centralized detectors (Nested-Loop, Cell-Based,
-// Pivot) under both --kernels=scalar and auto, and — for the distributed
-// agreement property — across the pipeline strategies against the
-// brute-force oracle.
+// Brute-Force) under both --kernels=scalar and auto, and — for the
+// distributed agreement property — across the pipeline strategies against
+// the brute-force oracle.
 //
 // Datasets use integer coordinates so that translation by an integer
 // vector is exact in floating point: distances, and therefore verdicts,
@@ -23,7 +23,6 @@
 #include "detection/cell_based.h"
 #include "detection/detector.h"
 #include "detection/nested_loop.h"
-#include "detection/pivot.h"
 
 namespace dod {
 namespace {
@@ -86,7 +85,7 @@ std::vector<NamedDetector> AllDetectors() {
   std::vector<NamedDetector> detectors;
   detectors.push_back({"NestedLoop", MakeDetector(AlgorithmKind::kNestedLoop)});
   detectors.push_back({"CellBased", MakeDetector(AlgorithmKind::kCellBased)});
-  detectors.push_back({"Pivot", std::make_unique<PivotDetector>(4)});
+  detectors.push_back({"BruteForce", MakeDetector(AlgorithmKind::kBruteForce)});
   return detectors;
 }
 

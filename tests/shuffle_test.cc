@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -167,10 +168,12 @@ TEST(ShuffleGroupingTest, SparseKeyRangeFallsBackToSorting) {
       SequencedBucket<uint32_t>({1000000, 0, 1000000});
   GroupScratch<uint32_t, int> scratch;
   GroupPath path;
-  const GroupedView<uint32_t, int> groups =
-      GroupBucket(bucket, ShuffleMode::kColumnar, &scratch, &path);
+  internal::FallbackReason reason;
+  const GroupedView<uint32_t, int> groups = GroupBucket(
+      bucket, ShuffleMode::kColumnar, &scratch, &path, nullptr, &reason);
 
-  EXPECT_EQ(path, GroupPath::kSortedFallback);
+  EXPECT_EQ(path, GroupPath::kSorted);
+  EXPECT_EQ(reason, internal::FallbackReason::kDensity);
   ASSERT_EQ(groups.num_groups(), 2u);
   EXPECT_EQ(groups.key(0), 0u);
   EXPECT_EQ(groups.key(1), 1000000u);
@@ -778,246 +781,231 @@ TEST(ShuffleSpillTest, TaskSpillerRoundTripsSortedRunsWithChecksums) {
   EXPECT_NE(status.message().find("checksum"), std::string::npos);
 }
 
-TEST(ShuffleSpillTest, GroupSegmentsMatchesGroupBucketOfConcatenation) {
-  const std::string dir = FreshSpillDir("segments");
+// Grouping oracle: GroupSegments over every segment layout, budget regime
+// and key shape must produce the groups of a std::stable_sort of the
+// concatenated records, and report the expected (path, reason).
+
+enum class SegmentLayout { kAllMemory, kMixed, kAllRuns };
+enum class BudgetRegime { kNone, kDeniesScratch, kDegradeWindow };
+
+const char* LayoutName(SegmentLayout layout) {
+  switch (layout) {
+    case SegmentLayout::kAllMemory:
+      return "all-memory";
+    case SegmentLayout::kMixed:
+      return "mixed";
+    case SegmentLayout::kAllRuns:
+      return "all-runs";
+  }
+  return "?";
+}
+
+const char* BudgetName(BudgetRegime budget) {
+  switch (budget) {
+    case BudgetRegime::kNone:
+      return "no-budget";
+    case BudgetRegime::kDeniesScratch:
+      return "denies-scratch";
+    case BudgetRegime::kDegradeWindow:
+      return "degrade-window";
+  }
+  return "?";
+}
+
+// Groups must be maximal equal-key runs in ascending key order whose
+// flattened contents equal the stable sort of `records` by key.
+template <typename K>
+void ExpectStableSortGroups(const GroupedView<K, int>& groups,
+                            std::vector<std::pair<K, int>> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const std::pair<K, int>& a, const std::pair<K, int>& b) {
+                     return a.first < b.first;
+                   });
+  ASSERT_EQ(groups.num_records(), records.size());
+  size_t i = 0;
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    if (g > 0) {
+      EXPECT_LT(groups.key(g - 1), groups.key(g)) << "group " << g;
+    }
+    for (size_t j = 0; j < groups.size(g); ++j, ++i) {
+      ASSERT_LT(i, records.size());
+      EXPECT_EQ(groups.key(g), records[i].first) << "record " << i;
+      EXPECT_EQ(groups.value(g, j), records[i].second) << "record " << i;
+    }
+  }
+  EXPECT_EQ(i, records.size());
+}
+
+// Runs every mode × layout × budget case over one key shape. `admitted`
+// says whether the key shape passes the columnar density guard.
+template <typename K>
+void CheckGroupingOracle(const std::vector<K>& keys, bool admitted,
+                         const std::string& dir, int* case_id) {
+  const std::vector<std::pair<K, int>> all = SequencedBucket(keys);
+  const size_t per_slice = all.size() / 4;
+  int64_t min_key = keys.front();
+  int64_t max_key = keys.front();
+  for (K key : keys) {
+    min_key = std::min<int64_t>(min_key, key);
+    max_key = std::max<int64_t>(max_key, key);
+  }
+  const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
+      all.size(), static_cast<uint64_t>(max_key - min_key + 1), sizeof(K),
+      sizeof(int));
+
+  for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
+    for (SegmentLayout layout : {SegmentLayout::kAllMemory,
+                                 SegmentLayout::kMixed,
+                                 SegmentLayout::kAllRuns}) {
+      for (BudgetRegime regime : {BudgetRegime::kNone,
+                                  BudgetRegime::kDeniesScratch,
+                                  BudgetRegime::kDegradeWindow}) {
+        SCOPED_TRACE(std::string(ShuffleModeName(mode)) + " " +
+                     LayoutName(layout) + " " + BudgetName(regime));
+        const int id = (*case_id)++;
+        // Four map-task slices in emission order. Mixed: slices 1 and 2
+        // are one task's two spill flushes, the others stay in memory.
+        std::vector<std::vector<std::pair<K, int>>> slices(4);
+        for (size_t s = 0; s < 4; ++s) {
+          slices[s].assign(all.begin() + s * per_slice,
+                           all.begin() + (s + 1) * per_slice);
+        }
+        internal::SpillGc gc;
+        internal::TaskSpiller<K, int> map_spiller(
+            internal::SpillFilePath(dir, "map", id), &gc);
+        std::vector<internal::ShuffleSegment<K, int>> segments;
+        std::vector<size_t> memory_slices;
+        for (size_t s = 0; s < 4; ++s) {
+          const bool spill = layout == SegmentLayout::kAllRuns ||
+                             (layout == SegmentLayout::kMixed &&
+                              (s == 1 || s == 2));
+          if (!spill) {
+            segments.push_back({&slices[s], {}});
+            memory_slices.push_back(s);
+            continue;
+          }
+          typename internal::TaskSpiller<K, int>::Buckets flush(1);
+          flush[0] = slices[s];
+          map_spiller.Spill(flush);
+          ASSERT_TRUE(map_spiller.status().ok());
+        }
+        // Runs take their slice's position in (split, flush) order.
+        std::vector<internal::SpillRunInfo> runs = map_spiller.TakeRuns();
+        if (layout == SegmentLayout::kMixed) {
+          ASSERT_EQ(runs.size(), 2u);
+          segments.insert(segments.begin() + 1, {nullptr, runs[0]});
+          segments.insert(segments.begin() + 2, {nullptr, runs[1]});
+        } else if (layout == SegmentLayout::kAllRuns) {
+          ASSERT_EQ(runs.size(), 4u);
+          for (const internal::SpillRunInfo& run : runs) {
+            segments.push_back({nullptr, run});
+          }
+        }
+
+        std::optional<MemoryBudget> budget;
+        if (regime == BudgetRegime::kDeniesScratch) budget.emplace(16);
+        // Fits the histogram scratch alone, not next to resident segments.
+        if (regime == BudgetRegime::kDegradeWindow) {
+          budget.emplace(scratch_bytes + 64);
+        }
+        const MemoryBudget* budget_ptr = budget ? &*budget : nullptr;
+
+        GroupPath want_path = GroupPath::kSorted;
+        internal::FallbackReason want_reason = internal::FallbackReason::kNone;
+        if (mode == ShuffleMode::kColumnar) {
+          if (!admitted) {
+            want_reason = internal::FallbackReason::kDensity;
+          } else if (regime == BudgetRegime::kDeniesScratch) {
+            want_reason = internal::FallbackReason::kBudget;
+          } else {
+            want_path = GroupPath::kColumnar;
+            if (regime == BudgetRegime::kDegradeWindow &&
+                !memory_slices.empty()) {
+              want_reason = internal::FallbackReason::kSpill;
+            }
+          }
+        }
+
+        internal::TaskSpiller<K, int> degrade(
+            internal::SpillFilePath(dir, "reduce", id), &gc);
+        GroupScratch<K, int> scratch;
+        GroupPath path;
+        internal::FallbackReason reason;
+        auto grouped = internal::GroupSegments(segments, mode, &scratch, &path,
+                                               &reason, budget_ptr, &degrade);
+        ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+        EXPECT_EQ(path, want_path);
+        EXPECT_EQ(reason, want_reason);
+        EXPECT_EQ(grouped.value().column(0) != nullptr,
+                  want_path == GroupPath::kColumnar);
+        ExpectStableSortGroups(grouped.value(), all);
+
+        if (want_reason != internal::FallbackReason::kSpill) {
+          EXPECT_FALSE(degrade.spilled());
+          continue;
+        }
+        // The degrade replaced every memory segment by a run in place and
+        // freed its bucket for real.
+        for (const internal::ShuffleSegment<K, int>& segment : segments) {
+          EXPECT_EQ(segment.memory, nullptr);
+        }
+        for (size_t s : memory_slices) {
+          EXPECT_EQ(slices[s].capacity(), 0u) << "slice " << s;
+        }
+        // Attempt retry: regroups the same (now all-run) segment list with
+        // the same degrade target — same groups, same (path, reason), no
+        // new runs.
+        GroupScratch<K, int> retry_scratch;
+        GroupPath retry_path;
+        internal::FallbackReason retry_reason;
+        auto regrouped = internal::GroupSegments(
+            segments, mode, &retry_scratch, &retry_path, &retry_reason,
+            budget_ptr, &degrade);
+        ASSERT_TRUE(regrouped.ok()) << regrouped.status().ToString();
+        EXPECT_EQ(retry_path, want_path);
+        EXPECT_EQ(retry_reason, want_reason);
+        ExpectStableSortGroups(regrouped.value(), all);
+        EXPECT_EQ(degrade.TakeRuns().size(), memory_slices.size());
+      }
+    }
+  }
+}
+
+TEST(ShuffleSpillTest, GroupSegmentsMatchesStableSortOracle) {
+  const std::string dir = FreshSpillDir("oracle");
   std::filesystem::create_directories(dir);
   Rng rng(4097);
-  for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
-    // Three map tasks' worth of records; task 1 spills in two flushes, the
-    // others stay in memory. The reference is the in-memory grouping of
-    // the concatenation in (task, flush) order.
-    std::vector<std::vector<std::pair<uint32_t, int>>> slices(4);
-    std::vector<std::pair<uint32_t, int>> all;
-    int seq = 0;
-    for (auto& slice : slices) {
-      for (int i = 0; i < 120; ++i) {
-        slice.emplace_back(static_cast<uint32_t>(rng.NextBounded(40)), seq++);
-      }
-      all.insert(all.end(), slice.begin(), slice.end());
-    }
-    internal::GroupScratch<uint32_t, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<uint32_t, int> reference = internal::GroupBucket(
-        all, mode, &reference_scratch, &reference_path);
+  int case_id = 0;
+  constexpr size_t kRecords = 480;
 
-    internal::SpillGc gc;
-    internal::TaskSpiller<uint32_t, int> spiller(
-        internal::SpillFilePath(dir, "map", 1), &gc);
-    internal::TaskSpiller<uint32_t, int>::Buckets flush(1);
-    flush[0] = slices[1];
-    spiller.Spill(flush);
-    flush[0] = slices[2];
-    ASSERT_TRUE(spiller.Finish(flush).ok());
-    std::vector<internal::SpillRunInfo> runs = spiller.TakeRuns();
-    ASSERT_EQ(runs.size(), 2u);
+  // Dense cell-id-like keys: the columnar path's home ground.
+  std::vector<uint32_t> dense(kRecords);
+  for (uint32_t& key : dense) key = static_cast<uint32_t>(rng.NextBounded(40));
+  CheckGroupingOracle(dense, /*admitted=*/true, dir, &case_id);
 
-    std::vector<internal::ShuffleSegment<uint32_t, int>> segments;
-    segments.push_back({&slices[0], nullptr});
-    segments.push_back({nullptr, &runs[0]});
-    segments.push_back({nullptr, &runs[1]});
-    segments.push_back({&slices[3], nullptr});
-    internal::GroupScratch<uint32_t, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
-    auto grouped = internal::GroupSegments(segments, mode, &scratch, &path,
-                                           &reason, nullptr);
-    ASSERT_TRUE(grouped.ok()) << ShuffleModeName(mode);
-    EXPECT_EQ(path, mode == ShuffleMode::kColumnar
-                        ? internal::GroupPath::kColumnarSpilled
-                        : internal::GroupPath::kSortedSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kNone);
-    ExpectSameGroups(grouped.value(), reference);
+  // Sparse keys a million apart: the density guard rejects the histogram.
+  std::vector<uint32_t> sparse(kRecords);
+  for (uint32_t& key : sparse) {
+    key = static_cast<uint32_t>(rng.NextBounded(8)) * 1000000u;
   }
-}
+  CheckGroupingOracle(sparse, /*admitted=*/false, dir, &case_id);
 
-TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
-  const std::string dir = FreshSpillDir("mixed_sign");
-  std::filesystem::create_directories(dir);
-
-  // int keys spanning zero with a small signed range: the density guard
-  // admits them (the unsigned subtraction wraps back to the true span),
-  // and the spilled histogram must emit groups in signed ascending order
-  // — negative keys first — exactly like the in-memory columnar path.
-  {
-    Rng rng(777);
-    std::vector<int> keys(300);
-    for (int& key : keys) {
-      key = static_cast<int>(rng.NextBounded(100)) - 50;  // [-50, 49]
-    }
-    std::vector<std::pair<int, int>> memory_slice = SequencedBucket(keys);
-    std::vector<std::pair<int, int>> run_slice;
-    int seq = static_cast<int>(keys.size());
-    run_slice.emplace_back(-50, seq++);  // both signs guaranteed in the run
-    run_slice.emplace_back(49, seq++);
-    for (int i = 0; i < 200; ++i) {
-      run_slice.emplace_back(static_cast<int>(rng.NextBounded(100)) - 50,
-                             seq++);
-    }
-    std::vector<std::pair<int, int>> all = memory_slice;
-    all.insert(all.end(), run_slice.begin(), run_slice.end());
-    internal::GroupScratch<int, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<int, int> reference = internal::GroupBucket(
-        all, ShuffleMode::kColumnar, &reference_scratch, &reference_path);
-    ASSERT_EQ(reference_path, internal::GroupPath::kColumnar);
-
-    internal::SpillGc gc;
-    internal::TaskSpiller<int, int> spiller(
-        internal::SpillFilePath(dir, "map", 0), &gc);
-    internal::TaskSpiller<int, int>::Buckets flush(1);
-    flush[0] = run_slice;
-    spiller.Spill(flush);
-    ASSERT_TRUE(spiller.status().ok());
-    std::vector<internal::SpillRunInfo> runs = spiller.TakeRuns();
-    ASSERT_EQ(runs.size(), 1u);
-    // Run metadata stores the bit-casts of the signed extremes, so a
-    // mixed-sign run's raw u64 max sits below its raw min.
-    EXPECT_LT(runs[0].max_key, runs[0].min_key);
-
-    std::vector<internal::ShuffleSegment<int, int>> segments;
-    segments.push_back({&memory_slice, nullptr});
-    segments.push_back({nullptr, &runs[0]});
-    internal::GroupScratch<int, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
-    auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
-                                           &scratch, &path, &reason, nullptr);
-    ASSERT_TRUE(grouped.ok());
-    EXPECT_EQ(path, internal::GroupPath::kColumnarSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kNone);
-    ExpectSameGroups(grouped.value(), reference);
+  // Mixed-sign int8_t keys: the unsigned subtraction promotes to int and
+  // goes negative across the sign boundary, so the guard rejects — in
+  // memory and off run metadata alike.
+  std::vector<int8_t> narrow(kRecords);
+  for (size_t i = 0; i < narrow.size(); ++i) {
+    narrow[i] = static_cast<int8_t>(static_cast<int>(i * 37 % 201) - 100);
   }
+  CheckGroupingOracle(narrow, /*admitted=*/false, dir, &case_id);
 
-  // Narrow keys (int8): the unsigned subtraction promotes to int and goes
-  // negative for a mixed-sign span, so the density guard rejects — the
-  // same verdict CountingSortGroups reaches in memory. Both sides must
-  // take the sorted path and agree.
-  {
-    std::vector<int8_t> keys(200);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = static_cast<int8_t>(static_cast<int>(i) % 201 - 100);
-    }
-    std::vector<std::pair<int8_t, int>> memory_slice = SequencedBucket(keys);
-    std::vector<std::pair<int8_t, int>> run_slice;
-    int seq = static_cast<int>(keys.size());
-    for (int i = 0; i < 100; ++i) {
-      run_slice.emplace_back(static_cast<int8_t>(i % 101 - 50), seq++);
-    }
-    std::vector<std::pair<int8_t, int>> all = memory_slice;
-    all.insert(all.end(), run_slice.begin(), run_slice.end());
-    internal::GroupScratch<int8_t, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<int8_t, int> reference = internal::GroupBucket(
-        all, ShuffleMode::kColumnar, &reference_scratch, &reference_path);
-    ASSERT_EQ(reference_path, internal::GroupPath::kSortedFallback);
-
-    internal::SpillGc gc;
-    internal::TaskSpiller<int8_t, int> spiller(
-        internal::SpillFilePath(dir, "map", 1), &gc);
-    internal::TaskSpiller<int8_t, int>::Buckets flush(1);
-    flush[0] = run_slice;
-    spiller.Spill(flush);
-    ASSERT_TRUE(spiller.status().ok());
-    std::vector<internal::SpillRunInfo> runs = spiller.TakeRuns();
-    ASSERT_EQ(runs.size(), 1u);
-
-    std::vector<internal::ShuffleSegment<int8_t, int>> segments;
-    segments.push_back({&memory_slice, nullptr});
-    segments.push_back({nullptr, &runs[0]});
-    internal::GroupScratch<int8_t, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
-    auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
-                                           &scratch, &path, &reason, nullptr);
-    ASSERT_TRUE(grouped.ok());
-    EXPECT_EQ(path, internal::GroupPath::kSortedSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kDensity);
-    ExpectSameGroups(grouped.value(), reference);
-  }
-}
-
-TEST(ShuffleSpillTest, BudgetPressureDegradesToSpilledColumnarRun) {
-  const std::string dir = FreshSpillDir("degrade");
-  std::filesystem::create_directories(dir);
-
-  std::vector<uint32_t> keys(500);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<uint32_t>((i * 7) % 50);
-  }
-  std::vector<std::pair<uint32_t, int>> reference_bucket =
-      SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> reference_scratch;
-  internal::GroupPath reference_path;
-  const GroupedView<uint32_t, int> reference =
-      internal::GroupBucket(reference_bucket, ShuffleMode::kColumnar,
-                            &reference_scratch, &reference_path);
-  ASSERT_EQ(reference_path, internal::GroupPath::kColumnar);
-
-  // Budget window where the histogram scratch fits alone but not next to
-  // the resident bucket: the regime only spilling can serve, by freeing
-  // the bucket before the histogram pass.
-  const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
-      keys.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
-  MemoryBudget budget(scratch_bytes + 64);
-  ASSERT_FALSE(budget.FitsAlone(
-      scratch_bytes + keys.size() * sizeof(std::pair<uint32_t, int>)));
-
-  SpillPolicy spill;
-  spill.dir = dir;
-  spill.threshold_bytes = uint64_t{1} << 30;  // map side never triggers
-  internal::SpillGc gc;
-  std::vector<std::pair<uint32_t, int>> bucket = SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> scratch;
-  std::vector<internal::ShuffleSegment<uint32_t, int>> segment_scratch;
-  std::vector<internal::SpillRunInfo> spilled_runs;
-  internal::GroupPath path;
-  internal::FallbackReason reason;
-  auto grouped = internal::GroupBucketOrSpill(
-      bucket, ShuffleMode::kColumnar, &scratch, &path, &reason, &budget,
-      spill, internal::SpillFilePath(dir, "reduce", 0), &gc, &spilled_runs,
-      &segment_scratch);
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_EQ(path, internal::GroupPath::kColumnarSpilled);
-  EXPECT_EQ(reason, internal::FallbackReason::kSpill);
-  EXPECT_TRUE(bucket.empty());  // resident bucket freed for real
-  ASSERT_EQ(spilled_runs.size(), 1u);
-  ExpectSameGroups(grouped.value(), reference);
-
-  // Attempt retry: the bucket is already empty and the spilled state lives
-  // in spilled_runs — regrouping must reuse the run, not re-spill nothing.
-  internal::GroupScratch<uint32_t, int> retry_scratch;
-  internal::GroupPath retry_path;
-  internal::FallbackReason retry_reason;
-  auto regrouped = internal::GroupBucketOrSpill(
-      bucket, ShuffleMode::kColumnar, &retry_scratch, &retry_path,
-      &retry_reason, &budget, spill,
-      internal::SpillFilePath(dir, "reduce", 0), &gc, &spilled_runs,
-      &segment_scratch);
-  ASSERT_TRUE(regrouped.ok());
-  EXPECT_EQ(retry_path, internal::GroupPath::kColumnarSpilled);
-  EXPECT_EQ(retry_reason, internal::FallbackReason::kSpill);
-  ExpectSameGroups(regrouped.value(), reference);
-
-  // Without a spill dir there is no degrade that frees the bucket, so the
-  // comparable pressure is a budget the histogram scratch itself cannot
-  // fit: GroupBucket falls back to the sorted path and labels it
-  // budget-driven.
-  MemoryBudget tight(scratch_bytes / 2);
-  std::vector<std::pair<uint32_t, int>> unspillable = SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> sorted_scratch;
-  std::vector<internal::ShuffleSegment<uint32_t, int>> sorted_segments;
-  std::vector<internal::SpillRunInfo> no_runs;
-  internal::GroupPath sorted_path;
-  internal::FallbackReason sorted_reason;
-  auto sorted = internal::GroupBucketOrSpill(
-      unspillable, ShuffleMode::kColumnar, &sorted_scratch, &sorted_path,
-      &sorted_reason, &tight, SpillPolicy{},
-      internal::SpillFilePath(dir, "reduce", 1), &gc, &no_runs,
-      &sorted_segments);
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted_path, internal::GroupPath::kSortedBudget);
-  EXPECT_EQ(sorted_reason, internal::FallbackReason::kBudget);
-  ExpectSameGroups(sorted.value(), reference);
+  // Mixed-sign int keys over a small span: admitted (the subtraction
+  // wraps back to the true span), and groups come out negative-first. A
+  // run's raw u64 max sits below its raw min here, so the span must be
+  // decoded in the signed domain.
+  std::vector<int> mixed(kRecords);
+  for (int& key : mixed) key = static_cast<int>(rng.NextBounded(100)) - 50;
+  CheckGroupingOracle(mixed, /*admitted=*/true, dir, &case_id);
 }
 
 JobSpec SpilledDigestSpec(ShuffleMode mode, int threads,
@@ -1083,8 +1071,8 @@ TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
   EXPECT_GT(MetricCount(columnar, "mr.spill.bytes_written"), 0u);
   EXPECT_GT(MetricCount(columnar, "mr.spill.runs_merged"), 0u);
   EXPECT_GT(MetricCount(columnar, "mr.spill.bytes_read"), 0u);
-  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.columnar_spilled_tasks"), 4u);
-  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.sorted_spilled_tasks"), 0u);
+  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.columnar_tasks"), 4u);
+  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.sorted_tasks"), 0u);
   // Dense keys, no budget: the spill came from the threshold, not from a
   // guard, so no fallback reason is charged.
   EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback.density"), 0u);
@@ -1095,8 +1083,8 @@ TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
   RunDigestJob(
       SpilledDigestSpec(ShuffleMode::kSorted, 4, FaultSpec{}, dir, 128));
   const std::vector<MetricSnapshot> sorted = metrics.Snapshot();
-  EXPECT_EQ(MetricCount(sorted, "mr.shuffle.sorted_spilled_tasks"), 4u);
-  EXPECT_EQ(MetricCount(sorted, "mr.shuffle.columnar_spilled_tasks"), 0u);
+  EXPECT_EQ(MetricCount(sorted, "mr.shuffle.sorted_tasks"), 4u);
+  EXPECT_EQ(MetricCount(sorted, "mr.shuffle.columnar_tasks"), 0u);
   EXPECT_GT(MetricCount(sorted, "mr.spill.runs_merged"), 0u);
 }
 
@@ -1142,8 +1130,8 @@ TEST(ShuffleSpillTest, FallbackReasonCountersLabelEachGuard) {
   EXPECT_EQ(MetricCount(budget, "mr.shuffle.fallback.density"), 0u);
   EXPECT_EQ(MetricCount(budget, "mr.shuffle.fallback.spill"), 0u);
 
-  // Spill: the same budget window as BudgetPressureDegradesToSpilledColumnar
-  // but through the engine, with a spill dir available. Reduce task 0's
+  // Spill: the grouping oracle's degrade window, but through the engine,
+  // with a spill dir available. Reduce task 0's
   // bucket holds 123 records over key range [0, 16].
   metrics.Reset();
   const std::string dir = FreshSpillDir("reason");
@@ -1161,7 +1149,7 @@ TEST(ShuffleSpillTest, FallbackReasonCountersLabelEachGuard) {
   }
   const std::vector<MetricSnapshot> spill = metrics.Snapshot();
   EXPECT_GT(MetricCount(spill, "mr.shuffle.fallback.spill"), 0u);
-  EXPECT_GT(MetricCount(spill, "mr.shuffle.columnar_spilled_tasks"), 0u);
+  EXPECT_GT(MetricCount(spill, "mr.shuffle.columnar_tasks"), 0u);
   EXPECT_GT(MetricCount(spill, "mr.spill.reduce_tasks"), 0u);
   EXPECT_EQ(SpillFilesIn(dir), 0u);
 }
@@ -1281,7 +1269,7 @@ TEST(PipelineShuffleEquivalence, MetricsRecordGroupPathAndArenaReuse) {
   EXPECT_GT(MetricCount(columnar, "mr.shuffle.columnar_tasks"), 0u);
   EXPECT_EQ(MetricCount(columnar, "mr.shuffle.sorted_tasks"), 0u);
   // Cell-id key spaces are dense; the sparsity guard must never trip here.
-  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback_tasks"), 0u);
+  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback.density"), 0u);
   // Shared probe arenas: one build per task serves all its cells.
   const uint64_t arenas = MetricCount(columnar, "kernels.soa_reuse.arenas");
   const uint64_t cells = MetricCount(columnar, "kernels.soa_reuse.cells");

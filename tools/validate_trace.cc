@@ -197,9 +197,10 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
   return EXIT_SUCCESS;
 }
 
-// The durability.* names the engine registers unconditionally; a metrics
-// dump from a checkpointed run must carry every one of them, and must show
-// actual checkpoint traffic (tasks written or resumed).
+// The durability.* names the engine registers unconditionally, plus the
+// shuffle's budget-fallback counter; a metrics dump from a checkpointed run
+// must carry every one of them, and must show actual checkpoint traffic
+// (tasks written or resumed).
 int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
   const dod::JsonValue& counters = metrics.Get("counters");
   for (const char* name :
@@ -207,8 +208,7 @@ int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
         "durability.checkpoint.tasks_resumed",
         "durability.checkpoint.bytes_written",
         "durability.checkpoint.load_failures", "durability.control.aborts",
-        "durability.memory.shuffle_budget_fallbacks",
-        "durability.memory.reserve_skipped"}) {
+        "mr.shuffle.fallback.budget", "durability.memory.reserve_skipped"}) {
     if (!counters.Get(name).is_number()) {
       return Fail(std::string("metrics: missing durability counter \"") +
                   name + "\"");

@@ -8,7 +8,7 @@
 
 #include "common/distance.h"
 #include "common/timer.h"
-#include "detection/brute_force.h"
+#include "detection/neighbor_count.h"
 #include "detection/partition_view.h"
 #include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
@@ -71,17 +71,6 @@ TaggedWord PackTagged(PointId id, bool support) {
 PointId TaggedId(TaggedWord word) { return word & ~kSupportFlag; }
 bool TaggedSupport(TaggedWord word) { return (word & kSupportFlag) != 0; }
 
-// Per-cell deterministic seed for the detectors' randomized probe order.
-uint64_t CellSeed(uint64_t base, uint32_t cell) {
-  return base ^ (0x9E3779B97F4A7C15ULL * (cell + 1));
-}
-
-// The arena draws each cell's probe-segment permutation from a stream
-// salted with this constant: the detector draws its start offsets from
-// CellSeed directly, and starts drawn from the same stream that produced
-// the permutation would correlate with the slot order they index into.
-constexpr uint64_t kArenaSeedSalt = 0xA5C3D2E1F0B49687ULL;
-
 // Wire size of one shuffled record: coordinates + tag + cell id.
 size_t DetectRecordBytes(int dims) {
   return sizeof(double) * static_cast<size_t>(dims) + 1 + sizeof(uint32_t);
@@ -93,12 +82,9 @@ size_t DetectRecordBytes(int dims) {
 // on the stack of each Map call.
 class DetectMapper : public Mapper<uint32_t, TaggedWord> {
  public:
-  DetectMapper(const BlockStore& store, const PartitionPlan& plan,
-               const PartitionRouter& router, bool emit_support)
-      : store_(store),
-        plan_(plan),
-        router_(router),
-        emit_support_(emit_support) {}
+  DetectMapper(const BlockStore& store, const PartitionRouter& router,
+               bool emit_support)
+      : store_(store), router_(router), emit_support_(emit_support) {}
 
   void Map(size_t split_index, Emitter<uint32_t, TaggedWord>& out) override {
     const Dataset& data = store_.dataset();
@@ -118,7 +104,6 @@ class DetectMapper : public Mapper<uint32_t, TaggedWord> {
 
  private:
   const BlockStore& store_;
-  [[maybe_unused]] const PartitionPlan& plan_;
   const PartitionRouter& router_;
   bool emit_support_;
 };
@@ -139,6 +124,53 @@ class DetectorSet {
  private:
   std::unique_ptr<Detector> detectors_[3];
 };
+
+// One cell's detection step, shared by both detection reducers: fills the
+// cell's profile, runs the planned detector on the view under a
+// detect/cell span (cells without core points skip it), records the
+// profile and returns the detector's local outlier indices.
+std::vector<uint32_t> DetectCell(const PartitionView& view, uint32_t cell,
+                                 const MultiTacticPlan& plan,
+                                 const DetectorSet& detectors,
+                                 const DetectionParams& base_params,
+                                 PartitionProfiler* profiler,
+                                 Counters& counters) {
+  const size_t num_core = view.num_core();
+  const AlgorithmKind algorithm = plan.algorithm_plan[cell];
+  PartitionProfile profile;
+  profile.cell = cell;
+  profile.algorithm = AlgorithmKindName(algorithm);
+  profile.core_points = num_core;
+  profile.support_points = view.size() - num_core;
+  profile.area = plan.partition_plan.cell(cell).bounds.Area();
+  profile.density = profile.area > 0.0
+                        ? static_cast<double>(num_core) / profile.area
+                        : 0.0;
+  profile.predicted_cost = cell < plan.estimated_cost.size()
+                               ? plan.estimated_cost[cell]
+                               : 0.0;
+
+  std::vector<uint32_t> local;
+  if (num_core > 0) {
+    trace::Span span("detect", "cell");
+    span.Arg("cell", cell)
+        .Arg("algorithm", profile.algorithm.c_str())
+        .Arg("core", num_core)
+        .Arg("support", profile.support_points);
+    const char* eval_counter = EvalCounterName(algorithm);
+    const uint64_t evals_before = counters.Get(eval_counter);
+    StopWatch detect_watch;
+    DetectionParams params = base_params;
+    params.seed = CellSeed(base_params.seed, cell);
+    local = detectors.For(algorithm).DetectOutliers(view, params, &counters);
+    profile.measured_seconds = detect_watch.ElapsedSeconds();
+    profile.measured_distance_evals =
+        counters.Get(eval_counter) - evals_before;
+  }
+  if (profiler != nullptr) profiler->Record(profile);
+  RecordPartitionMetrics(profile);
+  return local;
+}
 
 // Reduce side when supporting areas are on: verdicts are final.
 //
@@ -165,8 +197,7 @@ class DetectReducer : public Reducer<uint32_t, TaggedWord, PointId> {
   Status TryReduceTask(const GroupedView<uint32_t, TaggedWord>& groups,
                        std::vector<PointId>& out,
                        Counters& counters) override {
-    // Stage every cell's partition: core points first, then support points
-    // (the same local ordering the per-cell gathering used to produce).
+    // Stage every cell's partition: core points first, then support points.
     TaskArena arena(data_, memory_);
     DOD_RETURN_IF_ERROR(
         arena.TryReserve(groups.num_groups(), groups.num_records()));
@@ -194,47 +225,17 @@ class DetectReducer : public Reducer<uint32_t, TaggedWord, PointId> {
       // Cell granularity: a fired deadline or cancellation stops between
       // cells, not mid-kernel, so the abort latency is one cell's work.
       if (control_ != nullptr) DOD_RETURN_IF_ERROR(control_->Check());
-      const uint32_t cell = groups.key(g);
       const PartitionView view = arena.View(g);
-      const size_t num_core = view.num_core();
-
-      const AlgorithmKind algorithm = plan_.algorithm_plan[cell];
-      PartitionProfile profile;
-      profile.cell = cell;
-      profile.algorithm = AlgorithmKindName(algorithm);
-      profile.core_points = num_core;
-      profile.support_points = view.size() - num_core;
-      profile.area = plan_.partition_plan.cell(cell).bounds.Area();
-      profile.density = profile.area > 0.0
-                            ? static_cast<double>(num_core) / profile.area
-                            : 0.0;
-      profile.predicted_cost = cell < plan_.estimated_cost.size()
-                                   ? plan_.estimated_cost[cell]
-                                   : 0.0;
-
-      if (num_core > 0) {
-        trace::Span span("detect", "cell");
-        span.Arg("cell", cell)
-            .Arg("algorithm", profile.algorithm.c_str())
-            .Arg("core", num_core)
-            .Arg("support", profile.support_points);
-        const char* eval_counter = EvalCounterName(algorithm);
-        const uint64_t evals_before = counters.Get(eval_counter);
-        StopWatch detect_watch;
-        const Detector& detector = detectors_.For(algorithm);
-        DetectionParams params = params_;
-        params.seed = CellSeed(params_.seed, cell);
-        const std::vector<uint32_t> local =
-            detector.DetectOutliers(view, params, &counters);
-        profile.measured_seconds = detect_watch.ElapsedSeconds();
-        profile.measured_distance_evals =
-            counters.Get(eval_counter) - evals_before;
-        for (uint32_t index : local) out.push_back(view.id(index));
-        counters.Increment(std::string("cells.") +
-                           AlgorithmKindName(algorithm));
+      for (uint32_t index : DetectCell(view, groups.key(g), plan_,
+                                       detectors_, params_, profiler_,
+                                       counters)) {
+        out.push_back(view.id(index));
       }
-      if (profiler_ != nullptr) profiler_->Record(profile);
-      RecordPartitionMetrics(profile);
+      if (view.num_core() > 0) {
+        counters.Increment(
+            std::string("cells.") +
+            AlgorithmKindName(plan_.algorithm_plan[groups.key(g)]));
+      }
     }
     return Status::Ok();
   }
@@ -294,50 +295,19 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
     }
     DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
 
-    const double sq_radius = params_.radius * params_.radius;
-    const KernelOps& ops = GetKernelOps(params_.kernels);
     for (size_t g = 0; g < groups.num_groups(); ++g) {
       if (control_ != nullptr) DOD_RETURN_IF_ERROR(control_->Check());
-      const uint32_t cell = groups.key(g);
       const PartitionView view = arena.View(g);
-      const AlgorithmKind algorithm = plan_.algorithm_plan[cell];
-      PartitionProfile profile;
-      profile.cell = cell;
-      profile.algorithm = AlgorithmKindName(algorithm);
-      profile.core_points = view.size();
-      profile.area = plan_.partition_plan.cell(cell).bounds.Area();
-      profile.density = profile.area > 0.0
-                            ? static_cast<double>(view.size()) / profile.area
-                            : 0.0;
-      profile.predicted_cost = cell < plan_.estimated_cost.size()
-                                   ? plan_.estimated_cost[cell]
-                                   : 0.0;
-      trace::Span span("detect", "cell");
-      span.Arg("cell", cell)
-          .Arg("algorithm", profile.algorithm.c_str())
-          .Arg("core", view.size());
-      const char* eval_counter = EvalCounterName(algorithm);
-      const uint64_t evals_before = counters.Get(eval_counter);
-      StopWatch detect_watch;
-      const Detector& detector = detectors_.For(algorithm);
-      DetectionParams params = params_;
-      params.seed = CellSeed(params_.seed, cell);
       const std::vector<uint32_t> local =
-          detector.DetectOutliers(view, params, &counters);
-      profile.measured_seconds = detect_watch.ElapsedSeconds();
-      profile.measured_distance_evals =
-          counters.Get(eval_counter) - evals_before;
-      if (profiler_ != nullptr) profiler_->Record(profile);
-      RecordPartitionMetrics(profile);
+          DetectCell(view, groups.key(g), plan_, detectors_, params_,
+                     profiler_, counters);
 
-      // Exact partial neighbor count for each candidate (bounded by k).
+      // Exact partial neighbor count for each candidate (< k).
       for (uint32_t index : local) {
-        uint64_t ignored = 0;
-        const int32_t partial = static_cast<int32_t>(ops.count_within_radius(
-            view.probes(), view.probe_begin(), view.probe_end(),
-            view.point(index), sq_radius, /*skip_id=*/index, /*cap=*/-1,
-            &ignored));
-        out.push_back(Candidate{view.id(index), partial});
+        const NeighborCountSummary partial = CountNeighbors(
+            view, index, params_, /*cap=*/-1, /*pairs=*/nullptr);
+        out.push_back(
+            Candidate{view.id(index), static_cast<int32_t>(partial.count)});
       }
       counters.Increment("domain.candidates", local.size());
     }
@@ -698,15 +668,10 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     spec.split_record_hints.push_back(
         store.block(b).size() * (result.plan.uses_supporting_area ? 3 : 1));
   }
-  const size_t record_bytes = DetectRecordBytes(data.dims());
   // Point records ship the point's coordinates, so their wire size depends
-  // on the dataset — computed per record via the engine's size callback.
+  // on the dataset's dimensionality (constant within a run).
+  const size_t record_bytes = DetectRecordBytes(data.dims());
   const int dims = data.dims();
-  const std::function<size_t(const uint32_t&, const TaggedWord&)>
-      detect_record_size = [record_bytes](const uint32_t&,
-                                          const TaggedWord&) {
-        return record_bytes;
-      };
 
   // ---- Detection job ------------------------------------------------------
   // The reducers record one predicted-vs-measured profile per reduced cell;
@@ -756,13 +721,13 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
 
   if (result.plan.uses_supporting_area) {
     trace::Span job_span("pipeline", "detect_job");
-    DetectMapper mapper(store, partition_plan, router, /*emit_support=*/true);
+    DetectMapper mapper(store, router, /*emit_support=*/true);
     DetectReducer reducer(data, result.plan, config.params, &profiler,
                           control_ptr, &memory);
     Result<JobOutput<PointId>> job =
         RunMapReduce<uint32_t, TaggedWord, PointId>(
             store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, detect_record_size, &allocation);
+            record_bytes, /*record_size=*/{}, &allocation);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.outliers = std::move(job.value().output);
     result.detect_stats = std::move(job.value().stats);
@@ -770,13 +735,13 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   } else {
     // Domain baseline: job 1 detects locally, job 2 verifies candidates.
     trace::Span job_span("pipeline", "detect_job");
-    DetectMapper mapper(store, partition_plan, router, /*emit_support=*/false);
+    DetectMapper mapper(store, router, /*emit_support=*/false);
     DomainDetectReducer reducer(data, result.plan, config.params, &profiler,
                                 control_ptr, &memory);
     Result<JobOutput<Candidate>> job =
         RunMapReduce<uint32_t, TaggedWord, Candidate>(
             store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, detect_record_size, &allocation);
+            record_bytes, /*record_size=*/{}, &allocation);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.detect_stats = std::move(job.value().stats);
     result.breakdown.detect = result.detect_stats.stage_times;
@@ -825,15 +790,6 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     metrics.Observe(kWall, result.wall_seconds);
   }
   return result;
-}
-
-std::vector<PointId> DetectOutliersCentralized(const Dataset& data,
-                                               AlgorithmKind algorithm,
-                                               const DetectionParams& params) {
-  const std::unique_ptr<Detector> detector = MakeDetector(algorithm);
-  std::vector<uint32_t> local =
-      detector->DetectOutliers(data, data.size(), params, nullptr);
-  return std::vector<PointId>(local.begin(), local.end());
 }
 
 }  // namespace dod

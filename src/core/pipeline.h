@@ -98,12 +98,6 @@ class DodPipeline {
   DodConfig config_;
 };
 
-// Convenience for examples/tests: run one centralized detector over the
-// whole dataset (no distribution).
-std::vector<PointId> DetectOutliersCentralized(const Dataset& data,
-                                               AlgorithmKind algorithm,
-                                               const DetectionParams& params);
-
 }  // namespace dod
 
 #endif  // DOD_CORE_PIPELINE_H_

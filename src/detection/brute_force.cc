@@ -3,82 +3,32 @@
 #include "detection/brute_force.h"
 
 #include "common/distance.h"
-#include "kernels/distance_kernels.h"
-#include "observability/metrics.h"
 
 namespace dod {
-namespace {
-
-void RecordBruteForce(Counters* counters, uint64_t distance_evals) {
-  if (counters != nullptr) {
-    counters->Increment("brute_force.distance_evals", distance_evals);
-  }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kCalls =
-      metrics.Id("detect.calls.brute_force", MetricKind::kCounter);
-  static const uint32_t kPairs =
-      metrics.Id("detect.pairs.brute_force", MetricKind::kCounter);
-  metrics.Increment(kCalls);
-  metrics.Increment(kPairs, distance_evals);
-}
-
-}  // namespace
 
 std::vector<uint32_t> BruteForceDetector::DetectOutliers(
-    const Dataset& points, size_t num_core, const DetectionParams& params,
+    const PartitionView& partition, const DetectionParams& params,
     Counters* counters) const {
-  DOD_CHECK(num_core <= points.size());
   std::vector<uint32_t> outliers;
-  const int dims = points.dims();
-  const size_t n = points.size();
+  const int dims = partition.dims();
+  const size_t n = partition.size();
   const double sq_radius = params.radius * params.radius;
   uint64_t distance_evals = 0;
-  for (uint32_t i = 0; i < num_core; ++i) {
-    const double* p = points[i];
+  for (uint32_t i = 0; i < partition.num_core(); ++i) {
+    const double* p = partition.point(i);
     int neighbors = 0;
     for (uint32_t j = 0; j < n; ++j) {
       if (j == i) continue;
       ++distance_evals;
-      if (WithinSquaredDistance(p, points[j], dims, sq_radius)) {
+      if (WithinSquaredDistance(p, partition.point(j), dims, sq_radius)) {
         if (++neighbors >= params.min_neighbors) break;
       }
     }
     if (neighbors < params.min_neighbors) outliers.push_back(i);
   }
-  RecordBruteForce(counters, distance_evals);
-  return outliers;
-}
-
-std::vector<uint32_t> BruteForceDetector::DetectOutliers(
-    const PartitionView& partition, const DetectionParams& params,
-    Counters* counters) const {
-  if (!partition.has_probes()) {
-    // Identity views run the deterministic per-pair scan unchanged; other
-    // probe-less views materialize and do the same.
-    return Detector::DetectOutliers(partition, params, counters);
+  if (counters != nullptr) {
+    counters->Increment("brute_force.distance_evals", distance_evals);
   }
-  const size_t num_core = partition.num_core();
-  std::vector<uint32_t> outliers;
-  if (partition.empty()) return outliers;
-
-  // Count against the shared probe segment with the kernels, early-exiting
-  // at k. The segment order differs from the per-pair scan, which only
-  // changes where the early exit lands — the verdict (≥ k neighbors or an
-  // exact count below k) is order-independent.
-  const SoABlock& probes = partition.probes();
-  const size_t begin = partition.probe_begin();
-  const size_t end = partition.probe_end();
-  const double sq_radius = params.radius * params.radius;
-  const int k = params.min_neighbors;
-  const KernelOps& ops = GetKernelOps(params.kernels);
-  uint64_t distance_evals = 0;
-  for (uint32_t i = 0; i < num_core; ++i) {
-    const int neighbors =
-        ops.count_within_radius(probes, begin, end, partition.point(i),
-                                sq_radius, /*skip_id=*/i, k, &distance_evals);
-    if (neighbors < k) outliers.push_back(i);
-  }
-  RecordBruteForce(counters, distance_evals);
   return outliers;
 }
 

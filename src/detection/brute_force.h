@@ -1,7 +1,10 @@
 // Copyright 2026 The DOD Authors.
 //
-// Exact reference detector: counts neighbors by a full deterministic scan
-// (with early exit at k). Serves as the oracle in tests and as a baseline.
+// Exact reference detector: counts each core point's neighbors by a
+// deterministic per-pair scan of the partition in local order (with early
+// exit at k). It reads coordinates straight from the view — neither the
+// distance kernels nor the probe segment — so it stays an independent
+// oracle for the detectors that use them.
 
 #ifndef DOD_DETECTION_BRUTE_FORCE_H_
 #define DOD_DETECTION_BRUTE_FORCE_H_
@@ -17,12 +20,6 @@ class BruteForceDetector : public Detector {
   std::string_view name() const override { return "BruteForce"; }
   AlgorithmKind kind() const override { return AlgorithmKind::kBruteForce; }
 
-  std::vector<uint32_t> DetectOutliers(const Dataset& points, size_t num_core,
-                                       const DetectionParams& params,
-                                       Counters* counters) const override;
-
-  // Zero-copy entry: counts against the view's shared probe segment when it
-  // has one (identity views keep the deterministic per-pair scan).
   std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
                                        const DetectionParams& params,
                                        Counters* counters) const override;

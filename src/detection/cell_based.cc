@@ -8,7 +8,6 @@
 #include "detection/grid.h"
 #include "kernels/distance_kernels.h"
 #include "kernels/soa_block.h"
-#include "observability/metrics.h"
 
 namespace dod {
 namespace {
@@ -21,7 +20,7 @@ struct PruneStats {
   uint64_t probed_cells = 0;
 };
 
-// The three cell prunings, shared by both entry points. Decided outliers
+// The three cell prunings. Decided outliers
 // land in `outliers`; core points neither pruning could decide land in
 // `undecided`, grouped by their candidate cell (the cell loop appends per
 // cell). They are then evaluated individually "in a fashion similar to
@@ -81,13 +80,6 @@ void RecordCellBased(Counters* counters, const PruneStats& stats,
     counters->Increment("cell_based.probed_cells", stats.probed_cells);
     counters->Increment("cell_based.distance_evals", distance_evals);
   }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kCalls =
-      metrics.Id("detect.calls.cell_based", MetricKind::kCounter);
-  static const uint32_t kPairs =
-      metrics.Id("detect.pairs.cell_based", MetricKind::kCounter);
-  metrics.Increment(kCalls);
-  metrics.Increment(kPairs, distance_evals);
 }
 
 }  // namespace
@@ -101,20 +93,23 @@ int CellBasedNeighborRings(int dims) {
 }
 
 std::vector<uint32_t> CellBasedDetector::DetectOutliers(
-    const Dataset& points, size_t num_core, const DetectionParams& params,
+    const PartitionView& partition, const DetectionParams& params,
     Counters* counters) const {
-  DOD_CHECK(num_core <= points.size());
+  const size_t num_core = partition.num_core();
   std::vector<uint32_t> outliers;
   if (num_core == 0) return outliers;
 
-  const int dims = points.dims();
+  const int dims = partition.dims();
   const int k = params.min_neighbors;
   const double side = CellBasedCellSide(params.radius, dims);
   const int max_ring = CellBasedNeighborRings(dims);
 
-  // Index every point (core and support) into the sparse grid.
-  SparseGrid grid(points.Bounds().min(), side);
-  for (uint32_t i = 0; i < points.size(); ++i) grid.Insert(points[i], i);
+  // Index every point (core and support) into the sparse grid, reading the
+  // view in place — one indexed load per point, no partition copy.
+  SparseGrid grid(partition.Bounds().min(), side);
+  for (uint32_t i = 0; i < partition.size(); ++i) {
+    grid.Insert(partition.point(i), i);
+  }
 
   PruneStats stats;
   uint64_t distance_evals = 0;
@@ -127,61 +122,8 @@ std::vector<uint32_t> CellBasedDetector::DetectOutliers(
   // computes |N_r(p)| outright. This is what makes Cell-Based lose to
   // Nested-Loop in the intermediate-density window of Fig. 5, where neither
   // pruning fires for most cells yet neighbors are plentiful enough for
-  // Nested-Loop to exit quickly.
-  // All undecided points probe the same blocked SoA copy of the partition,
-  // built once; the square of r is hoisted with it. No cap: the count is
-  // exact in every kernel mode.
-  if (!undecided.empty()) {
-    const size_t n = points.size();
-    SoABlock probes(dims);
-    probes.Assign(points);
-    const double sq_radius = params.radius * params.radius;
-    const KernelOps& ops = GetKernelOps(params.kernels);
-    for (uint32_t id : undecided) {
-      const int neighbors =
-          ops.count_within_radius(probes, 0, n, points[id], sq_radius,
-                                  /*skip_id=*/id, /*cap=*/-1,
-                                  &distance_evals);
-      if (neighbors < k) outliers.push_back(id);
-    }
-  }
-
-  std::sort(outliers.begin(), outliers.end());
-  RecordCellBased(counters, stats, distance_evals);
-  return outliers;
-}
-
-std::vector<uint32_t> CellBasedDetector::DetectOutliers(
-    const PartitionView& partition, const DetectionParams& params,
-    Counters* counters) const {
-  if (!partition.has_probes()) {
-    return Detector::DetectOutliers(partition, params, counters);
-  }
-  const size_t num_core = partition.num_core();
-  std::vector<uint32_t> outliers;
-  if (num_core == 0) return outliers;
-
-  const int dims = partition.dims();
-  const int k = params.min_neighbors;
-  const double side = CellBasedCellSide(params.radius, dims);
-  const int max_ring = CellBasedNeighborRings(dims);
-
-  // Grid build reads the view in place — one indexed load per point, no
-  // partition copy.
-  SparseGrid grid(partition.Bounds().min(), side);
-  for (uint32_t i = 0; i < partition.size(); ++i) {
-    grid.Insert(partition.point(i), i);
-  }
-
-  PruneStats stats;
-  uint64_t distance_evals = 0;
-  std::vector<uint32_t> undecided;
-  PruneCells(grid, num_core, k, max_ring, &undecided, &outliers, &stats);
-
-  // Undecided points take their exact counts against the view's shared
-  // probe segment instead of a freshly built SoA copy. The segment is a
-  // permutation of the same points, and the count is exact (no cap), so
-  // the verdicts match the classic path bit for bit.
+  // Nested-Loop to exit quickly. All undecided points probe the view's
+  // probe segment; no cap, so the count is exact in every kernel mode.
   if (!undecided.empty()) {
     const SoABlock& probes = partition.probes();
     const size_t begin = partition.probe_begin();

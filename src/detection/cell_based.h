@@ -41,12 +41,8 @@ class CellBasedDetector : public Detector {
   std::string_view name() const override { return "Cell-Based"; }
   AlgorithmKind kind() const override { return AlgorithmKind::kCellBased; }
 
-  std::vector<uint32_t> DetectOutliers(const Dataset& points, size_t num_core,
-                                       const DetectionParams& params,
-                                       Counters* counters) const override;
-
-  // Zero-copy entry: grids the view in place and probes undecided points
-  // against the view's shared probe segment.
+  // Grids the view in place and probes undecided points against the view's
+  // probe segment.
   std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
                                        const DetectionParams& params,
                                        Counters* counters) const override;

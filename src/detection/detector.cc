@@ -8,15 +8,18 @@
 
 namespace dod {
 
-std::vector<uint32_t> Detector::DetectOutliers(const PartitionView& partition,
+std::vector<uint32_t> Detector::DetectOutliers(const Dataset& points,
+                                               size_t num_core,
                                                const DetectionParams& params,
                                                Counters* counters) const {
-  if (partition.identity()) {
-    return DetectOutliers(partition.data(), partition.num_core(), params,
-                          counters);
-  }
-  const Dataset gathered = partition.Gather();
-  return DetectOutliers(gathered, partition.num_core(), params, counters);
+  DOD_CHECK(num_core <= points.size());
+  TaskArena arena(points);
+  DOD_CHECK(arena.TryReserve(1, points.size()).ok());
+  arena.BeginCell();
+  for (PointId id = 0; id < points.size(); ++id) arena.AddPoint(id);
+  arena.EndCell(num_core, params.seed ^ kArenaSeedSalt);
+  DOD_CHECK(arena.TryBuildProbes().ok());
+  return DetectOutliers(arena.View(0), params, counters);
 }
 
 const char* AlgorithmKindName(AlgorithmKind kind) {

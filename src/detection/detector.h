@@ -4,10 +4,14 @@
 // outlier iff |N_r(p)| < k, with N_r(p) the points within distance r of p
 // (self excluded).
 //
-// Detectors operate on one partition at a time. A partition's dataset stores
-// its core points first, followed by the replicated support points
-// (Sec. III); only core points receive an outlier verdict, while every point
-// — core or support — counts as a potential neighbor.
+// Detectors judge one partition at a time (Sec. IV): a cell's core points
+// followed by the replicated support points of its supporting area
+// (Def. 3.3). Only core points receive an outlier verdict, while every
+// point — core or support — counts as a potential neighbor. The partition
+// always arrives as an arena-built PartitionView (detection/partition_view.h)
+// whose probe segment the distance kernels scan; whole-dataset callers go
+// through the Dataset convenience, which stages the dataset as one arena
+// cell.
 
 #ifndef DOD_DETECTION_DETECTOR_H_
 #define DOD_DETECTION_DETECTOR_H_
@@ -43,7 +47,7 @@ enum class AlgorithmKind {
   kNestedLoop,
   kCellBased,
   // Exact reference oracle; not part of the paper's candidate set A, used by
-  // tests and as a conservative fallback.
+  // tests.
   kBruteForce,
 };
 
@@ -56,28 +60,21 @@ class Detector {
   virtual std::string_view name() const = 0;
   virtual AlgorithmKind kind() const = 0;
 
-  // Returns the local indices (into `points`, all < num_core) of the core
-  // points that are outliers, in increasing order. `counters`, when
-  // non-null, accrues per-algorithm work counters (distance computations,
-  // pruned cells, ...).
-  virtual std::vector<uint32_t> DetectOutliers(const Dataset& points,
-                                               size_t num_core,
+  // Returns the local indices (into the view, all < partition.num_core())
+  // of the core points that are outliers, in increasing order. `counters`,
+  // when non-null, accrues per-algorithm work counters (distance
+  // computations, pruned cells, ...).
+  virtual std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
                                                const DetectionParams& params,
                                                Counters* counters) const = 0;
 
-  // Zero-copy entry point: detects on a PartitionView (local indices into
-  // the view, all < view.num_core()). The built-in detectors read the
-  // view's shared probe segment directly when it has one; the base default
-  // materializes the view and delegates to the Dataset entry, so every
-  // Detector accepts views. Verdicts never depend on which entry is used.
-  virtual std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
-                                               const DetectionParams& params,
-                                               Counters* counters) const;
-
+  // Whole-dataset convenience: points[0, num_core) are core, the rest
+  // support. Stages ids 0..n-1 as one TaskArena cell (probe permutation
+  // seeded with params.seed ^ kArenaSeedSalt, as the pipeline seeds its
+  // cells) and runs the view entry; returned indices are PointIds.
   std::vector<uint32_t> DetectOutliers(const Dataset& points, size_t num_core,
-                                       const DetectionParams& params) const {
-    return DetectOutliers(points, num_core, params, nullptr);
-  }
+                                       const DetectionParams& params,
+                                       Counters* counters = nullptr) const;
 };
 
 // Factory over the algorithm candidate set.

@@ -2,7 +2,6 @@
 
 #include "detection/neighbor_count.h"
 
-#include "common/distance.h"
 #include "kernels/distance_kernels.h"
 
 namespace dod {
@@ -12,25 +11,9 @@ NeighborCountSummary CountNeighbors(const PartitionView& view, size_t local,
                                     uint64_t* pairs) {
   const double sq_radius = params.radius * params.radius;
   const double* q = view.point(local);
-  int64_t raw = 0;
-  if (view.has_probes()) {
-    const KernelOps& ops = GetKernelOps(params.kernels);
-    raw = ops.count_within_radius(view.probes(), view.probe_begin(),
-                                  view.probe_end(), q, sq_radius,
-                                  static_cast<uint32_t>(local), cap, pairs);
-  } else {
-    // Probe-less views (tests, tiny cells): the scalar reference walk.
-    const int dims = view.dims();
-    uint64_t evals = 0;
-    for (size_t j = 0; j < view.size(); ++j) {
-      if (j == local) continue;
-      ++evals;
-      if (WithinSquaredDistance(q, view.point(j), dims, sq_radius)) {
-        if (++raw >= cap && cap >= 0) break;
-      }
-    }
-    if (pairs != nullptr) *pairs += evals;
-  }
+  const int raw = GetKernelOps(params.kernels).count_within_radius(
+      view.probes(), view.probe_begin(), view.probe_end(), q, sq_radius,
+      static_cast<uint32_t>(local), cap, pairs);
   // Clamp at the cap: batched kernels may overshoot by a block, so the
   // stored summary must not depend on how far they ran.
   if (cap >= 0 && raw >= cap) {

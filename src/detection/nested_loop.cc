@@ -5,92 +5,27 @@
 #include "common/random.h"
 #include "kernels/distance_kernels.h"
 #include "kernels/soa_block.h"
-#include "observability/metrics.h"
 
 namespace dod {
-namespace {
-
-void RecordNestedLoop(Counters* counters, uint64_t distance_evals) {
-  if (counters != nullptr) {
-    counters->Increment("nested_loop.distance_evals", distance_evals);
-  }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kCalls =
-      metrics.Id("detect.calls.nested_loop", MetricKind::kCounter);
-  static const uint32_t kPairs =
-      metrics.Id("detect.pairs.nested_loop", MetricKind::kCounter);
-  metrics.Increment(kCalls);
-  metrics.Increment(kPairs, distance_evals);
-}
-
-}  // namespace
-
-std::vector<uint32_t> NestedLoopDetector::DetectOutliers(
-    const Dataset& points, size_t num_core, const DetectionParams& params,
-    Counters* counters) const {
-  DOD_CHECK(num_core <= points.size());
-  const int dims = points.dims();
-  const size_t n = points.size();
-  std::vector<uint32_t> outliers;
-  if (n == 0) return outliers;
-
-  // "Evaluate ... in random order" is realized the way a scan over
-  // randomly-stored data does it: the points are materialized once in a
-  // random permutation and each probe sequence is a linear scan of that
-  // buffer from a per-point random offset. One O(n) copy up front buys
-  // sequential (cache-friendly) probing, and the shared permutation matches
-  // the Lemma 4.1 cost model's independence assumption. The probe buffer is
-  // a blocked SoA so the kernels count kSoaWidth candidates per step; each
-  // slot keeps its point's original id, so self-matches are skipped by id
-  // (a duplicate coordinate pair is still a genuine neighbor).
-  Rng rng(params.seed);
-  const std::vector<uint32_t> order = RandomPermutation(n, rng);
-  SoABlock probes(dims);
-  probes.AssignPermuted(points, order);
-
-  const double sq_radius = params.radius * params.radius;
-  const int k = params.min_neighbors;
-  const KernelOps& ops = GetKernelOps(params.kernels);
-  uint64_t distance_evals = 0;
-  for (uint32_t i = 0; i < num_core; ++i) {
-    const double* p = points[i];
-    const size_t start = rng.NextBounded(n);
-    // Two sequential sweeps: [start, n) then [0, start). The kernels stop
-    // as soon as k neighbors are confirmed; if neither sweep reaches k the
-    // counts are exact, so the verdict matches the per-pair scan exactly.
-    int neighbors = ops.count_within_radius(probes, start, n, p, sq_radius,
-                                            /*skip_id=*/i, k,
-                                            &distance_evals);
-    if (neighbors < k) {
-      neighbors += ops.count_within_radius(probes, 0, start, p, sq_radius,
-                                           /*skip_id=*/i, k - neighbors,
-                                           &distance_evals);
-    }
-    if (neighbors < k) outliers.push_back(i);
-  }
-  RecordNestedLoop(counters, distance_evals);
-  return outliers;
-}
 
 std::vector<uint32_t> NestedLoopDetector::DetectOutliers(
     const PartitionView& partition, const DetectionParams& params,
     Counters* counters) const {
-  if (!partition.has_probes()) {
-    // No shared probe segment to sweep: materialize and run the classic
-    // path (or, for identity views, run it directly with zero overhead).
-    return Detector::DetectOutliers(partition, params, counters);
-  }
   const size_t n = partition.size();
   const size_t num_core = partition.num_core();
   std::vector<uint32_t> outliers;
   if (n == 0) return outliers;
 
-  // The arena already laid this cell's points out in a random permutation
-  // (slot ids = local indices), so the per-point probe sequence is a linear
-  // sweep of the shared segment from a random start — same access pattern
-  // as the classic path, minus the private buffer build. Only the start
-  // offsets are drawn here; the permutation came from the arena's salted
-  // seed, keeping the two random streams independent.
+  // "Evaluate ... in random order" is realized the way a scan over
+  // randomly-stored data does it: the arena laid this cell's points out
+  // once in a random permutation (slot ids = local indices), and each
+  // probe sequence is a linear sweep of that segment from a per-point
+  // random offset. Sequential (cache-friendly) probing, and the shared
+  // permutation matches the Lemma 4.1 cost model's independence
+  // assumption. Only the start offsets are drawn here; the permutation
+  // came from the arena's salted seed, keeping the two random streams
+  // independent. Self-matches are skipped by local index (a duplicate
+  // coordinate pair is still a genuine neighbor).
   Rng rng(params.seed);
   const SoABlock& probes = partition.probes();
   const size_t begin = partition.probe_begin();
@@ -102,6 +37,9 @@ std::vector<uint32_t> NestedLoopDetector::DetectOutliers(
   for (uint32_t i = 0; i < num_core; ++i) {
     const double* p = partition.point(i);
     const size_t start = begin + rng.NextBounded(n);
+    // Two sequential sweeps: [start, end) then [begin, start). The kernels
+    // stop as soon as k neighbors are confirmed; if neither sweep reaches k
+    // the counts are exact, so the verdict matches the per-pair scan.
     int neighbors = ops.count_within_radius(probes, start, end, p, sq_radius,
                                             /*skip_id=*/i, k,
                                             &distance_evals);
@@ -112,7 +50,9 @@ std::vector<uint32_t> NestedLoopDetector::DetectOutliers(
     }
     if (neighbors < k) outliers.push_back(i);
   }
-  RecordNestedLoop(counters, distance_evals);
+  if (counters != nullptr) {
+    counters->Increment("nested_loop.distance_evals", distance_evals);
+  }
   return outliers;
 }
 

@@ -5,7 +5,9 @@
 // until either k neighbors are found (p is an inlier) or every point has
 // been examined (p is an outlier). Its expected cost on uniform data is
 // |D| · A(D) · k / A(p) (Lemma 4.1): cheap on dense partitions where random
-// probes hit neighbors quickly, expensive on sparse ones.
+// probes hit neighbors quickly, expensive on sparse ones. The random order
+// is the view's pre-permuted probe segment, swept from a per-point random
+// start.
 
 #ifndef DOD_DETECTION_NESTED_LOOP_H_
 #define DOD_DETECTION_NESTED_LOOP_H_
@@ -21,12 +23,6 @@ class NestedLoopDetector : public Detector {
   std::string_view name() const override { return "Nested-Loop"; }
   AlgorithmKind kind() const override { return AlgorithmKind::kNestedLoop; }
 
-  std::vector<uint32_t> DetectOutliers(const Dataset& points, size_t num_core,
-                                       const DetectionParams& params,
-                                       Counters* counters) const override;
-
-  // Zero-copy entry: sweeps the view's pre-permuted shared probe segment
-  // from a per-point random start instead of building a private buffer.
   std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
                                        const DetectionParams& params,
                                        Counters* counters) const override;

@@ -13,8 +13,7 @@ namespace {
 
 // Arena-build accounting: one arena serves every cell of a reduce task, so
 // cells - arenas is the number of per-cell SoA builds the shared layout
-// saved. `points` counts slots laid out (replicas included), mirroring
-// kernels.soa_points for detector-built buffers.
+// saved. `points` counts slots laid out (replicas included).
 void RecordArenaBuild(size_t cells, size_t points) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static const uint32_t kArenas =
@@ -38,13 +37,6 @@ Rect PartitionView::Bounds() const {
   BoundsAccumulator accumulator(dims());
   for (size_t i = 0; i < size_; ++i) accumulator.Add(point(i));
   return accumulator.bounds();
-}
-
-Dataset PartitionView::Gather() const {
-  Dataset gathered(dims());
-  gathered.Reserve(size_);
-  for (size_t i = 0; i < size_; ++i) gathered.Append(point(i));
-  return gathered;
 }
 
 TaskArena::TaskArena(const Dataset& data, MemoryBudget* budget)
@@ -77,11 +69,6 @@ Status TaskArena::TryReserve(size_t num_cells, size_t num_points) {
   return Status::Ok();
 }
 
-void TaskArena::Reserve(size_t num_cells, size_t num_points) {
-  const Status status = TryReserve(num_cells, num_points);
-  DOD_CHECK(status.ok());
-}
-
 void TaskArena::BeginCell() {
   DOD_CHECK(!built_);
   CellSlot slot;
@@ -98,55 +85,41 @@ void TaskArena::EndCell(size_t num_core, uint64_t permutation_seed) {
   slot.permutation_seed = permutation_seed;
 }
 
-void TaskArena::BuildProbes() {
+Status TaskArena::TryBuildProbes() {
   DOD_CHECK(!built_);
   trace::Span span("detect", "arena");
   size_t points = 0;
-  for (CellSlot& slot : cells_) {
-    probes_.AlignToBlock();
-    slot.probe_begin = probes_.size();
-    // Permuted segment, slot ids = local indices: randomized-probe
-    // detectors scan it directly, and kernels skip the query point by its
-    // local index just as with a detector-built buffer.
-    Rng rng(slot.permutation_seed);
-    const std::vector<uint32_t> order =
-        RandomPermutation(slot.size, rng);
-    const PointId* cell_ids = ids_.data() + slot.ids_begin;
-    for (uint32_t local : order) {
-      probes_.Append(data_[cell_ids[local]], local);
+  try {
+    for (CellSlot& slot : cells_) {
+      probes_.AlignToBlock();
+      slot.probe_begin = probes_.size();
+      // Permuted segment, slot ids = local indices: Nested-Loop scans it
+      // directly as its random probe order, and kernels skip the query
+      // point by its local index.
+      Rng rng(slot.permutation_seed);
+      const std::vector<uint32_t> order = RandomPermutation(slot.size, rng);
+      const PointId* cell_ids = ids_.data() + slot.ids_begin;
+      for (uint32_t local : order) {
+        probes_.Append(data_[cell_ids[local]], local);
+      }
+      points += slot.size;
     }
-    points += slot.size;
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "task arena probe build failed to allocate (std::bad_alloc)");
   }
   built_ = true;
   span.Arg("cells", static_cast<uint64_t>(cells_.size()))
       .Arg("points", static_cast<uint64_t>(points));
   RecordArenaBuild(cells_.size(), points);
-}
-
-Status TaskArena::TryBuildProbes() {
-  try {
-    BuildProbes();
-  } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted(
-        "task arena probe build failed to allocate (std::bad_alloc)");
-  }
   return Status::Ok();
 }
 
 PartitionView TaskArena::View(size_t index) const {
   DOD_CHECK(built_ && index < cells_.size());
   const CellSlot& slot = cells_[index];
-  PartitionView view(data_, ids_.data() + slot.ids_begin, slot.size,
-                     slot.num_core);
-  view.SetProbes(&probes_, slot.probe_begin);
-  return view;
-}
-
-void TaskArena::Clear() {
-  ids_.clear();
-  cells_.clear();
-  probes_.Clear();
-  built_ = false;
+  return PartitionView(data_, ids_.data() + slot.ids_begin, slot.size,
+                       slot.num_core, probes_, slot.probe_begin);
 }
 
 }  // namespace dod

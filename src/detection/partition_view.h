@@ -1,21 +1,18 @@
 // Copyright 2026 The DOD Authors.
 //
-// Zero-copy partition views and the per-reduce-task probe arena.
+// Zero-copy partition views and the per-task probe arena — the one input
+// form every detector takes.
 //
-// The detection reducers used to materialize every cell's partition as a
-// fresh Dataset (copying each point's coordinates out of the global
-// dataset), after which the detector copied the coordinates *again* into
-// its blocked-SoA probe buffer. A point replicated into several cells of
-// one reduce task paid that double copy once per cell.
-//
-// PartitionView removes the first copy: it is a span of PointIds over the
-// global dataset — AoS coordinate reads resolve through one indexed load,
-// and the core-points-first local ordering the detectors expect is encoded
-// in the id order. TaskArena removes the repeated SoA builds: one blocked
-// SoA buffer per reduce task holds every cell's probe segment back to back
-// (each segment block-aligned, pre-permuted, slot ids = local indices), so
-// the kernels scan exactly [probe_begin, probe_begin + size) of the shared
-// buffer and one arena build serves every cell of the task.
+// A partition (Def. 3.3: a cell's core points followed by its supporting
+// area) is never materialized as a Dataset. A PartitionView is a span of
+// PointIds over the global dataset: AoS coordinate reads resolve through
+// one indexed load, and the core-points-first local ordering the detectors
+// expect is encoded in the id order. Every view is built by a TaskArena,
+// which also lays out one blocked SoA buffer holding every staged cell's
+// probe segment back to back (each segment block-aligned, pre-permuted,
+// slot ids = local indices), so the kernels scan exactly
+// [probe_begin, probe_begin + size) of the shared buffer and one arena
+// build serves every cell of a reduce task (or a streaming round).
 //
 // Lifetime: a TaskArena lives on the stack of one reduce-task attempt
 // (reducer instances are shared across concurrent tasks and must stay
@@ -37,120 +34,108 @@
 
 namespace dod {
 
-// A read-only view of one cell's partition: `size()` points, the first
+// Per-cell deterministic seed for the detectors' randomized probe order.
+// `cell` is any stable cell token (a plan cell id, a hashed grid coord).
+inline uint64_t CellSeed(uint64_t base, uint64_t cell) {
+  return base ^ (0x9E3779B97F4A7C15ULL * (cell + 1));
+}
+
+// The arena draws each cell's probe-segment permutation from a stream
+// salted with this constant: the detector draws its start offsets from the
+// unsalted cell seed, and starts drawn from the same stream that produced
+// the permutation would correlate with the slot order they index into.
+inline constexpr uint64_t kArenaSeedSalt = 0xA5C3D2E1F0B49687ULL;
+
+// A read-only view of one staged cell: `size()` points, the first
 // `num_core()` of which are core points. Local index i resolves to the
-// global point ids()[i]; an identity view (no id array) covers a whole
-// dataset directly, which lets view-based detector code serve the legacy
-// Dataset entry points with zero overhead.
+// global point id(i).
 class PartitionView {
  public:
-  // Identity view over all of `data`; local index == PointId.
-  PartitionView(const Dataset& data, size_t num_core)
-      : data_(&data), ids_(nullptr), size_(data.size()), num_core_(num_core) {}
-
-  // Gathered view: local index i is the point `ids[i]` of `data`, core
-  // points first. `ids` must outlive the view.
-  PartitionView(const Dataset& data, const PointId* ids, size_t size,
-                size_t num_core)
-      : data_(&data), ids_(ids), size_(size), num_core_(num_core) {}
-
-  const Dataset& data() const { return *data_; }
   int dims() const { return data_->dims(); }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t num_core() const { return num_core_; }
-  bool identity() const { return ids_ == nullptr; }
 
   // Global id of local point i.
-  PointId id(size_t i) const {
-    return ids_ != nullptr ? ids_[i] : static_cast<PointId>(i);
-  }
+  PointId id(size_t i) const { return ids_[i]; }
 
   // Coordinates of local point i (one indexed load into the global data).
-  const double* point(size_t i) const {
-    return ids_ != nullptr ? (*data_)[ids_[i]]
-                           : (*data_)[static_cast<PointId>(i)];
-  }
+  const double* point(size_t i) const { return (*data_)[ids_[i]]; }
 
   // Bounding box of the viewed points. Must not be called on an empty view.
   Rect Bounds() const;
 
-  // Materializes the view as an owning Dataset (local order preserved);
-  // the compatibility path for detectors without a native view entry.
-  Dataset Gather() const;
-
-  // Shared probe segment: slots [probe_begin, probe_begin + size) of
-  // `probes` hold this view's points in a permuted order, each slot
-  // carrying its point's *local* index as id (so kernels skip the query by
-  // local index, exactly like a detector-built probe buffer).
-  bool has_probes() const { return probes_ != nullptr; }
+  // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
+  // view's points in a permuted order, each slot carrying its point's
+  // *local* index as id (so kernels skip the query by local index).
   const SoABlock& probes() const { return *probes_; }
   size_t probe_begin() const { return probe_begin_; }
   size_t probe_end() const { return probe_begin_ + size_; }
 
-  void SetProbes(const SoABlock* probes, size_t probe_begin) {
-    probes_ = probes;
-    probe_begin_ = probe_begin;
-  }
-
  private:
+  friend class TaskArena;
+
+  PartitionView(const Dataset& data, const PointId* ids, size_t size,
+                size_t num_core, const SoABlock& probes, size_t probe_begin)
+      : data_(&data),
+        ids_(ids),
+        size_(size),
+        num_core_(num_core),
+        probes_(&probes),
+        probe_begin_(probe_begin) {}
+
   const Dataset* data_;
   const PointId* ids_;
   size_t size_;
   size_t num_core_;
-  const SoABlock* probes_ = nullptr;
-  size_t probe_begin_ = 0;
+  const SoABlock* probes_;
+  size_t probe_begin_;
 };
 
 // Builds the shared probe arena of one reduce task. Usage, inside a
 // reduce-task attempt:
 //
 //   TaskArena arena(data);
+//   arena.TryReserve(num_cells, num_points);     // optional pre-sizing
 //   for each cell:  arena.BeginCell();
 //                   arena.AddPoint(id)...        // core first, then support
 //                   arena.EndCell(num_core, permutation_seed);
-//   arena.BuildProbes();
+//   arena.TryBuildProbes();
 //   for each cell:  PartitionView view = arena.View(cell_index);
 //
 // The two-phase shape exists because id storage is one growing vector:
 // views hand out raw pointers into it, so they are only created after every
-// cell has been staged. BuildProbes lays each cell's segment into one
+// cell has been staged. TryBuildProbes lays each cell's segment into one
 // SoABlock, block-aligned, in a deterministic per-cell random permutation
-// (seeded by the caller — detectors with randomized probe order rely on
+// (seeded by the caller — Nested-Loop's randomized probe order relies on
 // it), and records the kernels.soa_reuse.* metrics.
 class TaskArena {
  public:
   // `budget` (optional, borrowed) bounds the arena's reservations: the id
   // staging and the probe buffer are charged before allocation and the
-  // charges are held for the arena's lifetime (Clear() keeps capacity, so
-  // it keeps the charges too).
+  // charges are held for the arena's lifetime.
   explicit TaskArena(const Dataset& data, MemoryBudget* budget = nullptr);
 
-  // Optional pre-sizing with the task's totals. The Try variant charges the
-  // estimated bytes against the budget and converts denial or a failed
-  // allocation into kResourceExhausted; the void variant is the legacy
-  // budget-free path and aborts on failure.
+  // Optional pre-sizing with the task's totals: charges the estimated bytes
+  // against the budget and converts denial or a failed allocation into
+  // kResourceExhausted.
   Status TryReserve(size_t num_cells, size_t num_points);
-  void Reserve(size_t num_cells, size_t num_points);
 
   void BeginCell();
   void AddPoint(PointId id) { ids_.push_back(id); }
   void EndCell(size_t num_core, uint64_t permutation_seed);
 
-  // TryBuildProbes converts std::bad_alloc from the probe layout into
-  // kResourceExhausted (reservation estimates cover the common case, but
-  // staging past the reserved sizes can still grow the buffers).
+  // Lays out every staged cell's probe segment, once. Converts
+  // std::bad_alloc into kResourceExhausted (reservation estimates cover the
+  // common case, but staging past the reserved sizes can still grow the
+  // buffers).
   Status TryBuildProbes();
-  void BuildProbes();
 
   size_t num_cells() const { return cells_.size(); }
 
   // View of staged cell `index` (creation order). Valid only after
-  // BuildProbes(), until the arena dies or is cleared.
+  // TryBuildProbes() succeeded, until the arena dies.
   PartitionView View(size_t index) const;
-
-  // Drops all staged cells and probes; keeps capacity (attempt retries).
-  void Clear();
 
  private:
   struct CellSlot {

@@ -2,25 +2,7 @@
 
 #include "kernels/soa_block.h"
 
-#include "observability/metrics.h"
-
 namespace dod {
-namespace {
-
-// Layout-build accounting. Charged once per Assign (outside the timed
-// kernel loops, which stay metrics-free), so the registry shows how many
-// SoA buffers the detectors build and how many points flow through them.
-void RecordAssign(size_t points) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kAssigns =
-      metrics.Id("kernels.soa_assigns", MetricKind::kCounter);
-  static const uint32_t kPoints =
-      metrics.Id("kernels.soa_points", MetricKind::kCounter);
-  metrics.Increment(kAssigns);
-  metrics.Increment(kPoints, points);
-}
-
-}  // namespace
 
 SoABlock::SoABlock(int dims) : dims_(dims) {
   DOD_CHECK(dims >= 1 && dims <= kMaxDimensions);
@@ -55,17 +37,6 @@ void SoABlock::Assign(const Dataset& points) {
   Clear();
   Reserve(points.size());
   for (uint32_t i = 0; i < points.size(); ++i) Append(points[i], i);
-  RecordAssign(points.size());
-}
-
-void SoABlock::AssignPermuted(const Dataset& points,
-                              const std::vector<uint32_t>& order) {
-  DOD_CHECK(points.dims() == dims_);
-  DOD_CHECK(order.size() == points.size());
-  Clear();
-  Reserve(points.size());
-  for (uint32_t id : order) Append(points[id], id);
-  RecordAssign(points.size());
 }
 
 }  // namespace dod

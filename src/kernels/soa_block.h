@@ -65,11 +65,6 @@ class SoABlock {
   // Rebuilds the buffer from a whole dataset; slot j holds point j.
   void Assign(const Dataset& points);
 
-  // Rebuilds the buffer from `points` in permutation order: slot j holds
-  // point `order[j]` and carries its original id (Nested-Loop probe buffer).
-  void AssignPermuted(const Dataset& points,
-                      const std::vector<uint32_t>& order);
-
   // Rounds size() up to the next block boundary; the skipped slots keep
   // their pad coordinates/ids. Lets several independent point segments
   // share one buffer with each segment starting on a block boundary

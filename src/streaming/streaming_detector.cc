@@ -40,15 +40,6 @@ int SaturationCap(int min_neighbors) {
              : min_neighbors + kSummarySlack;
 }
 
-// Same per-cell seed derivation as the batch reducers (core/pipeline.cc):
-// the detector's probe-order seed and the arena's permutation seed come
-// from independent streams so slot order and probe starts don't correlate.
-constexpr uint64_t kArenaSeedSalt = 0xA5C3D2E1F0B49687ULL;
-
-uint64_t CellSeed(uint64_t base, uint64_t cell) {
-  return base ^ (0x9E3779B97F4A7C15ULL * (cell + 1));
-}
-
 uint64_t CoordToken(const CellCoord& coord) {
   return static_cast<uint64_t>(CellCoordHash{}(coord));
 }
@@ -500,14 +491,11 @@ Status StreamingDetector::CountTargets(const std::vector<TargetCell>& targets,
   DOD_RETURN_IF_ERROR(executor_->RunTasks(
       targets.size(), [&](size_t i) -> Status {
         const PartitionView view = arena.View(i);
-        DetectionParams params = config_.params;
-        params.seed =
-            CellSeed(config_.params.seed, CoordToken(targets[i].coord));
         std::vector<NeighborCountSummary>& out = staged[i];
         out.reserve(targets[i].locals.size());
         for (uint32_t local : targets[i].locals) {
-          out.push_back(
-              CountNeighbors(view, local, params, cap, /*pairs=*/nullptr));
+          out.push_back(CountNeighbors(view, local, config_.params, cap,
+                                       /*pairs=*/nullptr));
         }
         return Status::Ok();
       }));

@@ -68,8 +68,17 @@ TEST(FormsRectangleTest, ThreeDimensional) {
   EXPECT_FALSE(FormsRectangle(a, c));
 }
 
+// Criteria with the cost cap disabled.
+MergingCriteria Criteria(double t_diff, double t_max_points) {
+  MergingCriteria criteria;
+  criteria.t_diff = t_diff;
+  criteria.t_max_points = t_max_points;
+  return criteria;
+}
+
 TEST(MergingCriteriaTest, AllThreeConditionsRequired) {
-  const MergingCriteria criteria{/*t_diff=*/1.0, /*t_max_points=*/100.0};
+  const MergingCriteria criteria =
+      Criteria(/*t_diff=*/1.0, /*t_max_points=*/100.0);
   AggregateFeature a{10.0, Box(0, 0, 1, 1)};   // density 10
   AggregateFeature b{10.5, Box(1, 0, 2, 1)};   // density 10.5, rectangular
   EXPECT_TRUE(criteria.CanMerge(a, b));
@@ -83,12 +92,13 @@ TEST(MergingCriteriaTest, AllThreeConditionsRequired) {
   EXPECT_FALSE(criteria.CanMerge(a, offset));
 
   // (3) cardinality cap.
-  const MergingCriteria tight{1.0, 15.0};
+  const MergingCriteria tight = Criteria(1.0, 15.0);
   EXPECT_FALSE(tight.CanMerge(a, b));
 }
 
 TEST(MergingCriteriaTest, DensityThresholdIsStrict) {
-  const MergingCriteria criteria{/*t_diff=*/0.5, /*t_max_points=*/1e9};
+  const MergingCriteria criteria =
+      Criteria(/*t_diff=*/0.5, /*t_max_points=*/1e9);
   AggregateFeature a{10.0, Box(0, 0, 1, 1)};
   AggregateFeature b{10.5, Box(1, 0, 2, 1)};  // |Δdensity| == 0.5 exactly
   EXPECT_FALSE(criteria.CanMerge(a, b));

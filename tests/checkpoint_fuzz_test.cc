@@ -323,7 +323,9 @@ TEST(PayloadFuzzTest, RandomMutationsNeverReadOutOfBounds) {
       }
     }
     const Status status = DrainAsWritten(payload);
-    if (!status.ok()) EXPECT_EQ(status.code(), StatusCode::kIoError);
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kIoError);
+    }
   }
 }
 

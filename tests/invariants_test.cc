@@ -132,7 +132,9 @@ TEST(PipelineInvariants, EveryOutlierIdIsValidAndUnique) {
   ASSERT_FALSE(result.outliers.empty());
   for (size_t i = 0; i < result.outliers.size(); ++i) {
     EXPECT_LT(result.outliers[i], data.size());
-    if (i > 0) EXPECT_LT(result.outliers[i - 1], result.outliers[i]);
+    if (i > 0) {
+      EXPECT_LT(result.outliers[i - 1], result.outliers[i]);
+    }
   }
 }
 

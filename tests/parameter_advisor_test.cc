@@ -14,8 +14,9 @@ namespace {
 
 double RealizedOutlierFraction(const Dataset& data,
                                const DetectionParams& params) {
-  const std::vector<PointId> outliers = DetectOutliersCentralized(
-      data, AlgorithmKind::kCellBased, params);
+  const std::vector<PointId> outliers =
+      MakeDetector(AlgorithmKind::kCellBased)
+          ->DetectOutliers(data, data.size(), params);
   return static_cast<double>(outliers.size()) / data.size();
 }
 

@@ -148,17 +148,6 @@ TEST(PipelineBasics, DomainBaselineRunsVerificationJob) {
   EXPECT_EQ(result.outliers, GroundTruth(data, params));
 }
 
-TEST(PipelineBasics, CentralizedHelperMatchesOracle) {
-  DetectionParams params{5.0, 4};
-  const Dataset data = GenerateUniform(800, DomainForDensity(800, 0.05), 9);
-  EXPECT_EQ(DetectOutliersCentralized(data, AlgorithmKind::kNestedLoop,
-                                      params),
-            GroundTruth(data, params));
-  EXPECT_EQ(DetectOutliersCentralized(data, AlgorithmKind::kCellBased,
-                                      params),
-            GroundTruth(data, params));
-}
-
 TEST(PipelineBasics, DeterministicAcrossRuns) {
   DetectionParams params{5.0, 4};
   const Dataset data = GenerateTigerLike(2000, 31);

@@ -257,7 +257,8 @@ TEST(PropertyTest, PipelineAgreesWithCentralizedOracle) {
     for (KernelMode mode : kKernelModes) {
       DetectionParams params = MakeParams(seed * 7 + 3, mode);
       const std::vector<PointId> oracle =
-          DetectOutliersCentralized(data, AlgorithmKind::kBruteForce, params);
+          MakeDetector(AlgorithmKind::kBruteForce)
+              ->DetectOutliers(data, data.size(), params);
 
       for (const StrategyCase& c : cases) {
         DodConfig config =

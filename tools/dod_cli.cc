@@ -5,7 +5,7 @@
 //
 // Examples:
 //   dod_cli --generate region:MA --n 30000 --radius 5 --k 4
-//   dod_cli --input buildings.csv --columns 2,3 --radius 0.01 --k 10 \
+//   dod_cli --input buildings.csv --columns 2,3 --radius 0.01 --k 10
 //           --strategy cdriven --algorithm cell_based --out outliers.csv
 //   dod_cli --generate tiger --n 50000 --plan-out plan.txt --verbose
 

@@ -26,11 +26,17 @@
 //    replayed through the watermark reorder stage (Ingest + Flush); the
 //    rate ratio against in-order Feed is reported as reorder_overhead.
 //
+// 4. Window scaling — a round must cost O(change), not O(window). The
+//    same localized 512-point block traffic streams over a 16k-point and
+//    a 256k-point window, the domain scaled so resident density (and so
+//    the per-round insert pairs) match; window_scaling is rounds/s at 16k
+//    over rounds/s at 256k, ~1 when nothing walks the whole window.
+//
 // Outlier sets are asserted identical across every paired round (speed
 // must never buy a different answer). Emits BENCH_streaming.json with
 // rounds/sec per mode, the speedups and the mean dirty-cell fraction; CI
-// smoke-checks small_delta_speedup (regime 1) and diffuse_speedup
-// (regime 2).
+// smoke-checks small_delta_speedup (regime 1), diffuse_speedup
+// (regime 2), reorder_overhead (regime 3) and window_scaling (regime 4).
 
 #include <algorithm>
 #include <cmath>
@@ -79,9 +85,9 @@ dod::OutlierDelta MustFeed(StreamingDetector& detector,
 }
 
 // A block schedule over a sliding window. Localized blocks are uniform in
-// one random kPatch^2 patch of the [0, kDomain)^2 domain; diffuse blocks
-// are uniform over a density-1 domain sized to the window, so every round
-// touches cells everywhere.
+// one random kPatch^2 patch of the [0, domain)^2 domain (kDomain unless
+// given); diffuse blocks are uniform over a density-1 domain sized to the
+// window, so every round touches cells everywhere.
 struct Workload {
   size_t block_size = 0;
   size_t window_blocks = 0;
@@ -92,19 +98,20 @@ struct Workload {
   uint64_t next_id = 0;
   uint64_t round = 0;
 
-  Workload(size_t block_size, size_t window_points, bool diffuse)
+  Workload(size_t block_size, size_t window_points, bool diffuse,
+           double localized_domain = kDomain)
       : block_size(block_size),
         window_blocks(window_points / block_size),
         diffuse(diffuse),
         domain(diffuse ? std::sqrt(static_cast<double>(window_points))
-                       : kDomain),
+                       : localized_domain),
         rng(diffuse ? 0xD1FF : 0x57AE) {}
 
   StreamBlock NextBlock() {
     StreamBlock block(2);
     const double extent = diffuse ? domain : kPatch;
-    const double px = diffuse ? 0.0 : rng.NextDouble() * (kDomain - kPatch);
-    const double py = diffuse ? 0.0 : rng.NextDouble() * (kDomain - kPatch);
+    const double px = diffuse ? 0.0 : rng.NextDouble() * (domain - kPatch);
+    const double py = diffuse ? 0.0 : rng.NextDouble() * (domain - kPatch);
     for (size_t i = 0; i < block_size; ++i) {
       const double p[2] = {px + rng.NextDouble() * extent,
                            py + rng.NextDouble() * extent};
@@ -332,6 +339,50 @@ ReorderResult MeasureReorder(size_t block_size, size_t window_points,
   return result;
 }
 
+// ---- Regime 4: per-round cost against window size ---------------------
+
+struct ScalingResult {
+  size_t block_size = 0;
+  size_t window_points = 0;
+  double domain = 0.0;
+  double rounds_per_sec = 0.0;
+  double mean_insert_pairs = 0.0;
+  double mean_expiry_pairs = 0.0;
+};
+
+// Localized block_size-point blocks over a window_points window whose
+// domain keeps the resident density of regime 1's 16k window over
+// kDomain^2, so a block meets the same neighborhood whatever the window.
+// Only Feed is timed, after a full (untimed) prefill.
+ScalingResult MeasureWindowScaling(size_t block_size, size_t window_points,
+                                   int rounds) {
+  const double density =
+      16384.0 / (kDomain * kDomain);  // regime 1's resident density
+  ScalingResult result;
+  result.block_size = block_size;
+  result.window_points = window_points;
+  result.domain = std::sqrt(static_cast<double>(window_points) / density);
+  Workload workload(block_size, window_points, /*diffuse=*/false,
+                    result.domain);
+  auto created =
+      StreamingDetector::Create(ServiceConfig(workload.window_blocks));
+  StreamingDetector& detector = Must(created);
+  for (size_t b = 0; b < workload.window_blocks; ++b) {
+    MustFeed(detector, workload.NextBlock());
+  }
+  double seconds = 0.0;
+  for (int round = 0; round < rounds; ++round) {
+    const dod::OutlierDelta delta =
+        MustFeed(detector, workload.NextBlock(), &seconds);
+    result.mean_insert_pairs += static_cast<double>(delta.stats.insert_pairs);
+    result.mean_expiry_pairs += static_cast<double>(delta.stats.expiry_pairs);
+  }
+  result.rounds_per_sec = rounds / seconds;
+  result.mean_insert_pairs /= rounds;
+  result.mean_expiry_pairs /= rounds;
+  return result;
+}
+
 void PrintConfigTable(const std::vector<ConfigResult>& results) {
   std::printf("%11s %9s %14s %14s %9s %8s %9s\n", "block_size", "window",
               "incr rnd/s", "scratch rnd/s", "speedup", "dirty%", "recounts");
@@ -408,11 +459,26 @@ int main() {
                 r.reorder_rounds_per_sec, r.overhead, r.mean_buffered);
   }
 
+  // Regime 4: the same localized traffic over a 16x larger window. Fixed
+  // sizes (not DOD_BENCH_SCALE-scaled): the ratio is the guarded number.
+  std::vector<ScalingResult> scaling_results;
+  std::printf("\n%11s %9s %9s %14s %14s %14s\n", "block_size", "window",
+              "domain", "incr rnd/s", "insert pairs", "expiry pairs");
+  for (size_t window : {size_t{16384}, size_t{262144}}) {
+    const ScalingResult r = MeasureWindowScaling(512, window, 4 * rounds);
+    scaling_results.push_back(r);
+    std::printf("%11zu %9zu %9.0f %14.1f %14.0f %14.0f\n", r.block_size,
+                r.window_points, r.domain, r.rounds_per_sec,
+                r.mean_insert_pairs, r.mean_expiry_pairs);
+  }
+
   // The headline numbers CI guards: the smallest-block configurations,
   // where incrementality has the most to offer.
   const double small_delta_speedup = results.front().speedup;
   const double diffuse_speedup = diffuse_results.front().speedup;
   const double reorder_overhead = reorder_results.front().overhead;
+  const double window_scaling = scaling_results.front().rounds_per_sec /
+                                scaling_results.back().rounds_per_sec;
 
   std::FILE* f = std::fopen("BENCH_streaming.json", "w");
   if (f == nullptr) {
@@ -436,13 +502,29 @@ int main() {
                  i + 1 < reorder_results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"scaling_configs\": [\n");
+  for (size_t i = 0; i < scaling_results.size(); ++i) {
+    const ScalingResult& r = scaling_results[i];
+    std::fprintf(f,
+                 "    {\"block_size\": %zu, \"window_points\": %zu, "
+                 "\"domain\": %.1f, \"incremental_rounds_per_sec\": %.1f, "
+                 "\"mean_insert_pairs\": %.1f, "
+                 "\"mean_expiry_pairs\": %.1f}%s\n",
+                 r.block_size, r.window_points, r.domain, r.rounds_per_sec,
+                 r.mean_insert_pairs, r.mean_expiry_pairs,
+                 i + 1 < scaling_results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"small_delta_speedup\": %.3f,\n", small_delta_speedup);
   std::fprintf(f, "  \"diffuse_speedup\": %.3f,\n", diffuse_speedup);
-  std::fprintf(f, "  \"reorder_overhead\": %.3f\n}\n", reorder_overhead);
+  std::fprintf(f, "  \"reorder_overhead\": %.3f,\n", reorder_overhead);
+  std::fprintf(f, "  \"window_scaling\": %.3f\n}\n", window_scaling);
   std::fclose(f);
   std::printf(
       "\nwrote BENCH_streaming.json (small-delta speedup %.2fx, "
-      "diffuse speedup %.2fx, reorder overhead %.2fx)\n",
-      small_delta_speedup, diffuse_speedup, reorder_overhead);
+      "diffuse speedup %.2fx, reorder overhead %.2fx, window scaling "
+      "%.2fx)\n",
+      small_delta_speedup, diffuse_speedup, reorder_overhead,
+      window_scaling);
   return 0;
 }

@@ -137,7 +137,7 @@ Result<CheckpointRecord> ParseRecordObject(const JsonValue& entry) {
   }
   DOD_ASSIGN_OR_RETURN(uint64_t index,
                        GetU64Field(entry, "index", "manifest task entry"));
-  if (index > 1u << 30) {
+  if (index > CheckpointStore::kMaxTaskIndex) {
     return Status::InvalidArgument("manifest task entry index too large");
   }
   record.index = static_cast<int>(index);

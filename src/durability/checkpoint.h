@@ -88,6 +88,11 @@ class CheckpointStore {
   // stores parse differently at those offsets, so they must be rejected
   // at the manifest check rather than misread.
   static constexpr int kFormatVersion = 2;
+  // Largest task index the manifest reader accepts. A record committed
+  // under a larger index would be refused on replay, so writers whose
+  // index grows without bound (the streaming service's round or arrival
+  // counter) must check it before committing.
+  static constexpr uint64_t kMaxTaskIndex = uint64_t{1} << 30;
 
   // Opens (creating if needed) the store at `dir` for the job identified
   // by `job_key`. With `resume` false any prior manifest and payloads are

@@ -198,9 +198,9 @@ uint32_t StreamingDetector::AllocSlot(PointId id, const double* p) {
     slot = static_cast<uint32_t>(window_->Append(p));
     slots_.push_back(SlotState{});
   }
-  SlotState fresh;
-  fresh.stream_id = id;
-  slots_[slot] = fresh;
+  SlotState state;
+  state.stream_id = id;
+  slots_[slot] = state;
   id_to_slot_[id] = slot;
   return slot;
 }
@@ -221,6 +221,7 @@ void StreamingDetector::AppendBlock(const StreamBlock& block,
   for (size_t i = 0; i < block.ids.size(); ++i) {
     const double* p = block.points[static_cast<PointId>(i)];
     const uint32_t slot = AllocSlot(block.ids[i], p);
+    slots_[slot].fresh = 1;
     const CellCoord coord = KeyOf(p);
     cells_[coord].slots.push_back(slot);
     wb.slots.push_back(slot);
@@ -259,6 +260,7 @@ size_t StreamingDetector::ExpireBlocks(std::vector<CellCoord>* touched,
         if (members.empty()) cells_.erase(it);
         touched->push_back(coord);
         if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
+        if (state.saturated != 0) --saturated_count_;
         id_to_slot_.erase(state.stream_id);
         free_slots_.push_back(slot);
         evicted_slots->push_back(slot);
@@ -304,14 +306,6 @@ void StreamingDetector::StageCellWithRing(const CellCoord& center,
                                kArenaSeedSalt);
 }
 
-size_t StreamingDetector::saturated_points() const {
-  size_t n = 0;
-  for (const auto& entry : id_to_slot_) {
-    if (slots_[entry.second].saturated != 0) ++n;
-  }
-  return n;
-}
-
 Status StreamingDetector::SummaryUpdate(
     const std::vector<CellCoord>& dirty,
     const std::vector<uint32_t>& appended_slots,
@@ -353,9 +347,6 @@ Status StreamingDetector::SummaryUpdate(
       build(appended_slots, &inserted);
       build(evicted_slots, &evicted);
 
-      std::vector<uint8_t> is_new(slots_.size(), 0);
-      for (uint32_t slot : appended_slots) is_new[slot] = 1;
-
       // Per dirty cell, in parallel: count the cell's surviving old
       // residents against every appended (increment) and evicted
       // (decrement) segment within the supporting ring. Results stage per
@@ -378,7 +369,7 @@ Status StreamingDetector::SummaryUpdate(
             queries.reserve(cell.slots.size() *
                             static_cast<size_t>(dims_));
             for (uint32_t slot : cell.slots) {
-              if (is_new[slot] != 0) continue;
+              if (slots_[slot].fresh != 0) continue;
               p.old_slots.push_back(slot);
               const double* row = (*window_)[slot];
               queries.insert(queries.end(), row, row + dims_);
@@ -422,7 +413,9 @@ Status StreamingDetector::SummaryUpdate(
         size_t q = 0;
         for (size_t j = 0; j < cell.slots.size(); ++j) {
           const uint32_t slot = cell.slots[j];
-          if (is_new[slot] != 0) {
+          SlotState& state = slots_[slot];
+          if (state.fresh != 0) {
+            state.fresh = 0;
             target.locals.push_back(static_cast<uint32_t>(j));
             ++delta->stats.full_counted_points;
             continue;
@@ -432,7 +425,6 @@ Status StreamingDetector::SummaryUpdate(
           const long long dec = p.dec[q];
           ++q;
           if (inc == 0 && dec == 0) continue;
-          SlotState& state = slots_[slot];
           if (state.saturated == 0) {
             const long long next =
                 static_cast<long long>(state.count) + inc - dec;
@@ -508,7 +500,9 @@ Status StreamingDetector::CountTargets(const std::vector<TargetCell>& targets,
       const NeighborCountSummary summary = staged[i][t];
       SlotState& state = slots_[cell.slots[targets[i].locals[t]]];
       state.count = summary.count;
+      saturated_count_ -= state.saturated;
       state.saturated = summary.saturated ? 1 : 0;
+      saturated_count_ += state.saturated;
       const bool now = !summary.saturated && summary.count < k;
       if (now != (state.flagged != 0)) {
         (now ? delta->newly_flagged : delta->newly_cleared)
@@ -953,6 +947,17 @@ Status StreamingDetector::CommitCheckpoint() {
   // (the buffer changes without rounds advancing); in-order mode keys by
   // round, as before.
   const uint64_t task_index = config_.watermark.enabled ? arrivals_ : round_;
+  if (task_index > CheckpointStore::kMaxTaskIndex) {
+    // The manifest reader refuses larger indexes, so a commit here would
+    // make resume silently restore an older snapshot.
+    return Status::OutOfRange(
+        std::string("StreamingDetector: checkpoint index ") +
+        std::to_string(task_index) + " (" +
+        (config_.watermark.enabled ? "arrivals" : "rounds") +
+        ") exceeds the store's limit " +
+        std::to_string(CheckpointStore::kMaxTaskIndex) +
+        "; start a fresh checkpoint store");
+  }
   DOD_RETURN_IF_ERROR(
       store_->CommitTask("stream", static_cast<int>(task_index), w.str()));
   PayloadWriter latest;
@@ -968,6 +973,10 @@ Status StreamingDetector::RestoreLatest() {
   uint64_t task_index = 0;
   DOD_RETURN_IF_ERROR(latest.U64(&task_index));
   DOD_RETURN_IF_ERROR(latest.ExpectDone());
+  if (task_index > CheckpointStore::kMaxTaskIndex) {
+    return Status::IoError("stream checkpoint: latest index " +
+                           std::to_string(task_index) + " out of range");
+  }
   DOD_ASSIGN_OR_RETURN(
       std::string bytes,
       store_->LoadTask("stream", static_cast<int>(task_index)));
@@ -1147,10 +1156,12 @@ Status StreamingDetector::RestoreLatest() {
 
   // Cross-validate the restored summaries against the flagged set: a
   // saturated bound never sits below k at a round boundary, and a point is
-  // flagged exactly when its exact count is below k.
+  // flagged exactly when its exact count is below k. The same walk seeds
+  // the saturated-point count that every later round keeps incrementally.
   const uint32_t k = static_cast<uint32_t>(config_.params.min_neighbors);
   for (const auto& entry : id_to_slot_) {
     const SlotState& state = slots_[entry.second];
+    saturated_count_ += state.saturated;
     const bool valid = state.saturated != 0
                            ? state.count >= k && state.flagged == 0
                            : (state.count < k) == (state.flagged != 0);

@@ -287,8 +287,9 @@ class StreamingDetector {
   // run over the window contents.
   const std::vector<PointId>& outliers() const { return outliers_; }
   // Resident points whose summary is a saturated lower bound rather than
-  // an exact count. O(resident points).
-  size_t saturated_points() const;
+  // an exact count. O(1): the count is maintained wherever a resident
+  // point's saturated bit appears, changes or leaves the window.
+  size_t saturated_points() const { return saturated_count_; }
 
  private:
   struct CellState {
@@ -304,6 +305,10 @@ class StreamingDetector {
     // saturated != 0.
     uint32_t count = 0;
     uint8_t saturated = 0;
+    // Appended this round and not yet folded: the point gets a full first
+    // count instead of the incremental insert/expiry pass. Set by
+    // AppendBlock, cleared by the SummaryUpdate fold.
+    uint8_t fresh = 0;
   };
   // One cell's re-count work: `locals` are positions in the cell's slot
   // segment (appended points needing a first count, saturated points whose
@@ -407,6 +412,8 @@ class StreamingDetector {
   std::vector<SlotState> slots_;
   std::vector<uint32_t> free_slots_;
   std::unordered_map<PointId, uint32_t> id_to_slot_;
+  // Resident slots with saturated != 0 (see saturated_points()).
+  size_t saturated_count_ = 0;
   std::unordered_map<CellCoord, CellState, CellCoordHash> cells_;
   // Per-source window slices, ordered by source id so expiry scans (and
   // the checkpoint codec) iterate deterministically.

@@ -2,19 +2,25 @@
 //
 // End-to-end smoke tests of the dod_cli binary: exercises the flag paths,
 // CSV/binary I/O, plan export, and error handling through the real
-// executable. The binary location comes from the DOD_CLI_PATH compile
-// definition set by CMake.
+// executable — plus dod_stream_cli's closing summary line. The binary
+// locations come from the DOD_CLI_PATH / DOD_STREAM_CLI_PATH compile
+// definitions set by CMake.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "io/csv.h"
 
 #ifndef DOD_CLI_PATH
 #define DOD_CLI_PATH "build/tools/dod_cli"
+#endif
+#ifndef DOD_STREAM_CLI_PATH
+#define DOD_STREAM_CLI_PATH "build/tools/dod_stream_cli"
 #endif
 
 namespace dod {
@@ -25,8 +31,9 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunCommand(const std::string& args) {
-  const std::string command = std::string(DOD_CLI_PATH) + " " + args + " 2>&1";
+CommandResult RunCommand(const std::string& args,
+                         const char* binary = DOD_CLI_PATH) {
+  const std::string command = std::string(binary) + " " + args + " 2>&1";
   CommandResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -146,6 +153,52 @@ TEST(CliSmokeTest, BadStrategyIsRejected) {
 TEST(CliSmokeTest, MissingInputFileIsRejected) {
   const CommandResult result = RunCommand("--input /no/such/file.csv");
   EXPECT_NE(result.exit_code, 0);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(CliSmokeTest, StreamSummaryReportsLatencyAndSaturatedPoints) {
+  // 20 rounds of 300 points over a 4-block window, dense enough (about 50
+  // neighbors within r = 2) that counts saturate.
+  const std::string args =
+      "--generate uniform --n 6000 --density 20 --block_size 300 "
+      "--window 4 --radius 2 --k 4 --delta_out ";
+  const std::string first = testing::TempDir() + "/cli_smoke_deltas_1.log";
+  const std::string second = testing::TempDir() + "/cli_smoke_deltas_2.log";
+  const CommandResult result = RunCommand(args + first, DOD_STREAM_CLI_PATH);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+
+  const size_t at = result.output.find("outliers, ");
+  ASSERT_NE(at, std::string::npos) << result.output;
+  size_t saturated = 0;
+  double p50_ms = -1.0;
+  double p99_ms = -1.0;
+  size_t rounds = 0;
+  ASSERT_EQ(std::sscanf(result.output.c_str() + at,
+                        "outliers, %zu saturated points; round latency "
+                        "p50 %lf ms p99 %lf ms over %zu rounds",
+                        &saturated, &p50_ms, &p99_ms, &rounds),
+            4)
+      << result.output;
+  EXPECT_GT(saturated, 0u);
+  EXPECT_EQ(rounds, 20u);
+  EXPECT_GT(p50_ms, 0.0);
+  EXPECT_LE(p50_ms, p99_ms);
+
+  // The delta log stays deterministic: no timings, identical across runs.
+  ASSERT_EQ(RunCommand(args + second, DOD_STREAM_CLI_PATH).exit_code, 0);
+  const std::string log = ReadFile(first);
+  EXPECT_FALSE(log.empty());
+  EXPECT_EQ(log, ReadFile(second));
+  EXPECT_EQ(log.find("latency"), std::string::npos);
+  EXPECT_EQ(log.find("ms"), std::string::npos);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 }  // namespace

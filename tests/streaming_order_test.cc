@@ -562,6 +562,99 @@ TEST(StreamingOrderCheckpointTest, ResumeWithNonEmptyReorderBuffer) {
   EXPECT_EQ(detector.outliers(), final_outliers);
 }
 
+TEST(StreamingOrderCheckpointTest, SaturatedGaugeMatchesRestoredSnapshots) {
+  // The incrementally kept saturated_points() under a watermark policy and
+  // a shuffled arrival order: after every arrival (checkpoint_every = 1) a
+  // detector resumed from the store recounts the gauge from the snapshot's
+  // per-point bytes and must agree with the live one. Dense patches (two
+  // dense blocks, then a sparse halo) make points saturate and, once the
+  // dense blocks expire, re-count.
+  const double kLateness = 5.0;
+  const size_t kPatches = 6;
+  OrderSchedule schedule;
+  schedule.block_size = 30;
+  Rng data_rng(0x5A7);
+  for (size_t patch = 0; patch < kPatches; ++patch) {
+    const double x0 = data_rng.NextDouble() * 40.0;
+    const double y0 = data_rng.NextDouble() * 40.0;
+    for (size_t i = 0; i < 3 * schedule.block_size; ++i) {
+      const double extent = i < 2 * schedule.block_size ? 2.0 : 8.0;
+      const double offset = i < 2 * schedule.block_size ? 0.0 : -3.0;
+      const double p[2] = {x0 + offset + data_rng.NextDouble() * extent,
+                           y0 + offset + data_rng.NextDouble() * extent};
+      schedule.data.Append(p);
+    }
+  }
+  ASSERT_EQ(schedule.num_blocks(), 3 * kPatches);
+
+  TempDir dir("dod-streaming-reorder-gauge");
+  StreamingConfig config = BaseConfig(1.5, 4);
+  // Each source sees every other timestamp: 3 resident blocks per source.
+  config.window_seconds = 5.5;
+  config.watermark.enabled = true;
+  config.watermark.lateness = kLateness;
+  config.checkpoint_dir = dir.str();
+  config.checkpoint_every = 1;
+  config.job_tag = "reorder-gauge";
+  StreamingConfig resume_config = config;
+  resume_config.resume = true;
+
+  auto created = StreamingDetector::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  StreamingDetector& detector = *created.value();
+  const auto expect_restored_gauge = [&](const std::string& when) {
+    auto resumed = StreamingDetector::Create(resume_config);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_EQ(resumed.value()->arrivals(), detector.arrivals()) << when;
+    ASSERT_EQ(resumed.value()->rounds(), detector.rounds()) << when;
+    EXPECT_EQ(resumed.value()->saturated_points(),
+              detector.saturated_points())
+        << when;
+  };
+
+  Rng rng(99);
+  std::vector<std::pair<double, size_t>> order;
+  for (size_t b = 0; b < schedule.num_blocks(); ++b) {
+    order.emplace_back(static_cast<double>(b) + rng.NextDouble() * kLateness,
+                       b);
+  }
+  std::stable_sort(order.begin(), order.end());
+
+  size_t peak = 0;
+  size_t recounted = 0;
+  const auto absorb = [&](const IngestResult& result) {
+    for (const OutlierDelta& delta : result.admitted) {
+      recounted += delta.stats.recounted_points;
+    }
+    peak = std::max(peak, detector.saturated_points());
+  };
+  for (const auto& [priority, b] : order) {
+    auto ingested = detector.Ingest(schedule.Block(b));
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    absorb(ingested.value());
+    expect_restored_gauge("after block " + std::to_string(b));
+  }
+  // One empty block per source far in the future ages every schedule
+  // block out of its source's time window once the flush admits them.
+  for (uint32_t source = 0; source < schedule.num_sources; ++source) {
+    StreamBlock late(2);
+    late.timestamp = 1000.0;
+    late.source_id = source;
+    auto ingested = detector.Ingest(late);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    absorb(ingested.value());
+  }
+  auto flushed = detector.Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  absorb(flushed.value());
+  EXPECT_EQ(detector.rounds(), schedule.num_blocks() + schedule.num_sources);
+  EXPECT_GT(peak, 0u);
+  EXPECT_GT(recounted, 0u);
+  EXPECT_EQ(detector.resident_points(), 0u);
+  EXPECT_EQ(detector.saturated_points(), 0u);
+  expect_restored_gauge("after the final flush");
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint version-compatibility matrix. The stores are written out of
 // band through CheckpointStore + StreamingDetector::JobKeyFor, exactly the
@@ -598,6 +691,78 @@ TEST(StreamingVersionMatrixTest, FutureSnapshotVersionIsFailedPrecondition) {
     EXPECT_NE(resumed.status().ToString().find("version skew"),
               std::string::npos);
   }
+}
+
+// A valid v4 snapshot of an empty window that has completed `rounds`
+// in-order rounds (arrivals == rounds, no sources, no reorder buffer).
+std::string EmptyWindowSnapshot(uint64_t rounds) {
+  PayloadWriter w;
+  w.U32(4);       // version
+  w.U64(rounds);  // round
+  w.U64(0);       // next block sequence
+  w.U32(0);       // dims (no block admitted yet)
+  w.U64(0);       // source windows
+  w.U64(0);       // flagged ids
+  w.U64(rounds);  // arrivals
+  w.U64(0);       // late dropped
+  w.U8(0);        // saw an arrival
+  w.F64(0.0);     // global max timestamp
+  w.U64(0);       // next arrival sequence
+  w.U64(0);       // watermark clocks
+  w.U64(0);       // buffered blocks
+  return w.str();
+}
+
+TEST(StreamingVersionMatrixTest, CheckpointIndexPastStoreLimitIsOutOfRange) {
+  // The manifest reader refuses task indexes above kMaxTaskIndex, so a
+  // commit at round kMaxTaskIndex + 1 could never be read back: resume
+  // would silently restore the older snapshot. The commit must fail
+  // loudly with kOutOfRange instead, and the store keep its last readable
+  // snapshot.
+  const uint64_t limit = CheckpointStore::kMaxTaskIndex;
+  TempDir dir("dod-streaming-index-limit");
+  StreamingConfig config = BaseConfig(1.0, 2);
+  config.checkpoint_dir = dir.str();
+  config.job_tag = "index-limit";
+  CommitStreamSnapshot(dir.str(), StreamingDetector::JobKeyFor(config), limit,
+                       EmptyWindowSnapshot(limit));
+  config.resume = true;
+  {
+    auto resumed = StreamingDetector::Create(config);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_EQ(resumed.value()->rounds(), limit);
+    auto fed = resumed.value()->Feed(MakeBlock({{0, {0.0, 0.0}}}, 0.0));
+    ASSERT_FALSE(fed.ok());
+    EXPECT_EQ(fed.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(fed.status().ToString().find("checkpoint index"),
+              std::string::npos);
+    EXPECT_EQ(resumed.value()->Checkpoint().code(), StatusCode::kOutOfRange);
+  }
+  // Nothing unreadable was committed: the store still resumes at the limit.
+  auto again = StreamingDetector::Create(config);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value()->rounds(), limit);
+  EXPECT_EQ(again.value()->resident_points(), 0u);
+
+  // A latest pointer past the limit is refused, not truncated onto
+  // another snapshot's index (2^32 would land on snapshot 0).
+  TempDir hostile("dod-streaming-index-hostile");
+  config.resume = false;
+  config.checkpoint_dir = hostile.str();
+  {
+    auto store = CheckpointStore::Open(
+        hostile.str(), StreamingDetector::JobKeyFor(config), false);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(
+        store.value()->CommitTask("stream", 0, EmptyWindowSnapshot(0)).ok());
+    PayloadWriter latest;
+    latest.U64(uint64_t{1} << 32);
+    ASSERT_TRUE(store.value()->CommitTask("latest", 0, latest.str()).ok());
+  }
+  config.resume = true;
+  auto refused = StreamingDetector::Create(config);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
 }
 
 TEST(StreamingVersionMatrixTest, V4RoundTripRestoresReorderState) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -392,11 +393,27 @@ TEST(StreamingPropertyTest, SpilledOracleBatchYieldsIdenticalVerdicts) {
   }
 }
 
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_(fs::temp_directory_path() /
+              (name + "-" + std::to_string(::getpid()))) {
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~TempDir() { fs::remove_all(path_); }
+  std::string str() const { return path_.string(); }
+
+ private:
+  fs::path path_;
+};
+
 // ---------------------------------------------------------------------------
 // Summary maintenance vs the batch oracle: every round's delta-reconstructed
 // outlier set must equal a from-scratch batch run over the window — across
 // schedules, expiry patterns (count- and time-based windows) and runtime
-// configurations.
+// configurations. Dense schedules also pin the incrementally kept
+// saturated_points() gauge to a recount from each round's snapshot.
 
 // Dense patches: each patch receives two consecutive blocks uniform over a
 // side x side square (75 points on 3 x 3 is density ~8 per block), then a
@@ -488,12 +505,32 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
         } else {
           config.window_blocks = schedule.window_blocks;
         }
+        // Dense schedules commit every round; a detector resumed from the
+        // store recounts saturated_points() from the snapshot's per-point
+        // bytes, which must equal the live, incrementally kept gauge.
+        std::optional<TempDir> dir;
+        if (entry.dense) {
+          dir.emplace("dod-streaming-gauge");
+          config.checkpoint_dir = dir->str();
+          config.checkpoint_every = 1;
+        }
+        StreamingConfig resume_config = config;
+        resume_config.resume = true;
         auto created = StreamingDetector::Create(config);
         ASSERT_TRUE(created.ok()) << created.status().ToString();
         StreamingDetector& detector = *created.value();
+        const auto expect_restored_gauge = [&]() {
+          auto resumed = StreamingDetector::Create(resume_config);
+          ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+          ASSERT_EQ(resumed.value()->rounds(), detector.rounds());
+          EXPECT_EQ(resumed.value()->saturated_points(),
+                    detector.saturated_points())
+              << "round " << detector.rounds();
+        };
 
         std::vector<PointId> running;  // delta-reconstructed outlier set
         size_t recounted = 0;
+        bool saturated_expired = false;
         for (size_t b = 0; b < schedule.num_blocks(); ++b) {
           StreamBlock block(schedule.data.dims());
           for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
@@ -501,9 +538,16 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
                       schedule.data[static_cast<PointId>(i)]);
           }
           block.timestamp = static_cast<double>(b);
+          const size_t saturated_before = detector.saturated_points();
           auto fed = detector.Feed(block);
           ASSERT_TRUE(fed.ok()) << fed.status().ToString();
           recounted += fed.value().stats.recounted_points;
+          // The gauge fell in a round that expired points: saturated
+          // points left the window or re-counted to exact counts.
+          saturated_expired = saturated_expired ||
+                              (fed.value().stats.expired_points > 0 &&
+                               detector.saturated_points() < saturated_before);
+          if (entry.dense) expect_restored_gauge();
 
           std::vector<PointId> next;
           std::set_difference(running.begin(), running.end(),
@@ -525,6 +569,26 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
           // not just the exact-count fold.
           EXPECT_GT(detector.saturated_points(), 0u);
           EXPECT_GT(recounted, 0u);
+          EXPECT_TRUE(saturated_expired);
+
+          // Expire everything — far singletons push the count window past
+          // every schedule block, an empty block far in the future ages
+          // the time window out — and the gauge must return to 0.
+          for (size_t b = 0; b < schedule.window_blocks; ++b) {
+            const double far = 1e4 * static_cast<double>(b + 1);
+            StreamBlock block =
+                time_window
+                    ? StreamBlock(2)
+                    : MakeBlock({{static_cast<PointId>(
+                                      schedule.data.size() + b),
+                                  {far, far}}});
+            block.timestamp = 1e3 * static_cast<double>(b + 1);
+            ASSERT_TRUE(detector.Feed(block).ok());
+          }
+          EXPECT_EQ(detector.resident_points(),
+                    time_window ? 0u : schedule.window_blocks);
+          EXPECT_EQ(detector.saturated_points(), 0u);
+          expect_restored_gauge();
         }
       }
     }
@@ -533,21 +597,6 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
 
 // ---------------------------------------------------------------------------
 // Checkpoint / resume.
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& name)
-      : path_(fs::temp_directory_path() /
-              (name + "-" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 TEST(StreamingCheckpointTest, ResumeReproducesRemainingDeltas) {
   StreamSchedule schedule;

@@ -8,7 +8,10 @@
 // sliding window. The per-round delta log is fully deterministic (no
 // timings), so two replays of the same schedule — including one
 // interrupted by --kill_after_round and continued with --resume — must
-// produce byte-identical logs; CI diffs them.
+// produce byte-identical logs; CI diffs them. Timings appear only in the
+// closing stdout summary: resident, outlier and saturated-point counts
+// plus the exact p50/p99 round latency of the rounds this process
+// admitted.
 //
 // With --lateness the blocks go through the watermark reorder stage
 // (Ingest) instead of in-order Feed, and --reorder_seed shuffles the
@@ -27,6 +30,7 @@
 //   dod_stream_cli ... --checkpoint_dir ck --resume   # finish the schedule
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -122,6 +126,17 @@ uint64_t SplitMix64(uint64_t* state) {
 
 double UniformDouble(uint64_t* state) {
   return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
+}
+
+// Nearest-rank q-quantile of `values` (sorted in place): the smallest
+// value with at least q of the samples at or below it. Exact, unlike the
+// metrics registry's log2-bucket histograms.
+double NearestRank(std::vector<double>* values, double q) {
+  std::sort(values->begin(), values->end());
+  size_t rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(values->size())));
+  rank = std::clamp<size_t>(rank, 1, values->size());
+  return (*values)[rank - 1];
 }
 
 std::string IdList(const std::vector<dod::PointId>& ids) {
@@ -333,12 +348,16 @@ int main(int argc, char** argv) {
   // admit several rounds, so per-round oracle checks can't read the
   // detector's (end-of-drain) set — they replay the deltas instead.
   std::vector<dod::PointId> applied(detector.outliers());
+  // Wall time of every round this process admitted, for the closing
+  // summary's latency quantiles (never written to the delta log).
+  std::vector<double> round_seconds;
 
   // One admitted round: log its delta line and cross-check the oracle.
   // Timestamps are block indices and admission is canonical-order, so the
   // window after admitted round R holds exactly blocks [R - W, R) — the
   // same contents an in-order replay has, whatever the arrival order.
   const auto emit_round = [&](const dod::OutlierDelta& delta) -> int {
+    round_seconds.push_back(delta.stats.round_seconds);
     if (oracle) {
       std::vector<dod::PointId> next;
       std::set_difference(applied.begin(), applied.end(),
@@ -486,11 +505,26 @@ int main(int argc, char** argv) {
     std::printf("wrote metrics to %s\n", metrics_path.c_str());
   }
 
+  // Latency covers this process's rounds only (a resumed run reports the
+  // rounds it admitted after the restore).
+  std::string latency = "no rounds admitted";
+  if (!round_seconds.empty()) {
+    const size_t rounds = round_seconds.size();
+    const double p50_ms = 1e3 * NearestRank(&round_seconds, 0.50);
+    const double p99_ms = 1e3 * NearestRank(&round_seconds, 0.99);
+    char buffer[128];
+    std::snprintf(buffer, sizeof(buffer),
+                  "round latency p50 %.3f ms p99 %.3f ms over %zu rounds",
+                  p50_ms, p99_ms, rounds);
+    latency = buffer;
+  }
   std::printf(
       "streamed %zu blocks (%zu points, window %zu blocks): "
-      "%zu resident points in %zu cells, %zu outliers%s\n",
+      "%zu resident points in %zu cells, %zu outliers, %zu saturated "
+      "points; %s%s\n",
       schedule.num_blocks, schedule.data.size(), schedule.window_blocks,
       detector.resident_points(), detector.resident_cells(),
-      detector.outliers().size(), oracle ? " [oracle verified]" : "");
+      detector.outliers().size(), detector.saturated_points(),
+      latency.c_str(), oracle ? " [oracle verified]" : "");
   return 0;
 }

@@ -623,8 +623,12 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   const PartitionPlan& partition_plan = result.plan.partition_plan;
   PartitionRouter router(partition_plan);
   const std::vector<int>& allocation = result.plan.allocation;
-  const std::function<int(const uint32_t&)> partition_fn =
-      [&allocation](const uint32_t& cell) { return allocation[cell]; };
+  // Routes a cell to its reduce task, once per emitted record. The bounds
+  // check keeps a cell id outside the plan from reading past it.
+  const auto route = [&allocation](const uint32_t& cell) {
+    DOD_CHECK(cell < allocation.size());
+    return allocation[cell];
+  };
 
   // One checkpoint store per job: the detection and verification jobs use
   // the same task indices, so their records must not share a directory.
@@ -670,7 +674,10 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   }
   // Point records ship the point's coordinates, so their wire size depends
   // on the dataset's dimensionality (constant within a run).
-  const size_t record_bytes = DetectRecordBytes(data.dims());
+  const auto detect_record_size = [bytes = DetectRecordBytes(data.dims())](
+                                      const uint32_t&, const TaggedWord&) {
+    return bytes;
+  };
   const int dims = data.dims();
 
   // ---- Detection job ------------------------------------------------------
@@ -726,8 +733,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                           control_ptr, &memory);
     Result<JobOutput<PointId>> job =
         RunMapReduce<uint32_t, TaggedWord, PointId>(
-            store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, /*record_size=*/{}, &allocation);
+            store.num_blocks(), mapper, reducer, route, detect_spec,
+            detect_record_size);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.outliers = std::move(job.value().output);
     result.detect_stats = std::move(job.value().stats);
@@ -740,8 +747,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                                 control_ptr, &memory);
     Result<JobOutput<Candidate>> job =
         RunMapReduce<uint32_t, TaggedWord, Candidate>(
-            store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, /*record_size=*/{}, &allocation);
+            store.num_blocks(), mapper, reducer, route, detect_spec,
+            detect_record_size);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.detect_stats = std::move(job.value().stats);
     result.breakdown.detect = result.detect_stats.stage_times;
@@ -756,12 +763,10 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     VerifyReducer verify_reducer(data, config.params, control_ptr, &memory);
     Result<JobOutput<PointId>> verify =
         RunMapReduce<uint32_t, VerifyRecord, PointId>(
-            store.num_blocks(), verify_mapper, verify_reducer, partition_fn,
-            verify_spec, record_bytes,
-            [dims](const uint32_t&, const VerifyRecord& record) {
+            store.num_blocks(), verify_mapper, verify_reducer, route,
+            verify_spec, [dims](const uint32_t&, const VerifyRecord& record) {
               return VerifyRecordBytes(dims, record);
-            },
-            &allocation);
+            });
     if (!verify.ok()) {
       return AnnotateJobError("verification job", verify.status());
     }

@@ -8,13 +8,19 @@
 // reduce task processes its groups independently with no communication to
 // other reducers (shared-nothing, no synchronization).
 //
-// RunMapReduce runs three phases. Map tasks stage their records into
-// per-reduce-task buckets (spilling them as sorted disk runs past a
-// threshold, see mapreduce/spill.h). The shuffle handoff gives every reduce
-// task its ordered segment list — those buckets and runs, in (split, flush)
-// order. Each reduce task groups its segments (mapreduce/shuffle.h) and
-// reduces the groups. Map and reduce tasks share one durable lifecycle:
-// restore-or-run, commit, checkpoint, optional injected crash.
+// RunMapReduce runs four named phases, whose boundaries are the job's
+// timing points (JobStats wall times, the Fig. 10 stage split):
+//  - map (internal::MapPhase): map tasks route every emitted record into
+//    per-reduce-task buckets, spilled as sorted disk runs past a threshold
+//    (mapreduce/spill.h);
+//  - shuffle handoff (ShuffleHandoff): every reduce task gets its ordered
+//    segment list — those buckets and runs, in (split, flush) order — and
+//    a worker-group placement hint;
+//  - reduce (ReducePhase): each reduce task groups its segments
+//    (mapreduce/shuffle.h) and reduces the groups;
+//  - commit (CommitJob): output in task order, stage times, metrics.
+// Map and reduce tasks share one durable lifecycle (RunDurably): restore-
+// or-run, commit, checkpoint, optional injected crash.
 //
 // Every task is actually executed, and its duration measured. Stage times
 // are then derived by scheduling the measured task costs onto the cluster's
@@ -45,13 +51,9 @@
 #ifndef DOD_MAPREDUCE_JOB_H_
 #define DOD_MAPREDUCE_JOB_H_
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <iterator>
-#include <new>
-#include <optional>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -125,23 +127,16 @@ class Reducer {
     (void)values;
     (void)out;
     (void)counters;
-    DOD_CHECK_MSG(false, "Reducer: implement Reduce() or TryReduce()");
+    DOD_CHECK_MSG(false, "Reducer: implement Reduce() or TryReduceTask()");
   }
-  // Status-returning variant the engine invokes; defaults to adapting
-  // Reduce.
-  virtual Status TryReduce(const K& key, std::vector<V>& values,
-                           std::vector<Out>& out, Counters& counters) {
-    Reduce(key, values, out, counters);
-    return Status::Ok();
-  }
-  // Task-at-a-time variant: one call per reduce-task attempt, receiving
-  // every key group of the task at once. Override to read group values in
-  // place (zero-copy) or to build per-task shared state (e.g. one probe
-  // arena serving all groups). The default adapts the per-group contract:
-  // each group's values are copied into scratch (the shuffle backing must
-  // survive an attempt retry) and handed to TryReduce, stopping at the
-  // first error. The same reentrancy rules apply — one call services one
-  // task, distinct tasks run concurrently.
+  // Task-at-a-time variant the engine invokes: one call per reduce-task
+  // attempt, receiving every key group of the task at once. Override to
+  // read group values in place (zero-copy), to build per-task shared state
+  // (e.g. one probe arena serving all groups) or to surface task-level
+  // errors. The default adapts the per-group contract: each group's values
+  // are copied into scratch (the shuffle backing must survive an attempt
+  // retry) and handed to Reduce. The same reentrancy rules apply — one
+  // call services one task, distinct tasks run concurrently.
   virtual Status TryReduceTask(const GroupedView<K, V>& groups,
                                std::vector<Out>& out, Counters& counters) {
     std::vector<V> values;
@@ -152,18 +147,19 @@ class Reducer {
       for (size_t i = 0; i < group_size; ++i) {
         values.push_back(groups.value(g, i));
       }
-      DOD_RETURN_IF_ERROR(TryReduce(groups.key(g), values, out, counters));
+      Reduce(groups.key(g), values, out, counters);
     }
     return Status::Ok();
   }
 };
 
 struct JobSpec {
-  // Number of reduce tasks (the partition function must return values in
+  // Number of reduce tasks (the routing callable must return values in
   // [0, num_reduce_tasks)).
   int num_reduce_tasks = 1;
   // Worker threads executing map/reduce tasks: <= 0 uses every hardware
-  // thread, 1 runs the sequential inline path (no pool).
+  // thread, 1 runs the sequential inline path (no pool). Worker locality
+  // groups are auto-detected (see ShuffleHandoff for reduce placement).
   int num_threads = 0;
   ClusterSpec cluster;
   // Input bytes of each split; charged as HDFS scan time against the
@@ -183,11 +179,6 @@ struct JobSpec {
   // empty. Requires trivially copyable K/V (enforced with a structured
   // error, like checkpointing).
   SpillPolicy spill;
-  // Worker locality groups of the task pool: <= 0 auto-detects (NUMA
-  // nodes, else cache-domain buckets — see ThreadPool::DetectWorkerGroups).
-  // Reduce tasks are hinted onto the group whose map tasks produced most
-  // of their input; placement never affects results.
-  int worker_groups = 0;
   // Fault injection (disabled by default) and the task attempt policy.
   FaultSpec faults;
   RetryPolicy retry;
@@ -237,34 +228,172 @@ struct JobOutput {
 
 namespace internal {
 
-// Shuffle volume produced by one attempt; merged into JobStats on commit
-// so failed attempts leave no trace in the data-flow accounting.
-struct ShuffleAccounting {
-  uint64_t records = 0;
-  uint64_t bytes = 0;
+template <typename K, typename V>
+using Buckets = std::vector<std::vector<std::pair<K, V>>>;
+
+// Reduce task r's input is SegmentLists[r] (see ShuffleHandoff).
+template <typename K, typename V>
+using SegmentLists = std::vector<std::vector<ShuffleSegment<K, V>>>;
+
+// The wire size charged per shuffled record when the job passes none.
+template <typename K, typename V>
+struct PairWireBytes {
+  size_t operator()(const K&, const V&) const {
+    return sizeof(K) + sizeof(V);
+  }
 };
 
-// Buffers emitted records into per-reduce-task buckets (attempt staging).
-// When a dense partition table is supplied (integral keys routed by a
-// precomputed allocation plan), Emit resolves the reduce task with one
-// indexed load instead of a std::function call per record.
+// Registers the durability.* schema, so it is present in every metrics
+// dump whether or not the job checkpoints, aborts or degrades. The
+// lifecycle updates these by name: they happen at most once per task.
+inline void RegisterDurabilityMetrics() {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  for (const char* counter : {"durability.checkpoint.tasks_written",
+                              "durability.checkpoint.tasks_resumed",
+                              "durability.checkpoint.bytes_written",
+                              "durability.checkpoint.load_failures",
+                              "durability.control.aborts",
+                              "durability.memory.reserve_skipped"}) {
+    metrics.Id(counter, MetricKind::kCounter);
+  }
+  metrics.Id("durability.checkpoint.write_seconds", MetricKind::kHistogram);
+  metrics.Id("durability.memory.peak_bytes", MetricKind::kGauge);
+}
+
+// One map task: the winning attempt's shuffle output, where it ran, and
+// its stats delta and slot costs.
 template <typename K, typename V>
+struct MapTaskState {
+  using Record = std::pair<K, V>;
+  // Payloads store records as raw bytes, sound only for trivially copyable
+  // K and V. The check is not on pair<K, V>: pair's user-provided
+  // assignment operator makes the pair formally non-trivially-copyable even
+  // when its representation — all the byte copy touches — is two trivially
+  // copyable members.
+  static constexpr bool kCheckpointable =
+      std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>;
+
+  Buckets<K, V> staging;
+  Buckets<K, V> committed;
+  // Spilled shuffle: the winning attempt's run descriptors, in flush
+  // order. A task spills everything or nothing (TaskSpiller::Finish), so
+  // non-empty runs imply empty committed buckets.
+  std::vector<SpillRunInfo> runs;
+  // Worker group that executed the winning attempt (-1 when unknown,
+  // e.g. sequential runs or checkpoint restores): the group that
+  // first-touched this task's output, feeding the reduce placement hints.
+  int worker_group = -1;
+  // Shuffle volume of the running attempt, merged into `stats` on commit so
+  // failed attempts leave no trace in the data-flow accounting.
+  uint64_t attempt_records = 0;
+  uint64_t attempt_bytes = 0;
+  JobStats stats;
+  std::vector<double> slot_costs;
+
+  // Checkpoint payload body: a spilled flag, then either the run
+  // descriptors (the runs themselves are already on disk and survive a
+  // crash) or the committed buckets.
+  void Save(PayloadWriter& payload) const {
+    payload.U8(runs.empty() ? 0 : 1);
+    if (!runs.empty()) {
+      payload.U64(runs.size());
+      for (const SpillRunInfo& run : runs) {
+        payload.String(run.file);
+        payload.U32(run.partition);
+        payload.U64(run.records);
+        payload.U64(run.offset);
+        payload.U64(run.bytes);
+        payload.U64(run.checksum);
+        payload.U64(run.min_key);
+        payload.U64(run.max_key);
+      }
+      return;
+    }
+    payload.U64(committed.size());
+    for (const auto& bucket : committed) {
+      payload.U64(bucket.size());
+      payload.Raw(bucket.data(), bucket.size() * sizeof(Record));
+    }
+  }
+
+  // Restored run files are re-registered with `gc`, the resumed job's
+  // spill sweeper.
+  Status Restore(PayloadReader& reader, size_t num_reduce, SpillGc* gc) {
+    uint8_t spilled_flag = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&spilled_flag));
+    if (spilled_flag > 1) {
+      return Status::IoError("map checkpoint has unknown layout");
+    }
+    committed.assign(num_reduce, typename Buckets<K, V>::value_type());
+    if (spilled_flag == 1) {
+      // A crash deliberately leaves the runs on disk (SpillGc destructors
+      // never ran). Validate each descriptor and its backing file before
+      // trusting it; inconsistent sizes or a vanished or shrunken file fail
+      // the restore and the task re-runs (self-healing). The comparisons
+      // cannot overflow, so no forged offset or size wraps past them.
+      uint64_t num_runs = 0;
+      DOD_RETURN_IF_ERROR(reader.U64(&num_runs));
+      runs.clear();
+      for (uint64_t i = 0; i < num_runs; ++i) {
+        SpillRunInfo run;
+        DOD_RETURN_IF_ERROR(reader.String(&run.file));
+        DOD_RETURN_IF_ERROR(reader.U32(&run.partition));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.records));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.offset));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.bytes));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.checksum));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.min_key));
+        DOD_RETURN_IF_ERROR(reader.U64(&run.max_key));
+        if (run.partition >= num_reduce) {
+          return Status::IoError("map checkpoint spill run has bad partition");
+        }
+        if (run.bytes % sizeof(Record) != 0 ||
+            run.bytes / sizeof(Record) != run.records) {
+          return Status::IoError(
+              "map checkpoint spill run size does not match its records");
+        }
+        std::error_code ec;
+        const uint64_t size = std::filesystem::file_size(run.file, ec);
+        if (ec || run.offset > size || run.bytes > size - run.offset) {
+          return Status::IoError("map checkpoint spill run file " + run.file +
+                                 " missing or short");
+        }
+        runs.push_back(std::move(run));
+      }
+      for (const SpillRunInfo& run : runs) gc->Track(run.file);
+      return Status::Ok();
+    }
+    uint64_t num_buckets = 0;
+    DOD_RETURN_IF_ERROR(reader.U64(&num_buckets));
+    if (num_buckets != num_reduce) {
+      return Status::IoError("map checkpoint bucket count mismatch");
+    }
+    for (auto& bucket : committed) {
+      uint64_t count = 0;
+      DOD_RETURN_IF_ERROR(reader.U64(&count));
+      if (count > reader.remaining() / sizeof(Record)) {
+        return Status::IoError("map checkpoint bucket overruns payload");
+      }
+      bucket.resize(static_cast<size_t>(count));
+      DOD_RETURN_IF_ERROR(reader.Raw(
+          bucket.data(), static_cast<size_t>(count) * sizeof(Record)));
+    }
+    return Status::Ok();
+  }
+};
+
+// Buffers one map attempt's records into its task's staging buckets,
+// routing each through the job's routing callable and charging its wire
+// size.
+template <typename K, typename V, typename Route, typename RecordSize>
 class ShuffleEmitter : public Emitter<K, V> {
  public:
-  using Buckets = std::vector<std::vector<std::pair<K, V>>>;
-
-  ShuffleEmitter(Buckets& buckets, const std::function<int(const K&)>& part,
-                 const std::vector<int>* dense_partition, size_t record_bytes,
-                 const std::function<size_t(const K&, const V&)>& record_size,
-                 ShuffleAccounting& accounting, ShuffleFaultFilter* filter,
-                 TaskSpiller<K, V>* spiller = nullptr,
-                 uint64_t spill_threshold = 0)
-      : buckets_(buckets),
-        part_(part),
-        dense_partition_(dense_partition),
-        record_bytes_(record_bytes),
+  ShuffleEmitter(MapTaskState<K, V>& task, const Route& route,
+                 const RecordSize& record_size, ShuffleFaultFilter* filter,
+                 TaskSpiller<K, V>* spiller, uint64_t spill_threshold)
+      : task_(task),
+        route_(route),
         record_size_(record_size),
-        accounting_(accounting),
         filter_(filter),
         spiller_(spiller),
         spill_threshold_(spill_threshold) {}
@@ -277,379 +406,242 @@ class ShuffleEmitter : public Emitter<K, V> {
       // way the filter fails the attempt, so no faulty data ever commits.
       if (fault == FaultKind::kShuffleDrop) return;
     }
-    const int task = Partition(key);
-    DOD_CHECK(task >= 0 && task < static_cast<int>(buckets_.size()));
-    buckets_[static_cast<size_t>(task)].emplace_back(key, value);
-    ++accounting_.records;
-    accounting_.bytes += record_size_ ? record_size_(key, value)
-                                      : record_bytes_;
+    const int r = route_(key);
+    DOD_CHECK(r >= 0 && r < static_cast<int>(task_.staging.size()));
+    task_.staging[static_cast<size_t>(r)].emplace_back(key, value);
+    ++task_.attempt_records;
+    task_.attempt_bytes += record_size_(key, value);
     if (spiller_ != nullptr) {
       // The spill trigger runs on resident pair bytes, not the charged
       // wire size: what the threshold bounds is this task's memory.
       bytes_since_spill_ += sizeof(std::pair<K, V>);
       if (bytes_since_spill_ >= spill_threshold_) {
-        spiller_->Spill(buckets_);
+        spiller_->Spill(task_.staging);
         bytes_since_spill_ = 0;
       }
     }
   }
 
  private:
-  int Partition(const K& key) const {
-    if constexpr (std::is_integral_v<K>) {
-      if (dense_partition_ != nullptr) {
-        const size_t index = static_cast<size_t>(key);
-        DOD_CHECK(index < dense_partition_->size());
-        return (*dense_partition_)[index];
-      }
-    }
-    return part_(key);
-  }
-
-  Buckets& buckets_;
-  const std::function<int(const K&)>& part_;
-  const std::vector<int>* dense_partition_;
-  size_t record_bytes_;
-  const std::function<size_t(const K&, const V&)>& record_size_;
-  ShuffleAccounting& accounting_;
+  MapTaskState<K, V>& task_;
+  const Route& route_;
+  const RecordSize& record_size_;
   ShuffleFaultFilter* filter_;
   TaskSpiller<K, V>* spiller_;
   uint64_t spill_threshold_;
   uint64_t bytes_since_spill_ = 0;
 };
 
-}  // namespace internal
+// One reduce task: its committed output, how it grouped, and its stats
+// delta and slot costs.
+template <typename Out>
+struct ReduceTaskState {
+  static constexpr bool kCheckpointable = std::is_trivially_copyable_v<Out>;
 
-// Runs a full MapReduce job: map over `num_splits` splits, shuffle, reduce.
-//
-// `partition` routes a key to its reduce task — the hook through which DOD
-// injects its allocation plan (Fig. 6, Step 3); it is called concurrently
-// from map tasks and must be pure. When the plan is already a dense table
-// over an integral key space, pass it as `dense_partition` (entry k = the
-// reduce task of key k) and the emitter skips the std::function call per
-// record; `partition` is then only a fallback and may be empty.
-// `record_bytes` is the wire size charged per shuffled record; pass
-// `record_size` instead when record sizes vary (heap-allocated payloads),
-// in which case it overrides `record_bytes` per record.
-//
-// Returns the job output, or the structured error of the first task (by
-// task index) that exhausted its attempt budget (see
-// mapreduce/task_runner.h). The process never aborts on task failure.
-template <typename K, typename V, typename Out>
-Result<JobOutput<Out>> RunMapReduce(
-    size_t num_splits, Mapper<K, V>& mapper, Reducer<K, V, Out>& reducer,
-    const std::function<int(const K&)>& partition, const JobSpec& spec,
-    size_t record_bytes = sizeof(K) + sizeof(V),
-    const std::function<size_t(const K&, const V&)>& record_size = {},
-    const std::vector<int>* dense_partition = nullptr) {
+  std::vector<Out> staged;
+  std::vector<Out> committed;
+  Counters counters;
+  uint64_t groups = 0;
+  GroupPath group_path = GroupPath::kSorted;
+  FallbackReason fallback = FallbackReason::kNone;
+  // Runs the reduce-side spill degrade wrote (see GroupSegments).
+  std::vector<SpillRunInfo> spill_runs;
+  double group_seconds = 0.0;
+  JobStats stats;
+  std::vector<double> slot_costs;
+
+  // Checkpoint payload body: group path and fallback reason (one byte
+  // each), group seconds, then the committed output.
+  void Save(PayloadWriter& payload) const {
+    payload.U8(static_cast<uint8_t>(group_path));
+    payload.U8(static_cast<uint8_t>(fallback));
+    payload.F64(group_seconds);
+    payload.U64(committed.size());
+    payload.Raw(committed.data(), committed.size() * sizeof(Out));
+  }
+
+  Status Restore(PayloadReader& reader) {
+    uint8_t path = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&path));
+    if (path > static_cast<uint8_t>(GroupPath::kSorted)) {
+      return Status::IoError("reduce checkpoint has unknown group path");
+    }
+    group_path = static_cast<GroupPath>(path);
+    uint8_t reason = 0;
+    DOD_RETURN_IF_ERROR(reader.U8(&reason));
+    if (reason > static_cast<uint8_t>(FallbackReason::kSpill)) {
+      return Status::IoError("reduce checkpoint has unknown fallback reason");
+    }
+    fallback = static_cast<FallbackReason>(reason);
+    DOD_RETURN_IF_ERROR(reader.F64(&group_seconds));
+    uint64_t count = 0;
+    DOD_RETURN_IF_ERROR(reader.U64(&count));
+    if (count > reader.remaining() / sizeof(Out)) {
+      return Status::IoError("reduce checkpoint output overruns payload");
+    }
+    committed.resize(static_cast<size_t>(count));
+    return reader.Raw(committed.data(),
+                      static_cast<size_t>(count) * sizeof(Out));
+  }
+};
+
+// Rejects a job spec the engine cannot run. Checkpoint payloads and spill
+// runs store records as raw bytes; jobs with richer types run, but cannot
+// checkpoint or spill.
+template <typename MapTask, typename ReduceTask>
+Status ValidateJob(const JobSpec& spec) {
   if (spec.num_reduce_tasks < 1) {
     return Status::InvalidArgument(
         "RunMapReduce: num_reduce_tasks must be >= 1");
   }
-  // Checkpoint payloads store records and outputs as raw bytes; that is
-  // only sound for trivially copyable types. Jobs with richer types can
-  // still run — they just cannot checkpoint. The check is on K and V, not
-  // on pair<K, V>: pair's user-provided assignment operator makes the pair
-  // formally non-trivially-copyable even when its representation — all
-  // that the byte copy touches — is two trivially copyable members.
-  constexpr bool kCheckpointable = std::is_trivially_copyable_v<K> &&
-                                   std::is_trivially_copyable_v<V> &&
-                                   std::is_trivially_copyable_v<Out>;
-  if constexpr (!kCheckpointable) {
+  if constexpr (!MapTask::kCheckpointable || !ReduceTask::kCheckpointable) {
     if (spec.checkpoint != nullptr) {
       return Status::Unimplemented(
           "RunMapReduce: checkpointing requires trivially copyable "
           "key/value/output types");
     }
   }
-  // Spill runs store records as raw bytes — same soundness condition as
-  // checkpoint payloads, but only on the shuffled pair.
-  constexpr bool kSpillable =
-      std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>;
-  if constexpr (!kSpillable) {
+  if constexpr (!MapTask::kCheckpointable) {
     if (spec.spill.enabled()) {
       return Status::Unimplemented(
           "RunMapReduce: shuffle spilling requires trivially copyable "
           "key/value types");
     }
   }
-  const bool spilling = kSpillable && spec.spill.enabled();
-  const uint64_t spill_threshold = spec.spill.EffectiveThreshold(spec.memory);
-  internal::SpillGc spill_gc;
-  std::string spill_dir;
-  if (spilling) {
-    // Run files live in a per-job subdirectory so jobs sharing a spill
-    // dir cannot truncate each other's files. Keyed by the checkpoint
-    // store's identity when checkpointing — a resumed run must land in
-    // the same namespace its crashed predecessor spilled into.
-    spill_dir = internal::SpillJobDir(
-        spec.spill.dir,
-        spec.checkpoint != nullptr
-            ? spec.checkpoint->dir() + "\n" + spec.checkpoint->job_key()
-            : std::string());
-    std::error_code ec;
-    std::filesystem::create_directories(spill_dir, ec);
-    if (ec) {
-      return Status::IoError("RunMapReduce: cannot create spill directory " +
-                             spill_dir + ": " + ec.message());
+  return Status::Ok();
+}
+
+// Runs task `index` of `phase`, whose state is `state`, through its durable
+// lifecycle: restore it from its checkpoint when resuming — a record that
+// fails validation is discarded and the task re-runs (self-healing) —
+// else `run()` it; then durably record the committed task and fire a
+// configured crash. Every payload opens with the task's stats delta and
+// slot costs and closes with the caller's extra state; the state's Save /
+// Restore (handed `restore_args`) own the phase-specific middle.
+template <typename State, typename Run, typename... RestoreArgs>
+Status RunDurably(const JobSpec& spec, TaskPhase phase, size_t index,
+                  State& state, Run&& run,
+                  [[maybe_unused]] RestoreArgs... restore_args) {
+  [[maybe_unused]] MetricsRegistry& metrics = MetricsRegistry::Global();
+  const int task = static_cast<int>(index);
+  const char* name = TaskPhaseName(phase);
+  if constexpr (State::kCheckpointable) {
+    if (spec.checkpoint != nullptr && spec.resume &&
+        spec.checkpoint->HasTask(name, task)) {
+      trace::Span span("durability", "checkpoint_restore");
+      span.Arg("phase", name).Arg("task", static_cast<uint64_t>(index));
+      const Status restored = [&]() -> Status {
+        DOD_ASSIGN_OR_RETURN(std::string payload,
+                             spec.checkpoint->LoadTask(name, task));
+        PayloadReader reader(payload);
+        DOD_RETURN_IF_ERROR(DeserializeJobStatsDelta(&reader, &state.stats));
+        DOD_RETURN_IF_ERROR(reader.F64Vec(&state.slot_costs));
+        DOD_RETURN_IF_ERROR(state.Restore(reader, restore_args...));
+        if (spec.restore_extra) {
+          DOD_RETURN_IF_ERROR(spec.restore_extra(phase, task, reader));
+        }
+        return reader.ExpectDone();
+      }();
+      if (restored.ok()) {
+        span.Arg("status", "ok");
+        metrics.IncrementCounter("durability.checkpoint.tasks_resumed");
+        return Status::Ok();
+      }
+      span.Arg("status", "failed");
+      metrics.IncrementCounter("durability.checkpoint.load_failures");
+      DOD_LOG(Warning) << name << " task " << index
+                       << " checkpoint unusable (" << restored.ToString()
+                       << "); re-running";
+      state = State();
     }
-    spill_gc.TrackDir(spill_dir);
-    // A checkpointing job's durable records reference the run files, so a
-    // structured failure must leave them on disk for the resumed run —
-    // matching what a real crash (no destructors) does. Disarmed at the
-    // success exit below.
-    spill_gc.set_keep_files(spec.checkpoint != nullptr);
   }
-  JobOutput<Out> result;
-  JobStats& stats = result.stats;
-  StopWatch wall;
-
-  const FaultInjector injector(spec.faults);
-  TaskRunner runner(spec.retry, injector, spec.cluster, spec.control);
-  ParallelExecutor executor(spec.num_threads, spec.worker_groups);
-  stats.threads_used = executor.num_threads();
-
-  const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
-  using Buckets = typename internal::ShuffleEmitter<K, V>::Buckets;
-
-  // ---- Durability plumbing ---------------------------------------------
-  // Registered unconditionally so the durability.* schema is always
-  // present in metrics dumps; Id() is idempotent across instantiations.
-  MetricsRegistry& dmetrics = MetricsRegistry::Global();
-  [[maybe_unused]] static const uint32_t kCkptTasksWritten = dmetrics.Id(
-      "durability.checkpoint.tasks_written", MetricKind::kCounter);
-  [[maybe_unused]] static const uint32_t kCkptTasksResumed = dmetrics.Id(
-      "durability.checkpoint.tasks_resumed", MetricKind::kCounter);
-  [[maybe_unused]] static const uint32_t kCkptBytesWritten = dmetrics.Id(
-      "durability.checkpoint.bytes_written", MetricKind::kCounter);
-  [[maybe_unused]] static const uint32_t kCkptWriteSeconds = dmetrics.Id(
-      "durability.checkpoint.write_seconds", MetricKind::kHistogram);
-  [[maybe_unused]] static const uint32_t kCkptLoadFailures = dmetrics.Id(
-      "durability.checkpoint.load_failures", MetricKind::kCounter);
-  static const uint32_t kControlAborts =
-      dmetrics.Id("durability.control.aborts", MetricKind::kCounter);
-  static const uint32_t kBudgetReserveSkipped = dmetrics.Id(
-      "durability.memory.reserve_skipped", MetricKind::kCounter);
-  static const uint32_t kBudgetPeakBytes =
-      dmetrics.Id("durability.memory.peak_bytes", MetricKind::kGauge);
-
-  // Merges the completed work's accounting into *spec.partial_stats (when
-  // requested) before a failing job returns `failure`.
-  auto fail_job = [&](Status failure) -> Status {
-    if (IsTerminalTaskStatus(failure.code())) {
-      dmetrics.Increment(kControlAborts);
-    }
-    if (spec.partial_stats != nullptr) {
-      stats.wall_seconds = wall.ElapsedSeconds();
-      *spec.partial_stats = stats;
-    }
-    return failure;
-  };
-
-  // Runs task `index` of `phase` (state `task`) through its durable
-  // lifecycle: restore it from its checkpoint when resuming — a record that
-  // fails validation is discarded and the task re-runs (self-healing) —
-  // else `run` it; then durably record the committed task (`save`) and
-  // fire a configured crash. Every payload opens with the task's stats
-  // delta and slot costs and closes with the caller's extra state;
-  // `restore` / `save` own the phase-specific middle.
-  auto run_durably = [&](TaskPhase phase, size_t index, auto& state,
-                         auto&& restore, auto&& run, auto&& save) -> Status {
-    const int task = static_cast<int>(index);
-    const char* name = TaskPhaseName(phase);
-    if constexpr (kCheckpointable) {
-      if (spec.checkpoint != nullptr && spec.resume &&
-          spec.checkpoint->HasTask(name, task)) {
-        trace::Span span("durability", "checkpoint_restore");
-        span.Arg("phase", name).Arg("task", static_cast<uint64_t>(index));
-        const Status restored = [&]() -> Status {
-          DOD_ASSIGN_OR_RETURN(std::string payload,
-                               spec.checkpoint->LoadTask(name, task));
-          PayloadReader reader(payload);
-          DOD_RETURN_IF_ERROR(DeserializeJobStatsDelta(&reader, &state.stats));
-          DOD_RETURN_IF_ERROR(reader.F64Vec(&state.slot_costs));
-          DOD_RETURN_IF_ERROR(restore(state, reader));
-          if (spec.restore_extra) {
-            DOD_RETURN_IF_ERROR(spec.restore_extra(phase, task, reader));
-          }
-          return reader.ExpectDone();
-        }();
-        if (restored.ok()) {
-          span.Arg("status", "ok");
-          dmetrics.Increment(kCkptTasksResumed);
-          return Status::Ok();
-        }
+  DOD_RETURN_IF_ERROR(run());
+  if constexpr (State::kCheckpointable) {
+    if (spec.checkpoint != nullptr) {
+      PayloadWriter payload;
+      SerializeJobStatsDelta(state.stats, &payload);
+      payload.F64Vec(state.slot_costs);
+      state.Save(payload);
+      if (spec.checkpoint_extra) spec.checkpoint_extra(phase, task, payload);
+      // Best-effort: a failed write only costs resumability, never the
+      // job.
+      trace::Span span("durability", "checkpoint_commit");
+      span.Arg("phase", name)
+          .Arg("task", task)
+          .Arg("bytes", static_cast<uint64_t>(payload.size()));
+      StopWatch watch;
+      const Status status =
+          spec.checkpoint->CommitTask(name, task, payload.str());
+      if (status.ok()) {
+        span.Arg("status", "ok");
+        metrics.IncrementCounter("durability.checkpoint.tasks_written");
+        metrics.IncrementCounter("durability.checkpoint.bytes_written",
+                                 payload.size());
+        metrics.ObserveHistogram("durability.checkpoint.write_seconds",
+                                 watch.ElapsedSeconds());
+      } else {
         span.Arg("status", "failed");
-        dmetrics.Increment(kCkptLoadFailures);
-        DOD_LOG(Warning) << name << " task " << index
-                         << " checkpoint unusable (" << restored.ToString()
-                         << "); re-running";
-        state = std::remove_reference_t<decltype(state)>();
+        DOD_LOG(Warning) << "checkpoint write for " << name << " task "
+                         << index << " failed: " << status.ToString();
       }
     }
-    DOD_RETURN_IF_ERROR(run(state, index));
-    if constexpr (kCheckpointable) {
-      if (spec.checkpoint != nullptr) {
-        PayloadWriter payload;
-        SerializeJobStatsDelta(state.stats, &payload);
-        payload.F64Vec(state.slot_costs);
-        save(state, payload);
-        if (spec.checkpoint_extra) spec.checkpoint_extra(phase, task, payload);
-        // Best-effort: a failed write only costs resumability, never the
-        // job.
-        trace::Span span("durability", "checkpoint_commit");
-        span.Arg("phase", name)
-            .Arg("task", task)
-            .Arg("bytes", static_cast<uint64_t>(payload.size()));
-        StopWatch watch;
-        const Status status =
-            spec.checkpoint->CommitTask(name, task, payload.str());
-        if (status.ok()) {
-          span.Arg("status", "ok");
-          dmetrics.Increment(kCkptTasksWritten);
-          dmetrics.Increment(kCkptBytesWritten, payload.size());
-          dmetrics.Observe(kCkptWriteSeconds, watch.ElapsedSeconds());
-        } else {
-          span.Arg("status", "failed");
-          DOD_LOG(Warning) << "checkpoint write for " << name << " task "
-                           << index << " failed: " << status.ToString();
-        }
-      }
+  }
+  // The configured crash (see FaultSpec) fires after the task committed
+  // and, when checkpointing, after its record is durable.
+  if (spec.faults.crash_at_task == task && spec.faults.crash_phase == phase) {
+    if (spec.faults.crash_exit) {
+      // Simulated kill -9: no destructors, no stream flushes. Only the
+      // durably committed checkpoints survive — which is the point.
+      std::_Exit(42);
     }
-    // The configured crash (see FaultSpec) fires after the task committed
-    // and, when checkpointing, after its record is durable.
-    if (spec.faults.crash_at_task == task && spec.faults.crash_phase == phase) {
-      if (spec.faults.crash_exit) {
-        // Simulated kill -9: no destructors, no stream flushes. Only the
-        // durably committed checkpoints survive — which is the point.
-        std::_Exit(42);
-      }
-      return Status::Unavailable(std::string("injected crash after ") + name +
-                                 " task " + std::to_string(index) +
-                                 " committed");
-    }
-    return Status::Ok();
-  };
+    return Status::Unavailable(std::string("injected crash after ") + name +
+                               " task " + std::to_string(index) +
+                               " committed");
+  }
+  return Status::Ok();
+}
 
-  // Folds a phase's per-task stats deltas and slot costs into the job's,
-  // in task-index order — after success and failure alike, so a failing
-  // job's partial-progress stats cover every completed task.
-  auto fold_stats = [&stats](auto& tasks, std::vector<double>* task_seconds) {
-    for (auto& task : tasks) {
-      stats.MergeFrom(task.stats);
-      task_seconds->insert(task_seconds->end(), task.slot_costs.begin(),
-                           task.slot_costs.end());
-    }
-  };
+// Folds a phase's per-task stats deltas and slot costs into the job's, in
+// task-index order — after success and failure alike, so a failing job's
+// partial-progress stats cover every completed task.
+template <typename Task>
+void FoldStats(const std::vector<Task>& tasks, JobStats* stats,
+               std::vector<double>* task_seconds) {
+  for (const Task& task : tasks) {
+    stats->MergeFrom(task.stats);
+    task_seconds->insert(task_seconds->end(), task.slot_costs.begin(),
+                         task.slot_costs.end());
+  }
+}
 
-  // ---- Map phase -------------------------------------------------------
-  // Every map task stages into private buckets; the winning attempt's
-  // staging is committed into the task's slot and handed to the reduce
-  // tasks after the barrier, in split order — so every reduce task's input
-  // is byte-identical no matter how tasks interleave.
-  struct MapTaskState {
-    Buckets staging;
-    Buckets committed;
-    // Spilled shuffle: the winning attempt's run descriptors, in flush
-    // order. A task spills everything or nothing (TaskSpiller::Finish), so
-    // non-empty runs imply empty committed buckets.
-    std::vector<internal::SpillRunInfo> runs;
-    // Worker group that executed the winning attempt (-1 when unknown,
-    // e.g. sequential runs or checkpoint restores): the group that
-    // first-touched this task's output, feeding the reduce placement hints.
-    int worker_group = -1;
-    internal::ShuffleAccounting accounting;
-    JobStats stats;
-    std::vector<double> slot_costs;
-  };
-  std::vector<MapTaskState> map_tasks(num_splits);
+// Merges the completed work's accounting into *spec.partial_stats (when
+// requested) before a failing job returns `failure`.
+inline Status FailJob(const JobSpec& spec, const JobStats& stats,
+                      const StopWatch& wall, Status failure) {
+  if (IsTerminalTaskStatus(failure.code())) {
+    MetricsRegistry::Global().IncrementCounter("durability.control.aborts");
+  }
+  if (spec.partial_stats != nullptr) {
+    *spec.partial_stats = stats;
+    spec.partial_stats->wall_seconds = wall.ElapsedSeconds();
+  }
+  return failure;
+}
+
+// Map phase: runs every map task durably. Each task stages into private
+// buckets and the winning attempt's staging commits into the task's slot,
+// so every reduce task's input is byte-identical no matter how tasks
+// interleave.
+template <typename K, typename V, typename Route, typename RecordSize>
+Status MapPhase(Mapper<K, V>& mapper, const Route& route,
+                const RecordSize& record_size, const JobSpec& spec,
+                const FaultInjector& injector, TaskRunner& runner,
+                ParallelExecutor& executor, JobSpill& spill,
+                std::vector<MapTaskState<K, V>>& tasks) {
+  const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
   const double read_bytes_per_second =
       spec.cluster.disk_read_mbps_per_slot * 1e6;
-
-  // Map checkpoint payload: a spilled flag, then either the run
-  // descriptors (the runs themselves are already on disk and survive a
-  // crash) or the committed buckets.
-  auto restore_map = [&](MapTaskState& task, PayloadReader& reader) -> Status {
-    uint8_t spilled_flag = 0;
-    DOD_RETURN_IF_ERROR(reader.U8(&spilled_flag));
-    if (spilled_flag > 1) {
-      return Status::IoError("map checkpoint has unknown layout");
-    }
-    task.committed.assign(num_reduce, typename Buckets::value_type());
-    if (spilled_flag == 1) {
-      // A crash deliberately leaves the runs on disk (SpillGc destructors
-      // never ran). Validate each run's backing file before trusting the
-      // descriptor; a vanished or shrunken file fails the restore and the
-      // task re-runs (self-healing).
-      uint64_t num_runs = 0;
-      DOD_RETURN_IF_ERROR(reader.U64(&num_runs));
-      task.runs.clear();
-      for (uint64_t i = 0; i < num_runs; ++i) {
-        internal::SpillRunInfo run;
-        DOD_RETURN_IF_ERROR(reader.String(&run.file));
-        DOD_RETURN_IF_ERROR(reader.U32(&run.partition));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.records));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.offset));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.bytes));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.checksum));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.min_key));
-        DOD_RETURN_IF_ERROR(reader.U64(&run.max_key));
-        if (run.partition >= num_reduce) {
-          return Status::IoError("map checkpoint spill run has bad partition");
-        }
-        std::error_code ec;
-        const uint64_t size = std::filesystem::file_size(run.file, ec);
-        if (ec || size < run.offset + run.bytes) {
-          return Status::IoError("map checkpoint spill run file " + run.file +
-                                 " missing or short");
-        }
-        task.runs.push_back(std::move(run));
-      }
-      for (const internal::SpillRunInfo& run : task.runs) {
-        spill_gc.Track(run.file);
-      }
-      return Status::Ok();
-    }
-    uint64_t num_buckets = 0;
-    DOD_RETURN_IF_ERROR(reader.U64(&num_buckets));
-    if (num_buckets != num_reduce) {
-      return Status::IoError("map checkpoint bucket count mismatch");
-    }
-    for (auto& bucket : task.committed) {
-      uint64_t count = 0;
-      DOD_RETURN_IF_ERROR(reader.U64(&count));
-      if (count > reader.remaining() / sizeof(std::pair<K, V>)) {
-        return Status::IoError("map checkpoint bucket overruns payload");
-      }
-      bucket.resize(static_cast<size_t>(count));
-      DOD_RETURN_IF_ERROR(reader.Raw(
-          bucket.data(), static_cast<size_t>(count) * sizeof(std::pair<K, V>)));
-    }
-    return Status::Ok();
-  };
-  auto save_map = [](const MapTaskState& task, PayloadWriter& payload) {
-    payload.U8(task.runs.empty() ? 0 : 1);
-    if (!task.runs.empty()) {
-      payload.U64(task.runs.size());
-      for (const internal::SpillRunInfo& run : task.runs) {
-        payload.String(run.file);
-        payload.U32(run.partition);
-        payload.U64(run.records);
-        payload.U64(run.offset);
-        payload.U64(run.bytes);
-        payload.U64(run.checksum);
-        payload.U64(run.min_key);
-        payload.U64(run.max_key);
-      }
-      return;
-    }
-    payload.U64(task.committed.size());
-    for (const auto& bucket : task.committed) {
-      payload.U64(bucket.size());
-      payload.Raw(bucket.data(), bucket.size() * sizeof(std::pair<K, V>));
-    }
-  };
-  auto run_map = [&](MapTaskState& task, size_t split) -> Status {
+  const auto run_map = [&](MapTaskState<K, V>& task, size_t split) {
     task.staging.resize(num_reduce);
     if (split < spec.split_record_hints.size() &&
         spec.split_record_hints[split] > 0) {
@@ -665,7 +657,8 @@ Result<JobOutput<Out>> RunMapReduce(
       if (spec.memory != nullptr && !spec.memory->FitsAlone(reserve_bytes)) {
         // Deterministic degrade: emit into un-presized buckets (slower,
         // identical records) instead of reserving past the budget.
-        dmetrics.Increment(kBudgetReserveSkipped);
+        MetricsRegistry::Global().IncrementCounter(
+            "durability.memory.reserve_skipped");
       } else {
         for (auto& bucket : task.staging) bucket.reserve(per_bucket);
       }
@@ -679,25 +672,18 @@ Result<JobOutput<Out>> RunMapReduce(
     // are sequential and speculative duplicates are simulated only
     // (task_runner.h), so truncating the file cannot race and a failed
     // attempt leaves no orphan — its successor reuses the path.
-    std::optional<internal::TaskSpiller<K, V>> spiller;
-    if (spilling) {
-      spiller.emplace(
-          internal::SpillFilePath(spill_dir, "map", static_cast<int>(split)),
-          &spill_gc);
-    }
+    auto spiller = spill.Spiller<K, V>("map", split);
     return runner.RunTask(
         TaskPhase::kMap, static_cast<int>(split), scan_seconds,
         [&](int attempt) -> Status {
           for (auto& bucket : task.staging) bucket.clear();
-          task.accounting = internal::ShuffleAccounting{};
+          task.attempt_records = task.attempt_bytes = 0;
           if (spiller.has_value()) spiller->Reset();
           ShuffleFaultFilter filter(injector, TaskPhase::kMap,
                                     static_cast<int>(split), attempt);
-          internal::ShuffleEmitter<K, V> emitter(
-              task.staging, partition, dense_partition, record_bytes,
-              record_size, task.accounting,
-              injector.enabled() ? &filter : nullptr,
-              spiller.has_value() ? &*spiller : nullptr, spill_threshold);
+          ShuffleEmitter<K, V, Route, RecordSize> emitter(
+              task, route, record_size, injector.enabled() ? &filter : nullptr,
+              spiller.has_value() ? &*spiller : nullptr, spill.threshold);
           const Status map_status = mapper.TryMap(split, emitter);
           task.stats.shuffle_records_dropped += filter.dropped();
           task.stats.shuffle_records_corrupted += filter.corrupted();
@@ -718,147 +704,88 @@ Result<JobOutput<Out>> RunMapReduce(
           task.committed = std::move(task.staging);
           for (auto& bucket : task.committed) bucket.shrink_to_fit();
           if (spiller.has_value()) task.runs = spiller->TakeRuns();
-          task.stats.records_shuffled += task.accounting.records;
-          task.stats.bytes_shuffled += task.accounting.bytes;
+          task.stats.records_shuffled += task.attempt_records;
+          task.stats.bytes_shuffled += task.attempt_bytes;
         },
         task.stats, task.slot_costs);
   };
+  trace::Span phase_span("phase", "map");
+  phase_span.Arg("tasks", static_cast<uint64_t>(tasks.size()));
+  return executor.RunTasks(tasks.size(), [&](size_t split) {
+    return RunDurably(
+        spec, TaskPhase::kMap, split, tasks[split],
+        [&] { return run_map(tasks[split], split); }, num_reduce, &spill.gc);
+  });
+}
 
-  StopWatch map_wall;
-  Status map_status;
-  {
-    trace::Span phase_span("phase", "map");
-    phase_span.Arg("tasks", static_cast<uint64_t>(num_splits));
-    map_status = executor.RunTasks(num_splits, [&](size_t split) {
-      return run_durably(TaskPhase::kMap, split, map_tasks[split],
-                         restore_map, run_map, save_map);
-    });
-  }
-  stats.map_wall_seconds = map_wall.ElapsedSeconds();
-  fold_stats(map_tasks, &stats.map_task_seconds);
-  if (!map_status.ok()) return fail_job(map_status);
-
-  // ---- Shuffle handoff --------------------------------------------------
-  // Reduce task r's input is the segment list segments[r]: the committed
-  // in-memory buckets of non-spilled map tasks (referenced in place —
-  // map_tasks outlives the reduce phase) and the disk runs of spilled ones,
-  // in (split, flush) order, which preserves emission order per reduce
-  // task. The grouping layer (mapreduce/shuffle.h) reads them back.
-  std::vector<std::vector<internal::ShuffleSegment<K, V>>> segments(
-      num_reduce);
+// Shuffle handoff: fills (*segments)[r], reduce task r's input — the
+// committed in-memory buckets of non-spilled map tasks (referenced in
+// place, so `map_tasks` must outlive the reduce phase) and the disk runs
+// of spilled ones, in (split, flush) order, which preserves emission order
+// per reduce task. The grouping layer (mapreduce/shuffle.h) reads them
+// back.
+//
+// Returns the placement hints: reduce task r is hinted onto the worker
+// group whose map tasks produced the plurality of its input, ties going to
+// the lowest group; -1 (no preference) when r has no records or the pool
+// has one group. Map tasks with an unknown or out-of-range group count for
+// no group. Hints steer scheduling only — results and error selection are
+// placement-independent — and because retries run inside one submitted
+// pool closure, a hint stays pinned through every attempt of its task,
+// including speculative re-execution.
+template <typename K, typename V>
+std::vector<int> ShuffleHandoff(std::vector<MapTaskState<K, V>>& map_tasks,
+                                int num_groups,
+                                SegmentLists<K, V>* segments) {
+  const size_t num_reduce = segments->size();
   // group_records[r][g]: records of reduce task r produced by map tasks
-  // that ran on worker group g — the placement-hint scorecard.
-  const int exec_groups = executor.num_groups();
+  // that ran on worker group g.
   std::vector<std::vector<uint64_t>> group_records(
-      num_reduce, std::vector<uint64_t>(static_cast<size_t>(exec_groups), 0));
-  {
-    trace::Span shuffle_span("phase", "shuffle");
-    for (MapTaskState& task : map_tasks) {
-      const auto add = [&](size_t r, internal::ShuffleSegment<K, V> segment,
-                           uint64_t records) {
-        if (task.worker_group >= 0 && task.worker_group < exec_groups) {
-          group_records[r][static_cast<size_t>(task.worker_group)] += records;
-        }
-        segments[r].push_back(std::move(segment));
-      };
-      for (size_t r = 0; r < task.committed.size(); ++r) {
-        if (task.committed[r].empty()) continue;
-        add(r, {&task.committed[r], {}}, task.committed[r].size());
+      num_reduce, std::vector<uint64_t>(static_cast<size_t>(num_groups), 0));
+  for (MapTaskState<K, V>& task : map_tasks) {
+    const auto add = [&](size_t r, ShuffleSegment<K, V> segment,
+                         uint64_t records) {
+      if (task.worker_group >= 0 && task.worker_group < num_groups) {
+        group_records[r][static_cast<size_t>(task.worker_group)] += records;
       }
-      for (const internal::SpillRunInfo& run : task.runs) {
-        add(run.partition, {nullptr, run}, run.records);
-      }
+      (*segments)[r].push_back(std::move(segment));
+    };
+    for (size_t r = 0; r < task.committed.size(); ++r) {
+      if (task.committed[r].empty()) continue;
+      add(r, {&task.committed[r], {}}, task.committed[r].size());
     }
-    stats.records_mapped = stats.records_shuffled;
-    shuffle_span.Arg("records", stats.records_shuffled)
-        .Arg("bytes", stats.bytes_shuffled);
+    for (const SpillRunInfo& run : task.runs) {
+      add(run.partition, {nullptr, run}, run.records);
+    }
   }
-
-  // Placement hints: schedule reduce task r onto the worker group whose
-  // map tasks produced the plurality of its input (ties to the lowest
-  // group; -1 = no preference). Hints steer scheduling only — results and
-  // error selection are placement-independent — and because retries run
-  // inside one submitted pool closure, a hint stays pinned through every
-  // attempt of its task, including speculative re-execution.
-  std::vector<int> reduce_hints(num_reduce, -1);
-  if (exec_groups > 1) {
+  std::vector<int> hints(num_reduce, -1);
+  if (num_groups > 1) {
     for (size_t r = 0; r < num_reduce; ++r) {
       uint64_t best = 0;
-      for (int g = 0; g < exec_groups; ++g) {
+      for (int g = 0; g < num_groups; ++g) {
         if (group_records[r][static_cast<size_t>(g)] > best) {
           best = group_records[r][static_cast<size_t>(g)];
-          reduce_hints[r] = g;
+          hints[r] = g;
         }
       }
     }
   }
+  return hints;
+}
 
-  // Stop-condition check at the phase boundary: don't start reducing work
-  // that a fired deadline or cancellation has already doomed.
-  if (spec.control != nullptr) {
-    Status control_status = spec.control->Check();
-    if (!control_status.ok()) return fail_job(std::move(control_status));
-  }
-
-  // ---- Reduce phase (group + reduce, per task) --------------------------
-  struct ReduceTaskState {
-    std::vector<Out> staged;
-    std::vector<Out> committed;
-    Counters counters;
-    uint64_t groups = 0;
-    internal::GroupPath group_path = internal::GroupPath::kSorted;
-    internal::FallbackReason fallback = internal::FallbackReason::kNone;
-    // Runs the reduce-side spill degrade wrote (see GroupSegments).
-    std::vector<internal::SpillRunInfo> spill_runs;
-    double group_seconds = 0.0;
-    JobStats stats;
-    std::vector<double> slot_costs;
-  };
-  std::vector<ReduceTaskState> reduce_tasks(num_reduce);
-
-  // Reduce checkpoint payload: group path and fallback reason (one byte
-  // each), group seconds, then the committed output.
-  auto restore_reduce = [](ReduceTaskState& task,
-                           PayloadReader& reader) -> Status {
-    uint8_t path = 0;
-    DOD_RETURN_IF_ERROR(reader.U8(&path));
-    if (path > static_cast<uint8_t>(internal::GroupPath::kSorted)) {
-      return Status::IoError("reduce checkpoint has unknown group path");
-    }
-    task.group_path = static_cast<internal::GroupPath>(path);
-    uint8_t reason = 0;
-    DOD_RETURN_IF_ERROR(reader.U8(&reason));
-    if (reason > static_cast<uint8_t>(internal::FallbackReason::kSpill)) {
-      return Status::IoError("reduce checkpoint has unknown fallback reason");
-    }
-    task.fallback = static_cast<internal::FallbackReason>(reason);
-    DOD_RETURN_IF_ERROR(reader.F64(&task.group_seconds));
-    uint64_t count = 0;
-    DOD_RETURN_IF_ERROR(reader.U64(&count));
-    if (count > reader.remaining() / sizeof(Out)) {
-      return Status::IoError("reduce checkpoint output overruns payload");
-    }
-    task.committed.resize(static_cast<size_t>(count));
-    return reader.Raw(task.committed.data(),
-                      static_cast<size_t>(count) * sizeof(Out));
-  };
-  auto save_reduce = [](const ReduceTaskState& task, PayloadWriter& payload) {
-    payload.U8(static_cast<uint8_t>(task.group_path));
-    payload.U8(static_cast<uint8_t>(task.fallback));
-    payload.F64(task.group_seconds);
-    payload.U64(task.committed.size());
-    payload.Raw(task.committed.data(), task.committed.size() * sizeof(Out));
-  };
-  auto run_reduce = [&](ReduceTaskState& task, size_t index) -> Status {
+// Reduce phase: groups and reduces each reduce task durably, starting task
+// r on worker group hints[r].
+template <typename K, typename V, typename Out>
+Status ReducePhase(Reducer<K, V, Out>& reducer, const JobSpec& spec,
+                   TaskRunner& runner, ParallelExecutor& executor,
+                   JobSpill& spill, SegmentLists<K, V>& segments,
+                   const std::vector<int>& hints,
+                   std::vector<ReduceTaskState<Out>>& tasks) {
+  const auto run_reduce = [&](ReduceTaskState<Out>& task, size_t index) {
     // The spill degrade target: one run file per task, kept across
     // attempts, so a retry regroups from the runs an earlier attempt
     // wrote in place of its memory segments.
-    std::optional<internal::TaskSpiller<K, V>> spiller;
-    if (spilling) {
-      spiller.emplace(internal::SpillFilePath(spill_dir, "reduce",
-                                              static_cast<int>(index)),
-                      &spill_gc);
-    }
+    auto spiller = spill.Spiller<K, V>("reduce", index);
     return runner.RunTask(
         TaskPhase::kReduce, static_cast<int>(index), /*extra_seconds=*/0.0,
         [&](int /*attempt*/) -> Status {
@@ -872,8 +799,8 @@ Result<JobOutput<Out>> RunMapReduce(
           // mapreduce/shuffle.h), so job output depends on neither the
           // mode nor the spilling.
           StopWatch group_watch;
-          internal::GroupScratch<K, V> scratch;
-          auto grouped = internal::GroupSegments(
+          GroupScratch<K, V> scratch;
+          auto grouped = GroupSegments(
               segments[index], spec.shuffle, &scratch, &task.group_path,
               &task.fallback, spec.memory,
               spiller.has_value() ? &*spiller : nullptr);
@@ -893,35 +820,37 @@ Result<JobOutput<Out>> RunMapReduce(
         },
         task.stats, task.slot_costs);
   };
+  trace::Span phase_span("phase", "reduce");
+  phase_span.Arg("tasks", static_cast<uint64_t>(tasks.size()))
+      .Arg("shuffle", ShuffleModeName(spec.shuffle));
+  return executor.RunTasks(
+      tasks.size(),
+      [&](size_t index) {
+        return RunDurably(spec, TaskPhase::kReduce, index, tasks[index],
+                          [&] { return run_reduce(tasks[index], index); });
+      },
+      [&](size_t index) { return hints[index]; });
+}
 
-  StopWatch reduce_wall;
-  Status reduce_status;
-  {
-    trace::Span phase_span("phase", "reduce");
-    phase_span.Arg("tasks", static_cast<uint64_t>(num_reduce))
-        .Arg("shuffle", ShuffleModeName(spec.shuffle));
-    reduce_status = executor.RunTasks(
-        num_reduce,
-        [&](size_t index) {
-          return run_durably(TaskPhase::kReduce, index, reduce_tasks[index],
-                             restore_reduce, run_reduce, save_reduce);
-        },
-        [&](size_t index) { return reduce_hints[index]; });
-  }
-  stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
-  fold_stats(reduce_tasks, &stats.reduce_task_seconds);
-  if (!reduce_status.ok()) return fail_job(reduce_status);
-
-  // Deterministic output commit: reduce-task index order.
-  for (ReduceTaskState& task : reduce_tasks) {
-    for (Out& out : task.committed) result.output.push_back(std::move(out));
+// Commit: moves the reduce output into `result` in reduce-task order,
+// derives the cluster-stage times, and folds the job's totals into the
+// process-wide metrics registry. Every folded value is a sum (or max) of
+// per-task deltas, so — like the JobStats merge — the recorded metrics are
+// independent of scheduling order.
+template <typename K, typename V, typename Out>
+void CommitJob(std::vector<ReduceTaskState<Out>>& reduce_tasks,
+               const std::vector<MapTaskState<K, V>>& map_tasks,
+               const SegmentLists<K, V>& segments, const JobSpec& spec,
+               int blacklisted, const ParallelExecutor& executor,
+               const StopWatch& wall, JobOutput<Out>* result) {
+  for (ReduceTaskState<Out>& task : reduce_tasks) {
+    for (Out& out : task.committed) result->output.push_back(std::move(out));
     task.committed = std::vector<Out>();
   }
 
-  // ---- Derive cluster-stage times ---------------------------------------
   // Blacklisted nodes' slots are gone; the surviving slots absorb all
   // charged attempt costs (including failures, backoff, and speculation).
-  const int blacklisted = runner.blacklisted_nodes();
+  JobStats& stats = result->stats;
   stats.nodes_blacklisted = static_cast<uint64_t>(blacklisted);
   stats.stage_times.map_seconds = Makespan(
       stats.map_task_seconds, spec.cluster.usable_map_slots(blacklisted));
@@ -933,149 +862,174 @@ Result<JobOutput<Out>> RunMapReduce(
                spec.cluster.usable_reduce_slots(blacklisted));
   stats.wall_seconds = wall.ElapsedSeconds();
 
-  // Fold the job's totals into the process-wide metrics registry. Every
-  // value is a sum (or max) of per-task deltas, so — like the JobStats
-  // merge — the recorded metrics are independent of scheduling order.
-  {
-    MetricsRegistry& metrics = MetricsRegistry::Global();
-    static const uint32_t kJobs = metrics.Id("mr.jobs", MetricKind::kCounter);
-    static const uint32_t kMapTasks =
-        metrics.Id("mr.map_tasks", MetricKind::kCounter);
-    static const uint32_t kReduceTasks =
-        metrics.Id("mr.reduce_tasks", MetricKind::kCounter);
-    static const uint32_t kAttempts =
-        metrics.Id("mr.task_attempts", MetricKind::kCounter);
-    static const uint32_t kFailures =
-        metrics.Id("mr.task_failures", MetricKind::kCounter);
-    static const uint32_t kRetries =
-        metrics.Id("mr.task_retries", MetricKind::kCounter);
-    static const uint32_t kSpeculative =
-        metrics.Id("mr.speculative_attempts", MetricKind::kCounter);
-    static const uint32_t kRecords =
-        metrics.Id("mr.records_shuffled", MetricKind::kCounter);
-    static const uint32_t kBytes =
-        metrics.Id("mr.bytes_shuffled", MetricKind::kCounter);
-    static const uint32_t kGroups =
-        metrics.Id("mr.groups_reduced", MetricKind::kCounter);
-    static const uint32_t kShuffleColumnar =
-        metrics.Id("mr.shuffle.columnar_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleSorted =
-        metrics.Id("mr.shuffle.sorted_tasks", MetricKind::kCounter);
-    // Reason-labeled fallback counters: which guard pushed a columnar-
-    // requested task off the counting-sort fast path (see FallbackReason).
-    static const uint32_t kFallbackDensity =
-        metrics.Id("mr.shuffle.fallback.density", MetricKind::kCounter);
-    static const uint32_t kFallbackBudget =
-        metrics.Id("mr.shuffle.fallback.budget", MetricKind::kCounter);
-    static const uint32_t kFallbackSpill =
-        metrics.Id("mr.shuffle.fallback.spill", MetricKind::kCounter);
-    static const uint32_t kShuffleGroupSeconds =
-        metrics.Id("mr.shuffle.group_seconds", MetricKind::kHistogram);
-    static const uint32_t kSpillMapTasks =
-        metrics.Id("mr.spill.map_tasks", MetricKind::kCounter);
-    static const uint32_t kSpillReduceTasks =
-        metrics.Id("mr.spill.reduce_tasks", MetricKind::kCounter);
-    static const uint32_t kSpillRunsWritten =
-        metrics.Id("mr.spill.runs_written", MetricKind::kCounter);
-    static const uint32_t kSpillBytesWritten =
-        metrics.Id("mr.spill.bytes_written", MetricKind::kCounter);
-    static const uint32_t kSpillRunsMerged =
-        metrics.Id("mr.spill.runs_merged", MetricKind::kCounter);
-    static const uint32_t kSpillBytesRead =
-        metrics.Id("mr.spill.bytes_read", MetricKind::kCounter);
-    static const uint32_t kSpillRunRecords =
-        metrics.Id("mr.spill.run_records", MetricKind::kHistogram);
-    static const uint32_t kWorkerGroups =
-        metrics.Id("runtime.worker_groups", MetricKind::kGauge);
-    static const uint32_t kStealLocal =
-        metrics.Id("runtime.steal.local", MetricKind::kCounter);
-    static const uint32_t kStealRemote =
-        metrics.Id("runtime.steal.remote", MetricKind::kCounter);
-    static const uint32_t kThreads =
-        metrics.Id("mr.threads_used", MetricKind::kGauge);
-    static const uint32_t kMapSlot =
-        metrics.Id("mr.map_slot_seconds", MetricKind::kHistogram);
-    static const uint32_t kReduceSlot =
-        metrics.Id("mr.reduce_slot_seconds", MetricKind::kHistogram);
-    static const uint32_t kJobWall =
-        metrics.Id("mr.job_wall_seconds", MetricKind::kHistogram);
-    metrics.Increment(kJobs);
-    metrics.Increment(kMapTasks, static_cast<uint64_t>(num_splits));
-    metrics.Increment(kReduceTasks, static_cast<uint64_t>(num_reduce));
-    metrics.Increment(kAttempts, stats.task_attempts);
-    metrics.Increment(kFailures, stats.task_failures);
-    metrics.Increment(kRetries, stats.task_retries);
-    metrics.Increment(kSpeculative, stats.speculative_attempts);
-    metrics.Increment(kRecords, stats.records_shuffled);
-    metrics.Increment(kBytes, stats.bytes_shuffled);
-    metrics.Increment(kGroups, stats.groups_reduced);
-    // Spill accounting, from the committed run descriptors — failed
-    // attempts' truncated files never show up here. Each run counts once
-    // as written (by the map task or the reduce degrade that wrote it) and
-    // once as merged (from the segment list its reduce task read).
-    const auto count_written = [&](const std::vector<internal::SpillRunInfo>&
-                                       runs,
-                                   uint32_t tasks_id) {
-      if (runs.empty()) return;
-      metrics.Increment(tasks_id);
-      for (const internal::SpillRunInfo& run : runs) {
-        metrics.Increment(kSpillRunsWritten);
-        metrics.Increment(kSpillBytesWritten, run.bytes);
-        metrics.Observe(kSpillRunRecords, static_cast<double>(run.records));
-      }
-    };
-    for (const MapTaskState& task : map_tasks) {
-      count_written(task.runs, kSpillMapTasks);
+  // Shuffle and spill totals. Spill runs count from the committed
+  // descriptors — failed attempts' truncated files never show up — once as
+  // written (by the map task or the reduce degrade that wrote them) and once
+  // as merged (from the segment list their reduce task read).
+  // Reduce tasks by final GroupPath and by FallbackReason (restores
+  // range-check both), and map / reduce tasks that wrote runs.
+  uint64_t paths[static_cast<size_t>(GroupPath::kSorted) + 1] = {};
+  uint64_t fallbacks[static_cast<size_t>(FallbackReason::kSpill) + 1] = {};
+  uint64_t spilled_tasks[2] = {};
+  uint64_t bytes_written = 0;
+  uint64_t runs_merged = 0;
+  uint64_t bytes_read = 0;
+  std::vector<double> run_records;
+  std::vector<double> group_seconds;
+  const auto count_written = [&](const std::vector<SpillRunInfo>& runs,
+                                 uint64_t* tasks) {
+    if (!runs.empty()) ++*tasks;
+    for (const SpillRunInfo& run : runs) {
+      bytes_written += run.bytes;
+      run_records.push_back(static_cast<double>(run.records));
     }
-    for (const ReduceTaskState& task : reduce_tasks) {
-      metrics.Increment(task.group_path == internal::GroupPath::kColumnar
-                            ? kShuffleColumnar
-                            : kShuffleSorted);
-      switch (task.fallback) {
-        case internal::FallbackReason::kNone:
-          break;
-        case internal::FallbackReason::kDensity:
-          metrics.Increment(kFallbackDensity);
-          break;
-        case internal::FallbackReason::kBudget:
-          metrics.Increment(kFallbackBudget);
-          break;
-        case internal::FallbackReason::kSpill:
-          metrics.Increment(kFallbackSpill);
-          break;
-      }
-      metrics.Observe(kShuffleGroupSeconds, task.group_seconds);
-      count_written(task.spill_runs, kSpillReduceTasks);
-    }
-    for (const auto& segment_list : segments) {
-      for (const internal::ShuffleSegment<K, V>& segment : segment_list) {
-        if (segment.memory != nullptr) continue;
-        metrics.Increment(kSpillRunsMerged);
-        metrics.Increment(kSpillBytesRead, segment.run.bytes);
-      }
-    }
-    metrics.SetMax(kWorkerGroups, static_cast<double>(exec_groups));
-    // Steal-locality scorecard of this job's pool. Scheduling-dependent,
-    // hence exempt from the metric-determinism contract (observability
-    // tests treat the runtime.steal.* prefix like timing metrics).
-    metrics.Increment(kStealLocal, executor.local_steals());
-    metrics.Increment(kStealRemote, executor.remote_steals());
-    metrics.SetMax(kThreads, static_cast<double>(stats.threads_used));
-    for (double seconds : stats.map_task_seconds) {
-      metrics.Observe(kMapSlot, seconds);
-    }
-    for (double seconds : stats.reduce_task_seconds) {
-      metrics.Observe(kReduceSlot, seconds);
-    }
-    metrics.Observe(kJobWall, stats.wall_seconds);
-    if (spec.memory != nullptr) {
-      metrics.SetMax(kBudgetPeakBytes,
-                     static_cast<double>(spec.memory->peak_bytes()));
+  };
+  for (const MapTaskState<K, V>& task : map_tasks) {
+    count_written(task.runs, &spilled_tasks[0]);
+  }
+  for (const ReduceTaskState<Out>& task : reduce_tasks) {
+    ++paths[static_cast<size_t>(task.group_path)];
+    ++fallbacks[static_cast<size_t>(task.fallback)];
+    group_seconds.push_back(task.group_seconds);
+    count_written(task.spill_runs, &spilled_tasks[1]);
+  }
+  for (const auto& segment_list : segments) {
+    for (const ShuffleSegment<K, V>& segment : segment_list) {
+      if (segment.memory != nullptr) continue;
+      ++runs_merged;
+      bytes_read += segment.run.bytes;
     }
   }
+
+  // Once per job, so names resolve on the spot; every name is registered
+  // even when its total is zero or it observes nothing.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const auto observe = [&](const char* name, const std::vector<double>& all) {
+    const uint32_t id = metrics.Id(name, MetricKind::kHistogram);
+    for (double value : all) metrics.Observe(id, value);
+  };
+  const auto fallback = [&](FallbackReason reason) {
+    return fallbacks[static_cast<size_t>(reason)];
+  };
+  metrics.IncrementCounter("mr.map_tasks", map_tasks.size());
+  metrics.IncrementCounter("mr.reduce_tasks", reduce_tasks.size());
+  metrics.IncrementCounter("mr.task_attempts", stats.task_attempts);
+  metrics.IncrementCounter("mr.shuffle.columnar_tasks",
+                           paths[static_cast<size_t>(GroupPath::kColumnar)]);
+  metrics.IncrementCounter("mr.shuffle.sorted_tasks",
+                           paths[static_cast<size_t>(GroupPath::kSorted)]);
+  // Which guard moved a columnar-requested task off the plain counting
+  // sort (see FallbackReason).
+  metrics.IncrementCounter("mr.shuffle.fallback.density",
+                           fallback(FallbackReason::kDensity));
+  metrics.IncrementCounter("mr.shuffle.fallback.budget",
+                           fallback(FallbackReason::kBudget));
+  metrics.IncrementCounter("mr.shuffle.fallback.spill",
+                           fallback(FallbackReason::kSpill));
+  observe("mr.shuffle.group_seconds", group_seconds);
+  metrics.IncrementCounter("mr.spill.map_tasks", spilled_tasks[0]);
+  metrics.IncrementCounter("mr.spill.reduce_tasks", spilled_tasks[1]);
+  metrics.IncrementCounter("mr.spill.runs_written", run_records.size());
+  metrics.IncrementCounter("mr.spill.bytes_written", bytes_written);
+  metrics.IncrementCounter("mr.spill.runs_merged", runs_merged);
+  metrics.IncrementCounter("mr.spill.bytes_read", bytes_read);
+  observe("mr.spill.run_records", run_records);
+  metrics.SetGauge("runtime.worker_groups",
+                   static_cast<double>(executor.num_groups()));
+  // Steal-locality scorecard of this job's pool. Scheduling-dependent,
+  // hence exempt from the metric-determinism contract (observability
+  // tests treat the runtime.steal.* prefix like timing metrics).
+  metrics.IncrementCounter("runtime.steal.local", executor.local_steals());
+  metrics.IncrementCounter("runtime.steal.remote", executor.remote_steals());
+  observe("mr.map_slot_seconds", stats.map_task_seconds);
+  observe("mr.reduce_slot_seconds", stats.reduce_task_seconds);
+  observe("mr.job_wall_seconds", {stats.wall_seconds});
+  if (spec.memory != nullptr) {
+    metrics.SetGauge("durability.memory.peak_bytes",
+                     static_cast<double>(spec.memory->peak_bytes()));
+  }
+}
+
+}  // namespace internal
+
+// Runs a full MapReduce job: map over `num_splits` splits, shuffle, reduce.
+//
+// `route(key)` returns a key's reduce task in [0, num_reduce_tasks) — the
+// hook through which DOD injects its allocation plan (Fig. 6, Step 3). It
+// is called once per emitted record, concurrently from map tasks, and must
+// be pure. `record_size(key, value)` is the wire size charged per shuffled
+// record (default: sizeof(K) + sizeof(V)). Both are inlined into the
+// emitter, so a table lookup or a constant costs no indirect call.
+//
+// Returns the job output, or the structured error of the first task (by
+// task index) that exhausted its attempt budget (see
+// mapreduce/task_runner.h). The process never aborts on task failure.
+template <typename K, typename V, typename Out, typename Route,
+          typename RecordSize = internal::PairWireBytes<K, V>>
+Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
+                                    Reducer<K, V, Out>& reducer,
+                                    const Route& route, const JobSpec& spec,
+                                    const RecordSize& record_size = {}) {
+  using MapTask = internal::MapTaskState<K, V>;
+  using ReduceTask = internal::ReduceTaskState<Out>;
+  DOD_RETURN_IF_ERROR((internal::ValidateJob<MapTask, ReduceTask>(spec)));
+  internal::JobSpill spill;
+  if (spec.spill.enabled()) {
+    DOD_RETURN_IF_ERROR(spill.Open(spec.spill, spec.memory, spec.checkpoint));
+  }
+  internal::RegisterDurabilityMetrics();
+  JobOutput<Out> result;
+  JobStats& stats = result.stats;
+  StopWatch wall;
+  const FaultInjector injector(spec.faults);
+  TaskRunner runner(spec.retry, injector, spec.cluster, spec.control);
+  ParallelExecutor executor(spec.num_threads);
+  stats.threads_used = executor.num_threads();
+  const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
+
+  std::vector<MapTask> map_tasks(num_splits);
+  StopWatch map_wall;
+  const Status map_status =
+      internal::MapPhase(mapper, route, record_size, spec, injector, runner,
+                         executor, spill, map_tasks);
+  stats.map_wall_seconds = map_wall.ElapsedSeconds();
+  internal::FoldStats(map_tasks, &stats, &stats.map_task_seconds);
+  if (!map_status.ok()) return internal::FailJob(spec, stats, wall, map_status);
+
+  stats.records_mapped = stats.records_shuffled;
+  internal::SegmentLists<K, V> segments(num_reduce);
+  std::vector<int> hints;
+  {
+    trace::Span span("phase", "shuffle");
+    span.Arg("records", stats.records_shuffled)
+        .Arg("bytes", stats.bytes_shuffled);
+    hints = internal::ShuffleHandoff(map_tasks, executor.num_groups(),
+                                     &segments);
+  }
+  // Don't start reducing work that a fired deadline or cancellation has
+  // already doomed.
+  const Status control_status =
+      spec.control != nullptr ? spec.control->Check() : Status::Ok();
+  if (!control_status.ok()) {
+    return internal::FailJob(spec, stats, wall, control_status);
+  }
+
+  std::vector<ReduceTask> reduce_tasks(num_reduce);
+  StopWatch reduce_wall;
+  const Status reduce_status =
+      internal::ReducePhase(reducer, spec, runner, executor, spill, segments,
+                            hints, reduce_tasks);
+  stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
+  internal::FoldStats(reduce_tasks, &stats, &stats.reduce_task_seconds);
+  if (!reduce_status.ok()) {
+    return internal::FailJob(spec, stats, wall, reduce_status);
+  }
+
+  internal::CommitJob(reduce_tasks, map_tasks, segments, spec,
+                      runner.blacklisted_nodes(), executor, wall, &result);
   // The job committed: its spill runs are garbage now even when a
-  // checkpoint store references them (see set_keep_files above).
-  spill_gc.set_keep_files(false);
+  // checkpoint store references them (see JobSpill::Open).
+  spill.gc.set_keep_files(false);
   return result;
 }
 

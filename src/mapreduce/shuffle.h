@@ -31,10 +31,9 @@
 // thread counts and fault schedules.
 //
 // Reducers consume groups through GroupedView, a zero-copy cursor over
-// either backing layout. The engine's default reduce loop copies each
-// group's values into a scratch vector for the legacy Reducer::TryReduce
-// contract; task-at-a-time reducers (Reducer::TryReduceTask overrides)
-// read values in place.
+// either backing layout. The default Reducer::TryReduceTask copies each
+// group's values into a scratch vector for the per-group Reducer::Reduce
+// contract; TryReduceTask overrides read values in place.
 
 #ifndef DOD_MAPREDUCE_SHUFFLE_H_
 #define DOD_MAPREDUCE_SHUFFLE_H_
@@ -202,7 +201,10 @@ inline FallbackReason AdmitColumnar(uint64_t records, uint64_t range,
 }
 
 // Calls fn(record) for every record of `segment` in stored order; runs
-// stream through the checksum-verifying SpillRunCursor.
+// stream through the checksum-verifying SpillRunCursor. A run's checksum
+// is verified only at its end, so a record whose key lies outside the
+// run's [min_key, max_key] fails first: it would index past the columnar
+// histogram.
 template <typename K, typename V, typename Fn>
 Status ForEachRecord(const ShuffleSegment<K, V>& segment, Fn&& fn) {
   if (segment.memory != nullptr) {
@@ -212,6 +214,15 @@ Status ForEachRecord(const ShuffleSegment<K, V>& segment, Fn&& fn) {
   SpillRunCursor<K, V> cursor;
   DOD_RETURN_IF_ERROR(cursor.Open(segment.run));
   while (!cursor.AtEnd()) {
+    if constexpr (std::is_integral_v<K>) {
+      using U = std::make_unsigned_t<K>;
+      const K key = cursor.Head().first;
+      if (key < static_cast<K>(static_cast<U>(segment.run.min_key)) ||
+          static_cast<K>(static_cast<U>(segment.run.max_key)) < key) {
+        return Status::IoError("spill: run key outside its range in " +
+                               segment.run.file);
+      }
+    }
     fn(cursor.Head());
     DOD_RETURN_IF_ERROR(cursor.Advance());
   }

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
 #include "durability/payload.h"
 #include "observability/trace.h"
@@ -58,10 +60,6 @@ struct SpillPolicy {
   uint64_t threshold_bytes = 0;
 
   bool enabled() const { return !dir.empty(); }
-
-  // The threshold actually applied, wiring the policy through the job's
-  // MemoryBudget when no explicit threshold is set.
-  uint64_t EffectiveThreshold(const MemoryBudget* budget) const;
 };
 
 namespace internal {
@@ -94,15 +92,6 @@ struct SpillRunInfo {
 // <dir>/<phase>_<task>.runs — one file per task, truncated per attempt.
 std::string SpillFilePath(const std::string& dir, const char* phase,
                           int task_index);
-
-// Per-job namespace under the configured spill directory, so jobs that
-// share a spill dir never truncate each other's live run files. A
-// non-empty `job_scope` (the checkpoint store's dir + job key) hashes to
-// a stable subdirectory — a resumed run lands where its crashed
-// predecessor spilled, can re-register those files, and finally sweeps
-// them; with an empty scope the name is unique per process and
-// invocation (non-checkpointing jobs never resume).
-std::string SpillJobDir(const std::string& dir, const std::string& job_scope);
 
 // Job-scoped registry of spill files, removed best-effort on destruction
 // along with the job's private spill subdirectory (the recursive sweep is
@@ -274,6 +263,35 @@ class TaskSpiller {
   uint64_t offset_ = 0;
   std::vector<SpillRunInfo> runs_;
   Status status_ = Status::Ok();
+};
+
+// One job's spill state: its private run directory (empty = the job does
+// not spill), the applied threshold and the sweeper of its run files.
+struct JobSpill {
+  std::string dir;
+  uint64_t threshold = 0;
+  SpillGc gc;
+
+  // Applies the policy's threshold (see SpillPolicy) and creates the job's
+  // own directory under policy.dir, so jobs sharing a spill dir never
+  // truncate each other's live run files. When checkpointing, the name
+  // hashes the store's identity — a resumed run lands where its crashed
+  // predecessor spilled, re-registers those files and finally sweeps them
+  // — and gc.keep_files is armed until the job commits (see SpillGc);
+  // otherwise the name is unique per process and invocation.
+  Status Open(const SpillPolicy& policy, const MemoryBudget* budget,
+              const CheckpointStore* checkpoint);
+
+  // Task `task` of `phase`'s run writer (one run file per task), or none
+  // when the job does not spill.
+  template <typename K, typename V>
+  std::optional<TaskSpiller<K, V>> Spiller(const char* phase, size_t task) {
+    std::optional<TaskSpiller<K, V>> spiller;
+    if (!dir.empty()) {
+      spiller.emplace(SpillFilePath(dir, phase, static_cast<int>(task)), &gc);
+    }
+    return spiller;
+  }
 };
 
 // Streams one run's records back in fixed-size chunks, folding the

@@ -20,7 +20,8 @@ int EffectiveBucketsPerDim(const SamplerOptions& options, size_t n) {
   if (!options.adapt_resolution) return options.buckets_per_dim;
   const double samples = EffectiveSamplingRate(options, n) * n;
   const int target = static_cast<int>(std::sqrt(samples / 10.0));
-  return std::clamp(target, 8, options.buckets_per_dim);
+  return std::clamp(target, std::min(8, options.buckets_per_dim),
+                    options.buckets_per_dim);
 }
 
 size_t SampleBlockInto(const Dataset& data, const std::vector<PointId>& ids,

@@ -41,7 +41,8 @@ double EffectiveSamplingRate(const SamplerOptions& options, size_t n);
 
 // The per-dimension bucket resolution used for a dataset of `n` points
 // (2-d heuristic: sqrt(expected samples / 10), clamped to
-// [8, buckets_per_dim]; pass-through when !adapt_resolution).
+// [min(8, buckets_per_dim), buckets_per_dim]; pass-through when
+// !adapt_resolution).
 int EffectiveBucketsPerDim(const SamplerOptions& options, size_t n);
 
 // Samples the points listed in `ids` from `data` into `grid`, returning the

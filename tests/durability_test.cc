@@ -378,6 +378,75 @@ TEST(EngineDurabilityTest, UnknownGroupPathRecordReruns) {
   EXPECT_LE(store->LoadTask("reduce", 1).ValueOrDie()[path_offset], 1);
 }
 
+TEST(EngineDurabilityTest, InconsistentSpillRunDescriptorReruns) {
+  // Map records whose spill-run descriptors pass the file-size check only
+  // through wrapping arithmetic, or whose byte count does not match their
+  // record count, must fail the restore so the task re-runs — not pass it
+  // and fail every reduce attempt that reads the run.
+  const JobOutput<KeySum> baseline =
+      RunSumJob(BaseSpec(1, ShuffleMode::kColumnar)).ValueOrDie();
+  const std::string dir = FreshDir("forgedrun");
+  {
+    // Map tasks 0..2 commit, then the job crashes before any reduce task.
+    auto store =
+        CheckpointStore::Open(dir, "sum-job", /*resume=*/false).ValueOrDie();
+    JobSpec crashing = BaseSpec(1, ShuffleMode::kColumnar);
+    crashing.checkpoint = store.get();
+    crashing.faults.crash_at_task = 2;
+    crashing.faults.crash_phase = TaskPhase::kMap;
+    ASSERT_EQ(RunSumJob(crashing).status().code(), StatusCode::kUnavailable);
+  }
+  const std::string run_file = dir + "/forged.runs";
+  std::ofstream(run_file, std::ios::binary) << std::string(64, '\0');
+  const auto forge = [&](uint64_t records, uint64_t offset, uint64_t bytes) {
+    PayloadWriter payload;
+    SerializeJobStatsDelta(JobStats(), &payload);
+    payload.F64Vec({});
+    payload.U8(1);   // spilled
+    payload.U64(1);  // one run
+    payload.String(run_file);
+    payload.U32(0);  // partition
+    payload.U64(records);
+    payload.U64(offset);
+    payload.U64(bytes);
+    payload.U64(0);  // checksum
+    payload.U64(0);  // min key
+    payload.U64(6);  // max key
+    return payload.str();
+  };
+  constexpr uint64_t kPair = sizeof(std::pair<int, int>);
+  {
+    auto store =
+        CheckpointStore::Open(dir, "sum-job", /*resume=*/true).ValueOrDie();
+    // Records and bytes agree, but offset + bytes wraps to 8, under the
+    // 64-byte file size.
+    const uint64_t records = ~uint64_t{0} / kPair;
+    ASSERT_TRUE(store
+                    ->CommitTask("map", 0,
+                                 forge(records, 16, records * kPair))
+                    .ok());
+    // 2 records in the bytes of one; the file covers the claimed bytes.
+    ASSERT_TRUE(store->CommitTask("map", 1, forge(2, 0, kPair)).ok());
+  }
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.Reset();
+  auto store =
+      CheckpointStore::Open(dir, "sum-job", /*resume=*/true).ValueOrDie();
+  JobSpec resuming = BaseSpec(1, ShuffleMode::kColumnar);
+  resuming.checkpoint = store.get();
+  resuming.resume = true;
+  const auto resumed = RunSumJob(resuming);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectSameJob(baseline, resumed.value());
+  uint64_t load_failures = 0;
+  for (const MetricSnapshot& m : metrics.Snapshot()) {
+    if (m.name == "durability.checkpoint.load_failures") {
+      load_failures = m.count;
+    }
+  }
+  EXPECT_EQ(load_failures, 2u);
+}
+
 TEST(EngineDurabilityTest, CheckpointRequiresTriviallyCopyableTypes) {
   class StringReducer : public Reducer<int, int, std::string> {
    public:

@@ -90,7 +90,7 @@ TEST(EngineTypesTest, StringKeysSortAndGroup) {
   WordReducer reducer;
   auto job = RunMapReduce<std::string, int, std::string>(
       4, mapper, reducer, [](const std::string&) { return 0; },
-      LocalSpec(1), /*record_bytes=*/16)
+      LocalSpec(1))
                  .ValueOrDie();
   // Keys arrive sorted: inlier, outlier, support.
   ASSERT_EQ(job.output.size(), 3u);
@@ -99,9 +99,9 @@ TEST(EngineTypesTest, StringKeysSortAndGroup) {
   EXPECT_EQ(job.output[2], "support:1");
 }
 
-TEST(EngineTypesTest, PerRecordSizeCallbackOverridesFlatRecordBytes) {
-  // A flat record_bytes of 16 would undercount string keys of varying
-  // length; the per-record callback charges the actual payload.
+TEST(EngineTypesTest, PerRecordSizeCallbackChargesActualPayload) {
+  // A constant wire size would miscount string keys of varying length; the
+  // per-record callback charges the actual payload.
   WordMapper mapper;
   WordReducer reducer;
   const auto record_size = [](const std::string& key, const int&) {
@@ -109,7 +109,7 @@ TEST(EngineTypesTest, PerRecordSizeCallbackOverridesFlatRecordBytes) {
   };
   auto job = RunMapReduce<std::string, int, std::string>(
       4, mapper, reducer, [](const std::string&) { return 0; },
-      LocalSpec(1), /*record_bytes=*/16, record_size)
+      LocalSpec(1), record_size)
                  .ValueOrDie();
   // 8 records: 6×"outlier" (7+4) + 1×"inlier" (6+4) + 1×"support" (7+4).
   EXPECT_EQ(job.stats.records_shuffled, 8u);

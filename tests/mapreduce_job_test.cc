@@ -73,7 +73,8 @@ TEST(MapReduceJobTest, StatsAccounting) {
   CountReducer reducer;
   auto job = RunMapReduce<int, int, KeyCount>(
       5, mapper, reducer, [](const int& key) { return key % 3; },
-      SmallClusterSpec(3), /*record_bytes=*/16)
+      SmallClusterSpec(3),
+      /*record_size=*/[](const int&, const int&) { return size_t{16}; })
                  .ValueOrDie();
   EXPECT_EQ(job.stats.records_mapped, 500u);
   EXPECT_EQ(job.stats.records_shuffled, 500u);

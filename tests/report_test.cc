@@ -71,6 +71,10 @@ TEST(SamplerAdaptationTest, EffectiveBucketsTrackSampleSize) {
   EXPECT_EQ(EffectiveBucketsPerDim(options, 50), 8);
   // Huge data clamps at the configured ceiling.
   EXPECT_EQ(EffectiveBucketsPerDim(options, 10000000), 64);
+  // A ceiling below the floor stays the ceiling.
+  options.buckets_per_dim = 4;
+  EXPECT_EQ(EffectiveBucketsPerDim(options, 50), 4);
+  options.buckets_per_dim = 64;
   options.adapt_resolution = false;
   EXPECT_EQ(EffectiveBucketsPerDim(options, 50), 64);
 }

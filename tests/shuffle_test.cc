@@ -245,15 +245,12 @@ class DigestReducer : public Reducer<int, int, GroupDigest> {
   }
 };
 
-JobOutput<GroupDigest> RunDigestJob(const JobSpec& spec,
-                                    const std::vector<int>* dense = nullptr) {
+JobOutput<GroupDigest> RunDigestJob(const JobSpec& spec) {
   SpreadMapper mapper;
   DigestReducer reducer;
   return RunMapReduce<int, int, GroupDigest>(
              /*num_splits=*/7, mapper, reducer,
-             [](const int& key) { return key % 4; }, spec,
-             /*record_bytes=*/sizeof(int) + sizeof(int),
-             /*record_bytes_fn=*/{}, dense)
+             [](const int& key) { return key % 4; }, spec)
       .ValueOrDie();
 }
 
@@ -284,8 +281,7 @@ Result<JobOutput<SpillKeySum>> RunSumJob(const JobSpec& spec) {
   SpillSumReducer reducer;
   return RunMapReduce<int, int, SpillKeySum>(
       /*num_splits=*/7, mapper, reducer,
-      [](const int& key) { return key % 4; }, spec,
-      /*record_bytes=*/sizeof(int) + sizeof(int));
+      [](const int& key) { return key % 4; }, spec);
 }
 
 JobSpec DigestSpec(ShuffleMode mode, int threads, const FaultSpec& faults) {
@@ -357,21 +353,6 @@ TEST(ShuffleEngineTest, ModesAgreeAcrossThreadsAndFaults) {
           << label;
     }
   }
-}
-
-TEST(ShuffleEngineTest, DensePartitionTableMatchesPartitionFunction) {
-  JobSpec spec = DigestSpec(ShuffleMode::kColumnar, 4, FaultSpec{});
-  spec.split_record_hints.assign(7, 60);  // exercise bucket pre-sizing too
-  std::vector<int> table(17);
-  for (int key = 0; key < 17; ++key) table[key] = key % 4;
-
-  const JobOutput<GroupDigest> via_function = RunDigestJob(spec);
-  const JobOutput<GroupDigest> via_table = RunDigestJob(spec, &table);
-
-  EXPECT_EQ(via_table.output, via_function.output);
-  EXPECT_EQ(via_table.stats.records_shuffled,
-            via_function.stats.records_shuffled);
-  EXPECT_EQ(via_table.stats.bytes_shuffled, via_function.stats.bytes_shuffled);
 }
 
 // ---------------------------------------------------------------------------
@@ -791,6 +772,119 @@ TEST(ShuffleSpillTest, TaskSpillerRoundTripsSortedRunsWithChecksums) {
   while (status.ok() && !corrupted.AtEnd()) status = corrupted.Advance();
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_NE(status.message().find("checksum"), std::string::npos);
+}
+
+TEST(ShuffleSpillTest, CorruptedRunKeyFailsColumnarGrouping) {
+  // The run checksum is verified only once the run is consumed, but the
+  // columnar passes index the histogram by key as they read: a flipped key
+  // byte must fail grouping as kIoError before it can land outside the
+  // histogram.
+  const std::string dir = FreshSpillDir("badkey");
+  std::filesystem::create_directories(dir);
+  const std::string file = internal::SpillFilePath(dir, "map", 0);
+  internal::SpillGc gc;
+  internal::TaskSpiller<uint32_t, int> spiller(file, &gc);
+  internal::TaskSpiller<uint32_t, int>::Buckets buckets(1);
+  buckets[0] = SequencedBucket<uint32_t>({5, 1, 5, 3});
+  spiller.Spill(buckets);
+  ASSERT_TRUE(spiller.status().ok());
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments(1);
+  segments[0].run = spiller.TakeRuns().at(0);
+  {
+    // The first record's key (1) becomes 1 ^ 0x5A = 91, past max_key = 5.
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+    char byte;
+    f.seekg(static_cast<std::streamoff>(segments[0].run.offset));
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5A);
+    f.seekp(static_cast<std::streamoff>(segments[0].run.offset));
+    f.write(&byte, 1);
+  }
+  internal::GroupScratch<uint32_t, int> scratch;
+  internal::GroupPath path;
+  internal::FallbackReason reason;
+  const auto grouped = internal::GroupSegments(
+      segments, ShuffleMode::kColumnar, &scratch, &path, &reason,
+      /*budget=*/nullptr);
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kIoError);
+}
+
+// The shuffle handoff over hand-built map-task states, with more worker
+// groups than any CI host has.
+TEST(ShuffleHandoffTest, SegmentOrderAndPluralityPlacementHints) {
+  using MapTask = internal::MapTaskState<int, int>;
+  const auto bucket = [](size_t records) {
+    return std::vector<std::pair<int, int>>(records, {0, 0});
+  };
+  const auto run = [](uint32_t partition, uint64_t records,
+                      const char* file) {
+    internal::SpillRunInfo info;
+    info.file = file;
+    info.partition = partition;
+    info.records = records;
+    return info;
+  };
+  constexpr size_t kReduce = 5;
+  std::vector<MapTask> tasks(5);
+  // Split 0, group 0: 5 records for r0, 2 for r1.
+  tasks[0].worker_group = 0;
+  tasks[0].committed.resize(kReduce);
+  tasks[0].committed[0] = bucket(5);
+  tasks[0].committed[1] = bucket(2);
+  // Split 1, group 2, spilled: r0 3 + 1 records over two flushes, r1 2.
+  tasks[1].worker_group = 2;
+  tasks[1].committed.resize(kReduce);
+  tasks[1].runs = {run(0, 3, "a"), run(1, 2, "a"), run(0, 1, "b")};
+  // Split 2, unknown group (a restored task): 50 records for r3.
+  tasks[2].committed.resize(kReduce);
+  tasks[2].committed[3] = bucket(50);
+  // Split 3, out-of-range group: 50 records for r3, 1 for r4.
+  tasks[3].worker_group = 7;
+  tasks[3].committed.resize(kReduce);
+  tasks[3].committed[3] = bucket(50);
+  tasks[3].committed[4] = bucket(1);
+  // Split 4, group 1: 1 record for r4, 9 for r0.
+  tasks[4].worker_group = 1;
+  tasks[4].committed.resize(kReduce);
+  tasks[4].committed[0] = bucket(9);
+  tasks[4].committed[4] = bucket(1);
+
+  internal::SegmentLists<int, int> segments(kReduce);
+  const std::vector<int> hints =
+      internal::ShuffleHandoff(tasks, /*num_groups=*/3, &segments);
+  // r0: group 0 has 5, group 1 has 9, group 2 has 4 -> group 1.
+  // r1: groups 0 and 2 tie at 2 -> the lowest, group 0.
+  // r2: no records -> -1. r3: only ungrouped records -> -1.
+  // r4: group 1 has 1, the out-of-range group is ignored -> group 1.
+  EXPECT_EQ(hints, (std::vector<int>{1, 0, -1, -1, 1}));
+
+  // (split, flush) order; memory segments reference the map task's
+  // committed buckets in place.
+  ASSERT_EQ(segments[0].size(), 4u);
+  EXPECT_EQ(segments[0][0].memory, &tasks[0].committed[0]);
+  EXPECT_EQ(segments[0][1].memory, nullptr);
+  EXPECT_EQ(segments[0][1].run.file, "a");
+  EXPECT_EQ(segments[0][1].run.records, 3u);
+  EXPECT_EQ(segments[0][2].memory, nullptr);
+  EXPECT_EQ(segments[0][2].run.file, "b");
+  EXPECT_EQ(segments[0][3].memory, &tasks[4].committed[0]);
+  ASSERT_EQ(segments[1].size(), 2u);
+  EXPECT_EQ(segments[1][0].memory, &tasks[0].committed[1]);
+  EXPECT_EQ(segments[1][1].run.file, "a");
+  EXPECT_EQ(segments[1][1].run.partition, 1u);
+  EXPECT_TRUE(segments[2].empty());
+  ASSERT_EQ(segments[3].size(), 2u);
+  EXPECT_EQ(segments[3][0].memory, &tasks[2].committed[3]);
+  EXPECT_EQ(segments[3][1].memory, &tasks[3].committed[3]);
+  ASSERT_EQ(segments[4].size(), 2u);
+  EXPECT_EQ(segments[4][0].memory, &tasks[3].committed[4]);
+  EXPECT_EQ(segments[4][1].memory, &tasks[4].committed[4]);
+
+  // A single-group pool expresses no preference at all.
+  internal::SegmentLists<int, int> single(kReduce);
+  EXPECT_EQ(internal::ShuffleHandoff(tasks, /*num_groups=*/1, &single),
+            std::vector<int>(kReduce, -1));
 }
 
 // Grouping oracle: GroupSegments over every segment layout, budget regime

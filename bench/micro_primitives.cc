@@ -36,22 +36,24 @@ void BM_WithinDistance2D(benchmark::State& state) {
 }
 BENCHMARK(BM_WithinDistance2D);
 
-void BM_GridInsert(benchmark::State& state) {
+void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset data = GenerateUniform(n, Rect::Cube(2, 0.0, 100.0), 7);
   for (auto _ : state) {
-    SparseGrid grid(data.Bounds().min(), 1.77);
-    for (uint32_t i = 0; i < data.size(); ++i) grid.Insert(data[i], i);
+    const SparseGrid grid(data.Bounds().min(), 1.77,
+                          static_cast<uint32_t>(data.size()),
+                          [&](uint32_t i) { return data[i]; });
     benchmark::DoNotOptimize(grid.cells().size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
-BENCHMARK(BM_GridInsert)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000);
 
 void BM_GridCountBlock(benchmark::State& state) {
   const Dataset data = GenerateUniform(50000, Rect::Cube(2, 0.0, 300.0), 9);
-  SparseGrid grid(data.Bounds().min(), 1.77);
-  for (uint32_t i = 0; i < data.size(); ++i) grid.Insert(data[i], i);
+  const SparseGrid grid(data.Bounds().min(), 1.77,
+                        static_cast<uint32_t>(data.size()),
+                        [&](uint32_t i) { return data[i]; });
   size_t cursor = 0;
   for (auto _ : state) {
     const auto& cell = grid.cells()[cursor++ % grid.cells().size()];

@@ -4,12 +4,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/distance.h"
 #include "common/random.h"
-#include "extensions/knn_outliers.h"
+#include "kernels/distance_kernels.h"
+#include "kernels/soa_block.h"
 
 namespace dod {
+
+double KDistance(const Dataset& data, PointId id, int k, KernelMode kernels) {
+  DOD_CHECK(k >= 1);
+  if (data.size() <= static_cast<size_t>(k)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  SoABlock all_points(data.dims());
+  all_points.Assign(data);
+  std::vector<double> sq_dist(data.size());
+  GetKernelOps(kernels).squared_distances(all_points, data[id],
+                                          sq_dist.data(), nullptr);
+  sq_dist.erase(sq_dist.begin() + id);
+  // sqrt is monotone, so the k-th smallest squared distance gives the
+  // k-th smallest distance.
+  std::nth_element(sq_dist.begin(), sq_dist.begin() + (k - 1), sq_dist.end());
+  return std::sqrt(sq_dist[k - 1]);
+}
 
 ParameterSuggestion SuggestParameters(const Dataset& data,
                                       const AdvisorOptions& options) {

@@ -14,6 +14,7 @@
 
 #include "common/dataset.h"
 #include "detection/detector.h"
+#include "kernels/kernel_mode.h"
 
 namespace dod {
 
@@ -45,6 +46,12 @@ struct ParameterSuggestion {
 // fraction — become outliers.
 ParameterSuggestion SuggestParameters(const Dataset& data,
                                       const AdvisorOptions& options);
+
+// Exact distance from point `id` to its k-th nearest other point (an O(n)
+// scan); infinity when the dataset holds fewer than k other points. The
+// value is bit-identical in every kernel mode.
+double KDistance(const Dataset& data, PointId id, int k,
+                 KernelMode kernels = KernelMode::kAuto);
 
 }  // namespace dod
 

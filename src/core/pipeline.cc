@@ -44,14 +44,8 @@ const char* EvalCounterName(AlgorithmKind kind) {
 // fault-injection seed.
 void RecordPartitionMetrics(const PartitionProfile& profile) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kCore = metrics.Id("detect.partition_core_points",
-                                           MetricKind::kHistogram);
-  static const uint32_t kSupport = metrics.Id(
-      "detect.partition_support_points", MetricKind::kHistogram);
   static const uint32_t kSeconds =
       metrics.Id("detect.cell_seconds", MetricKind::kHistogram);
-  metrics.Observe(kCore, static_cast<double>(profile.core_points));
-  metrics.Observe(kSupport, static_cast<double>(profile.support_points));
   metrics.Observe(kSeconds, profile.measured_seconds);
 }
 

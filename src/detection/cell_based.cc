@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "detection/grid.h"
 #include "kernels/distance_kernels.h"
@@ -106,15 +107,21 @@ std::vector<uint32_t> CellBasedDetector::DetectOutliers(
 
   // Index every point (core and support) into the sparse grid, reading the
   // view in place — one indexed load per point, no partition copy.
-  SparseGrid grid(partition.Bounds().min(), side);
-  for (uint32_t i = 0; i < partition.size(); ++i) {
-    grid.Insert(partition.point(i), i);
-  }
+  const SparseGrid grid(
+      partition.Bounds().min(), side, static_cast<uint32_t>(partition.size()),
+      [&](uint32_t i) { return partition.point(i); });
 
   PruneStats stats;
   uint64_t distance_evals = 0;
   std::vector<uint32_t> undecided;
-  PruneCells(grid, num_core, k, max_ring, &undecided, &outliers, &stats);
+  if (grid.fits()) {
+    PruneCells(grid, num_core, k, max_ring, &undecided, &outliers, &stats);
+  } else {
+    // The view spans more cells than an int32 key can address without
+    // aliasing: no cell pruning, every core point is counted exactly.
+    undecided.resize(num_core);
+    std::iota(undecided.begin(), undecided.end(), 0u);
+  }
 
   // Individual evaluation of the undecided points: an exact neighbor count
   // against the whole partition. Unlike Nested-Loop there is no random

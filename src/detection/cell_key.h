@@ -62,14 +62,37 @@ struct CellCoordLess {
 
 // The uniform grid assignment: cell i of dimension d covers
 // [origin[d] + i*side, origin[d] + (i+1)*side). `side` must be > 0.
+inline double UniformCellIndex(double x, double origin, double side) {
+  return std::floor((x - origin) / side);
+}
+
 inline CellCoord UniformCellKey(const double* p, int dims,
                                 const double* origin, double side) {
   CellCoord coord;
   coord.dims = dims;
   for (int i = 0; i < dims; ++i) {
-    coord.c[i] = static_cast<int32_t>(std::floor((p[i] - origin[i]) / side));
+    coord.c[i] =
+        static_cast<int32_t>(UniformCellIndex(p[i], origin[i], side));
   }
   return coord;
+}
+
+// Largest |cell index| a checked key accepts. Half the int32 range, so
+// a block of ring offsets around any accepted key never overflows.
+inline constexpr double kMaxCellIndex = 1 << 30;
+
+// UniformCellKey that refuses instead of aliasing: returns false (leaving
+// `out` unspecified) when some index lies outside ±kMaxCellIndex or is not
+// a number, where the int32 conversion would fold distinct cells together.
+inline bool TryUniformCellKey(const double* p, int dims, const double* origin,
+                              double side, CellCoord* out) {
+  out->dims = dims;
+  for (int i = 0; i < dims; ++i) {
+    const double index = UniformCellIndex(p[i], origin[i], side);
+    if (!(std::fabs(index) <= kMaxCellIndex)) return false;
+    out->c[i] = static_cast<int32_t>(index);
+  }
+  return true;
 }
 
 }  // namespace dod

@@ -1,16 +1,30 @@
 // Copyright 2026 The DOD Authors.
 //
-// Sparse uniform grid over d-dimensional space. Cells are addressed by
-// integer coordinates relative to an anchor; only non-empty cells are
-// materialized. Used by the Cell-Based detector (Knorr & Ng) and by the DMT
-// mini-bucket statistics.
+// Sparse uniform grid over d-dimensional space, built once over a fixed
+// point set. Cells are addressed by integer coordinates relative to an
+// anchor; only non-empty cells are materialized. Used by the Cell-Based
+// detector (Knorr & Ng) and by DBSCAN's eps index.
+//
+// Layout (CSR): one open-addressing table maps a cell coordinate to its
+// cell index, and the member ids of all cells live in one array that a
+// counting sort groups by cell; each cell's members are a span of it.
+// Building costs a handful of flat allocations whatever the number of
+// cells, and memory is O(points), never O(bounding-box cells).
+//
+// Order contract: cells come in order of their first point, and each
+// cell's members are ascending.
+//
+// No aliasing: a point whose cell index falls outside ±kMaxCellIndex in
+// some dimension cannot be keyed without two distinct cells sharing one
+// int32 address. The grid then refuses the whole point set: `fits()` is
+// false and it holds no cells, so callers answer from the points directly.
 
 #ifndef DOD_DETECTION_GRID_H_
 #define DOD_DETECTION_GRID_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/point.h"
@@ -23,26 +37,46 @@ class SparseGrid {
  public:
   struct Cell {
     CellCoord coord;
-    std::vector<uint32_t> points;
+    std::span<const uint32_t> points;
   };
 
   // Grid of side `side` anchored at `origin` (coordinates of cell (0,..,0)'s
-  // lower corner).
-  SparseGrid(Point origin, double side);
+  // lower corner) over points 0..num_points-1, where `point(i)` returns the
+  // coordinates of point i.
+  template <typename PointFn>
+  SparseGrid(const Point& origin, double side, uint32_t num_points,
+             PointFn&& point)
+      : SparseGrid(origin, side, num_points) {
+    std::vector<uint32_t> cell_of(num_points);
+    CellCoord coord;
+    for (uint32_t i = 0; i < num_points; ++i) {
+      if (!TryUniformCellKey(point(i), dims(), origin_.data(), side_,
+                             &coord)) {
+        Refuse();
+        return;
+      }
+      cell_of[i] = CellIndexFor(coord);
+    }
+    Finish(cell_of);
+  }
+
+  SparseGrid(const SparseGrid&) = delete;
+  SparseGrid& operator=(const SparseGrid&) = delete;
 
   int dims() const { return origin_.dims(); }
-  double side() const { return side_; }
 
+  // False when some point's cell index was out of range; the grid is then
+  // empty (see the file comment).
+  bool fits() const { return fits_; }
+
+  // Cell of `p`. `p` must key within range (true of every built point
+  // when fits()).
   CellCoord CoordOf(const double* p) const;
 
-  // Inserts point `id` with coordinates `p`.
-  void Insert(const double* p, uint32_t id);
-
-  // All non-empty cells, in insertion order of their first point.
+  // All non-empty cells, in order of their first point.
   const std::vector<Cell>& cells() const { return cells_; }
 
-  // Pointer to the cell at `coord`, or nullptr when empty. Stable until the
-  // next Insert.
+  // Pointer to the cell at `coord`, or nullptr when empty.
   const Cell* Find(const CellCoord& coord) const;
 
   // Number of points within Chebyshev cell-distance `ring_radius` of `coord`
@@ -62,6 +96,19 @@ class SparseGrid {
   }
 
  private:
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  SparseGrid(const Point& origin, double side, uint32_t num_points);
+
+  // Index of the cell at `coord`, materializing it on first sight.
+  uint32_t CellIndexFor(const CellCoord& coord);
+  // Counting-sorts the point ids into the CSR member array.
+  void Finish(const std::vector<uint32_t>& cell_of);
+  // Drops everything built so far and marks the grid as not fitting.
+  void Refuse();
+
+  size_t SlotOf(const CellCoord& coord) const;
+
   template <typename Fn>
   void VisitBlock(const CellCoord& center, int min_ring, int max_ring,
                   int dim, int cheby_so_far, CellCoord& probe,
@@ -81,8 +128,14 @@ class SparseGrid {
 
   Point origin_;
   double side_;
+  bool fits_ = true;
   std::vector<Cell> cells_;
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> index_;
+  // Open-addressing table of cell indices (kEmptySlot when free), linear
+  // probing; the capacity is a power of two ≥ 2·num_points.
+  std::vector<uint32_t> table_;
+  int table_shift_ = 0;
+  // CSR member array: every point id once, grouped by cell.
+  std::vector<uint32_t> members_;
 };
 
 }  // namespace dod

@@ -13,20 +13,17 @@ namespace {
 
 // Arena-build accounting: one arena serves every cell of a reduce task, so
 // cells - arenas is the number of per-cell SoA builds the shared layout
-// saved. `points` counts slots laid out (replicas included).
-void RecordArenaBuild(size_t cells, size_t points) {
+// saved.
+void RecordArenaBuild(size_t cells) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static const uint32_t kArenas =
       metrics.Id("kernels.soa_reuse.arenas", MetricKind::kCounter);
   static const uint32_t kCells =
       metrics.Id("kernels.soa_reuse.cells", MetricKind::kCounter);
-  static const uint32_t kPoints =
-      metrics.Id("kernels.soa_reuse.points", MetricKind::kCounter);
   static const uint32_t kSaved =
       metrics.Id("kernels.soa_reuse.saved_builds", MetricKind::kCounter);
   metrics.Increment(kArenas);
   metrics.Increment(kCells, cells);
-  metrics.Increment(kPoints, points);
   if (cells > 0) metrics.Increment(kSaved, cells - 1);
 }
 
@@ -111,7 +108,7 @@ Status TaskArena::TryBuildProbes() {
   built_ = true;
   span.Arg("cells", static_cast<uint64_t>(cells_.size()))
       .Arg("points", static_cast<uint64_t>(points));
-  RecordArenaBuild(cells_.size(), points);
+  RecordArenaBuild(cells_.size());
   return Status::Ok();
 }
 

@@ -20,15 +20,20 @@ namespace {
 // point lie within the 3^d block around its cell. Each cell's members are
 // mirrored into a blocked SoA buffer at build time, so a range query is one
 // RangeMask kernel call per non-empty cell of the block; eps² is hoisted
-// once.
+// once. Data too wide for the grid to key without aliasing is scanned as
+// one cell.
 class EpsIndex {
  public:
   EpsIndex(const Dataset& points, double eps, KernelMode kernels)
       : points_(points),
         sq_eps_(eps * eps),
         ops_(GetKernelOps(kernels)),
-        grid_(points.Bounds().min(), eps) {
-    for (uint32_t i = 0; i < points.size(); ++i) grid_.Insert(points_[i], i);
+        grid_(points.Bounds().min(), eps, static_cast<uint32_t>(points.size()),
+              [&](uint32_t i) { return points[i]; }) {
+    if (!grid_.fits()) {
+      cell_soa_.emplace_back(points.dims()).Assign(points);
+      return;
+    }
     cell_soa_.reserve(grid_.cells().size());
     for (const SparseGrid::Cell& cell : grid_.cells()) {
       SoABlock& soa = cell_soa_.emplace_back(points.dims());
@@ -41,6 +46,11 @@ class EpsIndex {
   // cell order then member order — the order the scalar scan produced.
   void Neighbors(uint32_t i, std::vector<uint32_t>* out) const {
     const double* p = points_[i];
+    if (!grid_.fits()) {
+      ops_.range_mask(cell_soa_.front(), p, sq_eps_, /*skip_id=*/i, out,
+                      nullptr);
+      return;
+    }
     grid_.ForEachCellInBlock(
         grid_.CoordOf(p), 0, 1, [&](const SparseGrid::Cell& cell) {
           const size_t index =
@@ -54,7 +64,7 @@ class EpsIndex {
   const Dataset& points_;
   double sq_eps_;
   const KernelOps& ops_;
-  SparseGrid grid_;
+  const SparseGrid grid_;
   std::vector<SoABlock> cell_soa_;
 };
 

@@ -1171,11 +1171,6 @@ Status StreamingDetector::RestoreLatest() {
                              " is inconsistent with its verdict");
     }
   }
-
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const uint32_t kRestored =
-      metrics.Id("stream.rounds_restored", MetricKind::kCounter);
-  metrics.Increment(kRestored, round_);
   return Status::Ok();
 }
 

@@ -71,6 +71,19 @@ TEST(DbscanTest, FindsTwoBlobsAndNoise) {
   EXPECT_NE(labels[0], labels[40]);
 }
 
+// With the second blob 1e10 away, eps = 2 cells would need indices past
+// the grid's int32 range; the index then scans all points as one cell and
+// must still find the same clusters.
+TEST(DbscanTest, DataTooWideForTheGridKeepsItsClusters) {
+  const Dataset near = TwoBlobs();
+  Dataset far(2);
+  for (PointId i = 0; i < near.size(); ++i) {
+    const double shift = (i >= 40 && i < 80) ? 1e10 : 0.0;
+    far.Append(Point{near[i][0] + shift, near[i][1]});
+  }
+  EXPECT_EQ(DbscanLabels(far, {2.0, 4}), DbscanLabels(near, {2.0, 4}));
+}
+
 TEST(DbscanTest, EverythingNoiseWhenSparse) {
   const Dataset data = GenerateUniform(100, Rect::Cube(2, 0.0, 1000.0), 7);
   const std::vector<int32_t> labels = DbscanLabels(data, {1.0, 4});

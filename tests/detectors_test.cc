@@ -131,11 +131,13 @@ TEST_P(DetectorAgreement, BothMatchOracleOnClusteredWithSupport) {
 INSTANTIATE_TEST_SUITE_P(
     DensityAndParamSweep, DetectorAgreement,
     testing::Values(
+        AgreementCase{"sparsest", 0.005, 5.0, 4, 1500},
         AgreementCase{"very_sparse", 0.004, 5.0, 4, 800},
         AgreementCase{"sparse", 0.02, 5.0, 4, 1500},
         AgreementCase{"middle", 0.08, 5.0, 4, 1500},
         AgreementCase{"dense", 0.4, 5.0, 4, 2000},
         AgreementCase{"very_dense", 2.0, 5.0, 4, 2000},
+        AgreementCase{"densest", 2.56, 5.0, 4, 2000},
         AgreementCase{"tight_radius", 0.08, 1.0, 4, 1500},
         AgreementCase{"wide_radius", 0.08, 20.0, 4, 1500},
         AgreementCase{"k_one", 0.05, 5.0, 1, 1200},
@@ -151,6 +153,23 @@ TEST(DetectorEdgeCases, EmptyDataset) {
   CellBasedDetector cb;
   EXPECT_TRUE(nl.DetectOutliers(data, 0, params).empty());
   EXPECT_TRUE(cb.DetectOutliers(data, 0, params).empty());
+}
+
+// Regression: at r = 1 the cell side is ~0.35, so these points sit ~2.8e10
+// cells apart — beyond int32 cell keys, which used to saturate and alias
+// all six into one "red" cell (1 outlier reported instead of 6).
+TEST(DetectorEdgeCases, CellBasedNeverAliasesOutOfRangeCells) {
+  Dataset data(2);
+  for (int i = 0; i < 6; ++i) data.Append(Point{i * 1e10, 0.0});
+  DetectionParams params{1.0, 4};
+  const std::vector<uint32_t> expected = Oracle(data, data.size(), params);
+  ASSERT_EQ(expected.size(), 6u);
+  NestedLoopDetector nl;
+  CellBasedDetector cb;
+  EXPECT_EQ(nl.DetectOutliers(data, data.size(), params), expected);
+  EXPECT_EQ(cb.DetectOutliers(data, data.size(), params), expected);
+  // Support points far outside the range are counted too.
+  EXPECT_EQ(cb.DetectOutliers(data, 3, params), Oracle(data, 3, params));
 }
 
 TEST(DetectorEdgeCases, AllPointsIdentical) {

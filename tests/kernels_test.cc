@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/parameter_advisor.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "data/tiger_like.h"
@@ -20,7 +21,6 @@
 #include "detection/cell_based.h"
 #include "detection/nested_loop.h"
 #include "extensions/dbscan.h"
-#include "extensions/knn_outliers.h"
 #include "kernels/distance_kernels.h"
 #include "kernels/soa_block.h"
 
@@ -342,19 +342,6 @@ TEST(KernelEquivalenceTest, ExtensionsMatchScalar) {
   const std::vector<int32_t> want_labels = DbscanLabels(data, dbscan);
   dbscan.kernels = KernelMode::kAuto;
   EXPECT_EQ(DbscanLabels(data, dbscan), want_labels);
-
-  KnnOutlierParams knn;
-  knn.k = 5;
-  knn.top_n = 25;
-  knn.kernels = KernelMode::kScalar;
-  const std::vector<KnnOutlier> want_scores = TopNKnnOutliers(data, knn);
-  knn.kernels = KernelMode::kAuto;
-  const std::vector<KnnOutlier> got_scores = TopNKnnOutliers(data, knn);
-  ASSERT_EQ(got_scores.size(), want_scores.size());
-  for (size_t i = 0; i < want_scores.size(); ++i) {
-    EXPECT_EQ(got_scores[i].id, want_scores[i].id);
-    EXPECT_EQ(got_scores[i].k_distance, want_scores[i].k_distance);
-  }
 
   EXPECT_EQ(KDistance(data, 3, 4, KernelMode::kScalar),
             KDistance(data, 3, 4, KernelMode::kAuto));

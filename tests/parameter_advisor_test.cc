@@ -20,6 +20,25 @@ double RealizedOutlierFraction(const Dataset& data,
   return static_cast<double>(outliers.size()) / data.size();
 }
 
+TEST(KDistanceTest, HandComputed) {
+  Dataset data(2);
+  data.Append(Point{0.0, 0.0});
+  data.Append(Point{3.0, 0.0});
+  data.Append(Point{0.0, 4.0});
+  data.Append(Point{6.0, 8.0});
+  // Point 0: neighbors at distances 3, 4, 10.
+  EXPECT_DOUBLE_EQ(KDistance(data, 0, 1), 3.0);
+  EXPECT_DOUBLE_EQ(KDistance(data, 0, 2), 4.0);
+  EXPECT_DOUBLE_EQ(KDistance(data, 0, 3), 10.0);
+}
+
+TEST(KDistanceTest, InfiniteWhenTooFewPoints) {
+  Dataset data(2);
+  data.Append(Point{0.0, 0.0});
+  data.Append(Point{1.0, 0.0});
+  EXPECT_TRUE(std::isinf(KDistance(data, 0, 2)));
+}
+
 TEST(ParameterAdvisorTest, HitsTargetFractionOnUniformData) {
   const Dataset data =
       GenerateUniform(10000, DomainForDensity(10000, 0.1), 3);

@@ -148,6 +148,25 @@ TEST(PipelineBasics, DomainBaselineRunsVerificationJob) {
   EXPECT_EQ(result.outliers, GroundTruth(data, params));
 }
 
+// Regression: a partition spanning more than 2^31 Cell-Based cells per
+// dimension used to alias far-apart points into one saturated "red" cell
+// and call them inliers (2 of 7 reported). The grid now refuses such a
+// view and every core point is counted exactly.
+TEST(PipelineBasics, CellBasedOnAHugeExtentMatchesBruteForce) {
+  DetectionParams params{1.0, 4};
+  Dataset data(2);
+  for (int i = 0; i < 6; ++i) data.Append(Point{i * 1e10, 0.0});
+  data.Append(Point{0.0, 1e10});
+  DodConfig config = DodConfig::Baseline(params, StrategyKind::kUniSpace,
+                                         AlgorithmKind::kCellBased);
+  config.num_blocks = 1;
+  config.target_partitions = 1;
+  DodPipeline pipeline(config);
+  const DodResult result = pipeline.RunOrDie(data);
+  EXPECT_EQ(result.outliers, GroundTruth(data, params));
+  EXPECT_EQ(result.outliers.size(), 7u);
+}
+
 TEST(PipelineBasics, DeterministicAcrossRuns) {
   DetectionParams params{5.0, 4};
   const Dataset data = GenerateTigerLike(2000, 31);

@@ -10,6 +10,7 @@
 // dense-patch schedules that drive saturated points through re-counts —
 // and checkpoint/resume reproducing the uninterrupted run's deltas exactly.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -59,15 +60,26 @@ TEST(CellKeyTest, MatchesSparseGridForRandomPointsOriginsAndSides) {
     Point origin(dims);
     for (int d = 0; d < dims; ++d) origin[d] = rng.NextDouble() * 20.0 - 10.0;
     const double side = 0.25 + rng.NextDouble() * 4.0;
-    SparseGrid grid(origin, side);
+    Dataset points(dims);
     for (int i = 0; i < 40; ++i) {
       Point p(dims);
       for (int d = 0; d < dims; ++d) p[d] = rng.NextDouble() * 200.0 - 100.0;
-      const CellCoord from_grid = grid.CoordOf(p.data());
+      points.Append(p);
+    }
+    const SparseGrid grid(origin, side, static_cast<uint32_t>(points.size()),
+                          [&](uint32_t i) { return points[i]; });
+    ASSERT_TRUE(grid.fits());
+    for (uint32_t i = 0; i < points.size(); ++i) {
+      const CellCoord from_grid = grid.CoordOf(points[i]);
       const CellCoord from_helper =
-          UniformCellKey(p.data(), dims, origin.data(), side);
+          UniformCellKey(points[i], dims, origin.data(), side);
       EXPECT_TRUE(from_grid == from_helper);
       EXPECT_EQ(CellCoordHash{}(from_grid), CellCoordHash{}(from_helper));
+      // The built grid filed the point under that same key.
+      const SparseGrid::Cell* cell = grid.Find(from_helper);
+      ASSERT_NE(cell, nullptr);
+      EXPECT_TRUE(std::binary_search(cell->points.begin(),
+                                     cell->points.end(), i));
     }
   }
 }

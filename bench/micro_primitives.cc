@@ -75,6 +75,24 @@ void BM_RouterRouteCore(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterRouteCore);
 
+// The detection map's fused lookup: core cell plus support cells.
+void BM_RouterRoute(benchmark::State& state) {
+  const Rect domain = Rect::Cube(2, 0.0, 1000.0);
+  const PartitionPlan plan(domain, 5.0, EquiWidthCells(domain, 256));
+  const PartitionRouter router(plan);
+  const Dataset data = GenerateUniform(10000, domain, 11);
+  std::vector<uint32_t> support;
+  size_t cursor = 0;
+  for (auto _ : state) {
+    support.clear();
+    benchmark::DoNotOptimize(
+        router.Route(data[cursor++ % data.size()], &support));
+    benchmark::DoNotOptimize(support.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouterRoute);
+
 void BM_AfTreeClusterBuckets(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -85,13 +85,14 @@ class DetectMapper : public Mapper<uint32_t, TaggedWord> {
     std::vector<uint32_t> support_cells;
     for (PointId id : store_.block(split_index)) {
       const double* p = data[id];
-      out.Emit(router_.RouteCore(p), PackTagged(id, false));
-      if (emit_support_) {
-        support_cells.clear();
-        router_.RouteSupport(p, &support_cells);
-        for (uint32_t cell : support_cells) {
-          out.Emit(cell, PackTagged(id, true));
-        }
+      if (!emit_support_) {
+        out.Emit(router_.RouteCore(p), PackTagged(id, false));
+        continue;
+      }
+      support_cells.clear();
+      out.Emit(router_.Route(p, &support_cells), PackTagged(id, false));
+      for (uint32_t cell : support_cells) {
+        out.Emit(cell, PackTagged(id, true));
       }
     }
   }

@@ -129,9 +129,8 @@ DistributedDbscanResult DistributedDbscan(
   std::vector<std::vector<PointId>> core(m), support(m);
   std::vector<uint32_t> cells;
   for (PointId i = 0; i < n; ++i) {
-    core[router.RouteCore(data[i])].push_back(i);
     cells.clear();
-    router.RouteSupport(data[i], &cells);
+    core[router.Route(data[i], &cells)].push_back(i);
     for (uint32_t c : cells) support[c].push_back(i);
   }
 

@@ -67,13 +67,18 @@ class PartitionPlan {
   std::vector<GridCell> cells_;
 };
 
-// Accelerates point → cell routing with a coarse uniform bin index over the
+// Accelerates point → cell routing with a flat uniform bin index over the
 // domain ("the AF tree can be leveraged as an index to accelerate the
 // process of mapping data points into partitions" — we use an equivalent
 // flat spatial index that works for every plan shape).
+//
+// The router copies what it needs out of the plan: per-cell core bounds,
+// closed-upper-face flags and precomputed r-extensions in one flat array,
+// and the candidate cells of every bin as one CSR array in ascending cell
+// id. Each test is the same double comparison PartitionPlan::ContainsCore
+// and SupportBounds(id).Contains make, so routing answers are identical.
 class PartitionRouter {
  public:
-  // The plan must outlive the router.
   explicit PartitionRouter(const PartitionPlan& plan);
 
   // Core cell of `p`. Aborts if the plan does not cover `p` (Validate()
@@ -82,17 +87,41 @@ class PartitionRouter {
 
   // Appends the ids of every cell for which `p` is a support point
   // (Def. 3.2 realized via the Def. 3.3 superset): p inside the cell's
-  // r-extension but not a core point of the cell.
+  // r-extension but not a core point of the cell. Ids come in ascending
+  // order.
   void RouteSupport(const double* p, std::vector<uint32_t>* out) const;
 
- private:
-  size_t BinOf(const double* p) const;
+  // RouteCore and RouteSupport in one bin lookup: returns the core cell
+  // and appends the support cells exactly as RouteSupport does.
+  uint32_t Route(const double* p, std::vector<uint32_t>* support) const;
 
-  const PartitionPlan* plan_;
+ private:
+  // Per-cell bounds, one block of kStride doubles per dimension.
+  static constexpr int kStride = 4;  // core lo, core hi, support lo, hi
+
+  const double* CellBounds(uint32_t id) const {
+    return bounds_.data() +
+           static_cast<size_t>(id) * static_cast<size_t>(kStride * dims_);
+  }
+  bool InCore(uint32_t id, const double* p) const;
+  bool InSupport(uint32_t id, const double* p) const;
+  size_t BinOf(const double* p) const;
+  size_t BinIndex(int dim, double x) const;
+
+  int dims_ = 0;
   int bins_per_dim_ = 1;
-  // Per-bin candidate cell ids (cells whose support bounds intersect the
-  // bin). Flattened row-major over dims.
-  std::vector<std::vector<uint32_t>> bins_;
+  double domain_lo_[kMaxDimensions] = {};
+  // bins_per_dim / extent, 0 along a dimension of zero extent.
+  double bin_scale_[kMaxDimensions] = {};
+  std::vector<double> bounds_;
+  // Bit d set iff the cell's upper face in dimension d lies on the
+  // domain's upper boundary (closed for core membership).
+  std::vector<uint32_t> closed_hi_;
+  // CSR bins: the candidates of flat bin b (row-major over dims) are
+  // bin_cells_[bin_begin_[b] .. bin_begin_[b + 1]), every cell whose
+  // r-extension intersects the bin, in ascending id.
+  std::vector<uint32_t> bin_begin_;
+  std::vector<uint32_t> bin_cells_;
 };
 
 }  // namespace dod

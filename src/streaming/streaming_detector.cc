@@ -174,6 +174,18 @@ Status StreamingDetector::ValidateBlock(const StreamBlock& block) const {
         std::to_string(dims_));
   }
   DOD_RETURN_IF_ERROR(block.points.Validate());
+  // Past kMaxCellIndex cells from the grid origin an int32 cell key would
+  // fold distinct cells together; such a point has no exact key, so the
+  // whole block is refused before anything is admitted or buffered.
+  CellCoord key;
+  for (size_t i = 0; i < block.points.size(); ++i) {
+    const double* p = block.points[static_cast<PointId>(i)];
+    if (!TryUniformCellKey(p, block.points.dims(), origin_, side_, &key)) {
+      return Status::InvalidArgument(
+          "StreamingDetector::Feed: point " + std::to_string(block.ids[i]) +
+          " lies more than 2^30 cells from the grid origin");
+    }
+  }
   std::unordered_set<PointId> seen;
   seen.reserve(block.ids.size());
   for (PointId id : block.ids) {
@@ -206,7 +218,8 @@ uint32_t StreamingDetector::AllocSlot(PointId id, const double* p) {
 }
 
 CellCoord StreamingDetector::KeyOf(const double* p) const {
-  // The exact keying the batch grids use (detection/cell_key.h).
+  // The exact keying the batch grids use (detection/cell_key.h); every
+  // resident point passed TryUniformCellKey in ValidateBlock.
   return UniformCellKey(p, dims_, origin_, side_);
 }
 

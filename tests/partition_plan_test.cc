@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <random>
 
 #include "common/distance.h"
 #include "data/generators.h"
@@ -106,26 +107,120 @@ TEST(PartitionRouterTest, EveryPointHasExactlyOneCoreCell) {
   }
 }
 
+// An irregular plan: `cuts` guillotine splits of `domain` at seeded,
+// non-round positions, each splitting the largest cell along its longest
+// side. Disjoint cells covering the domain, of uneven sizes.
+PartitionPlan GuillotinePlan(const Rect& domain, double radius, int cuts,
+                             uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> fraction(0.2, 0.8);
+  std::vector<Rect> cells = {domain};
+  for (int c = 0; c < cuts; ++c) {
+    size_t largest = 0;
+    for (size_t i = 1; i < cells.size(); ++i) {
+      if (cells[i].Area() > cells[largest].Area()) largest = i;
+    }
+    const Rect cell = cells[largest];
+    int dim = 0;
+    for (int d = 1; d < cell.dims(); ++d) {
+      if (cell.Extent(d) > cell.Extent(dim)) dim = d;
+    }
+    const double cut = cell.lo(dim) + fraction(rng) * cell.Extent(dim);
+    Point upper_lo = cell.min();
+    Point lower_hi = cell.max();
+    upper_lo[dim] = cut;
+    lower_hi[dim] = cut;
+    cells[largest] = Rect(cell.min(), lower_hi);
+    cells.push_back(Rect(upper_lo, cell.max()));
+  }
+  return PartitionPlan(domain, radius, std::move(cells));
+}
+
+// Uniform points plus, for every cell, points on each of its faces and
+// exactly on each r-extension edge (other coordinates at the cell's
+// center), which covers internal faces and the domain's upper boundary.
+std::vector<Point> RoutingProbes(const PartitionPlan& plan, uint64_t seed) {
+  std::vector<Point> probes;
+  const Dataset uniform = GenerateUniform(600, plan.domain(), seed);
+  for (size_t i = 0; i < uniform.size(); ++i) {
+    const double* p = uniform[static_cast<PointId>(i)];
+    probes.emplace_back(p, plan.dims());
+  }
+  const double r = plan.radius();
+  for (const GridCell& cell : plan.cells()) {
+    const Point center = cell.bounds.Center();
+    for (int d = 0; d < plan.dims(); ++d) {
+      for (double x : {cell.bounds.lo(d), cell.bounds.hi(d),
+                       cell.bounds.lo(d) - r, cell.bounds.hi(d) + r}) {
+        Point probe = center;
+        probe[d] = x;
+        probes.push_back(probe);
+      }
+    }
+  }
+  probes.push_back(plan.domain().max());
+  return probes;
+}
+
 TEST(PartitionRouterTest, RouteSupportMatchesDefinition) {
   // Def. 3.3 ground truth: p is a support point of cell C iff p lies in the
-  // r-extension of C but is not a core point of C.
-  const Rect domain = Rect::Cube(2, 0.0, 50.0);
-  const PartitionPlan plan(domain, 3.0, EquiWidthCells(domain, 16));
-  const PartitionRouter router(plan);
-  const Dataset data = GenerateUniform(1500, domain, 23);
+  // r-extension of C (closed) but is not a core point of C. The fused Route
+  // must return RouteCore's cell and append RouteSupport's cells in order.
+  // The last plan's r-extensions span the whole domain, so the router must
+  // coarsen its bins to keep the candidate table bounded.
+  const Rect square = Rect::Cube(2, 0.0, 50.0);
+  const std::vector<PartitionPlan> plans = {
+      PartitionPlan(square, 3.0, EquiWidthCells(square, 16)),
+      GuillotinePlan(Rect::Cube(1, 0.0, 100.0), 2.5, 11, 41),
+      GuillotinePlan(Rect::Cube(2, -20.0, 80.0), 3.0, 23, 43),
+      GuillotinePlan(Rect(Point{0.0, 0.0, 0.0}, Point{60.0, 40.0, 20.0}), 2.0,
+                     31, 47),
+      GuillotinePlan(Rect::Cube(1, 0.0, 100.0), 150.0, 799, 53)};
   std::vector<uint32_t> routed;
-  for (size_t i = 0; i < data.size(); ++i) {
-    const double* p = data[static_cast<PointId>(i)];
-    routed.clear();
-    router.RouteSupport(p, &routed);
-    const std::set<uint32_t> got(routed.begin(), routed.end());
-    EXPECT_EQ(got.size(), routed.size()) << "duplicate support cells";
-    for (uint32_t id = 0; id < plan.num_cells(); ++id) {
-      const bool expected =
-          plan.SupportBounds(id).Contains(p) && !plan.ContainsCore(id, p);
-      EXPECT_EQ(got.contains(id), expected)
-          << "point " << i << " cell " << id;
+  std::vector<uint32_t> fused;
+  for (const PartitionPlan& plan : plans) {
+    ASSERT_TRUE(plan.Validate().ok()) << plan.ToString();
+    const PartitionRouter router(plan);
+    for (const Point& probe : RoutingProbes(plan, 23)) {
+      const double* p = probe.data();
+      std::vector<uint32_t> expected_support;
+      std::vector<uint32_t> expected_core;
+      for (uint32_t id = 0; id < plan.num_cells(); ++id) {
+        if (plan.ContainsCore(id, p)) {
+          expected_core.push_back(id);
+        } else if (plan.SupportBounds(id).Contains(p)) {
+          expected_support.push_back(id);
+        }
+      }
+      routed.clear();
+      router.RouteSupport(p, &routed);
+      EXPECT_EQ(routed, expected_support)
+          << plan.ToString() << " point " << probe.ToString();
+      // Probes beyond the domain (on outer r-extension edges) have no core
+      // cell; RouteCore and Route abort on them.
+      if (!plan.domain().Contains(p)) continue;
+      ASSERT_EQ(expected_core.size(), 1u) << probe.ToString();
+      EXPECT_EQ(router.RouteCore(p), expected_core[0]) << probe.ToString();
+      fused.clear();
+      EXPECT_EQ(router.Route(p, &fused), expected_core[0])
+          << probe.ToString();
+      EXPECT_EQ(fused, routed) << probe.ToString();
     }
+  }
+}
+
+TEST(PartitionRouterTest, FarAwayPointsRouteNowhere) {
+  // Bin lookup clamps in double: a coordinate far outside the domain lands
+  // in an edge bin, has no support cell and still fails the coverage check.
+  const PartitionPlan plan = TwoByTwoPlan();
+  const PartitionRouter router(plan);
+  for (double x : {1e300, -1e300}) {
+    const double far[2] = {x, 5.0};
+    std::vector<uint32_t> support;
+    router.RouteSupport(far, &support);
+    EXPECT_TRUE(support.empty());
+    EXPECT_DEATH(router.RouteCore(far), "not covered");
+    EXPECT_DEATH(router.Route(far, &support), "not covered");
   }
 }
 
@@ -168,10 +263,13 @@ TEST(PartitionRouterTest, WorksWithManyIrregularCells) {
   ASSERT_TRUE(plan.Validate().ok());
   const PartitionRouter router(plan);
   const Dataset data = GenerateUniform(1000, domain, 31);
+  std::vector<uint32_t> support;
   for (size_t i = 0; i < data.size(); ++i) {
     const double* p = data[static_cast<PointId>(i)];
     const uint32_t cell = router.RouteCore(p);
     EXPECT_TRUE(plan.ContainsCore(cell, p));
+    support.clear();
+    EXPECT_EQ(router.Route(p, &support), cell);
   }
 }
 

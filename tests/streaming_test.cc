@@ -2,11 +2,11 @@
 //
 // Streaming outlier service tests: the shared cell-keying contract, window
 // edge cases (entire-cell expiry, verdict flips caused purely by a
-// *neighbor's* expiry, duplicate-id rejection, empty feeds), the
-// saturation edge of the neighbor-count summaries, the central oracle
-// property — after every round the delta-reconstructed outlier set is
-// byte-identical to a from-scratch batch pipeline run over the window, for
-// every thread count × kernel mode × shuffle mode × window kind, including
+// *neighbor's* expiry, duplicate-id and out-of-key-range rejection, empty
+// feeds), the saturation edge of the neighbor-count summaries, the central
+// oracle property — after every round the delta-reconstructed outlier set
+// is byte-identical to a from-scratch batch pipeline run over the window,
+// for every thread count × kernel mode × shuffle mode × window kind, including
 // dense-patch schedules that drive saturated points through re-counts —
 // and checkpoint/resume reproducing the uninterrupted run's deltas exactly.
 
@@ -152,6 +152,49 @@ TEST(StreamingDetectorTest, RejectsDimensionMismatchAndNonFinite) {
   EXPECT_EQ(detector.Feed(nan_block).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(detector.resident_points(), 1u);
+}
+
+TEST(StreamingDetectorTest, BlockBeyondTheKeyRangeIsRefusedWindowUnchanged) {
+  // With side 1, a coordinate of 2e9 is past the 2^30 cells an int32 key
+  // represents exactly. The whole block is refused before admission, so
+  // the rounds, the window and the deltas are those of a detector that
+  // never saw it, and the next valid block is admitted normally.
+  const StreamBlock first = MakeBlock({{0, {0.0, 0.0}}, {1, {0.5, 0.0}}});
+  const StreamBlock far = MakeBlock({{2, {0.2, 0.2}}, {3, {2e9, 0.0}}});
+  const StreamBlock next = MakeBlock({{2, {0.2, 0.2}}, {4, {5.0, 5.0}}});
+  auto created = StreamingDetector::Create(BaseConfig(1.0, 1));
+  auto twin_created = StreamingDetector::Create(BaseConfig(1.0, 1));
+  ASSERT_TRUE(created.ok() && twin_created.ok());
+  StreamingDetector& detector = *created.value();
+  StreamingDetector& twin = *twin_created.value();
+
+  ASSERT_TRUE(detector.Feed(first).ok());
+  ASSERT_TRUE(twin.Feed(first).ok());
+  EXPECT_EQ(detector.Feed(far).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(detector.rounds(), 1u);
+  EXPECT_EQ(detector.resident_points(), 2u);
+  EXPECT_EQ(detector.outliers(), twin.outliers());
+
+  auto delta = detector.Feed(next);
+  auto twin_delta = twin.Feed(next);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_TRUE(twin_delta.ok());
+  EXPECT_EQ(delta.value().newly_flagged, twin_delta.value().newly_flagged);
+  EXPECT_EQ(delta.value().newly_cleared, twin_delta.value().newly_cleared);
+  EXPECT_EQ(delta.value().stats.round, 2u);
+  EXPECT_EQ(detector.resident_points(), 4u);
+  EXPECT_EQ(detector.outliers(), twin.outliers());
+
+  // Under a watermark policy the block is refused before it is buffered.
+  StreamingConfig ordered = BaseConfig(1.0, 1);
+  ordered.watermark.enabled = true;
+  ordered.watermark.lateness = 1.0;
+  auto buffered = StreamingDetector::Create(ordered);
+  ASSERT_TRUE(buffered.ok());
+  EXPECT_EQ(buffered.value()->Ingest(far).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(buffered.value()->buffered_blocks(), 0u);
+  EXPECT_EQ(buffered.value()->resident_points(), 0u);
 }
 
 TEST(StreamingDetectorTest, EntireCellExpiryClearsItsOutliers) {

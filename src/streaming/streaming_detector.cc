@@ -40,13 +40,34 @@ int SaturationCap(int min_neighbors) {
              : min_neighbors + kSummarySlack;
 }
 
-uint64_t CoordToken(const CellCoord& coord) {
-  return static_cast<uint64_t>(CellCoordHash{}(coord));
+// Most cells one supporting ring may span, (2R + 1)^dims: every round
+// walks the ring of each touched cell with one hash probe per cell. The
+// default side (= radius, R = 1) spans 3^8 = 6561 cells at kMaxDimensions;
+// a side far below the radius would otherwise make a round walk billions
+// of cells, or overflow R's int.
+constexpr double kMaxRingCells = 1 << 20;
+
+// Supporting ring in cells per side: with cell side s, any neighbor within
+// distance r is at most ceil(r/s) cells away per dimension. Computed in
+// double (at least 1; NaN reads as 1) so a tiny side cannot overflow the
+// int conversion.
+double SupportRing(double radius, double side) {
+  return std::max(1.0, std::ceil(radius / side));
 }
 
-void SortUnique(std::vector<CellCoord>* coords) {
-  std::sort(coords->begin(), coords->end(), CellCoordLess{});
-  coords->erase(std::unique(coords->begin(), coords->end()), coords->end());
+Status CheckRingCells(double ring, int dims) {
+  if (std::pow(2.0 * ring + 1.0, dims) <= kMaxRingCells) return Status::Ok();
+  char message[192];
+  std::snprintf(message, sizeof(message),
+                "StreamingDetector: the supporting ring R = ceil(radius / "
+                "cell_side) = %.6g spans more than 2^20 cells, (2R + 1)^%d; "
+                "use a larger cell_side",
+                ring, dims);
+  return Status::InvalidArgument(message);
+}
+
+uint64_t CoordToken(const CellCoord& coord) {
+  return static_cast<uint64_t>(CellCoordHash{}(coord));
 }
 
 // Invokes fn(coord) for every cell coordinate within Chebyshev distance
@@ -77,22 +98,6 @@ void ForEachInRing(const CellCoord& center, int ring, Fn&& fn) {
   }
 }
 
-// Half-open slot range of one cell's segment inside a SegmentIndex SoA.
-struct CellSegment {
-  uint32_t begin = 0;
-  uint32_t end = 0;
-};
-
-// The appended/evicted points of one round, laid out cell by cell in one
-// SoA so a dirty cell's residents count against each nearby segment with a
-// single batched kernel call.
-struct SegmentIndex {
-  explicit SegmentIndex(int dims) : soa(dims) {}
-  SoABlock soa;
-  std::unordered_map<CellCoord, CellSegment, CellCoordHash> ranges;
-  bool empty() const { return soa.empty(); }
-};
-
 }  // namespace
 
 StreamingDetector::StreamingDetector(const StreamingConfig& config)
@@ -100,10 +105,10 @@ StreamingDetector::StreamingDetector(const StreamingConfig& config)
       side_(config.cell_side > 0.0 ? config.cell_side
                                    : config.params.radius),
       executor_(std::make_unique<ParallelExecutor>(config.num_threads)) {
-  // Supporting ring: with cell side s, any neighbor within distance r is
-  // at most ceil(r/s) cells away per dimension (see DirtyCells).
-  ring_ = static_cast<int>(std::ceil(config_.params.radius / side_));
-  if (ring_ < 1) ring_ = 1;
+  // Create refuses rings past kMaxRingCells; the clamp only keeps the
+  // conversion defined for the unchecked JobKeyFor instances.
+  ring_ = static_cast<int>(
+      std::min(SupportRing(config_.params.radius, side_), kMaxRingCells));
   if (config_.grid_origin.dims() > 0) {
     for (int i = 0; i < config_.grid_origin.dims(); ++i) {
       origin_[i] = config_.grid_origin[i];
@@ -113,7 +118,7 @@ StreamingDetector::StreamingDetector(const StreamingConfig& config)
 
 Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
     const StreamingConfig& config) {
-  if (config.params.radius <= 0.0 || config.params.min_neighbors < 1) {
+  if (!(config.params.radius > 0.0) || config.params.min_neighbors < 1) {
     return Status::InvalidArgument(
         "StreamingDetector: radius must be > 0 and min_neighbors >= 1");
   }
@@ -121,6 +126,13 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
     return Status::InvalidArgument(
         "StreamingDetector: cell_side and window_seconds must be >= 0");
   }
+  // The ring in double, before any int conversion; the dims-dependent
+  // bound is checked again once the first block (or a restore) sets them.
+  DOD_RETURN_IF_ERROR(CheckRingCells(
+      SupportRing(config.params.radius,
+                  config.cell_side > 0.0 ? config.cell_side
+                                         : config.params.radius),
+      std::max(1, config.grid_origin.dims())));
   if (config.watermark.enabled &&
       (!std::isfinite(config.watermark.lateness) ||
        config.watermark.lateness < 0.0 ||
@@ -154,8 +166,10 @@ Status StreamingDetector::InitDims(int dims) {
     return Status::InvalidArgument(
         "StreamingDetector: block dims do not match grid_origin dims");
   }
+  DOD_RETURN_IF_ERROR(CheckRingCells(ring_, dims));
   dims_ = dims;
   window_.emplace(dims);
+  buffers_ = RoundBuffers(dims);
   return Status::Ok();
 }
 
@@ -172,6 +186,9 @@ Status StreamingDetector::ValidateBlock(const StreamBlock& block) const {
         "StreamingDetector::Feed: block dims " +
         std::to_string(block.points.dims()) + " != window dims " +
         std::to_string(dims_));
+  }
+  if (dims_ == 0) {
+    DOD_RETURN_IF_ERROR(CheckRingCells(ring_, block.points.dims()));
   }
   DOD_RETURN_IF_ERROR(block.points.Validate());
   // Past kMaxCellIndex cells from the grid origin an int32 cell key would
@@ -223,9 +240,7 @@ CellCoord StreamingDetector::KeyOf(const double* p) const {
   return UniformCellKey(p, dims_, origin_, side_);
 }
 
-void StreamingDetector::AppendBlock(const StreamBlock& block,
-                                    std::vector<CellCoord>* touched,
-                                    std::vector<uint32_t>* appended_slots) {
+void StreamingDetector::AppendBlock(const StreamBlock& block) {
   if (block.points.empty()) return;
   WindowBlock wb;
   wb.seq = next_seq_++;
@@ -238,15 +253,12 @@ void StreamingDetector::AppendBlock(const StreamBlock& block,
     const CellCoord coord = KeyOf(p);
     cells_[coord].slots.push_back(slot);
     wb.slots.push_back(slot);
-    touched->push_back(coord);
-    appended_slots->push_back(slot);
+    buffers_.touched.push_back(RoundPoint{coord, slot, /*evicted=*/false});
   }
   windows_[block.source_id].blocks.push_back(std::move(wb));
 }
 
-size_t StreamingDetector::ExpireBlocks(std::vector<CellCoord>* touched,
-                                       std::vector<PointId>* expired_flagged,
-                                       std::vector<uint32_t>* evicted_slots) {
+size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
   size_t expired_points = 0;
   // Ascending source-id order keeps the eviction sequence — and therefore
   // the evicted SoA segments and delta stats — deterministic. Emptied
@@ -271,12 +283,11 @@ size_t StreamingDetector::ExpireBlocks(std::vector<CellCoord>* touched,
         std::vector<uint32_t>& members = it->second.slots;
         members.erase(std::find(members.begin(), members.end(), slot));
         if (members.empty()) cells_.erase(it);
-        touched->push_back(coord);
         if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
         if (state.saturated != 0) --saturated_count_;
         id_to_slot_.erase(state.stream_id);
         free_slots_.push_back(slot);
-        evicted_slots->push_back(slot);
+        buffers_.touched.push_back(RoundPoint{coord, slot, /*evicted=*/true});
         ++expired_points;
       }
     }
@@ -284,234 +295,261 @@ size_t StreamingDetector::ExpireBlocks(std::vector<CellCoord>* touched,
   return expired_points;
 }
 
-std::vector<CellCoord> StreamingDetector::DirtyCells(
-    std::vector<CellCoord>* touched) const {
-  SortUnique(touched);
-  // Expand each touched cell by the supporting ring and keep the resident
-  // ones. Correctness: a point q's neighbor count changed iff a point
-  // within distance r of q was appended or expired; that point's cell is
-  // touched, and q's cell is then within ring_ of it (coordinates more
-  // than ring_ cells apart differ by > ring_*side >= r in that dimension).
-  std::unordered_set<CellCoord, CellCoordHash> dirty;
-  for (const CellCoord& center : *touched) {
-    ForEachInRing(center, ring_, [&](const CellCoord& probe) {
-      if (cells_.count(probe) != 0) dirty.insert(probe);
-    });
-  }
-  std::vector<CellCoord> result(dirty.begin(), dirty.end());
-  std::sort(result.begin(), result.end(), CellCoordLess{});
-  return result;
-}
-
-void StreamingDetector::StageCellWithRing(const CellCoord& center,
+void StreamingDetector::StageCellWithRing(const TargetCell& target,
                                           TaskArena* arena) const {
+  const CellCoord& center = target.cell->first;
+  const std::vector<uint32_t>& core = target.cell->second.slots;
   arena->BeginCell();
-  const CellState& cell = cells_.at(center);
-  for (uint32_t slot : cell.slots) arena->AddPoint(slot);
-  const size_t num_core = cell.slots.size();
+  for (uint32_t slot : core) arena->AddPoint(slot);
   ForEachInRing(center, ring_, [&](const CellCoord& probe) {
     if (probe == center) return;
     auto it = cells_.find(probe);
     if (it == cells_.end()) return;
     for (uint32_t slot : it->second.slots) arena->AddPoint(slot);
   });
-  arena->EndCell(num_core, CellSeed(config_.params.seed, CoordToken(center)) ^
-                               kArenaSeedSalt);
+  arena->EndCell(core.size(), CellSeed(config_.params.seed,
+                                       CoordToken(center)) ^
+                                  kArenaSeedSalt);
 }
 
-Status StreamingDetector::SummaryUpdate(
-    const std::vector<CellCoord>& dirty,
-    const std::vector<uint32_t>& appended_slots,
-    const std::vector<uint32_t>& evicted_slots, OutlierDelta* delta) {
-  std::vector<TargetCell> targets;
+Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
+  RoundBuffers& buf = buffers_;
+  buf.groups.clear();
+  buf.appended_soa.Clear();
+  buf.evicted_soa.Clear();
+  buf.dirty.clear();
+  buf.edges.clear();
+  buf.targets.clear();
+  buf.target_locals.clear();
   {
     trace::Span span("stream", "summary_update");
-    if (dims_ != 0 && !dirty.empty()) {
-      // Appended/evicted point segments, grouped by cell in one SoA each.
-      // Evicted coordinates are still readable: freed slots are only
-      // recycled by the *next* round's appends.
-      SegmentIndex inserted(dims_);
-      SegmentIndex evicted(dims_);
-      const auto build = [&](const std::vector<uint32_t>& round_slots,
-                             SegmentIndex* index) {
-        std::vector<std::pair<CellCoord, uint32_t>> items;
-        items.reserve(round_slots.size());
-        for (uint32_t slot : round_slots) {
-          items.emplace_back(KeyOf((*window_)[slot]), slot);
-        }
-        std::stable_sort(items.begin(), items.end(),
-                         [](const std::pair<CellCoord, uint32_t>& a,
-                            const std::pair<CellCoord, uint32_t>& b) {
-                           return CellCoordLess{}(a.first, b.first);
-                         });
-        index->soa.Reserve(items.size());
-        for (size_t i = 0; i < items.size();) {
-          size_t j = i;
-          while (j < items.size() && items[j].first == items[i].first) {
-            index->soa.Append((*window_)[items[j].second], items[j].second);
-            ++j;
-          }
-          index->ranges.emplace(
-              items[i].first, CellSegment{static_cast<uint32_t>(i),
-                                          static_cast<uint32_t>(j)});
-          i = j;
-        }
-      };
-      build(appended_slots, &inserted);
-      build(evicted_slots, &evicted);
+    // Touched groups: the round's appended and evicted points sorted by
+    // cell (then kind and slot, so the order is total), each group's
+    // points laid out contiguously in its SoA. Evicted coordinates are
+    // still readable: freed slots are only recycled by the *next* round's
+    // appends.
+    std::vector<RoundPoint>& touched = buf.touched;
+    std::sort(touched.begin(), touched.end(),
+              [](const RoundPoint& a, const RoundPoint& b) {
+                if (CellCoordLess{}(a.coord, b.coord)) return true;
+                if (CellCoordLess{}(b.coord, a.coord)) return false;
+                if (a.evicted != b.evicted) return b.evicted;
+                return a.slot < b.slot;
+              });
+    for (size_t i = 0; i < touched.size();) {
+      TouchedGroup group;
+      group.coord = touched[i].coord;
+      group.ins_begin = static_cast<uint32_t>(buf.appended_soa.size());
+      group.ev_begin = static_cast<uint32_t>(buf.evicted_soa.size());
+      for (; i < touched.size() && touched[i].coord == group.coord; ++i) {
+        (touched[i].evicted ? buf.evicted_soa : buf.appended_soa)
+            .Append((*window_)[touched[i].slot], touched[i].slot);
+      }
+      group.ins_end = static_cast<uint32_t>(buf.appended_soa.size());
+      group.ev_end = static_cast<uint32_t>(buf.evicted_soa.size());
+      buf.groups.push_back(group);
+    }
 
-      // Per dirty cell, in parallel: count the cell's surviving old
-      // residents against every appended (increment) and evicted
-      // (decrement) segment within the supporting ring. Results stage per
-      // cell and fold sequentially below.
-      struct CellPass {
-        std::vector<uint32_t> old_slots;  // queries, segment order
-        std::vector<uint32_t> inc;
-        std::vector<uint32_t> dec;
-        uint64_t inc_pairs = 0;
-        uint64_t dec_pairs = 0;
-      };
-      const double sq_radius =
-          config_.params.radius * config_.params.radius;
-      std::vector<CellPass> pass(dirty.size());
-      DOD_RETURN_IF_ERROR(executor_->RunTasks(
-          dirty.size(), [&](size_t i) -> Status {
-            CellPass& p = pass[i];
-            const CellState& cell = cells_.at(dirty[i]);
-            std::vector<double> queries;
-            queries.reserve(cell.slots.size() *
-                            static_cast<size_t>(dims_));
-            for (uint32_t slot : cell.slots) {
-              if (slots_[slot].fresh != 0) continue;
-              p.old_slots.push_back(slot);
-              const double* row = (*window_)[slot];
-              queries.insert(queries.end(), row, row + dims_);
-            }
-            if (p.old_slots.empty()) return Status::Ok();
-            p.inc.assign(p.old_slots.size(), 0);
-            p.dec.assign(p.old_slots.size(), 0);
-            ForEachInRing(dirty[i], ring_, [&](const CellCoord& probe) {
-              if (!inserted.empty()) {
-                auto it = inserted.ranges.find(probe);
-                if (it != inserted.ranges.end()) {
-                  CountBlockAgainstSegment(
-                      inserted.soa, it->second.begin, it->second.end,
-                      queries.data(), p.old_slots.size(), sq_radius,
-                      config_.params.kernels, p.inc.data(), &p.inc_pairs);
-                }
-              }
-              if (!evicted.empty()) {
-                auto it = evicted.ranges.find(probe);
-                if (it != evicted.ranges.end()) {
-                  CountBlockAgainstSegment(
-                      evicted.soa, it->second.begin, it->second.end,
-                      queries.data(), p.old_slots.size(), sq_radius,
-                      config_.params.kernels, p.dec.data(), &p.dec_pairs);
-                }
-              }
-            });
-            return Status::Ok();
-          }));
+    // One ring walk per group, one lookup per probe. Correctness: a point
+    // q's neighbor count changed iff a point within distance r of q was
+    // appended or expired; that point's cell is a touched group, and q's
+    // cell is then within ring_ of it (coordinates more than ring_ cells
+    // apart differ by > ring_*side >= r in that dimension). A resident cell
+    // joins the dirty list the first time a walk reaches it, so the list
+    // follows the sorted groups — never hash or thread order — and every
+    // (dirty cell, group) pair becomes one edge.
+    if (++pass_stamp_ == 0) {
+      // The stamp wrapped: forget every stale stamp before reusing them.
+      for (auto& entry : cells_) entry.second.stamp = 0;
+      pass_stamp_ = 1;
+    }
+    for (uint32_t g = 0; g < buf.groups.size(); ++g) {
+      ForEachInRing(buf.groups[g].coord, ring_, [&](const CellCoord& probe) {
+        auto it = cells_.find(probe);
+        if (it == cells_.end()) return;
+        CellState& cell = it->second;
+        if (cell.stamp != pass_stamp_) {
+          cell.stamp = pass_stamp_;
+          cell.dirty_index = static_cast<uint32_t>(buf.dirty.size());
+          buf.dirty.push_back(&*it);
+        }
+        buf.edges.emplace_back(cell.dirty_index, g);
+      });
+    }
+    const size_t num_dirty = buf.dirty.size();
+    delta->stats.dirty_cells = num_dirty;
 
-      // Sequential fold in dirty (lexicographic) order: exact counts
-      // adjust and flip in place; saturated bounds absorb the delta and
-      // queue a re-count only when they drop below k; appended points
-      // queue their first count.
-      const int k = config_.params.min_neighbors;
-      for (size_t i = 0; i < dirty.size(); ++i) {
-        const CellState& cell = cells_.at(dirty[i]);
-        const CellPass& p = pass[i];
-        TargetCell target;
-        target.coord = dirty[i];
-        size_t q = 0;
-        for (size_t j = 0; j < cell.slots.size(); ++j) {
-          const uint32_t slot = cell.slots[j];
-          SlotState& state = slots_[slot];
-          if (state.fresh != 0) {
-            state.fresh = 0;
-            target.locals.push_back(static_cast<uint32_t>(j));
-            ++delta->stats.full_counted_points;
-            continue;
+    // Edges CSR by dirty cell (counting pass, then a stable scatter, so a
+    // cell's groups stay in lexicographic order), and each dirty cell's
+    // slice of the net-change buffer.
+    buf.edge_begin.assign(num_dirty + 1, 0);
+    for (const auto& edge : buf.edges) ++buf.edge_begin[edge.first + 1];
+    for (size_t i = 0; i < num_dirty; ++i) {
+      buf.edge_begin[i + 1] += buf.edge_begin[i];
+    }
+    buf.edge_group.resize(buf.edges.size());
+    for (const auto& edge : buf.edges) {
+      buf.edge_group[buf.edge_begin[edge.first]++] = edge.second;
+    }
+    for (size_t i = num_dirty; i > 0; --i) {
+      buf.edge_begin[i] = buf.edge_begin[i - 1];
+    }
+    buf.edge_begin[0] = 0;
+    buf.net_begin.resize(num_dirty + 1);
+    buf.net_begin[0] = 0;
+    for (size_t i = 0; i < num_dirty; ++i) {
+      buf.net_begin[i + 1] =
+          buf.net_begin[i] +
+          static_cast<uint32_t>(buf.dirty[i]->second.slots.size());
+    }
+    buf.net.resize(buf.net_begin[num_dirty]);
+
+    // Per dirty cell, in parallel: gather the cell's surviving old
+    // residents (a chunk at a time, on the stack), count them against the
+    // appended (increment) and evicted (decrement) segment of each of its
+    // edges, and store the net change in the cell's slice.
+    const double sq_radius = config_.params.radius * config_.params.radius;
+    DOD_RETURN_IF_ERROR(executor_->RunTasks(num_dirty, [&](size_t i) -> Status {
+      constexpr size_t kChunk = 64;
+      double queries[kChunk * kMaxDimensions];
+      uint32_t inc[kChunk];
+      uint32_t dec[kChunk];
+      int32_t* net = buf.net.data() + buf.net_begin[i];
+      const std::vector<uint32_t>& members = buf.dirty[i]->second.slots;
+      size_t next = 0;
+      while (true) {
+        size_t num_old = 0;
+        for (; next < members.size() && num_old < kChunk; ++next) {
+          if (slots_[members[next]].fresh != 0) continue;
+          const double* row = (*window_)[members[next]];
+          std::copy(row, row + dims_, queries + num_old * dims_);
+          ++num_old;
+        }
+        if (num_old == 0) break;
+        std::fill(inc, inc + num_old, 0u);
+        std::fill(dec, dec + num_old, 0u);
+        for (uint32_t edge = buf.edge_begin[i]; edge < buf.edge_begin[i + 1];
+             ++edge) {
+          const TouchedGroup& group = buf.groups[buf.edge_group[edge]];
+          if (group.ins_begin != group.ins_end) {
+            CountBlockAgainstSegment(buf.appended_soa, group.ins_begin,
+                                     group.ins_end, queries, num_old,
+                                     sq_radius, config_.params.kernels, inc,
+                                     /*pairs=*/nullptr);
           }
-          DOD_CHECK(q < p.old_slots.size() && p.old_slots[q] == slot);
-          const long long inc = p.inc[q];
-          const long long dec = p.dec[q];
-          ++q;
-          if (inc == 0 && dec == 0) continue;
-          if (state.saturated == 0) {
-            const long long next =
-                static_cast<long long>(state.count) + inc - dec;
-            DOD_CHECK(next >= 0);
-            state.count = static_cast<uint32_t>(next);
-            const bool now = next < k;
-            if (now != (state.flagged != 0)) {
-              (now ? delta->newly_flagged : delta->newly_cleared)
-                  .push_back(state.stream_id);
-              state.flagged = now ? 1 : 0;
-            }
-          } else {
-            const long long bound =
-                static_cast<long long>(state.count) + inc - dec;
-            if (bound >= k) {
-              // True count >= old count + inc - dec, so the bound stays
-              // certified; the point stays a known inlier.
-              state.count = static_cast<uint32_t>(bound);
-            } else {
-              state.count =
-                  static_cast<uint32_t>(std::max(bound, 0LL));
-              target.locals.push_back(static_cast<uint32_t>(j));
-              ++delta->stats.recounted_points;
-            }
+          if (group.ev_begin != group.ev_end) {
+            CountBlockAgainstSegment(buf.evicted_soa, group.ev_begin,
+                                     group.ev_end, queries, num_old,
+                                     sq_radius, config_.params.kernels, dec,
+                                     /*pairs=*/nullptr);
           }
         }
-        delta->stats.insert_pairs += p.inc_pairs;
-        delta->stats.expiry_pairs += p.dec_pairs;
-        if (!target.locals.empty()) targets.push_back(std::move(target));
+        for (size_t q = 0; q < num_old; ++q) {
+          *net++ = static_cast<int32_t>(inc[q]) - static_cast<int32_t>(dec[q]);
+        }
+      }
+      return Status::Ok();
+    }));
+
+    // Sequential fold in dirty order: exact counts adjust and flip in
+    // place; saturated bounds absorb the change and queue a re-count only
+    // when they drop below k; appended points queue their first count.
+    // Each (old resident, edge segment) pair was counted once, so the pair
+    // totals follow from the segment sizes.
+    const int k = config_.params.min_neighbors;
+    for (size_t i = 0; i < num_dirty; ++i) {
+      CellEntry& entry = *buf.dirty[i];
+      const int32_t* net = buf.net.data() + buf.net_begin[i];
+      TargetCell target;
+      target.cell = &entry;
+      target.locals_begin = static_cast<uint32_t>(buf.target_locals.size());
+      const std::vector<uint32_t>& members = entry.second.slots;
+      uint64_t num_old = 0;
+      for (size_t j = 0; j < members.size(); ++j) {
+        SlotState& state = slots_[members[j]];
+        if (state.fresh != 0) {
+          state.fresh = 0;
+          buf.target_locals.push_back(static_cast<uint32_t>(j));
+          ++delta->stats.full_counted_points;
+          continue;
+        }
+        const int32_t change = net[num_old++];
+        // inc == dec changes neither an exact count nor a bound (which
+        // is >= k at a round boundary), so only a net change matters.
+        if (change == 0) continue;
+        const long long next = static_cast<long long>(state.count) + change;
+        if (state.saturated == 0) {
+          DOD_CHECK(next >= 0);
+          state.count = static_cast<uint32_t>(next);
+          const bool now = next < k;
+          if (now != (state.flagged != 0)) {
+            (now ? delta->newly_flagged : delta->newly_cleared)
+                .push_back(state.stream_id);
+            state.flagged = now ? 1 : 0;
+          }
+        } else if (next >= k) {
+          // True count >= old count + inc - dec, so the bound stays
+          // certified; the point stays a known inlier.
+          state.count = static_cast<uint32_t>(next);
+        } else {
+          state.count = static_cast<uint32_t>(std::max(next, 0LL));
+          buf.target_locals.push_back(static_cast<uint32_t>(j));
+          ++delta->stats.recounted_points;
+        }
+      }
+      for (uint32_t edge = buf.edge_begin[i]; edge < buf.edge_begin[i + 1];
+           ++edge) {
+        const TouchedGroup& group = buf.groups[buf.edge_group[edge]];
+        delta->stats.insert_pairs +=
+            num_old * (group.ins_end - group.ins_begin);
+        delta->stats.expiry_pairs += num_old * (group.ev_end - group.ev_begin);
+      }
+      target.locals_end = static_cast<uint32_t>(buf.target_locals.size());
+      if (target.locals_end != target.locals_begin) {
+        buf.targets.push_back(target);
       }
     }
-    span.Arg("dirty_cells", static_cast<uint64_t>(dirty.size()))
+    span.Arg("dirty_cells", static_cast<uint64_t>(num_dirty))
         .Arg("inc_pairs", delta->stats.insert_pairs)
         .Arg("dec_pairs", delta->stats.expiry_pairs);
   }
-  return CountTargets(targets, delta);
+  return CountTargets(delta);
 }
 
-Status StreamingDetector::CountTargets(const std::vector<TargetCell>& targets,
-                                       OutlierDelta* delta) {
+Status StreamingDetector::CountTargets(OutlierDelta* delta) {
   trace::Span span("stream", "summary_recount");
   span.Arg("recounts",
            static_cast<uint64_t>(delta->stats.recounted_points))
       .Arg("full_counts",
            static_cast<uint64_t>(delta->stats.full_counted_points));
+  const std::vector<TargetCell>& targets = buffers_.targets;
   if (targets.empty()) return Status::Ok();
 
   TaskArena arena(*window_);
-  for (const TargetCell& target : targets) {
-    StageCellWithRing(target.coord, &arena);
-  }
+  for (const TargetCell& target : targets) StageCellWithRing(target, &arena);
   DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
 
   const int cap = SaturationCap(config_.params.min_neighbors);
-  std::vector<std::vector<NeighborCountSummary>> staged(targets.size());
+  const std::vector<uint32_t>& locals = buffers_.target_locals;
+  std::vector<NeighborCountSummary>& summaries = buffers_.summaries;
+  summaries.resize(locals.size());
   DOD_RETURN_IF_ERROR(executor_->RunTasks(
       targets.size(), [&](size_t i) -> Status {
         const PartitionView view = arena.View(i);
-        std::vector<NeighborCountSummary>& out = staged[i];
-        out.reserve(targets[i].locals.size());
-        for (uint32_t local : targets[i].locals) {
-          out.push_back(CountNeighbors(view, local, config_.params, cap,
-                                       /*pairs=*/nullptr));
+        for (uint32_t t = targets[i].locals_begin; t < targets[i].locals_end;
+             ++t) {
+          summaries[t] = CountNeighbors(view, locals[t], config_.params, cap,
+                                        /*pairs=*/nullptr);
         }
         return Status::Ok();
       }));
 
   const uint32_t k =
       static_cast<uint32_t>(config_.params.min_neighbors);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const CellState& cell = cells_.at(targets[i].coord);
-    for (size_t t = 0; t < targets[i].locals.size(); ++t) {
-      const NeighborCountSummary summary = staged[i][t];
-      SlotState& state = slots_[cell.slots[targets[i].locals[t]]];
+  for (const TargetCell& target : targets) {
+    for (uint32_t t = target.locals_begin; t < target.locals_end; ++t) {
+      const NeighborCountSummary summary = summaries[t];
+      SlotState& state = slots_[target.cell->second.slots[locals[t]]];
       state.count = summary.count;
       saturated_count_ -= state.saturated;
       state.saturated = summary.saturated ? 1 : 0;
@@ -613,11 +651,9 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
   trace::Span span("stream", "round");
 
   OutlierDelta delta;
-  std::vector<CellCoord> touched;
   std::vector<PointId> expired_flagged;
-  std::vector<uint32_t> appended_slots;
-  std::vector<uint32_t> evicted_slots;
-  AppendBlock(block, &touched, &appended_slots);
+  buffers_.touched.clear();
+  AppendBlock(block);
   if (config_.window_seconds > 0.0) {
     SourceWindow& source = windows_[block.source_id];
     source.high_water = source.saw_timestamp
@@ -625,12 +661,8 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
                             : block.timestamp;
     source.saw_timestamp = true;
   }
-  const size_t expired_points =
-      ExpireBlocks(&touched, &expired_flagged, &evicted_slots);
-
-  const std::vector<CellCoord> dirty = DirtyCells(&touched);
-  DOD_RETURN_IF_ERROR(
-      SummaryUpdate(dirty, appended_slots, evicted_slots, &delta));
+  const size_t expired_points = ExpireBlocks(&expired_flagged);
+  DOD_RETURN_IF_ERROR(SummaryUpdate(&delta));
 
   // Flagged points that left the window clear by expiry; verdict flips
   // were collected per dirty cell above. The two sources are disjoint
@@ -647,17 +679,16 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
   delta.stats.expired_points = expired_points;
   delta.stats.resident_points = id_to_slot_.size();
   delta.stats.resident_cells = cells_.size();
-  delta.stats.dirty_cells = dirty.size();
   delta.stats.dirty_fraction =
       cells_.empty() ? 0.0
-                     : static_cast<double>(dirty.size()) /
+                     : static_cast<double>(delta.stats.dirty_cells) /
                            static_cast<double>(cells_.size());
   delta.stats.round_seconds = watch.ElapsedSeconds();
   RecordRound(delta);
   span.Arg("round", delta.stats.round)
       .Arg("appended", static_cast<uint64_t>(delta.stats.appended_points))
       .Arg("expired", static_cast<uint64_t>(expired_points))
-      .Arg("dirty_cells", static_cast<uint64_t>(dirty.size()))
+      .Arg("dirty_cells", static_cast<uint64_t>(delta.stats.dirty_cells))
       .Arg("flagged", static_cast<uint64_t>(delta.newly_flagged.size()))
       .Arg("cleared", static_cast<uint64_t>(delta.newly_cleared.size()));
   return delta;

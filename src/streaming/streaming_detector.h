@@ -97,6 +97,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/dataset.h"
@@ -104,6 +105,7 @@
 #include "common/status.h"
 #include "detection/cell_key.h"
 #include "detection/detector.h"
+#include "detection/neighbor_count.h"
 #include "durability/checkpoint.h"
 #include "runtime/parallel_executor.h"
 
@@ -151,8 +153,12 @@ struct StreamingConfig {
   // the in-order Feed contract unchanged.
   WatermarkPolicy watermark;
 
-  // Grid cell side; <= 0 defaults to params.radius. Smaller sides mean
-  // tighter dirty sets but a wider supporting ring (ceil(radius / side)).
+  // Grid cell side; 0 defaults to params.radius. Smaller sides mean
+  // tighter dirty sets but a wider supporting ring R = ceil(radius / side)
+  // cells per side, walked once per touched cell every round. Create (and
+  // the first block, once the dims are known) refuses with
+  // kInvalidArgument a side whose ring spans more than 2^20 cells, i.e.
+  // (2R + 1)^dims > 2^20 — in 2-D, R <= 511, so side >= radius / 511.
   double cell_side = 0.0;
   // Grid origin. Unlike the batch detectors (which anchor at the partition
   // bounds), the streaming grid must be anchored independently of window
@@ -295,7 +301,16 @@ class StreamingDetector {
   struct CellState {
     // Appendable/expirable point segment: slot indices, append order.
     std::vector<uint32_t> slots;
+    // The summary pass that last found this cell dirty and the cell's
+    // index in that pass's dirty list (meaningful while stamp equals
+    // pass_stamp_).
+    uint32_t stamp = 0;
+    uint32_t dirty_index = 0;
   };
+  using CellMap = std::unordered_map<CellCoord, CellState, CellCoordHash>;
+  // A resident cell's map entry: coordinate and state. Entries are stable
+  // while no cell is inserted or erased, i.e. for a whole summary pass.
+  using CellEntry = CellMap::value_type;
   struct SlotState {
     PointId stream_id = 0;
     // Verdict summary from the point's last evaluation (|N_r| < k).
@@ -310,12 +325,57 @@ class StreamingDetector {
     // AppendBlock, cleared by the SummaryUpdate fold.
     uint8_t fresh = 0;
   };
-  // One cell's re-count work: `locals` are positions in the cell's slot
-  // segment (appended points needing a first count, saturated points whose
-  // bound fell below k), ascending.
-  struct TargetCell {
+  // One appended or evicted point of the round, keyed once.
+  struct RoundPoint {
     CellCoord coord;
-    std::vector<uint32_t> locals;
+    uint32_t slot = 0;
+    bool evicted = false;
+  };
+  // One touched cell of the round: its appended and evicted points as
+  // half-open ranges of RoundBuffers::appended_soa / evicted_soa.
+  struct TouchedGroup {
+    CellCoord coord;
+    uint32_t ins_begin = 0;
+    uint32_t ins_end = 0;
+    uint32_t ev_begin = 0;
+    uint32_t ev_end = 0;
+  };
+  // One cell's re-count work: RoundBuffers::target_locals[locals_begin,
+  // locals_end) are positions in the cell's slot segment (appended points
+  // needing a first count, saturated points whose bound fell below k),
+  // ascending.
+  struct TargetCell {
+    CellEntry* cell = nullptr;
+    uint32_t locals_begin = 0;
+    uint32_t locals_end = 0;
+  };
+  // The summary pass's per-round buffers. Cleared every round, never
+  // shrunk, so a steady stream reuses one allocation per buffer.
+  struct RoundBuffers {
+    explicit RoundBuffers(int dims) : appended_soa(dims), evicted_soa(dims) {}
+    // The round's appended and evicted points.
+    std::vector<RoundPoint> touched;
+    // Touched groups in lexicographic cell order, and their points laid
+    // out group by group.
+    std::vector<TouchedGroup> groups;
+    SoABlock appended_soa;
+    SoABlock evicted_soa;
+    // Dirty cells in discovery order; (dirty index, group index) edges in
+    // discovery order, then laid out CSR by dirty cell: the groups of
+    // dirty cell i are edge_group[edge_begin[i], edge_begin[i + 1]).
+    std::vector<CellEntry*> dirty;
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    std::vector<uint32_t> edge_begin;
+    std::vector<uint32_t> edge_group;
+    // Net neighbor change (appended - evicted within r) of every old
+    // resident of dirty cell i, in segment order, from net[net_begin[i]];
+    // the slice is sized by the cell's whole segment.
+    std::vector<uint32_t> net_begin;
+    std::vector<int32_t> net;
+    // Re-count work and its results (summaries parallel target_locals).
+    std::vector<TargetCell> targets;
+    std::vector<uint32_t> target_locals;
+    std::vector<NeighborCountSummary> summaries;
   };
   struct WindowBlock {
     uint64_t seq = 0;
@@ -343,19 +403,15 @@ class StreamingDetector {
   uint32_t AllocSlot(PointId id, const double* p);
   CellCoord KeyOf(const double* p) const;
 
-  // Appends the block's points into slots/cells (no detection); the cell
-  // of every appended point is added to `touched`, its slot to
-  // `appended_slots`.
-  void AppendBlock(const StreamBlock& block, std::vector<CellCoord>* touched,
-                   std::vector<uint32_t>* appended_slots);
+  // Appends the block's points into slots/cells (no detection) and
+  // records each one in buffers_.touched.
+  void AppendBlock(const StreamBlock& block);
   // Pops expired blocks off every source window's front — sources scanned
-  // in ascending id order — into `touched` / `expired_flagged` (flagged
-  // ids leaving the window) / `evicted_slots` (freed slots — their window
-  // coordinates stay readable until the next round's appends recycle
-  // them) and returns the number of expired points.
-  size_t ExpireBlocks(std::vector<CellCoord>* touched,
-                      std::vector<PointId>* expired_flagged,
-                      std::vector<uint32_t>* evicted_slots);
+  // in ascending id order — recording each freed slot in buffers_.touched
+  // (its window coordinates stay readable until the next round's appends
+  // recycle it) and each flagged id leaving the window in
+  // `expired_flagged`; returns the number of expired points.
+  size_t ExpireBlocks(std::vector<PointId>* expired_flagged);
 
   // One admitted round: the Feed body without the per-round checkpoint
   // policy (Feed and the reorder drain wrap it with their own).
@@ -371,29 +427,24 @@ class StreamingDetector {
   // order) and appends the deltas to `result`.
   Status DrainReorderBuffer(double bound, IngestResult* result);
 
-  // Resident cells within Chebyshev distance `ring_` of any touched cell,
-  // deduplicated and in deterministic (lexicographic) order.
-  std::vector<CellCoord> DirtyCells(std::vector<CellCoord>* touched) const;
-
-  // Stages `center`'s segment (core) plus its supporting-ring cells
+  // Stages `target`'s segment (core) plus its supporting-ring cells
   // (support) into the arena — the exact layout the batch reducers stage.
-  void StageCellWithRing(const CellCoord& center, TaskArena* arena) const;
+  void StageCellWithRing(const TargetCell& target, TaskArena* arena) const;
 
-  // One round's detection: increments/decrements every dirty cell's
-  // resident counts against the appended/evicted point segments, flips
-  // verdicts of exact counts, then re-counts appended points and saturated
-  // points whose bound fell below k via CountTargets. Applies verdict flips
-  // to `delta` and fills its summary stats.
-  Status SummaryUpdate(const std::vector<CellCoord>& dirty,
-                       const std::vector<uint32_t>& appended_slots,
-                       const std::vector<uint32_t>& evicted_slots,
-                       OutlierDelta* delta);
+  // One round's detection over the round's appended and evicted points
+  // (buffers_.touched): groups them by touched cell, walks each
+  // group's supporting ring once to collect the dirty cells and the
+  // (dirty cell, group) edges, increments/decrements every dirty cell's
+  // resident counts against its edges' segments, flips verdicts of exact
+  // counts, then re-counts appended points and saturated points whose bound
+  // fell below k via CountTargets. Applies verdict flips to `delta` and
+  // fills its summary stats and dirty_cells.
+  Status SummaryUpdate(OutlierDelta* delta);
 
   // Exact-or-saturated counts for every target point (staged core+ring,
   // executor fan-out, sequential fold); writes summaries and applies
   // verdict flips to `delta`.
-  Status CountTargets(const std::vector<TargetCell>& targets,
-                      OutlierDelta* delta);
+  Status CountTargets(OutlierDelta* delta);
 
   void ApplyDeltaToOutlierSet(const OutlierDelta& delta);
   void RecordRound(const OutlierDelta& delta);
@@ -414,7 +465,7 @@ class StreamingDetector {
   std::unordered_map<PointId, uint32_t> id_to_slot_;
   // Resident slots with saturated != 0 (see saturated_points()).
   size_t saturated_count_ = 0;
-  std::unordered_map<CellCoord, CellState, CellCoordHash> cells_;
+  CellMap cells_;
   // Per-source window slices, ordered by source id so expiry scans (and
   // the checkpoint codec) iterate deterministically.
   std::map<uint32_t, SourceWindow> windows_;
@@ -431,6 +482,11 @@ class StreamingDetector {
   uint64_t next_arrival_ = 0;
   uint64_t arrivals_ = 0;
   uint64_t late_dropped_ = 0;
+
+  // Summary-pass buffers (re-created with the dims by InitDims) and the
+  // pass counter its dirty stamps compare against.
+  RoundBuffers buffers_{1};
+  uint32_t pass_stamp_ = 0;
 
   std::unique_ptr<ParallelExecutor> executor_;
   std::unique_ptr<CheckpointStore> store_;

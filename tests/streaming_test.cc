@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <numbers>
 #include <optional>
 #include <string>
@@ -195,6 +196,64 @@ TEST(StreamingDetectorTest, BlockBeyondTheKeyRangeIsRefusedWindowUnchanged) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(buffered.value()->buffered_blocks(), 0u);
   EXPECT_EQ(buffered.value()->resident_points(), 0u);
+}
+
+TEST(StreamingDetectorTest, CellSideWithAnOversizedRingIsRefused) {
+  // r = 2, k = 2 and four points within 3e-4 of each other: no outliers.
+  // A side of 1e-12 makes the supporting ring ceil(r / side) = 2e12 cells,
+  // past int (its cast once wrapped, clamped to 1 and flagged all four);
+  // 1e-6 makes it 2e6, whose (4e6 + 1)^2 cells per touched cell a round
+  // never finished walking. Both are refused before anything runs.
+  const StreamBlock cluster = MakeBlock({{0, {0.0, 0.0}},
+                                         {1, {3e-4, 0.0}},
+                                         {2, {0.0, 3e-4}},
+                                         {3, {2e-4, 2e-4}}});
+  for (double side : {1e-12, 1e-6}) {
+    StreamingConfig config = BaseConfig(2.0, 2);
+    config.cell_side = side;
+    EXPECT_EQ(StreamingDetector::Create(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "cell_side " << side;
+  }
+  // The default side and a 16-cell ring (33^2 cells) answer exactly.
+  for (double side : {0.0, 2.0 / 16}) {
+    StreamingConfig config = BaseConfig(2.0, 2);
+    config.cell_side = side;
+    auto created = StreamingDetector::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE(created.value()->Feed(cluster).ok());
+    EXPECT_TRUE(created.value()->outliers().empty()) << "cell_side " << side;
+  }
+
+  // The bound depends on the dims: a 16-cell ring spans 33^3 = 35937
+  // cells in 3-D but 33^4 > 2^20 in 4-D. Create cannot know the dims
+  // without a grid origin, so the first 4-D block is refused, through
+  // Feed and through the reorder stage alike, with the window unchanged.
+  StreamingConfig config = BaseConfig(2.0, 2);
+  config.cell_side = 2.0 / 16;
+  StreamBlock four_d(4);
+  const double origin4[4] = {0.0, 0.0, 0.0, 0.0};
+  four_d.Add(0, origin4);
+  StreamBlock three_d(3);
+  three_d.Add(0, origin4);
+  auto in_order = StreamingDetector::Create(config);
+  ASSERT_TRUE(in_order.ok());
+  EXPECT_EQ(in_order.value()->Feed(four_d).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(in_order.value()->rounds(), 0u);
+  EXPECT_TRUE(in_order.value()->Feed(three_d).ok());
+  StreamingConfig ordered = config;
+  ordered.watermark.enabled = true;
+  ordered.watermark.lateness = 1.0;
+  auto buffered = StreamingDetector::Create(ordered);
+  ASSERT_TRUE(buffered.ok());
+  EXPECT_EQ(buffered.value()->Ingest(four_d).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(buffered.value()->buffered_blocks(), 0u);
+  // With a 4-D grid origin the dims are known up front.
+  config.grid_origin = Point(4);
+  EXPECT_EQ(StreamingDetector::Create(config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StreamingDetectorTest, EntireCellExpiryClearsItsOutliers) {
@@ -497,6 +556,135 @@ Dataset DensePatches(size_t num_patches, size_t block_size, double side,
   return data;
 }
 
+// Ids resident after `round` rounds of `schedule`, ascending.
+std::vector<PointId> WindowIds(const StreamSchedule& schedule, size_t round) {
+  std::vector<PointId> ids;
+  for (size_t b = schedule.first_resident(round); b < round; ++b) {
+    for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
+      ids.push_back(static_cast<PointId>(i));
+    }
+  }
+  return ids;
+}
+
+// The summary stats of every round of `schedule`, recomputed by brute force
+// from their definitions over the windows before and after the round, with
+// the service's grid (UniformCellKey, zero origin, side = radius, ring R =
+// 1): the touched cells hold the round's appended and evicted points; a
+// resident cell is dirty when it lies within Chebyshev distance R of a
+// touched cell; insert (expiry) pairs are, per dirty cell, its surviving
+// residents times the appended (evicted) points of touched cells within R
+// of it; full counts are the appended residents. Re-counts follow a shadow
+// of the per-point summaries: an exact count moves by the neighbors
+// appended minus evicted, a bound saturated at k + 32 likewise, and
+// re-counts once it falls below k.
+std::vector<StreamRoundStats> BruteForceRoundStats(
+    const StreamSchedule& schedule, double radius, int k) {
+  const Dataset& data = schedule.data;
+  const int dims = data.dims();
+  const double origin[kMaxDimensions] = {0.0};
+  const int ring = 1;
+  const auto key = [&](PointId id) {
+    return UniformCellKey(data[id], dims, origin, radius);
+  };
+  const auto near_cells = [&](const CellCoord& a, const CellCoord& b) {
+    for (int d = 0; d < dims; ++d) {
+      if (std::abs(a.c[d] - b.c[d]) > ring) return false;
+    }
+    return true;
+  };
+  const auto within = [&](PointId a, PointId b) {
+    double sum = 0.0;
+    for (int d = 0; d < dims; ++d) {
+      const double diff = data[a][d] - data[b][d];
+      sum += diff * diff;
+    }
+    return sum <= radius * radius;
+  };
+  const auto count_within = [&](PointId p, const std::vector<PointId>& set) {
+    uint32_t n = 0;
+    for (PointId q : set) n += (q != p && within(p, q)) ? 1 : 0;
+    return n;
+  };
+  struct Summary {
+    uint32_t count = 0;
+    bool saturated = false;
+  };
+  const uint32_t cap = static_cast<uint32_t>(k) + 32;
+  const auto full_count = [&](PointId p, const std::vector<PointId>& window) {
+    const uint32_t n = count_within(p, window);
+    return n >= cap ? Summary{cap, true} : Summary{n, false};
+  };
+
+  std::map<PointId, Summary> summaries;
+  std::vector<StreamRoundStats> rounds;
+  for (size_t round = 1; round <= schedule.num_blocks(); ++round) {
+    const std::vector<PointId> before = WindowIds(schedule, round - 1);
+    const std::vector<PointId> after = WindowIds(schedule, round);
+    std::vector<PointId> appended;
+    for (size_t i = schedule.begin(round - 1); i < schedule.end(round - 1);
+         ++i) {
+      appended.push_back(static_cast<PointId>(i));
+    }
+    std::vector<PointId> entered;  // before ∪ appended, ascending
+    std::set_union(before.begin(), before.end(), appended.begin(),
+                   appended.end(), std::back_inserter(entered));
+    std::vector<PointId> evicted;
+    std::set_difference(entered.begin(), entered.end(), after.begin(),
+                        after.end(), std::back_inserter(evicted));
+    std::vector<PointId> survivors;
+    std::set_intersection(before.begin(), before.end(), after.begin(),
+                          after.end(), std::back_inserter(survivors));
+    std::vector<CellCoord> touched;
+    for (PointId id : appended) touched.push_back(key(id));
+    for (PointId id : evicted) touched.push_back(key(id));
+    std::vector<CellCoord> cells;
+    for (PointId id : after) {
+      const CellCoord c = key(id);
+      if (std::find(cells.begin(), cells.end(), c) == cells.end()) {
+        cells.push_back(c);
+      }
+    }
+
+    StreamRoundStats stats;
+    for (const CellCoord& cell : cells) {
+      const auto near_cell = [&](const CellCoord& t) {
+        return near_cells(t, cell);
+      };
+      if (std::none_of(touched.begin(), touched.end(), near_cell)) continue;
+      ++stats.dirty_cells;
+      uint64_t old_residents = 0;
+      for (PointId id : survivors) old_residents += key(id) == cell ? 1 : 0;
+      for (PointId id : appended) {
+        if (near_cells(key(id), cell)) stats.insert_pairs += old_residents;
+      }
+      for (PointId id : evicted) {
+        if (near_cells(key(id), cell)) stats.expiry_pairs += old_residents;
+      }
+    }
+    for (PointId id : survivors) {
+      const uint32_t inc = count_within(id, appended);
+      const uint32_t dec = count_within(id, evicted);
+      Summary& summary = summaries[id];
+      const long long next = static_cast<long long>(summary.count) + inc - dec;
+      if (summary.saturated && next < k) {
+        ++stats.recounted_points;
+        summary = full_count(id, after);
+      } else {
+        summary.count = static_cast<uint32_t>(next);
+      }
+    }
+    for (PointId id : appended) {
+      if (!std::binary_search(after.begin(), after.end(), id)) continue;
+      ++stats.full_counted_points;
+      summaries[id] = full_count(id, after);
+    }
+    for (PointId id : evicted) summaries.erase(id);
+    rounds.push_back(stats);
+  }
+  return rounds;
+}
+
 TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
   struct Case {
     int threads;
@@ -543,6 +731,9 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
     for (size_t b = 0; b < schedule.num_blocks(); ++b) {
       oracle[b] = BatchOracle(schedule, b + 1, oracle_config);
     }
+    // Likewise the round stats, from their definitions.
+    const std::vector<StreamRoundStats> expected_stats =
+        BruteForceRoundStats(schedule, radius, k);
 
     for (bool time_window : {false, true}) {
       for (size_t c = 0; c < cases.size(); ++c) {
@@ -603,6 +794,17 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
                               (fed.value().stats.expired_points > 0 &&
                                detector.saturated_points() < saturated_before);
           if (entry.dense) expect_restored_gauge();
+          const StreamRoundStats& stats = fed.value().stats;
+          const StreamRoundStats& want = expected_stats[b];
+          EXPECT_EQ(stats.dirty_cells, want.dirty_cells) << "round " << (b + 1);
+          EXPECT_EQ(stats.insert_pairs, want.insert_pairs)
+              << "round " << (b + 1);
+          EXPECT_EQ(stats.expiry_pairs, want.expiry_pairs)
+              << "round " << (b + 1);
+          EXPECT_EQ(stats.full_counted_points, want.full_counted_points)
+              << "round " << (b + 1);
+          EXPECT_EQ(stats.recounted_points, want.recounted_points)
+              << "round " << (b + 1);
 
           std::vector<PointId> next;
           std::set_difference(running.begin(), running.end(),

@@ -67,7 +67,10 @@ Outlier definition:
 
 Streaming service:
   --window W             resident blocks in the sliding window (default 8)
-  --cell_side S          grid cell side (default: r)
+  --cell_side S          grid cell side (default: r). Every round walks a
+                         ring of (2*ceil(r/S)+1)^dims cells per touched
+                         cell; a side whose ring exceeds 2^20 cells is
+                         refused (2-D: S >= r/511)
   --threads N            threads fanning out over dirty cells (default 1;
                          0 = all hardware threads; deltas identical)
 

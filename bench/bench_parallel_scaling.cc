@@ -1,6 +1,6 @@
 // Copyright 2026 The DOD Authors.
 //
-// Parallel runtime scaling — speedup of the thread-pool executor
+// Parallel runtime scaling — speedup of the parallel executor
 // (src/runtime/) over the sequential engine on a geo-like workload.
 //
 // Not a paper figure: the paper scales across cluster *nodes* (Sec. VI);
@@ -20,7 +20,7 @@
 
 #include "bench_util.h"
 #include "data/geo_like.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_executor.h"
 
 namespace {
 
@@ -76,7 +76,7 @@ void WriteJson(const char* path, size_t points, size_t outliers,
   std::fprintf(f, "  \"points\": %zu,\n  \"outliers\": %zu,\n", points,
                outliers);
   std::fprintf(f, "  \"hardware_threads\": %d,\n",
-               dod::ThreadPool::DefaultThreadCount());
+               dod::ParallelExecutor::DefaultThreadCount());
   std::fprintf(f, "  \"curve\": [\n");
   for (size_t i = 0; i < curve.size(); ++i) {
     const ThreadPoint& p = curve[i];
@@ -99,14 +99,14 @@ void WriteJson(const char* path, size_t points, size_t outliers,
 int main() {
   const dod::DetectionParams params{5.0, 4};
   // Larger than the figure benches: scaling needs enough per-task work for
-  // the pool's overhead to amortize, like any real speedup measurement.
+  // the executor's overhead to amortize, like any real speedup measurement.
   const dod::Dataset data = dod::GenerateHierarchical(
       dod::MapLevel::kNewEngland, ScaledN(20000), 81);
   const size_t n = data.size();
 
   dod::bench::PrintHeader(
       "Parallel runtime scaling — threads 1/2/4/8 on a geo-like workload",
-      "Wall time of the same job on the thread-pool executor; the outlier\n"
+      "Wall time of the same job on the parallel executor; the outlier\n"
       "set is asserted identical at every thread count.",
       dod::bench::TimeBase::kWallClock);
 
@@ -125,7 +125,7 @@ int main() {
               "threads\n\n",
               n, reference.outliers.size(),
               reference.plan.partition_plan.num_cells(),
-              dod::ThreadPool::DefaultThreadCount());
+              dod::ParallelExecutor::DefaultThreadCount());
   std::printf("%8s %12s %12s %12s %9s %11s\n", "threads", "wall", "map wall",
               "reduce wall", "speedup", "efficiency");
 

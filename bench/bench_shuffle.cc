@@ -4,7 +4,7 @@
 // classic sorted shuffle, on buckets shaped like the DOD detection job's:
 // dense uint32_t cell keys carrying bit-packed id|support words.
 //
-// Two sections:
+// Three sections:
 //
 //   1. Grouping micro-bench: GroupBucket on one reduce-task bucket of
 //      ~100k records, best-of-repeats, reported as records/sec per mode
@@ -18,12 +18,11 @@
 //
 //   3. End-to-end: the full pipeline under --shuffle sorted vs columnar on
 //      a geo-like workload; the outlier set is asserted identical (speed
-//      must never buy a different answer). The worker-group steal split
-//      (runtime.steal.local / remote) is reported alongside.
+//      must never buy a different answer).
 //
 // Emits machine-readable BENCH_shuffle.json (records/sec per mode, the
-// speedup ratio, spill_overhead, merge_records_per_sec, the steal
-// local_ratio, and process peak RSS) into the current directory.
+// speedup ratio, spill_overhead, merge_records_per_sec, and process peak
+// RSS) into the current directory.
 
 #include <algorithm>
 #include <cstdio>
@@ -43,7 +42,6 @@
 #include "data/geo_like.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill.h"
-#include "observability/metrics.h"
 
 namespace {
 
@@ -229,14 +227,6 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
   return point;
 }
 
-uint64_t MetricCount(const std::vector<dod::MetricSnapshot>& snapshots,
-                     const std::string& name) {
-  for (const dod::MetricSnapshot& m : snapshots) {
-    if (m.name == name) return m.count;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main() {
@@ -314,23 +304,6 @@ int main() {
               e2e_columnar.wall_seconds,
               e2e_sorted.wall_seconds / e2e_columnar.wall_seconds);
 
-  // Worker-group steal split from the e2e runs. With no steals at all
-  // (single worker, or hints that always land) locality is perfect.
-  const std::vector<dod::MetricSnapshot> runtime_metrics =
-      dod::MetricsRegistry::Global().Snapshot();
-  const uint64_t local_steals = MetricCount(runtime_metrics,
-                                            "runtime.steal.local");
-  const uint64_t remote_steals = MetricCount(runtime_metrics,
-                                             "runtime.steal.remote");
-  const double local_ratio =
-      local_steals + remote_steals > 0
-          ? static_cast<double>(local_steals) /
-                static_cast<double>(local_steals + remote_steals)
-          : 1.0;
-  std::printf("\nsteal locality: %llu local / %llu remote (local_ratio %.3f)\n",
-              static_cast<unsigned long long>(local_steals),
-              static_cast<unsigned long long>(remote_steals), local_ratio);
-
   const double peak_rss_mb = PeakRssMb();
   std::FILE* f = std::fopen("BENCH_shuffle.json", "w");
   if (f == nullptr) {
@@ -351,11 +324,6 @@ int main() {
                "  \"spill\": {\"runs\": %zu, \"spill_overhead\": %.3f, "
                "\"merge_records_per_sec\": %.0f},\n",
                spill.runs, spill_overhead, spill.merge_records_per_sec);
-  std::fprintf(f,
-               "  \"steal\": {\"local\": %llu, \"remote\": %llu, "
-               "\"local_ratio\": %.3f},\n",
-               static_cast<unsigned long long>(local_steals),
-               static_cast<unsigned long long>(remote_steals), local_ratio);
   std::fprintf(f,
                "  \"pipeline\": {\"points\": %zu, \"outliers\": %zu, "
                "\"sorted_wall_seconds\": %.6f, "

@@ -30,7 +30,7 @@
 // JobStats, so simulated makespan and actual speedup sit side by side.
 //
 // Tasks really run concurrently: the map and reduce phases fan out over a
-// work-stealing thread pool (runtime/parallel_executor.h), with
+// parallel-for executor (runtime/parallel_executor.h), with
 // JobSpec::num_threads workers (<= 0 = all hardware threads; 1 reproduces
 // the historical sequential loop exactly). Output is byte-identical for
 // every thread count: each task stages its results privately and the
@@ -158,8 +158,8 @@ struct JobSpec {
   // [0, num_reduce_tasks)).
   int num_reduce_tasks = 1;
   // Worker threads executing map/reduce tasks: <= 0 uses every hardware
-  // thread, 1 runs the sequential inline path (no pool). Worker locality
-  // groups are auto-detected (see ShuffleHandoff for reduce placement).
+  // thread, 1 runs the sequential inline path (no workers); at most
+  // kMaxThreads.
   int num_threads = 0;
   ClusterSpec cluster;
   // Input bytes of each split; charged as HDFS scan time against the
@@ -260,8 +260,8 @@ inline void RegisterDurabilityMetrics() {
   metrics.Id("durability.memory.peak_bytes", MetricKind::kGauge);
 }
 
-// One map task: the winning attempt's shuffle output, where it ran, and
-// its stats delta and slot costs.
+// One map task: the winning attempt's shuffle output, its stats delta and
+// slot costs.
 template <typename K, typename V>
 struct MapTaskState {
   using Record = std::pair<K, V>;
@@ -279,10 +279,6 @@ struct MapTaskState {
   // order. A task spills everything or nothing (TaskSpiller::Finish), so
   // non-empty runs imply empty committed buckets.
   std::vector<SpillRunInfo> runs;
-  // Worker group that executed the winning attempt (-1 when unknown,
-  // e.g. sequential runs or checkpoint restores): the group that
-  // first-touched this task's output, feeding the reduce placement hints.
-  int worker_group = -1;
   // Shuffle volume of the running attempt, merged into `stats` on commit so
   // failed attempts leave no trace in the data-flow accounting.
   uint64_t attempt_records = 0;
@@ -494,6 +490,10 @@ Status ValidateJob(const JobSpec& spec) {
     return Status::InvalidArgument(
         "RunMapReduce: num_reduce_tasks must be >= 1");
   }
+  if (spec.num_threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        "RunMapReduce: num_threads must be <= " + std::to_string(kMaxThreads));
+  }
   if constexpr (!MapTask::kCheckpointable || !ReduceTask::kCheckpointable) {
     if (spec.checkpoint != nullptr) {
       return Status::Unimplemented(
@@ -694,7 +694,6 @@ Status MapPhase(Mapper<K, V>& mapper, const Route& route,
             // attempt failures (retried like any task error).
             DOD_RETURN_IF_ERROR(spiller->Finish(task.staging));
           }
-          task.worker_group = ThreadPool::CurrentWorkerGroup();
           return filter.AttemptStatus();
         },
         [&]() {
@@ -724,62 +723,25 @@ Status MapPhase(Mapper<K, V>& mapper, const Route& route,
 // of spilled ones, in (split, flush) order, which preserves emission order
 // per reduce task. The grouping layer (mapreduce/shuffle.h) reads them
 // back.
-//
-// Returns the placement hints: reduce task r is hinted onto the worker
-// group whose map tasks produced the plurality of its input, ties going to
-// the lowest group; -1 (no preference) when r has no records or the pool
-// has one group. Map tasks with an unknown or out-of-range group count for
-// no group. Hints steer scheduling only — results and error selection are
-// placement-independent — and because retries run inside one submitted
-// pool closure, a hint stays pinned through every attempt of its task,
-// including speculative re-execution.
 template <typename K, typename V>
-std::vector<int> ShuffleHandoff(std::vector<MapTaskState<K, V>>& map_tasks,
-                                int num_groups,
-                                SegmentLists<K, V>* segments) {
-  const size_t num_reduce = segments->size();
-  // group_records[r][g]: records of reduce task r produced by map tasks
-  // that ran on worker group g.
-  std::vector<std::vector<uint64_t>> group_records(
-      num_reduce, std::vector<uint64_t>(static_cast<size_t>(num_groups), 0));
+void ShuffleHandoff(std::vector<MapTaskState<K, V>>& map_tasks,
+                    SegmentLists<K, V>* segments) {
   for (MapTaskState<K, V>& task : map_tasks) {
-    const auto add = [&](size_t r, ShuffleSegment<K, V> segment,
-                         uint64_t records) {
-      if (task.worker_group >= 0 && task.worker_group < num_groups) {
-        group_records[r][static_cast<size_t>(task.worker_group)] += records;
-      }
-      (*segments)[r].push_back(std::move(segment));
-    };
     for (size_t r = 0; r < task.committed.size(); ++r) {
       if (task.committed[r].empty()) continue;
-      add(r, {&task.committed[r], {}}, task.committed[r].size());
+      (*segments)[r].push_back({&task.committed[r], {}});
     }
     for (const SpillRunInfo& run : task.runs) {
-      add(run.partition, {nullptr, run}, run.records);
+      (*segments)[run.partition].push_back({nullptr, run});
     }
   }
-  std::vector<int> hints(num_reduce, -1);
-  if (num_groups > 1) {
-    for (size_t r = 0; r < num_reduce; ++r) {
-      uint64_t best = 0;
-      for (int g = 0; g < num_groups; ++g) {
-        if (group_records[r][static_cast<size_t>(g)] > best) {
-          best = group_records[r][static_cast<size_t>(g)];
-          hints[r] = g;
-        }
-      }
-    }
-  }
-  return hints;
 }
 
-// Reduce phase: groups and reduces each reduce task durably, starting task
-// r on worker group hints[r].
+// Reduce phase: groups and reduces each reduce task durably.
 template <typename K, typename V, typename Out>
 Status ReducePhase(Reducer<K, V, Out>& reducer, const JobSpec& spec,
                    TaskRunner& runner, ParallelExecutor& executor,
                    JobSpill& spill, SegmentLists<K, V>& segments,
-                   const std::vector<int>& hints,
                    std::vector<ReduceTaskState<Out>>& tasks) {
   const auto run_reduce = [&](ReduceTaskState<Out>& task, size_t index) {
     // The spill degrade target: one run file per task, kept across
@@ -823,13 +785,10 @@ Status ReducePhase(Reducer<K, V, Out>& reducer, const JobSpec& spec,
   trace::Span phase_span("phase", "reduce");
   phase_span.Arg("tasks", static_cast<uint64_t>(tasks.size()))
       .Arg("shuffle", ShuffleModeName(spec.shuffle));
-  return executor.RunTasks(
-      tasks.size(),
-      [&](size_t index) {
-        return RunDurably(spec, TaskPhase::kReduce, index, tasks[index],
-                          [&] { return run_reduce(tasks[index], index); });
-      },
-      [&](size_t index) { return hints[index]; });
+  return executor.RunTasks(tasks.size(), [&](size_t index) {
+    return RunDurably(spec, TaskPhase::kReduce, index, tasks[index],
+                      [&] { return run_reduce(tasks[index], index); });
+  });
 }
 
 // Commit: moves the reduce output into `result` in reduce-task order,
@@ -841,8 +800,7 @@ template <typename K, typename V, typename Out>
 void CommitJob(std::vector<ReduceTaskState<Out>>& reduce_tasks,
                const std::vector<MapTaskState<K, V>>& map_tasks,
                const SegmentLists<K, V>& segments, const JobSpec& spec,
-               int blacklisted, const ParallelExecutor& executor,
-               const StopWatch& wall, JobOutput<Out>* result) {
+               int blacklisted, const StopWatch& wall, JobOutput<Out>* result) {
   for (ReduceTaskState<Out>& task : reduce_tasks) {
     for (Out& out : task.committed) result->output.push_back(std::move(out));
     task.committed = std::vector<Out>();
@@ -934,13 +892,6 @@ void CommitJob(std::vector<ReduceTaskState<Out>>& reduce_tasks,
   metrics.IncrementCounter("mr.spill.runs_merged", runs_merged);
   metrics.IncrementCounter("mr.spill.bytes_read", bytes_read);
   observe("mr.spill.run_records", run_records);
-  metrics.SetGauge("runtime.worker_groups",
-                   static_cast<double>(executor.num_groups()));
-  // Steal-locality scorecard of this job's pool. Scheduling-dependent,
-  // hence exempt from the metric-determinism contract (observability
-  // tests treat the runtime.steal.* prefix like timing metrics).
-  metrics.IncrementCounter("runtime.steal.local", executor.local_steals());
-  metrics.IncrementCounter("runtime.steal.remote", executor.remote_steals());
   observe("mr.map_slot_seconds", stats.map_task_seconds);
   observe("mr.reduce_slot_seconds", stats.reduce_task_seconds);
   observe("mr.job_wall_seconds", {stats.wall_seconds});
@@ -998,13 +949,11 @@ Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
 
   stats.records_mapped = stats.records_shuffled;
   internal::SegmentLists<K, V> segments(num_reduce);
-  std::vector<int> hints;
   {
     trace::Span span("phase", "shuffle");
     span.Arg("records", stats.records_shuffled)
         .Arg("bytes", stats.bytes_shuffled);
-    hints = internal::ShuffleHandoff(map_tasks, executor.num_groups(),
-                                     &segments);
+    internal::ShuffleHandoff(map_tasks, &segments);
   }
   // Don't start reducing work that a fired deadline or cancellation has
   // already doomed.
@@ -1018,7 +967,7 @@ Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
   StopWatch reduce_wall;
   const Status reduce_status =
       internal::ReducePhase(reducer, spec, runner, executor, spill, segments,
-                            hints, reduce_tasks);
+                            reduce_tasks);
   stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
   internal::FoldStats(reduce_tasks, &stats, &stats.reduce_task_seconds);
   if (!reduce_status.ok()) {
@@ -1026,7 +975,7 @@ Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
   }
 
   internal::CommitJob(reduce_tasks, map_tasks, segments, spec,
-                      runner.blacklisted_nodes(), executor, wall, &result);
+                      runner.blacklisted_nodes(), wall, &result);
   // The job committed: its spill runs are garbage now even when a
   // checkpoint store references them (see JobSpill::Open).
   spill.gc.set_keep_files(false);

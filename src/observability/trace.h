@@ -24,7 +24,7 @@
 // the "ts"/"dur" timestamp fields — content-deterministic modulo time.
 //
 // Snapshot/Write must only be called while no other thread is emitting
-// spans (e.g. after a pipeline run: the pool joins its workers first).
+// spans (e.g. after a pipeline run: the executor joins its workers first).
 
 #ifndef DOD_OBSERVABILITY_TRACE_H_
 #define DOD_OBSERVABILITY_TRACE_H_

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -125,6 +126,11 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   if (config.cell_side < 0.0 || config.window_seconds < 0.0) {
     return Status::InvalidArgument(
         "StreamingDetector: cell_side and window_seconds must be >= 0");
+  }
+  if (config.num_threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        "StreamingDetector: num_threads must be <= " +
+        std::to_string(kMaxThreads));
   }
   // The ring in double, before any int conversion; the dims-dependent
   // bound is checked again once the first block (or a restore) sets them.

@@ -135,7 +135,8 @@ struct StreamingConfig {
   // probe-order seeds exactly like the batch reducers.
   DetectionParams params;
   // Threads fanning out over dirty cells; <= 0 uses all hardware threads,
-  // 1 runs inline. Deltas are byte-identical for every thread count.
+  // 1 runs inline, at most kMaxThreads. Deltas are byte-identical for
+  // every thread count.
   int num_threads = 1;
 
   // Count-based window: keep at most this many resident blocks *per

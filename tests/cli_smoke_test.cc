@@ -155,6 +155,21 @@ TEST(CliSmokeTest, MissingInputFileIsRejected) {
   EXPECT_NE(result.exit_code, 0);
 }
 
+TEST(CliSmokeTest, OutOfRangeThreadCountsAreRejected) {
+  // 4294967298 once truncated to 2 threads on the int cast; -3 once meant
+  // "all hardware threads" to the streaming CLI.
+  const CommandResult batch =
+      RunCommand("--generate uniform --n 1000 --threads 4294967298");
+  EXPECT_NE(batch.exit_code, 0) << batch.output;
+  EXPECT_NE(batch.output.find("--threads"), std::string::npos)
+      << batch.output;
+  const CommandResult stream = RunCommand(
+      "--generate uniform --n 1000 --threads -3", DOD_STREAM_CLI_PATH);
+  EXPECT_NE(stream.exit_code, 0) << stream.output;
+  EXPECT_NE(stream.output.find("--threads"), std::string::npos)
+      << stream.output;
+}
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;

@@ -200,11 +200,6 @@ TEST(ObservabilityDeterminism, SameSeedRunsProduceIdenticalMetrics) {
       EXPECT_EQ(snapshot.count, other.count) << name;
       continue;
     }
-    if (name.rfind("runtime.steal.", 0) == 0) {
-      // Steal counters record which worker stole which task — pure
-      // scheduling noise, exempt even from the count check.
-      continue;
-    }
     EXPECT_EQ(snapshot.count, other.count) << name;
     EXPECT_EQ(snapshot.value, other.value) << name << " not bit-identical";
     EXPECT_EQ(snapshot.buckets, other.buckets) << name;

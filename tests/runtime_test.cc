@@ -1,13 +1,13 @@
 // Copyright 2026 The DOD Authors.
 //
-// The parallel runtime: work-stealing ThreadPool, deterministic
-// ParallelExecutor fan-out, order-independent Counters/JobStats merging,
-// thread-tagged logging, and the engine-level guarantee the whole design
-// exists for — MapReduce output that is byte-identical for every thread
-// count.
+// The parallel runtime: the deterministic ParallelExecutor fan-out,
+// order-independent Counters/JobStats merging, thread-tagged logging, and
+// the engine-level guarantee the whole design exists for — MapReduce
+// output that is byte-identical for every thread count.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -20,16 +20,15 @@
 #include "mapreduce/job.h"
 #include "mapreduce/job_stats.h"
 #include "runtime/parallel_executor.h"
-#include "runtime/thread_pool.h"
 
 namespace dod {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// ParallelExecutor
 
-// Counts down to zero; lets the submitting thread wait for N pool tasks
-// without relying on executor machinery under test elsewhere.
+// Counts down to zero; lets tasks rendezvous without relying on the
+// executor machinery under test.
 class Latch {
  public:
   explicit Latch(int count) : count_(count) {}
@@ -39,9 +38,10 @@ class Latch {
     if (--count_ == 0) cv_.notify_all();
   }
 
-  void Wait() {
+  // False when `timeout` passes before the count reaches zero.
+  bool WaitFor(std::chrono::seconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return count_ == 0; });
+    return cv_.wait_for(lock, timeout, [&] { return count_ == 0; });
   }
 
  private:
@@ -50,217 +50,16 @@ class Latch {
   int count_;
 };
 
-TEST(ThreadPoolTest, DefaultThreadCountIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+TEST(ParallelExecutorTest, DefaultThreadCountIsAtLeastOne) {
+  EXPECT_GE(ParallelExecutor::DefaultThreadCount(), 1);
+  EXPECT_LE(ParallelExecutor::DefaultThreadCount(), kMaxThreads);
 }
-
-TEST(ThreadPoolTest, ExecutesEverySubmittedTaskExactlyOnce) {
-  constexpr int kTasks = 500;
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  Latch latch(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&, i] {
-      runs[i].fetch_add(1);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-  // The execution counter trails the task body by one instruction; give the
-  // last workers a beat, then pin that it never overshoots.
-  while (pool.tasks_executed() < static_cast<uint64_t>(kTasks)) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(pool.tasks_executed(), static_cast<uint64_t>(kTasks));
-}
-
-TEST(ThreadPoolTest, SingleWorkerPoolStillDrainsEverything) {
-  ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  Latch latch(100);
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&, i] {
-      sum.fetch_add(i);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
-}
-
-TEST(ThreadPoolTest, WorkersStealFromSiblings) {
-  // Round-robin submission spreads 64 tasks over 8 deques, but one task
-  // holds its worker hostage until every other task has finished — which
-  // can only happen if the hostage worker's queued tasks are stolen.
-  constexpr int kTasks = 64;
-  ThreadPool pool(8);
-  Latch others(kTasks - 1);
-  Latch all(kTasks);
-  pool.Submit([&] {
-    others.Wait();  // blocks worker 0 until the other 63 tasks are done
-    all.CountDown();
-  });
-  for (int i = 1; i < kTasks; ++i) {
-    pool.Submit([&] {
-      others.CountDown();
-      all.CountDown();
-    });
-  }
-  all.Wait();
-  while (pool.tasks_executed() < static_cast<uint64_t>(kTasks)) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(pool.tasks_executed(), static_cast<uint64_t>(kTasks));
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> leaves{0};
-  Latch latch(8);
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      for (int j = 0; j < 2; ++j) {
-        pool.Submit([&] {
-          for (int k = 0; k < 2; ++k) {
-            pool.Submit([&] {
-              leaves.fetch_add(1);
-              latch.CountDown();
-            });
-          }
-        });
-      }
-    });
-  }
-  latch.Wait();
-  EXPECT_EQ(leaves.load(), 8);
-}
-
-// ---------------------------------------------------------------------------
-// Worker groups: the memory-locality partitioning of the pool.
-
-TEST(ThreadPoolTest, DetectWorkerGroupsStaysWithinBounds) {
-  EXPECT_EQ(ThreadPool::DetectWorkerGroups(1), 1);
-  for (int threads : {2, 8, 16, 64}) {
-    const int groups = ThreadPool::DetectWorkerGroups(threads);
-    EXPECT_GE(groups, 1) << threads << " threads";
-    EXPECT_LE(groups, threads) << threads << " threads";
-  }
-}
-
-TEST(ThreadPoolTest, GroupCountClampsToWorkerCount) {
-  ThreadPool wide(2, 8);
-  EXPECT_EQ(wide.num_groups(), 2);
-  ThreadPool two(4, 2);
-  EXPECT_EQ(two.num_groups(), 2);
-  ThreadPool detected(4, 0);
-  EXPECT_GE(detected.num_groups(), 1);
-  EXPECT_LE(detected.num_groups(), 4);
-}
-
-TEST(ThreadPoolTest, CurrentWorkerGroupVisibleOnWorkersAndOffPool) {
-  EXPECT_EQ(ThreadPool::CurrentWorkerGroup(), -1);  // not a pool thread
-  ThreadPool pool(4, 2);
-  std::mutex mutex;
-  std::vector<int> seen;
-  Latch latch(32);
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&] {
-      const int group = ThreadPool::CurrentWorkerGroup();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        seen.push_back(group);
-      }
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  for (int group : seen) {
-    EXPECT_GE(group, 0);
-    EXPECT_LT(group, 2);
-  }
-}
-
-TEST(ThreadPoolTest, HintedSubmitRunsEveryTaskOnceEvenWithBadHints) {
-  constexpr int kTasks = 200;
-  ThreadPool pool(4, 2);
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  Latch latch(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    // Cycles through hint values -1 (anywhere), 0, 1 (valid) and 2
-    // (out of range, treated as anywhere).
-    pool.Submit(
-        [&, i] {
-          runs[i].fetch_add(1);
-          latch.CountDown();
-        },
-        /*group=*/(i % 4) - 1);
-  }
-  latch.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SingleGroupPoolClassifiesEveryStealAsLocal) {
-  // The hostage pattern from WorkersStealFromSiblings forces steals: the
-  // blocked worker's queued tasks can only finish by being stolen. With
-  // one group every victim is a same-group sibling.
-  constexpr int kTasks = 64;
-  ThreadPool pool(8, 1);
-  Latch others(kTasks - 1);
-  Latch all(kTasks);
-  pool.Submit([&] {
-    others.Wait();
-    all.CountDown();
-  });
-  for (int i = 1; i < kTasks; ++i) {
-    pool.Submit([&] {
-      others.CountDown();
-      all.CountDown();
-    });
-  }
-  all.Wait();
-  EXPECT_GE(pool.local_steals(), 1u);
-  EXPECT_EQ(pool.remote_steals(), 0u);
-}
-
-TEST(ThreadPoolTest, CrossGroupExecutionIsAccountedAsRemoteSteal) {
-  // Two workers, one per group. Every task is hinted to group 0, so it is
-  // queued on group 0's worker; any execution observed on group 1 can only
-  // have happened via a cross-group steal. Which tasks group 1 wins is
-  // scheduling noise, but the counter must cover every such win.
-  constexpr int kTasks = 64;
-  ThreadPool pool(2, 2);
-  std::atomic<int> ran_remote{0};
-  Latch latch(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit(
-        [&] {
-          if (ThreadPool::CurrentWorkerGroup() == 1) ran_remote.fetch_add(1);
-          latch.CountDown();
-        },
-        /*group=*/0);
-  }
-  latch.Wait();
-  EXPECT_GE(pool.remote_steals(),
-            static_cast<uint64_t>(ran_remote.load()));
-}
-
-// ---------------------------------------------------------------------------
-// ParallelExecutor
 
 TEST(ParallelExecutorTest, NonPositiveThreadCountSelectsHardwareDefault) {
   ParallelExecutor all(0);
-  EXPECT_EQ(all.num_threads(), ThreadPool::DefaultThreadCount());
+  EXPECT_EQ(all.num_threads(), ParallelExecutor::DefaultThreadCount());
   ParallelExecutor also_all(-3);
-  EXPECT_EQ(also_all.num_threads(), ThreadPool::DefaultThreadCount());
+  EXPECT_EQ(also_all.num_threads(), ParallelExecutor::DefaultThreadCount());
 }
 
 TEST(ParallelExecutorTest, SingleThreadRunsInlineInIndexOrder) {
@@ -287,10 +86,27 @@ TEST(ParallelExecutorTest, SequentialStopsAtFirstErrorLikeTheOldLoop) {
   EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2}));
 }
 
+TEST(ParallelExecutorTest, WorkersRunTasksConcurrently) {
+  // Each of the four tasks blocks until all four have arrived, which only
+  // happens if four workers hold one task each at the same time. An
+  // executor that serialized tasks would time the first one out.
+  constexpr int kThreads = 4;
+  ParallelExecutor executor(kThreads);
+  ASSERT_FALSE(executor.sequential());
+  Latch arrived(kThreads);
+  const Status status = executor.RunTasks(kThreads, [&](size_t i) {
+    arrived.CountDown();
+    return arrived.WaitFor(std::chrono::seconds(30))
+               ? Status::Ok()
+               : Status::Internal("task " + std::to_string(i) +
+                                  " waited alone");
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(ParallelExecutorTest, ParallelRunsEveryIndexExactlyOnce) {
   ParallelExecutor executor(4);
-  ASSERT_FALSE(executor.sequential());
-  constexpr size_t kTasks = 200;
+  constexpr size_t kTasks = 10000;
   std::vector<std::atomic<int>> runs(kTasks);
   for (auto& r : runs) r.store(0);
   const Status status = executor.RunTasks(kTasks, [&](size_t i) {
@@ -298,7 +114,9 @@ TEST(ParallelExecutorTest, ParallelRunsEveryIndexExactlyOnce) {
     return Status::Ok();
   });
   EXPECT_TRUE(status.ok());
-  for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1);
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  }
 }
 
 TEST(ParallelExecutorTest, ParallelReturnsLowestFailingIndexError) {
@@ -329,57 +147,19 @@ TEST(ParallelExecutorTest, ZeroTasksIsANoOp) {
 }
 
 TEST(ParallelExecutorTest, ExecutorIsReusableAcrossBatches) {
+  // Batches of varied size, including fewer tasks than workers and a
+  // failing batch, must not leak claims or errors into the next one.
   ParallelExecutor executor(3);
-  for (int batch = 0; batch < 5; ++batch) {
-    std::atomic<int> ran{0};
-    ASSERT_TRUE(executor
-                    .RunTasks(50,
-                              [&](size_t) {
-                                ran.fetch_add(1);
-                                return Status::Ok();
-                              })
-                    .ok());
-    EXPECT_EQ(ran.load(), 50);
-  }
-}
-
-TEST(ParallelExecutorTest, GroupTopologyIsExposedAndSequentialIsFlat) {
-  ParallelExecutor grouped(4, 2);
-  EXPECT_EQ(grouped.num_groups(), 2);
-  ParallelExecutor sequential(1, 4);
-  EXPECT_TRUE(sequential.sequential());
-  EXPECT_EQ(sequential.num_groups(), 1);
-  EXPECT_EQ(sequential.local_steals(), 0u);
-  EXPECT_EQ(sequential.remote_steals(), 0u);
-}
-
-TEST(ParallelExecutorTest, PlacementHintsDoNotChangeResultsOrErrors) {
-  for (int threads : {1, 4}) {
-    ParallelExecutor executor(threads, 2);
-    constexpr size_t kTasks = 100;
-    std::vector<std::atomic<int>> runs(kTasks);
-    for (auto& r : runs) r.store(0);
-    const Status ok_status = executor.RunTasks(
-        kTasks,
-        [&](size_t i) {
-          runs[i].fetch_add(1);
-          return Status::Ok();
-        },
-        [](size_t i) { return static_cast<int>(i % 3) - 1; });
-    EXPECT_TRUE(ok_status.ok()) << threads << " threads";
-    for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1);
-
-    // Error selection stays lowest-failing-index under hints.
-    const Status failed = executor.RunTasks(
-        16,
-        [&](size_t i) {
-          return i == 5 || i == 12
-                     ? Status::Internal("task " + std::to_string(i))
-                     : Status::Ok();
-        },
-        [](size_t) { return 1; });
-    EXPECT_EQ(failed.code(), StatusCode::kInternal) << threads << " threads";
-    EXPECT_EQ(failed.message(), "task 5") << threads << " threads";
+  for (int batch = 0; batch < 50; ++batch) {
+    const size_t n = static_cast<size_t>(1 + batch % 7);
+    std::atomic<size_t> ran{0};
+    const Status status = executor.RunTasks(n, [&](size_t i) {
+      ran.fetch_add(1);
+      return batch % 10 == 9 && i == 0 ? Status::Internal("fail")
+                                       : Status::Ok();
+    });
+    EXPECT_EQ(ran.load(), n) << "batch " << batch;
+    EXPECT_EQ(status.ok(), batch % 10 != 9) << "batch " << batch;
   }
 }
 
@@ -404,22 +184,16 @@ TEST(LoggingTest, ScopedLogTagsNestAndRestore) {
   EXPECT_EQ(ThreadLogTag(), "");
 }
 
-TEST(LoggingTest, PoolWorkersCarryTheirOwnTags) {
-  ThreadPool pool(2);
-  std::mutex mutex;
-  std::vector<std::string> tags;
-  Latch latch(8);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] {
-      const std::string tag = ThreadLogTag();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        tags.push_back(tag);
-      }
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
+TEST(LoggingTest, ExecutorWorkersCarryTheirOwnTags) {
+  ParallelExecutor executor(2);
+  std::vector<std::string> tags(8);
+  ASSERT_TRUE(executor
+                  .RunTasks(tags.size(),
+                            [&](size_t i) {
+                              tags[i] = ThreadLogTag();
+                              return Status::Ok();
+                            })
+                  .ok());
   for (const std::string& tag : tags) {
     EXPECT_TRUE(tag == "w0" || tag == "w1") << tag;
   }
@@ -614,6 +388,17 @@ TEST(ParallelDeterminismTest, MoreThreadsThanTasksIsFine) {
                        .ValueOrDie();
   EXPECT_EQ(job.stats.groups_reduced, 10u);
   EXPECT_EQ(job.stats.records_mapped, 200u);
+}
+
+TEST(ParallelDeterminismTest, EngineRefusesThreadCountsPastTheCap) {
+  ModMapper mapper;
+  CountReducer reducer;
+  JobSpec spec;
+  spec.num_threads = 1 << 20;
+  const auto job = RunMapReduce<int, int, KeyCount>(
+      /*num_splits=*/2, mapper, reducer, [](const int&) { return 0; }, spec);
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelDeterminismTest, UserErrorsSurfaceIdenticallyInParallel) {

@@ -810,9 +810,9 @@ TEST(ShuffleSpillTest, CorruptedRunKeyFailsColumnarGrouping) {
   EXPECT_EQ(grouped.status().code(), StatusCode::kIoError);
 }
 
-// The shuffle handoff over hand-built map-task states, with more worker
-// groups than any CI host has.
-TEST(ShuffleHandoffTest, SegmentOrderAndPluralityPlacementHints) {
+// The shuffle handoff over hand-built map-task states mixing in-memory and
+// spilled outputs.
+TEST(ShuffleHandoffTest, SegmentsFollowSplitThenFlushOrder) {
   using MapTask = internal::MapTaskState<int, int>;
   const auto bucket = [](size_t records) {
     return std::vector<std::pair<int, int>>(records, {0, 0});
@@ -827,37 +827,27 @@ TEST(ShuffleHandoffTest, SegmentOrderAndPluralityPlacementHints) {
   };
   constexpr size_t kReduce = 5;
   std::vector<MapTask> tasks(5);
-  // Split 0, group 0: 5 records for r0, 2 for r1.
-  tasks[0].worker_group = 0;
+  // Split 0: 5 records for r0, 2 for r1.
   tasks[0].committed.resize(kReduce);
   tasks[0].committed[0] = bucket(5);
   tasks[0].committed[1] = bucket(2);
-  // Split 1, group 2, spilled: r0 3 + 1 records over two flushes, r1 2.
-  tasks[1].worker_group = 2;
+  // Split 1, spilled: r0 3 + 1 records over two flushes, r1 2.
   tasks[1].committed.resize(kReduce);
   tasks[1].runs = {run(0, 3, "a"), run(1, 2, "a"), run(0, 1, "b")};
-  // Split 2, unknown group (a restored task): 50 records for r3.
+  // Split 2: 50 records for r3.
   tasks[2].committed.resize(kReduce);
   tasks[2].committed[3] = bucket(50);
-  // Split 3, out-of-range group: 50 records for r3, 1 for r4.
-  tasks[3].worker_group = 7;
+  // Split 3: 50 records for r3, 1 for r4.
   tasks[3].committed.resize(kReduce);
   tasks[3].committed[3] = bucket(50);
   tasks[3].committed[4] = bucket(1);
-  // Split 4, group 1: 1 record for r4, 9 for r0.
-  tasks[4].worker_group = 1;
+  // Split 4: 1 record for r4, 9 for r0.
   tasks[4].committed.resize(kReduce);
   tasks[4].committed[0] = bucket(9);
   tasks[4].committed[4] = bucket(1);
 
   internal::SegmentLists<int, int> segments(kReduce);
-  const std::vector<int> hints =
-      internal::ShuffleHandoff(tasks, /*num_groups=*/3, &segments);
-  // r0: group 0 has 5, group 1 has 9, group 2 has 4 -> group 1.
-  // r1: groups 0 and 2 tie at 2 -> the lowest, group 0.
-  // r2: no records -> -1. r3: only ungrouped records -> -1.
-  // r4: group 1 has 1, the out-of-range group is ignored -> group 1.
-  EXPECT_EQ(hints, (std::vector<int>{1, 0, -1, -1, 1}));
+  internal::ShuffleHandoff(tasks, &segments);
 
   // (split, flush) order; memory segments reference the map task's
   // committed buckets in place.
@@ -880,11 +870,6 @@ TEST(ShuffleHandoffTest, SegmentOrderAndPluralityPlacementHints) {
   ASSERT_EQ(segments[4].size(), 2u);
   EXPECT_EQ(segments[4][0].memory, &tasks[3].committed[4]);
   EXPECT_EQ(segments[4][1].memory, &tasks[4].committed[4]);
-
-  // A single-group pool expresses no preference at all.
-  internal::SegmentLists<int, int> single(kReduce);
-  EXPECT_EQ(internal::ShuffleHandoff(tasks, /*num_groups=*/1, &single),
-            std::vector<int>(kReduce, -1));
 }
 
 // Grouping oracle: GroupSegments over every segment layout, budget regime

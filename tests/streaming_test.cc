@@ -256,6 +256,13 @@ TEST(StreamingDetectorTest, CellSideWithAnOversizedRingIsRefused) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(StreamingDetectorTest, ThreadCountPastTheCapIsRefused) {
+  StreamingConfig config = BaseConfig(1.0, 2);
+  config.num_threads = 1 << 20;
+  EXPECT_EQ(StreamingDetector::Create(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(StreamingDetectorTest, EntireCellExpiryClearsItsOutliers) {
   StreamingConfig config = BaseConfig(1.0, 2);
   config.window_blocks = 2;

@@ -27,6 +27,7 @@
 #include "observability/metrics.h"
 #include "observability/profile.h"
 #include "observability/trace.h"
+#include "runtime/parallel_executor.h"
 
 namespace {
 
@@ -53,7 +54,7 @@ Pipeline:
   --partitions M         target partition count (default n/4000, >=32)
   --reducers R           reduce tasks (default 32)
   --blocks B             input blocks / map tasks (default 32)
-  --threads N            worker threads running map/reduce tasks
+  --threads N            worker threads running map/reduce tasks, <= 1024
                          (default: all hardware threads; 1 = sequential,
                          output is byte-identical for any N)
   --kernels MODE         distance kernels: auto (batched SIMD, default) |
@@ -279,8 +280,10 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   // 0 = all hardware threads (the engine resolves it).
   auto threads = flags.GetInt("threads", 0);
   if (!threads.ok()) return threads.status();
-  if (threads.value() < 0) {
-    return dod::Status::InvalidArgument("--threads must be >= 0");
+  if (threads.value() < 0 || threads.value() > dod::kMaxThreads) {
+    return dod::Status::InvalidArgument("--threads must be in [0, " +
+                                        std::to_string(dod::kMaxThreads) +
+                                        "]");
   }
   config.num_threads = static_cast<int>(threads.value());
   auto rate = flags.GetDouble("sample-rate", 0.05);

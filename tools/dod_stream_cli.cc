@@ -47,6 +47,7 @@
 #include "observability/metrics.h"
 #include "observability/profile.h"
 #include "observability/trace.h"
+#include "runtime/parallel_executor.h"
 #include "streaming/streaming_detector.h"
 
 namespace {
@@ -71,8 +72,9 @@ Streaming service:
                          ring of (2*ceil(r/S)+1)^dims cells per touched
                          cell; a side whose ring exceeds 2^20 cells is
                          refused (2-D: S >= r/511)
-  --threads N            threads fanning out over dirty cells (default 1;
-                         0 = all hardware threads; deltas identical)
+  --threads N            threads fanning out over dirty cells, <= 1024
+                         (default 1; 0 = all hardware threads; deltas
+                         identical)
 
 Out-of-order admission:
   --lateness L           enable the watermark reorder stage with bounded
@@ -233,6 +235,10 @@ int main(int argc, char** argv) {
   }
   if (radius_flag.value() <= 0.0 || k_flag.value() < 1) {
     return Fail("--radius must be > 0, --k >= 1");
+  }
+  if (threads_flag.value() < 0 || threads_flag.value() > dod::kMaxThreads) {
+    return Fail("--threads must be in [0, " +
+                std::to_string(dod::kMaxThreads) + "]");
   }
 
   Schedule schedule;

@@ -19,8 +19,7 @@
 // trace must hold at least one shuffle_spill span carrying its
 // records/bytes args, and the metrics dump must carry the full mr.spill.*
 // schema (run counters + run-records histogram) with runs both written
-// and merged, plus the runtime.worker_groups gauge and
-// runtime.steal.{local,remote} counters of the locality-aware pool.
+// and merged.
 //
 // With --require_streaming the run must have come from the streaming
 // service (dod_stream_cli): the trace must hold at least one "round"
@@ -242,26 +241,19 @@ int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
 }
 
 // The mr.spill.* names the engine folds in after every job; a metrics dump
-// from a spilled run must carry the whole family, show actual run traffic
-// (runs written AND merged back), and expose the locality-aware pool's
-// worker-group gauge and steal counters.
+// from a spilled run must carry the whole family and show actual run
+// traffic (runs written AND merged back).
 int ValidateSpillMetrics(const dod::JsonValue& metrics) {
   const dod::JsonValue& counters = metrics.Get("counters");
   for (const char* name :
        {"mr.spill.map_tasks", "mr.spill.reduce_tasks", "mr.spill.runs_written",
         "mr.spill.bytes_written", "mr.spill.runs_merged",
         "mr.spill.bytes_read", "mr.shuffle.fallback.density",
-        "mr.shuffle.fallback.budget", "mr.shuffle.fallback.spill",
-        "runtime.steal.local", "runtime.steal.remote"}) {
+        "mr.shuffle.fallback.budget", "mr.shuffle.fallback.spill"}) {
     if (!counters.Get(name).is_number()) {
       return Fail(std::string("metrics: missing spill counter \"") + name +
                   "\"");
     }
-  }
-  const dod::JsonValue& groups =
-      metrics.Get("gauges").Get("runtime.worker_groups");
-  if (!groups.Get("count").is_number() || !groups.Get("max").is_number()) {
-    return Fail("metrics: missing gauge \"runtime.worker_groups\"");
   }
   const dod::JsonValue& run_records =
       metrics.Get("histograms").Get("mr.spill.run_records");

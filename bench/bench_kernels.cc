@@ -44,13 +44,14 @@ struct DetectorPoint {
 };
 
 // Uncapped neighbor counting of `queries` against the whole SoA; returns
-// pairs/sec of the fastest of `repeats` passes and checks every impl agrees
-// with the reference counts.
+// pairs/sec of the fastest of `repeats` passes and exits 1 unless every
+// impl agrees with the reference counts and evaluated pairs (the first
+// impl measured, scalar, sets both).
 KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
                           const dod::Dataset& data,
                           const std::vector<uint32_t>& queries,
                           double sq_radius, std::vector<int>* counts,
-                          int repeats) {
+                          uint64_t* reference_pairs, int repeats) {
   KernelPoint point;
   point.impl = ops.name;
   double best = 1e300;
@@ -68,9 +69,16 @@ KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
     best = std::min(best, SecondsSince(start));
     if (counts->empty()) {
       *counts = got;
+      *reference_pairs = pairs;
     } else if (got != *counts) {
       std::fprintf(stderr, "FATAL: %s disagrees with reference counts\n",
                    ops.name);
+      std::exit(1);
+    } else if (pairs != *reference_pairs) {
+      std::fprintf(stderr,
+                   "FATAL: %s evaluated %llu pairs, reference %llu\n",
+                   ops.name, static_cast<unsigned long long>(pairs),
+                   static_cast<unsigned long long>(*reference_pairs));
       std::exit(1);
     }
   }
@@ -149,7 +157,8 @@ int main(int argc, char** argv) {
   dod::bench::PrintHeader(
       "Distance-kernel throughput — scalar vs blocked vs AVX2, 2-d",
       "Uncapped neighbor counting of sampled queries against the full\n"
-      "dataset; every implementation is checked against the scalar counts.",
+      "dataset; every implementation is checked against the scalar counts\n"
+      "and evaluated pairs.",
       dod::bench::TimeBase::kWallClock);
 
   const dod::Dataset data = dod::GenerateTigerLike(n, 1234);
@@ -176,10 +185,12 @@ int main(int argc, char** argv) {
   std::printf("%10s %16s %10s\n", "impl", "pairs/sec", "speedup");
 
   std::vector<int> reference_counts;
+  uint64_t reference_pairs = 0;
   std::vector<KernelPoint> kernels;
   for (const dod::KernelOps* ops : impls) {
     KernelPoint point = MeasureKernel(*ops, soa, data, queries, sq_radius,
-                                      &reference_counts, repeats);
+                                      &reference_counts, &reference_pairs,
+                                      repeats);
     point.speedup = kernels.empty()
                         ? 1.0
                         : point.pairs_per_sec / kernels.front().pairs_per_sec;

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "kernels/dims_dispatch.h"
+
 namespace dod {
 namespace internal {
 // Defined in distance_kernels_avx2.cc; nullptr when not compiled in.
@@ -116,19 +118,6 @@ inline void BlockSquaredDistances(const SoABlock& pts, size_t block,
     }
   }
 }
-
-// Expands to a per-dims dispatch of a templated kernel. kMaxDimensions is 8.
-#define DOD_DISPATCH_DIMS(fn, dims, ...)  \
-  switch (dims) {                         \
-    case 1: return fn<1>(__VA_ARGS__);    \
-    case 2: return fn<2>(__VA_ARGS__);    \
-    case 3: return fn<3>(__VA_ARGS__);    \
-    case 4: return fn<4>(__VA_ARGS__);    \
-    case 5: return fn<5>(__VA_ARGS__);    \
-    case 6: return fn<6>(__VA_ARGS__);    \
-    case 7: return fn<7>(__VA_ARGS__);    \
-    default: return fn<8>(__VA_ARGS__);   \
-  }
 
 template <int kDims>
 int BlockedCountT(const SoABlock& pts, size_t begin, size_t end,

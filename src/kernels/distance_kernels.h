@@ -18,11 +18,13 @@
 // charged to the pair counters.
 //
 // What is *not* promised across implementations is the evaluation
-// schedule: batched kernels early-exit at block-group granularity (the
-// full-block loop processes up to two blocks per cap check), so counters
-// of evaluated pairs may exceed the scalar path's by up to 2*kSoaWidth - 1
-// per capped query. Verdicts (count >= k, membership, minima, distances)
-// are identical.
+// schedule of a capped count. Scalar stops at the pair that reaches the
+// cap. Avx2 checks the cap after every kSoaWidth-slot block, so its
+// counter of evaluated pairs may exceed scalar's by up to kSoaWidth - 1
+// per capped query. Blocked checks it after up to two full blocks, so its
+// counter may exceed scalar's by up to 2*kSoaWidth - 1. Uncapped counts
+// evaluate the same pairs everywhere, and verdicts (count >= k,
+// membership, minima, distances) are identical.
 
 #ifndef DOD_KERNELS_DISTANCE_KERNELS_H_
 #define DOD_KERNELS_DISTANCE_KERNELS_H_

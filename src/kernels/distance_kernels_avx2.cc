@@ -26,23 +26,38 @@
 #include <algorithm>
 #include <limits>
 
+#include "kernels/dims_dispatch.h"
+
 #define DOD_AVX2 __attribute__((target("avx2")))
 
 namespace dod {
 namespace {
 
-// Squared distances from `q` to the kSoaWidth slots of `block`, as two
-// 4-wide vectors (slots 0-3 and 4-7).
+// Every entry dispatches on pts.dims() once per call into a `template <int
+// kDims>` body, which broadcasts the query coordinates into registers once
+// and then walks the blocks with a fully unrolled dimension loop.
+template <int kDims>
+DOD_AVX2 inline void BroadcastQuery(const double* q, __m256d* qv) {
+  for (int d = 0; d < kDims; ++d) qv[d] = _mm256_set1_pd(q[d]);
+}
+
+// Squared distances from the broadcast query `qv` to the kSoaWidth slots of
+// `block`, as two 4-wide vectors (slots 0-3 and 4-7). The first dimension's
+// square seeds the accumulator: a square is never -0.0, so 0.0 + x is x bit
+// for bit and this matches the scalar `sum = 0.0; sum += diff * diff`.
+template <int kDims>
 DOD_AVX2 inline void BlockSquaredDistances(const SoABlock& pts, size_t block,
-                                           const double* q, int dims,
-                                           __m256d* lo, __m256d* hi) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (int d = 0; d < dims; ++d) {
-    const double* lane = pts.Lane(block, d);
-    const __m256d qd = _mm256_set1_pd(q[d]);
-    const __m256d d0 = _mm256_sub_pd(qd, _mm256_loadu_pd(lane));
-    const __m256d d1 = _mm256_sub_pd(qd, _mm256_loadu_pd(lane + 4));
+                                           const __m256d* qv, __m256d* lo,
+                                           __m256d* hi) {
+  const double* lane = pts.Lane(block, 0);
+  __m256d d0 = _mm256_sub_pd(qv[0], _mm256_loadu_pd(lane));
+  __m256d d1 = _mm256_sub_pd(qv[0], _mm256_loadu_pd(lane + 4));
+  __m256d acc0 = _mm256_mul_pd(d0, d0);
+  __m256d acc1 = _mm256_mul_pd(d1, d1);
+  for (int d = 1; d < kDims; ++d) {
+    lane += kSoaWidth;
+    d0 = _mm256_sub_pd(qv[d], _mm256_loadu_pd(lane));
+    d1 = _mm256_sub_pd(qv[d], _mm256_loadu_pd(lane + 4));
     acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
     acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
   }
@@ -50,10 +65,9 @@ DOD_AVX2 inline void BlockSquaredDistances(const SoABlock& pts, size_t block,
   *hi = acc1;
 }
 
-// Bit s set iff slot s is within sq_radius (NaN distances excluded).
-DOD_AVX2 inline unsigned WithinMask(__m256d lo, __m256d hi,
-                                    double sq_radius) {
-  const __m256d r = _mm256_set1_pd(sq_radius);
+// Bit s set iff slot s is within the broadcast radius `r` (NaN distances
+// excluded).
+DOD_AVX2 inline unsigned WithinMask(__m256d lo, __m256d hi, __m256d r) {
   const unsigned m0 = static_cast<unsigned>(
       _mm256_movemask_pd(_mm256_cmp_pd(lo, r, _CMP_LE_OQ)));
   const unsigned m1 = static_cast<unsigned>(
@@ -61,56 +75,99 @@ DOD_AVX2 inline unsigned WithinMask(__m256d lo, __m256d hi,
   return m0 | (m1 << 4);
 }
 
-// Bit s set iff slot s carries skip_id.
-DOD_AVX2 inline unsigned SkipMask(const uint32_t* ids, uint32_t skip_id) {
+// Bit s set iff slot s carries the broadcast id `skip`.
+DOD_AVX2 inline unsigned SkipMask(const uint32_t* ids, __m256i skip) {
   const __m256i v =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids));
-  const __m256i eq =
-      _mm256_cmpeq_epi32(v, _mm256_set1_epi32(static_cast<int>(skip_id)));
-  return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
+  return static_cast<unsigned>(_mm256_movemask_ps(
+      _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, skip))));
+}
+
+static_assert(kSoaWidth == 8, "a block is two 4-wide AVX2 vectors");
+
+// Slot mask of an interior block: every slot in range.
+constexpr unsigned kAllSlots = (1u << kSoaWidth) - 1u;
+
+// Bits [lo, hi) of a block's slot mask.
+inline unsigned SlotRange(size_t lo, size_t hi) {
+  return ((1u << hi) - 1u) & ~((1u << lo) - 1u);
+}
+
+// Neighbors among the `range` slots of `block` that do not carry `skip`;
+// adds the slots evaluated to *evals.
+template <int kDims>
+DOD_AVX2 inline int CountInBlock(const SoABlock& pts, size_t block,
+                                 unsigned range, const __m256d* qv,
+                                 __m256d r, __m256i skip, uint64_t* evals) {
+  __m256d lo, hi;
+  BlockSquaredDistances<kDims>(pts, block, qv, &lo, &hi);
+  const unsigned valid = range & ~SkipMask(pts.Ids(block), skip);
+  *evals += static_cast<unsigned>(__builtin_popcount(valid));
+  return __builtin_popcount(WithinMask(lo, hi, r) & valid);
+}
+
+// Only the partial head and tail blocks of [begin, end) build a range mask;
+// interior blocks take all kSoaWidth slots. The cap is checked after every
+// block, so a capped query evaluates exactly the slots up to the end of the
+// block that reached it.
+template <int kDims>
+DOD_AVX2 int Avx2CountT(const SoABlock& pts, size_t begin, size_t end,
+                        const double* q, double sq_radius, uint32_t skip_id,
+                        int cap, uint64_t* pairs) {
+  __m256d qv[kDims];
+  BroadcastQuery<kDims>(q, qv);
+  const __m256d r = _mm256_set1_pd(sq_radius);
+  const __m256i skip = _mm256_set1_epi32(static_cast<int>(skip_id));
+  const int stop = cap < 0 ? std::numeric_limits<int>::max() : cap;
+  uint64_t evals = 0;
+  int count = 0;
+  size_t b = begin / kSoaWidth;
+  const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
+  if (begin % kSoaWidth != 0 && b < last) {
+    const unsigned range = SlotRange(
+        begin % kSoaWidth, std::min(end - b * kSoaWidth, kSoaWidth));
+    count += CountInBlock<kDims>(pts, b, range, qv, r, skip, &evals);
+    ++b;
+  }
+  const size_t full_end = end / kSoaWidth;
+  for (; b < full_end && count < stop; ++b) {
+    count += CountInBlock<kDims>(pts, b, kAllSlots, qv, r, skip, &evals);
+  }
+  if (b < last && count < stop) {
+    const unsigned range = SlotRange(0, end - b * kSoaWidth);
+    count += CountInBlock<kDims>(pts, b, range, qv, r, skip, &evals);
+  }
+  if (pairs != nullptr) *pairs += evals;
+  return count;
 }
 
 DOD_AVX2 int Avx2Count(const SoABlock& pts, size_t begin, size_t end,
                        const double* q, double sq_radius, uint32_t skip_id,
                        int cap, uint64_t* pairs) {
   if (cap == 0) return 0;
-  const int dims = pts.dims();
-  uint64_t evals = 0;
-  int count = 0;
-  const size_t first = begin / kSoaWidth;
-  const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
-  for (size_t b = first; b < last; ++b) {
-    const size_t base = b * kSoaWidth;
-    const size_t lo_slot = begin > base ? begin - base : 0;
-    const size_t hi_slot = std::min(end - base, kSoaWidth);
-    __m256d d0, d1;
-    BlockSquaredDistances(pts, b, q, dims, &d0, &d1);
-    const unsigned range =
-        ((1u << hi_slot) - 1u) & ~((1u << lo_slot) - 1u);
-    const unsigned valid = range & ~SkipMask(pts.Ids(b), skip_id);
-    evals += static_cast<unsigned>(__builtin_popcount(valid));
-    count += __builtin_popcount(WithinMask(d0, d1, sq_radius) & valid);
-    if (cap >= 0 && count >= cap) break;
-  }
-  if (pairs != nullptr) *pairs += evals;
-  return count;
+  DOD_DISPATCH_DIMS(Avx2CountT, pts.dims(), pts, begin, end, q, sq_radius,
+                    skip_id, cap, pairs);
 }
 
-DOD_AVX2 void Avx2RangeMask(const SoABlock& pts, const double* q,
-                            double sq_radius, uint32_t skip_id,
-                            std::vector<uint32_t>* out, uint64_t* pairs) {
-  const int dims = pts.dims();
+template <int kDims>
+DOD_AVX2 void Avx2RangeMaskT(const SoABlock& pts, const double* q,
+                             double sq_radius, uint32_t skip_id,
+                             std::vector<uint32_t>* out, uint64_t* pairs) {
+  __m256d qv[kDims];
+  BroadcastQuery<kDims>(q, qv);
+  const __m256d r = _mm256_set1_pd(sq_radius);
+  const __m256i skip = _mm256_set1_epi32(static_cast<int>(skip_id));
   uint64_t evals = 0;
   for (size_t b = 0; b < pts.num_blocks(); ++b) {
     const size_t base = b * kSoaWidth;
-    const size_t hi_slot = std::min(pts.size() - base, kSoaWidth);
     __m256d d0, d1;
-    BlockSquaredDistances(pts, b, q, dims, &d0, &d1);
+    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
     const uint32_t* ids = pts.Ids(b);
-    const unsigned range = (1u << hi_slot) - 1u;
-    const unsigned valid = range & ~SkipMask(ids, skip_id);
+    const unsigned range =
+        SlotRange(0, std::min(pts.size() - base, kSoaWidth));
+    const unsigned valid = range & ~SkipMask(ids, skip);
     evals += static_cast<unsigned>(__builtin_popcount(valid));
-    unsigned hits = WithinMask(d0, d1, sq_radius) & valid;
+    unsigned hits = WithinMask(d0, d1, r) & valid;
     while (hits != 0) {  // ascending slot order
       const int s = __builtin_ctz(hits);
       out->push_back(ids[s]);
@@ -120,14 +177,22 @@ DOD_AVX2 void Avx2RangeMask(const SoABlock& pts, const double* q,
   if (pairs != nullptr) *pairs += evals;
 }
 
-DOD_AVX2 double Avx2Min(const SoABlock& pts, const double* q,
-                        uint64_t* pairs) {
-  const int dims = pts.dims();
-  __m256d best =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+DOD_AVX2 void Avx2RangeMask(const SoABlock& pts, const double* q,
+                            double sq_radius, uint32_t skip_id,
+                            std::vector<uint32_t>* out, uint64_t* pairs) {
+  DOD_DISPATCH_DIMS(Avx2RangeMaskT, pts.dims(), pts, q, sq_radius, skip_id,
+                    out, pairs);
+}
+
+template <int kDims>
+DOD_AVX2 double Avx2MinT(const SoABlock& pts, const double* q,
+                         uint64_t* pairs) {
+  __m256d qv[kDims];
+  BroadcastQuery<kDims>(q, qv);
+  __m256d best = _mm256_set1_pd(std::numeric_limits<double>::infinity());
   for (size_t b = 0; b < pts.num_blocks(); ++b) {
     __m256d d0, d1;
-    BlockSquaredDistances(pts, b, q, dims, &d0, &d1);
+    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
     // min_pd(a, b) returns b when a is NaN, so NaN distances are excluded
     // exactly like the scalar `<` update; pad slots contribute +infinity.
     best = _mm256_min_pd(d0, best);
@@ -143,14 +208,21 @@ DOD_AVX2 double Avx2Min(const SoABlock& pts, const double* q,
   return result;
 }
 
-DOD_AVX2 void Avx2Dists(const SoABlock& pts, const double* q, double* out,
+DOD_AVX2 double Avx2Min(const SoABlock& pts, const double* q,
                         uint64_t* pairs) {
-  const int dims = pts.dims();
+  DOD_DISPATCH_DIMS(Avx2MinT, pts.dims(), pts, q, pairs);
+}
+
+template <int kDims>
+DOD_AVX2 void Avx2DistsT(const SoABlock& pts, const double* q, double* out,
+                         uint64_t* pairs) {
+  __m256d qv[kDims];
+  BroadcastQuery<kDims>(q, qv);
   for (size_t b = 0; b < pts.num_blocks(); ++b) {
     const size_t base = b * kSoaWidth;
     const size_t hi_slot = std::min(pts.size() - base, kSoaWidth);
     __m256d d0, d1;
-    BlockSquaredDistances(pts, b, q, dims, &d0, &d1);
+    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
     if (hi_slot == kSoaWidth) {
       _mm256_storeu_pd(out + base, d0);
       _mm256_storeu_pd(out + base + 4, d1);
@@ -164,16 +236,29 @@ DOD_AVX2 void Avx2Dists(const SoABlock& pts, const double* q, double* out,
   if (pairs != nullptr) *pairs += pts.size();
 }
 
+DOD_AVX2 void Avx2Dists(const SoABlock& pts, const double* q, double* out,
+                        uint64_t* pairs) {
+  DOD_DISPATCH_DIMS(Avx2DistsT, pts.dims(), pts, q, out, pairs);
+}
+
+template <int kDims>
+DOD_AVX2 void Avx2CountBlockT(const SoABlock& pts, size_t begin, size_t end,
+                              const double* queries, size_t num_queries,
+                              double sq_radius, uint32_t* counts,
+                              uint64_t* pairs) {
+  for (size_t i = 0; i < num_queries; ++i) {
+    counts[i] += static_cast<uint32_t>(
+        Avx2CountT<kDims>(pts, begin, end, queries + i * kDims, sq_radius,
+                          kSoaInvalidId, /*cap=*/-1, pairs));
+  }
+}
+
 DOD_AVX2 void Avx2CountBlock(const SoABlock& pts, size_t begin, size_t end,
                              const double* queries, size_t num_queries,
                              double sq_radius, uint32_t* counts,
                              uint64_t* pairs) {
-  const int dims = pts.dims();
-  for (size_t i = 0; i < num_queries; ++i) {
-    counts[i] += static_cast<uint32_t>(
-        Avx2Count(pts, begin, end, queries + i * dims, sq_radius,
-                  kSoaInvalidId, /*cap=*/-1, pairs));
-  }
+  DOD_DISPATCH_DIMS(Avx2CountBlockT, pts.dims(), pts, begin, end, queries,
+                    num_queries, sq_radius, counts, pairs);
 }
 
 constexpr KernelOps kAvx2Ops = {"avx2", Avx2Count, Avx2RangeMask, Avx2Min,

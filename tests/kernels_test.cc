@@ -152,6 +152,61 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
   }
 }
 
+TEST(DistanceKernelsTest, Avx2CappedCountStopsAtTheBlockThatReachedTheCap) {
+  // The avx2 count checks its cap after every block, so a capped query
+  // evaluates every non-skipped slot of [begin, end) up to the end of the
+  // block where the running count reached the cap, and no further. The
+  // distance_evals counter depends on exactly this schedule.
+  const KernelOps* avx2 = GetKernelOpsByName("avx2");
+  if (avx2 == nullptr) GTEST_SKIP() << "avx2 kernels unavailable";
+  const KernelOps& scalar = *GetKernelOpsByName("scalar");
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    const Dataset data = RandomDataset(dims, 6 * kSoaWidth, 7000u + dims);
+    SoABlock soa(dims);
+    soa.Assign(data);
+    const size_t n = soa.size();
+    // Both ends off a block boundary.
+    const size_t begin = 3;
+    const size_t end = (n - 1) % kSoaWidth != 0 ? n - 1 : n - 2;
+    Rng rng(91u * dims);
+    Point q(dims);
+    for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(3.0, 7.0);
+    const double sq_radius = 16.0 * dims;
+    std::vector<double> d2(n);
+    scalar.squared_distances(soa, q.data(), d2.data(), nullptr);
+    // Skip nothing, or a slot in the head, an interior or the tail block.
+    for (const uint32_t skip :
+         {kSoaInvalidId, soa.IdAt(begin + 1), soa.IdAt(3 * kSoaWidth + 2),
+          soa.IdAt(end - 1)}) {
+      int total = 0;
+      for (size_t s = begin; s < end; ++s) {
+        total += soa.IdAt(s) != skip && d2[s] <= sq_radius ? 1 : 0;
+      }
+      ASSERT_GT(total, 4) << "dims=" << dims;
+      for (int cap = 1; cap <= total + 1; ++cap) {
+        // Walk block by block: the expected stop is the first block end
+        // where the running count reaches the cap.
+        int want_count = 0;
+        uint64_t want_pairs = 0;
+        for (size_t s = begin; s < end; ++s) {
+          if (soa.IdAt(s) != skip) {
+            ++want_pairs;
+            want_count += d2[s] <= sq_radius ? 1 : 0;
+          }
+          if ((s + 1) % kSoaWidth == 0 && want_count >= cap) break;
+        }
+        uint64_t pairs = 0;
+        const int got = avx2->count_within_radius(
+            soa, begin, end, q.data(), sq_radius, skip, cap, &pairs);
+        EXPECT_EQ(got, want_count)
+            << "dims=" << dims << " skip=" << skip << " cap=" << cap;
+        EXPECT_EQ(pairs, want_pairs)
+            << "dims=" << dims << " skip=" << skip << " cap=" << cap;
+      }
+    }
+  }
+}
+
 TEST(DistanceKernelsTest, CountBlockImplsAgreeAndAccumulate) {
   // The batched block×segment entry must add, for every query row, the
   // exact uncapped neighbor count of the sub-range — bit-identical across

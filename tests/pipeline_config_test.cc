@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/pipeline.h"
 #include "data/distort.h"
 #include "data/generators.h"
 #include "data/geo_like.h"
 #include "detection/brute_force.h"
+#include "mapreduce/cluster.h"
 
 namespace dod {
 namespace {
@@ -203,9 +206,21 @@ TEST(PipelineConfigTest, ClusterSpecAffectsSimulatedTimesOnly) {
   const DodResult a = DodPipeline(small).RunOrDie(data);
   const DodResult b = DodPipeline(large).RunOrDie(data);
   EXPECT_EQ(a.outliers, b.outliers);
-  // One slot serializes everything; 800 reduce slots parallelize fully.
-  EXPECT_GT(a.breakdown.detect.reduce_seconds,
-            b.breakdown.detect.reduce_seconds);
+  // Each run's reduce stage is the makespan of its own measured task costs
+  // on its own slots.
+  EXPECT_EQ(a.breakdown.detect.reduce_seconds,
+            Makespan(a.detect_stats.reduce_task_seconds,
+                     small.cluster.reduce_slots()));
+  EXPECT_EQ(b.breakdown.detect.reduce_seconds,
+            Makespan(b.detect_stats.reduce_task_seconds,
+                     large.cluster.reduce_slots()));
+  // Scheduling one run's costs on both specs keeps timing noise between
+  // runs out of the comparison: one slot serializes everything, 800 reduce
+  // slots parallelize fully.
+  const std::vector<double>& costs = a.detect_stats.reduce_task_seconds;
+  ASSERT_GE(costs.size(), 2u);
+  EXPECT_GT(Makespan(costs, small.cluster.reduce_slots()),
+            Makespan(costs, large.cluster.reduce_slots()));
 }
 
 TEST(PipelineConfigTest, CountersReportAlgorithmMix) {

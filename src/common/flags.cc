@@ -66,6 +66,12 @@ Result<long long> FlagParser::GetInt(const std::string& name,
                                      long long fallback) const {
   Result<double> value = GetDouble(name, static_cast<double>(fallback));
   if (!value.ok()) return value.status();
+  // The cast is undefined outside long long's range (and for nan); 2^63 is
+  // the first double past it.
+  if (!(value.value() >= -0x1p63 && value.value() < 0x1p63)) {
+    return Status::InvalidArgument("flag --" + name +
+                                   ": integer out of range");
+  }
   return static_cast<long long>(value.value());
 }
 

@@ -16,8 +16,8 @@
 #include "dshc/dshc.h"
 #include "durability/run_control.h"
 #include "mapreduce/cluster.h"
+#include "mapreduce/fault_injection.h"
 #include "mapreduce/shuffle.h"
-#include "mapreduce/task_runner.h"
 #include "partition/sampler.h"
 
 namespace dod {
@@ -64,10 +64,11 @@ struct DodConfig {
   PackingPolicy packing = PackingPolicy::kLpt;
   ClusterSpec cluster;
 
-  // Fault injection (off by default) and the task attempt policy, applied
-  // to the detection and verification MapReduce jobs.
+  // Fault injection (off by default) and the attempt budget per task
+  // (>= 1, including the first attempt), applied to the detection and
+  // verification MapReduce jobs.
   FaultSpec faults;
-  RetryPolicy retry;
+  int max_task_attempts = 4;
 
   // Reduce-side grouping of the shuffled records. Both modes produce
   // byte-identical results; kSorted is the escape hatch for the columnar

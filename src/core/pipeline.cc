@@ -650,7 +650,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   spec.num_threads = config.num_threads;
   spec.cluster = config.cluster;
   spec.faults = config.faults;
-  spec.retry = config.retry;
+  spec.max_task_attempts = config.max_task_attempts;
   spec.shuffle = config.shuffle;
   spec.spill.dir = config.spill_dir;
   spec.spill.threshold_bytes = config.spill_threshold_mb * (uint64_t{1} << 20);

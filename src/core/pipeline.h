@@ -74,9 +74,10 @@ class DodPipeline {
   const DodConfig& config() const { return config_; }
 
   // Runs the full pipeline on `data`. Returns InvalidArgument on an empty
-  // dataset, and propagates the structured error of any MapReduce task
-  // that exhausted its retry budget (config().retry / config().faults);
-  // the process never aborts on task failure.
+  // dataset or a max_task_attempts below 1, and propagates the structured
+  // error of any MapReduce task that exhausted its retry budget
+  // (config().max_task_attempts / config().faults); the process never
+  // aborts on task failure.
   //
   // Durable execution (config().checkpoint_dir / resume / deadline_seconds
   // / memory_budget_mb / cancel_token, see config.h) applies to the

@@ -110,27 +110,16 @@ std::string FormatRunReport(const DodConfig& config, const DodResult& result,
            result.verify_stats.bytes_shuffled) /
               1e6);
 
-  // Fault-tolerance accounting, shown only when something actually failed,
-  // straggled, or was blacklisted.
+  // Fault-tolerance accounting, shown only when something actually failed.
   const JobStats& d = result.detect_stats;
   const JobStats& v = result.verify_stats;
   const uint64_t failures = d.task_failures + v.task_failures;
-  const uint64_t speculative = d.speculative_attempts + v.speculative_attempts;
-  const uint64_t blacklisted = d.nodes_blacklisted + v.nodes_blacklisted;
-  if (failures > 0 || speculative > 0 || blacklisted > 0) {
-    Appendf(out,
-            "fault recovery: %llu attempts (%llu failed, %llu retried, "
-            "%llu speculative of which %llu won, %llu nodes blacklisted, "
-            "%.2fs backoff)\n",
+  if (failures > 0) {
+    Appendf(out, "fault recovery: %llu attempts (%llu failed, %llu retried)\n",
             static_cast<unsigned long long>(d.task_attempts +
                                             v.task_attempts),
             static_cast<unsigned long long>(failures),
-            static_cast<unsigned long long>(d.task_retries + v.task_retries),
-            static_cast<unsigned long long>(speculative),
-            static_cast<unsigned long long>(d.speculative_wins +
-                                            v.speculative_wins),
-            static_cast<unsigned long long>(blacklisted),
-            d.backoff_seconds + v.backoff_seconds);
+            static_cast<unsigned long long>(d.task_retries + v.task_retries));
   }
   return out;
 }

@@ -8,7 +8,7 @@
 //   MANIFEST.json — snapshot written once when the store opens fresh:
 //
 //     {
-//       "format_version": 2,
+//       "format_version": 3,
 //       "job_key": "<caller fingerprint of config + input>",
 //       "tasks": [
 //         {"phase": "map", "index": 3, "file": "DATA.log",
@@ -83,11 +83,13 @@ struct CheckpointManifest {
 
 class CheckpointStore {
  public:
-  // Version 2: spill-aware task payloads — map payloads lead with a
-  // spilled flag, reduce payloads carry a fallback-reason byte. Version-1
-  // stores parse differently at those offsets, so they must be rejected
-  // at the manifest check rather than misread.
-  static constexpr int kFormatVersion = 2;
+  // Version 3: the per-task JobStats delta that opens every payload is
+  // three fields shorter (the simulated duplicate-attempt counts and retry
+  // delay are gone). Version 2 made payloads spill-aware: map payloads
+  // lead with a spilled flag, reduce payloads carry a fallback-reason
+  // byte. Older stores parse differently at those offsets, so they must
+  // be rejected at the manifest check rather than misread.
+  static constexpr int kFormatVersion = 3;
   // Largest task index the manifest reader accepts. A record committed
   // under a larger index would be refused on replay, so writers whose
   // index grows without bound (the streaming service's round or arrival

@@ -37,20 +37,6 @@ struct ClusterSpec {
   int map_slots() const { return num_nodes * map_slots_per_node; }
   int reduce_slots() const { return num_nodes * reduce_slots_per_node; }
 
-  // Slot counts once `blacklisted_nodes` have been removed from scheduling
-  // (see mapreduce/task_runner.h). At least one node's slots always remain,
-  // so a fully-blacklisted cluster degrades instead of deadlocking.
-  int usable_map_slots(int blacklisted_nodes) const {
-    return UsableNodes(blacklisted_nodes) * map_slots_per_node;
-  }
-  int usable_reduce_slots(int blacklisted_nodes) const {
-    return UsableNodes(blacklisted_nodes) * reduce_slots_per_node;
-  }
-  int UsableNodes(int blacklisted_nodes) const {
-    const int usable = num_nodes - blacklisted_nodes;
-    return usable >= 1 ? usable : 1;
-  }
-
   // Aggregate shuffle throughput in bytes/second. All-to-all shuffles are
   // bisection-limited, so we charge the sum of per-node NICs.
   double ShuffleBytesPerSecond() const {

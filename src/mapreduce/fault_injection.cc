@@ -7,12 +7,10 @@
 namespace dod {
 namespace {
 
-// Domain-separation tags so the per-attempt, per-record, and placement
-// draws are independent streams of the same seed.
+// Domain-separation tags so the per-attempt and per-record draws are
+// independent streams of the same seed.
 constexpr uint64_t kTaskFailureTag = 0xFA11;
-constexpr uint64_t kStragglerTag = 0x5709;
 constexpr uint64_t kShuffleTag = 0xD09;
-constexpr uint64_t kNodeTag = 0x40DE;
 
 // One hash-derived uniform draw in [0, 1). SplitMix64 over the mixed
 // coordinates gives independence across nearby inputs.
@@ -40,8 +38,6 @@ const char* FaultKindName(FaultKind kind) {
       return "none";
     case FaultKind::kTaskFailure:
       return "task-failure";
-    case FaultKind::kStraggler:
-      return "straggler";
     case FaultKind::kShuffleDrop:
       return "shuffle-drop";
     case FaultKind::kShuffleCorrupt:
@@ -55,15 +51,10 @@ FaultKind FaultInjector::TaskFault(TaskPhase phase, int task_index,
   if (!spec_.enabled || attempt >= spec_.max_faulty_attempts_per_task) {
     return FaultKind::kNone;
   }
-  if (UniformDraw(spec_.seed, kTaskFailureTag, phase, task_index, attempt) <
-      spec_.task_failure_prob) {
-    return FaultKind::kTaskFailure;
-  }
-  if (UniformDraw(spec_.seed, kStragglerTag, phase, task_index, attempt) <
-      spec_.straggler_prob) {
-    return FaultKind::kStraggler;
-  }
-  return FaultKind::kNone;
+  return UniformDraw(spec_.seed, kTaskFailureTag, phase, task_index,
+                     attempt) < spec_.task_failure_prob
+             ? FaultKind::kTaskFailure
+             : FaultKind::kNone;
 }
 
 FaultKind FaultInjector::ShuffleRecordFault(TaskPhase phase, int task_index,
@@ -82,14 +73,6 @@ FaultKind FaultInjector::ShuffleRecordFault(TaskPhase phase, int task_index,
     return FaultKind::kShuffleCorrupt;
   }
   return FaultKind::kNone;
-}
-
-int FaultInjector::NodeFor(TaskPhase phase, int task_index, int attempt,
-                           int num_nodes) const {
-  if (num_nodes <= 1) return 0;
-  const double draw =
-      UniformDraw(spec_.seed, kNodeTag, phase, task_index, attempt);
-  return static_cast<int>(draw * num_nodes) % num_nodes;
 }
 
 Status ShuffleFaultFilter::AttemptStatus() const {

@@ -3,14 +3,13 @@
 // Deterministic fault injection for the MapReduce engine.
 //
 // The paper's testbed is a 40-node Hadoop cluster (Sec. VI-A) where task
-// failures and stragglers are routine; the engine must survive them. This
-// module supplies the *adversary*: a seedable injector that decides, purely
-// as a function of (seed, phase, task, attempt[, record]), whether a task
-// attempt crashes, runs slow, or has shuffle records dropped/corrupted in
-// flight. Because every decision is a pure hash of its coordinates, a run
-// with a given FaultSpec is exactly reproducible — the property the
-// fault-tolerance tests rely on — and is independent of the order in which
-// attempts are scheduled.
+// failures are routine; the engine must survive them. This module supplies
+// the *adversary*: a seedable injector that decides, purely as a function
+// of (seed, phase, task, attempt[, record]), whether a task attempt crashes
+// or has shuffle records dropped/corrupted in flight. Because every
+// decision is a pure hash of its coordinates, a run with a given FaultSpec
+// is exactly reproducible — the property the fault-tolerance tests rely
+// on — and is independent of the order in which attempts are scheduled.
 //
 // Shuffle faults model detectable transport errors (Hadoop checksums map
 // output): a dropped or corrupted record poisons the whole attempt, which
@@ -36,7 +35,6 @@ const char* TaskPhaseName(TaskPhase phase);
 enum class FaultKind {
   kNone = 0,
   kTaskFailure,     // the attempt crashes after doing its work
-  kStraggler,       // the attempt completes but runs `straggler_multiplier`× slow
   kShuffleDrop,     // one emitted record lost in flight (detected, attempt fails)
   kShuffleCorrupt,  // one emitted record corrupted (detected, attempt fails)
 };
@@ -54,9 +52,6 @@ struct FaultSpec {
 
   // Per-attempt probability that a task attempt fails outright.
   double task_failure_prob = 0.0;
-  // Per-attempt probability that an attempt straggles, and how slow it runs.
-  double straggler_prob = 0.0;
-  double straggler_multiplier = 4.0;
   // Per-record probabilities of shuffle loss/corruption during map attempts.
   double shuffle_drop_prob = 0.0;
   double shuffle_corrupt_prob = 0.0;
@@ -85,20 +80,15 @@ class FaultInjector {
  public:
   explicit FaultInjector(const FaultSpec& spec) : spec_(spec) {}
 
-  const FaultSpec& spec() const { return spec_; }
   bool enabled() const { return spec_.enabled; }
 
-  // Task-level fault for one attempt: kNone, kTaskFailure, or kStraggler.
+  // Task-level fault for one attempt: kNone or kTaskFailure.
   FaultKind TaskFault(TaskPhase phase, int task_index, int attempt) const;
 
   // Record-level fault for the `record_seq`-th record emitted by one map
   // attempt: kNone, kShuffleDrop, or kShuffleCorrupt.
   FaultKind ShuffleRecordFault(TaskPhase phase, int task_index, int attempt,
                                uint64_t record_seq) const;
-
-  // Deterministic node assignment for an attempt, in [0, num_nodes).
-  int NodeFor(TaskPhase phase, int task_index, int attempt,
-              int num_nodes) const;
 
  private:
   FaultSpec spec_;

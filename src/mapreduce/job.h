@@ -41,12 +41,11 @@
 // per-call scratch on the stack, treat shared inputs as read-only.
 //
 // Execution is fault tolerant: every task runs as a sequence of attempts
-// under a TaskRunner (retry with simulated backoff, speculative execution
-// for stragglers, node blacklisting), optionally under a deterministic
-// FaultInjector. Attempts stage their output and commit only on success, so
-// committed job output is identical to a fault-free run; a task that
-// exhausts its retry budget turns the job into a structured error instead
-// of aborting the process.
+// under a TaskRunner, with a bounded retry budget, optionally under a
+// deterministic FaultInjector. Attempts stage their output and commit only
+// on success, so committed job output is identical to a fault-free run; a
+// task that exhausts its retry budget turns the job into a structured
+// error instead of aborting the process.
 
 #ifndef DOD_MAPREDUCE_JOB_H_
 #define DOD_MAPREDUCE_JOB_H_
@@ -179,9 +178,10 @@ struct JobSpec {
   // empty. Requires trivially copyable K/V (enforced with a structured
   // error, like checkpointing).
   SpillPolicy spill;
-  // Fault injection (disabled by default) and the task attempt policy.
+  // Fault injection (disabled by default) and the attempt budget per task,
+  // including the first attempt (Hadoop mapreduce.map.maxattempts; >= 1).
   FaultSpec faults;
-  RetryPolicy retry;
+  int max_task_attempts = 4;
 
   // ---- Durable execution (all optional; pointers are borrowed and must
   // outlive the job) -----------------------------------------------------
@@ -490,6 +490,10 @@ Status ValidateJob(const JobSpec& spec) {
     return Status::InvalidArgument(
         "RunMapReduce: num_reduce_tasks must be >= 1");
   }
+  if (spec.max_task_attempts < 1) {
+    return Status::InvalidArgument(
+        "RunMapReduce: max_task_attempts must be >= 1");
+  }
   if (spec.num_threads > kMaxThreads) {
     return Status::InvalidArgument(
         "RunMapReduce: num_threads must be <= " + std::to_string(kMaxThreads));
@@ -635,7 +639,7 @@ inline Status FailJob(const JobSpec& spec, const JobStats& stats,
 template <typename K, typename V, typename Route, typename RecordSize>
 Status MapPhase(Mapper<K, V>& mapper, const Route& route,
                 const RecordSize& record_size, const JobSpec& spec,
-                const FaultInjector& injector, TaskRunner& runner,
+                const FaultInjector& injector, const TaskRunner& runner,
                 ParallelExecutor& executor, JobSpill& spill,
                 std::vector<MapTaskState<K, V>>& tasks) {
   const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
@@ -669,9 +673,8 @@ Status MapPhase(Mapper<K, V>& mapper, const Route& route,
                   read_bytes_per_second
             : 0.0;
     // One spiller (and run file) per task, reset at each attempt: attempts
-    // are sequential and speculative duplicates are simulated only
-    // (task_runner.h), so truncating the file cannot race and a failed
-    // attempt leaves no orphan — its successor reuses the path.
+    // are sequential (task_runner.h), so truncating the file cannot race
+    // and a failed attempt leaves no orphan — its successor reuses the path.
     auto spiller = spill.Spiller<K, V>("map", split);
     return runner.RunTask(
         TaskPhase::kMap, static_cast<int>(split), scan_seconds,
@@ -740,7 +743,7 @@ void ShuffleHandoff(std::vector<MapTaskState<K, V>>& map_tasks,
 // Reduce phase: groups and reduces each reduce task durably.
 template <typename K, typename V, typename Out>
 Status ReducePhase(Reducer<K, V, Out>& reducer, const JobSpec& spec,
-                   TaskRunner& runner, ParallelExecutor& executor,
+                   const TaskRunner& runner, ParallelExecutor& executor,
                    JobSpill& spill, SegmentLists<K, V>& segments,
                    std::vector<ReduceTaskState<Out>>& tasks) {
   const auto run_reduce = [&](ReduceTaskState<Out>& task, size_t index) {
@@ -800,24 +803,22 @@ template <typename K, typename V, typename Out>
 void CommitJob(std::vector<ReduceTaskState<Out>>& reduce_tasks,
                const std::vector<MapTaskState<K, V>>& map_tasks,
                const SegmentLists<K, V>& segments, const JobSpec& spec,
-               int blacklisted, const StopWatch& wall, JobOutput<Out>* result) {
+               const StopWatch& wall, JobOutput<Out>* result) {
   for (ReduceTaskState<Out>& task : reduce_tasks) {
     for (Out& out : task.committed) result->output.push_back(std::move(out));
     task.committed = std::vector<Out>();
   }
 
-  // Blacklisted nodes' slots are gone; the surviving slots absorb all
-  // charged attempt costs (including failures, backoff, and speculation).
+  // The cluster's slots absorb every charged attempt cost, failed
+  // attempts included.
   JobStats& stats = result->stats;
-  stats.nodes_blacklisted = static_cast<uint64_t>(blacklisted);
-  stats.stage_times.map_seconds = Makespan(
-      stats.map_task_seconds, spec.cluster.usable_map_slots(blacklisted));
+  stats.stage_times.map_seconds =
+      Makespan(stats.map_task_seconds, spec.cluster.map_slots());
   stats.stage_times.shuffle_seconds =
       static_cast<double>(stats.bytes_shuffled) /
       spec.cluster.ShuffleBytesPerSecond();
   stats.stage_times.reduce_seconds =
-      Makespan(stats.reduce_task_seconds,
-               spec.cluster.usable_reduce_slots(blacklisted));
+      Makespan(stats.reduce_task_seconds, spec.cluster.reduce_slots());
   stats.wall_seconds = wall.ElapsedSeconds();
 
   // Shuffle and spill totals. Spill runs count from the committed
@@ -933,7 +934,7 @@ Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
   JobStats& stats = result.stats;
   StopWatch wall;
   const FaultInjector injector(spec.faults);
-  TaskRunner runner(spec.retry, injector, spec.cluster, spec.control);
+  const TaskRunner runner(spec.max_task_attempts, injector, spec.control);
   ParallelExecutor executor(spec.num_threads);
   stats.threads_used = executor.num_threads();
   const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
@@ -974,8 +975,7 @@ Result<JobOutput<Out>> RunMapReduce(size_t num_splits, Mapper<K, V>& mapper,
     return internal::FailJob(spec, stats, wall, reduce_status);
   }
 
-  internal::CommitJob(reduce_tasks, map_tasks, segments, spec,
-                      runner.blacklisted_nodes(), wall, &result);
+  internal::CommitJob(reduce_tasks, map_tasks, segments, spec, wall, &result);
   // The job committed: its spill runs are garbage now even when a
   // checkpoint store references them (see JobSpill::Open).
   spill.gc.set_keep_files(false);

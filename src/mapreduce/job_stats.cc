@@ -22,12 +22,8 @@ void JobStats::MergeFrom(const JobStats& other) {
   task_attempts += other.task_attempts;
   task_failures += other.task_failures;
   task_retries += other.task_retries;
-  speculative_attempts += other.speculative_attempts;
-  speculative_wins += other.speculative_wins;
-  nodes_blacklisted = std::max(nodes_blacklisted, other.nodes_blacklisted);
   shuffle_records_dropped += other.shuffle_records_dropped;
   shuffle_records_corrupted += other.shuffle_records_corrupted;
-  backoff_seconds += other.backoff_seconds;
   wall_seconds = std::max(wall_seconds, other.wall_seconds);
   map_wall_seconds = std::max(map_wall_seconds, other.map_wall_seconds);
   reduce_wall_seconds =
@@ -52,18 +48,12 @@ std::string JobStats::ToString() const {
                 static_cast<unsigned long long>(groups_reduced),
                 wall_seconds, threads_used);
   std::string out = buf;
-  if (task_failures > 0 || speculative_attempts > 0 ||
-      nodes_blacklisted > 0) {
+  if (task_failures > 0) {
     std::snprintf(buf, sizeof(buf),
-                  " [attempts=%llu failures=%llu retries=%llu "
-                  "speculative=%llu/%llu blacklisted=%llu backoff=%.2fs]",
+                  " [attempts=%llu failures=%llu retries=%llu]",
                   static_cast<unsigned long long>(task_attempts),
                   static_cast<unsigned long long>(task_failures),
-                  static_cast<unsigned long long>(task_retries),
-                  static_cast<unsigned long long>(speculative_wins),
-                  static_cast<unsigned long long>(speculative_attempts),
-                  static_cast<unsigned long long>(nodes_blacklisted),
-                  backoff_seconds);
+                  static_cast<unsigned long long>(task_retries));
     out += buf;
   }
   return out;
@@ -77,11 +67,8 @@ void SerializeJobStatsDelta(const JobStats& stats, PayloadWriter* out) {
   out->U64(stats.task_attempts);
   out->U64(stats.task_failures);
   out->U64(stats.task_retries);
-  out->U64(stats.speculative_attempts);
-  out->U64(stats.speculative_wins);
   out->U64(stats.shuffle_records_dropped);
   out->U64(stats.shuffle_records_corrupted);
-  out->F64(stats.backoff_seconds);
   const auto& counters = stats.counters.values();
   out->U64(counters.size());
   for (const auto& [name, value] : counters) {
@@ -99,11 +86,8 @@ Status DeserializeJobStatsDelta(PayloadReader* in, JobStats* stats) {
   DOD_RETURN_IF_ERROR(in->U64(&stats->task_attempts));
   DOD_RETURN_IF_ERROR(in->U64(&stats->task_failures));
   DOD_RETURN_IF_ERROR(in->U64(&stats->task_retries));
-  DOD_RETURN_IF_ERROR(in->U64(&stats->speculative_attempts));
-  DOD_RETURN_IF_ERROR(in->U64(&stats->speculative_wins));
   DOD_RETURN_IF_ERROR(in->U64(&stats->shuffle_records_dropped));
   DOD_RETURN_IF_ERROR(in->U64(&stats->shuffle_records_corrupted));
-  DOD_RETURN_IF_ERROR(in->F64(&stats->backoff_seconds));
   uint64_t num_counters = 0;
   DOD_RETURN_IF_ERROR(in->U64(&num_counters));
   for (uint64_t i = 0; i < num_counters; ++i) {

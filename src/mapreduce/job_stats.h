@@ -54,16 +54,11 @@ struct JobStats {
 
   // Fault-tolerance accounting (see mapreduce/task_runner.h). All zero on a
   // fault-free run with no user-level task errors.
-  uint64_t task_attempts = 0;       // attempts executed, incl. speculative
+  uint64_t task_attempts = 0;       // attempts executed
   uint64_t task_failures = 0;       // attempts that failed
   uint64_t task_retries = 0;        // re-executions after a failure
-  uint64_t speculative_attempts = 0;
-  uint64_t speculative_wins = 0;    // duplicates that finished first
-  uint64_t nodes_blacklisted = 0;
   uint64_t shuffle_records_dropped = 0;    // injected transport loss
   uint64_t shuffle_records_corrupted = 0;  // injected corruption
-  // Simulated retry delay charged into stage times.
-  double backoff_seconds = 0.0;
 
   // Real single-machine wall time spent executing the job, reported next
   // to the simulated makespan above: `stage_times` is what the modeled
@@ -83,7 +78,7 @@ struct JobStats {
   std::vector<PartitionProfile> partition_profiles;
 
   // Folds another JobStats in: counts and durations add, gauges
-  // (blacklisted nodes, wall times, thread count) take the max, per-slot
+  // (wall times, thread count) take the max, per-slot
   // cost vectors concatenate, counters merge. Associative and commutative
   // up to vector ordering, so per-task deltas may be merged in any order
   // without changing any total.
@@ -96,10 +91,10 @@ struct JobStats {
 // Checkpoint codec for a per-task JobStats *delta* (the accounting one
 // task contributes before the engine's MergeFrom). Only the fields a task
 // delta actually carries are serialized: the data-flow and fault-tolerance
-// counts, backoff, and the counters map. Global/gauge fields (stage times,
-// wall clocks, threads, blacklisted nodes, per-slot vectors, partition
-// profiles) are derived or restored through other channels and are left at
-// their defaults by Deserialize.
+// counts and the counters map. Global/gauge fields (stage times, wall
+// clocks, threads, per-slot vectors, partition profiles) are derived or
+// restored through other channels and are left at their defaults by
+// Deserialize.
 void SerializeJobStatsDelta(const JobStats& stats, PayloadWriter* out);
 Status DeserializeJobStatsDelta(PayloadReader* in, JobStats* stats);
 

@@ -21,9 +21,9 @@
 // is why spilling is invisible in the job output.
 //
 // Attempt retries are safe: the run file is truncated at the start of each
-// spilling attempt (attempts are sequential and speculative duplicates
-// never execute, see mapreduce/task_runner.h), and only the winning
-// attempt's run descriptors commit. SpillGc removes every tracked file
+// spilling attempt (attempts are sequential, see
+// mapreduce/task_runner.h), and only the successful attempt's run
+// descriptors commit. SpillGc removes every tracked file
 // when the job ends; a crash (no destructors) leaves the files for the
 // checkpoint-resumed rerun, which re-registers them.
 

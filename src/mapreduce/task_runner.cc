@@ -2,7 +2,6 @@
 
 #include "mapreduce/task_runner.h"
 
-#include <cmath>
 #include <new>
 #include <string>
 
@@ -12,62 +11,18 @@
 
 namespace dod {
 
-TaskRunner::TaskRunner(const RetryPolicy& policy, const FaultInjector& injector,
-                       const ClusterSpec& cluster, const RunControl* control)
-    : policy_(policy),
-      injector_(injector),
-      control_(control),
-      num_nodes_(cluster.num_nodes),
-      node_failures_(static_cast<size_t>(cluster.num_nodes), 0),
-      node_blacklisted_(static_cast<size_t>(cluster.num_nodes), false) {
-  DOD_CHECK(policy.max_task_attempts >= 1);
-}
-
-int TaskRunner::blacklisted_nodes() const {
-  std::lock_guard<std::mutex> lock(node_mutex_);
-  return blacklisted_count_;
-}
-
-int TaskRunner::AssignNodeLocked(TaskPhase phase, int task_index,
-                                 int attempt) const {
-  const int base = injector_.NodeFor(phase, task_index, attempt, num_nodes_);
-  // Blacklisted nodes receive no new attempts; probe to the next healthy
-  // one. If every node is blacklisted the schedule degenerates but the job
-  // still runs (the cluster keeps at least one usable slot).
-  for (int i = 0; i < num_nodes_; ++i) {
-    const int node = (base + i) % num_nodes_;
-    if (!node_blacklisted_[static_cast<size_t>(node)]) return node;
-  }
-  return base;
-}
-
-void TaskRunner::RecordNodeFailure(TaskPhase phase, int task_index,
-                                   int attempt) {
-  std::lock_guard<std::mutex> lock(node_mutex_);
-  const int node = AssignNodeLocked(phase, task_index, attempt);
-  auto& failures = node_failures_[static_cast<size_t>(node)];
-  ++failures;
-  if (policy_.node_failure_quota > 0 &&
-      failures >= policy_.node_failure_quota &&
-      !node_blacklisted_[static_cast<size_t>(node)]) {
-    node_blacklisted_[static_cast<size_t>(node)] = true;
-    ++blacklisted_count_;
-  }
-}
-
 Status TaskRunner::RunTask(TaskPhase phase, int task_index,
                            double extra_seconds,
                            const std::function<Status(int attempt)>& attempt_body,
                            const std::function<void()>& commit,
                            JobStats& task_stats,
-                           std::vector<double>& slot_costs) {
+                           std::vector<double>& slot_costs) const {
   Status last_status;
   FaultKind last_fault = FaultKind::kNone;
-  int attempts = 0;
-  for (int attempt = 0; attempt < policy_.max_task_attempts; ++attempt) {
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
     if (control_ != nullptr) {
       // A fired stop condition aborts the task before the attempt starts:
-      // no attempt accounting, no node blame — the task simply did not run.
+      // no attempt accounting — the task simply did not run.
       Status control_status = control_->Check();
       if (!control_status.ok()) {
         return Status(control_status.code(),
@@ -76,17 +31,8 @@ Status TaskRunner::RunTask(TaskPhase phase, int task_index,
                           control_status.message());
       }
     }
-    // Retries wait out an exponential backoff before occupying a slot; the
-    // wait is simulated (charged, not slept).
-    double backoff = 0.0;
-    if (attempt > 0) {
-      backoff = policy_.initial_backoff_seconds *
-                std::pow(policy_.backoff_multiplier, attempt - 1);
-      task_stats.backoff_seconds += backoff;
-      ++task_stats.task_retries;
-    }
+    if (attempt > 0) ++task_stats.task_retries;
     ++task_stats.task_attempts;
-    ++attempts;
 
     const FaultKind fault = injector_.TaskFault(phase, task_index, attempt);
     const ScopedLogTag tag(std::string(TaskPhaseName(phase)) +
@@ -118,77 +64,18 @@ Status TaskRunner::RunTask(TaskPhase phase, int task_index,
     }
     if (fault != FaultKind::kNone) span.Arg("fault", FaultKindName(fault));
     span.Arg("status", status.ok() ? "ok" : "failed");
-    if (!status.ok() && IsTerminalTaskStatus(status.code())) {
-      // Not a task fault: a run-level stop condition or an exhausted
-      // budget that a retry would only hit again. Charge the spent slot
-      // time and propagate immediately — no node blame, no retries.
-      slot_costs.push_back(measured + extra_seconds + backoff);
-      ++task_stats.task_failures;
-      return status;
-    }
-    if (!status.ok()) {
-      // The attempt did its work before dying; its slot time is spent.
-      slot_costs.push_back(measured + extra_seconds + backoff);
-      ++task_stats.task_failures;
-      RecordNodeFailure(phase, task_index, attempt);
-      last_status = status;
-      last_fault = fault;
-      continue;
-    }
-
-    if (fault == FaultKind::kStraggler) {
-      const double multiplier = injector_.spec().straggler_multiplier;
-      const double slow = (measured + extra_seconds) * multiplier + backoff;
-      const bool speculate =
-          policy_.speculative_execution &&
-          multiplier >= policy_.speculation_slowness_threshold;
-      if (speculate) {
-        // Duplicate attempt on another slot; distinct attempt index keeps
-        // its fault draws independent of the regular attempt sequence.
-        const int dup_attempt = policy_.max_task_attempts + attempt;
-        const FaultKind dup_fault =
-            injector_.TaskFault(phase, task_index, dup_attempt);
-        ++task_stats.task_attempts;
-        ++task_stats.speculative_attempts;
-        {
-          // The duplicate is simulated (charged, not re-executed), but it
-          // is an attempt: give it its own zero-length span so span counts
-          // keep matching task_attempts.
-          trace::Span dup_span("task", phase == TaskPhase::kMap
-                                           ? "map_attempt"
-                                           : "reduce_attempt");
-          dup_span.Arg("task", task_index)
-              .Arg("attempt", dup_attempt)
-              .Arg("speculative", 1);
-          if (dup_fault != FaultKind::kNone) {
-            dup_span.Arg("fault", FaultKindName(dup_fault));
-          }
-          dup_span.Arg("status",
-                       dup_fault == FaultKind::kTaskFailure ? "failed" : "ok");
-        }
-        const double dup_cost =
-            dup_fault == FaultKind::kStraggler
-                ? (measured + extra_seconds) * multiplier
-                : measured + extra_seconds;
-        if (dup_fault == FaultKind::kTaskFailure) {
-          // The duplicate died; the straggler completes and wins.
-          ++task_stats.task_failures;
-          RecordNodeFailure(phase, task_index, dup_attempt);
-        } else if (dup_cost < slow) {
-          // First finisher wins; the straggler is killed but its slot time
-          // was spent (Hadoop charges the loser).
-          ++task_stats.speculative_wins;
-        }
-        slot_costs.push_back(dup_cost);
-      }
-      slot_costs.push_back(slow);
+    // Every attempt, failed or not, did its work; its slot time is spent.
+    slot_costs.push_back(measured + extra_seconds);
+    if (status.ok()) {
       commit();
       return Status::Ok();
     }
-
-    slot_costs.push_back(measured + extra_seconds + backoff);
-    commit();
-    return Status::Ok();
+    ++task_stats.task_failures;
+    // Not a task fault: a run-level stop condition or an exhausted budget
+    // that a retry would only hit again. Propagate immediately.
+    if (IsTerminalTaskStatus(status.code())) return status;
+    last_status = status;
+    last_fault = fault;
   }
 
   const StatusCode code = last_status.code() == StatusCode::kOk
@@ -196,7 +83,7 @@ Status TaskRunner::RunTask(TaskPhase phase, int task_index,
                               : last_status.code();
   std::string message = std::string(TaskPhaseName(phase)) + " task " +
                         std::to_string(task_index) + " failed after " +
-                        std::to_string(attempts) + " attempts";
+                        std::to_string(max_attempts_) + " attempts";
   if (last_fault != FaultKind::kNone) {
     // Poisoned-shuffle and user-status failures already describe themselves
     // in the attempt status; injected task faults are named here.

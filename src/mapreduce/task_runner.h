@@ -6,67 +6,39 @@
 // bounded retry budget, mirroring Hadoop's TaskAttempt machinery:
 //
 //   * a failed attempt (injected fault, poisoned shuffle, or a non-OK user
-//     status) is retried after simulated exponential backoff, charged into
+//     status) is retried immediately; its spent slot time is charged into
 //     the stage's task costs;
-//   * an attempt that straggles past the slowness threshold triggers
-//     speculative execution — a duplicate attempt on another slot; the
-//     first finisher wins and the loser's cost is still charged to its
-//     slot (Hadoop semantics);
-//   * nodes that accumulate failures beyond a quota are blacklisted, and
-//     the engine schedules the remaining stage work on the surviving
-//     nodes' slots only;
+//   * a terminal status (deadline, cancellation, exhausted resource
+//     budget) is returned at once without burning the budget;
 //   * a task that exhausts its budget degrades into a structured error
 //     naming the task, the attempt count, and the last fault — the job
 //     returns that error instead of aborting the process.
 //
 // Attempt bodies must stage their side effects and publish them only via
 // the separate `commit` callback, which the runner invokes exactly once,
-// for the winning attempt. This is the "output committer" contract that
-// makes re-execution safe.
+// for the successful attempt. This is the "output committer" contract
+// that makes re-execution safe.
 //
 // Concurrency: one TaskRunner serves a whole job, and the parallel
-// runtime calls RunTask for distinct tasks concurrently. RunTask writes
-// all attempt accounting into the caller-supplied per-task JobStats delta
-// (merged by the engine after the phase barrier — order-independent, see
-// job_stats.h), so the only cross-task state is the node-failure ledger,
-// guarded by a mutex. The attempt *schedule* of each task (which attempts
-// run, fail, straggle, or speculate) is a pure function of the fault
-// injector and the user code, so it is identical for every thread count;
-// only node placement may vary with scheduling order, which affects no
-// committed output.
+// runtime calls RunTask for distinct tasks concurrently. The runner holds
+// no mutable state: RunTask writes all attempt accounting into the
+// caller-supplied per-task JobStats delta (merged by the engine after the
+// phase barrier — order-independent, see job_stats.h). The attempt
+// schedule of each task is a pure function of the fault injector and the
+// user code, so it is identical for every thread count.
 
 #ifndef DOD_MAPREDUCE_TASK_RUNNER_H_
 #define DOD_MAPREDUCE_TASK_RUNNER_H_
 
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "durability/run_control.h"
-#include "mapreduce/cluster.h"
 #include "mapreduce/fault_injection.h"
 #include "mapreduce/job_stats.h"
 
 namespace dod {
-
-// Retry / speculation / blacklisting knobs, carried by JobSpec.
-struct RetryPolicy {
-  // Total attempts per task, including the first (Hadoop
-  // mapreduce.map.maxattempts; must be >= 1).
-  int max_task_attempts = 4;
-  // Simulated delay before retry i is initial * multiplier^(i-1); charged
-  // into the retrying attempt's slot cost and JobStats::backoff_seconds.
-  double initial_backoff_seconds = 1.0;
-  double backoff_multiplier = 2.0;
-  // Launch a duplicate attempt when a straggler runs at least this many
-  // times slower than its fault-free cost.
-  bool speculative_execution = true;
-  double speculation_slowness_threshold = 1.5;
-  // Injected/observed attempt failures on one node before it is
-  // blacklisted; <= 0 disables blacklisting.
-  int node_failure_quota = 3;
-};
 
 // True for status codes that must not be retried: the failure is not a
 // task fault but a run-level stop condition (deadline, cancellation) or a
@@ -79,52 +51,36 @@ inline bool IsTerminalTaskStatus(StatusCode code) {
          code == StatusCode::kResourceExhausted;
 }
 
-// Runs logical tasks as retried attempts for one job. Owns the per-node
-// failure ledger; safe to call from concurrent worker threads for
-// distinct tasks.
+// Runs logical tasks as retried attempts for one job. Stateless; safe to
+// call from concurrent worker threads for distinct tasks.
 class TaskRunner {
  public:
-  // `control` (optional, borrowed) is consulted before every attempt;
-  // a fired deadline or cancellation aborts the task with the structured
-  // status instead of starting the attempt.
-  TaskRunner(const RetryPolicy& policy, const FaultInjector& injector,
-             const ClusterSpec& cluster, const RunControl* control = nullptr);
+  // `max_attempts` is the total attempts per task, including the first
+  // (Hadoop mapreduce.map.maxattempts; >= 1, checked by the engine's
+  // ValidateJob). `control` (optional, borrowed) is consulted before every
+  // attempt; a fired deadline or cancellation aborts the task with the
+  // structured status instead of starting the attempt.
+  TaskRunner(int max_attempts, const FaultInjector& injector,
+             const RunControl* control = nullptr)
+      : max_attempts_(max_attempts), injector_(injector), control_(control) {}
 
   // Executes one logical task. `attempt_body(attempt)` runs the user code
   // into attempt-local staging and reports its status; `commit` publishes
-  // the winning attempt's staging (into per-task storage when running
+  // the successful attempt's staging (into per-task storage when running
   // under the parallel executor). `extra_seconds` is charged on top of
-  // each attempt's measured time (split I/O scan). Attempt/retry/
-  // speculation counters accrue into `task_stats`, and per-attempt charged
-  // costs (including backoff and speculative duplicates) are appended to
-  // `slot_costs` — one entry per slot occupation, exactly what the stage
-  // makespan schedules.
+  // each attempt's measured time (split I/O scan). Attempt/failure/retry
+  // counters accrue into `task_stats`, and every attempt's charged cost is
+  // appended to `slot_costs` — one entry per slot occupation, exactly what
+  // the stage makespan schedules.
   Status RunTask(TaskPhase phase, int task_index, double extra_seconds,
                  const std::function<Status(int attempt)>& attempt_body,
                  const std::function<void()>& commit, JobStats& task_stats,
-                 std::vector<double>& slot_costs);
-
-  // Nodes blacklisted so far (the engine mirrors the final value into
-  // JobStats::nodes_blacklisted after the phases complete).
-  int blacklisted_nodes() const;
+                 std::vector<double>& slot_costs) const;
 
  private:
-  // Registers a failure against the attempt's node; may blacklist it.
-  void RecordNodeFailure(TaskPhase phase, int task_index, int attempt);
-  // Deterministic placement skipping blacklisted nodes. Caller holds
-  // node_mutex_.
-  int AssignNodeLocked(TaskPhase phase, int task_index, int attempt) const;
-
-  const RetryPolicy& policy_;
+  int max_attempts_;
   const FaultInjector& injector_;
   const RunControl* control_;
-  int num_nodes_;
-  // Guards the node ledger below — the only state shared across
-  // concurrently running tasks.
-  mutable std::mutex node_mutex_;
-  std::vector<int> node_failures_;
-  std::vector<bool> node_blacklisted_;
-  int blacklisted_count_ = 0;
 };
 
 }  // namespace dod

@@ -45,7 +45,7 @@ class Rng {
 
 std::string ValidManifest() {
   return R"({
-  "format_version": 2,
+  "format_version": 3,
   "job_key": "dod-1234",
   "tasks": [
     {"phase": "map", "index": 0, "file": "DATA.log",
@@ -69,11 +69,11 @@ TEST(ManifestFuzzTest, ValidManifestParses) {
 }
 
 TEST(ManifestFuzzTest, VersionSkewIsStructured) {
-  for (const char* version : {"0", "1", "999"}) {
+  for (const char* version : {"0", "1", "2", "999"}) {
     std::string text = ValidManifest();
-    const size_t at = text.find("\"format_version\": 2");
+    const size_t at = text.find("\"format_version\": 3");
     ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("\"format_version\": 2").size(),
+    text.replace(at, std::string("\"format_version\": 3").size(),
                  std::string("\"format_version\": ") + version);
     const auto parsed = CheckpointStore::ParseManifest(text, "dod-1234");
     ASSERT_FALSE(parsed.ok()) << version;
@@ -83,8 +83,8 @@ TEST(ManifestFuzzTest, VersionSkewIsStructured) {
   {
     // A negative version is malformed rather than merely skewed.
     std::string text = ValidManifest();
-    text.replace(text.find("\"format_version\": 2"),
-                 std::string("\"format_version\": 2").size(),
+    text.replace(text.find("\"format_version\": 3"),
+                 std::string("\"format_version\": 3").size(),
                  "\"format_version\": -1");
     EXPECT_EQ(CheckpointStore::ParseManifest(text, "dod-1234").status().code(),
               StatusCode::kInvalidArgument);
@@ -177,31 +177,31 @@ TEST(ManifestFuzzTest, HostileFieldValuesAreRejected) {
       R"([1, 2, 3])",
       R"("just a string")",
       // Missing required fields.
-      R"({"format_version": 2})",
+      R"({"format_version": 3})",
       R"({"job_key": "k", "tasks": []})",
       // Wrong types.
       R"({"format_version": "one", "job_key": "k", "tasks": []})",
-      R"({"format_version": 2, "job_key": 7, "tasks": []})",
-      R"({"format_version": 2, "job_key": "k", "tasks": 5})",
+      R"({"format_version": 3, "job_key": 7, "tasks": []})",
+      R"({"format_version": 3, "job_key": "k", "tasks": 5})",
       // Bad records.
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "map"}]})",
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "Chaos!", "index": 0, "file": "f", "offset": 0,
                      "bytes": 1, "checksum": "00"}]})",
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "map", "index": -4, "file": "f", "offset": 0,
                      "bytes": 1, "checksum": "00"}]})",
       // Missing payload offset.
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "map", "index": 0, "file": "f",
                      "bytes": 1, "checksum": "00"}]})",
       // Checksum not hex.
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "map", "index": 0, "file": "f", "offset": 0,
                      "bytes": 1, "checksum": "zzzz"}]})",
       // Path escape in the payload file name.
-      R"({"format_version": 2, "job_key": "k",
+      R"({"format_version": 3, "job_key": "k",
           "tasks": [{"phase": "map", "index": 0, "file": "../../etc/x",
                      "offset": 0, "bytes": 1,
                      "checksum": "00a9c1f3e5b70d42"}]})",

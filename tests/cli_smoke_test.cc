@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/csv.h"
 
@@ -121,9 +123,13 @@ TEST(CliSmokeTest, TransientFaultInjectionStillSucceeds) {
       "--generate uniform --n 2000 --seed 7 --fault_failure_prob 0.35 "
       "--fault_seed 9 --max_task_attempts 8 --verbose");
   EXPECT_EQ(result.exit_code, 0) << result.output;
-  // Under a 40% per-attempt failure rate something fails and recovers, and
+  // Under a 35% per-attempt failure rate something fails and recovers, and
   // the report advertises it.
   EXPECT_NE(result.output.find("fault recovery"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find(" failed, "), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find(" retried)"), std::string::npos)
       << result.output;
 }
 
@@ -168,6 +174,44 @@ TEST(CliSmokeTest, OutOfRangeThreadCountsAreRejected) {
   EXPECT_NE(stream.exit_code, 0) << stream.output;
   EXPECT_NE(stream.output.find("--threads"), std::string::npos)
       << stream.output;
+}
+
+TEST(CliSmokeTest, OutOfRangeFaultFlagsAreRejected) {
+  // Each of these was once accepted silently: 4294967297 attempts
+  // truncated to 1 on the int cast, crash task 4294967296 to 0, and the
+  // probabilities were used as given.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"max_task_attempts", "4294967297"},
+      {"max_task_attempts", "0"},
+      {"max_task_attempts", "nan"},
+      {"fault_crash_task", "4294967296"},
+      {"fault_crash_task", "-2"},
+      {"fault_failure_prob", "-0.1"},
+      {"fault_failure_prob", "1.5"},
+      {"fault_failure_prob", "nan"},
+      {"fault_drop_prob", "-1"},
+      {"fault_drop_prob", "2"},
+      {"fault_drop_prob", "nan"},
+      {"fault_corrupt_prob", "-0.5"},
+      {"fault_corrupt_prob", "1.01"},
+      {"fault_corrupt_prob", "nan"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const CommandResult result = RunCommand(
+        "--generate uniform --n 1000 --" + flag + " " + value);
+    EXPECT_NE(result.exit_code, 0) << flag << " " << value;
+    EXPECT_NE(result.output.find("--" + flag), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+  }
+}
+
+TEST(CliSmokeTest, DeletedStragglerFlagIsUnknown) {
+  const CommandResult result = RunCommand(
+      "--generate uniform --n 1000 --fault_straggler_prob 0.5");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("unknown flag --fault_straggler_prob"),
+            std::string::npos)
+      << result.output;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -92,16 +92,5 @@ TEST(ClusterSpecTest, LocalHelper) {
   EXPECT_EQ(spec.reduce_slots(), 4);
 }
 
-TEST(ClusterSpecTest, BlacklistingRemovesSlotsButNeverAllOfThem) {
-  ClusterSpec spec;  // 40 nodes × 8 slots
-  EXPECT_EQ(spec.usable_map_slots(0), 320);
-  EXPECT_EQ(spec.usable_map_slots(5), 280);
-  EXPECT_EQ(spec.usable_reduce_slots(39), 8);
-  // Even a fully-blacklisted cluster keeps one node's slots so stage
-  // scheduling degrades instead of dividing by zero.
-  EXPECT_EQ(spec.usable_map_slots(40), 8);
-  EXPECT_EQ(spec.usable_reduce_slots(400), 8);
-}
-
 }  // namespace
 }  // namespace dod

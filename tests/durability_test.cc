@@ -486,7 +486,7 @@ TEST(EngineDurabilityTest, CancellationSkipsRetriesAndFillsPartialStats) {
   CancellingReducer reducer(token);
   JobStats partial;
   JobSpec spec = BaseSpec(1, ShuffleMode::kColumnar);
-  spec.retry.max_task_attempts = 4;
+  spec.max_task_attempts = 4;
   spec.control = &control;
   spec.partial_stats = &partial;
   const auto job = RunMapReduce<int, int, KeySum>(
@@ -515,7 +515,7 @@ TEST(EngineDurabilityTest, TerminalStatusBypassesRetryBudget) {
   ExhaustedReducer reducer;
   JobStats partial;
   JobSpec spec = BaseSpec(1, ShuffleMode::kColumnar);
-  spec.retry.max_task_attempts = 6;
+  spec.max_task_attempts = 6;
   spec.partial_stats = &partial;
   const auto job = RunMapReduce<int, int, KeySum>(
       4, mapper, reducer, [](const int& key) { return key % 3; }, spec);

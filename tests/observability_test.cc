@@ -169,7 +169,7 @@ DodConfig FaultedDmtConfig(int threads) {
   config.faults.enabled = true;
   config.faults.seed = 99;
   config.faults.task_failure_prob = 0.25;
-  config.retry.max_task_attempts = 8;
+  config.max_task_attempts = 8;
   return config;
 }
 
@@ -230,26 +230,20 @@ TEST(TraceTest, OneSpanPerTaskAttemptIncludingRetries) {
   const uint64_t logical_tasks = by_name.at("mr.map_tasks").count +
                                  by_name.at("mr.reduce_tasks").count;
 
-  uint64_t task_spans = 0, failed_spans = 0, speculative_spans = 0;
+  uint64_t task_spans = 0, failed_spans = 0;
   for (const trace::TraceEvent& event : events) {
     if (std::strcmp(event.category, "task") != 0) continue;
     ++task_spans;
     if (event.args.find("\"status\":\"failed\"") != std::string::npos) {
       ++failed_spans;
     }
-    if (event.args.find("\"speculative\":1") != std::string::npos) {
-      ++speculative_spans;
-    }
   }
   // The fault schedule must actually have fired for this test to bite.
   ASSERT_GT(stats.task_failures, 0u);
   EXPECT_EQ(task_spans, stats.task_attempts);
   EXPECT_EQ(failed_spans, stats.task_failures);
-  EXPECT_EQ(speculative_spans, stats.speculative_attempts);
-  // Attempt identity: every task runs once, plus one attempt per retry,
-  // plus the speculative duplicates.
-  EXPECT_EQ(stats.task_attempts,
-            logical_tasks + stats.task_retries + stats.speculative_attempts);
+  // Attempt identity: every task runs once, plus one attempt per retry.
+  EXPECT_EQ(stats.task_attempts, logical_tasks + stats.task_retries);
 }
 
 TEST(TraceTest, SameSeedRunsProduceIdenticalSpanContent) {

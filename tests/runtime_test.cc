@@ -245,12 +245,8 @@ JobStats MakeDelta(int salt) {
   s.task_attempts = 3 + salt;
   s.task_failures = salt;
   s.task_retries = salt;
-  s.speculative_attempts = salt % 2;
-  s.speculative_wins = salt % 2;
-  s.nodes_blacklisted = salt % 3;  // gauge: max survives
   s.shuffle_records_dropped = 2 * salt;
   s.shuffle_records_corrupted = salt;
-  s.backoff_seconds = 0.01 * salt;
   s.map_wall_seconds = 0.05 * salt;  // gauge: max survives
   s.reduce_wall_seconds = 0.04 * salt;
   s.threads_used = 1 + salt % 4;
@@ -284,14 +280,10 @@ TEST(MergeOrderTest, JobStatsMergeTotalsAreOrderIndependent) {
     EXPECT_EQ(merged.task_attempts, reference.task_attempts);
     EXPECT_EQ(merged.task_failures, reference.task_failures);
     EXPECT_EQ(merged.task_retries, reference.task_retries);
-    EXPECT_EQ(merged.speculative_attempts, reference.speculative_attempts);
-    EXPECT_EQ(merged.speculative_wins, reference.speculative_wins);
-    EXPECT_EQ(merged.nodes_blacklisted, reference.nodes_blacklisted);
     EXPECT_EQ(merged.shuffle_records_dropped,
               reference.shuffle_records_dropped);
     EXPECT_EQ(merged.shuffle_records_corrupted,
               reference.shuffle_records_corrupted);
-    EXPECT_DOUBLE_EQ(merged.backoff_seconds, reference.backoff_seconds);
     EXPECT_DOUBLE_EQ(merged.map_wall_seconds, reference.map_wall_seconds);
     EXPECT_DOUBLE_EQ(merged.reduce_wall_seconds,
                      reference.reduce_wall_seconds);
@@ -418,7 +410,7 @@ TEST(ParallelDeterminismTest, UserErrorsSurfaceIdenticallyInParallel) {
     JobSpec spec;
     spec.num_reduce_tasks = 2;
     spec.num_threads = threads;
-    spec.retry.max_task_attempts = 2;
+    spec.max_task_attempts = 2;
     const auto job = RunMapReduce<int, int, KeyCount>(
         6, mapper, reducer, [](const int&) { return 0; }, spec);
     ASSERT_FALSE(job.ok());

@@ -291,7 +291,7 @@ JobSpec DigestSpec(ShuffleMode mode, int threads, const FaultSpec& faults) {
   spec.cluster = ClusterSpec::Local(4);
   spec.shuffle = mode;
   spec.faults = faults;
-  if (faults.enabled) spec.retry.max_task_attempts = 4;
+  if (faults.enabled) spec.max_task_attempts = 4;
   return spec;
 }
 
@@ -304,11 +304,15 @@ std::vector<FaultSpec> AllFaultKinds() {
   crash.task_failure_prob = 1.0;
   crash.max_faulty_attempts_per_task = 1;
   kinds.push_back(crash);
-  FaultSpec straggle;
-  straggle.enabled = true;
-  straggle.seed = 7;
-  straggle.straggler_prob = 0.5;
-  kinds.push_back(straggle);
+  // Every surviving kind at once; tasks need different attempt counts.
+  FaultSpec mixed;
+  mixed.enabled = true;
+  mixed.seed = 7;
+  mixed.task_failure_prob = 0.5;
+  mixed.shuffle_drop_prob = 0.01;
+  mixed.shuffle_corrupt_prob = 0.01;
+  mixed.max_faulty_attempts_per_task = 2;
+  kinds.push_back(mixed);
   FaultSpec drop;
   drop.enabled = true;
   drop.seed = 7;
@@ -586,7 +590,7 @@ DodConfig PipelineConfig(StrategyKind strategy, ShuffleMode shuffle,
   config.sampler.buckets_per_dim = 16;
   config.shuffle = shuffle;
   config.faults = faults;
-  if (faults.enabled) config.retry.max_task_attempts = 4;
+  if (faults.enabled) config.max_task_attempts = 4;
   return config;
 }
 
@@ -667,8 +671,7 @@ TEST(PipelineShuffleEquivalence, FaultSchedulesCannotTellModesApart) {
         std::string("fault-kind drop=") +
         std::to_string(faults.shuffle_drop_prob) +
         " corrupt=" + std::to_string(faults.shuffle_corrupt_prob) +
-        " crash=" + std::to_string(faults.task_failure_prob) +
-        " straggle=" + std::to_string(faults.straggler_prob);
+        " crash=" + std::to_string(faults.task_failure_prob);
     const DodResult sorted =
         DodPipeline(PipelineConfig(StrategyKind::kDmt, ShuffleMode::kSorted,
                                    4, KernelMode::kAuto, faults))
@@ -1141,7 +1144,7 @@ TEST(ShuffleSpillTest, SpilledRunsMatchInMemoryAcrossModesThreadsAndFaults) {
         EXPECT_EQ(spilled.stats.groups_reduced, in_memory.stats.groups_reduced)
             << label;
         // Run files are job-scoped garbage: none survive the job, even
-        // under retries and speculative schedules.
+        // under retries.
         EXPECT_EQ(SpillFilesIn(dir), 0u) << label;
       }
     }

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/flags.h"
@@ -74,11 +75,10 @@ Fault tolerance (simulation):
   --max_task_attempts N  retry budget per task (default 4)
   --fault_seed N         fault-injection seed (default 1)
   --fault_failure_prob P injected task-attempt failure probability
-  --fault_straggler_prob P  injected straggler probability
-  --fault_straggler_mult M  straggler slowdown multiplier (default 4)
   --fault_drop_prob P    injected shuffle-record drop probability
   --fault_corrupt_prob P injected shuffle-record corruption probability
-                         (injection is enabled when any probability > 0)
+                         (probabilities in [0, 1]; injection is enabled
+                         when any probability > 0)
   --fault_crash_task N   crash right after task N of --fault_crash_phase
                          commits (checkpoint already durable); -1 = off
   --fault_crash_phase P  map | reduce (default reduce)
@@ -300,33 +300,37 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
     return dod::Status::InvalidArgument("--shuffle must be sorted or columnar");
   }
 
+  constexpr long long kMaxInt = std::numeric_limits<int>::max();
   auto attempts = flags.GetInt("max_task_attempts", 4);
   if (!attempts.ok()) return attempts.status();
-  if (attempts.value() < 1) {
-    return dod::Status::InvalidArgument("--max_task_attempts must be >= 1");
+  if (attempts.value() < 1 || attempts.value() > kMaxInt) {
+    return dod::Status::InvalidArgument("--max_task_attempts must be in [1, " +
+                                        std::to_string(kMaxInt) + "]");
   }
-  config.retry.max_task_attempts = static_cast<int>(attempts.value());
+  config.max_task_attempts = static_cast<int>(attempts.value());
 
   auto fault_seed = flags.GetInt("fault_seed", 1);
   if (!fault_seed.ok()) return fault_seed.status();
   config.faults.seed = static_cast<uint64_t>(fault_seed.value());
-  auto failure_prob = flags.GetDouble("fault_failure_prob", 0.0);
-  if (!failure_prob.ok()) return failure_prob.status();
-  config.faults.task_failure_prob = failure_prob.value();
-  auto straggler_prob = flags.GetDouble("fault_straggler_prob", 0.0);
-  if (!straggler_prob.ok()) return straggler_prob.status();
-  config.faults.straggler_prob = straggler_prob.value();
-  auto straggler_mult = flags.GetDouble("fault_straggler_mult", 4.0);
-  if (!straggler_mult.ok()) return straggler_mult.status();
-  config.faults.straggler_multiplier = straggler_mult.value();
-  auto drop_prob = flags.GetDouble("fault_drop_prob", 0.0);
-  if (!drop_prob.ok()) return drop_prob.status();
-  config.faults.shuffle_drop_prob = drop_prob.value();
-  auto corrupt_prob = flags.GetDouble("fault_corrupt_prob", 0.0);
-  if (!corrupt_prob.ok()) return corrupt_prob.status();
-  config.faults.shuffle_corrupt_prob = corrupt_prob.value();
+  // Reads one injection probability; the negated range test also rejects
+  // nan.
+  const auto probability = [&](const char* name, double* out) {
+    auto value = flags.GetDouble(name, 0.0);
+    if (!value.ok()) return value.status();
+    if (!(value.value() >= 0.0 && value.value() <= 1.0)) {
+      return dod::Status::InvalidArgument(std::string("--") + name +
+                                          " must be in [0, 1]");
+    }
+    *out = value.value();
+    return dod::Status::Ok();
+  };
+  DOD_RETURN_IF_ERROR(
+      probability("fault_failure_prob", &config.faults.task_failure_prob));
+  DOD_RETURN_IF_ERROR(
+      probability("fault_drop_prob", &config.faults.shuffle_drop_prob));
+  DOD_RETURN_IF_ERROR(
+      probability("fault_corrupt_prob", &config.faults.shuffle_corrupt_prob));
   config.faults.enabled = config.faults.task_failure_prob > 0.0 ||
-                          config.faults.straggler_prob > 0.0 ||
                           config.faults.shuffle_drop_prob > 0.0 ||
                           config.faults.shuffle_corrupt_prob > 0.0;
 
@@ -334,6 +338,10 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   // probabilistic fault; see FaultSpec).
   auto crash_task = flags.GetInt("fault_crash_task", -1);
   if (!crash_task.ok()) return crash_task.status();
+  if (crash_task.value() < -1 || crash_task.value() > kMaxInt) {
+    return dod::Status::InvalidArgument("--fault_crash_task must be in [-1, " +
+                                        std::to_string(kMaxInt) + "]");
+  }
   config.faults.crash_at_task = static_cast<int>(crash_task.value());
   const std::string crash_phase = flags.GetStringOr("fault_crash_phase",
                                                     "reduce");

@@ -2,7 +2,9 @@
 
 #include "common/flags.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <string>
 
 namespace dod {
 
@@ -73,6 +75,23 @@ Result<long long> FlagParser::GetInt(const std::string& name,
                                    ": integer out of range");
   }
   return static_cast<long long>(value.value());
+}
+
+Result<long long> FlagParser::GetIntInRange(const std::string& name,
+                                            long long fallback, long long lo,
+                                            long long hi) const {
+  Result<double> value = GetDouble(name, static_cast<double>(fallback));
+  if (!value.ok()) return value.status();
+  // Range-checked in double before the cast, which is undefined outside
+  // long long's range and for nan; 2^63 is the first double past it.
+  const double v = value.value();
+  if (v >= -0x1p63 && v < 0x1p63 && v == std::trunc(v)) {
+    const long long n = static_cast<long long>(v);
+    if (n >= lo && n <= hi) return n;
+  }
+  return Status::InvalidArgument(
+      "flag --" + name + " must be an integer in [" + std::to_string(lo) +
+      ", " + std::to_string(hi) + "], got '" + GetStringOr(name, "") + "'");
 }
 
 bool FlagParser::GetBoolOr(const std::string& name, bool fallback) const {

@@ -31,6 +31,11 @@ class FlagParser {
                           const std::string& fallback) const;
   Result<double> GetDouble(const std::string& name, double fallback) const;
   Result<long long> GetInt(const std::string& name, long long fallback) const;
+  // GetInt restricted to the integers in [lo, hi]: anything else — out of
+  // range, fractional, nan — is InvalidArgument naming the flag, so a
+  // caller's narrowing cast can never wrap a value around.
+  Result<long long> GetIntInRange(const std::string& name, long long fallback,
+                                  long long lo, long long hi) const;
   bool GetBoolOr(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

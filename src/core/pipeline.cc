@@ -8,7 +8,6 @@
 
 #include "common/distance.h"
 #include "common/timer.h"
-#include "detection/neighbor_count.h"
 #include "detection/partition_view.h"
 #include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
@@ -290,6 +289,8 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
     }
     DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
 
+    const double sq_radius = params_.radius * params_.radius;
+    const KernelOps& ops = GetKernelOps(params_.kernels);
     for (size_t g = 0; g < groups.num_groups(); ++g) {
       if (control_ != nullptr) DOD_RETURN_IF_ERROR(control_->Check());
       const PartitionView view = arena.View(g);
@@ -299,10 +300,11 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
 
       // Exact partial neighbor count for each candidate (< k).
       for (uint32_t index : local) {
-        const NeighborCountSummary partial = CountNeighbors(
-            view, index, params_, /*cap=*/-1, /*pairs=*/nullptr);
-        out.push_back(
-            Candidate{view.id(index), static_cast<int32_t>(partial.count)});
+        const int partial = ops.count_within_radius(
+            view.probes(), view.probe_begin(), view.probe_end(),
+            view.point(index), sq_radius, /*skip_id=*/index, /*cap=*/-1,
+            /*pairs=*/nullptr);
+        out.push_back(Candidate{view.id(index), partial});
       }
       counters.Increment("domain.candidates", local.size());
     }

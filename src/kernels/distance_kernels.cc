@@ -161,43 +161,35 @@ int BlockedCountT(const SoABlock& pts, size_t begin, size_t end,
   // mask mixing: distance verdicts over doubles, skip hits over ids.
   // Callers pass a unique id (or none), so skip hits are at most one slot
   // per sweep and the within-radius correction for skipped slots is a
-  // rarely-taken scalar branch. Unrolled two blocks per iteration so the
-  // horizontal reductions and the cap check amortize; the cap therefore
-  // gates at 2*kSoaWidth granularity, which only bounds counter overshoot,
-  // never the verdict.
+  // rarely-taken scalar branch. The cap is checked after every block, as
+  // avx2 checks it, so both batched paths evaluate the same pairs.
   const size_t full_end = std::min(end / kSoaWidth, last);
-  while (b < full_end) {
-    const size_t group = std::min<size_t>(full_end - b, 2);
-    int within = 0;
+  for (; b < full_end; ++b) {
+    const uint32_t* ids = pts.Ids(b);
     int skip_hits = 0;
-    for (size_t g = 0; g < group; ++g) {
-      const uint32_t* ids = pts.Ids(b + g);
-      for (size_t s = 0; s < kSoaWidth; ++s) {
-        skip_hits += ids[s] == skip_id ? 1 : 0;
-      }
+    for (size_t s = 0; s < kSoaWidth; ++s) {
+      skip_hits += ids[s] == skip_id ? 1 : 0;
     }
-    for (size_t g = 0; g < group; ++g) {
-      const double* lanes = pts.Lane(b + g, 0);
-      for (size_t s = 0; s < kSoaWidth; ++s) {
-        double sum = 0.0;
-        for (int d = 0; d < kDims; ++d) {
-          const double diff = q[d] - lanes[d * kSoaWidth + s];
-          sum += diff * diff;
-        }
-        within += sum <= sq_radius ? 1 : 0;
+    const double* lanes = pts.Lane(b, 0);
+    int within = 0;
+    for (size_t s = 0; s < kSoaWidth; ++s) {
+      double sum = 0.0;
+      for (int d = 0; d < kDims; ++d) {
+        const double diff = q[d] - lanes[d * kSoaWidth + s];
+        sum += diff * diff;
       }
+      within += sum <= sq_radius ? 1 : 0;
     }
     if (skip_hits != 0) {
-      for (size_t s = b * kSoaWidth; s < (b + group) * kSoaWidth; ++s) {
+      for (size_t s = b * kSoaWidth; s < (b + 1) * kSoaWidth; ++s) {
         if (pts.IdAt(s) == skip_id &&
             ScalarSquaredDistance(pts, s, q, kDims) <= sq_radius) {
           --within;
         }
       }
     }
-    evals += group * kSoaWidth - static_cast<uint64_t>(skip_hits);
+    evals += kSoaWidth - static_cast<uint64_t>(skip_hits);
     count += within;
-    b += group;
     if (cap >= 0 && count >= cap) {
       if (pairs != nullptr) *pairs += evals;
       return count;
@@ -285,37 +277,71 @@ void BlockedDists(const SoABlock& pts, const double* q, double* out,
   DOD_DISPATCH_DIMS(BlockedDistsT, pts.dims(), pts, q, out, pairs);
 }
 
-// Pairwise tiles reuse each implementation's single-query count with
-// "skip nothing" and no cap, so the per-pair arithmetic (and therefore the
-// exactness contract) is inherited rather than re-proved. The candidate
-// segment stays hot across queries — it is the small side of the tile.
-void ScalarCountBlock(const SoABlock& pts, size_t begin, size_t end,
-                      const double* queries, size_t num_queries,
-                      double sq_radius, uint32_t* counts, uint64_t* pairs) {
+// Tiles: every (query, slot) pair of the tile once, per-pair arithmetic
+// identical to the single-query counts. The candidate segment stays hot
+// across queries — it is the small side of the tile.
+void ScalarCountTile(const SoABlock& pts, size_t begin, size_t end,
+                     const double* queries, size_t num_queries,
+                     double sq_radius, uint32_t* row_counts,
+                     uint32_t* col_counts) {
   const int dims = pts.dims();
   for (size_t i = 0; i < num_queries; ++i) {
-    counts[i] += static_cast<uint32_t>(
-        ScalarCount(pts, begin, end, queries + i * dims, sq_radius,
-                    kSoaInvalidId, /*cap=*/-1, pairs));
+    const double* q = queries + i * dims;
+    uint32_t within = 0;
+    for (size_t slot = begin; slot < end; ++slot) {
+      if (ScalarSquaredDistance(pts, slot, q, dims) <= sq_radius) {
+        ++within;
+        if (col_counts != nullptr) ++col_counts[slot - begin];
+      }
+    }
+    row_counts[i] += within;
   }
 }
 
-void BlockedCountBlock(const SoABlock& pts, size_t begin, size_t end,
+// Block-major, like avx2's tile: each block meets every query of the
+// tile while its column hits gather in a local array.
+template <int kDims>
+void BlockedCountTileT(const SoABlock& pts, size_t begin, size_t end,
                        const double* queries, size_t num_queries,
-                       double sq_radius, uint32_t* counts, uint64_t* pairs) {
-  const int dims = pts.dims();
-  for (size_t i = 0; i < num_queries; ++i) {
-    counts[i] += static_cast<uint32_t>(
-        BlockedCount(pts, begin, end, queries + i * dims, sq_radius,
-                     kSoaInvalidId, /*cap=*/-1, pairs));
+                       double sq_radius, uint32_t* row_counts,
+                       uint32_t* col_counts) {
+  const size_t first = begin / kSoaWidth;
+  const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
+  BlockAcc acc;
+  for (size_t b = first; b < last; ++b) {
+    const size_t base = b * kSoaWidth;
+    const size_t lo = b == first ? begin - base : 0;
+    const size_t hi = std::min(end - base, kSoaWidth);
+    uint32_t hits[kSoaWidth] = {};
+    for (size_t i = 0; i < num_queries; ++i) {
+      BlockSquaredDistances<kDims>(pts, b, queries + i * kDims, &acc);
+      uint32_t within = 0;
+      for (size_t s = lo; s < hi; ++s) {
+        const uint32_t hit = acc.d2[s] <= sq_radius ? 1u : 0u;
+        within += hit;
+        hits[s] += hit;
+      }
+      row_counts[i] += within;
+    }
+    if (col_counts != nullptr) {
+      for (size_t s = lo; s < hi; ++s) col_counts[base + s - begin] += hits[s];
+    }
   }
+}
+
+void BlockedCountTile(const SoABlock& pts, size_t begin, size_t end,
+                      const double* queries, size_t num_queries,
+                      double sq_radius, uint32_t* row_counts,
+                      uint32_t* col_counts) {
+  DOD_DISPATCH_DIMS(BlockedCountTileT, pts.dims(), pts, begin, end, queries,
+                    num_queries, sq_radius, row_counts, col_counts);
 }
 
 constexpr KernelOps kScalarOps = {"scalar", ScalarCount, ScalarRangeMask,
-                                  ScalarMin, ScalarDists, ScalarCountBlock};
+                                  ScalarMin, ScalarDists, ScalarCountTile};
 constexpr KernelOps kBlockedOps = {"blocked", BlockedCount, BlockedRangeMask,
                                    BlockedMin, BlockedDists,
-                                   BlockedCountBlock};
+                                   BlockedCountTile};
 
 }  // namespace
 

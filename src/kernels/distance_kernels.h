@@ -19,10 +19,9 @@
 //
 // What is *not* promised across implementations is the evaluation
 // schedule of a capped count. Scalar stops at the pair that reaches the
-// cap. Avx2 checks the cap after every kSoaWidth-slot block, so its
-// counter of evaluated pairs may exceed scalar's by up to kSoaWidth - 1
-// per capped query. Blocked checks it after up to two full blocks, so its
-// counter may exceed scalar's by up to 2*kSoaWidth - 1. Uncapped counts
+// cap. Blocked and avx2 check the cap after every kSoaWidth-slot block, so
+// the two batched paths evaluate the same pairs and their counter may
+// exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped counts
 // evaluate the same pairs everywhere, and verdicts (count >= k,
 // membership, minima, distances) are identical.
 
@@ -67,17 +66,21 @@ struct KernelOps {
   void (*squared_distances)(const SoABlock& points, const double* q,
                             double* out, uint64_t* pairs);
 
-  // Block×segment pairwise count: for each of the `num_queries` query
-  // points (row-major, points.dims() doubles per row), adds the number of
-  // slots in [begin, end) within sq_radius to counts[i]. Counts are exact
-  // (no cap, no skip — a query must not itself occupy a scanned slot) and
-  // bit-identical across implementations; one call covers a whole
-  // query-block × candidate-segment tile, the streaming summary layer's
-  // insert-count / expiry-decrement primitive.
-  void (*count_block_within_radius)(const SoABlock& points, size_t begin,
-                                    size_t end, const double* queries,
-                                    size_t num_queries, double sq_radius,
-                                    uint32_t* counts, uint64_t* pairs);
+  // Query-block × candidate-segment tile: for each of the `num_queries`
+  // query points (row-major, points.dims() doubles per row), adds to
+  // row_counts[i] the number of slots in [begin, end) within sq_radius of
+  // query i and, when col_counts is non-null, adds to col_counts[j - begin]
+  // the number of queries within sq_radius of slot j. Counts are exact (no
+  // cap, no skip: a query that also occupies a scanned slot counts itself)
+  // and bit-identical across implementations — and either side of a pair
+  // may be the query, since (q - p)^2 and (p - q)^2 round the same. The
+  // tile evaluates num_queries * (end - begin) pairs; callers that charge
+  // a counter compute that product themselves. The streaming summary
+  // layer's insert-count, expiry-decrement and first-count primitive.
+  void (*count_tile_within_radius)(const SoABlock& points, size_t begin,
+                                   size_t end, const double* queries,
+                                   size_t num_queries, double sq_radius,
+                                   uint32_t* row_counts, uint32_t* col_counts);
 };
 
 // Table for a mode: kScalar -> scalar; kAuto -> AVX2 when compiled in and

@@ -241,28 +241,87 @@ DOD_AVX2 void Avx2Dists(const SoABlock& pts, const double* q, double* out,
   DOD_DISPATCH_DIMS(Avx2DistsT, pts.dims(), pts, q, out, pairs);
 }
 
+// The 4-lane double mask of slot bits `bits` (bit s = lane s).
+DOD_AVX2 inline __m256d LaneMask(unsigned bits) {
+  const __m256i bit = _mm256_set_epi64x(8, 4, 2, 1);
+  return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(bits), bit), bit));
+}
+
+// Block-major: each block's lanes stay in registers while every query of
+// the tile passes over it, and the block's column hits gather in two
+// vector counters (a within-radius lane is all ones, i.e. -1) that are
+// stored once per block. The differences are (q - c) as in every other
+// kernel, with the first dimension's square seeding the sum.
 template <int kDims>
-DOD_AVX2 void Avx2CountBlockT(const SoABlock& pts, size_t begin, size_t end,
-                              const double* queries, size_t num_queries,
-                              double sq_radius, uint32_t* counts,
-                              uint64_t* pairs) {
-  for (size_t i = 0; i < num_queries; ++i) {
-    counts[i] += static_cast<uint32_t>(
-        Avx2CountT<kDims>(pts, begin, end, queries + i * kDims, sq_radius,
-                          kSoaInvalidId, /*cap=*/-1, pairs));
+DOD_AVX2 void Avx2CountTileT(const SoABlock& pts, size_t begin, size_t end,
+                             const double* queries, size_t num_queries,
+                             double sq_radius, uint32_t* row_counts,
+                             uint32_t* col_counts) {
+  const __m256d r = _mm256_set1_pd(sq_radius);
+  const size_t first = begin / kSoaWidth;
+  const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
+  for (size_t b = first; b < last; ++b) {
+    const size_t base = b * kSoaWidth;
+    const size_t lo_slot = b == first ? begin - base : 0;
+    const size_t hi_slot = std::min(end - base, kSoaWidth);
+    const unsigned range = SlotRange(lo_slot, hi_slot);
+    const __m256d keep_lo = LaneMask(range & 0xFu);
+    const __m256d keep_hi = LaneMask(range >> 4);
+    __m256d lane_lo[kDims];
+    __m256d lane_hi[kDims];
+    for (int d = 0; d < kDims; ++d) {
+      lane_lo[d] = _mm256_loadu_pd(pts.Lane(b, d));
+      lane_hi[d] = _mm256_loadu_pd(pts.Lane(b, d) + 4);
+    }
+    __m256i hits_lo = _mm256_setzero_si256();
+    __m256i hits_hi = _mm256_setzero_si256();
+    for (size_t i = 0; i < num_queries; ++i) {
+      const double* q = queries + i * kDims;
+      __m256d qd = _mm256_broadcast_sd(q);
+      __m256d d0 = _mm256_sub_pd(qd, lane_lo[0]);
+      __m256d d1 = _mm256_sub_pd(qd, lane_hi[0]);
+      __m256d acc0 = _mm256_mul_pd(d0, d0);
+      __m256d acc1 = _mm256_mul_pd(d1, d1);
+      for (int d = 1; d < kDims; ++d) {
+        qd = _mm256_broadcast_sd(q + d);
+        d0 = _mm256_sub_pd(qd, lane_lo[d]);
+        d1 = _mm256_sub_pd(qd, lane_hi[d]);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+      }
+      const __m256d in_lo =
+          _mm256_and_pd(_mm256_cmp_pd(acc0, r, _CMP_LE_OQ), keep_lo);
+      const __m256d in_hi =
+          _mm256_and_pd(_mm256_cmp_pd(acc1, r, _CMP_LE_OQ), keep_hi);
+      const unsigned hits =
+          static_cast<unsigned>(_mm256_movemask_pd(in_lo)) |
+          (static_cast<unsigned>(_mm256_movemask_pd(in_hi)) << 4);
+      row_counts[i] += static_cast<uint32_t>(__builtin_popcount(hits));
+      hits_lo = _mm256_sub_epi64(hits_lo, _mm256_castpd_si256(in_lo));
+      hits_hi = _mm256_sub_epi64(hits_hi, _mm256_castpd_si256(in_hi));
+    }
+    if (col_counts != nullptr) {
+      alignas(32) int64_t hits[kSoaWidth];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(hits), hits_lo);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(hits + 4), hits_hi);
+      for (size_t s = lo_slot; s < hi_slot; ++s) {
+        col_counts[base + s - begin] += static_cast<uint32_t>(hits[s]);
+      }
+    }
   }
 }
 
-DOD_AVX2 void Avx2CountBlock(const SoABlock& pts, size_t begin, size_t end,
-                             const double* queries, size_t num_queries,
-                             double sq_radius, uint32_t* counts,
-                             uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(Avx2CountBlockT, pts.dims(), pts, begin, end, queries,
-                    num_queries, sq_radius, counts, pairs);
+DOD_AVX2 void Avx2CountTile(const SoABlock& pts, size_t begin, size_t end,
+                            const double* queries, size_t num_queries,
+                            double sq_radius, uint32_t* row_counts,
+                            uint32_t* col_counts) {
+  DOD_DISPATCH_DIMS(Avx2CountTileT, pts.dims(), pts, begin, end, queries,
+                    num_queries, sq_radius, row_counts, col_counts);
 }
 
 constexpr KernelOps kAvx2Ops = {"avx2", Avx2Count, Avx2RangeMask, Avx2Min,
-                                Avx2Dists, Avx2CountBlock};
+                                Avx2Dists, Avx2CountTile};
 
 }  // namespace
 

@@ -11,9 +11,8 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "detection/neighbor_count.h"
-#include "detection/partition_view.h"
 #include "durability/payload.h"
+#include "kernels/distance_kernels.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
 
@@ -65,10 +64,6 @@ Status CheckRingCells(double ring, int dims) {
                 "use a larger cell_side",
                 ring, dims);
   return Status::InvalidArgument(message);
-}
-
-uint64_t CoordToken(const CellCoord& coord) {
-  return static_cast<uint64_t>(CellCoordHash{}(coord));
 }
 
 // Invokes fn(coord) for every cell coordinate within Chebyshev distance
@@ -255,9 +250,10 @@ void StreamingDetector::AppendBlock(const StreamBlock& block) {
   for (size_t i = 0; i < block.ids.size(); ++i) {
     const double* p = block.points[static_cast<PointId>(i)];
     const uint32_t slot = AllocSlot(block.ids[i], p);
-    slots_[slot].fresh = 1;
     const CellCoord coord = KeyOf(p);
-    cells_[coord].slots.push_back(slot);
+    CellState& cell = cells_[coord];
+    cell.slots.push_back(slot);
+    ++cell.fresh;
     wb.slots.push_back(slot);
     buffers_.touched.push_back(RoundPoint{coord, slot, /*evicted=*/false});
   }
@@ -286,8 +282,15 @@ size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
         const CellCoord coord = KeyOf((*window_)[slot]);
         auto it = cells_.find(coord);
         DOD_CHECK(it != cells_.end());
-        std::vector<uint32_t>& members = it->second.slots;
-        members.erase(std::find(members.begin(), members.end(), slot));
+        CellState& cell = it->second;
+        std::vector<uint32_t>& members = cell.slots;
+        const auto pos = std::find(members.begin(), members.end(), slot);
+        if (static_cast<size_t>(members.end() - pos) <= cell.fresh) {
+          // In the fresh suffix: this is the round's own appended block.
+          --cell.fresh;
+          buffers_.appended_expired = true;
+        }
+        members.erase(pos);
         if (members.empty()) cells_.erase(it);
         if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
         if (state.saturated != 0) --saturated_count_;
@@ -299,23 +302,6 @@ size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
     }
   }
   return expired_points;
-}
-
-void StreamingDetector::StageCellWithRing(const TargetCell& target,
-                                          TaskArena* arena) const {
-  const CellCoord& center = target.cell->first;
-  const std::vector<uint32_t>& core = target.cell->second.slots;
-  arena->BeginCell();
-  for (uint32_t slot : core) arena->AddPoint(slot);
-  ForEachInRing(center, ring_, [&](const CellCoord& probe) {
-    if (probe == center) return;
-    auto it = cells_.find(probe);
-    if (it == cells_.end()) return;
-    for (uint32_t slot : it->second.slots) arena->AddPoint(slot);
-  });
-  arena->EndCell(core.size(), CellSeed(config_.params.seed,
-                                       CoordToken(center)) ^
-                                  kArenaSeedSalt);
 }
 
 Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
@@ -360,10 +346,12 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     // q's neighbor count changed iff a point within distance r of q was
     // appended or expired; that point's cell is a touched group, and q's
     // cell is then within ring_ of it (coordinates more than ring_ cells
-    // apart differ by > ring_*side >= r in that dimension). A resident cell
-    // joins the dirty list the first time a walk reaches it, so the list
-    // follows the sorted groups — never hash or thread order — and every
-    // (dirty cell, group) pair becomes one edge.
+    // apart differ by > ring_*side >= r in that dimension). By the same
+    // argument every neighbor of an appended point lies in a dirty cell
+    // with an edge to the point's group. A resident cell joins the dirty
+    // list the first time a walk reaches it, so the list follows the
+    // sorted groups — never hash or thread order — and every (dirty cell,
+    // group) pair becomes one edge.
     if (++pass_stamp_ == 0) {
       // The stamp wrapped: forget every stale stamp before reusing them.
       for (auto& entry : cells_) entry.second.stamp = 0;
@@ -386,8 +374,9 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     delta->stats.dirty_cells = num_dirty;
 
     // Edges CSR by dirty cell (counting pass, then a stable scatter, so a
-    // cell's groups stay in lexicographic order), and each dirty cell's
-    // slice of the net-change buffer.
+    // cell's groups stay in lexicographic order); each edge's slice of the
+    // column hits (none when no appended point stays resident), and each
+    // dirty cell's slice of the net-change buffer.
     buf.edge_begin.assign(num_dirty + 1, 0);
     for (const auto& edge : buf.edges) ++buf.edge_begin[edge.first + 1];
     for (size_t i = 0; i < num_dirty; ++i) {
@@ -401,67 +390,114 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
       buf.edge_begin[i] = buf.edge_begin[i - 1];
     }
     buf.edge_begin[0] = 0;
+    const bool credit_appended = !buf.appended_expired;
+    buf.col_begin.resize(buf.edges.size() + 1);
+    buf.col_begin[0] = 0;
+    for (size_t e = 0; e < buf.edges.size(); ++e) {
+      const TouchedGroup& group = buf.groups[buf.edge_group[e]];
+      buf.col_begin[e + 1] =
+          buf.col_begin[e] +
+          (credit_appended ? group.ins_end - group.ins_begin : 0);
+    }
+    buf.col_hits.resize(buf.col_begin[buf.edges.size()]);
+    buf.first_counts.resize(buf.appended_soa.size());
     buf.net_begin.resize(num_dirty + 1);
     buf.net_begin[0] = 0;
     for (size_t i = 0; i < num_dirty; ++i) {
+      const CellState& cell = buf.dirty[i]->second;
       buf.net_begin[i + 1] =
           buf.net_begin[i] +
-          static_cast<uint32_t>(buf.dirty[i]->second.slots.size());
+          static_cast<uint32_t>(cell.slots.size() - cell.fresh);
     }
     buf.net.resize(buf.net_begin[num_dirty]);
 
-    // Per dirty cell, in parallel: gather the cell's surviving old
-    // residents (a chunk at a time, on the stack), count them against the
-    // appended (increment) and evicted (decrement) segment of each of its
-    // edges, and store the net change in the cell's slice.
+    // Per dirty cell, in parallel: one tile per edge segment, old
+    // residents gathered a chunk at a time onto the stack as its rows —
+    // against the appended points for increments, whose column hits credit
+    // each appended point with its old-resident neighbors, and against the
+    // evicted points for decrements. Then each of the cell's own appended
+    // points counts its appended neighbors (self skipped) over the edge
+    // groups, stopping at the cap: min(a, cap) + b clamps to the same
+    // summary as a + b, and a dense block would otherwise cost its square.
+    // A dirty cell writes only its own net slice, its edges' column slices
+    // and its own group's first counts, so tasks never share a write.
     const double sq_radius = config_.params.radius * config_.params.radius;
+    const KernelOps& ops = GetKernelOps(config_.params.kernels);
+    const int cap = SaturationCap(config_.params.min_neighbors);
     DOD_RETURN_IF_ERROR(executor_->RunTasks(num_dirty, [&](size_t i) -> Status {
       constexpr size_t kChunk = 64;
       double queries[kChunk * kMaxDimensions];
       uint32_t inc[kChunk];
       uint32_t dec[kChunk];
+      const CellEntry& entry = *buf.dirty[i];
+      const std::vector<uint32_t>& members = entry.second.slots;
+      const uint32_t* edge_group = buf.edge_group.data();
+      const uint32_t edge_begin = buf.edge_begin[i];
+      const uint32_t edge_end = buf.edge_begin[i + 1];
+      std::fill(buf.col_hits.begin() + buf.col_begin[edge_begin],
+                buf.col_hits.begin() + buf.col_begin[edge_end], 0u);
       int32_t* net = buf.net.data() + buf.net_begin[i];
-      const std::vector<uint32_t>& members = buf.dirty[i]->second.slots;
-      size_t next = 0;
-      while (true) {
-        size_t num_old = 0;
-        for (; next < members.size() && num_old < kChunk; ++next) {
-          if (slots_[members[next]].fresh != 0) continue;
-          const double* row = (*window_)[members[next]];
-          std::copy(row, row + dims_, queries + num_old * dims_);
-          ++num_old;
+      const size_t num_old = members.size() - entry.second.fresh;
+      for (size_t next = 0; next < num_old;) {
+        const size_t rows = std::min(kChunk, num_old - next);
+        for (size_t q = 0; q < rows; ++q) {
+          const double* row = (*window_)[members[next + q]];
+          std::copy(row, row + dims_, queries + q * dims_);
         }
-        if (num_old == 0) break;
-        std::fill(inc, inc + num_old, 0u);
-        std::fill(dec, dec + num_old, 0u);
-        for (uint32_t edge = buf.edge_begin[i]; edge < buf.edge_begin[i + 1];
-             ++edge) {
-          const TouchedGroup& group = buf.groups[buf.edge_group[edge]];
+        std::fill(inc, inc + rows, 0u);
+        std::fill(dec, dec + rows, 0u);
+        for (uint32_t e = edge_begin; e < edge_end; ++e) {
+          const TouchedGroup& group = buf.groups[edge_group[e]];
           if (group.ins_begin != group.ins_end) {
-            CountBlockAgainstSegment(buf.appended_soa, group.ins_begin,
-                                     group.ins_end, queries, num_old,
-                                     sq_radius, config_.params.kernels, inc,
-                                     /*pairs=*/nullptr);
+            ops.count_tile_within_radius(
+                buf.appended_soa, group.ins_begin, group.ins_end, queries,
+                rows, sq_radius, inc,
+                credit_appended ? buf.col_hits.data() + buf.col_begin[e]
+                                : nullptr);
           }
           if (group.ev_begin != group.ev_end) {
-            CountBlockAgainstSegment(buf.evicted_soa, group.ev_begin,
-                                     group.ev_end, queries, num_old,
-                                     sq_radius, config_.params.kernels, dec,
-                                     /*pairs=*/nullptr);
+            ops.count_tile_within_radius(buf.evicted_soa, group.ev_begin,
+                                         group.ev_end, queries, rows,
+                                         sq_radius, dec,
+                                         /*col_counts=*/nullptr);
           }
         }
-        for (size_t q = 0; q < num_old; ++q) {
+        for (size_t q = 0; q < rows; ++q) {
           *net++ = static_cast<int32_t>(inc[q]) - static_cast<int32_t>(dec[q]);
         }
+        next += rows;
+      }
+      if (entry.second.fresh == 0) return Status::Ok();
+      // The cell's appended points are exactly the appended points of its
+      // own group, which is one of its edges.
+      const TouchedGroup* own = nullptr;
+      for (uint32_t e = edge_begin; e < edge_end && own == nullptr; ++e) {
+        const TouchedGroup& group = buf.groups[edge_group[e]];
+        if (group.coord == entry.first) own = &group;
+      }
+      DOD_CHECK(own != nullptr &&
+                own->ins_end - own->ins_begin == entry.second.fresh);
+      for (uint32_t a = own->ins_begin; a < own->ins_end; ++a) {
+        const uint32_t slot = buf.appended_soa.IdAt(a);
+        int count = 0;
+        for (uint32_t e = edge_begin; e < edge_end && count < cap; ++e) {
+          const TouchedGroup& group = buf.groups[edge_group[e]];
+          if (group.ins_begin == group.ins_end) continue;
+          count += ops.count_within_radius(
+              buf.appended_soa, group.ins_begin, group.ins_end,
+              (*window_)[slot], sq_radius, /*skip_id=*/slot, cap - count,
+              /*pairs=*/nullptr);
+        }
+        buf.first_counts[a] = static_cast<uint32_t>(count);
       }
       return Status::Ok();
     }));
 
     // Sequential fold in dirty order: exact counts adjust and flip in
     // place; saturated bounds absorb the change and queue a re-count only
-    // when they drop below k; appended points queue their first count.
-    // Each (old resident, edge segment) pair was counted once, so the pair
-    // totals follow from the segment sizes.
+    // when they drop below k; column hits add to the appended points'
+    // first counts. Each (old resident, edge segment) pair was counted
+    // once, so the pair totals follow from the segment sizes.
     const int k = config_.params.min_neighbors;
     for (size_t i = 0; i < num_dirty; ++i) {
       CellEntry& entry = *buf.dirty[i];
@@ -470,16 +506,11 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
       target.cell = &entry;
       target.locals_begin = static_cast<uint32_t>(buf.target_locals.size());
       const std::vector<uint32_t>& members = entry.second.slots;
-      uint64_t num_old = 0;
-      for (size_t j = 0; j < members.size(); ++j) {
+      const uint64_t num_old = members.size() - entry.second.fresh;
+      entry.second.fresh = 0;
+      for (size_t j = 0; j < num_old; ++j) {
         SlotState& state = slots_[members[j]];
-        if (state.fresh != 0) {
-          state.fresh = 0;
-          buf.target_locals.push_back(static_cast<uint32_t>(j));
-          ++delta->stats.full_counted_points;
-          continue;
-        }
-        const int32_t change = net[num_old++];
+        const int32_t change = net[j];
         // inc == dec changes neither an exact count nor a bound (which
         // is >= k at a round boundary), so only a net change matters.
         if (change == 0) continue;
@@ -503,17 +534,28 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
           ++delta->stats.recounted_points;
         }
       }
-      for (uint32_t edge = buf.edge_begin[i]; edge < buf.edge_begin[i + 1];
-           ++edge) {
-        const TouchedGroup& group = buf.groups[buf.edge_group[edge]];
+      for (uint32_t e = buf.edge_begin[i]; e < buf.edge_begin[i + 1]; ++e) {
+        const TouchedGroup& group = buf.groups[buf.edge_group[e]];
         delta->stats.insert_pairs +=
             num_old * (group.ins_end - group.ins_begin);
         delta->stats.expiry_pairs += num_old * (group.ev_end - group.ev_begin);
+        const uint32_t* hits = buf.col_hits.data() + buf.col_begin[e];
+        for (uint32_t a = 0; a < buf.col_begin[e + 1] - buf.col_begin[e];
+             ++a) {
+          buf.first_counts[group.ins_begin + a] += hits[a];
+        }
       }
       target.locals_end = static_cast<uint32_t>(buf.target_locals.size());
       if (target.locals_end != target.locals_begin) {
         buf.targets.push_back(target);
       }
+    }
+    // Every appended point now holds its neighbor count, exact below the
+    // cap.
+    for (uint32_t a = 0; credit_appended && a < buf.appended_soa.size();
+         ++a) {
+      SetSummary(buf.appended_soa.IdAt(a), buf.first_counts[a], delta);
+      ++delta->stats.full_counted_points;
     }
     span.Arg("dirty_cells", static_cast<uint64_t>(num_dirty))
         .Arg("inc_pairs", delta->stats.insert_pairs)
@@ -528,47 +570,76 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
            static_cast<uint64_t>(delta->stats.recounted_points))
       .Arg("full_counts",
            static_cast<uint64_t>(delta->stats.full_counted_points));
-  const std::vector<TargetCell>& targets = buffers_.targets;
+  std::vector<TargetCell>& targets = buffers_.targets;
   if (targets.empty()) return Status::Ok();
 
-  TaskArena arena(*window_);
-  for (const TargetCell& target : targets) StageCellWithRing(target, &arena);
-  DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
+  // Each target cell's ring, itself included, as one segment. A count
+  // clamped at the cap does not depend on probe order, so no permutation.
+  SoABlock& ring = buffers_.ring_soa;
+  ring.Clear();
+  for (TargetCell& target : targets) {
+    target.ring_begin = static_cast<uint32_t>(ring.size());
+    ForEachInRing(target.cell->first, ring_, [&](const CellCoord& probe) {
+      auto it = cells_.find(probe);
+      if (it == cells_.end()) return;
+      for (uint32_t slot : it->second.slots) {
+        ring.Append((*window_)[slot], slot);
+      }
+    });
+    target.ring_end = static_cast<uint32_t>(ring.size());
+  }
 
   const int cap = SaturationCap(config_.params.min_neighbors);
+  const double sq_radius = config_.params.radius * config_.params.radius;
+  const KernelOps& ops = GetKernelOps(config_.params.kernels);
   const std::vector<uint32_t>& locals = buffers_.target_locals;
-  std::vector<NeighborCountSummary>& summaries = buffers_.summaries;
-  summaries.resize(locals.size());
+  std::vector<uint32_t>& recounts = buffers_.recounts;
+  recounts.resize(locals.size());
   DOD_RETURN_IF_ERROR(executor_->RunTasks(
       targets.size(), [&](size_t i) -> Status {
-        const PartitionView view = arena.View(i);
-        for (uint32_t t = targets[i].locals_begin; t < targets[i].locals_end;
-             ++t) {
-          summaries[t] = CountNeighbors(view, locals[t], config_.params, cap,
-                                        /*pairs=*/nullptr);
+        const TargetCell& target = targets[i];
+        for (uint32_t t = target.locals_begin; t < target.locals_end; ++t) {
+          const uint32_t slot = target.cell->second.slots[locals[t]];
+          recounts[t] = static_cast<uint32_t>(ops.count_within_radius(
+              ring, target.ring_begin, target.ring_end, (*window_)[slot],
+              sq_radius, slot, cap, /*pairs=*/nullptr));
         }
         return Status::Ok();
       }));
 
-  const uint32_t k =
-      static_cast<uint32_t>(config_.params.min_neighbors);
   for (const TargetCell& target : targets) {
     for (uint32_t t = target.locals_begin; t < target.locals_end; ++t) {
-      const NeighborCountSummary summary = summaries[t];
-      SlotState& state = slots_[target.cell->second.slots[locals[t]]];
-      state.count = summary.count;
-      saturated_count_ -= state.saturated;
-      state.saturated = summary.saturated ? 1 : 0;
-      saturated_count_ += state.saturated;
-      const bool now = !summary.saturated && summary.count < k;
-      if (now != (state.flagged != 0)) {
-        (now ? delta->newly_flagged : delta->newly_cleared)
-            .push_back(state.stream_id);
-        state.flagged = now ? 1 : 0;
-      }
+      SetSummary(target.cell->second.slots[locals[t]], recounts[t], delta);
     }
   }
   return Status::Ok();
+}
+
+void StreamingDetector::SetSummary(uint32_t slot, uint32_t count,
+                                   OutlierDelta* delta) {
+  const uint32_t cap =
+      static_cast<uint32_t>(SaturationCap(config_.params.min_neighbors));
+  SlotState& state = slots_[slot];
+  saturated_count_ -= state.saturated;
+  state.saturated = count >= cap ? 1 : 0;
+  saturated_count_ += state.saturated;
+  state.count = std::min(count, cap);
+  const bool now =
+      state.saturated == 0 &&
+      state.count < static_cast<uint32_t>(config_.params.min_neighbors);
+  if (now != (state.flagged != 0)) {
+    (now ? delta->newly_flagged : delta->newly_cleared)
+        .push_back(state.stream_id);
+    state.flagged = now ? 1 : 0;
+  }
+}
+
+std::optional<NeighborCountSummary> StreamingDetector::SummaryOf(
+    PointId id) const {
+  const auto it = id_to_slot_.find(id);
+  if (it == id_to_slot_.end()) return std::nullopt;
+  const SlotState& state = slots_[it->second];
+  return NeighborCountSummary{state.count, state.saturated != 0};
 }
 
 void StreamingDetector::ApplyDeltaToOutlierSet(const OutlierDelta& delta) {
@@ -659,6 +730,7 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
   OutlierDelta delta;
   std::vector<PointId> expired_flagged;
   buffers_.touched.clear();
+  buffers_.appended_expired = false;
   AppendBlock(block);
   if (config_.window_seconds > 0.0) {
     SourceWindow& source = windows_[block.source_id];

@@ -28,14 +28,17 @@
 //   * Every resident point carries its neighbor-count summary across
 //     rounds: the exact |N_r(p)|, or a saturated lower bound once counting
 //     stopped at k + 32 (the detector early-exit win, preserved). A round
-//     then costs O(new block × ring): batched block×segment kernel calls
-//     count the appended points against each dirty cell's residents
-//     (increments) and the evicted points likewise (decrements); only
-//     appended points and saturated points whose bound dropped below k
-//     re-count, through the same TaskArena/ParallelExecutor staging the
-//     batch detectors use. Counts are exact integers, so verdicts — and
-//     therefore deltas — are byte-identical to a from-scratch batch run
-//     over the current window for every thread count and kernel mode.
+//     then costs O(new block × ring), in one pass over the dirty cells:
+//     kernel tiles count each dirty cell's residents against the appended
+//     points of the touched cells around it (increments — and, as column
+//     counts, the appended points' old neighbors) and against the evicted
+//     points (decrements), and its own appended points against the
+//     appended points around them, so every appended point gets its exact
+//     first count in the same pass. Only saturated points whose bound
+//     dropped below k re-count, each against its staged ring. Counts are
+//     exact integers, so verdicts — and therefore deltas — are
+//     byte-identical to a from-scratch batch run over the current window
+//     for every thread count and kernel mode.
 //
 //   * The emitted OutlierDelta is the verdict diff: ids newly flagged,
 //     ids newly cleared (verdict flips and flagged points that expired),
@@ -105,13 +108,11 @@
 #include "common/status.h"
 #include "detection/cell_key.h"
 #include "detection/detector.h"
-#include "detection/neighbor_count.h"
 #include "durability/checkpoint.h"
+#include "kernels/soa_block.h"
 #include "runtime/parallel_executor.h"
 
 namespace dod {
-
-class TaskArena;
 
 // Bounded-lateness admission policy for out-of-order / multi-source
 // streams. Disabled (the default), Ingest admits every block immediately
@@ -131,8 +132,8 @@ struct WatermarkPolicy {
 };
 
 struct StreamingConfig {
-  // Outlier definition + kernel mode; params.seed drives the per-cell
-  // probe-order seeds exactly like the batch reducers.
+  // Outlier definition + kernel mode. No count depends on probe order, so
+  // params.seed only enters the checkpoint job key.
   DetectionParams params;
   // Threads fanning out over dirty cells; <= 0 uses all hardware threads,
   // 1 runs inline, at most kMaxThreads. Deltas are byte-identical for
@@ -194,6 +195,14 @@ struct StreamBlock {
   Dataset points;
   double timestamp = 0.0;
   uint32_t source_id = 0;
+};
+
+// A resident point's neighbor-count summary: the exact |N_r(p)| (self
+// excluded) when !saturated; when saturated, a certified lower bound on it
+// that is never below min_neighbors at a round boundary.
+struct NeighborCountSummary {
+  uint32_t count = 0;
+  bool saturated = false;
 };
 
 struct StreamRoundStats {
@@ -297,11 +306,17 @@ class StreamingDetector {
   // an exact count. O(1): the count is maintained wherever a resident
   // point's saturated bit appears, changes or leaves the window.
   size_t saturated_points() const { return saturated_count_; }
+  // The neighbor-count summary resident point `id` carries; nullopt when
+  // `id` is not resident.
+  std::optional<NeighborCountSummary> SummaryOf(PointId id) const;
 
  private:
   struct CellState {
-    // Appendable/expirable point segment: slot indices, append order.
+    // Appendable/expirable point segment: slot indices, append order. The
+    // last `fresh` entries were appended this round (set by AppendBlock,
+    // reset by the SummaryUpdate fold); the rest are old residents.
     std::vector<uint32_t> slots;
+    uint32_t fresh = 0;
     // The summary pass that last found this cell dirty and the cell's
     // index in that pass's dirty list (meaningful while stamp equals
     // pass_stamp_).
@@ -321,10 +336,6 @@ class StreamingDetector {
     // saturated != 0.
     uint32_t count = 0;
     uint8_t saturated = 0;
-    // Appended this round and not yet folded: the point gets a full first
-    // count instead of the incremental insert/expiry pass. Set by
-    // AppendBlock, cleared by the SummaryUpdate fold.
-    uint8_t fresh = 0;
   };
   // One appended or evicted point of the round, keyed once.
   struct RoundPoint {
@@ -341,23 +352,30 @@ class StreamingDetector {
     uint32_t ev_begin = 0;
     uint32_t ev_end = 0;
   };
-  // One cell's re-count work: RoundBuffers::target_locals[locals_begin,
-  // locals_end) are positions in the cell's slot segment (appended points
-  // needing a first count, saturated points whose bound fell below k),
-  // ascending.
+  // One cell's saturated re-count work: RoundBuffers::target_locals
+  // [locals_begin, locals_end) are positions in the cell's slot segment,
+  // ascending; ring_soa[ring_begin, ring_end) holds the cell and its
+  // supporting ring.
   struct TargetCell {
     CellEntry* cell = nullptr;
     uint32_t locals_begin = 0;
     uint32_t locals_end = 0;
+    uint32_t ring_begin = 0;
+    uint32_t ring_end = 0;
   };
   // The summary pass's per-round buffers. Cleared every round, never
   // shrunk, so a steady stream reuses one allocation per buffer.
   struct RoundBuffers {
-    explicit RoundBuffers(int dims) : appended_soa(dims), evicted_soa(dims) {}
-    // The round's appended and evicted points.
+    explicit RoundBuffers(int dims)
+        : appended_soa(dims), evicted_soa(dims), ring_soa(dims) {}
+    // The round's appended and evicted points. The appended points all
+    // stay resident unless the round's expiry took their block too
+    // (appended_expired): then each is also an evicted point, and none
+    // gets a first count.
     std::vector<RoundPoint> touched;
+    bool appended_expired = false;
     // Touched groups in lexicographic cell order, and their points laid
-    // out group by group.
+    // out group by group (SoA ids are window slots).
     std::vector<TouchedGroup> groups;
     SoABlock appended_soa;
     SoABlock evicted_soa;
@@ -369,14 +387,23 @@ class StreamingDetector {
     std::vector<uint32_t> edge_begin;
     std::vector<uint32_t> edge_group;
     // Net neighbor change (appended - evicted within r) of every old
-    // resident of dirty cell i, in segment order, from net[net_begin[i]];
-    // the slice is sized by the cell's whole segment.
+    // resident of dirty cell i, in segment order, from net[net_begin[i]].
     std::vector<uint32_t> net_begin;
     std::vector<int32_t> net;
-    // Re-count work and its results (summaries parallel target_locals).
+    // Column hits of CSR edge e: for each appended point of its group, in
+    // group order, the old residents of the edge's dirty cell within r,
+    // from col_hits[col_begin[e]].
+    std::vector<uint32_t> col_begin;
+    std::vector<uint32_t> col_hits;
+    // Per appended_soa position: the appended point's first count (its
+    // appended neighbors, capped, until the fold adds its column hits).
+    std::vector<uint32_t> first_counts;
+    // Saturated re-count work, its staged rings and its clamped counts
+    // (parallel to target_locals).
     std::vector<TargetCell> targets;
     std::vector<uint32_t> target_locals;
-    std::vector<NeighborCountSummary> summaries;
+    SoABlock ring_soa;
+    std::vector<uint32_t> recounts;
   };
   struct WindowBlock {
     uint64_t seq = 0;
@@ -428,24 +455,26 @@ class StreamingDetector {
   // order) and appends the deltas to `result`.
   Status DrainReorderBuffer(double bound, IngestResult* result);
 
-  // Stages `target`'s segment (core) plus its supporting-ring cells
-  // (support) into the arena — the exact layout the batch reducers stage.
-  void StageCellWithRing(const TargetCell& target, TaskArena* arena) const;
-
   // One round's detection over the round's appended and evicted points
-  // (buffers_.touched): groups them by touched cell, walks each
-  // group's supporting ring once to collect the dirty cells and the
-  // (dirty cell, group) edges, increments/decrements every dirty cell's
-  // resident counts against its edges' segments, flips verdicts of exact
-  // counts, then re-counts appended points and saturated points whose bound
-  // fell below k via CountTargets. Applies verdict flips to `delta` and
-  // fills its summary stats and dirty_cells.
+  // (buffers_.touched): groups them by touched cell, walks each group's
+  // supporting ring once to collect the dirty cells and the (dirty cell,
+  // group) edges, and tiles every dirty cell's residents against its
+  // edges' segments in one pass. That pass yields the old residents'
+  // increments/decrements and every appended point's exact first count;
+  // the sequential fold flips verdicts, and saturated points whose bound
+  // fell below k re-count via CountTargets. Applies verdict flips to
+  // `delta` and fills its summary stats and dirty_cells.
   Status SummaryUpdate(OutlierDelta* delta);
 
-  // Exact-or-saturated counts for every target point (staged core+ring,
-  // executor fan-out, sequential fold); writes summaries and applies
-  // verdict flips to `delta`.
+  // Capped counts for the saturated points queued by the fold (each
+  // against its cell's staged ring, executor fan-out, sequential fold);
+  // writes summaries and applies verdict flips to `delta`.
   Status CountTargets(OutlierDelta* delta);
+
+  // Stores `count` as the slot's summary — clamped at the saturation cap,
+  // so it never depends on how far a capped kernel ran — and applies the
+  // resulting verdict flip to `delta`.
+  void SetSummary(uint32_t slot, uint32_t count, OutlierDelta* delta);
 
   void ApplyDeltaToOutlierSet(const OutlierDelta& delta);
   void RecordRound(const OutlierDelta& delta);

@@ -205,6 +205,44 @@ TEST(CliSmokeTest, OutOfRangeFaultFlagsAreRejected) {
   }
 }
 
+TEST(CliSmokeTest, OutOfRangeIntegerFlagsAreRejected) {
+  // Each of these once reached a narrowing cast: --k 4294967297 ran with
+  // k = 1, --checkpoint_every -1 committed every 2^64 - 1 rounds, and a
+  // negative --kill_after_round silently meant "never".
+  const std::vector<std::pair<std::string, std::string>> batch = {
+      {"k", "4294967297"}, {"k", "0"},          {"k", "2.5"},
+      {"threads", "-1"},   {"threads", "1025"}, {"max_task_attempts", "1.5"},
+      {"fault_crash_task", "-1.5"},
+  };
+  for (const auto& [flag, value] : batch) {
+    const CommandResult result = RunCommand(
+        "--generate uniform --n 1000 --" + flag + " " + value);
+    EXPECT_NE(result.exit_code, 0) << flag << " " << value;
+    EXPECT_NE(result.output.find("--" + flag), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+  }
+  const std::vector<std::pair<std::string, std::string>> stream = {
+      {"k", "4294967297"},
+      {"k", "-1"},
+      {"threads", "1025"},
+      {"threads", "4294967297"},
+      {"checkpoint_every", "-1"},
+      {"checkpoint_every", "1e19"},
+      {"kill_after_round", "-1"},
+      {"kill_after_round", "nan"},
+      {"source_id", "4294967296"},
+      {"source_id", "-1"},
+  };
+  for (const auto& [flag, value] : stream) {
+    const CommandResult result = RunCommand(
+        "--generate uniform --n 1000 --" + flag + " " + value,
+        DOD_STREAM_CLI_PATH);
+    EXPECT_NE(result.exit_code, 0) << flag << " " << value;
+    EXPECT_NE(result.output.find("--" + flag), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+  }
+}
+
 TEST(CliSmokeTest, DeletedStragglerFlagIsUnknown) {
   const CommandResult result = RunCommand(
       "--generate uniform --n 1000 --fault_straggler_prob 0.5");

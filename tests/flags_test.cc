@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace dod {
 namespace {
 
@@ -77,6 +80,28 @@ TEST(FlagParserTest, UnusedFlagTracking) {
 TEST(FlagParserTest, NegativeNumberAsValue) {
   const FlagParser flags = ParseArgs({"--offset", "-3.5"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("offset", 0).value(), -3.5);
+}
+
+TEST(FlagParserTest, IntInRangeAcceptsOnlyIntegersInTheRange) {
+  const FlagParser flags = ParseArgs(
+      {"--lo=-1", "--hi=1024", "--over=1025", "--wrap=4294967297",
+       "--frac=2.5", "--nan=nan", "--huge=9.3e18", "--word=four"});
+  EXPECT_EQ(flags.GetIntInRange("lo", 0, -1, 1024).value(), -1);
+  EXPECT_EQ(flags.GetIntInRange("hi", 0, -1, 1024).value(), 1024);
+  EXPECT_EQ(flags.GetIntInRange("missing", 7, 1, 9).value(), 7);
+  for (const char* name : {"over", "wrap", "frac", "nan", "huge", "word"}) {
+    const Result<long long> value = flags.GetIntInRange(name, 0, -1, 1024);
+    ASSERT_FALSE(value.ok()) << name;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << value.status().message();
+  }
+  // The full long long range is accepted up to (excluding) 2^63.
+  EXPECT_FALSE(flags
+                   .GetIntInRange("huge", 0, 0,
+                                  std::numeric_limits<long long>::max())
+                   .ok());
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/distance.h"
 #include "common/random.h"
 #include "core/parameter_advisor.h"
 #include "core/pipeline.h"
@@ -207,49 +209,111 @@ TEST(DistanceKernelsTest, Avx2CappedCountStopsAtTheBlockThatReachedTheCap) {
   }
 }
 
-TEST(DistanceKernelsTest, CountBlockImplsAgreeAndAccumulate) {
-  // The batched block×segment entry must add, for every query row, the
-  // exact uncapped neighbor count of the sub-range — bit-identical across
-  // implementations, on top of whatever the counts array already holds.
+TEST(DistanceKernelsTest, BlockedAndAvx2CappedCountsEvaluateTheSamePairs) {
+  // Both batched paths check the cap after every block, so a capped count
+  // returns the same running count and charges the same evaluated pairs
+  // in either — the distance_evals counter does not depend on whether the
+  // build has AVX2.
+  const KernelOps* avx2 = GetKernelOpsByName("avx2");
+  if (avx2 == nullptr) GTEST_SKIP() << "avx2 kernels unavailable";
+  const KernelOps& blocked = *GetKernelOpsByName("blocked");
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    const Dataset data = RandomDataset(dims, 7 * kSoaWidth, 8100u + dims);
+    SoABlock soa(dims);
+    soa.Assign(data);
+    Rng rng(53u * dims);
+    Point q(dims);
+    for (int trial = 0; trial < 24; ++trial) {
+      for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(2.0, 8.0);
+      const double sq_radius = rng.NextUniform(4.0, 16.0 * dims);
+      const size_t begin = rng.NextBounded(soa.size());
+      const size_t end = begin + rng.NextBounded(soa.size() - begin + 1);
+      const uint32_t skip =
+          trial % 3 == 0 || end == begin
+              ? kSoaInvalidId
+              : soa.IdAt(begin + rng.NextBounded(end - begin));
+      for (int cap = 0; cap <= 40; cap += 1 + trial % 4) {
+        uint64_t blocked_pairs = 0;
+        uint64_t avx2_pairs = 0;
+        const int blocked_count = blocked.count_within_radius(
+            soa, begin, end, q.data(), sq_radius, skip, cap, &blocked_pairs);
+        const int avx2_count = avx2->count_within_radius(
+            soa, begin, end, q.data(), sq_radius, skip, cap, &avx2_pairs);
+        EXPECT_EQ(blocked_count, avx2_count)
+            << "dims=" << dims << " [" << begin << ", " << end
+            << ") cap=" << cap;
+        EXPECT_EQ(blocked_pairs, avx2_pairs)
+            << "dims=" << dims << " [" << begin << ", " << end
+            << ") cap=" << cap;
+      }
+    }
+  }
+}
+
+TEST(DistanceKernelsTest, TileRowAndColumnCountsMatchAPairLoop) {
+  // The tile entry adds, per query row, its neighbors in the segment and,
+  // per segment slot, the query rows within r — on top of what the arrays
+  // already hold, bit-identical across implementations and equal to a
+  // plain pair loop. Integer coordinates with an integer squared radius
+  // put many pairs at exactly r.
   const std::vector<const KernelOps*> impls = AvailableImpls();
-  const KernelOps& scalar = *impls[0];
+  const size_t kQueryCounts[] = {1, 2, kSoaWidth - 1, kSoaWidth, 9, 33, 64};
   for (int dims = 1; dims <= kMaxDimensions; ++dims) {
     for (size_t n : kBoundarySizes) {
-      const Dataset data = RandomDataset(dims, n, 3000u * dims + n);
-      SoABlock soa(dims);
-      soa.Assign(data);
-      Rng rng(131u * dims + n);
-      for (int trial = 0; trial < 4; ++trial) {
-        const size_t num_queries = 1 + rng.NextBounded(12);
+      for (size_t num_queries : kQueryCounts) {
+        const bool ties = (n + num_queries) % 2 == 0;
+        Rng rng(4099u * dims + 31u * n + num_queries);
+        const auto coordinate = [&] {
+          return ties ? static_cast<double>(rng.NextBounded(4))
+                      : rng.NextUniform(0.0, 6.0);
+        };
+        // A few points ahead of the segment so it starts off a block
+        // boundary, then the segment itself.
+        const size_t begin = n % 3;
+        SoABlock soa(dims);
+        std::vector<double> rows((begin + n) * dims);
+        for (size_t j = 0; j < begin + n; ++j) {
+          for (int d = 0; d < dims; ++d) rows[j * dims + d] = coordinate();
+          soa.Append(rows.data() + j * dims, static_cast<uint32_t>(j));
+        }
+        const size_t end = begin + n;
         std::vector<double> queries(num_queries * dims);
-        for (double& c : queries) c = rng.NextUniform(0.0, 10.0);
-        const double sq_radius = rng.NextUniform(0.5, 16.0);
-        const size_t begin = data.empty() ? 0 : rng.NextBounded(data.size());
-        const size_t end =
-            begin + (data.size() > begin
-                         ? rng.NextBounded(data.size() - begin + 1)
-                         : 0);
+        for (double& c : queries) c = coordinate();
+        const double sq_radius = ties ? 4.0 : rng.NextUniform(1.0, 9.0);
 
-        std::vector<uint32_t> want(num_queries, 0);
-        uint64_t want_pairs = 0;
+        std::vector<uint32_t> want_rows(num_queries);
+        std::vector<uint32_t> want_cols(n);
+        for (size_t i = 0; i < num_queries; ++i) want_rows[i] = 7 + i;
+        for (size_t j = 0; j < n; ++j) want_cols[j] = 3 + j;
         for (size_t i = 0; i < num_queries; ++i) {
-          want[i] = 100 + static_cast<uint32_t>(i) +
-                    static_cast<uint32_t>(scalar.count_within_radius(
-                        soa, begin, end, queries.data() + i * dims, sq_radius,
-                        kSoaInvalidId, -1, &want_pairs));
+          for (size_t j = begin; j < end; ++j) {
+            if (SquaredEuclidean(queries.data() + i * dims,
+                                 rows.data() + j * dims, dims) <= sq_radius) {
+              ++want_rows[i];
+              ++want_cols[j - begin];
+            }
+          }
         }
         for (const KernelOps* ops : impls) {
-          SCOPED_TRACE(std::string("impl=") + ops->name);
-          std::vector<uint32_t> counts(num_queries);
-          for (size_t i = 0; i < num_queries; ++i) {
-            counts[i] = 100 + static_cast<uint32_t>(i);  // pre-seeded
-          }
-          uint64_t pairs = 0;
-          ops->count_block_within_radius(soa, begin, end, queries.data(),
-                                         num_queries, sq_radius, counts.data(),
-                                         &pairs);
-          EXPECT_EQ(counts, want) << "dims=" << dims << " n=" << n;
-          EXPECT_EQ(pairs, want_pairs);
+          SCOPED_TRACE(std::string("impl=") + ops->name + " dims=" +
+                       std::to_string(dims) + " n=" + std::to_string(n) +
+                       " queries=" + std::to_string(num_queries));
+          std::vector<uint32_t> got_rows(num_queries);
+          std::vector<uint32_t> got_cols(n);
+          for (size_t i = 0; i < num_queries; ++i) got_rows[i] = 7 + i;
+          for (size_t j = 0; j < n; ++j) got_cols[j] = 3 + j;
+          ops->count_tile_within_radius(soa, begin, end, queries.data(),
+                                        num_queries, sq_radius,
+                                        got_rows.data(), got_cols.data());
+          EXPECT_EQ(got_rows, want_rows);
+          EXPECT_EQ(got_cols, want_cols);
+          // Rows only: the same row counts, no column array touched.
+          for (size_t i = 0; i < num_queries; ++i) got_rows[i] = 7 + i;
+          ops->count_tile_within_radius(soa, begin, end, queries.data(),
+                                        num_queries, sq_radius,
+                                        got_rows.data(),
+                                        /*col_counts=*/nullptr);
+          EXPECT_EQ(got_rows, want_rows);
         }
       }
     }

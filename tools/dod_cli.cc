@@ -202,13 +202,14 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
 dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
                                         const dod::Dataset& data) {
   const size_t n = data.size();
+  constexpr long long kMaxInt = std::numeric_limits<int>::max();
   auto radius = flags.GetDouble("radius", 5.0);
   if (!radius.ok()) return radius.status();
-  auto k = flags.GetInt("k", 4);
-  if (!k.ok()) return k.status();
-  if (radius.value() <= 0.0 || k.value() < 1) {
-    return dod::Status::InvalidArgument("--radius must be > 0, --k >= 1");
+  if (!(radius.value() > 0.0)) {
+    return dod::Status::InvalidArgument("--radius must be > 0");
   }
+  auto k = flags.GetIntInRange("k", 4, 1, kMaxInt);
+  if (!k.ok()) return k.status();
   dod::DetectionParams params;
   params.radius = radius.value();
   params.min_neighbors = static_cast<int>(k.value());
@@ -278,13 +279,8 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   if (!blocks.ok()) return blocks.status();
   config.num_blocks = static_cast<size_t>(blocks.value());
   // 0 = all hardware threads (the engine resolves it).
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = flags.GetIntInRange("threads", 0, 0, dod::kMaxThreads);
   if (!threads.ok()) return threads.status();
-  if (threads.value() < 0 || threads.value() > dod::kMaxThreads) {
-    return dod::Status::InvalidArgument("--threads must be in [0, " +
-                                        std::to_string(dod::kMaxThreads) +
-                                        "]");
-  }
   config.num_threads = static_cast<int>(threads.value());
   auto rate = flags.GetDouble("sample-rate", 0.05);
   if (!rate.ok()) return rate.status();
@@ -300,13 +296,8 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
     return dod::Status::InvalidArgument("--shuffle must be sorted or columnar");
   }
 
-  constexpr long long kMaxInt = std::numeric_limits<int>::max();
-  auto attempts = flags.GetInt("max_task_attempts", 4);
+  auto attempts = flags.GetIntInRange("max_task_attempts", 4, 1, kMaxInt);
   if (!attempts.ok()) return attempts.status();
-  if (attempts.value() < 1 || attempts.value() > kMaxInt) {
-    return dod::Status::InvalidArgument("--max_task_attempts must be in [1, " +
-                                        std::to_string(kMaxInt) + "]");
-  }
   config.max_task_attempts = static_cast<int>(attempts.value());
 
   auto fault_seed = flags.GetInt("fault_seed", 1);
@@ -336,12 +327,8 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
 
   // Crash injection fires regardless of `faults.enabled` (it is not a
   // probabilistic fault; see FaultSpec).
-  auto crash_task = flags.GetInt("fault_crash_task", -1);
+  auto crash_task = flags.GetIntInRange("fault_crash_task", -1, -1, kMaxInt);
   if (!crash_task.ok()) return crash_task.status();
-  if (crash_task.value() < -1 || crash_task.value() > kMaxInt) {
-    return dod::Status::InvalidArgument("--fault_crash_task must be in [-1, " +
-                                        std::to_string(kMaxInt) + "]");
-  }
   config.faults.crash_at_task = static_cast<int>(crash_task.value());
   const std::string crash_phase = flags.GetStringOr("fault_crash_phase",
                                                     "reduce");

@@ -32,8 +32,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,15 +214,20 @@ int main(int argc, char** argv) {
   auto block_flag = flags.GetInt("block_size", 500);
   auto window_flag = flags.GetInt("window", 8);
   auto radius_flag = flags.GetDouble("radius", 5.0);
-  auto k_flag = flags.GetInt("k", 4);
-  auto threads_flag = flags.GetInt("threads", 1);
+  constexpr long long kMaxLongLong = std::numeric_limits<long long>::max();
+  auto k_flag =
+      flags.GetIntInRange("k", 4, 1, std::numeric_limits<int>::max());
+  auto threads_flag = flags.GetIntInRange("threads", 1, 0, dod::kMaxThreads);
   auto cell_side_flag = flags.GetDouble("cell_side", 0.0);
-  auto every_flag = flags.GetInt("checkpoint_every", 1);
-  auto kill_flag = flags.GetInt("kill_after_round", 0);
+  auto every_flag =
+      flags.GetIntInRange("checkpoint_every", 1, 0, kMaxLongLong);
+  auto kill_flag =
+      flags.GetIntInRange("kill_after_round", 0, 0, kMaxLongLong);
   auto density_flag = flags.GetDouble("density", 0.05);
   auto lateness_flag = flags.GetDouble("lateness", -1.0);
   auto idle_flag = flags.GetDouble("idle_timeout", 0.0);
-  auto source_flag = flags.GetInt("source_id", 0);
+  auto source_flag = flags.GetIntInRange("source_id", 0, 0,
+                                         std::numeric_limits<uint32_t>::max());
   auto reorder_flag = flags.GetInt("reorder_seed", 0);
   for (const dod::Status& status :
        {n_flag.status(), seed_flag.status(), block_flag.status(),
@@ -233,13 +240,7 @@ int main(int argc, char** argv) {
   if (n_flag.value() < 1 || block_flag.value() < 1 || window_flag.value() < 1) {
     return Fail("--n, --block_size and --window must be >= 1");
   }
-  if (radius_flag.value() <= 0.0 || k_flag.value() < 1) {
-    return Fail("--radius must be > 0, --k >= 1");
-  }
-  if (threads_flag.value() < 0 || threads_flag.value() > dod::kMaxThreads) {
-    return Fail("--threads must be in [0, " +
-                std::to_string(dod::kMaxThreads) + "]");
-  }
+  if (!(radius_flag.value() > 0.0)) return Fail("--radius must be > 0");
 
   Schedule schedule;
   const size_t n = static_cast<size_t>(n_flag.value());
@@ -280,7 +281,6 @@ int main(int argc, char** argv) {
   } else if (idle_flag.value() != 0.0) {
     return Fail("--idle_timeout requires --lateness");
   }
-  if (source_flag.value() < 0) return Fail("--source_id must be >= 0");
   const uint32_t source_id = static_cast<uint32_t>(source_flag.value());
   const uint64_t reorder_seed =
       static_cast<uint64_t>(std::max(0LL, reorder_flag.value()));
@@ -327,8 +327,7 @@ int main(int argc, char** argv) {
   if (oracle_skip_empty && !oracle) {
     return Fail("--oracle_skip_empty requires --oracle");
   }
-  const uint64_t kill_after =
-      static_cast<uint64_t>(std::max(0LL, kill_flag.value()));
+  const uint64_t kill_after = static_cast<uint64_t>(kill_flag.value());
   const std::string delta_path = flags.GetStringOr("delta_out", "");
   const std::string trace_path = flags.GetStringOr("trace_out", "");
   const std::string metrics_path = flags.GetStringOr("metrics_out", "");

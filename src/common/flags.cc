@@ -94,6 +94,16 @@ Result<long long> FlagParser::GetIntInRange(const std::string& name,
       ", " + std::to_string(hi) + "], got '" + GetStringOr(name, "") + "'");
 }
 
+Result<double> FlagParser::GetPositiveDouble(const std::string& name,
+                                             double fallback) const {
+  Result<double> value = GetDouble(name, fallback);
+  if (!value.ok()) return value.status();
+  if (std::isfinite(value.value()) && value.value() > 0.0) return value;
+  return Status::InvalidArgument("flag --" + name +
+                                 " must be finite and > 0, got '" +
+                                 GetStringOr(name, "") + "'");
+}
+
 bool FlagParser::GetBoolOr(const std::string& name, bool fallback) const {
   read_[name] = true;
   auto it = values_.find(name);

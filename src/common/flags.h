@@ -36,6 +36,10 @@ class FlagParser {
   // caller's narrowing cast can never wrap a value around.
   Result<long long> GetIntInRange(const std::string& name, long long fallback,
                                   long long lo, long long hi) const;
+  // GetDouble restricted to finite values > 0: zero, negatives, inf and
+  // nan are InvalidArgument naming the flag.
+  Result<double> GetPositiveDouble(const std::string& name,
+                                   double fallback) const;
   bool GetBoolOr(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -5,9 +5,10 @@
 // anchor; only non-empty cells are materialized. Used by the Cell-Based
 // detector (Knorr & Ng) and by DBSCAN's eps index.
 //
-// Layout (CSR): one open-addressing table maps a cell coordinate to its
-// cell index, and the member ids of all cells live in one array that a
-// counting sort groups by cell; each cell's members are a span of it.
+// Layout (CSR): one CellIndex (detection/cell_key.h) maps a cell
+// coordinate to its cell index, and the member ids of all cells live in
+// one array that a counting sort groups by cell; each cell's members are
+// a span of it.
 // Building costs a handful of flat allocations whatever the number of
 // cells, and memory is O(points), never O(bounding-box cells).
 //
@@ -96,18 +97,25 @@ class SparseGrid {
   }
 
  private:
-  static constexpr uint32_t kEmptySlot = UINT32_MAX;
-
   SparseGrid(const Point& origin, double side, uint32_t num_points);
 
   // Index of the cell at `coord`, materializing it on first sight.
-  uint32_t CellIndexFor(const CellCoord& coord);
+  uint32_t CellIndexFor(const CellCoord& coord) {
+    return index_.FindOrInsert(coord, CellKeys{&cells_}, [&] {
+      cells_.push_back(Cell{coord, {}});
+      return static_cast<uint32_t>(cells_.size() - 1);
+    });
+  }
   // Counting-sorts the point ids into the CSR member array.
   void Finish(const std::vector<uint32_t>& cell_of);
   // Drops everything built so far and marks the grid as not fitting.
   void Refuse();
 
-  size_t SlotOf(const CellCoord& coord) const;
+  // CellIndex key accessor: cell i's coordinate.
+  struct CellKeys {
+    const std::vector<Cell>* cells;
+    const CellCoord& operator()(uint32_t i) const { return (*cells)[i].coord; }
+  };
 
   template <typename Fn>
   void VisitBlock(const CellCoord& center, int min_ring, int max_ring,
@@ -130,10 +138,9 @@ class SparseGrid {
   double side_;
   bool fits_ = true;
   std::vector<Cell> cells_;
-  // Open-addressing table of cell indices (kEmptySlot when free), linear
-  // probing; the capacity is a power of two ≥ 2·num_points.
-  std::vector<uint32_t> table_;
-  int table_shift_ = 0;
+  // Cell indices by coordinate; sized for num_points cells, so it never
+  // grows.
+  CellIndex index_;
   // CSR member array: every point id once, grouped by cell.
   std::vector<uint32_t> members_;
 };

@@ -34,10 +34,11 @@ void MiniBucketGrid::Add(const double* p, double weight) {
 }
 
 void MiniBucketGrid::AddAt(const CellCoord& coord, double weight) {
-  auto [it, inserted] =
-      index_.try_emplace(coord, static_cast<uint32_t>(buckets_.size()));
-  if (inserted) buckets_.push_back(Bucket{coord, 0.0});
-  buckets_[it->second].weight += weight;
+  const uint32_t i = index_.FindOrInsert(coord, BucketKeys{&buckets_}, [&] {
+    buckets_.push_back(Bucket{coord, 0.0});
+    return static_cast<uint32_t>(buckets_.size() - 1);
+  });
+  buckets_[i].weight += weight;
   total_weight_ += weight;
 }
 

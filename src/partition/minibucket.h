@@ -9,7 +9,6 @@
 #ifndef DOD_PARTITION_MINIBUCKET_H_
 #define DOD_PARTITION_MINIBUCKET_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/bounds.h"
@@ -48,8 +47,8 @@ class MiniBucketGrid {
 
   // Weight of the bucket at `coord`; 0 when never touched.
   double WeightAt(const CellCoord& coord) const {
-    auto it = index_.find(coord);
-    return it == index_.end() ? 0.0 : buckets_[it->second].weight;
+    const uint32_t i = index_.Find(coord, BucketKeys{&buckets_});
+    return i == CellIndex::kNone ? 0.0 : buckets_[i].weight;
   }
 
   double TotalWeight() const { return total_weight_; }
@@ -67,11 +66,20 @@ class MiniBucketGrid {
   void MergeFrom(const MiniBucketGrid& other);
 
  private:
+  // CellIndex key accessor: bucket i's coordinate.
+  struct BucketKeys {
+    const std::vector<Bucket>* buckets;
+    const CellCoord& operator()(uint32_t i) const {
+      return (*buckets)[i].coord;
+    }
+  };
+
   Rect domain_;
   int buckets_per_dim_;
   double sides_[kMaxDimensions] = {0.0};
+  // Non-empty buckets in first-touch order, indexed by coordinate.
   std::vector<Bucket> buckets_;
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> index_;
+  CellIndex index_;
   double total_weight_ = 0.0;
 };
 

@@ -241,6 +241,20 @@ CellCoord StreamingDetector::KeyOf(const double* p) const {
   return UniformCellKey(p, dims_, origin_, side_);
 }
 
+uint32_t StreamingDetector::OpenCell(const CellCoord& coord) {
+  return cells_.FindOrInsert(coord, CellKeys{&cell_coords_}, [&] {
+    if (free_cells_.empty()) {
+      cell_coords_.push_back(coord);
+      cell_states_.emplace_back();
+      return static_cast<uint32_t>(cell_coords_.size() - 1);
+    }
+    const uint32_t id = free_cells_.back();
+    free_cells_.pop_back();
+    cell_coords_[id] = coord;
+    return id;
+  });
+}
+
 void StreamingDetector::AppendBlock(const StreamBlock& block) {
   if (block.points.empty()) return;
   WindowBlock wb;
@@ -251,7 +265,7 @@ void StreamingDetector::AppendBlock(const StreamBlock& block) {
     const double* p = block.points[static_cast<PointId>(i)];
     const uint32_t slot = AllocSlot(block.ids[i], p);
     const CellCoord coord = KeyOf(p);
-    CellState& cell = cells_[coord];
+    CellState& cell = cell_states_[OpenCell(coord)];
     cell.slots.push_back(slot);
     ++cell.fresh;
     wb.slots.push_back(slot);
@@ -280,9 +294,9 @@ size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
       for (uint32_t slot : block.slots) {
         const SlotState& state = slots_[slot];
         const CellCoord coord = KeyOf((*window_)[slot]);
-        auto it = cells_.find(coord);
-        DOD_CHECK(it != cells_.end());
-        CellState& cell = it->second;
+        const uint32_t id = FindCell(coord);
+        DOD_CHECK(id != CellIndex::kNone);
+        CellState& cell = cell_states_[id];
         std::vector<uint32_t>& members = cell.slots;
         const auto pos = std::find(members.begin(), members.end(), slot);
         if (static_cast<size_t>(members.end() - pos) <= cell.fresh) {
@@ -291,7 +305,12 @@ size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
           buffers_.appended_expired = true;
         }
         members.erase(pos);
-        if (members.empty()) cells_.erase(it);
+        if (members.empty()) {
+          // An emptied cell's state is already clean (fresh counts only
+          // appended slots, all gone); its slot buffer stays for reuse.
+          cells_.Erase(coord, CellKeys{&cell_coords_});
+          free_cells_.push_back(id);
+        }
         if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
         if (state.saturated != 0) --saturated_count_;
         id_to_slot_.erase(state.stream_id);
@@ -354,18 +373,18 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     // group) pair becomes one edge.
     if (++pass_stamp_ == 0) {
       // The stamp wrapped: forget every stale stamp before reusing them.
-      for (auto& entry : cells_) entry.second.stamp = 0;
+      for (CellState& cell : cell_states_) cell.stamp = 0;
       pass_stamp_ = 1;
     }
     for (uint32_t g = 0; g < buf.groups.size(); ++g) {
       ForEachInRing(buf.groups[g].coord, ring_, [&](const CellCoord& probe) {
-        auto it = cells_.find(probe);
-        if (it == cells_.end()) return;
-        CellState& cell = it->second;
+        const uint32_t id = FindCell(probe);
+        if (id == CellIndex::kNone) return;
+        CellState& cell = cell_states_[id];
         if (cell.stamp != pass_stamp_) {
           cell.stamp = pass_stamp_;
           cell.dirty_index = static_cast<uint32_t>(buf.dirty.size());
-          buf.dirty.push_back(&*it);
+          buf.dirty.push_back(id);
         }
         buf.edges.emplace_back(cell.dirty_index, g);
       });
@@ -404,7 +423,7 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     buf.net_begin.resize(num_dirty + 1);
     buf.net_begin[0] = 0;
     for (size_t i = 0; i < num_dirty; ++i) {
-      const CellState& cell = buf.dirty[i]->second;
+      const CellState& cell = cell_states_[buf.dirty[i]];
       buf.net_begin[i + 1] =
           buf.net_begin[i] +
           static_cast<uint32_t>(cell.slots.size() - cell.fresh);
@@ -429,15 +448,15 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
       double queries[kChunk * kMaxDimensions];
       uint32_t inc[kChunk];
       uint32_t dec[kChunk];
-      const CellEntry& entry = *buf.dirty[i];
-      const std::vector<uint32_t>& members = entry.second.slots;
+      const CellState& cell = cell_states_[buf.dirty[i]];
+      const std::vector<uint32_t>& members = cell.slots;
       const uint32_t* edge_group = buf.edge_group.data();
       const uint32_t edge_begin = buf.edge_begin[i];
       const uint32_t edge_end = buf.edge_begin[i + 1];
       std::fill(buf.col_hits.begin() + buf.col_begin[edge_begin],
                 buf.col_hits.begin() + buf.col_begin[edge_end], 0u);
       int32_t* net = buf.net.data() + buf.net_begin[i];
-      const size_t num_old = members.size() - entry.second.fresh;
+      const size_t num_old = members.size() - cell.fresh;
       for (size_t next = 0; next < num_old;) {
         const size_t rows = std::min(kChunk, num_old - next);
         for (size_t q = 0; q < rows; ++q) {
@@ -467,16 +486,15 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
         }
         next += rows;
       }
-      if (entry.second.fresh == 0) return Status::Ok();
+      if (cell.fresh == 0) return Status::Ok();
       // The cell's appended points are exactly the appended points of its
       // own group, which is one of its edges.
       const TouchedGroup* own = nullptr;
       for (uint32_t e = edge_begin; e < edge_end && own == nullptr; ++e) {
         const TouchedGroup& group = buf.groups[edge_group[e]];
-        if (group.coord == entry.first) own = &group;
+        if (group.coord == cell_coords_[buf.dirty[i]]) own = &group;
       }
-      DOD_CHECK(own != nullptr &&
-                own->ins_end - own->ins_begin == entry.second.fresh);
+      DOD_CHECK(own != nullptr && own->ins_end - own->ins_begin == cell.fresh);
       for (uint32_t a = own->ins_begin; a < own->ins_end; ++a) {
         const uint32_t slot = buf.appended_soa.IdAt(a);
         int count = 0;
@@ -500,14 +518,14 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     // once, so the pair totals follow from the segment sizes.
     const int k = config_.params.min_neighbors;
     for (size_t i = 0; i < num_dirty; ++i) {
-      CellEntry& entry = *buf.dirty[i];
+      CellState& cell = cell_states_[buf.dirty[i]];
       const int32_t* net = buf.net.data() + buf.net_begin[i];
       TargetCell target;
-      target.cell = &entry;
+      target.cell = buf.dirty[i];
       target.locals_begin = static_cast<uint32_t>(buf.target_locals.size());
-      const std::vector<uint32_t>& members = entry.second.slots;
-      const uint64_t num_old = members.size() - entry.second.fresh;
-      entry.second.fresh = 0;
+      const std::vector<uint32_t>& members = cell.slots;
+      const uint64_t num_old = members.size() - cell.fresh;
+      cell.fresh = 0;
       for (size_t j = 0; j < num_old; ++j) {
         SlotState& state = slots_[members[j]];
         const int32_t change = net[j];
@@ -579,10 +597,11 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
   ring.Clear();
   for (TargetCell& target : targets) {
     target.ring_begin = static_cast<uint32_t>(ring.size());
-    ForEachInRing(target.cell->first, ring_, [&](const CellCoord& probe) {
-      auto it = cells_.find(probe);
-      if (it == cells_.end()) return;
-      for (uint32_t slot : it->second.slots) {
+    const CellCoord& center = cell_coords_[target.cell];
+    ForEachInRing(center, ring_, [&](const CellCoord& probe) {
+      const uint32_t id = FindCell(probe);
+      if (id == CellIndex::kNone) return;
+      for (uint32_t slot : cell_states_[id].slots) {
         ring.Append((*window_)[slot], slot);
       }
     });
@@ -599,7 +618,7 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
       targets.size(), [&](size_t i) -> Status {
         const TargetCell& target = targets[i];
         for (uint32_t t = target.locals_begin; t < target.locals_end; ++t) {
-          const uint32_t slot = target.cell->second.slots[locals[t]];
+          const uint32_t slot = cell_states_[target.cell].slots[locals[t]];
           recounts[t] = static_cast<uint32_t>(ops.count_within_radius(
               ring, target.ring_begin, target.ring_end, (*window_)[slot],
               sq_radius, slot, cap, /*pairs=*/nullptr));
@@ -609,7 +628,8 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
 
   for (const TargetCell& target : targets) {
     for (uint32_t t = target.locals_begin; t < target.locals_end; ++t) {
-      SetSummary(target.cell->second.slots[locals[t]], recounts[t], delta);
+      SetSummary(cell_states_[target.cell].slots[locals[t]], recounts[t],
+                 delta);
     }
   }
   return Status::Ok();
@@ -1163,7 +1183,7 @@ Status StreamingDetector::RestoreLatest() {
         const uint32_t slot = AllocSlot(id, coords);
         slots_[slot].count = count;
         slots_[slot].saturated = saturated != 0 ? 1 : 0;
-        cells_[KeyOf(coords)].slots.push_back(slot);
+        cell_states_[OpenCell(KeyOf(coords))].slots.push_back(slot);
         wb.slots.push_back(slot);
       }
       source.blocks.push_back(std::move(wb));

@@ -11,9 +11,10 @@
 // StreamingDetector exploits that:
 //
 //   * Window state lives in a uniform grid keyed exactly like the batch
-//     detectors' grids (detection/cell_key.h): one appendable/expirable
-//     point segment per cell (slot indices into a slot-recycling window
-//     dataset) plus a per-point verdict summary — the collapsed
+//     detectors' grids and looked up through the same CellIndex
+//     (detection/cell_key.h): one appendable/expirable point segment per
+//     cell (slot indices into a slot-recycling window dataset) plus a
+//     per-point verdict summary — the collapsed
 //     neighbor-count state |N_r(p)| >= k each point carried out of its
 //     last evaluation.
 //
@@ -311,6 +312,10 @@ class StreamingDetector {
   std::optional<NeighborCountSummary> SummaryOf(PointId id) const;
 
  private:
+  // A resident cell's state, at its cell id in cell_states_ (its
+  // coordinate at the same id in cell_coords_). Ids are stable while the
+  // cell is resident — in particular for a whole summary pass — and a
+  // cell that empties returns its id to free_cells_ for the next new cell.
   struct CellState {
     // Appendable/expirable point segment: slot indices, append order. The
     // last `fresh` entries were appended this round (set by AppendBlock,
@@ -323,10 +328,11 @@ class StreamingDetector {
     uint32_t stamp = 0;
     uint32_t dirty_index = 0;
   };
-  using CellMap = std::unordered_map<CellCoord, CellState, CellCoordHash>;
-  // A resident cell's map entry: coordinate and state. Entries are stable
-  // while no cell is inserted or erased, i.e. for a whole summary pass.
-  using CellEntry = CellMap::value_type;
+  // CellIndex key accessor: cell id -> resident coordinate.
+  struct CellKeys {
+    const std::vector<CellCoord>* coords;
+    const CellCoord& operator()(uint32_t id) const { return (*coords)[id]; }
+  };
   struct SlotState {
     PointId stream_id = 0;
     // Verdict summary from the point's last evaluation (|N_r| < k).
@@ -357,7 +363,7 @@ class StreamingDetector {
   // ascending; ring_soa[ring_begin, ring_end) holds the cell and its
   // supporting ring.
   struct TargetCell {
-    CellEntry* cell = nullptr;
+    uint32_t cell = 0;  // cell id
     uint32_t locals_begin = 0;
     uint32_t locals_end = 0;
     uint32_t ring_begin = 0;
@@ -379,10 +385,10 @@ class StreamingDetector {
     std::vector<TouchedGroup> groups;
     SoABlock appended_soa;
     SoABlock evicted_soa;
-    // Dirty cells in discovery order; (dirty index, group index) edges in
-    // discovery order, then laid out CSR by dirty cell: the groups of
+    // Dirty cell ids in discovery order; (dirty index, group index) edges
+    // in discovery order, then laid out CSR by dirty cell: the groups of
     // dirty cell i are edge_group[edge_begin[i], edge_begin[i + 1]).
-    std::vector<CellEntry*> dirty;
+    std::vector<uint32_t> dirty;
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     std::vector<uint32_t> edge_begin;
     std::vector<uint32_t> edge_group;
@@ -430,6 +436,13 @@ class StreamingDetector {
   Status ValidateBlock(const StreamBlock& block) const;
   uint32_t AllocSlot(PointId id, const double* p);
   CellCoord KeyOf(const double* p) const;
+  // Id of the resident cell at `coord`, or CellIndex::kNone.
+  uint32_t FindCell(const CellCoord& coord) const {
+    return cells_.Find(coord, CellKeys{&cell_coords_});
+  }
+  // Id of the resident cell at `coord`, opening an empty one (on a
+  // recycled id when one is free) on first sight.
+  uint32_t OpenCell(const CellCoord& coord);
 
   // Appends the block's points into slots/cells (no detection) and
   // records each one in buffers_.touched.
@@ -495,7 +508,13 @@ class StreamingDetector {
   std::unordered_map<PointId, uint32_t> id_to_slot_;
   // Resident slots with saturated != 0 (see saturated_points()).
   size_t saturated_count_ = 0;
-  CellMap cells_;
+  // Resident (non-empty) cells: the index from coordinate to cell id and
+  // the dense per-id arrays it points into, ids of emptied cells queued
+  // for reuse.
+  CellIndex cells_;
+  std::vector<CellCoord> cell_coords_;
+  std::vector<CellState> cell_states_;
+  std::vector<uint32_t> free_cells_;
   // Per-source window slices, ordered by source id so expiry scans (and
   // the checkpoint codec) iterate deterministically.
   std::map<uint32_t, SourceWindow> windows_;

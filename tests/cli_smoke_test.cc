@@ -243,6 +243,23 @@ TEST(CliSmokeTest, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
+TEST(CliSmokeTest, NonPositiveOrNonFiniteDensityIsRejected) {
+  // 0, -2 and nan once aborted the generator's DOD_CHECK (exit 134); inf
+  // ran silently on a zero-area domain.
+  for (const char* binary : {DOD_CLI_PATH, DOD_STREAM_CLI_PATH}) {
+    for (const char* value : {"0", "-2", "nan", "inf"}) {
+      const CommandResult result = RunCommand(
+          std::string("--generate uniform --n 4000 --density ") + value,
+          binary);
+      EXPECT_EQ(result.exit_code, 1) << binary << " " << value;
+      EXPECT_NE(result.output.find("error: "), std::string::npos)
+          << binary << " " << value << ": " << result.output;
+      EXPECT_NE(result.output.find("--density"), std::string::npos)
+          << binary << " " << value << ": " << result.output;
+    }
+  }
+}
+
 TEST(CliSmokeTest, DeletedStragglerFlagIsUnknown) {
   const CommandResult result = RunCommand(
       "--generate uniform --n 1000 --fault_straggler_prob 0.5");

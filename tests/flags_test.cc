@@ -104,5 +104,22 @@ TEST(FlagParserTest, IntInRangeAcceptsOnlyIntegersInTheRange) {
                    .ok());
 }
 
+TEST(FlagParserTest, PositiveDoubleRejectsZeroNegativeAndNonFinite) {
+  const FlagParser flags =
+      ParseArgs({"--ok=7.8125", "--tiny=1e-300", "--zero=0", "--neg=-2",
+                 "--nan=nan", "--inf=inf", "--word=dense"});
+  EXPECT_DOUBLE_EQ(flags.GetPositiveDouble("ok", 1).value(), 7.8125);
+  EXPECT_DOUBLE_EQ(flags.GetPositiveDouble("tiny", 1).value(), 1e-300);
+  EXPECT_DOUBLE_EQ(flags.GetPositiveDouble("missing", 0.05).value(), 0.05);
+  for (const char* name : {"zero", "neg", "nan", "inf", "word"}) {
+    const Result<double> value = flags.GetPositiveDouble(name, 1);
+    ASSERT_FALSE(value.ok()) << name;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << value.status().message();
+  }
+}
+
 }  // namespace
 }  // namespace dod

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "data/generators.h"
 
 namespace dod {
@@ -246,6 +249,201 @@ TEST(SparseGridTest, TryUniformCellKeyBounds) {
   EXPECT_FALSE(TryUniformCellKey(beyond, 1, origin, 1.0, &coord));
   const double nan[1] = {std::nan("")};
   EXPECT_FALSE(TryUniformCellKey(nan, 1, origin, 1.0, &coord));
+}
+
+// ---------------------------------------------------------------------------
+// CellIndex: the one coordinate -> cell id table behind every grid.
+
+// A CellIndex client shaped like the streaming detector: ids index a dense
+// key array and emptied cells return their ids to a free list. Every
+// operation is mirrored into a std::map oracle.
+class IndexHarness {
+ public:
+  explicit IndexHarness(size_t expected = 0) : index_(expected) {}
+
+  // Inserts `coord` (or finds it) and returns its id.
+  uint32_t Insert(const CellCoord& coord) {
+    const uint32_t id = index_.FindOrInsert(coord, Keys(), [&] {
+      if (free_ids_.empty()) {
+        keys_.push_back(coord);
+        return static_cast<uint32_t>(keys_.size() - 1);
+      }
+      const uint32_t reused = free_ids_.back();
+      free_ids_.pop_back();
+      keys_[reused] = coord;
+      return reused;
+    });
+    const auto [it, inserted] = oracle_.try_emplace(coord, id);
+    EXPECT_EQ(it->second, id);
+    EXPECT_LE(2 * index_.size(), index_.capacity());
+    return id;
+  }
+
+  // Erases `coord`; returns its id, or kNone when it was absent.
+  uint32_t Erase(const CellCoord& coord) {
+    const uint32_t id = index_.Erase(coord, Keys());
+    const auto it = oracle_.find(coord);
+    if (it == oracle_.end()) {
+      EXPECT_EQ(id, CellIndex::kNone);
+    } else {
+      EXPECT_EQ(id, it->second);
+      oracle_.erase(it);
+      free_ids_.push_back(id);
+    }
+    return id;
+  }
+
+  uint32_t Find(const CellCoord& coord) const {
+    return index_.Find(coord, Keys());
+  }
+
+  // Every oracle key maps to its id, and nothing else is stored.
+  void ExpectMatchesOracle() const {
+    ASSERT_EQ(index_.size(), oracle_.size());
+    for (const auto& [coord, id] : oracle_) ASSERT_EQ(Find(coord), id);
+  }
+
+  const CellIndex& index() const { return index_; }
+  const std::vector<uint32_t>& free_ids() const { return free_ids_; }
+
+ private:
+  struct KeyOf {
+    const std::vector<CellCoord>* keys;
+    const CellCoord& operator()(uint32_t id) const { return (*keys)[id]; }
+  };
+  KeyOf Keys() const { return KeyOf{&keys_}; }
+
+  CellIndex index_;
+  std::vector<CellCoord> keys_;
+  std::vector<uint32_t> free_ids_;
+  std::map<CellCoord, uint32_t, CellCoordLess> oracle_;
+};
+
+CellCoord Coord2(int32_t x, int32_t y) { return CellCoord{{x, y}, 2}; }
+
+// The first `count` 2-D coordinates (x, 0), x = 0, 1, ..., whose probe
+// starts at `slot`.
+std::vector<CellCoord> KeysHomedAt(const CellIndex& index, size_t slot,
+                                   size_t count) {
+  std::vector<CellCoord> keys;
+  for (int32_t x = 0; keys.size() < count; ++x) {
+    if (index.HomeSlot(Coord2(x, 0)) == slot) keys.push_back(Coord2(x, 0));
+  }
+  return keys;
+}
+
+TEST(CellIndexTest, RandomOperationsMatchMapOracleInDims1To8) {
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    SCOPED_TRACE("dims " + std::to_string(dims));
+    Rng rng(1000 + dims);
+    IndexHarness harness;
+    // Coordinates from a small range, so keys repeat and runs collide;
+    // insert-heavy and erase-heavy phases alternate so the table fills,
+    // grows and drains.
+    const auto random_coord = [&] {
+      CellCoord coord;
+      coord.dims = dims;
+      for (int d = 0; d < dims; ++d) {
+        coord.c[d] = static_cast<int32_t>(rng.NextBounded(dims <= 2 ? 40 : 4));
+      }
+      return coord;
+    };
+    for (int phase = 0; phase < 6; ++phase) {
+      const double insert_share = phase % 2 == 0 ? 0.8 : 0.2;
+      for (int op = 0; op < 1500; ++op) {
+        const CellCoord coord = random_coord();
+        const double roll = rng.NextDouble();
+        if (roll < insert_share) {
+          harness.Insert(coord);
+        } else if (roll < insert_share + 0.1) {
+          // Whatever was there, a second erase finds nothing.
+          harness.Erase(coord);
+          EXPECT_EQ(harness.Erase(coord), CellIndex::kNone);
+        } else {
+          harness.Erase(coord);
+        }
+      }
+      harness.ExpectMatchesOracle();
+    }
+  }
+}
+
+TEST(CellIndexTest, KeysSharingAHomeSlotAndAnEraseThatWrapsPastTheEnd) {
+  IndexHarness harness;
+  const size_t last = harness.index().capacity() - 1;
+  // Three keys homed at the last slot fill it and wrap to slots 0 and 1.
+  const std::vector<CellCoord> tail = KeysHomedAt(harness.index(), last, 3);
+  const uint32_t a = harness.Insert(tail[0]);
+  const uint32_t b = harness.Insert(tail[1]);
+  const uint32_t c = harness.Insert(tail[2]);
+  EXPECT_EQ(harness.Find(tail[2]), c);
+
+  // Erasing the last slot's key shifts both followers back one slot,
+  // across the end of the table; a hole left at slot 0 (no shift, or a
+  // shift rule that does not wrap) would hide the key at slot 1.
+  EXPECT_EQ(harness.Erase(tail[0]), a);
+  EXPECT_EQ(harness.Find(tail[0]), CellIndex::kNone);
+  EXPECT_EQ(harness.Find(tail[1]), b);
+  EXPECT_EQ(harness.Find(tail[2]), c);
+  harness.ExpectMatchesOracle();
+
+  // A key homed at slot 0 now lands behind the wrapped run, at slot 1;
+  // erasing the run's head shifts it, too, back to its home.
+  const CellCoord head = KeysHomedAt(harness.index(), 0, 1)[0];
+  const uint32_t h = harness.Insert(head);
+  EXPECT_EQ(harness.Erase(tail[1]), b);
+  EXPECT_EQ(harness.Find(tail[2]), c);
+  EXPECT_EQ(harness.Find(head), h);
+  harness.ExpectMatchesOracle();
+}
+
+TEST(CellIndexTest, GrowthKeepsEveryHeldId) {
+  IndexHarness harness;
+  std::vector<std::pair<CellCoord, uint32_t>> held;
+  size_t growths = 0;
+  for (int32_t x = 0; x < 60; ++x) {
+    for (int32_t y = 0; y < 60; ++y) {
+      const size_t capacity = harness.index().capacity();
+      held.emplace_back(Coord2(x, y), harness.Insert(Coord2(x, y)));
+      if (harness.index().capacity() != capacity) ++growths;
+    }
+    // Ids handed out before any growth still find their keys.
+    for (const auto& [coord, id] : held) ASSERT_EQ(harness.Find(coord), id);
+  }
+  EXPECT_GE(growths, 8u);
+  EXPECT_EQ(held.back().second, 60u * 60u - 1u);
+  harness.ExpectMatchesOracle();
+}
+
+TEST(CellIndexTest, TableSizedForItsCellsNeverGrows) {
+  // SparseGrid sizes its index for num_points cells, so its probe
+  // sequence is fixed at construction.
+  IndexHarness harness(1000);
+  const size_t capacity = harness.index().capacity();
+  EXPECT_EQ(capacity, 2048u);
+  for (int32_t x = 0; x < 1000; ++x) harness.Insert(Coord2(x, -x));
+  EXPECT_EQ(harness.index().capacity(), capacity);
+  harness.ExpectMatchesOracle();
+}
+
+TEST(CellIndexTest, FreedIdsAreReusedForNewCells) {
+  IndexHarness harness;
+  for (int32_t x = 0; x < 10; ++x) harness.Insert(Coord2(x, 0));
+  for (int32_t x = 0; x < 10; x += 2) harness.Erase(Coord2(x, 0));
+  const std::vector<uint32_t> freed = harness.free_ids();
+  ASSERT_EQ(freed.size(), 5u);
+  // New cells take the freed ids (last freed first); the old keys behind
+  // those ids stay gone and the survivors keep theirs.
+  for (int32_t x = 0; x < 5; ++x) {
+    EXPECT_EQ(harness.Insert(Coord2(x, 1)), freed[freed.size() - 1 - x]);
+  }
+  EXPECT_TRUE(harness.free_ids().empty());
+  for (int32_t x = 0; x < 10; x += 2) {
+    EXPECT_EQ(harness.Find(Coord2(x, 0)), CellIndex::kNone);
+    EXPECT_EQ(harness.Find(Coord2(x + 1, 0)), static_cast<uint32_t>(x + 1));
+  }
+  EXPECT_EQ(harness.Insert(Coord2(0, 2)), 10u);
+  harness.ExpectMatchesOracle();
 }
 
 }  // namespace

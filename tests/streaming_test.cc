@@ -17,6 +17,7 @@
 #include <map>
 #include <numbers>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -611,6 +612,69 @@ TEST(StreamingPropertyTest, MatchesBatchPipelineAcrossConfigs) {
   // Every configuration converged to the same final verdict set.
   for (size_t i = 1; i < outliers_by_case.size(); ++i) {
     EXPECT_EQ(outliers_by_case[0], outliers_by_case[i]);
+  }
+}
+
+TEST(StreamingPropertyTest, CellChurnMatchesBatchPipelineAndCountsCells) {
+  // A one-block window over a sparse domain: every round expires the whole
+  // previous block, so nearly every resident cell empties (its id freed)
+  // and the round's cells open on recycled ids.
+  StreamSchedule schedule;
+  schedule.data = GenerateUniform(4000, DomainForDensity(4000, 3.0), 31);
+  schedule.block_size = 200;
+  schedule.window_blocks = 1;
+  const double radius = 1.0;
+  const int k = 1;
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    StreamingConfig config = BaseConfig(radius, k);
+    config.num_threads = threads;
+    config.window_blocks = schedule.window_blocks;
+    DodConfig oracle = DodConfig::Dmt(config.params);
+    oracle.num_threads = threads;
+    oracle.seed = config.params.seed;
+
+    auto created = StreamingDetector::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    StreamingDetector& detector = *created.value();
+
+    const double origin[2] = {0.0, 0.0};
+    std::vector<PointId> running;
+    size_t reopened = 0;
+    std::set<CellCoord, CellCoordLess> previous;
+    for (size_t b = 0; b < schedule.num_blocks(); ++b) {
+      StreamBlock block(schedule.data.dims());
+      std::set<CellCoord, CellCoordLess> occupied;
+      for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
+        const double* p = schedule.data[static_cast<PointId>(i)];
+        block.Add(static_cast<PointId>(i), p);
+        occupied.insert(UniformCellKey(p, 2, origin, radius));
+      }
+      auto fed = detector.Feed(block);
+      ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+
+      std::vector<PointId> next;
+      std::set_difference(running.begin(), running.end(),
+                          fed.value().newly_cleared.begin(),
+                          fed.value().newly_cleared.end(),
+                          std::back_inserter(next));
+      running.clear();
+      std::merge(next.begin(), next.end(), fed.value().newly_flagged.begin(),
+                 fed.value().newly_flagged.end(), std::back_inserter(running));
+      ASSERT_EQ(running, BatchOracle(schedule, b + 1, oracle))
+          << "round " << (b + 1);
+      ASSERT_EQ(detector.resident_cells(), occupied.size())
+          << "round " << (b + 1);
+      EXPECT_EQ(fed.value().stats.resident_cells, occupied.size());
+      for (const CellCoord& coord : previous) reopened += occupied.count(coord);
+      previous = std::move(occupied);
+    }
+    // The schedule really churns: few cells survive from round to round,
+    // and the verdict mix is not trivial.
+    EXPECT_LT(reopened, schedule.data.size() / 5);
+    EXPECT_FALSE(running.empty());
+    EXPECT_LT(running.size(), schedule.block_size);
   }
 }
 

@@ -42,7 +42,8 @@ Input (one of):
   --generate KIND        synthetic data: uniform | region:OH|MA|CA|NY |
                          tiger | hierarchical:MA|NE|US|Planet
   --n N                  generated points (default 30000)
-  --density D            mean density for --generate uniform (default 0.05)
+  --density D            mean density for --generate uniform, finite and
+                         > 0 (default 0.05)
 
 Outlier definition:
   --radius R             distance threshold r (default 5)
@@ -158,7 +159,7 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
   const uint64_t seed = static_cast<uint64_t>(seed_flag.value());
 
   if (kind == "uniform") {
-    auto density = flags.GetDouble("density", 0.05);
+    auto density = flags.GetPositiveDouble("density", 0.05);
     if (!density.ok()) return density.status();
     return dod::GenerateUniform(n, dod::DomainForDensity(n, density.value()),
                                 seed);

@@ -59,7 +59,8 @@ constexpr const char* kUsage = R"(dod_stream_cli — streaming outlier detection
 Workload:
   --generate KIND        uniform (default) | tiger
   --n N                  total points in the schedule (default 20000)
-  --density D            mean density for uniform data (default 0.05)
+  --density D            mean density for uniform data, finite and > 0
+                         (default 0.05)
   --seed N               RNG seed (default 42)
   --block_size B         points per ingested block (default 500)
 
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
       flags.GetIntInRange("checkpoint_every", 1, 0, kMaxLongLong);
   auto kill_flag =
       flags.GetIntInRange("kill_after_round", 0, 0, kMaxLongLong);
-  auto density_flag = flags.GetDouble("density", 0.05);
+  auto density_flag = flags.GetPositiveDouble("density", 0.05);
   auto lateness_flag = flags.GetDouble("lateness", -1.0);
   auto idle_flag = flags.GetDouble("idle_timeout", 0.0);
   auto source_flag = flags.GetIntInRange("source_id", 0, 0,

@@ -3,6 +3,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -70,9 +71,11 @@ size_t DetectRecordBytes(int dims) {
 }
 
 // Map side of the detection job (Fig. 3's map function): route each point
-// of the split's block to its core cell and its supporting cells. Splits
-// run concurrently on one shared mapper instance, so routing scratch lives
-// on the stack of each Map call.
+// of the split's block to its core cell and its supporting cells. A block
+// lists its ids in random order, so each point read is a cache miss; the
+// loop prefetches the point kPrefetchLookahead ids ahead. Splits run
+// concurrently on one shared mapper instance, so routing scratch lives on
+// the stack of each Map call.
 class DetectMapper : public Mapper<uint32_t, TaggedWord> {
  public:
   DetectMapper(const BlockStore& store, const PartitionRouter& router,
@@ -81,8 +84,13 @@ class DetectMapper : public Mapper<uint32_t, TaggedWord> {
 
   void Map(size_t split_index, Emitter<uint32_t, TaggedWord>& out) override {
     const Dataset& data = store_.dataset();
+    const std::vector<PointId>& block = store_.block(split_index);
     std::vector<uint32_t> support_cells;
-    for (PointId id : store_.block(split_index)) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (i + kPrefetchLookahead < block.size()) {
+        data.Prefetch(block[i + kPrefetchLookahead]);
+      }
+      const PointId id = block[i];
       const double* p = data[id];
       if (!emit_support_) {
         out.Emit(router_.RouteCore(p), PackTagged(id, false));
@@ -133,6 +141,7 @@ std::vector<uint32_t> DetectCell(const PartitionView& view, uint32_t cell,
   const AlgorithmKind algorithm = plan.algorithm_plan[cell];
   PartitionProfile profile;
   profile.cell = cell;
+  profile.reduce_task = plan.allocation[cell];
   profile.algorithm = AlgorithmKindName(algorithm);
   profile.core_points = num_core;
   profile.support_points = view.size() - num_core;
@@ -406,7 +415,8 @@ std::string ConfigFingerprint(const DodConfig& config, const Dataset& data) {
 // unconditional; this re-reading and re-distribution is what makes the
 // Domain baseline a multi-job solution with "prohibitive costs" (Sec. I).
 // The first split additionally re-emits the candidates (a small side
-// input) to their home cells.
+// input) to their home cells. Block reads are prefetched as in
+// DetectMapper.
 class VerifyMapper : public Mapper<uint32_t, VerifyRecord> {
  public:
   VerifyMapper(const BlockStore& store, const PartitionRouter& router,
@@ -422,8 +432,13 @@ class VerifyMapper : public Mapper<uint32_t, VerifyRecord> {
                               candidate.partial});
       }
     }
+    const std::vector<PointId>& block = store_.block(split_index);
     std::vector<uint32_t> support_cells;
-    for (PointId id : store_.block(split_index)) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (i + kPrefetchLookahead < block.size()) {
+        data.Prefetch(block[i + kPrefetchLookahead]);
+      }
+      const PointId id = block[i];
       const double* p = data[id];
       support_cells.clear();
       router_.RouteSupport(p, &support_cells);
@@ -532,6 +547,21 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
         "DodPipeline::Run: dataset is empty — nothing to detect on");
   }
   const DodConfig& config = config_;
+  if (config.num_blocks == 0) {
+    return Status::InvalidArgument("DodPipeline::Run: num_blocks must be >= 1");
+  }
+  if (config.num_reduce_tasks < 1) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: num_reduce_tasks must be >= 1");
+  }
+  if (config.sampler.buckets_per_dim < 1) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: sampler.buckets_per_dim must be >= 1");
+  }
+  if (!std::isfinite(config.sampler.rate) || config.sampler.rate < 0.0) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: sampler.rate must be finite and >= 0");
+  }
   StopWatch wall;
   DodResult result;
   trace::Span run_span("pipeline", "run");
@@ -706,7 +736,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     writer.U64(rows.size());
     for (const PartitionProfile& row : rows) WriteProfile(row, writer);
   };
-  detect_spec.restore_extra = [&profiler](TaskPhase phase, int /*index*/,
+  detect_spec.restore_extra = [&profiler](TaskPhase phase, int index,
                                           PayloadReader& reader) -> Status {
     if (phase != TaskPhase::kReduce) return Status::Ok();
     uint64_t count = 0;
@@ -714,6 +744,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     for (uint64_t i = 0; i < count; ++i) {
       PartitionProfile profile;
       DOD_RETURN_IF_ERROR(ReadProfile(reader, &profile));
+      // The payload leaves the task out: every row it holds is task `index`'s.
+      profile.reduce_task = index;
       // Re-observing the registry histograms keeps the metric totals
       // consistent with a run that executed the task (the profiles are
       // output; the histograms are their observability mirror).

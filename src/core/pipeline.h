@@ -74,10 +74,12 @@ class DodPipeline {
   const DodConfig& config() const { return config_; }
 
   // Runs the full pipeline on `data`. Returns InvalidArgument on an empty
-  // dataset or a max_task_attempts below 1, and propagates the structured
-  // error of any MapReduce task that exhausted its retry budget
-  // (config().max_task_attempts / config().faults); the process never
-  // aborts on task failure.
+  // dataset, num_blocks == 0, num_reduce_tasks < 1,
+  // sampler.buckets_per_dim < 1 or a non-finite or negative sampler.rate
+  // (all checked before any work) and on a max_task_attempts below 1, and
+  // propagates the structured error of any MapReduce task that exhausted
+  // its retry budget (config().max_task_attempts / config().faults); the
+  // process never aborts on task failure.
   //
   // Durable execution (config().checkpoint_dir / resume / deadline_seconds
   // / memory_budget_mb / cancel_token, see config.h) applies to the

@@ -32,7 +32,12 @@ void RecordArenaBuild(size_t cells) {
 Rect PartitionView::Bounds() const {
   DOD_CHECK(!empty());
   BoundsAccumulator accumulator(dims());
-  for (size_t i = 0; i < size_; ++i) accumulator.Add(point(i));
+  for (size_t i = 0; i < size_; ++i) {
+    if (i + kPrefetchLookahead < size_) {
+      data_->Prefetch(ids_[i + kPrefetchLookahead]);
+    }
+    accumulator.Add(point(i));
+  }
   return accumulator.bounds();
 }
 
@@ -95,10 +100,8 @@ Status TaskArena::TryBuildProbes() {
       // point by its local index.
       Rng rng(slot.permutation_seed);
       const std::vector<uint32_t> order = RandomPermutation(slot.size, rng);
-      const PointId* cell_ids = ids_.data() + slot.ids_begin;
-      for (uint32_t local : order) {
-        probes_.Append(data_[cell_ids[local]], local);
-      }
+      probes_.AppendGathered(data_, ids_.data() + slot.ids_begin,
+                             order.data(), order.size());
       points += slot.size;
     }
   } catch (const std::bad_alloc&) {

@@ -14,6 +14,13 @@
 // [probe_begin, probe_begin + size) of the shared buffer and one arena
 // build serves every cell of a reduce task (or a streaming round).
 //
+// Prefetching: a view's ids arrive in shuffle order, which follows the
+// random BlockStore order, so reading point(i) for i = 0, 1, ... is one
+// cache miss per point. The two whole-view gathers, the probe build and
+// Bounds(), request each point kPrefetchLookahead ids ahead so the misses
+// overlap. Bounds() is Cell-Based's first touch of its partition; the grid
+// build that follows then reads from cache.
+//
 // Lifetime: a TaskArena lives on the stack of one reduce-task attempt
 // (reducer instances are shared across concurrent tasks and must stay
 // stateless). Views returned by View() borrow the arena's id and probe
@@ -62,7 +69,8 @@ class PartitionView {
   // Coordinates of local point i (one indexed load into the global data).
   const double* point(size_t i) const { return (*data_)[ids_[i]]; }
 
-  // Bounding box of the viewed points. Must not be called on an empty view.
+  // Bounding box of the viewed points (prefetched, see above). Must not be
+  // called on an empty view.
   Rect Bounds() const;
 
   // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
@@ -108,7 +116,8 @@ class PartitionView {
 // cell has been staged. TryBuildProbes lays each cell's segment into one
 // SoABlock, block-aligned, in a deterministic per-cell random permutation
 // (seeded by the caller — Nested-Loop's randomized probe order relies on
-// it), and records the kernels.soa_reuse.* metrics.
+// it) with one prefetching SoABlock::AppendGathered per cell, and records
+// the kernels.soa_reuse.* metrics.
 class TaskArena {
  public:
   // `budget` (optional, borrowed) bounds the arena's reservations: the id

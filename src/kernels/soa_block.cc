@@ -32,6 +32,30 @@ void SoABlock::Append(const double* p, uint32_t id) {
   ++size_;
 }
 
+void SoABlock::AppendGathered(const Dataset& data, const PointId* ids,
+                              const uint32_t* order, size_t n) {
+  DOD_CHECK(data.dims() == dims_);
+  const size_t block_doubles = static_cast<size_t>(dims_) * kSoaWidth;
+  const size_t blocks = (size_ + n + kSoaWidth - 1) / kSoaWidth;
+  // New blocks open fully padded; real slots overwrite below.
+  coords_.resize(blocks * block_doubles, kSoaPadCoordinate);
+  ids_.resize(blocks * kSoaWidth, kSoaInvalidId);
+  for (size_t j = 0; j < n; ++j) {
+    if (j + kPrefetchLookahead < n) {
+      data.Prefetch(ids[order[j + kPrefetchLookahead]]);
+    }
+    const size_t slot = size_ + j;
+    const double* p = data[ids[order[j]]];
+    double* base = coords_.data() + (slot / kSoaWidth) * block_doubles +
+                   slot % kSoaWidth;
+    for (int d = 0; d < dims_; ++d) {
+      base[static_cast<size_t>(d) * kSoaWidth] = p[d];
+    }
+    ids_[slot] = order[j];
+  }
+  size_ += n;
+}
+
 void SoABlock::Assign(const Dataset& points) {
   DOD_CHECK(points.dims() == dims_);
   Clear();

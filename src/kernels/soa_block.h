@@ -62,6 +62,13 @@ class SoABlock {
   // kernels to skip self-matches and report range hits).
   void Append(const double* p, uint32_t id);
 
+  // Appends `n` points gathered from `data` in one pass: the j-th new slot
+  // holds point `ids[order[j]]` and carries id `order[j]` (a local index).
+  // Sizes the buffer once and prefetches kPrefetchLookahead points ahead,
+  // since `ids` are scattered over `data`. Same slots as n calls to Append.
+  void AppendGathered(const Dataset& data, const PointId* ids,
+                      const uint32_t* order, size_t n);
+
   // Rebuilds the buffer from a whole dataset; slot j holds point j.
   void Assign(const Dataset& points);
 

@@ -33,6 +33,7 @@ std::string ObservabilityReportJson(
     if (!first) out += ',';
     first = false;
     out += "{\"cell\":" + std::to_string(p.cell);
+    out += ",\"reduce_task\":" + std::to_string(p.reduce_task);
     out += ",\"algorithm\":\"";
     AppendEscaped(out, p.algorithm);
     out += "\",\"core_points\":" + std::to_string(p.core_points);

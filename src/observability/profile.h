@@ -23,6 +23,9 @@ namespace dod {
 // One reduced partition's predicted-vs-measured snapshot.
 struct PartitionProfile {
   uint32_t cell = 0;
+  // Reduce task the allocation plan placed the cell on, in
+  // [0, num_reduce_tasks).
+  int reduce_task = 0;
   // Algorithm the plan assigned ("NestedLoop" | "CellBased").
   std::string algorithm;
   // |D_i|: core points the cell owns, and the replicated support points

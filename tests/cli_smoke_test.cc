@@ -243,6 +243,32 @@ TEST(CliSmokeTest, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
+TEST(CliSmokeTest, OutOfRangeSizingFlagsAreRejected) {
+  // --blocks, --reducers, --buckets and --n once aborted (exit 134) on a
+  // DOD_CHECK or std::length_error, --reducers 5000000000 wrapped through
+  // an int cast, and the rest ran without an error.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"blocks", "0"},         {"blocks", "-1"},
+      {"reducers", "0"},       {"reducers", "-3"},
+      {"reducers", "5000000000"},
+      {"buckets", "0"},        {"buckets", "-4"},
+      {"n", "-5"},             {"partitions", "0"},
+      {"partitions", "-1"},    {"sample-rate", "-1"},
+      {"sample-rate", "nan"},  {"deadline_ms", "-5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const std::string size = flag == "n" ? "" : "--n 4000 ";
+    const CommandResult result = RunCommand("--generate uniform " + size +
+                                            "--threads 2 --" + flag + " " +
+                                            value);
+    EXPECT_EQ(result.exit_code, 1) << flag << " " << value;
+    EXPECT_NE(result.output.find("error: "), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+    EXPECT_NE(result.output.find("--" + flag), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+  }
+}
+
 TEST(CliSmokeTest, NonPositiveOrNonFiniteDensityIsRejected) {
   // 0, -2 and nan once aborted the generator's DOD_CHECK (exit 134); inf
   // ran silently on a zero-area domain.

@@ -643,6 +643,7 @@ void ExpectSameProfiles(const std::vector<PartitionProfile>& a,
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].cell, b[i].cell);
+    EXPECT_EQ(a[i].reduce_task, b[i].reduce_task);
     EXPECT_EQ(a[i].algorithm, b[i].algorithm);
     EXPECT_EQ(a[i].core_points, b[i].core_points);
     EXPECT_EQ(a[i].support_points, b[i].support_points);

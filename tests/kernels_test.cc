@@ -82,6 +82,63 @@ TEST(SoABlockTest, LayoutAndPadding) {
   }
 }
 
+// Every slot of both buffers, pad slots included.
+void ExpectSameSlots(const SoABlock& got, const SoABlock& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  ASSERT_EQ(got.num_blocks(), want.num_blocks()) << label;
+  for (size_t block = 0; block < got.num_blocks(); ++block) {
+    for (size_t s = 0; s < kSoaWidth; ++s) {
+      EXPECT_EQ(got.Ids(block)[s], want.Ids(block)[s])
+          << label << " block " << block << " slot " << s;
+      for (int d = 0; d < got.dims(); ++d) {
+        EXPECT_EQ(got.Lane(block, d)[s], want.Lane(block, d)[s])
+            << label << " block " << block << " slot " << s << " dim " << d;
+      }
+    }
+  }
+}
+
+TEST(SoABlockTest, AppendGatheredMatchesPerPointAppend) {
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    const Dataset data = RandomDataset(dims, 1100, 300 + dims);
+    Rng rng(400 + dims);
+    // Scattered ids, as a cell's ids arrive after the shuffle.
+    const std::vector<uint32_t> ids = RandomPermutation(data.size(), rng);
+    for (size_t n : {0, 1, 7, 8, 9, 1000}) {
+      for (bool align : {true, false}) {
+        const std::string label = "dims " + std::to_string(dims) + " n " +
+                                  std::to_string(n) +
+                                  (align ? " aligned" : " mid-block");
+        const std::vector<uint32_t> order = RandomPermutation(n, rng);
+        SoABlock gathered(dims);
+        SoABlock reference(dims);
+        // A buffer that already holds blocks: 11 points, then (optionally)
+        // a block boundary, as the arena does between cells.
+        for (SoABlock* block : {&gathered, &reference}) {
+          for (uint32_t i = 0; i < 11; ++i) block->Append(data[ids[i]], i);
+          if (align) block->AlignToBlock();
+        }
+        const size_t begin = reference.size();
+        gathered.AppendGathered(data, ids.data(), order.data(), n);
+        for (uint32_t local : order) reference.Append(data[ids[local]], local);
+        ExpectSameSlots(gathered, reference, label);
+        // Pad slots past the last point keep +inf and the invalid id.
+        for (size_t slot = gathered.size();
+             slot < gathered.num_blocks() * kSoaWidth; ++slot) {
+          EXPECT_EQ(gathered.IdAt(slot), kSoaInvalidId) << label;
+          for (int d = 0; d < dims; ++d) {
+            EXPECT_EQ(gathered.Lane(slot / kSoaWidth, d)[slot % kSoaWidth],
+                      kSoaPadCoordinate)
+                << label;
+          }
+        }
+        EXPECT_EQ(gathered.size(), begin + n) << label;
+      }
+    }
+  }
+}
+
 TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
   const std::vector<const KernelOps*> impls = AvailableImpls();
   const KernelOps& scalar = *impls[0];

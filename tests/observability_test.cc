@@ -354,7 +354,13 @@ TEST(ObservabilityReport, JsonContainsMetricsAndProfiles) {
                   .is_number());
   const auto& profiles = doc.Get("partition_profiles").array();
   ASSERT_EQ(profiles.size(), result.detect_stats.partition_profiles.size());
-  for (const JsonValue& profile : profiles) {
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    const JsonValue& profile = profiles[i];
+    // The cell's placement, as the allocation plan made it.
+    const PartitionProfile& row = result.detect_stats.partition_profiles[i];
+    ASSERT_TRUE(profile.Get("reduce_task").is_number());
+    EXPECT_EQ(profile.Get("reduce_task").number_value(),
+              result.plan.allocation[row.cell]);
     EXPECT_TRUE(profile.Get("predicted_cost").is_number());
     EXPECT_TRUE(profile.Get("measured_distance_evals").is_number());
     EXPECT_TRUE(profile.Get("algorithm").is_string());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -234,6 +236,48 @@ TEST(PipelineConfigTest, CountersReportAlgorithmMix) {
   const uint64_t cb_cells =
       result.detect_stats.counters.Get("cells.Cell-Based");
   EXPECT_GT(nl_cells + cb_cells, 0u);
+}
+
+// Each sizing field below once reached a DOD_CHECK (or, for the rate, ran
+// on a NaN); Run must refuse it as InvalidArgument naming the field.
+void ExpectInvalidConfig(const DodConfig& config, const std::string& field) {
+  const Dataset data = TestData(16, 500);
+  const Result<DodResult> result = DodPipeline(config).Run(data);
+  ASSERT_FALSE(result.ok()) << field;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << field;
+  EXPECT_NE(result.status().message().find(field), std::string::npos)
+      << result.status().message();
+}
+
+TEST(PipelineConfigTest, ZeroBlocksIsInvalidArgument) {
+  DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+  config.num_blocks = 0;
+  ExpectInvalidConfig(config, "num_blocks");
+}
+
+TEST(PipelineConfigTest, NonPositiveReduceTasksIsInvalidArgument) {
+  for (int reducers : {0, -3}) {
+    DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+    config.num_reduce_tasks = reducers;
+    ExpectInvalidConfig(config, "num_reduce_tasks");
+  }
+}
+
+TEST(PipelineConfigTest, NonPositiveBucketsPerDimIsInvalidArgument) {
+  for (int buckets : {0, -4}) {
+    DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+    config.sampler.buckets_per_dim = buckets;
+    ExpectInvalidConfig(config, "buckets_per_dim");
+  }
+}
+
+TEST(PipelineConfigTest, NegativeOrNonFiniteSamplerRateIsInvalidArgument) {
+  for (double rate : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+    config.sampler.rate = rate;
+    ExpectInvalidConfig(config, "sampler.rate");
+  }
 }
 
 }  // namespace

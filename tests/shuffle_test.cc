@@ -438,6 +438,61 @@ TEST(PartitionViewTest, ArenaSegmentsAreAlignedPermutationsOfTheirCells) {
   }
 }
 
+TEST(PartitionViewTest, ArenaProbesMatchAnAppendBuiltReference) {
+  const Dataset data = ViewTestData(600);
+  Rng rng(31);
+  const std::vector<uint32_t> scattered = RandomPermutation(data.size(), rng);
+  // Cells longer than the prefetch lookahead, an empty cell, a
+  // support-only cell (num_core = 0) and a short one, over scattered ids.
+  const std::vector<size_t> sizes = {300, 0, 40, 9, 200};
+  const std::vector<size_t> num_core = {250, 0, 0, 9, 120};
+  TaskArena arena(data);
+  SoABlock reference(data.dims());
+  std::vector<size_t> reference_begin;
+  size_t next = 0;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const PointId* cell_ids = scattered.data() + next;
+    next += sizes[c];
+    arena.BeginCell();
+    for (size_t i = 0; i < sizes[c]; ++i) arena.AddPoint(cell_ids[i]);
+    arena.EndCell(num_core[c], /*permutation_seed=*/500 + c);
+    // The layout TryBuildProbes documents, built one Append at a time.
+    reference.AlignToBlock();
+    reference_begin.push_back(reference.size());
+    Rng order_rng(500 + c);
+    for (uint32_t local : RandomPermutation(sizes[c], order_rng)) {
+      reference.Append(data[cell_ids[local]], local);
+    }
+  }
+  ASSERT_TRUE(arena.TryBuildProbes().ok());
+
+  const SoABlock& probes = arena.View(0).probes();
+  ASSERT_EQ(probes.num_blocks(), reference.num_blocks());
+  for (size_t block = 0; block < probes.num_blocks(); ++block) {
+    for (size_t s = 0; s < kSoaWidth; ++s) {
+      EXPECT_EQ(probes.Ids(block)[s], reference.Ids(block)[s])
+          << "block " << block << " slot " << s;
+      for (int d = 0; d < data.dims(); ++d) {
+        EXPECT_EQ(probes.Lane(block, d)[s], reference.Lane(block, d)[s])
+            << "block " << block << " slot " << s << " dim " << d;
+      }
+    }
+  }
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const PartitionView view = arena.View(c);
+    ASSERT_EQ(view.size(), sizes[c]) << "cell " << c;
+    EXPECT_EQ(view.probe_begin(), reference_begin[c]) << "cell " << c;
+    if (view.empty()) continue;
+    BoundsAccumulator expected(data.dims());
+    for (size_t i = 0; i < view.size(); ++i) expected.Add(view.point(i));
+    const Rect bounds = view.Bounds();
+    for (int d = 0; d < data.dims(); ++d) {
+      EXPECT_EQ(bounds.min()[d], expected.bounds().min()[d]) << "cell " << c;
+      EXPECT_EQ(bounds.max()[d], expected.bounds().max()[d]) << "cell " << c;
+    }
+  }
+}
+
 TEST(PartitionViewTest, EqualSeedsRebuildIdenticalSegments) {
   const Dataset data = ViewTestData(32);
 

@@ -9,6 +9,7 @@
 //           --strategy cdriven --algorithm cell_based --out outliers.csv
 //   dod_cli --generate tiger --n 50000 --plan-out plan.txt --verbose
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -118,6 +119,9 @@ Observability:
                          predicted-vs-measured cost snapshots as JSON
 )";
 
+// Upper bound of the integer flags that size the run or narrow to int.
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
@@ -151,7 +155,7 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
   }
 
   const std::string kind = flags.GetStringOr("generate", "region:MA");
-  auto n_flag = flags.GetInt("n", 30000);
+  auto n_flag = flags.GetIntInRange("n", 30000, 1, kMaxInt);
   if (!n_flag.ok()) return n_flag.status();
   const size_t n = static_cast<size_t>(n_flag.value());
   auto seed_flag = flags.GetInt("seed", 42);
@@ -203,7 +207,6 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
 dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
                                         const dod::Dataset& data) {
   const size_t n = data.size();
-  constexpr long long kMaxInt = std::numeric_limits<int>::max();
   auto radius = flags.GetDouble("radius", 5.0);
   if (!radius.ok()) return radius.status();
   if (!(radius.value() > 0.0)) {
@@ -269,14 +272,15 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
           ? dod::DodConfig::Dmt(params)
           : dod::DodConfig::Baseline(params, strategy, algorithm);
 
-  auto partitions = flags.GetInt(
-      "partitions", static_cast<long long>(std::max<size_t>(32, n / 4000)));
+  auto partitions = flags.GetIntInRange(
+      "partitions", static_cast<long long>(std::max<size_t>(32, n / 4000)), 1,
+      kMaxInt);
   if (!partitions.ok()) return partitions.status();
   config.target_partitions = static_cast<size_t>(partitions.value());
-  auto reducers = flags.GetInt("reducers", 32);
+  auto reducers = flags.GetIntInRange("reducers", 32, 1, kMaxInt);
   if (!reducers.ok()) return reducers.status();
   config.num_reduce_tasks = static_cast<int>(reducers.value());
-  auto blocks = flags.GetInt("blocks", 32);
+  auto blocks = flags.GetIntInRange("blocks", 32, 1, kMaxInt);
   if (!blocks.ok()) return blocks.status();
   config.num_blocks = static_cast<size_t>(blocks.value());
   // 0 = all hardware threads (the engine resolves it).
@@ -285,8 +289,12 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   config.num_threads = static_cast<int>(threads.value());
   auto rate = flags.GetDouble("sample-rate", 0.05);
   if (!rate.ok()) return rate.status();
+  if (!std::isfinite(rate.value()) || rate.value() < 0.0) {
+    return dod::Status::InvalidArgument(
+        "--sample-rate must be a finite value >= 0");
+  }
   config.sampler.rate = rate.value();
-  auto buckets = flags.GetInt("buckets", 64);
+  auto buckets = flags.GetIntInRange("buckets", 64, 1, kMaxInt);
   if (!buckets.ok()) return buckets.status();
   config.sampler.buckets_per_dim = static_cast<int>(buckets.value());
   auto seed = flags.GetInt("seed", 42);
@@ -348,7 +356,8 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   if (config.resume && config.checkpoint_dir.empty()) {
     return dod::Status::InvalidArgument("--resume requires --checkpoint_dir");
   }
-  auto deadline_ms = flags.GetInt("deadline_ms", 0);
+  auto deadline_ms = flags.GetIntInRange(
+      "deadline_ms", 0, 0, std::numeric_limits<long long>::max());
   if (!deadline_ms.ok()) return deadline_ms.status();
   config.deadline_seconds = static_cast<double>(deadline_ms.value()) / 1000.0;
   auto budget_mb = flags.GetInt("memory_budget_mb", 0);

@@ -34,8 +34,13 @@
 // incremental path counts cells directly, without MapReduce tasks or
 // partition profiles.
 //
+// Every partition profile must name its reduce task: an integer in
+// [0, mr.reduce_tasks). The counter sums the reduce tasks of every job the
+// run scheduled, so for a two-job (Domain) run the bound is the sum.
+//
 // Exits 0 when both documents validate, 1 with a diagnostic otherwise.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -374,6 +379,14 @@ int ValidateMetrics(const dod::JsonValue& doc, long long min_partitions,
                 " partition profiles, expected >= " +
                 std::to_string(min_partitions));
   }
+  const dod::JsonValue& reduce_counter =
+      metrics.Get("counters").Get("mr.reduce_tasks");
+  if (!profiles.array().empty() && !reduce_counter.is_number()) {
+    return Fail("metrics: partition profiles without an mr.reduce_tasks "
+                "counter");
+  }
+  const double reduce_tasks =
+      reduce_counter.is_number() ? reduce_counter.number_value() : 0.0;
   for (size_t i = 0; i < profiles.array().size(); ++i) {
     const dod::JsonValue& profile = profiles.array()[i];
     const std::string where = "metrics: profile " + std::to_string(i);
@@ -381,11 +394,21 @@ int ValidateMetrics(const dod::JsonValue& doc, long long min_partitions,
       return Fail(where + ": missing algorithm");
     }
     for (const char* key :
-         {"cell", "core_points", "support_points", "area", "density",
-          "predicted_cost", "measured_distance_evals", "measured_seconds"}) {
+         {"cell", "reduce_task", "core_points", "support_points", "area",
+          "density", "predicted_cost", "measured_distance_evals",
+          "measured_seconds"}) {
       if (!profile.Get(key).is_number()) {
         return Fail(where + ": missing numeric field \"" + key + "\"");
       }
+    }
+    const double task = profile.Get("reduce_task").number_value();
+    if (task != std::floor(task) || task < 0.0 || !(task < reduce_tasks)) {
+      char detail[96];
+      std::snprintf(detail, sizeof(detail),
+                    ": reduce_task %g is not an integer in [0, %g) "
+                    "(mr.reduce_tasks)",
+                    task, reduce_tasks);
+      return Fail(where + detail);
     }
     // "Populated" means the planner actually priced the partition and the
     // reducer actually measured it; empty husks fail CI.

@@ -1,7 +1,8 @@
 // Copyright 2026 The DOD Authors.
 //
 // Distance-kernel throughput: pairs/sec of every compiled implementation
-// (scalar / blocked / avx2) on the 2-d workload the paper evaluates, plus
+// (scalar / blocked / avx2) on the 2-d workload the paper evaluates, for
+// uncapped counts and for the capped k = 4 sweeps Nested-Loop runs, plus
 // the end-to-end effect on the nested-loop detector. Emits
 // BENCH_kernels.json next to the binary.
 //
@@ -37,6 +38,15 @@ struct KernelPoint {
   double speedup = 0.0;  // over scalar
 };
 
+// One implementation's capped sweeps (pairs differ from scalar's: the
+// batched paths stop at the end of the block that reached the cap).
+struct SweepPoint {
+  std::string impl;
+  double pairs_per_sec = 0.0;
+  double queries_per_sec = 0.0;
+  uint64_t pairs = 0;
+};
+
 struct DetectorPoint {
   double scalar_seconds = 0.0;
   double auto_seconds = 0.0;
@@ -61,9 +71,10 @@ KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
     std::vector<int> got(queries.size());
     const Clock::time_point start = Clock::now();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
+      // soa holds point j in slot j, so the query skips slot q.
       const uint32_t q = queries[qi];
       got[qi] = ops.count_within_radius(soa, 0, soa.size(), data[q],
-                                        sq_radius, /*skip_id=*/q,
+                                        sq_radius, /*skip_slot=*/q,
                                         /*cap=*/-1, &pairs);
     }
     best = std::min(best, SecondsSince(start));
@@ -83,6 +94,69 @@ KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
     }
   }
   point.pairs_per_sec = static_cast<double>(pairs) / best;
+  return point;
+}
+
+// Nested-Loop's probe pattern: each query, a slot of the permuted segment
+// `soa`, sweeps [start, end) and then [0, start) from its own random start
+// until k neighbors are found, skipping its own slot. Returns the fastest of
+// `repeats` passes and exits 1 unless every impl reaches the same verdicts
+// and, below the cap, the same counts as scalar (the first impl measured),
+// and the batched impls evaluate the same pairs as each other.
+SweepPoint MeasureSweep(const dod::KernelOps& ops, const dod::SoABlock& soa,
+                        const std::vector<uint32_t>& queries,
+                        const std::vector<uint32_t>& starts, double sq_radius,
+                        int k, std::vector<int>* counts,
+                        uint64_t* batched_pairs, int repeats) {
+  SweepPoint point;
+  point.impl = ops.name;
+  const int dims = soa.dims();
+  const bool reference = counts->empty();
+  double best = 1e300;
+  for (int rep = 0; rep < repeats; ++rep) {
+    uint64_t pairs = 0;
+    std::vector<int> got(queries.size());
+    double q[dod::kMaxDimensions];
+    const Clock::time_point start = Clock::now();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const size_t slot = queries[qi];
+      for (int d = 0; d < dims; ++d) {
+        q[d] = soa.Lane(slot / dod::kSoaWidth, d)[slot % dod::kSoaWidth];
+      }
+      int found = ops.count_within_radius(soa, starts[qi], soa.size(), q,
+                                          sq_radius, slot, k, &pairs);
+      if (found < k) {
+        found += ops.count_within_radius(soa, 0, starts[qi], q, sq_radius,
+                                         slot, k - found, &pairs);
+      }
+      got[qi] = found;
+    }
+    best = std::min(best, SecondsSince(start));
+    point.pairs = pairs;
+    if (reference) {
+      *counts = got;
+      continue;
+    }
+    for (size_t qi = 0; qi < got.size(); ++qi) {
+      const int want = (*counts)[qi];
+      if ((got[qi] >= k) != (want >= k) || (want < k && got[qi] != want)) {
+        std::fprintf(stderr, "FATAL: %s capped sweep disagrees with scalar\n",
+                     ops.name);
+        std::exit(1);
+      }
+    }
+    if (*batched_pairs == 0) *batched_pairs = pairs;
+    if (pairs != *batched_pairs) {
+      std::fprintf(stderr,
+                   "FATAL: %s capped sweep evaluated %llu pairs, blocked "
+                   "%llu\n",
+                   ops.name, static_cast<unsigned long long>(pairs),
+                   static_cast<unsigned long long>(*batched_pairs));
+      std::exit(1);
+    }
+  }
+  point.pairs_per_sec = static_cast<double>(point.pairs) / best;
+  point.queries_per_sec = static_cast<double>(queries.size()) / best;
   return point;
 }
 
@@ -116,6 +190,7 @@ DetectorPoint MeasureDetector(const dod::Dataset& data,
 
 void WriteJson(const char* path, size_t n, size_t num_queries,
                const std::vector<KernelPoint>& kernels,
+               const std::vector<SweepPoint>& sweeps, int sweep_k,
                const DetectorPoint& detector) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -133,6 +208,17 @@ void WriteJson(const char* path, size_t n, size_t num_queries,
                  "\"speedup_vs_scalar\": %.3f}%s\n",
                  kernels[i].impl.c_str(), kernels[i].pairs_per_sec,
                  kernels[i].speedup, i + 1 < kernels.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"capped_sweep_k\": %d,\n", sweep_k);
+  std::fprintf(f, "  \"capped_sweep\": [\n");
+  for (size_t i = 0; i < sweeps.size(); ++i) {
+    std::fprintf(f,
+                 "    {\"impl\": \"%s\", \"pairs_per_sec\": %.0f, "
+                 "\"queries_per_sec\": %.0f, \"pairs\": %llu}%s\n",
+                 sweeps[i].impl.c_str(), sweeps[i].pairs_per_sec,
+                 sweeps[i].queries_per_sec,
+                 static_cast<unsigned long long>(sweeps[i].pairs),
+                 i + 1 < sweeps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
@@ -157,8 +243,8 @@ int main(int argc, char** argv) {
   dod::bench::PrintHeader(
       "Distance-kernel throughput — scalar vs blocked vs AVX2, 2-d",
       "Uncapped neighbor counting of sampled queries against the full\n"
-      "dataset; every implementation is checked against the scalar counts\n"
-      "and evaluated pairs.",
+      "dataset, then capped k = 4 sweeps from random starts over a permuted\n"
+      "segment; every implementation is checked against the scalar counts.",
       dod::bench::TimeBase::kWallClock);
 
   const dod::Dataset data = dod::GenerateTigerLike(n, 1234);
@@ -199,6 +285,37 @@ int main(int argc, char** argv) {
     kernels.push_back(point);
   }
 
+  // Capped sweeps over the points in a random permutation, as the task
+  // arena lays out a Nested-Loop segment.
+  constexpr int kSweepK = 4;
+  dod::Rng sweep_rng(56);
+  const std::vector<uint32_t> order =
+      dod::RandomPermutation(data.size(), sweep_rng);
+  dod::SoABlock permuted(data.dims());
+  for (uint32_t id : order) permuted.Append(data[id], id);
+  std::vector<uint32_t> sweep_queries(std::min<size_t>(n, 4096));
+  std::vector<uint32_t> starts(sweep_queries.size());
+  for (size_t qi = 0; qi < sweep_queries.size(); ++qi) {
+    sweep_queries[qi] = static_cast<uint32_t>(sweep_rng.NextBounded(n));
+    starts[qi] = static_cast<uint32_t>(sweep_rng.NextBounded(n));
+  }
+  std::printf("\ncapped sweeps, k = %d, %zu queries from random starts\n",
+              kSweepK, sweep_queries.size());
+  std::printf("%10s %16s %16s %14s\n", "impl", "pairs/sec", "queries/sec",
+              "pairs");
+  std::vector<int> sweep_counts;
+  uint64_t batched_pairs = 0;
+  std::vector<SweepPoint> sweeps;
+  for (const dod::KernelOps* ops : impls) {
+    const SweepPoint point =
+        MeasureSweep(*ops, permuted, sweep_queries, starts, sq_radius,
+                     kSweepK, &sweep_counts, &batched_pairs, repeats);
+    std::printf("%10s %16.3e %16.3e %14llu\n", point.impl.c_str(),
+                point.pairs_per_sec, point.queries_per_sec,
+                static_cast<unsigned long long>(point.pairs));
+    sweeps.push_back(point);
+  }
+
   // End-to-end: the nested-loop detector is the most kernel-bound caller.
   const size_t detector_n = std::min<size_t>(n, 20000);
   const dod::Dataset detector_data = dod::GenerateTigerLike(detector_n, 77);
@@ -211,8 +328,8 @@ int main(int argc, char** argv) {
               detector.scalar_seconds / detector.auto_seconds,
               detector.outliers);
 
-  WriteJson("BENCH_kernels.json", data.size(), num_queries, kernels,
-            detector);
+  WriteJson("BENCH_kernels.json", data.size(), num_queries, kernels, sweeps,
+            kSweepK, detector);
   dod::bench::WriteMetricsJson("BENCH_kernels_metrics.json", {});
   return 0;
 }

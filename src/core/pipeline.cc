@@ -308,10 +308,12 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
                      profiler_, counters);
 
       // Exact partial neighbor count for each candidate (< k).
+      const std::vector<size_t> slots =
+          local.empty() ? std::vector<size_t>() : view.ProbeSlots();
       for (uint32_t index : local) {
         const int partial = ops.count_within_radius(
             view.probes(), view.probe_begin(), view.probe_end(),
-            view.point(index), sq_radius, /*skip_id=*/index, /*cap=*/-1,
+            view.point(index), sq_radius, slots[index], /*cap=*/-1,
             /*pairs=*/nullptr);
         out.push_back(Candidate{view.id(index), partial});
       }
@@ -514,7 +516,7 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
           // skipping.
           neighbors += ops.count_within_radius(
               view.probes(), view.probe_begin(), view.probe_end(),
-              data_[candidate.id], sq_radius, /*skip_id=*/kSoaInvalidId,
+              data_[candidate.id], sq_radius, kNoSkipSlot,
               params_.min_neighbors - neighbors, &ignored);
         }
         if (neighbors < params_.min_neighbors) {

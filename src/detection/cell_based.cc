@@ -137,10 +137,11 @@ std::vector<uint32_t> CellBasedDetector::DetectOutliers(
     const size_t end = partition.probe_end();
     const double sq_radius = params.radius * params.radius;
     const KernelOps& ops = GetKernelOps(params.kernels);
+    const std::vector<size_t> slots = partition.ProbeSlots();
     for (uint32_t id : undecided) {
       const int neighbors =
           ops.count_within_radius(probes, begin, end, partition.point(id),
-                                  sq_radius, /*skip_id=*/id, /*cap=*/-1,
+                                  sq_radius, slots[id], /*cap=*/-1,
                                   &distance_evals);
       if (neighbors < k) outliers.push_back(id);
     }

@@ -41,6 +41,14 @@ Rect PartitionView::Bounds() const {
   return accumulator.bounds();
 }
 
+std::vector<size_t> PartitionView::ProbeSlots() const {
+  std::vector<size_t> slots(size_);
+  for (size_t slot = probe_begin(); slot < probe_end(); ++slot) {
+    slots[probes_->IdAt(slot)] = slot;
+  }
+  return slots;
+}
+
 TaskArena::TaskArena(const Dataset& data, MemoryBudget* budget)
     : data_(data), budget_(budget), probes_(data.dims()) {}
 
@@ -96,8 +104,8 @@ Status TaskArena::TryBuildProbes() {
       probes_.AlignToBlock();
       slot.probe_begin = probes_.size();
       // Permuted segment, slot ids = local indices: Nested-Loop scans it
-      // directly as its random probe order, and kernels skip the query
-      // point by its local index.
+      // directly as its random probe order, and the ids map each slot back
+      // to its point.
       Rng rng(slot.permutation_seed);
       const std::vector<uint32_t> order = RandomPermutation(slot.size, rng);
       probes_.AppendGathered(data_, ids_.data() + slot.ids_begin,

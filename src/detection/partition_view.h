@@ -75,10 +75,15 @@ class PartitionView {
 
   // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
   // view's points in a permuted order, each slot carrying its point's
-  // *local* index as id (so kernels skip the query by local index).
+  // *local* index as id.
   const SoABlock& probes() const { return *probes_; }
   size_t probe_begin() const { return probe_begin_; }
   size_t probe_end() const { return probe_begin_ + size_; }
+
+  // Probe slot of every local point (slots[i] holds local point i), from
+  // one pass over the segment's ids: the position a count skips when it
+  // queries point i against its own segment.
+  std::vector<size_t> ProbeSlots() const;
 
  private:
   friend class TaskArena;

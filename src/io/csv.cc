@@ -54,6 +54,11 @@ Status WriteCsv(const Dataset& dataset, const std::string& path,
 }
 
 Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
+  if (options.columns.size() > static_cast<size_t>(kMaxDimensions)) {
+    return Status::InvalidArgument(
+        "at most " + std::to_string(kMaxDimensions) +
+        " coordinate columns, got " + std::to_string(options.columns.size()));
+  }
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for read: " + path);
 

@@ -29,9 +29,9 @@ Status WriteCsv(const Dataset& dataset, const std::string& path,
                 const CsvOptions& options = {});
 
 // Reads a CSV file into a Dataset. Dimensionality is taken from
-// `options.columns` when given, otherwise from the first data row. Rows with
-// the wrong field count or unparsable numbers yield an error mentioning the
-// line number.
+// `options.columns` when given, otherwise from the first data row; more than
+// kMaxDimensions columns is InvalidArgument. Rows with the wrong field count
+// or unparsable numbers yield an error mentioning the line number.
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvOptions& options = {});
 

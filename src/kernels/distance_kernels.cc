@@ -36,14 +36,14 @@ inline double ScalarSquaredDistance(const SoABlock& pts, size_t slot,
 }
 
 int ScalarCount(const SoABlock& pts, size_t begin, size_t end,
-                const double* q, double sq_radius, uint32_t skip_id, int cap,
+                const double* q, double sq_radius, size_t skip_slot, int cap,
                 uint64_t* pairs) {
   if (cap == 0) return 0;
   const int dims = pts.dims();
   uint64_t evals = 0;
   int count = 0;
   for (size_t slot = begin; slot < end; ++slot) {
-    if (pts.IdAt(slot) == skip_id) continue;
+    if (slot == skip_slot) continue;
     ++evals;
     if (ScalarSquaredDistance(pts, slot, q, dims) <= sq_radius) {
       ++count;
@@ -121,55 +121,42 @@ inline void BlockSquaredDistances(const SoABlock& pts, size_t block,
 
 template <int kDims>
 int BlockedCountT(const SoABlock& pts, size_t begin, size_t end,
-                  const double* q, double sq_radius, uint32_t skip_id,
+                  const double* q, double sq_radius, size_t skip_slot,
                   int cap, uint64_t* pairs) {
-  uint64_t evals = 0;
+  const int stop = cap < 0 ? std::numeric_limits<int>::max() : cap;
   int count = 0;
 
-  // Partial block: per-slot branchless compare+count over [lo, hi). Pad
-  // slots fail both tests (invalid id never equals a real skip_id but their
-  // d2 is +inf/NaN, never <= sq_radius). Pure so the main loop's
-  // accumulators stay in registers.
-  const auto partial = [&pts, q, sq_radius, skip_id](
-                           size_t b, size_t lo, size_t hi, uint64_t* kept) {
+  // Partial block: per-slot branchless compare+count over [lo, hi). Pure so
+  // the main loop's accumulators stay in registers.
+  const auto partial = [&pts, q, sq_radius, skip_slot](size_t b, size_t lo,
+                                                       size_t hi) {
     BlockAcc acc;
     BlockSquaredDistances<kDims>(pts, b, q, &acc);
-    const uint32_t* ids = pts.Ids(b);
     int within = 0;
     for (size_t s = lo; s < hi; ++s) {
-      const int keep = ids[s] != skip_id ? 1 : 0;
-      *kept += static_cast<uint64_t>(keep);
-      within += keep & (acc.d2[s] <= sq_radius ? 1 : 0);
+      within +=
+          b * kSoaWidth + s != skip_slot && acc.d2[s] <= sq_radius ? 1 : 0;
     }
     return within;
   };
 
+  // `b` is the next block to scan; the scan ends at min(end, b * width).
   size_t b = begin / kSoaWidth;
   const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
   if (begin % kSoaWidth != 0 && b < last) {
     count += partial(b, begin % kSoaWidth,
-                     std::min(end - b * kSoaWidth, kSoaWidth), &evals);
+                     std::min(end - b * kSoaWidth, kSoaWidth));
     ++b;
-    if (cap >= 0 && count >= cap) {
-      if (pairs != nullptr) *pairs += evals;
-      return count;
-    }
   }
 
-  // Full blocks: fixed-trip-count loops the vectorizer keeps wide, with no
-  // boundary logic inside. Two independent reductions avoid cross-width
-  // mask mixing: distance verdicts over doubles, skip hits over ids.
-  // Callers pass a unique id (or none), so skip hits are at most one slot
-  // per sweep and the within-radius correction for skipped slots is a
-  // rarely-taken scalar branch. The cap is checked after every block, as
-  // avx2 checks it, so both batched paths evaluate the same pairs.
-  const size_t full_end = std::min(end / kSoaWidth, last);
-  for (; b < full_end; ++b) {
-    const uint32_t* ids = pts.Ids(b);
-    int skip_hits = 0;
-    for (size_t s = 0; s < kSoaWidth; ++s) {
-      skip_hits += ids[s] == skip_id ? 1 : 0;
-    }
+  // Full blocks: a fixed-trip-count loop the vectorizer keeps wide, with no
+  // boundary logic inside. The skip slot sits in at most one block, where
+  // a rarely-taken scalar branch takes it back out. The cap is checked
+  // after every block, as avx2 checks it, so both batched paths evaluate
+  // the same pairs.
+  const size_t skip_block = skip_slot / kSoaWidth;
+  const size_t full_end = end / kSoaWidth;
+  for (; b < full_end && count < stop; ++b) {
     const double* lanes = pts.Lane(b, 0);
     int within = 0;
     for (size_t s = 0; s < kSoaWidth; ++s) {
@@ -180,36 +167,31 @@ int BlockedCountT(const SoABlock& pts, size_t begin, size_t end,
       }
       within += sum <= sq_radius ? 1 : 0;
     }
-    if (skip_hits != 0) {
-      for (size_t s = b * kSoaWidth; s < (b + 1) * kSoaWidth; ++s) {
-        if (pts.IdAt(s) == skip_id &&
-            ScalarSquaredDistance(pts, s, q, kDims) <= sq_radius) {
-          --within;
-        }
-      }
+    if (b == skip_block &&
+        ScalarSquaredDistance(pts, skip_slot, q, kDims) <= sq_radius) {
+      --within;
     }
-    evals += kSoaWidth - static_cast<uint64_t>(skip_hits);
     count += within;
-    if (cap >= 0 && count >= cap) {
-      if (pairs != nullptr) *pairs += evals;
-      return count;
-    }
   }
 
   // Tail partial block (end not on a block boundary).
-  if (b < last && (cap < 0 || count < cap)) {
-    count += partial(b, 0, end - b * kSoaWidth, &evals);
+  if (b < last && count < stop) {
+    count += partial(b, 0, end - b * kSoaWidth);
+    ++b;
   }
-  if (pairs != nullptr) *pairs += evals;
+  if (pairs != nullptr) {
+    *pairs += internal::ScannedPairs(begin, std::min(end, b * kSoaWidth),
+                                     skip_slot);
+  }
   return count;
 }
 
 int BlockedCount(const SoABlock& pts, size_t begin, size_t end,
-                 const double* q, double sq_radius, uint32_t skip_id, int cap,
+                 const double* q, double sq_radius, size_t skip_slot, int cap,
                  uint64_t* pairs) {
   if (cap == 0) return 0;
   DOD_DISPATCH_DIMS(BlockedCountT, pts.dims(), pts, begin, end, q, sq_radius,
-                    skip_id, cap, pairs);
+                    skip_slot, cap, pairs);
 }
 
 template <int kDims>

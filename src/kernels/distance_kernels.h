@@ -24,11 +24,17 @@
 // exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped counts
 // evaluate the same pairs everywhere, and verdicts (count >= k,
 // membership, minima, distances) are identical.
+//
+// The count skips the query's own slot by *position*: a caller sweeping a
+// segment knows where its query sits, so the kernel never loads slot ids.
+// range_mask reports ids and skips by id (DBSCAN's cells are separate
+// buffers, each query's id is the one thing it knows).
 
 #ifndef DOD_KERNELS_DISTANCE_KERNELS_H_
 #define DOD_KERNELS_DISTANCE_KERNELS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -37,21 +43,27 @@
 
 namespace dod {
 
+// count_within_radius's "skip no slot" position.
+inline constexpr size_t kNoSkipSlot = std::numeric_limits<size_t>::max();
+
 struct KernelOps {
   const char* name;
 
   // Number of slots in [begin, end) whose squared distance to `q` is
-  // <= sq_radius, excluding slots whose id equals skip_id (pass
-  // kSoaInvalidId to skip nothing). When cap >= 0, stops scanning once the
-  // running count reaches cap — the returned count is then only guaranteed
-  // to be >= cap; when cap < 0 the exact count is returned. `pairs`, when
-  // non-null, accrues the number of pairs evaluated.
+  // <= sq_radius, excluding the slot at position skip_slot (pass
+  // kNoSkipSlot to skip nothing; a position outside [begin, end) also
+  // skips nothing). When cap >= 0, stops scanning once the running count
+  // reaches cap — the returned count is then only guaranteed to be >= cap;
+  // when cap < 0 the exact count is returned. `pairs`, when non-null,
+  // accrues the number of pairs evaluated: the scanned slots, less the
+  // skipped one when it was scanned.
   int (*count_within_radius)(const SoABlock& points, size_t begin, size_t end,
                              const double* q, double sq_radius,
-                             uint32_t skip_id, int cap, uint64_t* pairs);
+                             size_t skip_slot, int cap, uint64_t* pairs);
 
-  // Appends the ids of all slots within sq_radius of `q` (skip_id excluded)
-  // to `out`, in slot order.
+  // Appends the ids of all slots within sq_radius of `q` to `out`, in slot
+  // order. Unlike the count, the skip is by id: slots whose id equals
+  // skip_id are excluded (kSoaInvalidId skips nothing).
   void (*range_mask)(const SoABlock& points, const double* q,
                      double sq_radius, uint32_t skip_id,
                      std::vector<uint32_t>* out, uint64_t* pairs);

@@ -85,68 +85,83 @@ DOD_AVX2 inline unsigned SkipMask(const uint32_t* ids, __m256i skip) {
 
 static_assert(kSoaWidth == 8, "a block is two 4-wide AVX2 vectors");
 
-// Slot mask of an interior block: every slot in range.
-constexpr unsigned kAllSlots = (1u << kSoaWidth) - 1u;
-
 // Bits [lo, hi) of a block's slot mask.
 inline unsigned SlotRange(size_t lo, size_t hi) {
   return ((1u << hi) - 1u) & ~((1u << lo) - 1u);
 }
 
-// Neighbors among the `range` slots of `block` that do not carry `skip`;
-// adds the slots evaluated to *evals.
+// Neighbors among the `range` slots of `block` (a partial head or tail).
 template <int kDims>
 DOD_AVX2 inline int CountInBlock(const SoABlock& pts, size_t block,
                                  unsigned range, const __m256d* qv,
-                                 __m256d r, __m256i skip, uint64_t* evals) {
+                                 __m256d r) {
   __m256d lo, hi;
   BlockSquaredDistances<kDims>(pts, block, qv, &lo, &hi);
-  const unsigned valid = range & ~SkipMask(pts.Ids(block), skip);
-  *evals += static_cast<unsigned>(__builtin_popcount(valid));
-  return __builtin_popcount(WithinMask(lo, hi, r) & valid);
+  return __builtin_popcount(WithinMask(lo, hi, r) & range);
 }
 
-// Only the partial head and tail blocks of [begin, end) build a range mask;
-// interior blocks take all kSoaWidth slots. The cap is checked after every
-// block, so a capped query evaluates exactly the slots up to the end of the
-// block that reached it.
+// Only the partial head and tail blocks of [begin, end) build a range mask.
+// An interior block ORs its two compare masks and pays for the movemask,
+// the skip and the popcount only when some slot is within r — on a sparse
+// sweep almost no block is. The skip slot is a position, so it is a bit
+// cleared from the one block that holds it and no id is ever loaded. The
+// cap is checked after every block, so a capped query evaluates exactly
+// the slots up to the end of the block that reached it, and `pairs` is
+// the scanned range less the skip slot when it was scanned.
 template <int kDims>
 DOD_AVX2 int Avx2CountT(const SoABlock& pts, size_t begin, size_t end,
-                        const double* q, double sq_radius, uint32_t skip_id,
+                        const double* q, double sq_radius, size_t skip_slot,
                         int cap, uint64_t* pairs) {
   __m256d qv[kDims];
   BroadcastQuery<kDims>(q, qv);
   const __m256d r = _mm256_set1_pd(sq_radius);
-  const __m256i skip = _mm256_set1_epi32(static_cast<int>(skip_id));
   const int stop = cap < 0 ? std::numeric_limits<int>::max() : cap;
-  uint64_t evals = 0;
+  const size_t skip_block = skip_slot / kSoaWidth;
+  const unsigned skip_bit = 1u << (skip_slot % kSoaWidth);
   int count = 0;
+  // `b` is the next block to scan; the scan ends at min(end, b * width).
   size_t b = begin / kSoaWidth;
   const size_t last = (end + kSoaWidth - 1) / kSoaWidth;
   if (begin % kSoaWidth != 0 && b < last) {
-    const unsigned range = SlotRange(
-        begin % kSoaWidth, std::min(end - b * kSoaWidth, kSoaWidth));
-    count += CountInBlock<kDims>(pts, b, range, qv, r, skip, &evals);
+    unsigned range = SlotRange(begin % kSoaWidth,
+                               std::min(end - b * kSoaWidth, kSoaWidth));
+    if (b == skip_block) range &= ~skip_bit;
+    count += CountInBlock<kDims>(pts, b, range, qv, r);
     ++b;
   }
   const size_t full_end = end / kSoaWidth;
   for (; b < full_end && count < stop; ++b) {
-    count += CountInBlock<kDims>(pts, b, kAllSlots, qv, r, skip, &evals);
+    __m256d lo, hi;
+    BlockSquaredDistances<kDims>(pts, b, qv, &lo, &hi);
+    const __m256d in_lo = _mm256_cmp_pd(lo, r, _CMP_LE_OQ);
+    const __m256d in_hi = _mm256_cmp_pd(hi, r, _CMP_LE_OQ);
+    const __m256d any = _mm256_or_pd(in_lo, in_hi);
+    if (_mm256_testz_pd(any, any)) continue;
+    unsigned hits =
+        static_cast<unsigned>(_mm256_movemask_pd(in_lo)) |
+        (static_cast<unsigned>(_mm256_movemask_pd(in_hi)) << 4);
+    if (b == skip_block) hits &= ~skip_bit;
+    count += __builtin_popcount(hits);
   }
   if (b < last && count < stop) {
-    const unsigned range = SlotRange(0, end - b * kSoaWidth);
-    count += CountInBlock<kDims>(pts, b, range, qv, r, skip, &evals);
+    unsigned range = SlotRange(0, end - b * kSoaWidth);
+    if (b == skip_block) range &= ~skip_bit;
+    count += CountInBlock<kDims>(pts, b, range, qv, r);
+    ++b;
   }
-  if (pairs != nullptr) *pairs += evals;
+  if (pairs != nullptr) {
+    *pairs += internal::ScannedPairs(begin, std::min(end, b * kSoaWidth),
+                                     skip_slot);
+  }
   return count;
 }
 
 DOD_AVX2 int Avx2Count(const SoABlock& pts, size_t begin, size_t end,
-                       const double* q, double sq_radius, uint32_t skip_id,
+                       const double* q, double sq_radius, size_t skip_slot,
                        int cap, uint64_t* pairs) {
   if (cap == 0) return 0;
   DOD_DISPATCH_DIMS(Avx2CountT, pts.dims(), pts, begin, end, q, sq_radius,
-                    skip_id, cap, pairs);
+                    skip_slot, cap, pairs);
 }
 
 template <int kDims>

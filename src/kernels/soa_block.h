@@ -29,8 +29,9 @@ namespace dod {
 // dimension lane.
 inline constexpr size_t kSoaWidth = 8;
 
-// Id carried by pad slots; also usable as a "skip nothing" sentinel for the
-// kernels' skip_id parameter (a Dataset can never hold 2^32 - 1 points).
+// Id carried by pad slots; also usable as a "skip nothing" sentinel for
+// range_mask's skip_id parameter (a Dataset can never hold 2^32 - 1
+// points).
 inline constexpr uint32_t kSoaInvalidId = 0xFFFFFFFFu;
 
 // Coordinate carried by pad slots.
@@ -58,8 +59,8 @@ class SoABlock {
 
   void Reserve(size_t n);
 
-  // Appends one point with an arbitrary caller-chosen id (used by the
-  // kernels to skip self-matches and report range hits).
+  // Appends one point with an arbitrary caller-chosen id (reported by
+  // range hits and used there to skip self-matches).
   void Append(const double* p, uint32_t id);
 
   // Appends `n` points gathered from `data` in one pass: the j-th new slot

@@ -503,7 +503,7 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
           if (group.ins_begin == group.ins_end) continue;
           count += ops.count_within_radius(
               buf.appended_soa, group.ins_begin, group.ins_end,
-              (*window_)[slot], sq_radius, /*skip_id=*/slot, cap - count,
+              (*window_)[slot], sq_radius, /*skip_slot=*/a, cap - count,
               /*pairs=*/nullptr);
         }
         buf.first_counts[a] = static_cast<uint32_t>(count);
@@ -601,6 +601,9 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
     ForEachInRing(center, ring_, [&](const CellCoord& probe) {
       const uint32_t id = FindCell(probe);
       if (id == CellIndex::kNone) return;
+      if (id == target.cell) {
+        target.center_begin = static_cast<uint32_t>(ring.size());
+      }
       for (uint32_t slot : cell_states_[id].slots) {
         ring.Append((*window_)[slot], slot);
       }
@@ -621,7 +624,8 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
           const uint32_t slot = cell_states_[target.cell].slots[locals[t]];
           recounts[t] = static_cast<uint32_t>(ops.count_within_radius(
               ring, target.ring_begin, target.ring_end, (*window_)[slot],
-              sq_radius, slot, cap, /*pairs=*/nullptr));
+              sq_radius, target.center_begin + locals[t], cap,
+              /*pairs=*/nullptr));
         }
         return Status::Ok();
       }));

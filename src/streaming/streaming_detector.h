@@ -368,6 +368,9 @@ class StreamingDetector {
     uint32_t locals_end = 0;
     uint32_t ring_begin = 0;
     uint32_t ring_end = 0;
+    // Ring position of the target cell's first resident; its local j sits
+    // at center_begin + j.
+    uint32_t center_begin = 0;
   };
   // The summary pass's per-round buffers. Cleared every round, never
   // shrunk, so a steady stream reuses one allocation per buffer.

@@ -2,8 +2,9 @@
 //
 // End-to-end smoke tests of the dod_cli binary: exercises the flag paths,
 // CSV/binary I/O, plan export, and error handling through the real
-// executable — plus dod_stream_cli's closing summary line. The binary
-// locations come from the DOD_CLI_PATH / DOD_STREAM_CLI_PATH compile
+// executable — plus dod_stream_cli's closing summary line and
+// validate_trace's flag checks. The binary locations come from the
+// DOD_CLI_PATH / DOD_STREAM_CLI_PATH / DOD_VALIDATE_TRACE_PATH compile
 // definitions set by CMake.
 
 #include <gtest/gtest.h>
@@ -23,6 +24,9 @@
 #endif
 #ifndef DOD_STREAM_CLI_PATH
 #define DOD_STREAM_CLI_PATH "build/tools/dod_stream_cli"
+#endif
+#ifndef DOD_VALIDATE_TRACE_PATH
+#define DOD_VALIDATE_TRACE_PATH "build/tools/validate_trace"
 #endif
 
 namespace dod {
@@ -102,6 +106,60 @@ TEST(CliSmokeTest, CsvInputAndOutput) {
   EXPECT_TRUE(found);
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());
+}
+
+TEST(CliSmokeTest, BadCsvFlagsAreRejected) {
+  // Nine columns once aborted on Dataset's dimensionality DOD_CHECK (exit
+  // 134), "0,x" read column 0 twice through atoi, and --skip-rows wrapped
+  // through an int cast.
+  const std::string in_path = testing::TempDir() + "/cli_smoke_flags.csv";
+  {
+    FILE* f = fopen(in_path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (int row = 0; row < 20; ++row) {
+      fputs("0,1,2,3,4,5,6,7,8,9\n", f);
+    }
+    fclose(f);
+  }
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"columns", "0,1,2,3,4,5,6,7,8"},
+      {"columns", "0,x"},
+      {"columns", "0,-1"},
+      {"columns", "1x"},
+      {"columns", "0,,1"},
+      {"columns", "0,"},
+      {"columns", "99999999999"},
+      {"skip-rows", "-1"},
+      {"skip-rows", "4294967297"},
+      {"skip-rows", "1.5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const CommandResult result =
+        RunCommand("--input " + in_path + " --" + flag + " " + value);
+    EXPECT_EQ(result.exit_code, 1) << flag << " " << value;
+    EXPECT_NE(result.output.find("error: "), std::string::npos)
+        << flag << " " << value << ": " << result.output;
+  }
+  // Good values still read: columns in any order, a header row skipped.
+  const CommandResult good = RunCommand(
+      "--input " + in_path + " --columns 9,0,3 --skip-rows 1");
+  EXPECT_EQ(good.exit_code, 0) << good.output;
+  std::remove(in_path.c_str());
+}
+
+TEST(CliSmokeTest, ValidateTraceRejectsBadIntegerFlags) {
+  // A non-numeric minimum once aborted through ValueOrDie (exit 134).
+  for (const char* flag : {"min_task_spans", "min_partitions"}) {
+    for (const char* value : {"abc", "-1", "2.5"}) {
+      const CommandResult result = RunCommand(
+          std::string("--metrics unused.json --") + flag + " " + value,
+          DOD_VALIDATE_TRACE_PATH);
+      EXPECT_EQ(result.exit_code, 1) << flag << " " << value;
+      EXPECT_NE(result.output.find(std::string("--") + flag),
+                std::string::npos)
+          << flag << " " << value << ": " << result.output;
+    }
+  }
 }
 
 TEST(CliSmokeTest, PlanExport) {

@@ -10,12 +10,15 @@
 
 #include <cmath>
 
+#include "common/random.h"
+#include "core/pipeline.h"
 #include "data/generators.h"
 #include "data/tiger_like.h"
 #include "detection/brute_force.h"
 #include "detection/cell_based.h"
 #include "detection/detector.h"
 #include "detection/nested_loop.h"
+#include "kernels/distance_kernels.h"
 
 namespace dod {
 namespace {
@@ -248,6 +251,111 @@ TEST(DetectorDeterminism, NestedLoopStableAcrossCalls) {
   NestedLoopDetector nl;
   EXPECT_EQ(nl.DetectOutliers(data, data.size(), params),
             nl.DetectOutliers(data, data.size(), params));
+}
+
+// Nested-Loop as a local-index loop: query i is read through the view, its
+// own slot is found by scanning the segment's ids, and its start offset is
+// the i-th draw of the seed's stream — the same offsets the detector draws
+// before sweeping its segment in slot order.
+std::vector<uint32_t> ReferenceNestedLoop(const PartitionView& view,
+                                          const DetectionParams& params,
+                                          const KernelOps& ops,
+                                          uint64_t* evals) {
+  Rng rng(params.seed);
+  const SoABlock& probes = view.probes();
+  const size_t begin = view.probe_begin();
+  const size_t end = view.probe_end();
+  const double sq_radius = params.radius * params.radius;
+  const int k = params.min_neighbors;
+  std::vector<uint32_t> outliers;
+  for (uint32_t i = 0; i < view.num_core(); ++i) {
+    size_t self = begin;
+    while (probes.IdAt(self) != i) ++self;
+    const size_t start = begin + rng.NextBounded(view.size());
+    int neighbors = ops.count_within_radius(probes, start, end, view.point(i),
+                                            sq_radius, self, k, evals);
+    if (neighbors < k) {
+      neighbors += ops.count_within_radius(probes, begin, start,
+                                           view.point(i), sq_radius, self,
+                                           k - neighbors, evals);
+    }
+    if (neighbors < k) outliers.push_back(i);
+  }
+  return outliers;
+}
+
+TEST(NestedLoopEquivalence, SlotOrderSweepMatchesLocalIndexLoop) {
+  // Same outliers and same nested_loop.distance_evals as the local-index
+  // loop, on views with and without support points, for k = 1..8, under
+  // both kernel modes (each against the reference over its own kernels,
+  // scalar's per-pair schedule included).
+  const Dataset tiger = GenerateTigerLike(1500, 5);
+  const Dataset uniform =
+      GenerateUniform(1200, DomainForDensity(1200, 0.05), 6);
+  for (const Dataset* data : {&tiger, &uniform}) {
+    for (size_t num_core : {data->size(), data->size() * 2 / 3}) {
+      for (int k = 1; k <= 8; ++k) {
+        const std::vector<uint32_t> oracle =
+            Oracle(*data, num_core, DetectionParams{5.0, k});
+        for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+          DetectionParams params{5.0, k};
+          params.seed = 100 + k;
+          params.kernels = mode;
+          TaskArena arena(*data);
+          arena.BeginCell();
+          for (PointId id = 0; id < data->size(); ++id) arena.AddPoint(id);
+          arena.EndCell(num_core, params.seed ^ kArenaSeedSalt);
+          ASSERT_TRUE(arena.TryBuildProbes().ok());
+          const PartitionView view = arena.View(0);
+
+          uint64_t want_evals = 0;
+          const std::vector<uint32_t> want = ReferenceNestedLoop(
+              view, params, GetKernelOps(mode), &want_evals);
+          Counters counters;
+          const std::vector<uint32_t> got =
+              NestedLoopDetector().DetectOutliers(view, params, &counters);
+          const std::string label =
+              "n=" + std::to_string(data->size()) +
+              " core=" + std::to_string(num_core) + " k=" +
+              std::to_string(k) + " " + KernelModeName(mode);
+          EXPECT_EQ(got, want) << label;
+          EXPECT_EQ(counters.Get("nested_loop.distance_evals"), want_evals)
+              << label;
+          EXPECT_EQ(got, oracle) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(NestedLoopEquivalence, PipelineMatchesOracleAtOneAndFourThreads) {
+  // Every partition on Nested-Loop, with supporting areas: the outliers
+  // are the oracle's and the evaluation count does not depend on the
+  // thread count.
+  const Dataset data = GenerateTigerLike(6000, 8);
+  for (int k = 1; k <= 8; ++k) {
+    DetectionParams params{5.0, k};
+    const std::vector<uint32_t> oracle = Oracle(data, data.size(), params);
+    uint64_t evals_at_one = 0;
+    for (int threads : {1, 4}) {
+      DodConfig config = DodConfig::Baseline(params, StrategyKind::kCDriven,
+                                             AlgorithmKind::kNestedLoop);
+      config.num_threads = threads;
+      const Result<DodResult> run = DodPipeline(config).Run(data);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.value().outliers,
+                std::vector<PointId>(oracle.begin(), oracle.end()))
+          << "k=" << k << " threads=" << threads;
+      const uint64_t evals =
+          run.value().detect_stats.counters.Get("nested_loop.distance_evals");
+      EXPECT_GT(evals, 0u) << "k=" << k;
+      if (threads == 1) {
+        evals_at_one = evals;
+      } else {
+        EXPECT_EQ(evals, evals_at_one) << "k=" << k;
+      }
+    }
+  }
 }
 
 TEST(CellGeometry, SideAndRingsMatchPaperIn2D) {

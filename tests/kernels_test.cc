@@ -153,10 +153,13 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
         for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(0.0, 10.0);
         const double sq_radius =
             trial % 2 == 0 ? rng.NextUniform(0.5, 16.0) : 2.0;
+        // slot j holds point j, so the skip is both an id (range_mask) and
+        // a position (the count); data.size() matches no slot.
         const uint32_t skip =
             data.empty() ? kSoaInvalidId
                          : static_cast<uint32_t>(rng.NextBounded(
-                               data.size() + 1));  // sometimes matches none
+                               data.size() + 1));
+        const size_t skip_slot = data.empty() ? kNoSkipSlot : skip;
         const size_t begin = data.empty() ? 0 : rng.NextBounded(data.size());
         const size_t end =
             begin + (data.size() > begin
@@ -165,7 +168,8 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
 
         uint64_t scalar_pairs = 0;
         const int want_count = scalar.count_within_radius(
-            soa, begin, end, q.data(), sq_radius, skip, -1, &scalar_pairs);
+            soa, begin, end, q.data(), sq_radius, skip_slot, -1,
+            &scalar_pairs);
         std::vector<uint32_t> want_mask;
         scalar.range_mask(soa, q.data(), sq_radius, skip, &want_mask,
                           nullptr);
@@ -178,7 +182,7 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
           SCOPED_TRACE(std::string("impl=") + ops->name);
           uint64_t pairs = 0;
           EXPECT_EQ(ops->count_within_radius(soa, begin, end, q.data(),
-                                             sq_radius, skip, -1, &pairs),
+                                             sq_radius, skip_slot, -1, &pairs),
                     want_count);
           // Uncapped kernels evaluate every non-skipped pair in range.
           EXPECT_EQ(pairs, scalar_pairs);
@@ -187,7 +191,8 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
           for (int cap : {1, 2, want_count, want_count + 1}) {
             if (cap < 0) continue;
             const int capped = ops->count_within_radius(
-                soa, begin, end, q.data(), sq_radius, skip, cap, nullptr);
+                soa, begin, end, q.data(), sq_radius, skip_slot, cap,
+                nullptr);
             EXPECT_EQ(capped >= cap, want_count >= cap) << "cap=" << cap;
             if (capped < cap) {
               EXPECT_EQ(capped, want_count);
@@ -211,97 +216,119 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
   }
 }
 
-TEST(DistanceKernelsTest, Avx2CappedCountStopsAtTheBlockThatReachedTheCap) {
-  // The avx2 count checks its cap after every block, so a capped query
-  // evaluates every non-skipped slot of [begin, end) up to the end of the
-  // block where the running count reached the cap, and no further. The
-  // distance_evals counter depends on exactly this schedule.
-  const KernelOps* avx2 = GetKernelOpsByName("avx2");
-  if (avx2 == nullptr) GTEST_SKIP() << "avx2 kernels unavailable";
-  const KernelOps& scalar = *GetKernelOpsByName("scalar");
-  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
-    const Dataset data = RandomDataset(dims, 6 * kSoaWidth, 7000u + dims);
-    SoABlock soa(dims);
-    soa.Assign(data);
-    const size_t n = soa.size();
-    // Both ends off a block boundary.
-    const size_t begin = 3;
-    const size_t end = (n - 1) % kSoaWidth != 0 ? n - 1 : n - 2;
-    Rng rng(91u * dims);
-    Point q(dims);
-    for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(3.0, 7.0);
-    const double sq_radius = 16.0 * dims;
-    std::vector<double> d2(n);
-    scalar.squared_distances(soa, q.data(), d2.data(), nullptr);
-    // Skip nothing, or a slot in the head, an interior or the tail block.
-    for (const uint32_t skip :
-         {kSoaInvalidId, soa.IdAt(begin + 1), soa.IdAt(3 * kSoaWidth + 2),
-          soa.IdAt(end - 1)}) {
-      int total = 0;
-      for (size_t s = begin; s < end; ++s) {
-        total += soa.IdAt(s) != skip && d2[s] <= sq_radius ? 1 : 0;
-      }
-      ASSERT_GT(total, 4) << "dims=" << dims;
-      for (int cap = 1; cap <= total + 1; ++cap) {
-        // Walk block by block: the expected stop is the first block end
-        // where the running count reaches the cap.
-        int want_count = 0;
-        uint64_t want_pairs = 0;
-        for (size_t s = begin; s < end; ++s) {
-          if (soa.IdAt(s) != skip) {
-            ++want_pairs;
-            want_count += d2[s] <= sq_radius ? 1 : 0;
-          }
-          if ((s + 1) % kSoaWidth == 0 && want_count >= cap) break;
-        }
-        uint64_t pairs = 0;
-        const int got = avx2->count_within_radius(
-            soa, begin, end, q.data(), sq_radius, skip, cap, &pairs);
-        EXPECT_EQ(got, want_count)
-            << "dims=" << dims << " skip=" << skip << " cap=" << cap;
-        EXPECT_EQ(pairs, want_pairs)
-            << "dims=" << dims << " skip=" << skip << " cap=" << cap;
-      }
-    }
+// Coordinates of `slot`, read from its lanes.
+Point SlotPoint(const SoABlock& soa, size_t slot) {
+  Point p(soa.dims());
+  for (int d = 0; d < soa.dims(); ++d) {
+    p[d] = soa.Lane(slot / kSoaWidth, d)[slot % kSoaWidth];
   }
+  return p;
 }
 
-TEST(DistanceKernelsTest, BlockedAndAvx2CappedCountsEvaluateTheSamePairs) {
-  // Both batched paths check the cap after every block, so a capped count
-  // returns the same running count and charges the same evaluated pairs
-  // in either — the distance_evals counter does not depend on whether the
-  // build has AVX2.
-  const KernelOps* avx2 = GetKernelOpsByName("avx2");
-  if (avx2 == nullptr) GTEST_SKIP() << "avx2 kernels unavailable";
-  const KernelOps& blocked = *GetKernelOpsByName("blocked");
+struct CountAndPairs {
+  int count = 0;
+  uint64_t pairs = 0;
+};
+
+// The count_within_radius contract, one pair at a time over the squared
+// distances `d2` of every slot: every slot of [begin, end) but skip_slot is
+// evaluated until the cap is reached. Scalar checks the cap after every
+// hit; the batched schedule checks it at every block end (and so stops at
+// the end of the block that reached it).
+CountAndPairs ReferenceCount(const std::vector<double>& d2, size_t begin,
+                             size_t end, double sq_radius, size_t skip_slot,
+                             int cap, bool batched) {
+  CountAndPairs ref;
+  if (cap == 0) return ref;
+  for (size_t slot = begin; slot < end; ++slot) {
+    if (slot != skip_slot) {
+      ++ref.pairs;
+      if (d2[slot] <= sq_radius) {
+        ++ref.count;
+        if (!batched && cap >= 0 && ref.count >= cap) break;
+      }
+    }
+    if (batched && cap >= 0 && (slot + 1) % kSoaWidth == 0 &&
+        ref.count >= cap) {
+      break;
+    }
+  }
+  return ref;
+}
+
+TEST(DistanceKernelsTest, CountMatchesAPerPairReferenceOnEveryAxis) {
+  // Every implementation against ReferenceCount, count and pairs alike:
+  // dims 1..8; begin and end on and off block boundaries; the skip slot
+  // absent, in the head, an interior or the tail block, or outside the
+  // range; every cap from 0 to one past the full count; integer
+  // coordinates with an integer radius (ties at exactly r) and uniform
+  // ones; and queries read from the buffer's own slots, including a NaN
+  // and an infinite one.
+  const std::vector<const KernelOps*> impls = AvailableImpls();
+  constexpr size_t kSlots = 7 * kSoaWidth + 3;
   for (int dims = 1; dims <= kMaxDimensions; ++dims) {
-    const Dataset data = RandomDataset(dims, 7 * kSoaWidth, 8100u + dims);
-    SoABlock soa(dims);
-    soa.Assign(data);
-    Rng rng(53u * dims);
-    Point q(dims);
-    for (int trial = 0; trial < 24; ++trial) {
-      for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(2.0, 8.0);
-      const double sq_radius = rng.NextUniform(4.0, 16.0 * dims);
-      const size_t begin = rng.NextBounded(soa.size());
-      const size_t end = begin + rng.NextBounded(soa.size() - begin + 1);
-      const uint32_t skip =
-          trial % 3 == 0 || end == begin
-              ? kSoaInvalidId
-              : soa.IdAt(begin + rng.NextBounded(end - begin));
-      for (int cap = 0; cap <= 40; cap += 1 + trial % 4) {
-        uint64_t blocked_pairs = 0;
-        uint64_t avx2_pairs = 0;
-        const int blocked_count = blocked.count_within_radius(
-            soa, begin, end, q.data(), sq_radius, skip, cap, &blocked_pairs);
-        const int avx2_count = avx2->count_within_radius(
-            soa, begin, end, q.data(), sq_radius, skip, cap, &avx2_pairs);
-        EXPECT_EQ(blocked_count, avx2_count)
-            << "dims=" << dims << " [" << begin << ", " << end
-            << ") cap=" << cap;
-        EXPECT_EQ(blocked_pairs, avx2_pairs)
-            << "dims=" << dims << " [" << begin << ", " << end
-            << ") cap=" << cap;
+    for (bool ties : {true, false}) {
+      Rng rng(6151u * dims + (ties ? 1 : 0));
+      SoABlock soa(dims);
+      Point p(dims);
+      for (size_t slot = 0; slot < kSlots; ++slot) {
+        for (int d = 0; d < dims; ++d) {
+          p[d] = ties ? static_cast<double>(rng.NextBounded(4))
+                      : rng.NextUniform(0.0, 4.0);
+        }
+        if (slot == 2 * kSoaWidth + 1) p[dims - 1] = kNaN;
+        if (slot == 4 * kSoaWidth + 6) p[0] = kInf;
+        soa.Append(p.data(), static_cast<uint32_t>(slot));
+      }
+      const double sq_radius = ties ? 2.0 : rng.NextUniform(1.0, 3.0);
+      const size_t query_slots[] = {5, 2 * kSoaWidth + 1, 4 * kSoaWidth + 6,
+                                    kSlots - 1};
+      const size_t begins[] = {0, 3, kSoaWidth, kSoaWidth + 5};
+      for (size_t begin : begins) {
+        const size_t ends[] = {begin,       begin + 2,   begin + kSoaWidth,
+                               kSlots - 11, kSlots - 8, kSlots};
+        for (size_t end : ends) {
+          // None, head, interior, tail, outside the range.
+          const size_t interior = (begin / kSoaWidth + 2) * kSoaWidth + 3;
+          const size_t skips[] = {
+              kNoSkipSlot, begin, interior < end ? interior : begin + 1,
+              end == 0 ? 0 : end - 1, begin == 0 ? end : begin - 1};
+          for (size_t query_slot : query_slots) {
+            const Point q = SlotPoint(soa, query_slot);
+            std::vector<double> d2(kSlots);
+            for (size_t slot = 0; slot < kSlots; ++slot) {
+              d2[slot] =
+                  SquaredEuclidean(q.data(), SlotPoint(soa, slot).data(), dims);
+            }
+            for (size_t skip : skips) {
+              const int total =
+                  ReferenceCount(d2, begin, end, sq_radius, skip, -1, false)
+                      .count;
+              for (int cap = -1; cap <= total + 1; ++cap) {
+                const CountAndPairs per_pair =
+                    ReferenceCount(d2, begin, end, sq_radius, skip, cap, false);
+                const CountAndPairs per_block =
+                    ReferenceCount(d2, begin, end, sq_radius, skip, cap, true);
+                for (const KernelOps* ops : impls) {
+                  const CountAndPairs& want =
+                      ops == impls.front() ? per_pair : per_block;
+                  uint64_t pairs = 0;
+                  const int got = ops->count_within_radius(
+                      soa, begin, end, q.data(), sq_radius, skip, cap,
+                      &pairs);
+                  ASSERT_EQ(got, want.count)
+                      << ops->name << " dims=" << dims << " ties=" << ties
+                      << " [" << begin << ", " << end << ") query "
+                      << query_slot << " skip=" << skip << " cap=" << cap;
+                  ASSERT_EQ(pairs, want.pairs)
+                      << ops->name << " dims=" << dims << " ties=" << ties
+                      << " [" << begin << ", " << end << ") query "
+                      << query_slot << " skip=" << skip << " cap=" << cap;
+                }
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -389,7 +416,7 @@ TEST(DistanceKernelsTest, TieAtExactlyRadiusIsANeighbor) {
     SCOPED_TRACE(std::string("impl=") + ops->name);
     // r = 3: exactly one point at distance exactly 3, none closer.
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 9.0,
-                                       kSoaInvalidId, -1, nullptr),
+                                       kNoSkipSlot, -1, nullptr),
               1);
     std::vector<uint32_t> mask;
     ops->range_mask(soa, &q, 9.0, kSoaInvalidId, &mask, nullptr);
@@ -412,7 +439,7 @@ TEST(DistanceKernelsTest, NaNCoordinatesAreExcludedEverywhere) {
     // Huge radius: the NaN point still never matches; the +inf point's
     // distance is +inf, beyond any finite radius.
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), q, 1e300,
-                                       kSoaInvalidId, -1, nullptr),
+                                       kNoSkipSlot, -1, nullptr),
               1);
     std::vector<uint32_t> mask;
     ops->range_mask(soa, q, 1e300, kSoaInvalidId, &mask, nullptr);
@@ -436,7 +463,7 @@ TEST(DistanceKernelsTest, NonFiniteQueryAgainstPadSlots) {
   for (const KernelOps* ops : AvailableImpls()) {
     SCOPED_TRACE(std::string("impl=") + ops->name);
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 1e300,
-                                       kSoaInvalidId, -1, nullptr),
+                                       kNoSkipSlot, -1, nullptr),
               0);
     std::vector<uint32_t> mask;
     ops->range_mask(soa, &q, 1e300, kSoaInvalidId, &mask, nullptr);

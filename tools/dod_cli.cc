@@ -9,11 +9,13 @@
 //           --strategy cdriven --algorithm cell_based --out outliers.csv
 //   dod_cli --generate tiger --n 50000 --plan-out plan.txt --verbose
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <system_error>
 
 #include "common/flags.h"
 #include "core/pipeline.h"
@@ -137,17 +139,26 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
     dod::CsvOptions options;
     const std::string delimiter = flags.GetStringOr("delimiter", ",");
     if (!delimiter.empty()) options.delimiter = delimiter[0];
-    auto skip = flags.GetInt("skip-rows", 0);
+    auto skip = flags.GetIntInRange("skip-rows", 0, 0, kMaxInt);
     if (!skip.ok()) return skip.status();
     options.skip_rows = static_cast<int>(skip.value());
     const std::string columns = flags.GetStringOr("columns", "");
     if (!columns.empty()) {
       size_t pos = 0;
-      while (pos < columns.size()) {
+      while (pos <= columns.size()) {
         size_t comma = columns.find(',', pos);
         if (comma == std::string::npos) comma = columns.size();
-        options.columns.push_back(
-            std::atoi(columns.substr(pos, comma - pos).c_str()));
+        const std::string token = columns.substr(pos, comma - pos);
+        int column = 0;
+        const auto [end, ec] =
+            std::from_chars(token.data(), token.data() + token.size(), column);
+        if (token.empty() || ec != std::errc() ||
+            end != token.data() + token.size() || column < 0) {
+          return dod::Status::InvalidArgument(
+              "--columns: '" + token +
+              "' is not a non-negative integer column index");
+        }
+        options.columns.push_back(column);
         pos = comma + 1;
       }
     }

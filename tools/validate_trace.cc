@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -443,10 +444,15 @@ int main(int argc, char** argv) {
 
   const std::string trace_path = flags.GetStringOr("trace", "");
   const std::string metrics_path = flags.GetStringOr("metrics", "");
-  const long long min_task_spans =
-      flags.GetInt("min_task_spans", 1).ValueOrDie();
-  const long long min_partitions =
-      flags.GetInt("min_partitions", 1).ValueOrDie();
+  constexpr long long kMaxLongLong = std::numeric_limits<long long>::max();
+  const dod::Result<long long> task_spans_flag =
+      flags.GetIntInRange("min_task_spans", 1, 0, kMaxLongLong);
+  if (!task_spans_flag.ok()) return Fail(task_spans_flag.status().ToString());
+  const dod::Result<long long> partitions_flag =
+      flags.GetIntInRange("min_partitions", 1, 0, kMaxLongLong);
+  if (!partitions_flag.ok()) return Fail(partitions_flag.status().ToString());
+  const long long min_task_spans = task_spans_flag.value();
+  const long long min_partitions = partitions_flag.value();
   const bool require_durability =
       flags.GetBoolOr("require_durability", false);
   const bool require_streaming = flags.GetBoolOr("require_streaming", false);

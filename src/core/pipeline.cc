@@ -10,6 +10,7 @@
 #include "common/distance.h"
 #include "common/timer.h"
 #include "detection/partition_view.h"
+#include "dshc/dshc.h"
 #include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
 #include "durability/payload.h"
@@ -563,6 +564,19 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   if (!std::isfinite(config.sampler.rate) || config.sampler.rate < 0.0) {
     return Status::InvalidArgument(
         "DodPipeline::Run: sampler.rate must be finite and >= 0");
+  }
+  if (config.strategy == StrategyKind::kDmt) {
+    const int per_dim = EffectiveBucketsPerDim(config.sampler, data.size());
+    const double buckets = std::pow(static_cast<double>(per_dim), data.dims());
+    if (buckets > kMaxDshcBuckets) {
+      char message[256];
+      std::snprintf(message, sizeof(message),
+                    "DodPipeline::Run: the DMT mini-bucket grid (%d^%d = %.0f "
+                    "buckets) exceeds DSHC's limit of %.0f; lower "
+                    "sampler.buckets_per_dim or use another strategy",
+                    per_dim, data.dims(), buckets, kMaxDshcBuckets);
+      return Status::InvalidArgument(message);
+    }
   }
   StopWatch wall;
   DodResult result;

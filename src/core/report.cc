@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "kernels/distance_kernels.h"
+
 namespace dod {
 namespace {
 
@@ -74,6 +76,10 @@ std::string FormatRunReport(const DodConfig& config, const DodResult& result,
               result.verify_stats.map_wall_seconds,
           result.detect_stats.reduce_wall_seconds +
               result.verify_stats.reduce_wall_seconds);
+  // Which table kAuto resolves to depends on this machine's CPU.
+  Appendf(out, "kernels       : %s (%s)\n",
+          GetKernelOps(config.params.kernels).name,
+          KernelModeName(config.params.kernels));
 
   // Cost-model accuracy: the planner's predicted per-partition workload
   // against the distance evaluations detection actually performed.

@@ -14,7 +14,7 @@
 namespace dod {
 
 // Multi-line summary: configuration, outliers, plan composition, stage
-// breakdown, and headline counters.
+// breakdown, the kernel table the run used, and headline counters.
 std::string FormatRunReport(const DodConfig& config, const DodResult& result,
                             size_t input_points);
 

@@ -89,9 +89,9 @@ std::vector<AggregateFeature> ClusterMiniBuckets(
   const MiniBucketGrid& grid = sketch.grid;
   const int dims = grid.dims();
   const int per_dim = grid.buckets_per_dim();
-  double total_buckets = std::pow(static_cast<double>(per_dim), dims);
-  DOD_CHECK_MSG(total_buckets <= (1 << 22),
-                "mini-bucket grid too fine for exhaustive DSHC scan");
+  DOD_CHECK_MSG(
+      std::pow(static_cast<double>(per_dim), dims) <= kMaxDshcBuckets,
+      "mini-bucket grid too fine for exhaustive DSHC scan");
 
   const DshcThresholds thresholds = ResolveThresholds(sketch, options);
   AfTreeOptions tree_options;

@@ -63,6 +63,11 @@ DshcThresholds ResolveThresholds(const DistributionSketch& sketch,
 std::function<double(const AggregateFeature&)> ClusterCostFn(
     int dims, const DetectionParams& params);
 
+// Largest mini-bucket grid (buckets_per_dim ^ dims buckets) the exhaustive
+// DSHC scan accepts. DodPipeline::Run refuses a DMT run whose grid would
+// exceed it before doing any work; ClusterMiniBuckets checks it again.
+inline constexpr double kMaxDshcBuckets = 1 << 22;
+
 // Runs DSHC over every mini bucket of the sketch (empty buckets included so
 // the resulting clusters tile the whole domain). Bucket counts are scaled
 // to full-data estimates. Returns one AF per cluster; their bounding boxes

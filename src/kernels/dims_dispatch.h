@@ -1,9 +1,10 @@
 // Copyright 2026 The DOD Authors.
 //
-// Internal to the kernels library: the one per-dims dispatch both kernel
-// tables (distance_kernels.cc, distance_kernels_avx2.cc) use to enter their
-// `template <int kDims>` bodies, where the dimension loop fully unrolls,
-// and the pair accounting both batched counts share.
+// Internal to the kernels library: the one per-dims dispatch every kernel
+// source (distance_kernels.cc, distance_kernels_avx2.cc,
+// distance_kernels_avx512.cc) uses to enter its `template <int kDims>`
+// bodies, where the dimension loop fully unrolls, and the pair accounting
+// the batched counts share.
 
 #ifndef DOD_KERNELS_DIMS_DISPATCH_H_
 #define DOD_KERNELS_DIMS_DISPATCH_H_

@@ -1,8 +1,8 @@
 // Copyright 2026 The DOD Authors.
 //
 // Scalar (reference) and blocked (portable batched) kernel implementations
-// plus the runtime dispatch table. The AVX2 specialization lives in
-// distance_kernels_avx2.cc.
+// plus the runtime dispatch table. The AVX2 and AVX-512 specializations
+// live in distance_kernels_avx2.cc and distance_kernels_avx512.cc.
 
 #include "kernels/distance_kernels.h"
 
@@ -13,8 +13,10 @@
 
 namespace dod {
 namespace internal {
-// Defined in distance_kernels_avx2.cc; nullptr when not compiled in.
+// Defined in distance_kernels_avx2.cc and distance_kernels_avx512.cc;
+// nullptr when not compiled in.
 const KernelOps* Avx2KernelOpsOrNull();
+const KernelOps* Avx512KernelOpsOrNull();
 }  // namespace internal
 
 namespace {
@@ -361,10 +363,26 @@ bool Avx2KernelsAvailable() {
   return available;
 }
 
+// The avx512 table reuses avx2's non-count entries, so it needs both.
+bool Avx512KernelsAvailable() {
+  static const bool available = [] {
+    if (internal::Avx512KernelOpsOrNull() == nullptr) return false;
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+    return Avx2KernelsAvailable() && __builtin_cpu_supports("avx512f") != 0;
+#else
+    return false;
+#endif
+  }();
+  return available;
+}
+
 const KernelOps& GetKernelOps(KernelMode mode) {
   if (mode == KernelMode::kScalar) return kScalarOps;
-  if (Avx2KernelsAvailable()) return *internal::Avx2KernelOpsOrNull();
-  return kBlockedOps;
+  static const KernelOps& best =
+      Avx512KernelsAvailable() ? *internal::Avx512KernelOpsOrNull()
+      : Avx2KernelsAvailable() ? *internal::Avx2KernelOpsOrNull()
+                               : kBlockedOps;
+  return best;
 }
 
 const KernelOps* GetKernelOpsByName(std::string_view impl) {
@@ -372,6 +390,10 @@ const KernelOps* GetKernelOpsByName(std::string_view impl) {
   if (impl == "blocked") return &kBlockedOps;
   if (impl == "avx2") {
     return Avx2KernelsAvailable() ? internal::Avx2KernelOpsOrNull() : nullptr;
+  }
+  if (impl == "avx512") {
+    return Avx512KernelsAvailable() ? internal::Avx512KernelOpsOrNull()
+                                    : nullptr;
   }
   return nullptr;
 }

@@ -1,28 +1,32 @@
 // Copyright 2026 The DOD Authors.
 //
-// Batched distance kernels over SoABlock buffers. Three implementations —
+// Batched distance kernels over SoABlock buffers. Four implementations —
 // "scalar" (per-pair reference), "blocked" (portable, autovectorization-
-// friendly loops over kSoaWidth-wide lanes) and "avx2" (intrinsics, chosen
-// at runtime behind a CPU probe) — share one function-pointer table.
+// friendly loops over kSoaWidth-wide lanes), "avx2" (intrinsics, a block as
+// two 4-wide vectors) and "avx512" (a block as one 8-wide vector whose
+// compares land in a mask register; only the two counts are its own, the
+// other entries are avx2's) — share one function-pointer table. avx2 and
+// avx512 are chosen at runtime behind a CPU probe.
 //
 // Exactness contract: every implementation returns bit-identical verdicts.
 // Squared distances are computed as sum_d (q[d] - c[d])^2 with each
 // subtract / multiply / add rounded individually (the kernels library is
-// built with FP contraction off and the AVX2 path uses explicit mul+add,
-// never FMA), accumulated in ascending dimension order — exactly the
-// arithmetic of SquaredEuclidean in common/distance.h. Threshold tests
-// compare squared distances with <=, so a pair at distance exactly r is a
-// neighbor in every implementation; NaN coordinates make the comparison
-// false everywhere (ordered compares), excluding the pair identically.
-// Pad slots carry +infinity coordinates and are never counted, matched or
-// charged to the pair counters.
+// built with FP contraction off and the intrinsic paths use explicit
+// mul+add, never FMA), accumulated in ascending dimension order — exactly
+// the arithmetic of SquaredEuclidean in common/distance.h. Threshold tests
+// compare squared distances with <= (ordered _CMP_LE_OQ compares in the
+// intrinsic paths, whether into a vector or a mask register), so a pair at
+// distance exactly r is a neighbor in every implementation; NaN
+// coordinates make the comparison false everywhere, excluding the pair
+// identically. Pad slots carry +infinity coordinates and are never
+// counted, matched or charged to the pair counters.
 //
 // What is *not* promised across implementations is the evaluation
 // schedule of a capped count. Scalar stops at the pair that reaches the
-// cap. Blocked and avx2 check the cap after every kSoaWidth-slot block, so
-// the two batched paths evaluate the same pairs and their counter may
-// exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped counts
-// evaluate the same pairs everywhere, and verdicts (count >= k,
+// cap. The batched paths (blocked, avx2, avx512) check the cap after every
+// kSoaWidth-slot block, so they evaluate the same pairs and their counter
+// may exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped
+// counts evaluate the same pairs everywhere, and verdicts (count >= k,
 // membership, minima, distances) are identical.
 //
 // The count skips the query's own slot by *position*: a caller sweeping a
@@ -95,17 +99,22 @@ struct KernelOps {
                                    uint32_t* row_counts, uint32_t* col_counts);
 };
 
-// Table for a mode: kScalar -> scalar; kAuto -> AVX2 when compiled in and
-// supported by this CPU, else blocked.
+// Table for a mode: kScalar -> scalar; kAuto -> avx512 when compiled in and
+// this CPU has avx512f, else avx2 when compiled in and supported, else
+// blocked. The kAuto choice is made once per process.
 const KernelOps& GetKernelOps(KernelMode mode);
 
-// Table by implementation name ("scalar" | "blocked" | "avx2"); nullptr
-// when unknown or unavailable on this build/CPU. Used by benches and tests
-// to pin an implementation regardless of dispatch.
+// Table by implementation name ("scalar" | "blocked" | "avx2" | "avx512");
+// nullptr when unknown or unavailable on this build/CPU. Used by benches and
+// tests to pin an implementation regardless of dispatch.
 const KernelOps* GetKernelOpsByName(std::string_view impl);
 
 // True iff the AVX2 specialization is compiled in and this CPU supports it.
 bool Avx2KernelsAvailable();
+
+// True iff the AVX-512 specialization is compiled in and this CPU supports
+// both it (avx512f) and the AVX2 entries it reuses.
+bool Avx512KernelsAvailable();
 
 }  // namespace dod
 

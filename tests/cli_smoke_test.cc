@@ -147,6 +147,52 @@ TEST(CliSmokeTest, BadCsvFlagsAreRejected) {
   std::remove(in_path.c_str());
 }
 
+TEST(CliSmokeTest, EightColumnDmtRunIsRefused) {
+  // DMT on 8-d input once aborted in DSHC (exit 134): the mini-bucket
+  // resolution is at least 8 per dimension and 8^8 buckets exceed the
+  // scan's limit. The run is refused with an error line; other strategies
+  // still take the file (with Nested-Loop: Cell-Based walks (2·ring+1)^8
+  // cells per verdict).
+  const std::string in_path = testing::TempDir() + "/cli_smoke_d8.csv";
+  {
+    FILE* f = fopen(in_path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (int row = 0; row < 20; ++row) {
+      fprintf(f, "%d,1,2,3,4,5,6,%d\n", row, row % 3);
+    }
+    fclose(f);
+  }
+  const CommandResult dmt = RunCommand("--input " + in_path);
+  EXPECT_EQ(dmt.exit_code, 1) << dmt.output;
+  EXPECT_NE(dmt.output.find("error: "), std::string::npos) << dmt.output;
+  EXPECT_NE(dmt.output.find("buckets_per_dim"), std::string::npos)
+      << dmt.output;
+  const CommandResult domain =
+      RunCommand("--input " + in_path +
+                 " --strategy domain --algorithm nested_loop");
+  EXPECT_EQ(domain.exit_code, 0) << domain.output;
+  std::remove(in_path.c_str());
+}
+
+TEST(CliSmokeTest, ReportNamesTheKernelTable) {
+  // Which batched table `auto` resolves to depends on the CPU, so the
+  // report says which one the run used.
+  const CommandResult automatic = RunCommand("--generate uniform --n 1500");
+  EXPECT_EQ(automatic.exit_code, 0) << automatic.output;
+  bool named = false;
+  for (const char* table : {"avx512", "avx2", "blocked"}) {
+    named |= automatic.output.find(std::string("kernels       : ") + table +
+                                   " (auto)\n") != std::string::npos;
+  }
+  EXPECT_TRUE(named) << automatic.output;
+  const CommandResult scalar =
+      RunCommand("--generate uniform --n 1500 --kernels scalar");
+  EXPECT_EQ(scalar.exit_code, 0) << scalar.output;
+  EXPECT_NE(scalar.output.find("kernels       : scalar (scalar)\n"),
+            std::string::npos)
+      << scalar.output;
+}
+
 TEST(CliSmokeTest, ValidateTraceRejectsBadIntegerFlags) {
   // A non-numeric minimum once aborted through ValueOrDie (exit 134).
   for (const char* flag : {"min_task_spans", "min_partitions"}) {

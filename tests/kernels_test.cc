@@ -1,7 +1,7 @@
 // Copyright 2026 The DOD Authors.
 //
-// The kernel exactness contract: scalar, blocked and AVX2 kernels return
-// bit-identical results on every input — dimensions 1..kMaxDimensions,
+// The kernel exactness contract: scalar, blocked, AVX2 and AVX-512 kernels
+// return bit-identical results on every input — dimensions 1..kMaxDimensions,
 // sizes straddling block boundaries, ties at exactly r, NaN/infinity
 // coordinates — and every detector produces the same outlier set under
 // --kernels=scalar and --kernels=auto, for any thread count.
@@ -36,8 +36,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 std::vector<const KernelOps*> AvailableImpls() {
   std::vector<const KernelOps*> impls = {GetKernelOpsByName("scalar"),
                                          GetKernelOpsByName("blocked")};
-  if (const KernelOps* avx2 = GetKernelOpsByName("avx2")) {
-    impls.push_back(avx2);
+  for (const char* name : {"avx2", "avx512"}) {
+    if (const KernelOps* ops = GetKernelOpsByName(name)) impls.push_back(ops);
   }
   return impls;
 }
@@ -259,11 +259,13 @@ CountAndPairs ReferenceCount(const std::vector<double>& d2, size_t begin,
 TEST(DistanceKernelsTest, CountMatchesAPerPairReferenceOnEveryAxis) {
   // Every implementation against ReferenceCount, count and pairs alike:
   // dims 1..8; begin and end on and off block boundaries; the skip slot
-  // absent, in the head, an interior or the tail block, or outside the
-  // range; every cap from 0 to one past the full count; integer
-  // coordinates with an integer radius (ties at exactly r) and uniform
-  // ones; and queries read from the buffer's own slots, including a NaN
-  // and an infinite one.
+  // absent, in the head, an interior or the tail block, in the second
+  // block of a pair avx512 scans together, or outside the range; every cap
+  // from 0 to one past the full count; integer coordinates with an integer
+  // radius (ties at exactly r) and uniform ones; and queries read from the
+  // buffer's own slots, including a NaN and an infinite one, and from the
+  // skip slot itself (Nested-Loop's case: the skipped slot is a hit). The
+  // last block holds pad slots.
   const std::vector<const KernelOps*> impls = AvailableImpls();
   constexpr size_t kSlots = 7 * kSoaWidth + 3;
   for (int dims = 1; dims <= kMaxDimensions; ++dims) {
@@ -288,19 +290,30 @@ TEST(DistanceKernelsTest, CountMatchesAPerPairReferenceOnEveryAxis) {
         const size_t ends[] = {begin,       begin + 2,   begin + kSoaWidth,
                                kSlots - 11, kSlots - 8, kSlots};
         for (size_t end : ends) {
-          // None, head, interior, tail, outside the range.
+          // None, head, interior, tail, the second block of the first
+          // interior pair (blocks from the first whole one on go two at a
+          // time), outside the range.
           const size_t interior = (begin / kSoaWidth + 2) * kSoaWidth + 3;
+          const size_t first_whole = (begin + kSoaWidth - 1) / kSoaWidth;
+          const size_t pair_second = (first_whole + 1) * kSoaWidth + 5;
           const size_t skips[] = {
-              kNoSkipSlot, begin, interior < end ? interior : begin + 1,
-              end == 0 ? 0 : end - 1, begin == 0 ? end : begin - 1};
-          for (size_t query_slot : query_slots) {
-            const Point q = SlotPoint(soa, query_slot);
-            std::vector<double> d2(kSlots);
-            for (size_t slot = 0; slot < kSlots; ++slot) {
-              d2[slot] =
-                  SquaredEuclidean(q.data(), SlotPoint(soa, slot).data(), dims);
-            }
-            for (size_t skip : skips) {
+              kNoSkipSlot,
+              begin,
+              interior < end ? interior : begin + 1,
+              end == 0 ? 0 : end - 1,
+              (first_whole + 2) * kSoaWidth <= end ? pair_second : begin + 2,
+              begin == 0 ? end : begin - 1};
+          for (size_t skip : skips) {
+            std::vector<size_t> queries(std::begin(query_slots),
+                                        std::end(query_slots));
+            if (skip < kSlots) queries.push_back(skip);
+            for (size_t query_slot : queries) {
+              const Point q = SlotPoint(soa, query_slot);
+              std::vector<double> d2(kSlots);
+              for (size_t slot = 0; slot < kSlots; ++slot) {
+                d2[slot] = SquaredEuclidean(q.data(),
+                                            SlotPoint(soa, slot).data(), dims);
+              }
               const int total =
                   ReferenceCount(d2, begin, end, sq_radius, skip, -1, false)
                       .count;
@@ -404,6 +417,55 @@ TEST(DistanceKernelsTest, TileRowAndColumnCountsMatchAPairLoop) {
   }
 }
 
+TEST(DistanceKernelsTest, TileMatchesScalarRowAndColumnCounts) {
+  // Every batched table's tile against the scalar table's on one buffer:
+  // segments with either end on or off a block boundary (the last block
+  // holds pad slots), NaN and infinite coordinates among both the slots and
+  // the queries, and ties at exactly r.
+  const std::vector<const KernelOps*> impls = AvailableImpls();
+  const KernelOps& scalar = *impls.front();
+  constexpr size_t kSlots = 5 * kSoaWidth + 3;
+  constexpr size_t kQueries = 2 * kSoaWidth + 1;
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    Rng rng(7919u * dims);
+    const auto coordinate = [&rng](size_t i) {
+      if (i % 11 == 4) return kNaN;
+      if (i % 13 == 6) return kInf;
+      return static_cast<double>(rng.NextBounded(4));
+    };
+    SoABlock soa(dims);
+    Point p(dims);
+    for (size_t slot = 0; slot < kSlots; ++slot) {
+      for (int d = 0; d < dims; ++d) p[d] = coordinate(slot + d);
+      soa.Append(p.data(), static_cast<uint32_t>(slot));
+    }
+    std::vector<double> queries(kQueries * dims);
+    for (size_t i = 0; i < queries.size(); ++i) queries[i] = coordinate(i);
+    for (size_t begin : {size_t{0}, size_t{3}, kSoaWidth, kSoaWidth + 7}) {
+      for (size_t end : {begin, begin + 1, 3 * kSoaWidth, kSlots - 1, kSlots}) {
+        if (end < begin) continue;
+        SCOPED_TRACE("dims=" + std::to_string(dims) + " [" +
+                     std::to_string(begin) + ", " + std::to_string(end) + ")");
+        std::vector<uint32_t> want_rows(kQueries, 1);
+        std::vector<uint32_t> want_cols(end - begin, 2);
+        scalar.count_tile_within_radius(soa, begin, end, queries.data(),
+                                        kQueries, 2.0, want_rows.data(),
+                                        want_cols.data());
+        for (const KernelOps* ops : impls) {
+          SCOPED_TRACE(std::string("impl=") + ops->name);
+          std::vector<uint32_t> rows(kQueries, 1);
+          std::vector<uint32_t> cols(end - begin, 2);
+          ops->count_tile_within_radius(soa, begin, end, queries.data(),
+                                        kQueries, 2.0, rows.data(),
+                                        cols.data());
+          EXPECT_EQ(rows, want_rows);
+          EXPECT_EQ(cols, want_cols);
+        }
+      }
+    }
+  }
+}
+
 TEST(DistanceKernelsTest, TieAtExactlyRadiusIsANeighbor) {
   // 1-d points at distance exactly r: d² == r² must count in every impl.
   SoABlock soa(1);
@@ -475,11 +537,17 @@ TEST(DistanceKernelsTest, NonFiniteQueryAgainstPadSlots) {
 TEST(DistanceKernelsTest, DispatchAndParsing) {
   EXPECT_STREQ(GetKernelOps(KernelMode::kScalar).name, "scalar");
   const KernelOps& auto_ops = GetKernelOps(KernelMode::kAuto);
-  if (Avx2KernelsAvailable()) {
+  if (Avx512KernelsAvailable()) {
+    EXPECT_STREQ(auto_ops.name, "avx512");
+  } else if (Avx2KernelsAvailable()) {
     EXPECT_STREQ(auto_ops.name, "avx2");
   } else {
     EXPECT_STREQ(auto_ops.name, "blocked");
   }
+  // The avx512 table reuses avx2's entries, so it never stands alone.
+  EXPECT_TRUE(!Avx512KernelsAvailable() || Avx2KernelsAvailable());
+  EXPECT_EQ(GetKernelOpsByName("avx2") != nullptr, Avx2KernelsAvailable());
+  EXPECT_EQ(GetKernelOpsByName("avx512") != nullptr, Avx512KernelsAvailable());
   KernelMode mode;
   EXPECT_TRUE(ParseKernelMode("scalar", &mode));
   EXPECT_EQ(mode, KernelMode::kScalar);

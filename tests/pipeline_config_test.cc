@@ -280,5 +280,20 @@ TEST(PipelineConfigTest, NegativeOrNonFiniteSamplerRateIsInvalidArgument) {
   }
 }
 
+TEST(PipelineConfigTest, TooFineDmtBucketGridIsInvalidArgument) {
+  // 8-d input once aborted in DSHC: the effective resolution is clamped to
+  // >= 8 per dimension, and 8^8 buckets exceed the scan's limit. Run must
+  // refuse it up front; 2-d with the same sampler runs.
+  const Dataset data = GenerateUniform(300, Rect::Cube(8, 0.0, 10.0), 3);
+  const DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+  const Result<DodResult> result = DodPipeline(config).Run(data);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("buckets_per_dim"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_TRUE(DodPipeline(config).Run(TestData(16, 300)).ok());
+}
+
 }  // namespace
 }  // namespace dod

@@ -41,13 +41,6 @@ inline bool WithinDistance(const double* a, const double* b, int dims,
   return WithinSquaredDistance(a, b, dims, radius * radius);
 }
 
-// L1 (Manhattan) distance; provided for completeness and tests.
-inline double Manhattan(const double* a, const double* b, int dims) {
-  double sum = 0.0;
-  for (int i = 0; i < dims; ++i) sum += std::fabs(a[i] - b[i]);
-  return sum;
-}
-
 // L-infinity (Chebyshev) distance; used by grid adjacency reasoning.
 inline double Chebyshev(const double* a, const double* b, int dims) {
   double best = 0.0;

@@ -3,7 +3,7 @@
 // Sparse uniform grid over d-dimensional space, built once over a fixed
 // point set. Cells are addressed by integer coordinates relative to an
 // anchor; only non-empty cells are materialized. Used by the Cell-Based
-// detector (Knorr & Ng) and by DBSCAN's eps index.
+// detector (Knorr & Ng).
 //
 // Layout (CSR): one CellIndex (detection/cell_key.h) maps a cell
 // coordinate to its cell index, and the member ids of all cells live in
@@ -23,7 +23,6 @@
 #ifndef DOD_DETECTION_GRID_H_
 #define DOD_DETECTION_GRID_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -80,21 +79,12 @@ class SparseGrid {
   // Pointer to the cell at `coord`, or nullptr when empty.
   const Cell* Find(const CellCoord& coord) const;
 
-  // Number of points within Chebyshev cell-distance `ring_radius` of `coord`
-  // (the (2·ring_radius+1)^d block centered on `coord`). Counts only
-  // materialized cells, including `coord` itself.
+  // Number of points within Chebyshev cell-distance `ring_radius` (>= 0)
+  // of `coord` (the (2·ring_radius+1)^d block centered on `coord`), including
+  // `coord` itself. Probes the block's cells, or scans cells() when fewer
+  // cells are occupied than the block has — at 8-d a Cell-Based ring of 6
+  // is 13^8 ≈ 8.2e8 cells. Either walk sums the same cells.
   size_t CountBlock(const CellCoord& coord, int ring_radius) const;
-
-  // Invokes `fn(cell)` for every non-empty cell in the block of Chebyshev
-  // radius `ring_radius` around `coord` whose Chebyshev distance is in
-  // [min_ring, ring_radius]. Pass min_ring=0 to include the center cell.
-  template <typename Fn>
-  void ForEachCellInBlock(const CellCoord& coord, int min_ring,
-                          int ring_radius, Fn&& fn) const {
-    CellCoord probe;
-    probe.dims = coord.dims;
-    VisitBlock(coord, min_ring, ring_radius, 0, 0, probe, fn);
-  }
 
  private:
   SparseGrid(const Point& origin, double side, uint32_t num_points);
@@ -117,22 +107,10 @@ class SparseGrid {
     const CellCoord& operator()(uint32_t i) const { return (*cells)[i].coord; }
   };
 
-  template <typename Fn>
-  void VisitBlock(const CellCoord& center, int min_ring, int max_ring,
-                  int dim, int cheby_so_far, CellCoord& probe,
-                  Fn&& fn) const {
-    if (dim == center.dims) {
-      if (cheby_so_far < min_ring) return;
-      const Cell* cell = Find(probe);
-      if (cell != nullptr) fn(*cell);
-      return;
-    }
-    for (int off = -max_ring; off <= max_ring; ++off) {
-      probe.c[dim] = center.c[dim] + off;
-      const int cheby = std::max(cheby_so_far, off < 0 ? -off : off);
-      VisitBlock(center, min_ring, max_ring, dim + 1, cheby, probe, fn);
-    }
-  }
+  // CountBlock's probing walk: sums the members of every cell of the block
+  // whose first `dim` coordinates are fixed in `probe`.
+  size_t ProbeBlock(const CellCoord& center, int ring_radius, int dim,
+                    CellCoord* probe) const;
 
   Point origin_;
   double side_;

@@ -21,8 +21,6 @@ const KernelOps* Avx512KernelOpsOrNull();
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 // ---- scalar: one pair at a time, per-pair early exit --------------------
 
 inline double ScalarSquaredDistance(const SoABlock& pts, size_t slot,
@@ -54,33 +52,6 @@ int ScalarCount(const SoABlock& pts, size_t begin, size_t end,
   }
   if (pairs != nullptr) *pairs += evals;
   return count;
-}
-
-void ScalarRangeMask(const SoABlock& pts, const double* q, double sq_radius,
-                     uint32_t skip_id, std::vector<uint32_t>* out,
-                     uint64_t* pairs) {
-  const int dims = pts.dims();
-  uint64_t evals = 0;
-  for (size_t slot = 0; slot < pts.size(); ++slot) {
-    const uint32_t id = pts.IdAt(slot);
-    if (id == skip_id) continue;
-    ++evals;
-    if (ScalarSquaredDistance(pts, slot, q, dims) <= sq_radius) {
-      out->push_back(id);
-    }
-  }
-  if (pairs != nullptr) *pairs += evals;
-}
-
-double ScalarMin(const SoABlock& pts, const double* q, uint64_t* pairs) {
-  const int dims = pts.dims();
-  double best = kInf;
-  for (size_t slot = 0; slot < pts.size(); ++slot) {
-    const double d2 = ScalarSquaredDistance(pts, slot, q, dims);
-    if (d2 < best) best = d2;  // NaN compares false: excluded
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-  return best;
 }
 
 void ScalarDists(const SoABlock& pts, const double* q, double* out,
@@ -197,53 +168,6 @@ int BlockedCount(const SoABlock& pts, size_t begin, size_t end,
 }
 
 template <int kDims>
-void BlockedRangeMaskT(const SoABlock& pts, const double* q, double sq_radius,
-                       uint32_t skip_id, std::vector<uint32_t>* out,
-                       uint64_t* pairs) {
-  uint64_t evals = 0;
-  BlockAcc acc;
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    const size_t base = b * kSoaWidth;
-    const size_t hi = std::min(pts.size() - base, kSoaWidth);
-    BlockSquaredDistances<kDims>(pts, b, q, &acc);
-    const uint32_t* ids = pts.Ids(b);
-    for (size_t s = 0; s < hi; ++s) {
-      if (ids[s] == skip_id) continue;
-      ++evals;
-      if (acc.d2[s] <= sq_radius) out->push_back(ids[s]);
-    }
-  }
-  if (pairs != nullptr) *pairs += evals;
-}
-
-void BlockedRangeMask(const SoABlock& pts, const double* q, double sq_radius,
-                      uint32_t skip_id, std::vector<uint32_t>* out,
-                      uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(BlockedRangeMaskT, pts.dims(), pts, q, sq_radius, skip_id,
-                    out, pairs);
-}
-
-template <int kDims>
-double BlockedMinT(const SoABlock& pts, const double* q, uint64_t* pairs) {
-  double best = kInf;
-  BlockAcc acc;
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    BlockSquaredDistances<kDims>(pts, b, q, &acc);
-    // Pad slots hold +infinity coordinates: their d2 is +infinity (or NaN
-    // for non-finite queries), so the min skips them like the scalar path.
-    for (size_t s = 0; s < kSoaWidth; ++s) {
-      if (acc.d2[s] < best) best = acc.d2[s];
-    }
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-  return best;
-}
-
-double BlockedMin(const SoABlock& pts, const double* q, uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(BlockedMinT, pts.dims(), pts, q, pairs);
-}
-
-template <int kDims>
 void BlockedDistsT(const SoABlock& pts, const double* q, double* out,
                    uint64_t* pairs) {
   BlockAcc acc;
@@ -321,10 +245,9 @@ void BlockedCountTile(const SoABlock& pts, size_t begin, size_t end,
                     num_queries, sq_radius, row_counts, col_counts);
 }
 
-constexpr KernelOps kScalarOps = {"scalar", ScalarCount, ScalarRangeMask,
-                                  ScalarMin, ScalarDists, ScalarCountTile};
-constexpr KernelOps kBlockedOps = {"blocked", BlockedCount, BlockedRangeMask,
-                                   BlockedMin, BlockedDists,
+constexpr KernelOps kScalarOps = {"scalar", ScalarCount, ScalarDists,
+                                  ScalarCountTile};
+constexpr KernelOps kBlockedOps = {"blocked", BlockedCount, BlockedDists,
                                    BlockedCountTile};
 
 }  // namespace

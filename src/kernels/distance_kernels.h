@@ -19,7 +19,7 @@
 // distance exactly r is a neighbor in every implementation; NaN
 // coordinates make the comparison false everywhere, excluding the pair
 // identically. Pad slots carry +infinity coordinates and are never
-// counted, matched or charged to the pair counters.
+// counted or charged to the pair counters.
 //
 // What is *not* promised across implementations is the evaluation
 // schedule of a capped count. Scalar stops at the pair that reaches the
@@ -27,12 +27,10 @@
 // kSoaWidth-slot block, so they evaluate the same pairs and their counter
 // may exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped
 // counts evaluate the same pairs everywhere, and verdicts (count >= k,
-// membership, minima, distances) are identical.
+// tile counts, distances) are identical.
 //
 // The count skips the query's own slot by *position*: a caller sweeping a
 // segment knows where its query sits, so the kernel never loads slot ids.
-// range_mask reports ids and skips by id (DBSCAN's cells are separate
-// buffers, each query's id is the one thing it knows).
 
 #ifndef DOD_KERNELS_DISTANCE_KERNELS_H_
 #define DOD_KERNELS_DISTANCE_KERNELS_H_
@@ -40,7 +38,6 @@
 #include <cstdint>
 #include <limits>
 #include <string_view>
-#include <vector>
 
 #include "kernels/kernel_mode.h"
 #include "kernels/soa_block.h"
@@ -64,18 +61,6 @@ struct KernelOps {
   int (*count_within_radius)(const SoABlock& points, size_t begin, size_t end,
                              const double* q, double sq_radius,
                              size_t skip_slot, int cap, uint64_t* pairs);
-
-  // Appends the ids of all slots within sq_radius of `q` to `out`, in slot
-  // order. Unlike the count, the skip is by id: slots whose id equals
-  // skip_id are excluded (kSoaInvalidId skips nothing).
-  void (*range_mask)(const SoABlock& points, const double* q,
-                     double sq_radius, uint32_t skip_id,
-                     std::vector<uint32_t>* out, uint64_t* pairs);
-
-  // Minimum squared distance from `q` to any slot; +infinity when the
-  // buffer is empty or every distance is NaN.
-  double (*min_squared_distance)(const SoABlock& points, const double* q,
-                                 uint64_t* pairs);
 
   // Writes the squared distance from `q` to slot j into out[j] for every
   // j < points.size(). `out` must hold points.size() doubles.

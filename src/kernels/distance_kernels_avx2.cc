@@ -75,14 +75,6 @@ DOD_AVX2 inline unsigned WithinMask(__m256d lo, __m256d hi, __m256d r) {
   return m0 | (m1 << 4);
 }
 
-// Bit s set iff slot s carries the broadcast id `skip`.
-DOD_AVX2 inline unsigned SkipMask(const uint32_t* ids, __m256i skip) {
-  const __m256i v =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids));
-  return static_cast<unsigned>(_mm256_movemask_ps(
-      _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, skip))));
-}
-
 static_assert(kSoaWidth == 8, "a block is two 4-wide AVX2 vectors");
 
 // Bits [lo, hi) of a block's slot mask.
@@ -162,70 +154,6 @@ DOD_AVX2 int Avx2Count(const SoABlock& pts, size_t begin, size_t end,
   if (cap == 0) return 0;
   DOD_DISPATCH_DIMS(Avx2CountT, pts.dims(), pts, begin, end, q, sq_radius,
                     skip_slot, cap, pairs);
-}
-
-template <int kDims>
-DOD_AVX2 void Avx2RangeMaskT(const SoABlock& pts, const double* q,
-                             double sq_radius, uint32_t skip_id,
-                             std::vector<uint32_t>* out, uint64_t* pairs) {
-  __m256d qv[kDims];
-  BroadcastQuery<kDims>(q, qv);
-  const __m256d r = _mm256_set1_pd(sq_radius);
-  const __m256i skip = _mm256_set1_epi32(static_cast<int>(skip_id));
-  uint64_t evals = 0;
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    const size_t base = b * kSoaWidth;
-    __m256d d0, d1;
-    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
-    const uint32_t* ids = pts.Ids(b);
-    const unsigned range =
-        SlotRange(0, std::min(pts.size() - base, kSoaWidth));
-    const unsigned valid = range & ~SkipMask(ids, skip);
-    evals += static_cast<unsigned>(__builtin_popcount(valid));
-    unsigned hits = WithinMask(d0, d1, r) & valid;
-    while (hits != 0) {  // ascending slot order
-      const int s = __builtin_ctz(hits);
-      out->push_back(ids[s]);
-      hits &= hits - 1;
-    }
-  }
-  if (pairs != nullptr) *pairs += evals;
-}
-
-DOD_AVX2 void Avx2RangeMask(const SoABlock& pts, const double* q,
-                            double sq_radius, uint32_t skip_id,
-                            std::vector<uint32_t>* out, uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(Avx2RangeMaskT, pts.dims(), pts, q, sq_radius, skip_id,
-                    out, pairs);
-}
-
-template <int kDims>
-DOD_AVX2 double Avx2MinT(const SoABlock& pts, const double* q,
-                         uint64_t* pairs) {
-  __m256d qv[kDims];
-  BroadcastQuery<kDims>(q, qv);
-  __m256d best = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    __m256d d0, d1;
-    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
-    // min_pd(a, b) returns b when a is NaN, so NaN distances are excluded
-    // exactly like the scalar `<` update; pad slots contribute +infinity.
-    best = _mm256_min_pd(d0, best);
-    best = _mm256_min_pd(d1, best);
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, best);
-  double result = std::numeric_limits<double>::infinity();
-  for (double v : lanes) {
-    if (v < result) result = v;
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-  return result;
-}
-
-DOD_AVX2 double Avx2Min(const SoABlock& pts, const double* q,
-                        uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(Avx2MinT, pts.dims(), pts, q, pairs);
 }
 
 template <int kDims>
@@ -335,8 +263,8 @@ DOD_AVX2 void Avx2CountTile(const SoABlock& pts, size_t begin, size_t end,
                     num_queries, sq_radius, row_counts, col_counts);
 }
 
-constexpr KernelOps kAvx2Ops = {"avx2", Avx2Count, Avx2RangeMask, Avx2Min,
-                                Avx2Dists, Avx2CountTile};
+constexpr KernelOps kAvx2Ops = {"avx2", Avx2Count, Avx2Dists,
+                                Avx2CountTile};
 
 }  // namespace
 

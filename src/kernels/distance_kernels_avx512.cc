@@ -4,11 +4,10 @@
 // is exactly one 8-lane zmm vector per dimension, and a compare writes its
 // verdicts straight into an 8-bit mask register, so the head/tail range and
 // the skip slot are mask ANDs and a block's hits are one popcount. The
-// other entries (range_mask, min_squared_distance, squared_distances) are
-// not hot and reuse the AVX2 table's. Compiled in under the same guard as
-// the AVX2 table (DOD_DISABLE_AVX2 removes both) via per-function target
-// attributes; callers reach it only through the dispatch in
-// distance_kernels.cc, which probes the CPU at runtime first.
+// other entry, squared_distances, reuses the AVX2 table's. Compiled in
+// under the same guard as the AVX2 table (DOD_DISABLE_AVX2 removes both)
+// via per-function target attributes; callers reach it only through the
+// dispatch in distance_kernels.cc, which probes the CPU at runtime first.
 //
 // Exactness: squared distances use explicit sub/mul/add intrinsics — never
 // FMA, and the library is built with -ffp-contract=off — so every lane

@@ -10,9 +10,9 @@
 //   block 0: [x0..x7][y0..y7]...  block 1: [x8..x15][y8..y15]...
 //
 // Tail blocks are padded: pad slots carry +infinity coordinates (their
-// squared distance to any finite query is +infinity, so threshold and
-// minimum kernels ignore them with no masking) and the kSoaInvalidId
-// sentinel, which no real point id can take.
+// squared distance to any finite query is +infinity, so threshold kernels
+// ignore them with no masking) and the kSoaInvalidId sentinel, which no
+// real point id can take.
 
 #ifndef DOD_KERNELS_SOA_BLOCK_H_
 #define DOD_KERNELS_SOA_BLOCK_H_
@@ -29,9 +29,7 @@ namespace dod {
 // dimension lane.
 inline constexpr size_t kSoaWidth = 8;
 
-// Id carried by pad slots; also usable as a "skip nothing" sentinel for
-// range_mask's skip_id parameter (a Dataset can never hold 2^32 - 1
-// points).
+// Id carried by pad slots (a Dataset can never hold 2^32 - 1 points).
 inline constexpr uint32_t kSoaInvalidId = 0xFFFFFFFFu;
 
 // Coordinate carried by pad slots.
@@ -59,8 +57,8 @@ class SoABlock {
 
   void Reserve(size_t n);
 
-  // Appends one point with an arbitrary caller-chosen id (reported by
-  // range hits and used there to skip self-matches).
+  // Appends one point with an arbitrary caller-chosen id (read back with
+  // IdAt, e.g. the window slot a streaming tile row belongs to).
   void Append(const double* p, uint32_t id);
 
   // Appends `n` points gathered from `data` in one pass: the j-th new slot
@@ -85,11 +83,7 @@ class SoABlock {
                                 kSoaWidth;
   }
 
-  // Ids of the kSoaWidth slots of `block` (pad slots: kSoaInvalidId).
-  const uint32_t* Ids(size_t block) const {
-    return ids_.data() + block * kSoaWidth;
-  }
-
+  // Id of `slot` (pad slots: kSoaInvalidId).
   uint32_t IdAt(size_t slot) const { return ids_[slot]; }
 
  private:

@@ -52,6 +52,13 @@ CommandResult RunCommand(const std::string& args,
   return result;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 TEST(CliSmokeTest, HelpExitsZero) {
   const CommandResult result = RunCommand("--help");
   EXPECT_EQ(result.exit_code, 0);
@@ -151,8 +158,10 @@ TEST(CliSmokeTest, EightColumnDmtRunIsRefused) {
   // DMT on 8-d input once aborted in DSHC (exit 134): the mini-bucket
   // resolution is at least 8 per dimension and 8^8 buckets exceed the
   // scan's limit. The run is refused with an error line; other strategies
-  // still take the file (with Nested-Loop: Cell-Based walks (2·ring+1)^8
-  // cells per verdict).
+  // still take the file. Cell-Based's ring-6 block is 13^8 cells, which
+  // once took minutes per verdict; its grid now scans its few occupied
+  // cells instead, and its outliers (at r = 3, the two end rows) equal
+  // Nested-Loop's.
   const std::string in_path = testing::TempDir() + "/cli_smoke_d8.csv";
   {
     FILE* f = fopen(in_path.c_str(), "w");
@@ -167,10 +176,19 @@ TEST(CliSmokeTest, EightColumnDmtRunIsRefused) {
   EXPECT_NE(dmt.output.find("error: "), std::string::npos) << dmt.output;
   EXPECT_NE(dmt.output.find("buckets_per_dim"), std::string::npos)
       << dmt.output;
-  const CommandResult domain =
-      RunCommand("--input " + in_path +
-                 " --strategy domain --algorithm nested_loop");
-  EXPECT_EQ(domain.exit_code, 0) << domain.output;
+  std::string outliers[2];
+  const char* algorithms[2] = {"nested_loop", "cell_based"};
+  for (int a = 0; a < 2; ++a) {
+    const std::string out_path = in_path + "." + algorithms[a] + ".txt";
+    const CommandResult domain = RunCommand(
+        "--input " + in_path + " --radius 3 --strategy domain --algorithm " +
+        algorithms[a] + " --out " + out_path);
+    EXPECT_EQ(domain.exit_code, 0) << domain.output;
+    outliers[a] = ReadFile(out_path);
+    std::remove(out_path.c_str());
+  }
+  EXPECT_FALSE(outliers[0].empty());
+  EXPECT_EQ(outliers[1], outliers[0]);
   std::remove(in_path.c_str());
 }
 
@@ -390,6 +408,20 @@ TEST(CliSmokeTest, NonPositiveOrNonFiniteDensityIsRejected) {
   }
 }
 
+TEST(CliSmokeTest, DeletedStreamOracleFlagsAreUnknown) {
+  // --shuffle, --spill_dir and --spill_threshold_mb only ever configured
+  // dod_stream_cli's batch oracle; they are gone from its surface.
+  for (const char* flag : {"--shuffle sorted", "--spill_dir spill",
+                           "--spill_threshold_mb 1"}) {
+    const CommandResult result = RunCommand(
+        std::string("--generate uniform --n 1000 ") + flag,
+        DOD_STREAM_CLI_PATH);
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.output.find("error: unknown flag"), std::string::npos)
+        << flag << ": " << result.output;
+  }
+}
+
 TEST(CliSmokeTest, DeletedStragglerFlagIsUnknown) {
   const CommandResult result = RunCommand(
       "--generate uniform --n 1000 --fault_straggler_prob 0.5");
@@ -397,13 +429,6 @@ TEST(CliSmokeTest, DeletedStragglerFlagIsUnknown) {
   EXPECT_NE(result.output.find("unknown flag --fault_straggler_prob"),
             std::string::npos)
       << result.output;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 TEST(CliSmokeTest, StreamSummaryReportsLatencyAndSaturatedPoints) {

@@ -139,47 +139,60 @@ TEST(SparseGridTest, CountBlockCountsNeighborhood) {
   EXPECT_EQ(grid.CountBlock(cc, 3), 25u);  // nothing beyond the patch
 }
 
-TEST(SparseGridTest, ForEachCellInBlockRespectsMinRing) {
-  const Dataset data = Lattice2D(5);
-  const SparseGrid grid = GridOver(data, Point{0.0, 0.0}, 1.0);
-  const double center[2] = {2.5, 2.5};
-  size_t ring2_count = 0;
-  grid.ForEachCellInBlock(grid.CoordOf(center), 2, 2,
-                          [&](const SparseGrid::Cell& cell) {
-                            ring2_count += cell.points.size();
-                          });
-  EXPECT_EQ(ring2_count, 16u);  // 5x5 minus 3x3
-}
-
-// CountBlock against a scan over every point's cell, in every dimension
-// the library supports. Ring radii stay where (2·ring+1)^d is tractable.
+// CountBlock against a count of points by Chebyshev cell distance, in every
+// dimension the library supports and at rings 0-6 (Cell-Based's outer ring
+// in 8-d is 6). The grid probes the (2·ring+1)^d block when it holds at
+// least that many cells and scans cells() otherwise — a ring-6 block is 13
+// cells in 1-d and 13^8 ≈ 8.2e8 in 8-d — so a few hundred points and a
+// handful make both walks run. Queries are every occupied cell and a cell
+// beside each, often empty.
 TEST(SparseGridTest, CountBlockMatchesBruteForceInDims1To8) {
+  struct Layout {
+    size_t n;
+    double extent;
+    double side;
+  };
+  size_t probed = 0;
+  size_t scanned = 0;
   for (int dims = 1; dims <= kMaxDimensions; ++dims) {
-    SCOPED_TRACE("dims=" + std::to_string(dims));
-    const Dataset data =
-        GenerateUniform(400, Rect::Cube(dims, 0.0, 6.0), 99 + dims);
-    const double side = 1.7;
-    const SparseGrid grid = GridOver(data, data.Bounds().min(), side);
-    ASSERT_TRUE(grid.fits());
-    std::vector<CellCoord> coords;
-    for (uint32_t i = 0; i < data.size(); ++i) {
-      coords.push_back(grid.CoordOf(data[i]));
-    }
-    const int max_ring = dims <= 4 ? 2 : 1;
-    for (const SparseGrid::Cell& cell : grid.cells()) {
-      for (int ring = 0; ring <= max_ring; ++ring) {
-        size_t expected = 0;
+    for (const Layout& layout : {Layout{400, 6.0, 1.7}, Layout{6, 20.0, 1.0}}) {
+      SCOPED_TRACE("dims=" + std::to_string(dims) +
+                   " n=" + std::to_string(layout.n));
+      const Dataset data = GenerateUniform(
+          layout.n, Rect::Cube(dims, 0.0, layout.extent), 99 + dims);
+      const SparseGrid grid = GridOver(data, data.Bounds().min(), layout.side);
+      ASSERT_TRUE(grid.fits());
+      std::vector<CellCoord> coords;
+      for (uint32_t i = 0; i < data.size(); ++i) {
+        coords.push_back(grid.CoordOf(data[i]));
+      }
+      std::vector<CellCoord> queries;
+      for (const SparseGrid::Cell& cell : grid.cells()) {
+        queries.push_back(cell.coord);
+        queries.push_back(cell.coord);
+        queries.back().c[0] += 3;
+      }
+      const double cells = static_cast<double>(grid.cells().size());
+      for (const CellCoord& query : queries) {
+        std::vector<int> cheby;
         for (const CellCoord& c : coords) {
-          int cheby = 0;
+          int far = 0;
           for (int d = 0; d < dims; ++d) {
-            cheby = std::max(cheby, std::abs(c.c[d] - cell.coord.c[d]));
+            far = std::max(far, std::abs(c.c[d] - query.c[d]));
           }
-          if (cheby <= ring) ++expected;
+          cheby.push_back(far);
         }
-        ASSERT_EQ(grid.CountBlock(cell.coord, ring), expected);
+        for (int ring = 0; ring <= 6; ++ring) {
+          const size_t expected = static_cast<size_t>(std::count_if(
+              cheby.begin(), cheby.end(), [&](int c) { return c <= ring; }));
+          ASSERT_EQ(grid.CountBlock(query, ring), expected) << "ring " << ring;
+          ++(cells < std::pow(2.0 * ring + 1.0, dims) ? scanned : probed);
+        }
       }
     }
   }
+  EXPECT_GT(probed, 0u);
+  EXPECT_GT(scanned, 0u);
 }
 
 // ~10^5 single-point cells: the open-addressing table runs at its highest

@@ -22,7 +22,6 @@
 #include "detection/brute_force.h"
 #include "detection/cell_based.h"
 #include "detection/nested_loop.h"
-#include "extensions/dbscan.h"
 #include "kernels/distance_kernels.h"
 #include "kernels/soa_block.h"
 
@@ -49,7 +48,8 @@ Dataset RandomDataset(int dims, size_t n, uint64_t seed) {
   for (size_t i = 0; i < n; ++i) {
     for (int d = 0; d < dims; ++d) p[d] = rng.NextUniform(0.0, 10.0);
     data.Append(p);
-    // Sprinkle exact duplicates so self-exclusion by id matters.
+    // Sprinkle exact duplicates so skipping the query's own slot still
+    // leaves a neighbor at distance 0.
     if (i % 17 == 3) data.Append(p);
   }
   return data;
@@ -74,11 +74,11 @@ TEST(SoABlockTest, LayoutAndPadding) {
   EXPECT_EQ(block.Lane(0, 0)[1], 4.0);
   EXPECT_EQ(block.Lane(0, 2)[1], 6.0);
   EXPECT_EQ(block.IdAt(0), 7u);
-  EXPECT_EQ(block.Ids(0)[1], 9u);
+  EXPECT_EQ(block.IdAt(1), 9u);
   // Pad slots: +inf coordinates, invalid id.
   for (size_t s = 2; s < kSoaWidth; ++s) {
     EXPECT_EQ(block.Lane(0, 1)[s], kInf);
-    EXPECT_EQ(block.Ids(0)[s], kSoaInvalidId);
+    EXPECT_EQ(block.IdAt(s), kSoaInvalidId);
   }
 }
 
@@ -89,7 +89,8 @@ void ExpectSameSlots(const SoABlock& got, const SoABlock& want,
   ASSERT_EQ(got.num_blocks(), want.num_blocks()) << label;
   for (size_t block = 0; block < got.num_blocks(); ++block) {
     for (size_t s = 0; s < kSoaWidth; ++s) {
-      EXPECT_EQ(got.Ids(block)[s], want.Ids(block)[s])
+      EXPECT_EQ(got.IdAt(block * kSoaWidth + s),
+                want.IdAt(block * kSoaWidth + s))
           << label << " block " << block << " slot " << s;
       for (int d = 0; d < got.dims(); ++d) {
         EXPECT_EQ(got.Lane(block, d)[s], want.Lane(block, d)[s])
@@ -153,13 +154,9 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
         for (int d = 0; d < dims; ++d) q[d] = rng.NextUniform(0.0, 10.0);
         const double sq_radius =
             trial % 2 == 0 ? rng.NextUniform(0.5, 16.0) : 2.0;
-        // slot j holds point j, so the skip is both an id (range_mask) and
-        // a position (the count); data.size() matches no slot.
-        const uint32_t skip =
-            data.empty() ? kSoaInvalidId
-                         : static_cast<uint32_t>(rng.NextBounded(
-                               data.size() + 1));
-        const size_t skip_slot = data.empty() ? kNoSkipSlot : skip;
+        // A skip position of data.size() matches no slot.
+        const size_t skip_slot =
+            data.empty() ? kNoSkipSlot : rng.NextBounded(data.size() + 1);
         const size_t begin = data.empty() ? 0 : rng.NextBounded(data.size());
         const size_t end =
             begin + (data.size() > begin
@@ -170,11 +167,6 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
         const int want_count = scalar.count_within_radius(
             soa, begin, end, q.data(), sq_radius, skip_slot, -1,
             &scalar_pairs);
-        std::vector<uint32_t> want_mask;
-        scalar.range_mask(soa, q.data(), sq_radius, skip, &want_mask,
-                          nullptr);
-        const double want_min =
-            scalar.min_squared_distance(soa, q.data(), nullptr);
         std::vector<double> want_dists(data.size());
         scalar.squared_distances(soa, q.data(), want_dists.data(), nullptr);
 
@@ -198,11 +190,6 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
               EXPECT_EQ(capped, want_count);
             }
           }
-          std::vector<uint32_t> mask;
-          ops->range_mask(soa, q.data(), sq_radius, skip, &mask, nullptr);
-          EXPECT_EQ(mask, want_mask);
-          const double min = ops->min_squared_distance(soa, q.data(), nullptr);
-          EXPECT_TRUE(min == want_min || (std::isnan(min) && std::isnan(want_min)));
           std::vector<double> dists(data.size());
           ops->squared_distances(soa, q.data(), dists.data(), nullptr);
           for (size_t j = 0; j < data.size(); ++j) {
@@ -480,10 +467,10 @@ TEST(DistanceKernelsTest, TieAtExactlyRadiusIsANeighbor) {
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 9.0,
                                        kNoSkipSlot, -1, nullptr),
               1);
-    std::vector<uint32_t> mask;
-    ops->range_mask(soa, &q, 9.0, kSoaInvalidId, &mask, nullptr);
-    EXPECT_EQ(mask, (std::vector<uint32_t>{0}));
-    EXPECT_EQ(ops->min_squared_distance(soa, &q, nullptr), 9.0);
+    std::vector<double> dists(soa.size());
+    ops->squared_distances(soa, &q, dists.data(), nullptr);
+    EXPECT_EQ(dists[0], 9.0);
+    for (size_t j = 1; j < dists.size(); ++j) EXPECT_GT(dists[j], 9.0);
   }
 }
 
@@ -503,10 +490,6 @@ TEST(DistanceKernelsTest, NaNCoordinatesAreExcludedEverywhere) {
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), q, 1e300,
                                        kNoSkipSlot, -1, nullptr),
               1);
-    std::vector<uint32_t> mask;
-    ops->range_mask(soa, q, 1e300, kSoaInvalidId, &mask, nullptr);
-    EXPECT_EQ(mask, (std::vector<uint32_t>{0}));
-    EXPECT_EQ(ops->min_squared_distance(soa, q, nullptr), 1.0);
     double dists[3];
     ops->squared_distances(soa, q, dists, nullptr);
     EXPECT_EQ(dists[0], 1.0);
@@ -527,10 +510,11 @@ TEST(DistanceKernelsTest, NonFiniteQueryAgainstPadSlots) {
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 1e300,
                                        kNoSkipSlot, -1, nullptr),
               0);
-    std::vector<uint32_t> mask;
-    ops->range_mask(soa, &q, 1e300, kSoaInvalidId, &mask, nullptr);
-    EXPECT_TRUE(mask.empty());
-    EXPECT_EQ(ops->min_squared_distance(soa, &q, nullptr), kInf);
+    // Only the real slot's distance is written; the pads' stay unseen.
+    std::vector<double> dists(kSoaWidth, -1.0);
+    ops->squared_distances(soa, &q, dists.data(), nullptr);
+    EXPECT_EQ(dists[0], kInf);
+    for (size_t s = 1; s < kSoaWidth; ++s) EXPECT_EQ(dists[s], -1.0);
   }
 }
 
@@ -588,32 +572,21 @@ TEST(KernelEquivalenceTest, DetectorsMatchScalarAcrossDims) {
           EXPECT_EQ(Detect(nested, data, num_core, params, mode), want)
               << "nested dims=" << dims << " n=" << data.size();
         }
-        // The cell-based grid enumerates (2·ring+1)^d cells per verdict;
-        // keep its sweep to the dimensions where that stays tractable.
-        if (dims <= 3) {
-          CellBasedDetector cell;
-          for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
-            SCOPED_TRACE(KernelModeName(mode));
-            EXPECT_EQ(Detect(cell, data, num_core, params, mode), want)
-                << "cell dims=" << dims << " n=" << data.size();
-          }
+        // Up to 8-d: a grid with fewer cells than the (2·ring+1)^d block
+        // scans its cells instead of probing the block.
+        CellBasedDetector cell;
+        for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+          SCOPED_TRACE(KernelModeName(mode));
+          EXPECT_EQ(Detect(cell, data, num_core, params, mode), want)
+              << "cell dims=" << dims << " n=" << data.size();
         }
       }
     }
   }
 }
 
-TEST(KernelEquivalenceTest, ExtensionsMatchScalar) {
+TEST(KernelEquivalenceTest, KDistanceMatchesScalar) {
   const Dataset data = GenerateTigerLike(2500, 17);
-
-  DbscanParams dbscan;
-  dbscan.eps = 4.0;
-  dbscan.min_pts = 4;
-  dbscan.kernels = KernelMode::kScalar;
-  const std::vector<int32_t> want_labels = DbscanLabels(data, dbscan);
-  dbscan.kernels = KernelMode::kAuto;
-  EXPECT_EQ(DbscanLabels(data, dbscan), want_labels);
-
   EXPECT_EQ(KDistance(data, 3, 4, KernelMode::kScalar),
             KDistance(data, 3, 4, KernelMode::kAuto));
 }

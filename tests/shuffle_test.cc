@@ -470,7 +470,8 @@ TEST(PartitionViewTest, ArenaProbesMatchAnAppendBuiltReference) {
   ASSERT_EQ(probes.num_blocks(), reference.num_blocks());
   for (size_t block = 0; block < probes.num_blocks(); ++block) {
     for (size_t s = 0; s < kSoaWidth; ++s) {
-      EXPECT_EQ(probes.Ids(block)[s], reference.Ids(block)[s])
+      EXPECT_EQ(probes.IdAt(block * kSoaWidth + s),
+                reference.IdAt(block * kSoaWidth + s))
           << "block " << block << " slot " << s;
       for (int d = 0; d < data.dims(); ++d) {
         EXPECT_EQ(probes.Lane(block, d)[s], reference.Lane(block, d)[s])

@@ -45,7 +45,6 @@
 #include "data/generators.h"
 #include "data/tiger_like.h"
 #include "kernels/kernel_mode.h"
-#include "mapreduce/shuffle.h"
 #include "observability/metrics.h"
 #include "observability/profile.h"
 #include "observability/trace.h"
@@ -107,11 +106,6 @@ Verification and output:
   --oracle_skip_empty    skip the batch re-run on rounds whose delta is
                          empty — the verdict set cannot have changed
                          (default off: every round cross-checks)
-  --shuffle MODE         columnar | sorted (oracle pipeline only)
-  --spill_dir DIR        spill the oracle pipeline's shuffle runs to DIR
-                         past the threshold (verdicts stay byte-identical)
-  --spill_threshold_mb N per-map-task bytes before the oracle shuffle
-                         spills (default 0 = budget-derived / 64 MiB)
   --delta_out PATH       deterministic per-round delta log (append mode
                          under --resume, else truncate)
   --trace_out PATH       Chrome trace (stream.round spans)
@@ -308,20 +302,6 @@ int main(int argc, char** argv) {
   dod::DodConfig oracle_config = dod::DodConfig::Dmt(config.params);
   oracle_config.num_threads = config.num_threads;
   oracle_config.seed = seed;
-  const std::string shuffle = flags.GetStringOr("shuffle", "columnar");
-  if (!dod::ParseShuffleMode(shuffle, &oracle_config.shuffle)) {
-    return Fail("--shuffle must be sorted or columnar");
-  }
-  // Spill policy of the oracle pipelines. Spilling never changes verdicts,
-  // so the oracle comparison is as strict as ever.
-  oracle_config.spill_dir = flags.GetStringOr("spill_dir", "");
-  auto spill_mb = flags.GetInt("spill_threshold_mb", 0);
-  if (!spill_mb.ok()) return Fail(spill_mb.status().ToString());
-  if (spill_mb.value() < 0) return Fail("--spill_threshold_mb must be >= 0");
-  if (spill_mb.value() > 0 && oracle_config.spill_dir.empty()) {
-    return Fail("--spill_threshold_mb requires --spill_dir");
-  }
-  oracle_config.spill_threshold_mb = static_cast<uint64_t>(spill_mb.value());
 
   const bool oracle = flags.GetBoolOr("oracle", false);
   const bool oracle_skip_empty = flags.GetBoolOr("oracle_skip_empty", false);

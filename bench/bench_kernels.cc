@@ -4,7 +4,9 @@
 // (scalar / blocked / avx2 / avx512) on the 2-d workload the paper
 // evaluates, for uncapped counts and for the capped k = 4 sweeps
 // Nested-Loop runs, plus the end-to-end effect on the nested-loop
-// detector. Emits BENCH_kernels.json next to the binary.
+// detector. avx512 runs twice: over a plain buffer and, as the
+// "avx512_shadow" row, over a buffer with float32 shadow lanes (its float
+// filter). Emits BENCH_kernels.json next to the binary.
 //
 // Usage: bench_kernels [n]   (n overrides the point count; CI smoke passes
 // a tiny n). DOD_BENCH_SCALE applies when n is not given.
@@ -57,13 +59,13 @@ struct DetectorPoint {
 // pairs/sec of the fastest of `repeats` passes and exits 1 unless every
 // impl agrees with the reference counts and evaluated pairs (the first
 // impl measured, scalar, sets both).
-KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
-                          const dod::Dataset& data,
+KernelPoint MeasureKernel(const char* label, const dod::KernelOps& ops,
+                          const dod::SoABlock& soa, const dod::Dataset& data,
                           const std::vector<uint32_t>& queries,
                           double sq_radius, std::vector<int>* counts,
                           uint64_t* reference_pairs, int repeats) {
   KernelPoint point;
-  point.impl = ops.name;
+  point.impl = label;
   double best = 1e300;
   uint64_t pairs = 0;
   for (int rep = 0; rep < repeats; ++rep) {
@@ -83,12 +85,12 @@ KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
       *reference_pairs = pairs;
     } else if (got != *counts) {
       std::fprintf(stderr, "FATAL: %s disagrees with reference counts\n",
-                   ops.name);
+                   label);
       std::exit(1);
     } else if (pairs != *reference_pairs) {
       std::fprintf(stderr,
                    "FATAL: %s evaluated %llu pairs, reference %llu\n",
-                   ops.name, static_cast<unsigned long long>(pairs),
+                   label, static_cast<unsigned long long>(pairs),
                    static_cast<unsigned long long>(*reference_pairs));
       std::exit(1);
     }
@@ -103,13 +105,14 @@ KernelPoint MeasureKernel(const dod::KernelOps& ops, const dod::SoABlock& soa,
 // `repeats` passes and exits 1 unless every impl reaches the same verdicts
 // and, below the cap, the same counts as scalar (the first impl measured),
 // and the batched impls evaluate the same pairs as each other.
-SweepPoint MeasureSweep(const dod::KernelOps& ops, const dod::SoABlock& soa,
+SweepPoint MeasureSweep(const char* label, const dod::KernelOps& ops,
+                        const dod::SoABlock& soa,
                         const std::vector<uint32_t>& queries,
                         const std::vector<uint32_t>& starts, double sq_radius,
                         int k, std::vector<int>* counts,
                         uint64_t* batched_pairs, int repeats) {
   SweepPoint point;
-  point.impl = ops.name;
+  point.impl = label;
   const int dims = soa.dims();
   const bool reference = counts->empty();
   double best = 1e300;
@@ -141,7 +144,7 @@ SweepPoint MeasureSweep(const dod::KernelOps& ops, const dod::SoABlock& soa,
       const int want = (*counts)[qi];
       if ((got[qi] >= k) != (want >= k) || (want < k && got[qi] != want)) {
         std::fprintf(stderr, "FATAL: %s capped sweep disagrees with scalar\n",
-                     ops.name);
+                     label);
         std::exit(1);
       }
     }
@@ -150,7 +153,7 @@ SweepPoint MeasureSweep(const dod::KernelOps& ops, const dod::SoABlock& soa,
       std::fprintf(stderr,
                    "FATAL: %s capped sweep evaluated %llu pairs, blocked "
                    "%llu\n",
-                   ops.name, static_cast<unsigned long long>(pairs),
+                   label, static_cast<unsigned long long>(pairs),
                    static_cast<unsigned long long>(*batched_pairs));
       std::exit(1);
     }
@@ -253,6 +256,14 @@ int main(int argc, char** argv) {
   const dod::Dataset data = dod::GenerateTigerLike(n, 1234);
   dod::SoABlock soa(data.dims());
   soa.Assign(data);
+  // The same slots with shadow lanes: slot j holds point j.
+  std::vector<uint32_t> identity(data.size());
+  for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  dod::SoABlock shadowed(data.dims());
+  shadowed.EnableShadow();
+  shadowed.AppendGathered(data, identity.data(), identity.data(),
+                          identity.size());
+  shadowed.FillShadow(0, shadowed.size());
   dod::Rng rng(55);
   std::vector<uint32_t> queries(num_queries);
   for (uint32_t& q : queries) {
@@ -261,11 +272,19 @@ int main(int argc, char** argv) {
   const double radius = 5.0;
   const double sq_radius = radius * radius;
 
-  std::vector<const dod::KernelOps*> impls = {
-      dod::GetKernelOpsByName("scalar"), dod::GetKernelOpsByName("blocked")};
+  // One row per table, plus avx512 over the shadowed buffers.
+  struct Row {
+    const char* label;
+    const dod::KernelOps* ops;
+    bool shadow;
+  };
+  std::vector<Row> rows = {{"scalar", dod::GetKernelOpsByName("scalar"), false},
+                           {"blocked", dod::GetKernelOpsByName("blocked"),
+                            false}};
   for (const char* name : {"avx2", "avx512"}) {
     if (const dod::KernelOps* ops = dod::GetKernelOpsByName(name)) {
-      impls.push_back(ops);
+      rows.push_back({name, ops, false});
+      if (ops->reads_shadow) rows.push_back({"avx512_shadow", ops, true});
     } else {
       std::printf("(%s kernels unavailable on this build/CPU)\n", name);
     }
@@ -278,10 +297,10 @@ int main(int argc, char** argv) {
   std::vector<int> reference_counts;
   uint64_t reference_pairs = 0;
   std::vector<KernelPoint> kernels;
-  for (const dod::KernelOps* ops : impls) {
-    KernelPoint point = MeasureKernel(*ops, soa, data, queries, sq_radius,
-                                      &reference_counts, &reference_pairs,
-                                      repeats);
+  for (const Row& row : rows) {
+    KernelPoint point = MeasureKernel(
+        row.label, *row.ops, row.shadow ? shadowed : soa, data, queries,
+        sq_radius, &reference_counts, &reference_pairs, repeats);
     point.speedup = kernels.empty()
                         ? 1.0
                         : point.pairs_per_sec / kernels.front().pairs_per_sec;
@@ -298,6 +317,11 @@ int main(int argc, char** argv) {
       dod::RandomPermutation(data.size(), sweep_rng);
   dod::SoABlock permuted(data.dims());
   for (uint32_t id : order) permuted.Append(data[id], id);
+  dod::SoABlock permuted_shadowed(data.dims());
+  permuted_shadowed.EnableShadow();
+  permuted_shadowed.AppendGathered(data, identity.data(), order.data(),
+                                   order.size());
+  permuted_shadowed.FillShadow(0, permuted_shadowed.size());
   std::vector<uint32_t> sweep_queries(std::min<size_t>(n, 4096));
   std::vector<uint32_t> starts(sweep_queries.size());
   for (size_t qi = 0; qi < sweep_queries.size(); ++qi) {
@@ -311,10 +335,11 @@ int main(int argc, char** argv) {
   std::vector<int> sweep_counts;
   uint64_t batched_pairs = 0;
   std::vector<SweepPoint> sweeps;
-  for (const dod::KernelOps* ops : impls) {
-    const SweepPoint point =
-        MeasureSweep(*ops, permuted, sweep_queries, starts, sq_radius,
-                     kSweepK, &sweep_counts, &batched_pairs, repeats);
+  for (const Row& row : rows) {
+    const SweepPoint point = MeasureSweep(
+        row.label, *row.ops, row.shadow ? permuted_shadowed : permuted,
+        sweep_queries, starts, sq_radius, kSweepK, &sweep_counts,
+        &batched_pairs, repeats);
     std::printf("%10s %16.3e %16.3e %14llu\n", point.impl.c_str(),
                 point.pairs_per_sec, point.queries_per_sec,
                 static_cast<unsigned long long>(point.pairs));

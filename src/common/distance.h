@@ -41,16 +41,6 @@ inline bool WithinDistance(const double* a, const double* b, int dims,
   return WithinSquaredDistance(a, b, dims, radius * radius);
 }
 
-// L-infinity (Chebyshev) distance; used by grid adjacency reasoning.
-inline double Chebyshev(const double* a, const double* b, int dims) {
-  double best = 0.0;
-  for (int i = 0; i < dims; ++i) {
-    const double d = std::fabs(a[i] - b[i]);
-    if (d > best) best = d;
-  }
-  return best;
-}
-
 }  // namespace dod
 
 #endif  // DOD_COMMON_DISTANCE_H_

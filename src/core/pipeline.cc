@@ -202,7 +202,7 @@ class DetectReducer : public Reducer<uint32_t, TaggedWord, PointId> {
                        std::vector<PointId>& out,
                        Counters& counters) override {
     // Stage every cell's partition: core points first, then support points.
-    TaskArena arena(data_, memory_);
+    TaskArena arena(data_, memory_, params_.kernels);
     DOD_RETURN_IF_ERROR(
         arena.TryReserve(groups.num_groups(), groups.num_records()));
     for (size_t g = 0; g < groups.num_groups(); ++g) {
@@ -285,7 +285,7 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
                        std::vector<Candidate>& out,
                        Counters& counters) override {
     // Without supporting areas every shipped point is core.
-    TaskArena arena(data_, memory_);
+    TaskArena arena(data_, memory_, params_.kernels);
     DOD_RETURN_IF_ERROR(
         arena.TryReserve(groups.num_groups(), groups.num_records()));
     for (size_t g = 0; g < groups.num_groups(); ++g) {
@@ -474,7 +474,7 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
                        Counters& counters) override {
     // Split each group into its candidates and its border points; only the
     // border points go into the arena (they are the only probe targets).
-    TaskArena arena(data_, memory_);
+    TaskArena arena(data_, memory_, params_.kernels);
     DOD_RETURN_IF_ERROR(
         arena.TryReserve(groups.num_groups(), groups.num_records()));
     std::vector<Candidate> candidates;

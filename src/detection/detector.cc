@@ -13,7 +13,7 @@ std::vector<uint32_t> Detector::DetectOutliers(const Dataset& points,
                                                const DetectionParams& params,
                                                Counters* counters) const {
   DOD_CHECK(num_core <= points.size());
-  TaskArena arena(points);
+  TaskArena arena(points, /*budget=*/nullptr, params.kernels);
   DOD_CHECK(arena.TryReserve(1, points.size()).ok());
   arena.BeginCell();
   for (PointId id = 0; id < points.size(); ++id) arena.AddPoint(id);

@@ -5,6 +5,7 @@
 #include <new>
 
 #include "common/random.h"
+#include "kernels/distance_kernels.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
 
@@ -41,6 +42,14 @@ Rect PartitionView::Bounds() const {
   return accumulator.bounds();
 }
 
+const SoABlock& PartitionView::probes() const {
+  if (!*shadow_filled_) {
+    *shadow_filled_ = true;
+    if (probes_->takes_shadow()) probes_->FillShadow(probe_begin_, probe_end());
+  }
+  return *probes_;
+}
+
 std::vector<size_t> PartitionView::ProbeSlots() const {
   std::vector<size_t> slots(size_);
   for (size_t slot = probe_begin(); slot < probe_end(); ++slot) {
@@ -49,19 +58,23 @@ std::vector<size_t> PartitionView::ProbeSlots() const {
   return slots;
 }
 
-TaskArena::TaskArena(const Dataset& data, MemoryBudget* budget)
-    : data_(data), budget_(budget), probes_(data.dims()) {}
+TaskArena::TaskArena(const Dataset& data, MemoryBudget* budget,
+                     KernelMode kernels)
+    : data_(data), budget_(budget), probes_(data.dims()) {
+  if (GetKernelOps(kernels).reads_shadow) probes_.EnableShadow();
+}
 
 Status TaskArena::TryReserve(size_t num_cells, size_t num_points) {
-  // Block alignment can pad each cell up to a full block.
-  const size_t slots = num_points + num_cells * kSoaWidth;
+  // Alignment can pad each cell up to a full block (a full shadow vector
+  // when the buffer takes shadow lanes).
+  const bool shadow = probes_.takes_shadow();
+  const size_t slots =
+      num_points + num_cells * (shadow ? kShadowWidth : kSoaWidth);
   const uint64_t stage_bytes =
       static_cast<uint64_t>(num_points) * sizeof(PointId) +
       static_cast<uint64_t>(num_cells) * sizeof(CellSlot);
   const uint64_t probe_bytes =
-      static_cast<uint64_t>(slots) *
-      (static_cast<uint64_t>(data_.dims()) * sizeof(double) +
-       sizeof(uint32_t));
+      SoABlock::ReservedBytes(slots, data_.dims(), shadow);
   DOD_RETURN_IF_ERROR(
       stage_charge_.Acquire(budget_, stage_bytes, "task arena id staging"));
   DOD_RETURN_IF_ERROR(
@@ -127,7 +140,8 @@ PartitionView TaskArena::View(size_t index) const {
   DOD_CHECK(built_ && index < cells_.size());
   const CellSlot& slot = cells_[index];
   return PartitionView(data_, ids_.data() + slot.ids_begin, slot.size,
-                       slot.num_core, probes_, slot.probe_begin);
+                       slot.num_core, &probes_, slot.probe_begin,
+                       &slot.shadow_filled);
 }
 
 }  // namespace dod

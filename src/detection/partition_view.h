@@ -9,8 +9,9 @@
 // one indexed load, and the core-points-first local ordering the detectors
 // expect is encoded in the id order. Every view is built by a TaskArena,
 // which also lays out one blocked SoA buffer holding every staged cell's
-// probe segment back to back (each segment block-aligned, pre-permuted,
-// slot ids = local indices), so the kernels scan exactly
+// probe segment back to back (each segment block-aligned — aligned to a
+// 16-slot shadow vector when the buffer takes float32 shadow lanes —
+// pre-permuted, slot ids = local indices), so the kernels scan exactly
 // [probe_begin, probe_begin + size) of the shared buffer and one arena
 // build serves every cell of a reduce task (or a streaming round).
 //
@@ -25,6 +26,8 @@
 // (reducer instances are shared across concurrent tasks and must stay
 // stateless). Views returned by View() borrow the arena's id and probe
 // storage and must not outlive it; the global dataset outlives everything.
+// Views of one arena fill its shadow lanes lazily (probes()), so they are
+// used by one thread at a time, as the arena is.
 
 #ifndef DOD_DETECTION_PARTITION_VIEW_H_
 #define DOD_DETECTION_PARTITION_VIEW_H_
@@ -37,6 +40,7 @@
 #include "common/dataset.h"
 #include "common/point.h"
 #include "durability/memory_budget.h"
+#include "kernels/kernel_mode.h"
 #include "kernels/soa_block.h"
 
 namespace dod {
@@ -75,8 +79,11 @@ class PartitionView {
 
   // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
   // view's points in a permuted order, each slot carrying its point's
-  // *local* index as id.
-  const SoABlock& probes() const { return *probes_; }
+  // *local* index as id. When the arena's buffer takes shadow lanes, the
+  // first call fills the segment's (every detector reads its probes
+  // through here before a sweep), so a cell no kernel scans never pays
+  // for them.
+  const SoABlock& probes() const;
   size_t probe_begin() const { return probe_begin_; }
   size_t probe_end() const { return probe_begin_ + size_; }
 
@@ -89,20 +96,24 @@ class PartitionView {
   friend class TaskArena;
 
   PartitionView(const Dataset& data, const PointId* ids, size_t size,
-                size_t num_core, const SoABlock& probes, size_t probe_begin)
+                size_t num_core, SoABlock* probes, size_t probe_begin,
+                bool* shadow_filled)
       : data_(&data),
         ids_(ids),
         size_(size),
         num_core_(num_core),
-        probes_(&probes),
-        probe_begin_(probe_begin) {}
+        probes_(probes),
+        probe_begin_(probe_begin),
+        shadow_filled_(shadow_filled) {}
 
   const Dataset* data_;
   const PointId* ids_;
   size_t size_;
   size_t num_core_;
-  const SoABlock* probes_;
+  // The arena's buffer and this cell's fill flag: probes() fills lazily.
+  SoABlock* probes_;
   size_t probe_begin_;
+  bool* shadow_filled_;
 };
 
 // Builds the shared probe arena of one reduce task. Usage, inside a
@@ -119,16 +130,19 @@ class PartitionView {
 // The two-phase shape exists because id storage is one growing vector:
 // views hand out raw pointers into it, so they are only created after every
 // cell has been staged. TryBuildProbes lays each cell's segment into one
-// SoABlock, block-aligned, in a deterministic per-cell random permutation
-// (seeded by the caller — Nested-Loop's randomized probe order relies on
-// it) with one prefetching SoABlock::AppendGathered per cell, and records
-// the kernels.soa_reuse.* metrics.
+// SoABlock, block- (or vector-) aligned, in a deterministic per-cell random
+// permutation (seeded by the caller — Nested-Loop's randomized probe order
+// relies on it) with one prefetching SoABlock::AppendGathered per cell, and
+// records the kernels.soa_reuse.* metrics.
 class TaskArena {
  public:
   // `budget` (optional, borrowed) bounds the arena's reservations: the id
-  // staging and the probe buffer are charged before allocation and the
-  // charges are held for the arena's lifetime.
-  explicit TaskArena(const Dataset& data, MemoryBudget* budget = nullptr);
+  // staging and the probe buffer (with its shadow lanes) are charged before
+  // allocation and the charges are held for the arena's lifetime. The probe
+  // buffer keeps float32 shadow lanes only when the table `kernels`
+  // resolves to reads them.
+  explicit TaskArena(const Dataset& data, MemoryBudget* budget = nullptr,
+                     KernelMode kernels = KernelMode::kAuto);
 
   // Optional pre-sizing with the task's totals: charges the estimated bytes
   // against the budget and converts denial or a failed allocation into
@@ -158,6 +172,8 @@ class TaskArena {
     size_t num_core = 0;
     size_t probe_begin = 0;
     uint64_t permutation_seed = 0;
+    // Set by the cell's first PartitionView::probes().
+    mutable bool shadow_filled = false;
   };
 
   const Dataset& data_;
@@ -166,7 +182,8 @@ class TaskArena {
   MemoryCharge probe_charge_;
   std::vector<PointId> ids_;
   std::vector<CellSlot> cells_;
-  SoABlock probes_;
+  // Mutable for the views' lazy shadow fill.
+  mutable SoABlock probes_;
   bool built_ = false;
 };
 

@@ -245,9 +245,10 @@ void BlockedCountTile(const SoABlock& pts, size_t begin, size_t end,
                     num_queries, sq_radius, row_counts, col_counts);
 }
 
-constexpr KernelOps kScalarOps = {"scalar", ScalarCount, ScalarDists,
-                                  ScalarCountTile};
-constexpr KernelOps kBlockedOps = {"blocked", BlockedCount, BlockedDists,
+constexpr KernelOps kScalarOps = {"scalar", /*reads_shadow=*/false,
+                                  ScalarCount, ScalarDists, ScalarCountTile};
+constexpr KernelOps kBlockedOps = {"blocked", /*reads_shadow=*/false,
+                                   BlockedCount, BlockedDists,
                                    BlockedCountTile};
 
 }  // namespace

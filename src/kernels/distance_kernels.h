@@ -31,6 +31,17 @@
 //
 // The count skips the query's own slot by *position*: a caller sweeping a
 // segment knows where its query sits, so the kernel never loads slot ids.
+//
+// Shadow lanes (soa_block.h) do not loosen the contract. Where a buffer's
+// float32 lanes cover [begin, end), avx512's count filters 16 slots per
+// vector in float against two thresholds derived from r², the buffer's
+// extent and dims, so that a slot at or below the lower one is provably
+// within r of the double squared distance and a slot above the upper one
+// provably outside it; any 8-slot block holding a slot in between (or a
+// NaN) is recomputed from the double lanes. The cap stays checked after
+// every 8-slot block, so counts, verdicts and `pairs` are those of the
+// double path; every other table, and any range the lanes do not cover,
+// reads the double lanes only.
 
 #ifndef DOD_KERNELS_DISTANCE_KERNELS_H_
 #define DOD_KERNELS_DISTANCE_KERNELS_H_
@@ -49,6 +60,10 @@ inline constexpr size_t kNoSkipSlot = std::numeric_limits<size_t>::max();
 
 struct KernelOps {
   const char* name;
+
+  // True iff count_within_radius reads a buffer's float32 shadow lanes
+  // (avx512 only); buffer builders keep shadow lanes only for such tables.
+  bool reads_shadow;
 
   // Number of slots in [begin, end) whose squared distance to `q` is
   // <= sq_radius, excluding the slot at position skip_slot (pass

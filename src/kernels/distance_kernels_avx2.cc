@@ -263,8 +263,8 @@ DOD_AVX2 void Avx2CountTile(const SoABlock& pts, size_t begin, size_t end,
                     num_queries, sq_radius, row_counts, col_counts);
 }
 
-constexpr KernelOps kAvx2Ops = {"avx2", Avx2Count, Avx2Dists,
-                                Avx2CountTile};
+constexpr KernelOps kAvx2Ops = {"avx2", /*reads_shadow=*/false, Avx2Count,
+                                Avx2Dists, Avx2CountTile};
 
 }  // namespace
 

@@ -24,6 +24,7 @@
 #include "durability/payload.h"
 #include "durability/run_control.h"
 #include "detection/partition_view.h"
+#include "kernels/distance_kernels.h"
 #include "mapreduce/job.h"
 #include "mapreduce/shuffle.h"
 #include "observability/metrics.h"
@@ -594,6 +595,41 @@ TEST(TaskArenaBudgetTest, ReservationBeyondBudgetIsResourceExhausted) {
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   // The failed reservation must not leave a dangling charge.
   EXPECT_EQ(tiny.used_bytes(), 0u);
+}
+
+TEST(TaskArenaBudgetTest, ChargeCoversWhatTheProbeBufferAllocates) {
+  // An unlimited budget still accounts: once every cell's view has filled
+  // its shadow lanes (kernels that read them) the arena's charge must
+  // cover the id staging plus every byte the probe buffer holds. Cell sizes
+  // off the block and vector widths, and an empty cell, pad the buffer.
+  const std::vector<size_t> sizes = {300, 7, 0, 150, 543};
+  for (int dims : {2, 7}) {
+    const Dataset data = GenerateUniform(1000, Rect::Cube(dims, 0.0, 1.0), 5);
+    for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+      SCOPED_TRACE(std::string(KernelModeName(mode)) + " dims " +
+                   std::to_string(dims));
+      MemoryBudget budget;
+      TaskArena arena(data, &budget, mode);
+      ASSERT_TRUE(arena.TryReserve(sizes.size(), data.size()).ok());
+      PointId next = 0;
+      for (size_t size : sizes) {
+        arena.BeginCell();
+        for (size_t i = 0; i < size; ++i) arena.AddPoint(next++);
+        arena.EndCell(size, /*permutation_seed=*/size);
+      }
+      ASSERT_TRUE(arena.TryBuildProbes().ok());
+      uint64_t held = 0;
+      for (size_t c = 0; c < arena.num_cells(); ++c) {
+        const PartitionView view = arena.View(c);
+        const SoABlock& probes = view.probes();
+        EXPECT_EQ(probes.ShadowCovers(view.probe_begin(), view.probe_end()),
+                  GetKernelOps(mode).reads_shadow && !view.empty())
+            << "cell " << c;
+        held = probes.CapacityBytes();
+      }
+      EXPECT_GE(budget.used_bytes(), held + data.size() * sizeof(PointId));
+    }
+  }
 }
 
 TEST(ShuffleBudgetTest, ColumnarDegradesToSortedWithIdenticalGroups) {

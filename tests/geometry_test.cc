@@ -51,12 +51,6 @@ TEST(DistanceTest, WithinDistanceIsClosed) {
   EXPECT_FALSE(WithinDistance(a, b, 2, 4.999));
 }
 
-TEST(DistanceTest, Chebyshev) {
-  const double a[3] = {0.0, 0.0, 0.0};
-  const double b[3] = {1.0, -2.0, 3.0};
-  EXPECT_DOUBLE_EQ(Chebyshev(a, b, 3), 3.0);
-}
-
 TEST(RectTest, CubeAndArea) {
   const Rect r = Rect::Cube(2, 0.0, 10.0);
   EXPECT_DOUBLE_EQ(r.Area(), 100.0);

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/distance.h"
@@ -329,6 +331,332 @@ TEST(DistanceKernelsTest, CountMatchesAPerPairReferenceOnEveryAxis) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// ---- float32 shadow lanes ----------------------------------------------
+
+// `data` in slot order twice: a plain buffer, and one with shadow lanes
+// filled over every slot (where they fit).
+struct Buffers {
+  SoABlock plain;
+  SoABlock shadowed;
+};
+
+Buffers PlainAndShadowed(const Dataset& data) {
+  Buffers buffers{SoABlock(data.dims()), SoABlock(data.dims())};
+  std::vector<uint32_t> slots(data.size());
+  for (uint32_t i = 0; i < slots.size(); ++i) slots[i] = i;
+  buffers.plain.AppendGathered(data, slots.data(), slots.data(),
+                               slots.size());
+  buffers.shadowed.EnableShadow();
+  buffers.shadowed.AppendGathered(data, slots.data(), slots.data(),
+                                  slots.size());
+  buffers.shadowed.FillShadow(0, buffers.shadowed.size());
+  return buffers;
+}
+
+// Every table on both buffers against ReferenceCount, count and pairs, for
+// every cap from -1 to one past the uncapped count.
+void ExpectCountsMatchReference(const Buffers& buffers, const double* q,
+                                double sq_radius, size_t begin, size_t end,
+                                size_t skip, const std::string& label) {
+  const SoABlock& plain = buffers.plain;
+  std::vector<double> d2(plain.size());
+  for (size_t slot = 0; slot < plain.size(); ++slot) {
+    d2[slot] = SquaredEuclidean(q, SlotPoint(plain, slot).data(),
+                                plain.dims());
+  }
+  const std::vector<const KernelOps*> impls = AvailableImpls();
+  const int total =
+      ReferenceCount(d2, begin, end, sq_radius, skip, -1, false).count;
+  for (int cap = -1; cap <= total + 1; ++cap) {
+    const CountAndPairs per_pair =
+        ReferenceCount(d2, begin, end, sq_radius, skip, cap, false);
+    const CountAndPairs per_block =
+        ReferenceCount(d2, begin, end, sq_radius, skip, cap, true);
+    for (const KernelOps* ops : impls) {
+      const CountAndPairs& want = ops == impls.front() ? per_pair : per_block;
+      for (const SoABlock* soa : {&plain, &buffers.shadowed}) {
+        uint64_t pairs = 0;
+        const int got = ops->count_within_radius(*soa, begin, end, q,
+                                                 sq_radius, skip, cap, &pairs);
+        const std::string where =
+            label + " " + ops->name +
+            (soa == &plain ? " plain" : " shadowed") + " [" +
+            std::to_string(begin) + ", " + std::to_string(end) + ") skip " +
+            std::to_string(skip) + " cap " + std::to_string(cap);
+        ASSERT_EQ(got, want.count) << where;
+        ASSERT_EQ(pairs, want.pairs) << where;
+      }
+    }
+  }
+}
+
+// Appends the points of `points` (row-major) to `data` in a random order.
+void AppendShuffled(const std::vector<double>& points, Rng* rng,
+                    Dataset* data) {
+  const size_t dims = static_cast<size_t>(data->dims());
+  for (uint32_t i : RandomPermutation(points.size() / dims, *rng)) {
+    data->Append(points.data() + i * dims);
+  }
+}
+
+TEST(SoABlockTest, ShadowLanesHoldShiftedFloats) {
+  const int dims = 3;
+  const Dataset data = RandomDataset(dims, 37, 808);
+  std::vector<uint32_t> ids(data.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  SoABlock soa(dims);
+  soa.EnableShadow();
+  // Alignment goes to whole shadow vectors.
+  soa.AppendGathered(data, ids.data(), ids.data(), 5);
+  soa.AlignToBlock();
+  EXPECT_EQ(soa.size(), kShadowWidth);
+  const size_t begin = soa.size();
+  soa.AppendGathered(data, ids.data(), ids.data(), ids.size());
+  const size_t end = soa.size();
+  EXPECT_FALSE(soa.ShadowCovers(begin, end));  // nothing filled yet
+  soa.FillShadow(begin, end);
+  // The origin is the range's first point, the extent the largest shift.
+  double extent = 0.0;
+  for (int d = 0; d < dims; ++d) {
+    EXPECT_EQ(soa.shadow_origin()[d], data[0][d]);
+    for (size_t i = 0; i < data.size(); ++i) {
+      extent = std::max(extent, std::fabs(data[i][d] - data[0][d]));
+    }
+  }
+  EXPECT_EQ(soa.shadow_extent(), extent);
+  for (size_t slot = begin; slot < (end + kShadowWidth - 1) / kShadowWidth *
+                                       kShadowWidth;
+       ++slot) {
+    for (int d = 0; d < dims; ++d) {
+      const float got =
+          soa.ShadowLane(slot / kShadowWidth, d)[slot % kShadowWidth];
+      if (slot < end) {
+        EXPECT_EQ(got, static_cast<float>(SlotPoint(soa, slot)[d] -
+                                          soa.shadow_origin()[d]))
+            << "slot " << slot;
+      } else {
+        EXPECT_EQ(got, std::numeric_limits<float>::infinity())
+            << "pad slot " << slot;
+      }
+    }
+  }
+  // Covered: non-empty ranges inside the filled one.
+  EXPECT_TRUE(soa.ShadowCovers(begin, end));
+  EXPECT_TRUE(soa.ShadowCovers(begin + 3, end - 7));
+  EXPECT_TRUE(soa.ShadowCovers(end - 1, end));
+  EXPECT_FALSE(soa.ShadowCovers(begin, begin));
+  EXPECT_FALSE(soa.ShadowCovers(0, end));      // starts in an unfilled vector
+  EXPECT_FALSE(soa.ShadowCovers(3, kShadowWidth));
+  // Appending after a fill releases every lane.
+  soa.AppendGathered(data, ids.data(), ids.data(), 1);
+  EXPECT_FALSE(soa.ShadowCovers(begin, end));
+  EXPECT_EQ(soa.shadow_extent(), 0.0);
+}
+
+TEST(DistanceKernelsTest, ShadowedCountsMatchNearTheRadius) {
+  // Pairs at r (1 ± 2^-k), k = 20..52, along random directions, next to
+  // random points, around queries offset by up to 1e9: the float filter
+  // decides the clear cases and must hand every pair it cannot prove back
+  // to the double lanes. The queries are a point off the buffer (no skip)
+  // and one of its slots (skipped); the ranges start and end on and off
+  // block and vector boundaries.
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    for (double offset : {0.0, 1e3, 1e6, 1e9}) {
+      Rng rng(9001u * dims + static_cast<uint64_t>(std::log10(offset + 1)));
+      const double radius = 1.5;
+      Point q(dims);
+      for (int d = 0; d < dims; ++d) q[d] = offset + 0.25 * (d + 1);
+      std::vector<double> points;
+      for (int k = 20; k <= 52; ++k) {
+        for (double sign : {-1.0, 1.0}) {
+          std::vector<double> dir(dims);
+          double norm = 0.0;
+          for (double& c : dir) {
+            c = rng.NextUniform(-1.0, 1.0);
+            norm += c * c;
+          }
+          norm = std::sqrt(norm);
+          const double length = radius * (1.0 + sign * std::ldexp(1.0, -k));
+          for (int d = 0; d < dims; ++d) {
+            points.push_back(q[d] + dir[d] / norm * length);
+          }
+        }
+      }
+      for (int i = 0; i < 24 * dims; ++i) {
+        points.push_back(q[i % dims] + rng.NextUniform(-2.0, 2.0) * radius);
+      }
+      Dataset data(dims);
+      AppendShuffled(points, &rng, &data);
+      const Buffers buffers = PlainAndShadowed(data);
+      const size_t n = data.size();
+      ASSERT_TRUE(buffers.shadowed.ShadowCovers(0, n));
+      const std::string label =
+          "dims " + std::to_string(dims) + " offset " + std::to_string(offset);
+      const Point own = SlotPoint(buffers.plain, 21);
+      for (const auto& [begin, end] : {std::pair<size_t, size_t>{0, n},
+                                       {3, n - 5},
+                                       {16, 16 * 5 + 8},
+                                       {kSoaWidth, n - kShadowWidth}}) {
+        ExpectCountsMatchReference(buffers, q.data(), radius * radius, begin,
+                                   end, kNoSkipSlot, label + " off-buffer");
+        ExpectCountsMatchReference(buffers, own.data(), radius * radius,
+                                   begin, end, 21, label + " slot 21");
+      }
+    }
+  }
+}
+
+TEST(DistanceKernelsTest, ShadowedCountsMatchAtExactTies) {
+  // Integer coordinates around an integer query offset by up to 1e9 and
+  // r² = 25: (3, 4) and 5 steps put pairs at exactly r, the rest at
+  // integer squared distances on either side. A tie is a neighbor on every
+  // table, shadowed or not.
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    for (double offset : {0.0, 1e3, 1e6, 1e9}) {
+      Rng rng(7717u * dims + static_cast<uint64_t>(std::log10(offset + 1)));
+      Point q(dims);
+      for (int d = 0; d < dims; ++d) q[d] = offset + d;
+      std::vector<double> points;
+      for (int i = 0; i < 96; ++i) {
+        std::vector<double> step(dims, 0.0);
+        const int a = static_cast<int>(rng.NextBounded(dims));
+        const int b = static_cast<int>(rng.NextBounded(dims));
+        const double sa = rng.NextBounded(2) == 0 ? -1.0 : 1.0;
+        const double sb = rng.NextBounded(2) == 0 ? -1.0 : 1.0;
+        switch (i % 4) {
+          case 0:  // exactly r
+            if (a != b) {
+              step[a] = 3.0 * sa;
+              step[b] = 4.0 * sb;
+            } else {
+              step[a] = 5.0 * sa;
+            }
+            break;
+          case 1:  // exactly r along one axis
+            step[a] = 5.0 * sa;
+            break;
+          default:  // anywhere around r
+            for (double& c : step) {
+              c = static_cast<double>(rng.NextBounded(9)) - 4.0;
+            }
+            break;
+        }
+        for (int d = 0; d < dims; ++d) points.push_back(q[d] + step[d]);
+      }
+      Dataset data(dims);
+      AppendShuffled(points, &rng, &data);
+      const Buffers buffers = PlainAndShadowed(data);
+      const size_t n = data.size();
+      ASSERT_TRUE(buffers.shadowed.ShadowCovers(0, n));
+      const std::string label =
+          "dims " + std::to_string(dims) + " offset " + std::to_string(offset);
+      ExpectCountsMatchReference(buffers, q.data(), 25.0, 0, n, kNoSkipSlot,
+                                 label);
+      ExpectCountsMatchReference(buffers, q.data(), 25.0, 5, n - 3, 40,
+                                 label);
+    }
+  }
+}
+
+TEST(DistanceKernelsTest, ShadowedCountFollowsTheBlockSchedule) {
+  // The float filter keeps the double path's schedule: begin and end on
+  // and off block and vector boundaries, the skip slot absent, in the head,
+  // in the low or the high block of an interior vector, in the tail, or
+  // outside the range, every cap from -1 to one past the full count, and
+  // queries from the buffer's own slots including the skipped one. The
+  // last vector holds pad slots.
+  constexpr size_t kSlots = 7 * kShadowWidth + 5;
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    for (bool ties : {true, false}) {
+      Rng rng(5153u * dims + (ties ? 1 : 0));
+      Dataset data(dims);
+      Point p(dims);
+      for (size_t slot = 0; slot < kSlots; ++slot) {
+        for (int d = 0; d < dims; ++d) {
+          p[d] = ties ? static_cast<double>(rng.NextBounded(4))
+                      : rng.NextUniform(0.0, 4.0);
+        }
+        data.Append(p);
+      }
+      const Buffers buffers = PlainAndShadowed(data);
+      ASSERT_TRUE(buffers.shadowed.ShadowCovers(0, kSlots));
+      const double sq_radius = ties ? 2.0 : rng.NextUniform(1.0, 3.0);
+      for (size_t begin : {size_t{0}, size_t{3}, kSoaWidth, size_t{13},
+                           kShadowWidth + kSoaWidth}) {
+        const size_t interior = (begin / kShadowWidth + 2) * kShadowWidth;
+        for (size_t end : {begin, begin + 2, begin + kShadowWidth,
+                           kSlots - 11, kSlots}) {
+          if (end < begin) continue;
+          for (size_t skip : {kNoSkipSlot, begin, interior + 3,
+                              interior + kSoaWidth + 3,
+                              end == 0 ? size_t{0} : end - 1,
+                              begin == 0 ? end : begin - 1}) {
+            std::vector<size_t> queries = {5, kSlots - 1};
+            if (skip < kSlots) queries.push_back(skip);
+            for (size_t query_slot : queries) {
+              const Point q = SlotPoint(buffers.plain, query_slot);
+              ExpectCountsMatchReference(
+                  buffers, q.data(), sq_radius, begin, end, skip,
+                  "dims " + std::to_string(dims) + " ties " +
+                      std::to_string(ties) + " query " +
+                      std::to_string(query_slot));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceKernelsTest, ShadowRefusesNonFiniteAndHugeValues) {
+  // A coordinate that is NaN, infinite or more than FLT_MAX from the origin
+  // leaves its range uncovered; a point just inside float range covers it
+  // but widens the band past any use. Queries that are NaN, infinite, too
+  // large for a float or far off take the double path. Every count equals
+  // scalar's on every table either way.
+  constexpr double kHuge = 1e39;  // > FLT_MAX
+  const int dims = 2;
+  for (double bad : {kNaN, kInf, -kInf, kHuge, -kHuge, 3e38}) {
+    Rng rng(4242);
+    Dataset data(dims);
+    Point p(dims);
+    for (size_t i = 0; i < 3 * kShadowWidth + 5; ++i) {
+      for (int d = 0; d < dims; ++d) p[d] = rng.NextUniform(0.0, 4.0);
+      if (i == kShadowWidth + 6) p[1] = bad;
+      data.Append(p);
+    }
+    const size_t n = data.size();
+    Buffers buffers = PlainAndShadowed(data);
+    EXPECT_EQ(buffers.shadowed.ShadowCovers(0, n), bad == 3e38)
+        << "bad " << bad;
+    // A range that stops before the bad point covers on its own.
+    SoABlock first(dims);
+    first.EnableShadow();
+    std::vector<uint32_t> slots(n);
+    for (uint32_t i = 0; i < n; ++i) slots[i] = i;
+    first.AppendGathered(data, slots.data(), slots.data(), n);
+    first.FillShadow(0, kShadowWidth);
+    first.FillShadow(kShadowWidth, n);
+    EXPECT_TRUE(first.ShadowCovers(0, kShadowWidth)) << "bad " << bad;
+    EXPECT_EQ(first.ShadowCovers(kShadowWidth, n), bad == 3e38)
+        << "bad " << bad;
+    buffers.shadowed = std::move(first);
+    const std::string label = "bad " + std::to_string(bad);
+    for (const auto& [begin, end] :
+         {std::pair<size_t, size_t>{0, n}, {0, kShadowWidth}, {2, 13}}) {
+      const Point q = SlotPoint(buffers.plain, 7);
+      ExpectCountsMatchReference(buffers, q.data(), 2.0, begin, end, 7,
+                                 label);
+      for (double query : {kNaN, kInf, -kInf, kHuge, -kHuge, 1e30, 3.0}) {
+        const double far[] = {2.0, query};
+        ExpectCountsMatchReference(buffers, far, 2.0, begin, end,
+                                   kNoSkipSlot,
+                                   label + " query " + std::to_string(query));
       }
     }
   }

@@ -8,6 +8,13 @@
 // "avx512_shadow" row, over a buffer with float32 shadow lanes (its float
 // filter). Emits BENCH_kernels.json next to the binary.
 //
+// Passes are interleaved: each round runs one pass of every
+// implementation in turn, so a burst of load on a shared host slows one
+// round of every implementation rather than all passes of one. The JSON
+// keeps every pass ("rounds": pairs/sec per round) next to the fastest,
+// and a floor compares two implementations by the median of their
+// per-round ratios.
+//
 // Usage: bench_kernels [n]   (n overrides the point count; CI smoke passes
 // a tiny n). DOD_BENCH_SCALE applies when n is not given.
 
@@ -36,17 +43,19 @@ double SecondsSince(Clock::time_point start) {
 
 struct KernelPoint {
   std::string impl;
-  double pairs_per_sec = 0.0;
+  double pairs_per_sec = 0.0;  // fastest round
   double speedup = 0.0;  // over scalar
+  std::vector<double> rounds;  // pairs/sec of each round
 };
 
 // One implementation's capped sweeps (pairs differ from scalar's: the
 // batched paths stop at the end of the block that reached the cap).
 struct SweepPoint {
   std::string impl;
-  double pairs_per_sec = 0.0;
+  double pairs_per_sec = 0.0;  // fastest round
   double queries_per_sec = 0.0;
   uint64_t pairs = 0;
+  std::vector<double> rounds;  // pairs/sec of each round
 };
 
 struct DetectorPoint {
@@ -55,112 +64,112 @@ struct DetectorPoint {
   size_t outliers = 0;
 };
 
-// Uncapped neighbor counting of `queries` against the whole SoA; returns
-// pairs/sec of the fastest of `repeats` passes and exits 1 unless every
-// impl agrees with the reference counts and evaluated pairs (the first
-// impl measured, scalar, sets both).
-KernelPoint MeasureKernel(const char* label, const dod::KernelOps& ops,
-                          const dod::SoABlock& soa, const dod::Dataset& data,
-                          const std::vector<uint32_t>& queries,
-                          double sq_radius, std::vector<int>* counts,
-                          uint64_t* reference_pairs, int repeats) {
-  KernelPoint point;
-  point.impl = label;
-  double best = 1e300;
+// One pass of uncapped neighbor counting of `queries` against the whole
+// SoA, appended to `point`. Exits 1 unless the counts and evaluated pairs
+// equal the reference's (the first pass of the first impl, scalar, sets
+// both).
+void KernelPass(const dod::KernelOps& ops, const dod::SoABlock& soa,
+                const dod::Dataset& data, const std::vector<uint32_t>& queries,
+                double sq_radius, std::vector<int>* counts,
+                uint64_t* reference_pairs, KernelPoint* point) {
   uint64_t pairs = 0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    pairs = 0;
-    std::vector<int> got(queries.size());
-    const Clock::time_point start = Clock::now();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      // soa holds point j in slot j, so the query skips slot q.
-      const uint32_t q = queries[qi];
-      got[qi] = ops.count_within_radius(soa, 0, soa.size(), data[q],
-                                        sq_radius, /*skip_slot=*/q,
-                                        /*cap=*/-1, &pairs);
-    }
-    best = std::min(best, SecondsSince(start));
-    if (counts->empty()) {
-      *counts = got;
-      *reference_pairs = pairs;
-    } else if (got != *counts) {
-      std::fprintf(stderr, "FATAL: %s disagrees with reference counts\n",
-                   label);
-      std::exit(1);
-    } else if (pairs != *reference_pairs) {
-      std::fprintf(stderr,
-                   "FATAL: %s evaluated %llu pairs, reference %llu\n",
-                   label, static_cast<unsigned long long>(pairs),
-                   static_cast<unsigned long long>(*reference_pairs));
-      std::exit(1);
-    }
+  std::vector<int> got(queries.size());
+  const Clock::time_point start = Clock::now();
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    // soa holds point j in slot j, so the query skips slot q.
+    const uint32_t q = queries[qi];
+    got[qi] = ops.count_within_radius(soa, 0, soa.size(), data[q], sq_radius,
+                                      /*skip_slot=*/q, /*cap=*/-1, &pairs);
   }
-  point.pairs_per_sec = static_cast<double>(pairs) / best;
-  return point;
+  const double seconds = SecondsSince(start);
+  if (counts->empty()) {
+    *counts = got;
+    *reference_pairs = pairs;
+  } else if (got != *counts) {
+    std::fprintf(stderr, "FATAL: %s disagrees with reference counts\n",
+                 point->impl.c_str());
+    std::exit(1);
+  } else if (pairs != *reference_pairs) {
+    std::fprintf(stderr, "FATAL: %s evaluated %llu pairs, reference %llu\n",
+                 point->impl.c_str(), static_cast<unsigned long long>(pairs),
+                 static_cast<unsigned long long>(*reference_pairs));
+    std::exit(1);
+  }
+  const double rate = static_cast<double>(pairs) / seconds;
+  point->rounds.push_back(rate);
+  point->pairs_per_sec = std::max(point->pairs_per_sec, rate);
 }
 
-// Nested-Loop's probe pattern: each query, a slot of the permuted segment
-// `soa`, sweeps [start, end) and then [0, start) from its own random start
-// until k neighbors are found, skipping its own slot. Returns the fastest of
-// `repeats` passes and exits 1 unless every impl reaches the same verdicts
-// and, below the cap, the same counts as scalar (the first impl measured),
-// and the batched impls evaluate the same pairs as each other.
-SweepPoint MeasureSweep(const char* label, const dod::KernelOps& ops,
-                        const dod::SoABlock& soa,
-                        const std::vector<uint32_t>& queries,
-                        const std::vector<uint32_t>& starts, double sq_radius,
-                        int k, std::vector<int>* counts,
-                        uint64_t* batched_pairs, int repeats) {
-  SweepPoint point;
-  point.impl = label;
+// One pass of Nested-Loop's probe pattern, appended to `point`: each query,
+// a slot of the permuted segment `soa`, sweeps [start, end) and then
+// [0, start) from its own random start until k neighbors are found,
+// skipping its own slot. A `reference` pass (scalar's) records the counts;
+// any other exits 1 unless it reaches the same verdicts and, below the
+// cap, the same counts, and evaluates the same pairs as every other
+// batched pass.
+void SweepPass(const dod::KernelOps& ops, const dod::SoABlock& soa,
+               const std::vector<uint32_t>& queries,
+               const std::vector<uint32_t>& starts, double sq_radius, int k,
+               std::vector<int>* counts, uint64_t* batched_pairs,
+               bool reference, SweepPoint* point) {
   const int dims = soa.dims();
-  const bool reference = counts->empty();
-  double best = 1e300;
-  for (int rep = 0; rep < repeats; ++rep) {
-    uint64_t pairs = 0;
-    std::vector<int> got(queries.size());
-    double q[dod::kMaxDimensions];
-    const Clock::time_point start = Clock::now();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t slot = queries[qi];
-      for (int d = 0; d < dims; ++d) {
-        q[d] = soa.Lane(slot / dod::kSoaWidth, d)[slot % dod::kSoaWidth];
-      }
-      int found = ops.count_within_radius(soa, starts[qi], soa.size(), q,
-                                          sq_radius, slot, k, &pairs);
-      if (found < k) {
-        found += ops.count_within_radius(soa, 0, starts[qi], q, sq_radius,
-                                         slot, k - found, &pairs);
-      }
-      got[qi] = found;
+  uint64_t pairs = 0;
+  std::vector<int> got(queries.size());
+  double q[dod::kMaxDimensions];
+  const Clock::time_point start = Clock::now();
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const size_t slot = queries[qi];
+    for (int d = 0; d < dims; ++d) {
+      q[d] = soa.Lane(slot / dod::kSoaWidth, d)[slot % dod::kSoaWidth];
     }
-    best = std::min(best, SecondsSince(start));
-    point.pairs = pairs;
-    if (reference) {
-      *counts = got;
-      continue;
+    int found = ops.count_within_radius(soa, starts[qi], soa.size(), q,
+                                        sq_radius, slot, k, &pairs);
+    if (found < k) {
+      found += ops.count_within_radius(soa, 0, starts[qi], q, sq_radius,
+                                       slot, k - found, &pairs);
     }
-    for (size_t qi = 0; qi < got.size(); ++qi) {
-      const int want = (*counts)[qi];
-      if ((got[qi] >= k) != (want >= k) || (want < k && got[qi] != want)) {
-        std::fprintf(stderr, "FATAL: %s capped sweep disagrees with scalar\n",
-                     label);
-        std::exit(1);
-      }
-    }
-    if (*batched_pairs == 0) *batched_pairs = pairs;
-    if (pairs != *batched_pairs) {
-      std::fprintf(stderr,
-                   "FATAL: %s capped sweep evaluated %llu pairs, blocked "
-                   "%llu\n",
-                   label, static_cast<unsigned long long>(pairs),
-                   static_cast<unsigned long long>(*batched_pairs));
+    got[qi] = found;
+  }
+  const double seconds = SecondsSince(start);
+  point->pairs = pairs;
+  const double rate = static_cast<double>(pairs) / seconds;
+  point->rounds.push_back(rate);
+  if (rate > point->pairs_per_sec) {
+    point->pairs_per_sec = rate;
+    point->queries_per_sec = static_cast<double>(queries.size()) / seconds;
+  }
+  if (reference) {
+    *counts = got;
+    return;
+  }
+  for (size_t qi = 0; qi < got.size(); ++qi) {
+    const int want = (*counts)[qi];
+    if ((got[qi] >= k) != (want >= k) || (want < k && got[qi] != want)) {
+      std::fprintf(stderr, "FATAL: %s capped sweep disagrees with scalar\n",
+                   point->impl.c_str());
       std::exit(1);
     }
   }
-  point.pairs_per_sec = static_cast<double>(point.pairs) / best;
-  point.queries_per_sec = static_cast<double>(queries.size()) / best;
-  return point;
+  if (*batched_pairs == 0) *batched_pairs = pairs;
+  if (pairs != *batched_pairs) {
+    std::fprintf(stderr,
+                 "FATAL: %s capped sweep evaluated %llu pairs, blocked "
+                 "%llu\n",
+                 point->impl.c_str(), static_cast<unsigned long long>(pairs),
+                 static_cast<unsigned long long>(*batched_pairs));
+    std::exit(1);
+  }
+}
+
+// JSON list of one implementation's per-round pairs/sec.
+std::string RoundsJson(const std::vector<double>& rounds) {
+  std::string out = "[";
+  char buf[32];
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%.0f", i > 0 ? ", " : "", rounds[i]);
+    out += buf;
+  }
+  return out + "]";
 }
 
 DetectorPoint MeasureDetector(const dod::Dataset& data,
@@ -210,19 +219,22 @@ void WriteJson(const char* path, size_t n, size_t num_queries,
   for (size_t i = 0; i < kernels.size(); ++i) {
     std::fprintf(f,
                  "    {\"impl\": \"%s\", \"pairs_per_sec\": %.0f, "
-                 "\"speedup_vs_scalar\": %.3f}%s\n",
+                 "\"speedup_vs_scalar\": %.3f, \"rounds\": %s}%s\n",
                  kernels[i].impl.c_str(), kernels[i].pairs_per_sec,
-                 kernels[i].speedup, i + 1 < kernels.size() ? "," : "");
+                 kernels[i].speedup, RoundsJson(kernels[i].rounds).c_str(),
+                 i + 1 < kernels.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"capped_sweep_k\": %d,\n", sweep_k);
   std::fprintf(f, "  \"capped_sweep\": [\n");
   for (size_t i = 0; i < sweeps.size(); ++i) {
     std::fprintf(f,
                  "    {\"impl\": \"%s\", \"pairs_per_sec\": %.0f, "
-                 "\"queries_per_sec\": %.0f, \"pairs\": %llu}%s\n",
+                 "\"queries_per_sec\": %.0f, \"pairs\": %llu, "
+                 "\"rounds\": %s}%s\n",
                  sweeps[i].impl.c_str(), sweeps[i].pairs_per_sec,
                  sweeps[i].queries_per_sec,
                  static_cast<unsigned long long>(sweeps[i].pairs),
+                 RoundsJson(sweeps[i].rounds).c_str(),
                  i + 1 < sweeps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -243,8 +255,8 @@ int main(int argc, char** argv) {
   const size_t n = argc > 1 ? static_cast<size_t>(std::atoll(argv[1]))
                             : dod::bench::ScaledN(100000);
   const size_t num_queries = std::min<size_t>(n, 512);
-  // A small n times sub-millisecond passes: take the best of more of them.
-  const int repeats = n <= 10000 ? 7 : 3;
+  // A small n times sub-millisecond passes: run more rounds of them.
+  const int rounds = n <= 10000 ? 15 : 5;
 
   dod::bench::PrintHeader(
       "Distance-kernel throughput — scalar vs blocked vs AVX2 vs AVX-512, 2-d",
@@ -296,17 +308,18 @@ int main(int argc, char** argv) {
 
   std::vector<int> reference_counts;
   uint64_t reference_pairs = 0;
-  std::vector<KernelPoint> kernels;
-  for (const Row& row : rows) {
-    KernelPoint point = MeasureKernel(
-        row.label, *row.ops, row.shadow ? shadowed : soa, data, queries,
-        sq_radius, &reference_counts, &reference_pairs, repeats);
-    point.speedup = kernels.empty()
-                        ? 1.0
-                        : point.pairs_per_sec / kernels.front().pairs_per_sec;
+  std::vector<KernelPoint> kernels(rows.size());
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      kernels[r].impl = rows[r].label;
+      KernelPass(*rows[r].ops, rows[r].shadow ? shadowed : soa, data, queries,
+                 sq_radius, &reference_counts, &reference_pairs, &kernels[r]);
+    }
+  }
+  for (KernelPoint& point : kernels) {
+    point.speedup = point.pairs_per_sec / kernels.front().pairs_per_sec;
     std::printf("%10s %16.3e %9.2fx\n", point.impl.c_str(),
                 point.pairs_per_sec, point.speedup);
-    kernels.push_back(point);
   }
 
   // Capped sweeps over the points in a random permutation, as the task
@@ -334,16 +347,20 @@ int main(int argc, char** argv) {
               "pairs");
   std::vector<int> sweep_counts;
   uint64_t batched_pairs = 0;
-  std::vector<SweepPoint> sweeps;
-  for (const Row& row : rows) {
-    const SweepPoint point = MeasureSweep(
-        row.label, *row.ops, row.shadow ? permuted_shadowed : permuted,
-        sweep_queries, starts, sq_radius, kSweepK, &sweep_counts,
-        &batched_pairs, repeats);
+  std::vector<SweepPoint> sweeps(rows.size());
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      sweeps[r].impl = rows[r].label;
+      SweepPass(*rows[r].ops, rows[r].shadow ? permuted_shadowed : permuted,
+                sweep_queries, starts, sq_radius, kSweepK, &sweep_counts,
+                &batched_pairs, /*reference=*/r == 0,
+                &sweeps[r]);
+    }
+  }
+  for (const SweepPoint& point : sweeps) {
     std::printf("%10s %16.3e %16.3e %14llu\n", point.impl.c_str(),
                 point.pairs_per_sec, point.queries_per_sec,
                 static_cast<unsigned long long>(point.pairs));
-    sweeps.push_back(point);
   }
 
   // End-to-end: the nested-loop detector is the most kernel-bound caller.
@@ -351,7 +368,7 @@ int main(int argc, char** argv) {
   const dod::Dataset detector_data = dod::GenerateTigerLike(detector_n, 77);
   dod::DetectionParams params{/*radius=*/2.0, /*min_neighbors=*/20};
   const DetectorPoint detector =
-      MeasureDetector(detector_data, params, repeats);
+      MeasureDetector(detector_data, params, rounds);
   std::printf("\nnested-loop detector, %zu points: scalar %.4fs, auto %.4fs "
               "(%.2fx), %zu outliers\n",
               detector_n, detector.scalar_seconds, detector.auto_seconds,

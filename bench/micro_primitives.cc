@@ -3,7 +3,8 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: distance
 // kernels, grid hashing, router lookups (cache-resident and in the
 // detection map's scattered BlockStore order), the task arena's probe
-// build, AF-tree insertion, and the centralized detectors at fixed size.
+// build, Cell-Based's cell index, AF-tree insertion, and the centralized
+// detectors at fixed size.
 
 #include <benchmark/benchmark.h>
 
@@ -178,6 +179,38 @@ void BM_ArenaBuildProbes(benchmark::State& state) {
                           static_cast<int64_t>(input.data.size()));
 }
 BENCHMARK(BM_ArenaBuildProbes)->Unit(benchmark::kMillisecond);
+
+// Cell-Based over one arena view of 50k uniform points, at density 2 (the
+// padded box holds ~0.17 cells per point: the summed-area table) and at
+// density 0.01 (~32: the hashed grid). Both densities decide nearly every cell by
+// pruning, so the time is the index: box, build and verdicts. The label
+// names the index the view took; items are indexed points.
+void BM_CellBasedIndex(benchmark::State& state) {
+  const size_t n = 50000;
+  const double density = static_cast<double>(state.range(0)) / 100.0;
+  const Dataset data = GenerateUniform(n, DomainForDensity(n, density), 19);
+  const DetectionParams params{5.0, 4};
+  TaskArena arena(data);
+  arena.BeginCell();
+  for (PointId id = 0; id < data.size(); ++id) arena.AddPoint(id);
+  arena.EndCell(data.size(), params.seed ^ kArenaSeedSalt);
+  if (!arena.TryBuildProbes().ok()) {
+    state.SkipWithError("probe build failed");
+    return;
+  }
+  const PartitionView view = arena.View(0);
+  const bool table = CellCountTable::Accepts(
+      view.probe_lanes().Bounds(view.probe_begin(), view.probe_end()),
+      CellBasedCellSide(params.radius, data.dims()), view.size());
+  state.SetLabel(table ? "table" : "grid");
+  const CellBasedDetector detector;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.DetectOutliers(view, params, nullptr));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_CellBasedIndex)->Arg(200)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_AfTreeClusterBuckets(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

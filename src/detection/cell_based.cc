@@ -13,61 +13,132 @@
 namespace dod {
 namespace {
 
+// A cell's verdict. Every cell holding a core point gets one of the four
+// decided values, once.
+enum class Verdict : uint8_t { kUnknown, kRed, kPink, kOutlier, kProbed };
+
 struct PruneStats {
   uint64_t grid_cells = 0;
   uint64_t red_cells = 0;
   uint64_t pink_cells = 0;
   uint64_t outlier_cells = 0;
   uint64_t probed_cells = 0;
+
+  void Record(Verdict verdict) {
+    switch (verdict) {
+      case Verdict::kRed:
+        ++red_cells;
+        break;
+      case Verdict::kPink:
+        ++pink_cells;
+        break;
+      case Verdict::kOutlier:
+        ++outlier_cells;
+        break;
+      case Verdict::kProbed:
+        ++probed_cells;
+        break;
+      case Verdict::kUnknown:
+        break;
+    }
+  }
 };
 
-// The three cell prunings. Decided outliers
-// land in `outliers`; core points neither pruning could decide land in
-// `undecided`, grouped by their candidate cell (the cell loop appends per
-// cell). They are then evaluated individually "in a fashion similar to
-// Nested-Loop" (Sec. IV-B), which is what the Lemma 4.2 case-3 cost term
-// |D|·A(D)·k/(π·r²) models.
-void PruneCells(const SparseGrid& grid, size_t num_core, int k, int max_ring,
-                std::vector<uint32_t>* undecided,
-                std::vector<uint32_t>* outliers, PruneStats* stats) {
+// The three cell prunings, for a cell holding core points and `own` points
+// in all; `count_block(ring)` counts the points of the (2·ring+1)^d block
+// centered on it. Both indexes decide through here.
+template <typename CountBlockFn>
+Verdict DecideCell(size_t own, int k, int max_ring,
+                   CountBlockFn&& count_block) {
+  const size_t limit = static_cast<size_t>(k);
+  // Red pruning: > k points in the cell itself; all pairs within r/2.
+  if (own > limit) return Verdict::kRed;
+  // Pink pruning: > k points in C plus its adjacent layer L1, all within r
+  // of any point in C.
+  if (count_block(1) > limit) return Verdict::kPink;
+  // Quiet-neighborhood pruning: every possible neighbor lives within
+  // `max_ring` cells; if that block holds ≤ k points, each core point has
+  // at most k-1 neighbors and is an outlier.
+  if (count_block(max_ring) <= limit) return Verdict::kOutlier;
+  return Verdict::kProbed;
+}
+
+// Hands a decided point to its list: outliers land in `outliers`, points
+// no pruning could decide in `undecided`.
+void Collect(Verdict verdict, uint32_t id, std::vector<uint32_t>* undecided,
+             std::vector<uint32_t>* outliers) {
+  if (verdict == Verdict::kOutlier) outliers->push_back(id);
+  if (verdict == Verdict::kProbed) undecided->push_back(id);
+}
+
+// Dense path: the summed-area table over the view's box, built from the
+// probe lanes. Walks the core points and decides each one's cell on first
+// sight. False, with nothing decided, when the table refuses the box.
+bool PruneWithTable(const PartitionView& partition, const Rect& box,
+                    double side, int k, int max_ring,
+                    std::vector<uint32_t>* undecided,
+                    std::vector<uint32_t>* outliers, PruneStats* stats) {
+  // The double lanes only: the leftover pass fills the shadow lanes, if
+  // any point reaches it.
+  const CellCountTable table(partition.probe_lanes(), partition.probe_begin(),
+                             partition.probe_end(), box, side);
+  if (!table.ok()) return false;
+  stats->grid_cells = table.num_cells();
+  std::vector<Verdict> verdicts(table.num_entries(), Verdict::kUnknown);
+  const auto num_core = static_cast<uint32_t>(partition.num_core());
+  for (uint32_t id = 0; id < num_core; ++id) {
+    const uint32_t cell = table.CellOf(id);
+    Verdict& verdict = verdicts[cell];
+    if (verdict == Verdict::kUnknown) {
+      verdict = DecideCell(table.CountBlock(cell, 0), k, max_ring,
+                           [&](int ring) {
+                             return table.CountBlock(cell, ring);
+                           });
+      stats->Record(verdict);
+    }
+    Collect(verdict, id, undecided, outliers);
+  }
+  return true;
+}
+
+// Hashed path: the sparse grid, walked cell by cell, grouping the
+// undecided points by cell (in first-point order).
+void PruneWithGrid(const PartitionView& partition, const Point& origin,
+                   double side, int k, int max_ring,
+                   std::vector<uint32_t>* undecided,
+                   std::vector<uint32_t>* outliers, PruneStats* stats) {
+  // Index every point (core and support) reading the view in place, one
+  // indexed load per point, prefetched ahead since the ids are scattered.
+  const size_t size = partition.size();
+  const SparseGrid grid(origin, side, static_cast<uint32_t>(size),
+                        [&](uint32_t i) {
+                          if (i + kPrefetchLookahead < size) {
+                            partition.Prefetch(i + kPrefetchLookahead);
+                          }
+                          return partition.point(i);
+                        });
+  if (!grid.fits()) {
+    // The view spans more cells than an int32 key can address without
+    // aliasing: no cell pruning, every core point is counted exactly.
+    undecided->resize(partition.num_core());
+    std::iota(undecided->begin(), undecided->end(), 0u);
+    return;
+  }
   stats->grid_cells = grid.cells().size();
   std::vector<uint32_t> core_members;
   for (const SparseGrid::Cell& cell : grid.cells()) {
     core_members.clear();
     for (uint32_t id : cell.points) {
-      if (id < num_core) core_members.push_back(id);
+      if (id < partition.num_core()) core_members.push_back(id);
     }
     // Cells holding only support points never need a verdict.
     if (core_members.empty()) continue;
-
-    // Red pruning: > k points in the cell itself; all pairs within r/2.
-    if (cell.points.size() > static_cast<size_t>(k)) {
-      ++stats->red_cells;
-      continue;
-    }
-
-    // Pink pruning: > k points in C plus its adjacent layer L1, all within r
-    // of any point in C.
-    const size_t count_l01 = grid.CountBlock(cell.coord, 1);
-    if (count_l01 > static_cast<size_t>(k)) {
-      ++stats->pink_cells;
-      continue;
-    }
-
-    // Quiet-neighborhood pruning: every possible neighbor lives within
-    // `max_ring` cells; if that block holds ≤ k points, each core point has
-    // at most k-1 neighbors and is an outlier.
-    const size_t count_all = grid.CountBlock(cell.coord, max_ring);
-    if (count_all <= static_cast<size_t>(k)) {
-      ++stats->outlier_cells;
-      outliers->insert(outliers->end(), core_members.begin(),
-                       core_members.end());
-      continue;
-    }
-
-    ++stats->probed_cells;
-    undecided->insert(undecided->end(), core_members.begin(),
-                      core_members.end());
+    const Verdict verdict =
+        DecideCell(cell.points.size(), k, max_ring, [&](int ring) {
+          return grid.CountBlock(cell.coord, ring);
+        });
+    stats->Record(verdict);
+    for (uint32_t id : core_members) Collect(verdict, id, undecided, outliers);
   }
 }
 
@@ -100,27 +171,23 @@ std::vector<uint32_t> CellBasedDetector::DetectOutliers(
   std::vector<uint32_t> outliers;
   if (num_core == 0) return outliers;
 
-  const int dims = partition.dims();
   const int k = params.min_neighbors;
-  const double side = CellBasedCellSide(params.radius, dims);
-  const int max_ring = CellBasedNeighborRings(dims);
+  const double side = CellBasedCellSide(params.radius, partition.dims());
+  const int max_ring = CellBasedNeighborRings(partition.dims());
 
-  // Index every point (core and support) into the sparse grid, reading the
-  // view in place — one indexed load per point, no partition copy.
-  const SparseGrid grid(
-      partition.Bounds().min(), side, static_cast<uint32_t>(partition.size()),
-      [&](uint32_t i) { return partition.point(i); });
-
+  // Core points the prunings decided land in `outliers` or stay out as
+  // inliers; the rest land in `undecided`. They are then evaluated
+  // individually "in a fashion similar to Nested-Loop" (Sec. IV-B), which
+  // is what the Lemma 4.2 case-3 cost term |D|·A(D)·k/(π·r²) models.
+  const Rect box = partition.probe_lanes().Bounds(partition.probe_begin(),
+                                                  partition.probe_end());
   PruneStats stats;
-  uint64_t distance_evals = 0;
   std::vector<uint32_t> undecided;
-  if (grid.fits()) {
-    PruneCells(grid, num_core, k, max_ring, &undecided, &outliers, &stats);
-  } else {
-    // The view spans more cells than an int32 key can address without
-    // aliasing: no cell pruning, every core point is counted exactly.
-    undecided.resize(num_core);
-    std::iota(undecided.begin(), undecided.end(), 0u);
+  if (index_ == Index::kHashed ||
+      !PruneWithTable(partition, box, side, k, max_ring, &undecided,
+                      &outliers, &stats)) {
+    PruneWithGrid(partition, box.min(), side, k, max_ring, &undecided,
+                  &outliers, &stats);
   }
 
   // Individual evaluation of the undecided points: an exact neighbor count
@@ -131,6 +198,7 @@ std::vector<uint32_t> CellBasedDetector::DetectOutliers(
   // pruning fires for most cells yet neighbors are plentiful enough for
   // Nested-Loop to exit quickly. All undecided points probe the view's
   // probe segment; no cap, so the count is exact in every kernel mode.
+  uint64_t distance_evals = 0;
   if (!undecided.empty()) {
     const SoABlock& probes = partition.probes();
     const size_t begin = partition.probe_begin();

@@ -19,6 +19,14 @@
 // The cost is linear in |D| when one of the prunings fires for (almost) all
 // cells — exactly the very dense / very sparse extremes — and degrades to
 // Nested-Loop-like probing plus indexing overhead in between.
+//
+// Two indexes answer the block counts (detection/grid.h), with the same
+// cell addresses and one decision rule. A view whose bounding box holds
+// few cells per point (CellCountTable::Accepts) is counted into a flat
+// summed-area table straight from its probe lanes: every block count is
+// 2^d lookups, and each cell holding core points is decided once. Any
+// other view is indexed by the hashed SparseGrid. Either way the verdicts,
+// the undecided points and every cell_based.* counter are the same.
 
 #ifndef DOD_DETECTION_CELL_BASED_H_
 #define DOD_DETECTION_CELL_BASED_H_
@@ -38,14 +46,24 @@ class CellBasedDetector : public Detector {
  public:
   using Detector::DetectOutliers;
 
+  // The index the prunings read. kAuto takes the summed-area table when
+  // the view's box fits it and the hashed grid otherwise; kHashed takes the
+  // hashed grid for every box, the oracle the table is tested against.
+  enum class Index { kAuto, kHashed };
+
+  explicit CellBasedDetector(Index index = Index::kAuto) : index_(index) {}
+
   std::string_view name() const override { return "Cell-Based"; }
   AlgorithmKind kind() const override { return AlgorithmKind::kCellBased; }
 
-  // Grids the view in place and probes undecided points against the view's
-  // probe segment.
+  // Indexes the view's cells and probes undecided points against the
+  // view's probe segment.
   std::vector<uint32_t> DetectOutliers(const PartitionView& partition,
                                        const DetectionParams& params,
                                        Counters* counters) const override;
+
+ private:
+  Index index_;
 };
 
 }  // namespace dod

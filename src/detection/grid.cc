@@ -2,6 +2,8 @@
 
 #include "detection/grid.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 
@@ -98,6 +100,108 @@ size_t SparseGrid::ProbeBlock(const CellCoord& center, int ring_radius,
   for (int off = -ring_radius; off <= ring_radius; ++off) {
     probe->c[dim] = center.c[dim] + off;
     total += ProbeBlock(center, ring_radius, dim + 1, probe);
+  }
+  return total;
+}
+
+bool CellCountTable::Accepts(const Rect& box, double side,
+                             size_t num_points) {
+  const double bound =
+      static_cast<double>(kEntriesPerPoint) * static_cast<double>(num_points) +
+      static_cast<double>(kEntrySlack);
+  double entries = 1.0;
+  for (int d = 0; d < box.dims(); ++d) {
+    const double cells = UniformCellIndex(box.hi(d), box.lo(d), side) + 1.0;
+    entries *= cells + 1.0;
+    // Negated so a NaN extent refuses too; entries index by uint32.
+    if (!(entries <= bound && entries <= UINT32_MAX)) return false;
+  }
+  return true;
+}
+
+CellCountTable::CellCountTable(const SoABlock& lanes, size_t begin,
+                               size_t end, const Rect& box, double side)
+    : dims_(lanes.dims()) {
+  DOD_CHECK(side > 0.0 && box.dims() == dims_ && begin <= end);
+  if (!Accepts(box, side, end - begin)) return;
+  size_t entries = 1;
+  for (int d = 0; d < dims_; ++d) {
+    ext_[d] = static_cast<size_t>(
+                  UniformCellIndex(box.hi(d), box.lo(d), side)) + 1;
+    stride_[d] = entries;
+    entries *= ext_[d] + 1;
+  }
+  sums_.assign(entries, 0);
+  cell_of_.resize(end - begin);
+  // Counts: each point's entry, one lane read per dimension in slot order.
+  for (size_t slot = begin; slot < end; ++slot) {
+    const size_t block = slot / kSoaWidth;
+    const size_t lane = slot % kSoaWidth;
+    size_t entry = 0;
+    for (int d = 0; d < dims_; ++d) {
+      const double c =
+          UniformCellIndex(lanes.Lane(block, d)[lane], box.lo(d), side);
+      if (!(c >= 0.0 && c < static_cast<double>(ext_[d]))) {
+        sums_ = {};
+        cell_of_ = {};
+        num_cells_ = 0;
+        return;
+      }
+      entry += (static_cast<size_t>(c) + 1) * stride_[d];
+    }
+    cell_of_[lanes.IdAt(slot)] = static_cast<uint32_t>(entry);
+    if (sums_[entry]++ == 0) ++num_cells_;
+  }
+  // Summed-area table: one prefix-sum pass per dimension. Within a run of
+  // (ext_d + 1) · stride_d entries, each entry past the leading zero slab
+  // adds the entry one step below it along d, already summed this pass.
+  for (int d = 0; d < dims_; ++d) {
+    const size_t step = stride_[d];
+    const size_t run = step * (ext_[d] + 1);
+    for (size_t base = 0; base < entries; base += run) {
+      for (size_t at = base + step; at < base + run; ++at) {
+        sums_[at] += sums_[at - step];
+      }
+    }
+  }
+  ok_ = true;
+}
+
+uint32_t CellCountTable::EntryOf(const CellCoord& coord) const {
+  DOD_CHECK(ok_ && coord.dims == dims_);
+  size_t entry = 0;
+  for (int d = 0; d < dims_; ++d) {
+    DOD_CHECK(coord.c[d] >= 0 && static_cast<size_t>(coord.c[d]) < ext_[d]);
+    entry += (static_cast<size_t>(coord.c[d]) + 1) * stride_[d];
+  }
+  return static_cast<uint32_t>(entry);
+}
+
+size_t CellCountTable::CountBlock(uint32_t entry, int ring_radius) const {
+  // Per dimension, the entries just below the block's low face and at its
+  // high face, clamped to the box.
+  size_t below[kMaxDimensions];
+  size_t top[kMaxDimensions];
+  const size_t ring = static_cast<size_t>(ring_radius);
+  for (int d = 0; d < dims_; ++d) {
+    const size_t at = entry / stride_[d] % (ext_[d] + 1);  // cell + 1
+    below[d] = (at > ring ? at - ring - 1 : 0) * stride_[d];
+    top[d] = std::min(at + ring, ext_[d]) * stride_[d];
+  }
+  // Inclusion-exclusion over the 2^d corners: a corner taking `below` in an
+  // odd number of dimensions subtracts. Unsigned wrap-around is exact, as
+  // the block count itself fits.
+  uint32_t total = 0;
+  for (uint32_t corner = 0; corner < (1u << dims_); ++corner) {
+    size_t at = 0;
+    for (int d = 0; d < dims_; ++d) {
+      at += (corner >> d & 1u) != 0 ? below[d] : top[d];
+    }
+    if (std::popcount(corner) % 2 == 0) {
+      total += sums_[at];
+    } else {
+      total -= sums_[at];
+    }
   }
   return total;
 }

@@ -1,16 +1,23 @@
 // Copyright 2026 The DOD Authors.
 //
-// Sparse uniform grid over d-dimensional space, built once over a fixed
-// point set. Cells are addressed by integer coordinates relative to an
-// anchor; only non-empty cells are materialized. Used by the Cell-Based
-// detector (Knorr & Ng).
+// The two cell indexes of the Cell-Based detector (Knorr & Ng), both over
+// the uniform grid of detection/cell_key.h anchored at the box's lower
+// corner, so a point has the same cell address in either:
 //
-// Layout (CSR): one CellIndex (detection/cell_key.h) maps a cell
+//   * CellCountTable, for small boxes: a flat summed-area table of
+//     per-cell point counts over the bounding box of the points. A block
+//     count is 2^d corner lookups, whatever the ring. Memory is O(box
+//     cells), so it is built only when the box is small next to the point
+//     count (CellCountTable::Accepts).
+//   * SparseGrid, for every other box: only non-empty cells are
+//     materialized, behind one hash index. A block count probes the
+//     block's cells one by one. Memory is O(points), never O(box cells).
+//
+// SparseGrid layout (CSR): one CellIndex (detection/cell_key.h) maps a cell
 // coordinate to its cell index, and the member ids of all cells live in
 // one array that a counting sort groups by cell; each cell's members are
-// a span of it.
-// Building costs a handful of flat allocations whatever the number of
-// cells, and memory is O(points), never O(bounding-box cells).
+// a span of it. Building costs a handful of flat allocations whatever the
+// number of cells.
 //
 // Order contract: cells come in order of their first point, and each
 // cell's members are ascending.
@@ -27,9 +34,11 @@
 #include <span>
 #include <vector>
 
+#include "common/bounds.h"
 #include "common/point.h"
 #include "common/status.h"
 #include "detection/cell_key.h"
+#include "kernels/soa_block.h"
 
 namespace dod {
 
@@ -121,6 +130,70 @@ class SparseGrid {
   CellIndex index_;
   // CSR member array: every point id once, grouped by cell.
   std::vector<uint32_t> members_;
+};
+
+// Summed-area table of per-cell point counts over a box of cells. Cell c of
+// dimension d covers [box.min[d] + c·side, box.min[d] + (c+1)·side) for c
+// in [0, ext_d), ext_d = floor((box.max[d] - box.min[d]) / side) + 1: the
+// cells a SparseGrid anchored at box.min() with the same side assigns.
+//
+// Layout: one flat array of prod(ext_d + 1) entries, dimension 0
+// innermost. Each dimension has one extra leading entry that stays zero,
+// and the entry of cell c (at c + 1 in every dimension) holds the number of
+// points in the cells <= c componentwise. A block count then takes its 2^d
+// corners, clamped to the box, with signs by inclusion-exclusion.
+class CellCountTable {
+ public:
+  // A box fits when its padded table holds at most kEntriesPerPoint
+  // entries per point plus kEntrySlack. Measured over every Cell-Based
+  // partition of dod_bench's DMT workloads, the padded tables hold 0.41
+  // entries per point on region_ca and 0.18 on dense_planted (uniform at
+  // density 2), so all of them take the table with ~10x headroom. Sparse
+  // partitions, the low densities of Fig. 5 and 8-d inputs, whose boxes
+  // hold far more cells than points, keep SparseGrid.
+  static constexpr size_t kEntriesPerPoint = 4;
+  static constexpr size_t kEntrySlack = 64;
+
+  // True iff the padded table over `box` at cell side `side` holds at most
+  // kEntriesPerPoint · num_points + kEntrySlack entries.
+  static bool Accepts(const Rect& box, double side, size_t num_points);
+
+  // Counts the points in slots [begin, end) of `lanes` (a task arena's
+  // probe segment: slot ids are local indices 0 .. end - begin - 1),
+  // reading the double lanes in slot order. `box` is their bounding box.
+  // ok() is false, and the table holds nothing, when the box does not fit
+  // or some point falls outside it.
+  CellCountTable(const SoABlock& lanes, size_t begin, size_t end,
+                 const Rect& box, double side);
+
+  bool ok() const { return ok_; }
+
+  // Entries in the table; every cell's entry is below it, so per-cell
+  // arrays indexed by entry take this size.
+  size_t num_entries() const { return sums_.size(); }
+
+  // Non-empty cells.
+  size_t num_cells() const { return num_cells_; }
+
+  // Entry of the cell holding local point i.
+  uint32_t CellOf(uint32_t i) const { return cell_of_[i]; }
+
+  // Entry of the cell at `coord`, which must lie in the box.
+  uint32_t EntryOf(const CellCoord& coord) const;
+
+  // Number of points within Chebyshev cell-distance `ring_radius` (>= 0)
+  // of cell `entry`: what SparseGrid::CountBlock returns for its coordinate.
+  size_t CountBlock(uint32_t entry, int ring_radius) const;
+
+ private:
+  int dims_;
+  bool ok_ = false;
+  // Cells per dimension, and the entry stride of each dimension.
+  size_t ext_[kMaxDimensions] = {};
+  size_t stride_[kMaxDimensions] = {};
+  std::vector<uint32_t> sums_;
+  std::vector<uint32_t> cell_of_;
+  size_t num_cells_ = 0;
 };
 
 }  // namespace dod

@@ -30,18 +30,6 @@ void RecordArenaBuild(size_t cells) {
 
 }  // namespace
 
-Rect PartitionView::Bounds() const {
-  DOD_CHECK(!empty());
-  BoundsAccumulator accumulator(dims());
-  for (size_t i = 0; i < size_; ++i) {
-    if (i + kPrefetchLookahead < size_) {
-      data_->Prefetch(ids_[i + kPrefetchLookahead]);
-    }
-    accumulator.Add(point(i));
-  }
-  return accumulator.bounds();
-}
-
 const SoABlock& PartitionView::probes() const {
   if (!*shadow_filled_) {
     *shadow_filled_ = true;

@@ -17,10 +17,11 @@
 //
 // Prefetching: a view's ids arrive in shuffle order, which follows the
 // random BlockStore order, so reading point(i) for i = 0, 1, ... is one
-// cache miss per point. The two whole-view gathers, the probe build and
-// Bounds(), request each point kPrefetchLookahead ids ahead so the misses
-// overlap. Bounds() is Cell-Based's first touch of its partition; the grid
-// build that follows then reads from cache.
+// cache miss per point. Whole-view gathers (the probe build, Cell-Based's
+// hashed grid build) request each point kPrefetchLookahead ids ahead
+// (Prefetch) so the misses overlap. A pass that needs every point but no
+// particular order reads the probe segment's lanes instead, sequentially
+// (Cell-Based's bounding box and summed-area table).
 //
 // Lifetime: a TaskArena lives on the stack of one reduce-task attempt
 // (reducer instances are shared across concurrent tasks and must stay
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bounds.h"
 #include "common/dataset.h"
 #include "common/point.h"
 #include "durability/memory_budget.h"
@@ -73,9 +73,8 @@ class PartitionView {
   // Coordinates of local point i (one indexed load into the global data).
   const double* point(size_t i) const { return (*data_)[ids_[i]]; }
 
-  // Bounding box of the viewed points (prefetched, see above). Must not be
-  // called on an empty view.
-  Rect Bounds() const;
+  // Requests local point i's coordinates into the cache.
+  void Prefetch(size_t i) const { data_->Prefetch(ids_[i]); }
 
   // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
   // view's points in a permuted order, each slot carrying its point's
@@ -84,6 +83,9 @@ class PartitionView {
   // through here before a sweep), so a cell no kernel scans never pays
   // for them.
   const SoABlock& probes() const;
+  // The same buffer without the fill: for reading the segment's double
+  // lanes and ids only, never its shadow lanes.
+  const SoABlock& probe_lanes() const { return *probes_; }
   size_t probe_begin() const { return probe_begin_; }
   size_t probe_end() const { return probe_begin_ + size_; }
 

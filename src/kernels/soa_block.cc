@@ -57,6 +57,28 @@ uint64_t SoABlock::CapacityBytes() const {
          shadow_until_.capacity() * sizeof(uint32_t);
 }
 
+Rect SoABlock::Bounds(size_t begin, size_t end) const {
+  DOD_CHECK(begin < end && end <= size_);
+  Point lo(dims_), hi(dims_);
+  for (int d = 0; d < dims_; ++d) {
+    double min = Lane(begin / kSoaWidth, d)[begin % kSoaWidth];
+    double max = min;
+    for (size_t block = begin / kSoaWidth; block * kSoaWidth < end;
+         ++block) {
+      const size_t base = block * kSoaWidth;
+      const double* lane = Lane(block, d);
+      const size_t last = std::min(end, base + kSoaWidth) - base;
+      for (size_t s = std::max(begin, base) - base; s < last; ++s) {
+        min = std::min(min, lane[s]);
+        max = std::max(max, lane[s]);
+      }
+    }
+    lo[d] = min;
+    hi[d] = max;
+  }
+  return Rect(lo, hi);
+}
+
 void SoABlock::EnableShadow() {
   DOD_CHECK(size_ == 0);
   shadow_ = true;

@@ -41,6 +41,7 @@
 #include <new>
 #include <vector>
 
+#include "common/bounds.h"
 #include "common/dataset.h"
 
 namespace dod {
@@ -118,6 +119,11 @@ class SoABlock {
 
   // Id of `slot` (pad slots: kSoaInvalidId).
   uint32_t IdAt(size_t slot) const { return ids_[slot]; }
+
+  // Bounding box of the points in slots [begin, end), read from the double
+  // lanes in slot order. The range must be non-empty, inside size() and
+  // free of pad slots (a task arena's probe segment).
+  Rect Bounds(size_t begin, size_t end) const;
 
   // Lets FillShadow write shadow lanes. Must be called on an empty buffer.
   void EnableShadow();

@@ -17,6 +17,7 @@
 #include "detection/brute_force.h"
 #include "detection/cell_based.h"
 #include "detection/detector.h"
+#include "detection/grid.h"
 #include "detection/nested_loop.h"
 #include "kernels/distance_kernels.h"
 
@@ -353,6 +354,190 @@ TEST(NestedLoopEquivalence, PipelineMatchesOracleAtOneAndFourThreads) {
         evals_at_one = evals;
       } else {
         EXPECT_EQ(evals, evals_at_one) << "k=" << k;
+      }
+    }
+  }
+}
+
+// Cell-Based prunes a view whose bounding box fits CellCountTable's bound
+// from the summed-area table, and any other view from the hashed grid;
+// Index::kHashed takes the grid for every view. The two must agree on the
+// outliers and on every cell_based.* counter.
+constexpr const char* kCellBasedCounters[] = {
+    "cell_based.cells",          "cell_based.red_cells",
+    "cell_based.pink_cells",     "cell_based.outlier_cells",
+    "cell_based.probed_cells",   "cell_based.distance_evals"};
+
+struct CellBasedRun {
+  std::vector<uint32_t> outliers;
+  Counters counters;
+};
+
+// Cell-Based over one arena cell holding all of `data`, the first
+// `num_core` points core; `takes_table` reports whether the view's box
+// fits the table.
+CellBasedRun RunCellBased(const Dataset& data, size_t num_core,
+                          const DetectionParams& params,
+                          CellBasedDetector::Index index,
+                          bool* takes_table = nullptr) {
+  TaskArena arena(data, /*budget=*/nullptr, params.kernels);
+  arena.BeginCell();
+  for (PointId id = 0; id < data.size(); ++id) arena.AddPoint(id);
+  arena.EndCell(num_core, params.seed ^ kArenaSeedSalt);
+  EXPECT_TRUE(arena.TryBuildProbes().ok());
+  const PartitionView view = arena.View(0);
+  if (takes_table != nullptr) {
+    *takes_table = CellCountTable::Accepts(
+        view.probe_lanes().Bounds(view.probe_begin(), view.probe_end()),
+        CellBasedCellSide(params.radius, data.dims()), view.size());
+  }
+  CellBasedRun run;
+  run.outliers =
+      CellBasedDetector(index).DetectOutliers(view, params, &run.counters);
+  return run;
+}
+
+TEST(CellBasedIndexes, TableAndGridAgreeOnEveryCounter) {
+  // Views whose boxes both paths accept: dense and mid-density uniform,
+  // clustered settlements and a 3-d cube, with and without support points,
+  // across k and both kernel modes. Together they reach all four verdicts.
+  SettlementProfile profile;
+  const Dataset inputs[] = {
+      GenerateUniform(3000, DomainForDensity(3000, 2.0), 21),
+      GenerateUniform(2000, DomainForDensity(2000, 0.2), 22),
+      GenerateSettlements(2500, DomainForDensity(2500, 0.4), profile, 23),
+      GenerateUniform(1500, Rect::Cube(3, 0.0, 20.0), 24)};
+  Counters totals;
+  for (const Dataset& data : inputs) {
+    for (size_t num_core : {data.size(), data.size() * 4 / 5}) {
+      for (int k : {1, 4, 8}) {
+        for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+          DetectionParams params{5.0, k};
+          params.kernels = mode;
+          const std::string label =
+              "n=" + std::to_string(data.size()) + " dims=" +
+              std::to_string(data.dims()) + " core=" +
+              std::to_string(num_core) + " k=" + std::to_string(k) + " " +
+              KernelModeName(mode);
+          bool takes_table = false;
+          const CellBasedRun table = RunCellBased(
+              data, num_core, params, CellBasedDetector::Index::kAuto,
+              &takes_table);
+          ASSERT_TRUE(takes_table) << label;
+          const CellBasedRun grid = RunCellBased(
+              data, num_core, params, CellBasedDetector::Index::kHashed);
+          EXPECT_EQ(table.outliers, Oracle(data, num_core, params)) << label;
+          EXPECT_EQ(grid.outliers, table.outliers) << label;
+          for (const char* name : kCellBasedCounters) {
+            EXPECT_EQ(table.counters.Get(name), grid.counters.Get(name))
+                << label << " " << name;
+            totals.Increment(name, table.counters.Get(name));
+          }
+        }
+      }
+    }
+  }
+  for (const char* name : kCellBasedCounters) {
+    EXPECT_GT(totals.Get(name), 0u) << name;
+  }
+}
+
+TEST(CellBasedIndexes, BothSidesOfTheBoundMatchTheOracle) {
+  // Uniform data on each side of the bound, with support points.
+  for (const double density : {0.005, 0.02, 0.4, 2.0}) {
+    const Dataset data =
+        GenerateUniform(1500, DomainForDensity(1500, density), 31);
+    const DetectionParams params{5.0, 4};
+    bool takes_table = false;
+    const CellBasedRun run =
+        RunCellBased(data, 1200, params, CellBasedDetector::Index::kAuto,
+                     &takes_table);
+    EXPECT_EQ(takes_table, density >= 0.4) << "density " << density;
+    EXPECT_EQ(run.outliers, Oracle(data, 1200, params))
+        << "density " << density;
+  }
+  // Boxes one cell inside and one cell outside the bound (4·n + 64 padded
+  // entries) at cell side 1: a row of points 0.5 apart and a far point
+  // that sets the box, in 1-d and 2-d.
+  struct Edge {
+    int dims;
+    double top;
+    bool inside;
+  };
+  for (const Edge& edge : {Edge{1, 102.5, true}, Edge{1, 103.5, false},
+                           Edge{2, 10.5, true}, Edge{2, 11.5, false}}) {
+    const size_t n = edge.dims == 1 ? 10 : 20;
+    Dataset data(edge.dims);
+    for (size_t i = 0; i + 1 < n; ++i) {
+      const double x = 0.5 * static_cast<double>(i);
+      data.Append(edge.dims == 1 ? Point{x} : Point{x, x});
+    }
+    data.Append(edge.dims == 1 ? Point{edge.top} : Point{edge.top, 10.5});
+    const std::string label = std::to_string(edge.dims) + "-d top " +
+                              std::to_string(edge.top);
+    for (int k : {1, 2, 4}) {
+      // Side r / (2·sqrt(d)) = 1.
+      const DetectionParams params{2.0 * std::sqrt(edge.dims), k};
+      for (size_t num_core : {n, n - 3}) {
+        bool takes_table = false;
+        const CellBasedRun run =
+            RunCellBased(data, num_core, params,
+                         CellBasedDetector::Index::kAuto, &takes_table);
+        EXPECT_EQ(takes_table, edge.inside) << label;
+        EXPECT_EQ(run.outliers, Oracle(data, num_core, params))
+            << label << " k=" << k;
+        const CellBasedRun grid = RunCellBased(
+            data, num_core, params, CellBasedDetector::Index::kHashed);
+        for (const char* name : kCellBasedCounters) {
+          EXPECT_EQ(run.counters.Get(name), grid.counters.Get(name))
+              << label << " k=" << k << " " << name;
+        }
+      }
+    }
+  }
+}
+
+TEST(CellBasedIndexes, PipelineMatchesOracleAtOneAndFourThreads) {
+  // Every partition on Cell-Based with supporting areas: dense data whose
+  // partitions take the table, sparse data whose partitions take the grid,
+  // and clustered data holding both. Outliers are the oracle's, and the
+  // counters depend on neither the thread count nor the kernels.
+  SettlementProfile profile;
+  const Dataset inputs[] = {
+      GenerateUniform(20000, DomainForDensity(20000, 2.0), 41),
+      GenerateUniform(6000, DomainForDensity(6000, 0.01), 42),
+      GenerateSettlements(12000, DomainForDensity(12000, 0.2), profile, 43)};
+  for (const Dataset& data : inputs) {
+    const DetectionParams base{5.0, 4};
+    const std::vector<uint32_t> oracle = Oracle(data, data.size(), base);
+    Counters first;
+    bool have_first = false;
+    for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+      for (int threads : {1, 4}) {
+        const std::string label = "n=" + std::to_string(data.size()) +
+                                  " threads=" + std::to_string(threads) +
+                                  " " + KernelModeName(mode);
+        DetectionParams params = base;
+        params.kernels = mode;
+        DodConfig config = DodConfig::Baseline(params, StrategyKind::kCDriven,
+                                               AlgorithmKind::kCellBased);
+        config.num_threads = threads;
+        const Result<DodResult> run = DodPipeline(config).Run(data);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_EQ(run.value().outliers,
+                  std::vector<PointId>(oracle.begin(), oracle.end()))
+            << label;
+        const Counters& counters = run.value().detect_stats.counters;
+        EXPECT_GT(counters.Get("cell_based.cells"), 0u) << label;
+        if (!have_first) {
+          first = counters;
+          have_first = true;
+          continue;
+        }
+        for (const char* name : kCellBasedCounters) {
+          EXPECT_EQ(counters.Get(name), first.Get(name))
+              << label << " " << name;
+        }
       }
     }
   }

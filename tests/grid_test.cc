@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "data/generators.h"
+#include "detection/partition_view.h"
 
 namespace dod {
 namespace {
@@ -331,6 +332,225 @@ class IndexHarness {
   std::vector<uint32_t> free_ids_;
   std::map<CellCoord, uint32_t, CellCoordLess> oracle_;
 };
+
+// Lanes over `data`: slot j holds point j with id j, the layout of a task
+// arena segment that starts at slot 0 in identity order.
+SoABlock LanesOf(const Dataset& data) {
+  SoABlock lanes(data.dims());
+  lanes.Assign(data);
+  return lanes;
+}
+
+// Cells per dimension of the box the table spans.
+std::vector<int> BoxExtents(const Rect& box, double side) {
+  std::vector<int> ext;
+  for (int d = 0; d < box.dims(); ++d) {
+    ext.push_back(
+        static_cast<int>(UniformCellIndex(box.hi(d), box.lo(d), side)) + 1);
+  }
+  return ext;
+}
+
+// Builds the table over all of `data` at `side` and checks, for every cell
+// of its box and rings 0..6, its block counts against a brute-force count
+// over the points' cells and against SparseGrid::CountBlock; also each
+// point's cell and the non-empty cell count against the grid.
+void ExpectTableMatchesGrid(const Dataset& data, double side) {
+  const SoABlock lanes = LanesOf(data);
+  const Rect box = lanes.Bounds(0, data.size());
+  const CellCountTable table(lanes, 0, data.size(), box, side);
+  ASSERT_TRUE(table.ok());
+  const SparseGrid grid = GridOver(data, box.min(), side);
+  ASSERT_TRUE(grid.fits());
+  EXPECT_EQ(table.num_cells(), grid.cells().size());
+  std::vector<CellCoord> coords;
+  for (uint32_t i = 0; i < data.size(); ++i) {
+    coords.push_back(grid.CoordOf(data[i]));
+    ASSERT_EQ(table.CellOf(i), table.EntryOf(coords.back())) << "point " << i;
+  }
+  const std::vector<int> ext = BoxExtents(box, side);
+  const int dims = data.dims();
+  CellCoord query;
+  query.dims = dims;
+  // Odometer over every cell of the box, empty ones included.
+  for (bool more = true; more;) {
+    const uint32_t entry = table.EntryOf(query);
+    for (int ring = 0; ring <= 6; ++ring) {
+      size_t expected = 0;
+      for (const CellCoord& c : coords) {
+        int far = 0;
+        for (int d = 0; d < dims; ++d) {
+          far = std::max(far, std::abs(c.c[d] - query.c[d]));
+        }
+        expected += far <= ring ? 1 : 0;
+      }
+      ASSERT_EQ(table.CountBlock(entry, ring), expected) << "ring " << ring;
+      ASSERT_EQ(grid.CountBlock(query, ring), expected) << "ring " << ring;
+    }
+    more = false;
+    for (int d = 0; d < dims && !more; ++d) {
+      if (++query.c[d] < ext[d]) {
+        more = true;
+      } else {
+        query.c[d] = 0;
+      }
+    }
+  }
+}
+
+// Uniform points over boxes of 2 to 20 cells a side, each inside the
+// table's entry bound, so rings 0..6 clamp at every face.
+TEST(CellCountTableTest, BlockCountsMatchBruteForceAndGridInDims1To8) {
+  struct Layout {
+    size_t n;
+    double extent;
+  };
+  const Layout layouts[kMaxDimensions] = {{30, 20.0},  {60, 10.0},
+                                          {100, 5.0},  {200, 4.0},
+                                          {300, 3.0},  {200, 2.0},
+                                          {600, 2.0},  {1700, 2.0}};
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    const Layout& layout = layouts[dims - 1];
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    const Dataset data = GenerateUniform(
+        layout.n, Rect::Cube(dims, 0.0, layout.extent), 17 + dims);
+    ExpectTableMatchesGrid(data, 1.0);
+  }
+}
+
+// Every point in one cell: each block count is the whole set.
+TEST(CellCountTableTest, SingleCellBox) {
+  for (int dims = 1; dims <= kMaxDimensions; ++dims) {
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    const Dataset data =
+        GenerateUniform(50, Rect::Cube(dims, 3.0, 3.9), 5 + dims);
+    const SoABlock lanes = LanesOf(data);
+    const CellCountTable table(lanes, 0, data.size(),
+                               lanes.Bounds(0, data.size()), 1.0);
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(table.num_cells(), 1u);
+    EXPECT_EQ(table.num_entries(), size_t{1} << dims);
+    for (int ring = 0; ring <= 6; ++ring) {
+      EXPECT_EQ(table.CountBlock(table.CellOf(0), ring), data.size());
+    }
+    ExpectTableMatchesGrid(data, 1.0);
+  }
+}
+
+// Points exactly on multiples of the side start their cells: a lattice at
+// side 0.25 puts point (i, j) alone in cell (i, j), the top face's points
+// included. A side of 0.1 rounds, and the table must still agree with the
+// grid's formula.
+TEST(CellCountTableTest, PointsOnMultiplesOfTheSide) {
+  Dataset data(2);
+  for (int x = 0; x < 10; ++x) {
+    for (int y = 0; y < 10; ++y) data.Append(Point{x * 0.25, y * 0.25});
+  }
+  const SoABlock lanes = LanesOf(data);
+  const CellCountTable table(lanes, 0, data.size(),
+                             lanes.Bounds(0, data.size()), 0.25);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table.num_cells(), 100u);
+  for (uint32_t i = 0; i < data.size(); ++i) {
+    const CellCoord cell{{static_cast<int32_t>(i / 10),
+                          static_cast<int32_t>(i % 10)},
+                         2};
+    ASSERT_EQ(table.CellOf(i), table.EntryOf(cell)) << "point " << i;
+    const auto span = [](int v) {
+      return std::min(v + 1, 9) - std::max(v - 1, 0) + 1;
+    };
+    ASSERT_EQ(table.CountBlock(table.CellOf(i), 0), 1u);
+    ASSERT_EQ(table.CountBlock(table.CellOf(i), 1),
+              static_cast<size_t>(span(cell.c[0]) * span(cell.c[1])));
+  }
+  ExpectTableMatchesGrid(data, 0.25);
+
+  Dataset shifted(2);
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      shifted.Append(Point{-0.3 + x * 0.1, 0.7 + y * 0.1});
+    }
+  }
+  ExpectTableMatchesGrid(shifted, 0.1);
+}
+
+// The padded table may hold 4·n + 64 entries: a box one cell short of it
+// in one dimension takes the table, one more cell refuses it.
+TEST(CellCountTableTest, BoxJustInsideAndJustOutsideTheBound) {
+  // 1-d, 10 points: the bound is 104 entries, i.e. 103 cells.
+  for (const double top : {102.5, 103.5}) {
+    Dataset data(1);
+    for (int i = 0; i < 9; ++i) data.Append(Point{i * 0.5});
+    data.Append(Point{top});
+    const SoABlock lanes = LanesOf(data);
+    const Rect box = lanes.Bounds(0, data.size());
+    const bool inside = top < 103.0;
+    SCOPED_TRACE(inside ? "inside" : "outside");
+    EXPECT_EQ(CellCountTable::Accepts(box, 1.0, data.size()), inside);
+    const CellCountTable table(lanes, 0, data.size(), box, 1.0);
+    EXPECT_EQ(table.ok(), inside);
+    if (inside) {
+      EXPECT_EQ(table.num_entries(), 4 * data.size() + 64);
+      ExpectTableMatchesGrid(data, 1.0);
+    } else {
+      EXPECT_EQ(table.num_entries(), 0u);
+    }
+  }
+  // 2-d, 20 points: the bound is 144 = 12 x 12 entries, 11 x 11 cells.
+  for (const double top : {10.5, 11.5}) {
+    Dataset data(2);
+    for (int i = 0; i < 19; ++i) data.Append(Point{i * 0.5, i * 0.5});
+    data.Append(Point{top, 10.5});
+    const SoABlock lanes = LanesOf(data);
+    const Rect box = lanes.Bounds(0, data.size());
+    const bool inside = top < 11.0;
+    SCOPED_TRACE(inside ? "inside" : "outside");
+    EXPECT_EQ(CellCountTable::Accepts(box, 1.0, data.size()), inside);
+    const CellCountTable table(lanes, 0, data.size(), box, 1.0);
+    EXPECT_EQ(table.ok(), inside);
+    if (inside) ExpectTableMatchesGrid(data, 1.0);
+  }
+}
+
+// A box a cell short of the points refuses instead of miscounting.
+TEST(CellCountTableTest, RefusesAPointOutsideTheBox) {
+  const Dataset data = GenerateUniform(40, Rect::Cube(2, 0.0, 5.0), 3);
+  const SoABlock lanes = LanesOf(data);
+  const Rect box = lanes.Bounds(0, data.size());
+  const Rect short_box(box.min(), Point{box.hi(0) - 1.5, box.hi(1)});
+  const CellCountTable table(lanes, 0, data.size(), short_box, 1.0);
+  EXPECT_FALSE(table.ok());
+}
+
+// Over a task arena's segments: slots are permuted and segments start past
+// slot 0, and each point's cell is found by its local index.
+TEST(CellCountTableTest, ArenaSegmentsKeyPointsByLocalIndex) {
+  const Dataset data = GenerateUniform(500, Rect::Cube(2, 0.0, 12.0), 41);
+  TaskArena arena(data);
+  for (PointId first : {0u, 200u}) {
+    arena.BeginCell();
+    for (PointId id = first; id < first + 300; ++id) arena.AddPoint(id);
+    arena.EndCell(/*num_core=*/150, /*permutation_seed=*/first + 9);
+  }
+  ASSERT_TRUE(arena.TryBuildProbes().ok());
+  for (size_t c = 0; c < arena.num_cells(); ++c) {
+    const PartitionView view = arena.View(c);
+    const SoABlock& lanes = view.probe_lanes();
+    const Rect box = lanes.Bounds(view.probe_begin(), view.probe_end());
+    const CellCountTable table(lanes, view.probe_begin(), view.probe_end(),
+                               box, 1.0);
+    ASSERT_TRUE(table.ok());
+    const SparseGrid grid(box.min(), 1.0, static_cast<uint32_t>(view.size()),
+                          [&](uint32_t i) { return view.point(i); });
+    EXPECT_EQ(table.num_cells(), grid.cells().size());
+    for (uint32_t i = 0; i < view.size(); ++i) {
+      const CellCoord coord = grid.CoordOf(view.point(i));
+      ASSERT_EQ(table.CellOf(i), table.EntryOf(coord)) << "point " << i;
+      ASSERT_EQ(table.CountBlock(table.CellOf(i), 3),
+                grid.CountBlock(coord, 3));
+    }
+  }
+}
 
 CellCoord Coord2(int32_t x, int32_t y) { return CellCoord{{x, y}, 2}; }
 

@@ -386,7 +386,9 @@ TEST(PartitionViewTest, GatheredViewPreservesLocalOrder) {
     EXPECT_EQ(view.point(i), data[ids[i]]);
     expected.Add(data[ids[i]]);
   }
-  const Rect bounds = view.Bounds();
+  // The box Cell-Based reads off the probe lanes is the box of the ids.
+  const Rect bounds =
+      view.probe_lanes().Bounds(view.probe_begin(), view.probe_end());
   for (int d = 0; d < data.dims(); ++d) {
     EXPECT_EQ(bounds.min()[d], expected.bounds().min()[d]);
     EXPECT_EQ(bounds.max()[d], expected.bounds().max()[d]);
@@ -491,8 +493,9 @@ TEST(PartitionViewTest, ArenaProbesMatchAnAppendBuiltReference) {
       EXPECT_EQ(view.probe_begin(), reference_begin[c]) << "cell " << c;
       if (view.empty()) continue;
       BoundsAccumulator expected(data.dims());
-      for (size_t i = 0; i < view.size(); ++i) expected.Add(view.point(i));
-      const Rect bounds = view.Bounds();
+      for (size_t i = 0; i < view.size(); ++i) expected.Add(data[view.id(i)]);
+      const Rect bounds =
+          view.probe_lanes().Bounds(view.probe_begin(), view.probe_end());
       for (int d = 0; d < data.dims(); ++d) {
         EXPECT_EQ(bounds.min()[d], expected.bounds().min()[d])
             << "cell " << c;

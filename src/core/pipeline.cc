@@ -176,6 +176,18 @@ std::vector<uint32_t> DetectCell(const PartitionView& view, uint32_t cell,
   return local;
 }
 
+// Closes a staged cell for DetectCell. Nested-Loop's Lemma 4.1 probe order
+// wants the seeded permutation; Cell-Based counts every slot, so its
+// segment keeps the staging order and skips drawing one.
+void EndDetectCell(TaskArena& arena, size_t num_core, uint32_t cell,
+                   const MultiTacticPlan& plan, const DetectionParams& params) {
+  if (plan.algorithm_plan[cell] == AlgorithmKind::kCellBased) {
+    arena.EndCell(num_core);
+  } else {
+    arena.EndCell(num_core, CellSeed(params.seed, cell) ^ kArenaSeedSalt);
+  }
+}
+
 // Reduce side when supporting areas are on: verdicts are final.
 //
 // Task-at-a-time: every cell of the reduce task stages into one TaskArena
@@ -220,8 +232,7 @@ class DetectReducer : public Reducer<uint32_t, TaggedWord, PointId> {
         const TaggedWord record = groups.value(g, i);
         if (TaggedSupport(record)) arena.AddPoint(TaggedId(record));
       }
-      arena.EndCell(num_core,
-                    CellSeed(params_.seed, groups.key(g)) ^ kArenaSeedSalt);
+      EndDetectCell(arena, num_core, groups.key(g), plan_, params_);
     }
     DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
 
@@ -294,8 +305,7 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
       for (size_t i = 0; i < group_size; ++i) {
         arena.AddPoint(TaggedId(groups.value(g, i)));
       }
-      arena.EndCell(group_size,
-                    CellSeed(params_.seed, groups.key(g)) ^ kArenaSeedSalt);
+      EndDetectCell(arena, group_size, groups.key(g), plan_, params_);
     }
     DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
 

@@ -3,6 +3,7 @@
 #include "detection/partition_view.h"
 
 #include <new>
+#include <numeric>
 
 #include "common/random.h"
 #include "kernels/distance_kernels.h"
@@ -87,13 +88,18 @@ void TaskArena::BeginCell() {
   cells_.push_back(slot);
 }
 
-void TaskArena::EndCell(size_t num_core, uint64_t permutation_seed) {
+void TaskArena::EndCell(size_t num_core) {
   DOD_CHECK(!cells_.empty() && !built_);
   CellSlot& slot = cells_.back();
   slot.size = ids_.size() - slot.ids_begin;
   DOD_CHECK(num_core <= slot.size);
   slot.num_core = num_core;
-  slot.permutation_seed = permutation_seed;
+}
+
+void TaskArena::EndCell(size_t num_core, uint64_t permutation_seed) {
+  EndCell(num_core);
+  cells_.back().permuted = true;
+  cells_.back().permutation_seed = permutation_seed;
 }
 
 Status TaskArena::TryBuildProbes() {
@@ -104,11 +110,17 @@ Status TaskArena::TryBuildProbes() {
     for (CellSlot& slot : cells_) {
       probes_.AlignToBlock();
       slot.probe_begin = probes_.size();
-      // Permuted segment, slot ids = local indices: Nested-Loop scans it
-      // directly as its random probe order, and the ids map each slot back
-      // to its point.
-      Rng rng(slot.permutation_seed);
-      const std::vector<uint32_t> order = RandomPermutation(slot.size, rng);
+      // Slot ids = local indices, so the ids map each slot back to its
+      // point. A permuted segment is Nested-Loop's random probe order,
+      // scanned directly.
+      std::vector<uint32_t> order;
+      if (slot.permuted) {
+        Rng rng(slot.permutation_seed);
+        order = RandomPermutation(slot.size, rng);
+      } else {
+        order.resize(slot.size);
+        std::iota(order.begin(), order.end(), 0u);
+      }
       probes_.AppendGathered(data_, ids_.data() + slot.ids_begin,
                              order.data(), order.size());
       points += slot.size;

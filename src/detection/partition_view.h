@@ -11,9 +11,10 @@
 // which also lays out one blocked SoA buffer holding every staged cell's
 // probe segment back to back (each segment block-aligned — aligned to a
 // 16-slot shadow vector when the buffer takes float32 shadow lanes —
-// pre-permuted, slot ids = local indices), so the kernels scan exactly
-// [probe_begin, probe_begin + size) of the shared buffer and one arena
-// build serves every cell of a reduce task (or a streaming round).
+// permuted for Nested-Loop cells, slot ids = local indices), so the
+// kernels scan exactly [probe_begin, probe_begin + size) of the shared
+// buffer and one arena build serves every cell of a reduce task (or a
+// streaming round).
 //
 // Prefetching: a view's ids arrive in shuffle order, which follows the
 // random BlockStore order, so reading point(i) for i = 0, 1, ... is one
@@ -77,11 +78,11 @@ class PartitionView {
   void Prefetch(size_t i) const { data_->Prefetch(ids_[i]); }
 
   // Probe segment: slots [probe_begin, probe_end) of `probes()` hold this
-  // view's points in a permuted order, each slot carrying its point's
-  // *local* index as id. When the arena's buffer takes shadow lanes, the
-  // first call fills the segment's (every detector reads its probes
-  // through here before a sweep), so a cell no kernel scans never pays
-  // for them.
+  // view's points, permuted or in staging order as the arena's EndCell
+  // chose, each slot carrying its point's *local* index as id. When the
+  // arena's buffer takes shadow lanes, the first call fills the segment's
+  // (every detector reads its probes through here before a sweep), so a
+  // cell no kernel scans never pays for them.
   const SoABlock& probes() const;
   // The same buffer without the fill: for reading the segment's double
   // lanes and ids only, never its shadow lanes.
@@ -125,17 +126,18 @@ class PartitionView {
 //   arena.TryReserve(num_cells, num_points);     // optional pre-sizing
 //   for each cell:  arena.BeginCell();
 //                   arena.AddPoint(id)...        // core first, then support
-//                   arena.EndCell(num_core, permutation_seed);
+//                   arena.EndCell(num_core[, permutation_seed]);
 //   arena.TryBuildProbes();
 //   for each cell:  PartitionView view = arena.View(cell_index);
 //
 // The two-phase shape exists because id storage is one growing vector:
 // views hand out raw pointers into it, so they are only created after every
 // cell has been staged. TryBuildProbes lays each cell's segment into one
-// SoABlock, block- (or vector-) aligned, in a deterministic per-cell random
-// permutation (seeded by the caller — Nested-Loop's randomized probe order
-// relies on it) with one prefetching SoABlock::AppendGathered per cell, and
-// records the kernels.soa_reuse.* metrics.
+// SoABlock, block- (or vector-) aligned, with one prefetching
+// SoABlock::AppendGathered per cell, in a deterministic per-cell random
+// permutation when the caller seeds one (Nested-Loop's randomized probe
+// order relies on it) and in staging order otherwise, and records the
+// kernels.soa_reuse.* metrics.
 class TaskArena {
  public:
   // `budget` (optional, borrowed) bounds the arena's reservations: the id
@@ -153,7 +155,12 @@ class TaskArena {
 
   void BeginCell();
   void AddPoint(PointId id) { ids_.push_back(id); }
+  // Closes the cell. With a seed, its probe segment is laid out in a
+  // deterministic random permutation drawn from it (Nested-Loop's Lemma
+  // 4.1 probe order); without, in staging order (a detector that reads
+  // every slot, such as Cell-Based, gains nothing from a permutation).
   void EndCell(size_t num_core, uint64_t permutation_seed);
+  void EndCell(size_t num_core);
 
   // Lays out every staged cell's probe segment, once. Converts
   // std::bad_alloc into kResourceExhausted (reservation estimates cover the
@@ -173,6 +180,7 @@ class TaskArena {
     size_t size = 0;
     size_t num_core = 0;
     size_t probe_begin = 0;
+    bool permuted = false;
     uint64_t permutation_seed = 0;
     // Set by the cell's first PartitionView::probes().
     mutable bool shadow_filled = false;

@@ -57,12 +57,16 @@ AfTree::Node* AfTree::ChooseLeafParent(const Rect& rect) const {
 }
 
 void AfTree::UpdateMbrUp(Node* node) {
+  // Each caller changed boxes on this one root path only, so the walk stops
+  // at the first box that comes out unchanged: every box above it is a
+  // union of the same child boxes as before.
   while (node != nullptr) {
     if (!node->is_leaf) {
       Rect mbr;
       for (const auto& child : node->children) {
         mbr = mbr.UnionWith(child->mbr);
       }
+      if (mbr == node->mbr) return;
       node->mbr = mbr;
     }
     node = node->parent;

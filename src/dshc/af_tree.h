@@ -74,7 +74,8 @@ class AfTree {
   // Removes `leaf` from the tree, pruning empty ancestors.
   void DetachLeaf(Node* leaf);
 
-  // Recomputes MBRs from `node` to the root.
+  // Recomputes MBRs from `node` toward the root, up to the first one that
+  // comes out unchanged.
   void UpdateMbrUp(Node* node);
 
   // Splits `node` (children.size() > max_fanout), propagating upward.

@@ -84,6 +84,54 @@ std::function<double(const AggregateFeature&)> ClusterCostFn(
   };
 }
 
+namespace {
+
+// The Morton (Z-order) keys of every bucket of a grid with `per_dim`
+// buckets along each of `dims` dimensions, ascending. A key interleaves the
+// coordinates' `bits` bits, most significant first, dimension 0 highest
+// within each group. Only real buckets get a key, so the cost is
+// O(B log B) for B buckets, never the power-of-two-padded code space.
+std::vector<uint64_t> SortedMortonKeys(int dims, int per_dim, int bits) {
+  size_t total = 1;
+  for (int d = 0; d < dims; ++d) total *= static_cast<size_t>(per_dim);
+  std::vector<uint64_t> keys;
+  keys.reserve(total);
+  int32_t coord[kMaxDimensions] = {0};
+  while (true) {
+    uint64_t key = 0;
+    for (int b = bits - 1; b >= 0; --b) {
+      for (int d = 0; d < dims; ++d) {
+        key = (key << 1) | ((static_cast<uint64_t>(coord[d]) >> b) & 1u);
+      }
+    }
+    keys.push_back(key);
+    int d = dims - 1;
+    while (d >= 0) {
+      if (++coord[d] < per_dim) break;
+      coord[d] = 0;
+      --d;
+    }
+    if (d < 0) break;
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// The bucket coordinate a SortedMortonKeys key encodes.
+CellCoord MortonCoord(uint64_t key, int dims, int bits) {
+  CellCoord coord;
+  coord.dims = dims;
+  for (int b = 0; b < bits; ++b) {
+    for (int d = dims - 1; d >= 0; --d) {
+      coord.c[d] |= static_cast<int32_t>(key & 1u) << b;
+      key >>= 1;
+    }
+  }
+  return coord;
+}
+
+}  // namespace
+
 std::vector<AggregateFeature> ClusterMiniBuckets(
     const DistributionSketch& sketch, const DshcOptions& options) {
   const MiniBucketGrid& grid = sketch.grid;
@@ -105,22 +153,19 @@ std::vector<AggregateFeature> ClusterMiniBuckets(
   AfTree tree(dims, tree_options);
 
   // Single scan over every bucket (empty ones included, so the clusters
-  // tile the domain) in row-major order: spatially coherent insertion that
-  // lets strips grow and recursively merge into larger rectangles.
+  // tile the domain) in Morton (Z) order: the bucket coordinates' bits
+  // interleaved, most significant first. Every aligned 2^j-sided block
+  // (clipped at the grid's far edge) is one run of consecutive buckets, so
+  // Def. 5.2's rectangular merges grow 2×2, 4×4, ... squares until T_max#
+  // or the cost cap stops them. A row-major scan grows one-bucket-wide
+  // strips instead, and a partition's r-extension, which Def. 3.3
+  // replicates, grows with its perimeter.
+  int bits = 0;
+  while ((1 << bits) < per_dim) ++bits;
   const double scale = sketch.Scale();
-  CellCoord coord;
-  coord.dims = dims;
-  for (int d = 0; d < dims; ++d) coord.c[d] = 0;
-  while (true) {
-    tree.InsertBucket(grid.BucketRect(coord),
-                      grid.WeightAt(coord) * scale);
-    int d = dims - 1;
-    while (d >= 0) {
-      if (++coord.c[d] < per_dim) break;
-      coord.c[d] = 0;
-      --d;
-    }
-    if (d < 0) break;
+  for (uint64_t key : SortedMortonKeys(dims, per_dim, bits)) {
+    const CellCoord coord = MortonCoord(key, dims, bits);
+    tree.InsertBucket(grid.BucketRect(coord), grid.WeightAt(coord) * scale);
   }
   return tree.Clusters();
 }

@@ -69,7 +69,8 @@ std::function<double(const AggregateFeature&)> ClusterCostFn(
 inline constexpr double kMaxDshcBuckets = 1 << 22;
 
 // Runs DSHC over every mini bucket of the sketch (empty buckets included so
-// the resulting clusters tile the whole domain). Bucket counts are scaled
+// the resulting clusters tile the whole domain), inserted in Morton order
+// so that clusters grow as near-squares. Bucket counts are scaled
 // to full-data estimates. Returns one AF per cluster; their bounding boxes
 // are pairwise-disjoint rectangles covering the domain.
 std::vector<AggregateFeature> ClusterMiniBuckets(

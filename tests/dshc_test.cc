@@ -1,11 +1,16 @@
 // Copyright 2026 The DOD Authors.
 //
 // DSHC end-to-end: clustering a distribution sketch must tile the domain
-// with rectangles, respect the cardinality cap, and separate density bands.
+// with rectangles, respect the cardinality cap, and separate density bands;
+// its Morton-order scan must grow near-square clusters whose r-extensions
+// are smaller than those of a row-major scan.
 
 #include "dshc/dshc.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "data/generators.h"
 #include "data/geo_like.h"
@@ -120,6 +125,100 @@ TEST(DshcTest, WorksInThreeDimensions) {
   DshcOptions options;
   const auto clusters = ClusterMiniBuckets(sketch, options);
   ExpectTilesDomain(clusters, sketch.grid.domain());
+}
+
+TEST(DshcTest, TilesTheDomainInEveryDimensionAndGridSize) {
+  // Power-of-two and ragged grids (the Morton scan's aligned blocks are
+  // clipped at the grid's far edge), under a loose and a tight cap.
+  struct Case {
+    int dims;
+    int buckets;
+  };
+  for (const Case& c : {Case{1, 64}, Case{1, 37}, Case{2, 16}, Case{2, 13},
+                        Case{2, 1}, Case{3, 8}, Case{3, 5}}) {
+    SCOPED_TRACE("dims " + std::to_string(c.dims) + " buckets " +
+                 std::to_string(c.buckets));
+    const Dataset data =
+        GenerateUniform(4000, Rect::Cube(c.dims, 0.0, 40.0), 17 + c.dims);
+    const DistributionSketch sketch = SketchOf(data, c.buckets);
+    for (double cap : {-1.0, 150.0}) {
+      DshcOptions options;
+      options.t_max_points = cap;
+      const auto clusters = ClusterMiniBuckets(sketch, options);
+      ExpectTilesDomain(clusters, sketch.grid.domain());
+      double points = 0.0;
+      for (const AggregateFeature& af : clusters) points += af.num_points;
+      EXPECT_NEAR(points, sketch.EstimatedCardinality(), 1e-6 * points);
+    }
+  }
+}
+
+// Long side over short side of a 2-d cluster.
+double AspectRatio(const Rect& rect) {
+  const double a = rect.Extent(0);
+  const double b = rect.Extent(1);
+  return std::max(a, b) / std::min(a, b);
+}
+
+// Area of a cluster's r-extension clipped to the domain: the region whose
+// points the cell's partition holds as core or supporting area (Def. 3.3).
+double ExtensionArea(const Rect& rect, double radius, const Rect& domain) {
+  double area = 1.0;
+  for (int d = 0; d < rect.dims(); ++d) {
+    area *= std::min(rect.hi(d) + radius, domain.hi(d)) -
+            std::max(rect.lo(d) - radius, domain.lo(d));
+  }
+  return area;
+}
+
+TEST(DshcTest, UniformDensityGrowsSquareClustersWithLessReplication) {
+  const Dataset data = GenerateUniform(40000, Rect::Cube(2, 0.0, 200.0), 23);
+  const DistributionSketch sketch = SketchOf(data, 64);
+  DshcOptions options;
+  options.target_partitions = 64;
+  options.detection.radius = 3.0;
+  options.detection.min_neighbors = 4;
+  const Rect& domain = sketch.grid.domain();
+  const auto clusters = ClusterMiniBuckets(sketch, options);
+  ExpectTilesDomain(clusters, domain);
+
+  // The same Def. 5.2 thresholds with the buckets inserted row-major.
+  const DshcThresholds thresholds = ResolveThresholds(sketch, options);
+  AfTreeOptions tree_options;
+  tree_options.t_diff = thresholds.t_diff;
+  tree_options.t_max_points = thresholds.t_max_points;
+  tree_options.cost_fn = ClusterCostFn(2, options.detection);
+  tree_options.t_max_cost = thresholds.t_max_cost;
+  tree_options.max_fanout = options.max_fanout;
+  AfTree row_major(2, tree_options);
+  const double scale = sketch.Scale();
+  for (int x = 0; x < sketch.grid.buckets_per_dim(); ++x) {
+    for (int y = 0; y < sketch.grid.buckets_per_dim(); ++y) {
+      CellCoord coord;
+      coord.dims = 2;
+      coord.c[0] = x;
+      coord.c[1] = y;
+      row_major.InsertBucket(sketch.grid.BucketRect(coord),
+                             sketch.grid.WeightAt(coord) * scale);
+    }
+  }
+  const auto strips = row_major.Clusters();
+  ExpectTilesDomain(strips, domain);
+
+  std::vector<double> aspects;
+  double extension = 0.0;
+  for (const AggregateFeature& af : clusters) {
+    aspects.push_back(AspectRatio(af.bounds));
+    extension += ExtensionArea(af.bounds, options.detection.radius, domain);
+  }
+  std::sort(aspects.begin(), aspects.end());
+  EXPECT_LE(aspects[aspects.size() / 2], 4.0);
+  double strip_extension = 0.0;
+  for (const AggregateFeature& af : strips) {
+    strip_extension +=
+        ExtensionArea(af.bounds, options.detection.radius, domain);
+  }
+  EXPECT_LT(extension, strip_extension);
 }
 
 }  // namespace

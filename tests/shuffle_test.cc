@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -449,6 +450,9 @@ TEST(PartitionViewTest, ArenaProbesMatchAnAppendBuiltReference) {
   // support-only cell (num_core = 0) and a short one, over scattered ids.
   const std::vector<size_t> sizes = {300, 0, 40, 9, 200};
   const std::vector<size_t> num_core = {250, 0, 0, 9, 120};
+  // Seeded cells (Nested-Loop's) are permuted; unseeded ones (Cell-Based's)
+  // keep the staging order.
+  const std::vector<bool> permuted = {true, false, false, true, false};
   // Segments start on a block boundary, or on a shadow vector boundary
   // when the arena's kernels read shadow lanes (avx512 auto).
   for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
@@ -463,12 +467,19 @@ TEST(PartitionViewTest, ArenaProbesMatchAnAppendBuiltReference) {
       next += sizes[c];
       arena.BeginCell();
       for (size_t i = 0; i < sizes[c]; ++i) arena.AddPoint(cell_ids[i]);
-      arena.EndCell(num_core[c], /*permutation_seed=*/500 + c);
       // The layout TryBuildProbes documents, built one Append at a time.
       reference.AlignToBlock();
       reference_begin.push_back(reference.size());
-      Rng order_rng(500 + c);
-      for (uint32_t local : RandomPermutation(sizes[c], order_rng)) {
+      std::vector<uint32_t> order(sizes[c]);
+      if (permuted[c]) {
+        arena.EndCell(num_core[c], /*permutation_seed=*/500 + c);
+        Rng order_rng(500 + c);
+        order = RandomPermutation(sizes[c], order_rng);
+      } else {
+        arena.EndCell(num_core[c]);
+        std::iota(order.begin(), order.end(), 0u);
+      }
+      for (uint32_t local : order) {
         reference.Append(data[cell_ids[local]], local);
       }
     }

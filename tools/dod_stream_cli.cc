@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/random.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "data/tiger_like.h"
@@ -56,10 +57,12 @@ namespace {
 constexpr const char* kUsage = R"(dod_stream_cli — streaming outlier detection over a replayed block schedule
 
 Workload:
-  --generate KIND        uniform (default) | tiger
+  --generate KIND        uniform (default) | tiger | patches (each block
+                         lands in one random patch, 1/8 of the domain's
+                         side, so dense spots appear and expire)
   --n N                  total points in the schedule (default 20000)
-  --density D            mean density for uniform data, finite and > 0
-                         (default 0.05)
+  --density D            mean density over the domain for uniform and
+                         patches data, finite and > 0 (default 0.05)
   --seed N               RNG seed (default 42)
   --block_size B         points per ingested block (default 500)
 
@@ -149,6 +152,33 @@ std::string IdList(const std::vector<dod::PointId>& ids) {
   }
   out += "]";
   return out;
+}
+
+// Localized traffic over DomainForDensity(n, density): block b's points
+// are uniform over one square patch, 1/8 of the domain's side, placed
+// uniformly at random. A patch is dense, so its points saturate their
+// neighbor-count summaries; when its block expires, the points of later
+// blocks that landed on it lose most of their neighbors at once, which is
+// what forces the saturated re-count.
+dod::Dataset GeneratePatches(size_t n, size_t block_size, double density,
+                             uint64_t seed) {
+  const dod::Rect domain = dod::DomainForDensity(n, density);
+  const double patch = domain.Extent(0) / 8.0;
+  dod::Rng rng(seed);
+  dod::Dataset data(2);
+  data.Reserve(n);
+  double origin[2] = {0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    if (i % block_size == 0) {
+      for (double& o : origin) {
+        o = rng.NextUniform(0.0, domain.Extent(0) - patch);
+      }
+    }
+    const double p[2] = {origin[0] + rng.NextDouble() * patch,
+                         origin[1] + rng.NextDouble() * patch};
+    data.Append(p);
+  }
+  return data;
 }
 
 struct Schedule {
@@ -246,6 +276,9 @@ int main(int argc, char** argv) {
         n, dod::DomainForDensity(n, density_flag.value()), seed);
   } else if (kind == "tiger") {
     schedule.data = dod::GenerateTigerLike(n, seed);
+  } else if (kind == "patches") {
+    schedule.data = GeneratePatches(n, static_cast<size_t>(block_flag.value()),
+                                    density_flag.value(), seed);
   } else {
     return Fail("unknown --generate kind: " + kind);
   }

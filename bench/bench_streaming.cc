@@ -32,6 +32,13 @@
 //    the per-round insert pairs) match; window_scaling is rounds/s at 16k
 //    over rounds/s at 256k, ~1 when nothing walks the whole window.
 //
+// 5. Threads — what the chunked dirty pass gains from num_threads. The
+//    diffuse schedule (512-point blocks over a 32k window, and 4096-point
+//    blocks over a 128k window) feeds one service per thread count (1, 2,
+//    4), the same block to each in rotating order every round.
+//    Report-only: on a host that gives the process about one core, more
+//    threads only add hand-off cost.
+//
 // Outlier sets are asserted identical across every paired round (speed
 // must never buy a different answer). Emits BENCH_streaming.json with
 // rounds/sec per mode, the speedups and the mean dirty-cell fraction; CI
@@ -42,6 +49,8 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -383,6 +392,62 @@ ScalingResult MeasureWindowScaling(size_t block_size, size_t window_points,
   return result;
 }
 
+// ---- Regime 5: rounds/s against num_threads ----------------------------
+
+constexpr int kThreadCounts[] = {1, 2, 4};
+constexpr size_t kNumThreadCounts = std::size(kThreadCounts);
+
+struct ThreadsResult {
+  size_t block_size = 0;
+  size_t window_points = 0;
+  double rounds_per_sec[kNumThreadCounts] = {};
+};
+
+// One service per kThreadCounts entry over the same diffuse schedule; each
+// round feeds the block to every service, starting one service later each
+// round so no thread count always runs first. Only Feed is timed, after a
+// full (untimed) prefill.
+ThreadsResult MeasureThreads(size_t block_size, size_t window_points,
+                             int rounds) {
+  Workload workload(block_size, window_points, /*diffuse=*/true);
+  std::unique_ptr<StreamingDetector> services[kNumThreadCounts];
+  for (size_t t = 0; t < kNumThreadCounts; ++t) {
+    StreamingConfig config = ServiceConfig(workload.window_blocks);
+    config.num_threads = kThreadCounts[t];
+    auto created = StreamingDetector::Create(config);
+    Must(created);
+    services[t] = std::move(created).value();
+  }
+  for (size_t b = 0; b < workload.window_blocks; ++b) {
+    const StreamBlock block = workload.Advance();
+    for (auto& service : services) MustFeed(*service, block);
+  }
+  double seconds[kNumThreadCounts] = {};
+  for (int round = 0; round < rounds; ++round) {
+    const StreamBlock block = workload.Advance();
+    for (size_t i = 0; i < kNumThreadCounts; ++i) {
+      const size_t t = (i + static_cast<size_t>(round)) % kNumThreadCounts;
+      MustFeed(*services[t], block, &seconds[t]);
+    }
+    for (auto& service : services) {
+      if (service->outliers() != services[0]->outliers()) {
+        std::fprintf(stderr,
+                     "FATAL: thread counts disagree at round %d "
+                     "(block_size %zu)\n",
+                     round, block_size);
+        std::exit(1);
+      }
+    }
+  }
+  ThreadsResult result;
+  result.block_size = block_size;
+  result.window_points = workload.window_blocks * block_size;
+  for (size_t t = 0; t < kNumThreadCounts; ++t) {
+    result.rounds_per_sec[t] = rounds / seconds[t];
+  }
+  return result;
+}
+
 void PrintConfigTable(const std::vector<ConfigResult>& results) {
   std::printf("%11s %9s %14s %14s %9s %8s %9s\n", "block_size", "window",
               "incr rnd/s", "scratch rnd/s", "speedup", "dirty%", "recounts");
@@ -472,6 +537,22 @@ int main() {
                 r.mean_insert_pairs, r.mean_expiry_pairs);
   }
 
+  // Regime 5: diffuse rounds at 1, 2 and 4 threads. Report-only.
+  std::vector<ThreadsResult> thread_results;
+  std::printf("\n%11s %9s %12s %12s %12s %8s %8s\n", "block_size", "window",
+              "1 thr rnd/s", "2 thr rnd/s", "4 thr rnd/s", "2 vs 1", "4 vs 1");
+  for (const auto& [block_size, window] :
+       {std::pair<size_t, size_t>{512, dod::bench::ScaledN(32768)},
+        std::pair<size_t, size_t>{4096, dod::bench::ScaledN(131072)}}) {
+    const ThreadsResult r = MeasureThreads(block_size, window, rounds);
+    thread_results.push_back(r);
+    std::printf("%11zu %9zu %12.1f %12.1f %12.1f %7.2fx %7.2fx\n",
+                r.block_size, r.window_points, r.rounds_per_sec[0],
+                r.rounds_per_sec[1], r.rounds_per_sec[2],
+                r.rounds_per_sec[1] / r.rounds_per_sec[0],
+                r.rounds_per_sec[2] / r.rounds_per_sec[0]);
+  }
+
   // The headline numbers CI guards: the smallest-block configurations,
   // where incrementality has the most to offer.
   const double small_delta_speedup = results.front().speedup;
@@ -513,6 +594,18 @@ int main() {
                  r.block_size, r.window_points, r.domain, r.rounds_per_sec,
                  r.mean_insert_pairs, r.mean_expiry_pairs,
                  i + 1 < scaling_results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"thread_configs\": [\n");
+  for (size_t i = 0; i < thread_results.size(); ++i) {
+    const ThreadsResult& r = thread_results[i];
+    std::fprintf(f,
+                 "    {\"block_size\": %zu, \"window_points\": %zu, "
+                 "\"threads\": [1, 2, 4], "
+                 "\"rounds_per_sec\": [%.1f, %.1f, %.1f]}%s\n",
+                 r.block_size, r.window_points, r.rounds_per_sec[0],
+                 r.rounds_per_sec[1], r.rounds_per_sec[2],
+                 i + 1 < thread_results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"small_delta_speedup\": %.3f,\n", small_delta_speedup);

@@ -17,7 +17,11 @@ struct AfTree::Node {
 };
 
 AfTree::AfTree(int dims, const AfTreeOptions& options)
-    : dims_(dims), options_(options), root_(std::make_unique<Node>()) {
+    : dims_(dims),
+      options_(options),
+      criteria_{options.t_diff, options.t_max_points, options.eps,
+                options.cost_fn, options.t_max_cost},
+      root_(std::make_unique<Node>()) {
   DOD_CHECK(dims >= 1 && dims <= kMaxDimensions);
   DOD_CHECK(options.max_fanout >= 2);
 }
@@ -186,9 +190,6 @@ void AfTree::SplitNode(Node* node) {
 }
 
 void AfTree::RecursiveMerge(Node* leaf) {
-  const MergingCriteria criteria{options_.t_diff, options_.t_max_points,
-                                 options_.eps, options_.cost_fn,
-                                 options_.t_max_cost};
   while (true) {
     std::vector<Node*> lmc;
     Search(root_.get(), leaf->mbr, lmc);
@@ -196,7 +197,7 @@ void AfTree::RecursiveMerge(Node* leaf) {
     double best_diff = std::numeric_limits<double>::infinity();
     for (Node* other : lmc) {
       if (other == leaf) continue;
-      if (!criteria.CanMerge(leaf->af, other->af)) continue;
+      if (!criteria_.CanMerge(leaf->af, other->af)) continue;
       const double diff = std::fabs(leaf->af.density() - other->af.density());
       if (diff < best_diff) {
         best_diff = diff;
@@ -231,13 +232,10 @@ void AfTree::InsertBucket(const Rect& rect, double num_points) {
 
   // Merge path: fold the bucket into the most density-similar cluster that
   // satisfies all merging criteria.
-  const MergingCriteria criteria{options_.t_diff, options_.t_max_points,
-                                 options_.eps, options_.cost_fn,
-                                 options_.t_max_cost};
   Node* best = nullptr;
   double best_diff = std::numeric_limits<double>::infinity();
   for (Node* candidate : lmc) {
-    if (!criteria.CanMerge(candidate->af, bucket)) continue;
+    if (!criteria_.CanMerge(candidate->af, bucket)) continue;
     const double diff =
         std::fabs(candidate->af.density() - bucket.density());
     if (diff < best_diff) {

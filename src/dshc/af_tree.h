@@ -86,6 +86,9 @@ class AfTree {
 
   int dims_;
   AfTreeOptions options_;
+  // Def. 5.2's criteria over options_, built once: copying cost_fn, whose
+  // captures exceed std::function's inline buffer, allocates.
+  MergingCriteria criteria_;
   std::unique_ptr<Node> root_;
   size_t num_leaves_ = 0;
 };

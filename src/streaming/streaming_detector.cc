@@ -264,12 +264,12 @@ void StreamingDetector::AppendBlock(const StreamBlock& block) {
   for (size_t i = 0; i < block.ids.size(); ++i) {
     const double* p = block.points[static_cast<PointId>(i)];
     const uint32_t slot = AllocSlot(block.ids[i], p);
-    const CellCoord coord = KeyOf(p);
-    CellState& cell = cell_states_[OpenCell(coord)];
+    const uint32_t id = OpenCell(KeyOf(p));
+    CellState& cell = cell_states_[id];
     cell.slots.push_back(slot);
     ++cell.fresh;
     wb.slots.push_back(slot);
-    buffers_.touched.push_back(RoundPoint{coord, slot, /*evicted=*/false});
+    buffers_.touched.push_back(RoundPoint{id, slot, /*evicted=*/false});
   }
   windows_[block.source_id].blocks.push_back(std::move(wb));
 }
@@ -315,7 +315,7 @@ size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
         if (state.saturated != 0) --saturated_count_;
         id_to_slot_.erase(state.stream_id);
         free_slots_.push_back(slot);
-        buffers_.touched.push_back(RoundPoint{coord, slot, /*evicted=*/true});
+        buffers_.touched.push_back(RoundPoint{id, slot, /*evicted=*/true});
         ++expired_points;
       }
     }
@@ -330,29 +330,23 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
   buf.evicted_soa.Clear();
   buf.dirty.clear();
   buf.edges.clear();
-  buf.targets.clear();
-  buf.target_locals.clear();
   {
     trace::Span span("stream", "summary_update");
-    // Touched groups: the round's appended and evicted points sorted by
-    // cell (then kind and slot, so the order is total), each group's
-    // points laid out contiguously in its SoA. Evicted coordinates are
-    // still readable: freed slots are only recycled by the *next* round's
-    // appends.
+    // Touched groups: the round's appended and evicted points stably
+    // sorted by cell id (appended before evicted, each in window order),
+    // each group's points laid out contiguously in its SoA. Evicted
+    // coordinates are still readable: freed slots are only recycled by the
+    // *next* round's appends.
     std::vector<RoundPoint>& touched = buf.touched;
-    std::sort(touched.begin(), touched.end(),
-              [](const RoundPoint& a, const RoundPoint& b) {
-                if (CellCoordLess{}(a.coord, b.coord)) return true;
-                if (CellCoordLess{}(b.coord, a.coord)) return false;
-                if (a.evicted != b.evicted) return b.evicted;
-                return a.slot < b.slot;
-              });
+    std::stable_sort(
+        touched.begin(), touched.end(),
+        [](const RoundPoint& a, const RoundPoint& b) { return a.cell < b.cell; });
     for (size_t i = 0; i < touched.size();) {
       TouchedGroup group;
-      group.coord = touched[i].coord;
+      group.cell = touched[i].cell;
       group.ins_begin = static_cast<uint32_t>(buf.appended_soa.size());
       group.ev_begin = static_cast<uint32_t>(buf.evicted_soa.size());
-      for (; i < touched.size() && touched[i].coord == group.coord; ++i) {
+      for (; i < touched.size() && touched[i].cell == group.cell; ++i) {
         (touched[i].evicted ? buf.evicted_soa : buf.appended_soa)
             .Append((*window_)[touched[i].slot], touched[i].slot);
       }
@@ -377,7 +371,8 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
       pass_stamp_ = 1;
     }
     for (uint32_t g = 0; g < buf.groups.size(); ++g) {
-      ForEachInRing(buf.groups[g].coord, ring_, [&](const CellCoord& probe) {
+      const CellCoord& center = cell_coords_[buf.groups[g].cell];
+      ForEachInRing(center, ring_, [&](const CellCoord& probe) {
         const uint32_t id = FindCell(probe);
         if (id == CellIndex::kNone) return;
         CellState& cell = cell_states_[id];
@@ -392,188 +387,66 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     const size_t num_dirty = buf.dirty.size();
     delta->stats.dirty_cells = num_dirty;
 
-    // Edges CSR by dirty cell (counting pass, then a stable scatter, so a
-    // cell's groups stay in lexicographic order); each edge's slice of the
-    // column hits (none when no appended point stays resident), and each
-    // dirty cell's slice of the net-change buffer.
-    buf.edge_begin.assign(num_dirty + 1, 0);
-    for (const auto& edge : buf.edges) ++buf.edge_begin[edge.first + 1];
-    for (size_t i = 0; i < num_dirty; ++i) {
-      buf.edge_begin[i + 1] += buf.edge_begin[i];
+    // Edges CSR by dirty cell: counts shifted two places, a prefix sum,
+    // and a stable scatter that advances edge_begin[i + 1] from cell i's
+    // start to its end, so a cell's groups stay in group order.
+    buf.edge_begin.assign(num_dirty + 2, 0);
+    for (const auto& edge : buf.edges) ++buf.edge_begin[edge.first + 2];
+    for (size_t i = 2; i < num_dirty + 2; ++i) {
+      buf.edge_begin[i] += buf.edge_begin[i - 1];
     }
     buf.edge_group.resize(buf.edges.size());
     for (const auto& edge : buf.edges) {
-      buf.edge_group[buf.edge_begin[edge.first]++] = edge.second;
+      buf.edge_group[buf.edge_begin[edge.first + 1]++] = edge.second;
     }
-    for (size_t i = num_dirty; i > 0; --i) {
-      buf.edge_begin[i] = buf.edge_begin[i - 1];
-    }
-    buf.edge_begin[0] = 0;
-    const bool credit_appended = !buf.appended_expired;
-    buf.col_begin.resize(buf.edges.size() + 1);
-    buf.col_begin[0] = 0;
-    for (size_t e = 0; e < buf.edges.size(); ++e) {
-      const TouchedGroup& group = buf.groups[buf.edge_group[e]];
-      buf.col_begin[e + 1] =
-          buf.col_begin[e] +
-          (credit_appended ? group.ins_end - group.ins_begin : 0);
-    }
-    buf.col_hits.resize(buf.col_begin[buf.edges.size()]);
-    buf.first_counts.resize(buf.appended_soa.size());
-    buf.net_begin.resize(num_dirty + 1);
-    buf.net_begin[0] = 0;
-    for (size_t i = 0; i < num_dirty; ++i) {
-      const CellState& cell = cell_states_[buf.dirty[i]];
-      buf.net_begin[i + 1] =
-          buf.net_begin[i] +
-          static_cast<uint32_t>(cell.slots.size() - cell.fresh);
-    }
-    buf.net.resize(buf.net_begin[num_dirty]);
 
-    // Per dirty cell, in parallel: one tile per edge segment, old
-    // residents gathered a chunk at a time onto the stack as its rows —
-    // against the appended points for increments, whose column hits credit
-    // each appended point with its old-resident neighbors, and against the
-    // evicted points for decrements. Then each of the cell's own appended
-    // points counts its appended neighbors (self skipped) over the edge
-    // groups, stopping at the cap: min(a, cap) + b clamps to the same
-    // summary as a + b, and a dense block would otherwise cost its square.
-    // A dirty cell writes only its own net slice, its edges' column slices
-    // and its own group's first counts, so tasks never share a write.
-    const double sq_radius = config_.params.radius * config_.params.radius;
-    const KernelOps& ops = GetKernelOps(config_.params.kernels);
-    const int cap = SaturationCap(config_.params.min_neighbors);
-    DOD_RETURN_IF_ERROR(executor_->RunTasks(num_dirty, [&](size_t i) -> Status {
-      constexpr size_t kChunk = 64;
-      double queries[kChunk * kMaxDimensions];
-      uint32_t inc[kChunk];
-      uint32_t dec[kChunk];
-      const CellState& cell = cell_states_[buf.dirty[i]];
-      const std::vector<uint32_t>& members = cell.slots;
-      const uint32_t* edge_group = buf.edge_group.data();
-      const uint32_t edge_begin = buf.edge_begin[i];
-      const uint32_t edge_end = buf.edge_begin[i + 1];
-      std::fill(buf.col_hits.begin() + buf.col_begin[edge_begin],
-                buf.col_hits.begin() + buf.col_begin[edge_end], 0u);
-      int32_t* net = buf.net.data() + buf.net_begin[i];
-      const size_t num_old = members.size() - cell.fresh;
-      for (size_t next = 0; next < num_old;) {
-        const size_t rows = std::min(kChunk, num_old - next);
-        for (size_t q = 0; q < rows; ++q) {
-          const double* row = (*window_)[members[next + q]];
-          std::copy(row, row + dims_, queries + q * dims_);
-        }
-        std::fill(inc, inc + rows, 0u);
-        std::fill(dec, dec + rows, 0u);
-        for (uint32_t e = edge_begin; e < edge_end; ++e) {
-          const TouchedGroup& group = buf.groups[edge_group[e]];
-          if (group.ins_begin != group.ins_end) {
-            ops.count_tile_within_radius(
-                buf.appended_soa, group.ins_begin, group.ins_end, queries,
-                rows, sq_radius, inc,
-                credit_appended ? buf.col_hits.data() + buf.col_begin[e]
-                                : nullptr);
-          }
-          if (group.ev_begin != group.ev_end) {
-            ops.count_tile_within_radius(buf.evicted_soa, group.ev_begin,
-                                         group.ev_end, queries, rows,
-                                         sq_radius, dec,
-                                         /*col_counts=*/nullptr);
-          }
-        }
-        for (size_t q = 0; q < rows; ++q) {
-          *net++ = static_cast<int32_t>(inc[q]) - static_cast<int32_t>(dec[q]);
-        }
-        next += rows;
-      }
-      if (cell.fresh == 0) return Status::Ok();
-      // The cell's appended points are exactly the appended points of its
-      // own group, which is one of its edges.
-      const TouchedGroup* own = nullptr;
-      for (uint32_t e = edge_begin; e < edge_end && own == nullptr; ++e) {
-        const TouchedGroup& group = buf.groups[edge_group[e]];
-        if (group.coord == cell_coords_[buf.dirty[i]]) own = &group;
-      }
-      DOD_CHECK(own != nullptr && own->ins_end - own->ins_begin == cell.fresh);
-      for (uint32_t a = own->ins_begin; a < own->ins_end; ++a) {
-        const uint32_t slot = buf.appended_soa.IdAt(a);
-        int count = 0;
-        for (uint32_t e = edge_begin; e < edge_end && count < cap; ++e) {
-          const TouchedGroup& group = buf.groups[edge_group[e]];
-          if (group.ins_begin == group.ins_end) continue;
-          count += ops.count_within_radius(
-              buf.appended_soa, group.ins_begin, group.ins_end,
-              (*window_)[slot], sq_radius, /*skip_slot=*/a, cap - count,
-              /*pairs=*/nullptr);
-        }
-        buf.first_counts[a] = static_cast<uint32_t>(count);
-      }
+    // A chunk owns its cells' slot and cell states and writes the rest to
+    // its PassChunk; merged in chunk order, targets keep dirty order and
+    // every sum is the same at any split.
+    const size_t num_chunks = std::clamp<size_t>(
+        static_cast<size_t>(executor_->num_threads()), 1,
+        std::max<size_t>(num_dirty, 1));
+    if (buf.chunks.size() < num_chunks) buf.chunks.resize(num_chunks);
+    const auto run_chunk = [&](size_t c) {
+      UpdateDirtyCells(c * num_dirty / num_chunks,
+                       (c + 1) * num_dirty / num_chunks, &buf.chunks[c]);
       return Status::Ok();
-    }));
-
-    // Sequential fold in dirty order: exact counts adjust and flip in
-    // place; saturated bounds absorb the change and queue a re-count only
-    // when they drop below k; column hits add to the appended points'
-    // first counts. Each (old resident, edge segment) pair was counted
-    // once, so the pair totals follow from the segment sizes.
-    const int k = config_.params.min_neighbors;
-    for (size_t i = 0; i < num_dirty; ++i) {
-      CellState& cell = cell_states_[buf.dirty[i]];
-      const int32_t* net = buf.net.data() + buf.net_begin[i];
-      TargetCell target;
-      target.cell = buf.dirty[i];
-      target.locals_begin = static_cast<uint32_t>(buf.target_locals.size());
-      const std::vector<uint32_t>& members = cell.slots;
-      const uint64_t num_old = members.size() - cell.fresh;
-      cell.fresh = 0;
-      for (size_t j = 0; j < num_old; ++j) {
-        SlotState& state = slots_[members[j]];
-        const int32_t change = net[j];
-        // inc == dec changes neither an exact count nor a bound (which
-        // is >= k at a round boundary), so only a net change matters.
-        if (change == 0) continue;
-        const long long next = static_cast<long long>(state.count) + change;
-        if (state.saturated == 0) {
-          DOD_CHECK(next >= 0);
-          state.count = static_cast<uint32_t>(next);
-          const bool now = next < k;
-          if (now != (state.flagged != 0)) {
-            (now ? delta->newly_flagged : delta->newly_cleared)
-                .push_back(state.stream_id);
-            state.flagged = now ? 1 : 0;
-          }
-        } else if (next >= k) {
-          // True count >= old count + inc - dec, so the bound stays
-          // certified; the point stays a known inlier.
-          state.count = static_cast<uint32_t>(next);
-        } else {
-          state.count = static_cast<uint32_t>(std::max(next, 0LL));
-          buf.target_locals.push_back(static_cast<uint32_t>(j));
-          ++delta->stats.recounted_points;
-        }
+    };
+    if (num_chunks == 1) {  // inline: no workers woken for one chunk
+      run_chunk(0);
+    } else {
+      DOD_RETURN_IF_ERROR(executor_->RunTasks(num_chunks, run_chunk));
+    }
+    PassChunk& merged = buf.chunks[0];
+    const auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const PassChunk& chunk = buf.chunks[c];
+      append(delta->newly_flagged, chunk.delta.newly_flagged);
+      append(delta->newly_cleared, chunk.delta.newly_cleared);
+      delta->stats.insert_pairs += chunk.delta.stats.insert_pairs;
+      delta->stats.expiry_pairs += chunk.delta.stats.expiry_pairs;
+      delta->stats.recounted_points += chunk.delta.stats.recounted_points;
+      if (c == 0) continue;
+      const uint32_t shift = static_cast<uint32_t>(merged.target_locals.size());
+      for (TargetCell target : chunk.targets) {
+        target.locals_begin += shift;
+        target.locals_end += shift;
+        merged.targets.push_back(target);
       }
-      for (uint32_t e = buf.edge_begin[i]; e < buf.edge_begin[i + 1]; ++e) {
-        const TouchedGroup& group = buf.groups[buf.edge_group[e]];
-        delta->stats.insert_pairs +=
-            num_old * (group.ins_end - group.ins_begin);
-        delta->stats.expiry_pairs += num_old * (group.ev_end - group.ev_begin);
-        const uint32_t* hits = buf.col_hits.data() + buf.col_begin[e];
-        for (uint32_t a = 0; a < buf.col_begin[e + 1] - buf.col_begin[e];
-             ++a) {
-          buf.first_counts[group.ins_begin + a] += hits[a];
-        }
-      }
-      target.locals_end = static_cast<uint32_t>(buf.target_locals.size());
-      if (target.locals_end != target.locals_begin) {
-        buf.targets.push_back(target);
+      append(merged.target_locals, chunk.target_locals);
+      for (size_t a = 0; a < merged.first_counts.size(); ++a) {
+        merged.first_counts[a] += chunk.first_counts[a];
       }
     }
     // Every appended point now holds its neighbor count, exact below the
     // cap.
-    for (uint32_t a = 0; credit_appended && a < buf.appended_soa.size();
-         ++a) {
-      SetSummary(buf.appended_soa.IdAt(a), buf.first_counts[a], delta);
-      ++delta->stats.full_counted_points;
+    if (!buf.appended_expired) {
+      for (uint32_t a = 0; a < buf.appended_soa.size(); ++a) {
+        SetSummary(buf.appended_soa.IdAt(a), merged.first_counts[a], delta);
+        ++delta->stats.full_counted_points;
+      }
     }
     span.Arg("dirty_cells", static_cast<uint64_t>(num_dirty))
         .Arg("inc_pairs", delta->stats.insert_pairs)
@@ -582,13 +455,133 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
   return CountTargets(delta);
 }
 
+void StreamingDetector::UpdateDirtyCells(size_t begin, size_t end,
+                                         PassChunk* out) {
+  const RoundBuffers& buf = buffers_;
+  out->delta = OutlierDelta();
+  out->targets.clear();
+  out->target_locals.clear();
+  out->first_counts.assign(buf.appended_soa.size(), 0);
+  const double sq_radius = config_.params.radius * config_.params.radius;
+  const KernelOps& ops = GetKernelOps(config_.params.kernels);
+  const int k = config_.params.min_neighbors;
+  const int cap = SaturationCap(k);
+  // Column hits credit the appended points only while they stay resident.
+  uint32_t* const col_counts =
+      buf.appended_expired ? nullptr : out->first_counts.data();
+  constexpr size_t kChunk = 64;
+  double queries[kChunk * kMaxDimensions];
+  uint32_t inc[kChunk];
+  uint32_t dec[kChunk];
+  const uint32_t* edge_group = buf.edge_group.data();
+  for (size_t i = begin; i < end; ++i) {
+    const uint32_t id = buf.dirty[i];
+    CellState& cell = cell_states_[id];
+    const std::vector<uint32_t>& members = cell.slots;
+    const uint32_t edge_begin = buf.edge_begin[i];
+    const uint32_t edge_end = buf.edge_begin[i + 1];
+    const size_t num_old = members.size() - cell.fresh;
+    const auto locals_begin = static_cast<uint32_t>(out->target_locals.size());
+
+    // Old residents 64 rows at a time, gathered onto the stack, tiled
+    // against each edge's appended (inc) and evicted (dec) points.
+    for (size_t next = 0; next < num_old; next += kChunk) {
+      const size_t rows = std::min(kChunk, num_old - next);
+      for (size_t q = 0; q < rows; ++q) {
+        const double* row = (*window_)[members[next + q]];
+        std::copy(row, row + dims_, queries + q * dims_);
+      }
+      std::fill(inc, inc + rows, 0u);
+      std::fill(dec, dec + rows, 0u);
+      for (uint32_t e = edge_begin; e < edge_end; ++e) {
+        const TouchedGroup& group = buf.groups[edge_group[e]];
+        if (group.ins_begin != group.ins_end) {
+          ops.count_tile_within_radius(
+              buf.appended_soa, group.ins_begin, group.ins_end, queries, rows,
+              sq_radius, inc,
+              col_counts == nullptr ? nullptr : col_counts + group.ins_begin);
+        }
+        if (group.ev_begin != group.ev_end) {
+          ops.count_tile_within_radius(buf.evicted_soa, group.ev_begin,
+                                       group.ev_end, queries, rows, sq_radius,
+                                       dec, /*col_counts=*/nullptr);
+        }
+      }
+      // Exact counts adjust and flip in place; saturated bounds absorb the
+      // change and queue a re-count only when they drop below k. inc ==
+      // dec changes neither an exact count nor a bound (which is >= k at
+      // a round boundary), so only a net change matters.
+      for (size_t q = 0; q < rows; ++q) {
+        const long long change = static_cast<long long>(inc[q]) - dec[q];
+        if (change == 0) continue;
+        SlotState& state = slots_[members[next + q]];
+        const long long count = static_cast<long long>(state.count) + change;
+        if (state.saturated == 0) {
+          DOD_CHECK(count >= 0);
+          state.count = static_cast<uint32_t>(count);
+          const bool now = count < k;
+          if (now != (state.flagged != 0)) {
+            (now ? out->delta.newly_flagged : out->delta.newly_cleared)
+                .push_back(state.stream_id);
+            state.flagged = now ? 1 : 0;
+          }
+        } else if (count >= k) {
+          // True count >= old count + inc - dec, so the bound stays
+          // certified; the point stays a known inlier.
+          state.count = static_cast<uint32_t>(count);
+        } else {
+          state.count = static_cast<uint32_t>(std::max(count, 0LL));
+          out->target_locals.push_back(static_cast<uint32_t>(next + q));
+          ++out->delta.stats.recounted_points;
+        }
+      }
+    }
+
+    // Each (old resident, edge segment) pair was counted once; the cell's
+    // own group, if any, is among its edges.
+    const TouchedGroup* own = nullptr;
+    for (uint32_t e = edge_begin; e < edge_end; ++e) {
+      const TouchedGroup& group = buf.groups[edge_group[e]];
+      out->delta.stats.insert_pairs +=
+          num_old * (group.ins_end - group.ins_begin);
+      out->delta.stats.expiry_pairs += num_old * (group.ev_end - group.ev_begin);
+      if (group.cell == id) own = &group;
+    }
+
+    // The cell's own appended points count their appended neighbors (self
+    // skipped) over the edge groups, stopping at the cap: min(a, cap) + b
+    // clamps to the same summary as a + b, and a dense block would
+    // otherwise cost its square.
+    if (cell.fresh != 0) {
+      DOD_CHECK(own != nullptr && own->ins_end - own->ins_begin == cell.fresh);
+      for (uint32_t a = own->ins_begin; a < own->ins_end; ++a) {
+        const double* p = (*window_)[buf.appended_soa.IdAt(a)];
+        int count = 0;
+        for (uint32_t e = edge_begin; e < edge_end && count < cap; ++e) {
+          const TouchedGroup& group = buf.groups[edge_group[e]];
+          if (group.ins_begin == group.ins_end) continue;
+          count += ops.count_within_radius(
+              buf.appended_soa, group.ins_begin, group.ins_end, p, sq_radius,
+              /*skip_slot=*/a, cap - count, /*pairs=*/nullptr);
+        }
+        out->first_counts[a] += static_cast<uint32_t>(count);
+      }
+      cell.fresh = 0;
+    }
+    const auto locals_end = static_cast<uint32_t>(out->target_locals.size());
+    if (locals_end != locals_begin) {
+      out->targets.push_back(TargetCell{id, locals_begin, locals_end});
+    }
+  }
+}
+
 Status StreamingDetector::CountTargets(OutlierDelta* delta) {
   trace::Span span("stream", "summary_recount");
   span.Arg("recounts",
            static_cast<uint64_t>(delta->stats.recounted_points))
       .Arg("full_counts",
            static_cast<uint64_t>(delta->stats.full_counted_points));
-  std::vector<TargetCell>& targets = buffers_.targets;
+  std::vector<TargetCell>& targets = buffers_.chunks[0].targets;
   if (targets.empty()) return Status::Ok();
 
   // Each target cell's ring, itself included, as one segment. A count
@@ -614,7 +607,7 @@ Status StreamingDetector::CountTargets(OutlierDelta* delta) {
   const int cap = SaturationCap(config_.params.min_neighbors);
   const double sq_radius = config_.params.radius * config_.params.radius;
   const KernelOps& ops = GetKernelOps(config_.params.kernels);
-  const std::vector<uint32_t>& locals = buffers_.target_locals;
+  const std::vector<uint32_t>& locals = buffers_.chunks[0].target_locals;
   std::vector<uint32_t>& recounts = buffers_.recounts;
   recounts.resize(locals.size());
   DOD_RETURN_IF_ERROR(executor_->RunTasks(

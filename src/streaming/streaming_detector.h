@@ -29,11 +29,12 @@
 //   * Every resident point carries its neighbor-count summary across
 //     rounds: the exact |N_r(p)|, or a saturated lower bound once counting
 //     stopped at k + 32 (the detector early-exit win, preserved). A round
-//     then costs O(new block × ring), in one pass over the dirty cells:
-//     kernel tiles count each dirty cell's residents against the appended
-//     points of the touched cells around it (increments — and, as column
-//     counts, the appended points' old neighbors) and against the evicted
-//     points (decrements), and its own appended points against the
+//     then costs O(new block × ring), in one visit per dirty cell:
+//     kernel tiles count the cell's residents against the appended points
+//     of the touched cells around it (increments — and, as column counts,
+//     the appended points' old neighbors) and against the evicted points
+//     (decrements), each resident's summary and verdict take the net
+//     change in place, and the cell's own appended points count the
 //     appended points around them, so every appended point gets its exact
 //     first count in the same pass. Only saturated points whose bound
 //     dropped below k re-count, each against its staged ring. Counts are
@@ -136,9 +137,10 @@ struct StreamingConfig {
   // Outlier definition + kernel mode. No count depends on probe order, so
   // params.seed only enters the checkpoint job key.
   DetectionParams params;
-  // Threads fanning out over dirty cells; <= 0 uses all hardware threads,
-  // 1 runs inline, at most kMaxThreads. Deltas are byte-identical for
-  // every thread count.
+  // Threads sharing a round's dirty cells, one contiguous chunk of the
+  // dirty list each (and the saturated re-counts); <= 0 uses all hardware
+  // threads, 1 runs inline, at most kMaxThreads. Deltas are byte-identical
+  // for every thread count.
   int num_threads = 1;
 
   // Count-based window: keep at most this many resident blocks *per
@@ -319,7 +321,7 @@ class StreamingDetector {
   struct CellState {
     // Appendable/expirable point segment: slot indices, append order. The
     // last `fresh` entries were appended this round (set by AppendBlock,
-    // reset by the SummaryUpdate fold); the rest are old residents.
+    // reset by the SummaryUpdate pass); the rest are old residents.
     std::vector<uint32_t> slots;
     uint32_t fresh = 0;
     // The summary pass that last found this cell dirty and the cell's
@@ -343,22 +345,23 @@ class StreamingDetector {
     uint32_t count = 0;
     uint8_t saturated = 0;
   };
-  // One appended or evicted point of the round, keyed once.
+  // One appended or evicted point of the round and its cell's id (ids
+  // freed by expiry are reused only by the next round's appends).
   struct RoundPoint {
-    CellCoord coord;
+    uint32_t cell = 0;
     uint32_t slot = 0;
     bool evicted = false;
   };
   // One touched cell of the round: its appended and evicted points as
   // half-open ranges of RoundBuffers::appended_soa / evicted_soa.
   struct TouchedGroup {
-    CellCoord coord;
+    uint32_t cell = 0;  // cell id
     uint32_t ins_begin = 0;
     uint32_t ins_end = 0;
     uint32_t ev_begin = 0;
     uint32_t ev_end = 0;
   };
-  // One cell's saturated re-count work: RoundBuffers::target_locals
+  // One cell's saturated re-count work: PassChunk::target_locals
   // [locals_begin, locals_end) are positions in the cell's slot segment,
   // ascending; ring_soa[ring_begin, ring_end) holds the cell and its
   // supporting ring.
@@ -372,6 +375,15 @@ class StreamingDetector {
     // at center_begin + j.
     uint32_t center_begin = 0;
   };
+  // One dirty-pass chunk's outputs: flips, pair stats and recounted_points
+  // (in `delta`), queued re-counts, and first-count partials per
+  // appended_soa position. Chunk 0 receives the merged re-counts and counts.
+  struct PassChunk {
+    OutlierDelta delta;
+    std::vector<TargetCell> targets;
+    std::vector<uint32_t> target_locals;
+    std::vector<uint32_t> first_counts;
+  };
   // The summary pass's per-round buffers. Cleared every round, never
   // shrunk, so a steady stream reuses one allocation per buffer.
   struct RoundBuffers {
@@ -383,8 +395,8 @@ class StreamingDetector {
     // gets a first count.
     std::vector<RoundPoint> touched;
     bool appended_expired = false;
-    // Touched groups in lexicographic cell order, and their points laid
-    // out group by group (SoA ids are window slots).
+    // Touched groups in cell-id order, and their points laid out group by
+    // group (SoA ids are window slots).
     std::vector<TouchedGroup> groups;
     SoABlock appended_soa;
     SoABlock evicted_soa;
@@ -395,22 +407,9 @@ class StreamingDetector {
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     std::vector<uint32_t> edge_begin;
     std::vector<uint32_t> edge_group;
-    // Net neighbor change (appended - evicted within r) of every old
-    // resident of dirty cell i, in segment order, from net[net_begin[i]].
-    std::vector<uint32_t> net_begin;
-    std::vector<int32_t> net;
-    // Column hits of CSR edge e: for each appended point of its group, in
-    // group order, the old residents of the edge's dirty cell within r,
-    // from col_hits[col_begin[e]].
-    std::vector<uint32_t> col_begin;
-    std::vector<uint32_t> col_hits;
-    // Per appended_soa position: the appended point's first count (its
-    // appended neighbors, capped, until the fold adds its column hits).
-    std::vector<uint32_t> first_counts;
-    // Saturated re-count work, its staged rings and its clamped counts
-    // (parallel to target_locals).
-    std::vector<TargetCell> targets;
-    std::vector<uint32_t> target_locals;
+    // Dirty-pass chunks (at least one); re-count rings and clamped counts
+    // (parallel to chunks[0].target_locals).
+    std::vector<PassChunk> chunks;
     SoABlock ring_soa;
     std::vector<uint32_t> recounts;
   };
@@ -474,15 +473,20 @@ class StreamingDetector {
   // One round's detection over the round's appended and evicted points
   // (buffers_.touched): groups them by touched cell, walks each group's
   // supporting ring once to collect the dirty cells and the (dirty cell,
-  // group) edges, and tiles every dirty cell's residents against its
-  // edges' segments in one pass. That pass yields the old residents'
-  // increments/decrements and every appended point's exact first count;
-  // the sequential fold flips verdicts, and saturated points whose bound
-  // fell below k re-count via CountTargets. Applies verdict flips to
-  // `delta` and fills its summary stats and dirty_cells.
+  // group) edges, then visits every dirty cell once, in min(threads,
+  // dirty) contiguous chunks of the dirty list (a plain loop at one
+  // thread). Saturated points whose bound fell below k re-count via
+  // CountTargets. Applies verdict flips to `delta` and fills its summary
+  // stats and dirty_cells.
   Status SummaryUpdate(OutlierDelta* delta);
 
-  // Capped counts for the saturated points queued by the fold (each
+  // The one visit of dirty cells [begin, end): tiles, net changes applied
+  // in place (flip, certified bound or re-count queue), pair stats, the
+  // own appended points' first counts, `fresh` reset. Writes only these
+  // cells' slot and cell states and `*out`.
+  void UpdateDirtyCells(size_t begin, size_t end, PassChunk* out);
+
+  // Capped counts for the saturated points queued by the dirty pass (each
   // against its cell's staged ring, executor fan-out, sequential fold);
   // writes summaries and applies verdict flips to `delta`.
   Status CountTargets(OutlierDelta* delta);

@@ -1066,6 +1066,185 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
   }
 }
 
+// Chunked dirty pass: with N threads a round's dirty list is cut into
+// min(N, dirty) contiguous chunks whose flips, re-count targets, pair stats
+// and first-count partials merge after the pass. Every round's delta and
+// stats must equal the one-thread run's, and the delta-reconstructed set
+// must equal the batch oracle, including rounds with fewer dirty cells
+// than threads, uneven splits, saturated re-counts, and a cell whose old
+// residents span several 64-row gathers.
+
+// One schedule for the chunk tests: its blocks in feed order, a count
+// window, and the outlier definition and grid side to replay it with.
+struct ChunkSchedule {
+  std::string name;
+  std::vector<StreamBlock> blocks;
+  size_t window_blocks = 0;
+  double radius = 0.0;
+  double cell_side = 0.0;
+};
+
+// `n` points uniform over [x0, x0 + extent) x [y0, y0 + extent), with ids
+// from `first`.
+StreamBlock UniformSquare(PointId first, size_t n, double x0, double y0,
+                          double extent, Rng& rng) {
+  StreamBlock block(2);
+  for (size_t i = 0; i < n; ++i) {
+    const double p[2] = {x0 + rng.NextDouble() * extent,
+                         y0 + rng.NextDouble() * extent};
+    block.Add(first + static_cast<PointId>(i), p);
+  }
+  return block;
+}
+
+TEST(StreamingPropertyTest, ChunkedDirtyPassMatchesOneThreadAndOracle) {
+  const int k = 4;
+  std::vector<ChunkSchedule> schedules;
+  {
+    // Dense patches drive saturated bounds below k (re-counts).
+    ChunkSchedule s{"patches", {}, 4, 1.5, 0.0};
+    const Dataset data = DensePatches(4, 75, 3.0, 0xC4C4);
+    for (size_t b = 0; b * 75 < data.size(); ++b) {
+      StreamBlock block(2);
+      for (size_t i = b * 75; i < (b + 1) * 75; ++i) {
+        block.Add(static_cast<PointId>(i), data[static_cast<PointId>(i)]);
+      }
+      s.blocks.push_back(std::move(block));
+    }
+    schedules.push_back(std::move(s));
+  }
+  {
+    // Cells of side 3 at r = 0.3 hold ~100 points with exact counts near
+    // k: cell (33, 33) = [99, 102)^2 gets 90 points, then 80 more, so the
+    // second round tiles 90 old residents in two row gathers, and the
+    // first block's expiry decrements 80+ old residents. Single far points
+    // make rounds with one or two dirty cells; a spread block dirties an
+    // odd number of cells.
+    ChunkSchedule s{"big-cell", {}, 3, 0.3, 3.0};
+    Rng rng(0xB16C);
+    s.blocks.push_back(UniformSquare(0, 90, 99.2, 99.2, 2.6, rng));
+    s.blocks.push_back(UniformSquare(100, 80, 99.2, 99.2, 2.6, rng));
+    s.blocks.push_back(MakeBlock({{200, {500.0, 500.0}}}));
+    s.blocks.push_back(UniformSquare(300, 60, 95.0, 95.0, 10.0, rng));
+    s.blocks.push_back(MakeBlock({{400, {700.0, 700.0}}, {401, {900.0, 0.0}}}));
+    s.blocks.push_back(UniformSquare(500, 40, 99.2, 99.2, 2.6, rng));
+    s.blocks.push_back(UniformSquare(600, 70, 96.0, 99.0, 9.0, rng));
+    s.blocks.push_back(MakeBlock({{700, {100.0, 100.0}}}));
+    schedules.push_back(std::move(s));
+  }
+
+  for (const ChunkSchedule& schedule : schedules) {
+    SCOPED_TRACE("schedule=" + schedule.name);
+    StreamingConfig base = BaseConfig(schedule.radius, k);
+    base.window_blocks = schedule.window_blocks;
+    base.cell_side = schedule.cell_side;
+    DodConfig oracle_config = DodConfig::Dmt(base.params);
+    oracle_config.seed = base.params.seed;
+
+    std::vector<OutlierDelta> reference;  // the one-thread run's deltas
+    for (int threads : {1, 2, 3, 7}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      StreamingConfig config = base;
+      config.num_threads = threads;
+      auto created = StreamingDetector::Create(config);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      StreamingDetector& detector = *created.value();
+      std::vector<PointId> running;
+      bool fewer_dirty_than_threads = false;
+      bool uneven_split = false;
+      size_t recounted = 0;
+      for (size_t b = 0; b < schedule.blocks.size(); ++b) {
+        auto fed = detector.Feed(schedule.blocks[b]);
+        ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+        const OutlierDelta& delta = fed.value();
+        const StreamRoundStats& stats = delta.stats;
+        fewer_dirty_than_threads = fewer_dirty_than_threads ||
+                                   (stats.dirty_cells > 0 &&
+                                    stats.dirty_cells < 3);
+        uneven_split = uneven_split || (stats.dirty_cells > 7 &&
+                                        stats.dirty_cells % 2 != 0 &&
+                                        stats.dirty_cells % 3 != 0 &&
+                                        stats.dirty_cells % 7 != 0);
+        recounted += stats.recounted_points;
+        if (threads == 1) {
+          reference.push_back(delta);
+        } else {
+          const OutlierDelta& want = reference[b];
+          const StreamRoundStats& want_stats = want.stats;
+          EXPECT_EQ(delta.newly_flagged, want.newly_flagged) << "round " << b;
+          EXPECT_EQ(delta.newly_cleared, want.newly_cleared) << "round " << b;
+          EXPECT_EQ(stats.dirty_cells, want_stats.dirty_cells);
+          EXPECT_EQ(stats.insert_pairs, want_stats.insert_pairs);
+          EXPECT_EQ(stats.expiry_pairs, want_stats.expiry_pairs);
+          EXPECT_EQ(stats.full_counted_points, want_stats.full_counted_points);
+          EXPECT_EQ(stats.recounted_points, want_stats.recounted_points);
+          EXPECT_EQ(stats.resident_points, want_stats.resident_points);
+          EXPECT_EQ(stats.resident_cells, want_stats.resident_cells);
+        }
+
+        // The batch oracle over the window, and brute-force summaries:
+        // exact counts equal, saturated bounds certified and >= k.
+        Dataset points(2);
+        std::vector<PointId> ids;
+        const size_t first =
+            b + 1 > schedule.window_blocks ? b + 1 - schedule.window_blocks
+                                           : 0;
+        for (size_t w = first; w <= b; ++w) {
+          const StreamBlock& block = schedule.blocks[w];
+          for (size_t i = 0; i < block.ids.size(); ++i) {
+            points.Append(block.points[static_cast<PointId>(i)]);
+            ids.push_back(block.ids[i]);
+          }
+        }
+        std::vector<PointId> want;
+        for (PointId local :
+             DodPipeline(oracle_config).RunOrDie(points).outliers) {
+          want.push_back(ids[local]);
+        }
+        std::sort(want.begin(), want.end());
+        std::vector<PointId> next;
+        std::set_difference(running.begin(), running.end(),
+                            delta.newly_cleared.begin(),
+                            delta.newly_cleared.end(),
+                            std::back_inserter(next));
+        running.clear();
+        std::merge(next.begin(), next.end(), delta.newly_flagged.begin(),
+                   delta.newly_flagged.end(), std::back_inserter(running));
+        ASSERT_EQ(running, want) << "round " << b;
+        ASSERT_EQ(detector.outliers(), want) << "round " << b;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          uint32_t count = 0;
+          for (size_t j = 0; j < ids.size(); ++j) {
+            const double dx = points[static_cast<PointId>(i)][0] -
+                              points[static_cast<PointId>(j)][0];
+            const double dy = points[static_cast<PointId>(i)][1] -
+                              points[static_cast<PointId>(j)][1];
+            count += i != j && dx * dx + dy * dy <=
+                                   schedule.radius * schedule.radius
+                         ? 1
+                         : 0;
+          }
+          const std::optional<NeighborCountSummary> summary =
+              detector.SummaryOf(ids[i]);
+          ASSERT_TRUE(summary.has_value()) << "id " << ids[i];
+          if (summary->saturated) {
+            EXPECT_LE(summary->count, count) << "id " << ids[i];
+            EXPECT_GE(summary->count, static_cast<uint32_t>(k));
+          } else {
+            EXPECT_EQ(summary->count, count) << "id " << ids[i];
+          }
+        }
+      }
+      if (schedule.name == "patches") {
+        EXPECT_GT(recounted, 0u);
+      } else {
+        EXPECT_TRUE(fewer_dirty_than_threads);
+        EXPECT_TRUE(uneven_split);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / resume.
 

@@ -77,9 +77,9 @@ Streaming service:
                          ring of (2*ceil(r/S)+1)^dims cells per touched
                          cell; a side whose ring exceeds 2^20 cells is
                          refused (2-D: S >= r/511)
-  --threads N            threads fanning out over dirty cells, <= 1024
-                         (default 1; 0 = all hardware threads; deltas
-                         identical)
+  --threads N            threads sharing each round's dirty cells, one
+                         chunk of them each, <= 1024 (default 1; 0 = all
+                         hardware threads; deltas identical)
 
 Out-of-order admission:
   --lateness L           enable the watermark reorder stage with bounded

@@ -141,8 +141,6 @@ const char* PackingPolicyName(PackingPolicy policy) {
 
 double PackingResult::Makespan() const { return Max(bin_loads); }
 
-double PackingResult::Imbalance() const { return ImbalanceFactor(bin_loads); }
-
 PackingResult PackBins(const std::vector<double>& weights, int num_bins,
                        PackingPolicy policy) {
   DOD_CHECK(num_bins >= 1);

@@ -34,8 +34,6 @@ struct PackingResult {
   std::vector<double> bin_loads;
 
   double Makespan() const;
-  // max load / mean load; 1.0 is perfect balance.
-  double Imbalance() const;
 };
 
 // Packs `weights` into `num_bins` bins under `policy`. `num_bins` must be

@@ -3,7 +3,6 @@
 #include "common/bounds.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dod {
 
@@ -35,21 +34,6 @@ bool Rect::Contains(const double* p) const {
     if (p[i] < min_[i] || p[i] > max_[i]) return false;
   }
   return dims() > 0;
-}
-
-bool Rect::ContainsHalfOpen(const double* p) const {
-  for (int i = 0; i < dims(); ++i) {
-    if (p[i] < min_[i] || p[i] >= max_[i]) return false;
-  }
-  return dims() > 0;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  DOD_CHECK(dims() == other.dims());
-  for (int i = 0; i < dims(); ++i) {
-    if (max_[i] < other.min_[i] || other.max_[i] < min_[i]) return false;
-  }
-  return true;
 }
 
 bool Rect::Covers(const Rect& other) const {
@@ -94,20 +78,6 @@ Rect Rect::UnionWith(const Point& p) const {
 
 double Rect::Enlargement(const Rect& other) const {
   return UnionWith(other).Area() - Area();
-}
-
-double Rect::MinDistanceTo(const double* p) const {
-  double sum = 0.0;
-  for (int i = 0; i < dims(); ++i) {
-    double d = 0.0;
-    if (p[i] < min_[i]) {
-      d = min_[i] - p[i];
-    } else if (p[i] > max_[i]) {
-      d = p[i] - max_[i];
-    }
-    sum += d * d;
-  }
-  return std::sqrt(sum);
 }
 
 bool Rect::IsAdjacentTo(const Rect& other, double eps) const {

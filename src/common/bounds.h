@@ -50,14 +50,6 @@ class Rect {
   bool Contains(const double* p) const;
   bool Contains(const Point& p) const { return Contains(p.data()); }
 
-  // Half-open containment test: lo <= x < hi in every dimension. Grid
-  // partitioning uses half-open cells so that every point belongs to exactly
-  // one core cell (points on the global upper boundary are clamped by the
-  // partitioner).
-  bool ContainsHalfOpen(const double* p) const;
-
-  bool Intersects(const Rect& other) const;
-
   // True iff `other` lies entirely within this rect (closed sense).
   bool Covers(const Rect& other) const;
 
@@ -74,9 +66,6 @@ class Rect {
   // Increase in Area() if `other` were unioned in; the R-tree "least
   // enlargement" heuristic.
   double Enlargement(const Rect& other) const;
-
-  // Minimum L2 distance from `p` to this rect; 0 when contained.
-  double MinDistanceTo(const double* p) const;
 
   // True iff the two rects touch or overlap when each is treated as closed —
   // i.e. they are spatially adjacent within tolerance `eps`.

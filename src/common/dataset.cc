@@ -34,11 +34,4 @@ Status Dataset::Validate() const {
   return Status::Ok();
 }
 
-Dataset Dataset::Subset(const std::vector<PointId>& ids) const {
-  Dataset out(dims_);
-  out.Reserve(ids.size());
-  for (PointId id : ids) out.Append((*this)[id]);
-  return out;
-}
-
 }  // namespace dod

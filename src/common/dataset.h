@@ -71,9 +71,6 @@ class Dataset {
   // Bounding box of all points. Must not be called on an empty dataset.
   Rect Bounds() const;
 
-  // New dataset containing the points whose ids are listed in `ids`.
-  Dataset Subset(const std::vector<PointId>& ids) const;
-
   // Rejects non-finite coordinates (NaN, ±inf) with kInvalidArgument naming
   // the first offending point and dimension. Grid partitioning and the
   // distance kernels assume finite coordinates; a NaN smuggled in through

@@ -8,8 +8,6 @@
 #ifndef DOD_COMMON_DISTANCE_H_
 #define DOD_COMMON_DISTANCE_H_
 
-#include <cmath>
-
 namespace dod {
 
 // Squared L2 distance between two `dims`-dimensional coordinate arrays.
@@ -20,10 +18,6 @@ inline double SquaredEuclidean(const double* a, const double* b, int dims) {
     sum += d * d;
   }
   return sum;
-}
-
-inline double Euclidean(const double* a, const double* b, int dims) {
-  return std::sqrt(SquaredEuclidean(a, b, dims));
 }
 
 // True iff dist(a, b)² <= sq_radius (Def. 2.1 neighbor test with the square

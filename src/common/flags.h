@@ -21,10 +21,6 @@ class FlagParser {
   // dangling "--name" at end of line is treated as boolean true).
   static Result<FlagParser> Parse(int argc, const char* const* argv);
 
-  bool HasFlag(const std::string& name) const {
-    return values_.count(name) > 0;
-  }
-
   // Typed getters with defaults. Get*Or never fails; the checked variants
   // return errors for unparsable values.
   std::string GetStringOr(const std::string& name,

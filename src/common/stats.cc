@@ -18,14 +18,6 @@ double Mean(const std::vector<double>& values) {
   return Sum(values) / static_cast<double>(values.size());
 }
 
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - mean) * (v - mean);
-  return std::sqrt(ss / static_cast<double>(values.size()));
-}
-
 double Max(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return *std::max_element(values.begin(), values.end());

@@ -13,9 +13,6 @@ namespace dod {
 // Arithmetic mean; 0 for an empty input.
 double Mean(const std::vector<double>& values);
 
-// Population standard deviation; 0 for fewer than two values.
-double StdDev(const std::vector<double>& values);
-
 // max / mean — the load-imbalance factor of a set of per-worker loads.
 // Returns 1.0 for an empty input or zero mean (perfectly balanced).
 double ImbalanceFactor(const std::vector<double>& loads);

@@ -213,12 +213,4 @@ Status WritePlanFile(const MultiTacticPlan& plan, const std::string& path) {
   return Status::Ok();
 }
 
-Result<MultiTacticPlan> ReadPlanFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return DeserializePlan(buffer.str());
-}
-
 }  // namespace dod

@@ -31,9 +31,8 @@ std::string SerializePlan(const MultiTacticPlan& plan);
 // before returning.
 Result<MultiTacticPlan> DeserializePlan(const std::string& text);
 
-// File convenience wrappers.
+// SerializePlan into the file at `path` (dod_cli --plan-out).
 Status WritePlanFile(const MultiTacticPlan& plan, const std::string& path);
-Result<MultiTacticPlan> ReadPlanFile(const std::string& path);
 
 }  // namespace dod
 

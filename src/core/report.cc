@@ -26,15 +26,6 @@ void Appendf(std::string& out, const char* format, ...) {
 
 }  // namespace
 
-std::string FormatRunSummary(const DodConfig& config, const DodResult& result,
-                             size_t input_points) {
-  std::string out;
-  Appendf(out, "%s: %zu outliers / %zu pts, %.4fs (%zu partitions)",
-          config.Label().c_str(), result.outliers.size(), input_points,
-          result.breakdown.total(), result.plan.partition_plan.num_cells());
-  return out;
-}
-
 std::string FormatRunReport(const DodConfig& config, const DodResult& result,
                             size_t input_points) {
   std::string out;

@@ -18,10 +18,6 @@ namespace dod {
 std::string FormatRunReport(const DodConfig& config, const DodResult& result,
                             size_t input_points);
 
-// One-line form: "DMT: 42 outliers / 30000 pts, 0.0123s (64 partitions)".
-std::string FormatRunSummary(const DodConfig& config, const DodResult& result,
-                             size_t input_points);
-
 }  // namespace dod
 
 #endif  // DOD_CORE_REPORT_H_

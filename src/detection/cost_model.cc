@@ -83,16 +83,6 @@ bool CellBasedStrongDenseRegime(const PartitionStats& stats,
          kDenseSafetyFactor * static_cast<double>(params.min_neighbors);
 }
 
-bool CellBasedUltraSparseRegime(const PartitionStats& stats,
-                                const DetectionParams& params) {
-  constexpr double kSparseSafetyFactor = 4.0;
-  const double side = CellBasedCellSide(params.radius, stats.dims);
-  const int rings = CellBasedNeighborRings(stats.dims);
-  const double block = std::pow((2.0 * rings + 1.0) * side, stats.dims);
-  return block * stats.density() <
-         static_cast<double>(params.min_neighbors) / kSparseSafetyFactor;
-}
-
 // Planner cost unit = one distance evaluation. Cell-Based's linear term is
 // per-point *indexing* work (grid hash insert plus the L1/L2 block counts),
 // which costs roughly this many distance evaluations per point. Measured

@@ -66,19 +66,13 @@ bool CellBasedSparseRegime(const PartitionStats& stats,
 bool CellBasedStrongDenseRegime(const PartitionStats& stats,
                                 const DetectionParams& params);
 
-// True when the sparse regime holds with a 4x safety margin
-// ((49/8)·r²·ρ < k/4 in 2-d). Lemma 4.2's sparse case assumes a uniform
-// partition: the quiet-neighborhood pruning needs the whole 7×7 block under
-// k for *every* point, so Poisson fluctuation and sub-partition clumping
-// void it anywhere near the threshold. Planning decisions (Corollary 4.3
-// selection, allocation costing) only credit the sparse case inside this
-// margin; the exact Lemma 4.2 boundary is kept in CellBasedCost for
-// reference.
-bool CellBasedUltraSparseRegime(const PartitionStats& stats,
-                                const DetectionParams& params);
-
-// Cell-Based cost as the planner sees it: linear only in the dense regime
-// and the safety-margin sparse regime, `n + NestedLoopCost` otherwise.
+// Cell-Based cost as the planner sees it: linear (the per-point indexing
+// price) only in the strong dense regime; everywhere else, sparse regime
+// included, indexing plus NestedLoopCost. Lemma 4.2's sparse case assumes
+// a uniform partition, and sub-partition clumping voids the
+// quiet-neighborhood pruning that no sample-resolution check can certify,
+// so planning gives it no credit; the exact Lemma 4.2 stays in
+// CellBasedCost.
 double PlanningCellBasedCost(const PartitionStats& stats,
                              const DetectionParams& params);
 

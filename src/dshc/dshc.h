@@ -34,11 +34,12 @@ struct DshcOptions {
   // Cost-aware merge cap: a merge is rejected when the merged cluster's
   // estimated detection cost (under its Corollary 4.3 algorithm) exceeds
   // `max_cost_factor` times the mean per-partition cost. Clusters whose
-  // best algorithm is linear (strongly dense or ultra sparse → Cell-Based)
-  // may therefore grow toward the memory bound, while quadratic
-  // middle-density Nested-Loop clusters stay small — partition generation
-  // explicitly "considers the performance properties of the detection
-  // algorithms" (the paper's challenge 3). Disable to get pure Def. 5.2.
+  // best algorithm is linear (strongly dense → Cell-Based; planning gives
+  // the sparse regime no linear credit) may therefore grow toward the
+  // memory bound, while quadratic middle-density Nested-Loop clusters stay
+  // small — partition generation explicitly "considers the performance
+  // properties of the detection algorithms" (the paper's challenge 3).
+  // Disable to get pure Def. 5.2.
   bool cost_aware_cap = true;
   double max_cost_factor = 4.0;
   // Outlier parameters used by the cost cap and algorithm selection.

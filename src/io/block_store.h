@@ -36,8 +36,6 @@ class BlockStore {
     return sizeof(double) * dataset_->dims() + 8;
   }
 
-  size_t TotalBytes() const { return dataset_->size() * BytesPerRecord(); }
-
  private:
   const Dataset* dataset_;
   std::vector<std::vector<PointId>> blocks_;

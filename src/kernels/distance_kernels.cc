@@ -54,15 +54,6 @@ int ScalarCount(const SoABlock& pts, size_t begin, size_t end,
   return count;
 }
 
-void ScalarDists(const SoABlock& pts, const double* q, double* out,
-                 uint64_t* pairs) {
-  const int dims = pts.dims();
-  for (size_t slot = 0; slot < pts.size(); ++slot) {
-    out[slot] = ScalarSquaredDistance(pts, slot, q, dims);
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-}
-
 // ---- blocked: whole kSoaWidth-wide blocks, block-granular early exit ----
 //
 // The inner loops run over a fixed-width local accumulator so the compiler
@@ -167,24 +158,6 @@ int BlockedCount(const SoABlock& pts, size_t begin, size_t end,
                     skip_slot, cap, pairs);
 }
 
-template <int kDims>
-void BlockedDistsT(const SoABlock& pts, const double* q, double* out,
-                   uint64_t* pairs) {
-  BlockAcc acc;
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    const size_t base = b * kSoaWidth;
-    const size_t hi = std::min(pts.size() - base, kSoaWidth);
-    BlockSquaredDistances<kDims>(pts, b, q, &acc);
-    for (size_t s = 0; s < hi; ++s) out[base + s] = acc.d2[s];
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-}
-
-void BlockedDists(const SoABlock& pts, const double* q, double* out,
-                  uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(BlockedDistsT, pts.dims(), pts, q, out, pairs);
-}
-
 // Tiles: every (query, slot) pair of the tile once, per-pair arithmetic
 // identical to the single-query counts. The candidate segment stays hot
 // across queries — it is the small side of the tile.
@@ -246,10 +219,9 @@ void BlockedCountTile(const SoABlock& pts, size_t begin, size_t end,
 }
 
 constexpr KernelOps kScalarOps = {"scalar", /*reads_shadow=*/false,
-                                  ScalarCount, ScalarDists, ScalarCountTile};
+                                  ScalarCount, ScalarCountTile};
 constexpr KernelOps kBlockedOps = {"blocked", /*reads_shadow=*/false,
-                                   BlockedCount, BlockedDists,
-                                   BlockedCountTile};
+                                   BlockedCount, BlockedCountTile};
 
 }  // namespace
 
@@ -287,12 +259,11 @@ bool Avx2KernelsAvailable() {
   return available;
 }
 
-// The avx512 table reuses avx2's non-count entries, so it needs both.
 bool Avx512KernelsAvailable() {
   static const bool available = [] {
     if (internal::Avx512KernelOpsOrNull() == nullptr) return false;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-    return Avx2KernelsAvailable() && __builtin_cpu_supports("avx512f") != 0;
+    return __builtin_cpu_supports("avx512f") != 0;
 #else
     return false;
 #endif

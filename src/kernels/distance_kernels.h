@@ -4,9 +4,10 @@
 // "scalar" (per-pair reference), "blocked" (portable, autovectorization-
 // friendly loops over kSoaWidth-wide lanes), "avx2" (intrinsics, a block as
 // two 4-wide vectors) and "avx512" (a block as one 8-wide vector whose
-// compares land in a mask register; only the two counts are its own, the
-// other entries are avx2's) — share one function-pointer table. avx2 and
-// avx512 are chosen at runtime behind a CPU probe.
+// compares land in a mask register) — fill one two-entry function-pointer
+// table: the single-query count that detection sweeps and the tile count
+// that streaming summaries use. avx2 and avx512 are chosen at runtime
+// behind a CPU probe.
 //
 // Exactness contract: every implementation returns bit-identical verdicts.
 // Squared distances are computed as sum_d (q[d] - c[d])^2 with each
@@ -27,7 +28,7 @@
 // kSoaWidth-slot block, so they evaluate the same pairs and their counter
 // may exceed scalar's by up to kSoaWidth - 1 per capped query. Uncapped
 // counts evaluate the same pairs everywhere, and verdicts (count >= k,
-// tile counts, distances) are identical.
+// tile counts) are identical.
 //
 // The count skips the query's own slot by *position*: a caller sweeping a
 // segment knows where its query sits, so the kernel never loads slot ids.
@@ -77,11 +78,6 @@ struct KernelOps {
                              const double* q, double sq_radius,
                              size_t skip_slot, int cap, uint64_t* pairs);
 
-  // Writes the squared distance from `q` to slot j into out[j] for every
-  // j < points.size(). `out` must hold points.size() doubles.
-  void (*squared_distances)(const SoABlock& points, const double* q,
-                            double* out, uint64_t* pairs);
-
   // Query-block × candidate-segment tile: for each of the `num_queries`
   // query points (row-major, points.dims() doubles per row), adds to
   // row_counts[i] the number of slots in [begin, end) within sq_radius of
@@ -113,7 +109,7 @@ const KernelOps* GetKernelOpsByName(std::string_view impl);
 bool Avx2KernelsAvailable();
 
 // True iff the AVX-512 specialization is compiled in and this CPU supports
-// both it (avx512f) and the AVX2 entries it reuses.
+// it (avx512f).
 bool Avx512KernelsAvailable();
 
 }  // namespace dod

@@ -156,34 +156,6 @@ DOD_AVX2 int Avx2Count(const SoABlock& pts, size_t begin, size_t end,
                     skip_slot, cap, pairs);
 }
 
-template <int kDims>
-DOD_AVX2 void Avx2DistsT(const SoABlock& pts, const double* q, double* out,
-                         uint64_t* pairs) {
-  __m256d qv[kDims];
-  BroadcastQuery<kDims>(q, qv);
-  for (size_t b = 0; b < pts.num_blocks(); ++b) {
-    const size_t base = b * kSoaWidth;
-    const size_t hi_slot = std::min(pts.size() - base, kSoaWidth);
-    __m256d d0, d1;
-    BlockSquaredDistances<kDims>(pts, b, qv, &d0, &d1);
-    if (hi_slot == kSoaWidth) {
-      _mm256_storeu_pd(out + base, d0);
-      _mm256_storeu_pd(out + base + 4, d1);
-    } else {
-      double tmp[kSoaWidth];
-      _mm256_storeu_pd(tmp, d0);
-      _mm256_storeu_pd(tmp + 4, d1);
-      for (size_t s = 0; s < hi_slot; ++s) out[base + s] = tmp[s];
-    }
-  }
-  if (pairs != nullptr) *pairs += pts.size();
-}
-
-DOD_AVX2 void Avx2Dists(const SoABlock& pts, const double* q, double* out,
-                        uint64_t* pairs) {
-  DOD_DISPATCH_DIMS(Avx2DistsT, pts.dims(), pts, q, out, pairs);
-}
-
 // The 4-lane double mask of slot bits `bits` (bit s = lane s).
 DOD_AVX2 inline __m256d LaneMask(unsigned bits) {
   const __m256i bit = _mm256_set_epi64x(8, 4, 2, 1);
@@ -264,7 +236,7 @@ DOD_AVX2 void Avx2CountTile(const SoABlock& pts, size_t begin, size_t end,
 }
 
 constexpr KernelOps kAvx2Ops = {"avx2", /*reads_shadow=*/false, Avx2Count,
-                                Avx2Dists, Avx2CountTile};
+                                Avx2CountTile};
 
 }  // namespace
 

@@ -6,9 +6,8 @@
 // the skip slot are mask ANDs and a block's hits are one popcount. On a
 // buffer with float32 shadow lanes (soa_block.h) the count first filters
 // 16 slots per vector in float and goes back to the double lanes only for
-// the blocks the filter cannot decide ("Float filter" below). The other
-// entry, squared_distances, reuses the AVX2 table's. Compiled in under the
-// same guard as the AVX2 table (DOD_DISABLE_AVX2 removes both) via
+// the blocks the filter cannot decide ("Float filter" below). Compiled in
+// under the same guard as the AVX2 table (DOD_DISABLE_AVX2 removes both) via
 // per-function target attributes; callers reach it only through the
 // dispatch in distance_kernels.cc, which probes the CPU at runtime first.
 //
@@ -44,11 +43,6 @@
 #define DOD_AVX512_INLINE __attribute__((target("avx512f"), always_inline))
 
 namespace dod {
-namespace internal {
-// Defined in distance_kernels_avx2.cc, which compiles under the same guard.
-const KernelOps* Avx2KernelOpsOrNull();
-}  // namespace internal
-
 namespace {
 
 static_assert(kSoaWidth == 8, "a block is one 8-lane zmm vector");
@@ -498,20 +492,13 @@ DOD_AVX512 void Avx512CountTile(const SoABlock& pts, size_t begin,
                     num_queries, sq_radius, row_counts, col_counts);
 }
 
+constexpr KernelOps kAvx512Ops = {"avx512", /*reads_shadow=*/true,
+                                  Avx512Count, Avx512CountTile};
+
 }  // namespace
 
 namespace internal {
-const KernelOps* Avx512KernelOpsOrNull() {
-  static const KernelOps ops = [] {
-    KernelOps table = *Avx2KernelOpsOrNull();
-    table.name = "avx512";
-    table.reads_shadow = true;
-    table.count_within_radius = Avx512Count;
-    table.count_tile_within_radius = Avx512CountTile;
-    return table;
-  }();
-  return &ops;
-}
+const KernelOps* Avx512KernelOpsOrNull() { return &kAvx512Ops; }
 }  // namespace internal
 
 }  // namespace dod

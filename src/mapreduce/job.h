@@ -14,8 +14,7 @@
 //    per-reduce-task buckets, spilled as sorted disk runs past a threshold
 //    (mapreduce/spill.h);
 //  - shuffle handoff (ShuffleHandoff): every reduce task gets its ordered
-//    segment list — those buckets and runs, in (split, flush) order — and
-//    a worker-group placement hint;
+//    segment list — those buckets and runs, in (split, flush) order;
 //  - reduce (ReducePhase): each reduce task groups its segments
 //    (mapreduce/shuffle.h) and reduces the groups;
 //  - commit (CommitJob): output in task order, stage times, metrics.

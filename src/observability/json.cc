@@ -7,11 +7,6 @@
 
 namespace dod {
 
-bool JsonValue::bool_value() const {
-  DOD_CHECK(is_bool());
-  return bool_;
-}
-
 double JsonValue::number_value() const {
   DOD_CHECK(is_number());
   return number_;
@@ -99,14 +94,8 @@ class JsonParser {
       out->type_ = JsonValue::Type::kNull;
       return Status::Ok();
     }
-    if (ConsumeWord("true")) {
+    if (ConsumeWord("true") || ConsumeWord("false")) {
       out->type_ = JsonValue::Type::kBool;
-      out->bool_ = true;
-      return Status::Ok();
-    }
-    if (ConsumeWord("false")) {
-      out->type_ = JsonValue::Type::kBool;
-      out->bool_ = false;
       return Status::Ok();
     }
     return ParseNumber(out);

@@ -28,15 +28,12 @@ class JsonValue {
   JsonValue() = default;
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
   // Accessors assume the matching type (DOD_CHECKed).
-  bool bool_value() const;
   double number_value() const;
   const std::string& string_value() const;
   const std::vector<JsonValue>& array() const;
@@ -50,7 +47,6 @@ class JsonValue {
   friend class JsonParser;
 
   Type type_ = Type::kNull;
-  bool bool_ = false;
   double number_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;

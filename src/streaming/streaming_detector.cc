@@ -189,6 +189,15 @@ Status StreamingDetector::ValidateBlock(const StreamBlock& block) const {
         std::to_string(dims_));
   }
   if (dims_ == 0) {
+    // InitDims' checks, made before admission: a block the reorder stage
+    // buffers must not fail when the drain admits it.
+    if (config_.grid_origin.dims() > 0 &&
+        config_.grid_origin.dims() != block.points.dims()) {
+      return Status::InvalidArgument(
+          "StreamingDetector::Feed: block dims " +
+          std::to_string(block.points.dims()) + " != grid_origin dims " +
+          std::to_string(config_.grid_origin.dims()));
+    }
     DOD_RETURN_IF_ERROR(CheckRingCells(ring_, block.points.dims()));
   }
   DOD_RETURN_IF_ERROR(block.points.Validate());
@@ -237,7 +246,8 @@ uint32_t StreamingDetector::AllocSlot(PointId id, const double* p) {
 
 CellCoord StreamingDetector::KeyOf(const double* p) const {
   // The exact keying the batch grids use (detection/cell_key.h); every
-  // resident point passed TryUniformCellKey in ValidateBlock.
+  // resident point passed TryUniformCellKey, in ValidateBlock or, when
+  // restored, in RestoreLatest.
   return UniformCellKey(p, dims_, origin_, side_);
 }
 
@@ -738,7 +748,6 @@ void StreamingDetector::RecordRound(const OutlierDelta& delta) {
 
 Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
   StopWatch watch;
-  DOD_RETURN_IF_ERROR(ValidateBlock(block));
   if (dims_ == 0 && !block.points.empty()) {
     DOD_RETURN_IF_ERROR(InitDims(block.points.dims()));
   }
@@ -795,6 +804,7 @@ Result<OutlierDelta> StreamingDetector::Feed(const StreamBlock& block) {
         "StreamingDetector::Feed: a watermark policy is enabled; blocks "
         "must go through Ingest so the reorder stage sees them");
   }
+  DOD_RETURN_IF_ERROR(ValidateBlock(block));
   DOD_ASSIGN_OR_RETURN(OutlierDelta delta, AdmitBlock(block));
   arrivals_ = round_;  // in-order mode: one arrival per round, by definition
   if (store_ != nullptr && config_.checkpoint_every > 0 &&
@@ -1163,6 +1173,10 @@ Status StreamingDetector::RestoreLatest() {
       DOD_RETURN_IF_ERROR(r.F64(&wb.timestamp));
       uint64_t num_points = 0;
       DOD_RETURN_IF_ERROR(r.U64(&num_points));
+      if (num_points > 0 && dims_ == 0) {
+        return Status::IoError(
+            "stream checkpoint: resident points in a window without dims");
+      }
       double coords[kMaxDimensions];
       for (uint64_t i = 0; i < num_points; ++i) {
         uint32_t id = 0;
@@ -1177,10 +1191,17 @@ Status StreamingDetector::RestoreLatest() {
           return Status::IoError("stream checkpoint: duplicate resident id " +
                                  std::to_string(id));
         }
+        CellCoord key;
+        if (!TryUniformCellKey(coords, dims_, origin_, side_, &key)) {
+          return Status::IoError("stream checkpoint: resident id " +
+                                 std::to_string(id) +
+                                 " lies more than 2^30 cells from the grid "
+                                 "origin");
+        }
         const uint32_t slot = AllocSlot(id, coords);
         slots_[slot].count = count;
         slots_[slot].saturated = saturated != 0 ? 1 : 0;
-        cell_states_[OpenCell(KeyOf(coords))].slots.push_back(slot);
+        cell_states_[OpenCell(key)].slots.push_back(slot);
         wb.slots.push_back(slot);
       }
       source.blocks.push_back(std::move(wb));
@@ -1241,10 +1262,7 @@ Status StreamingDetector::RestoreLatest() {
     DOD_RETURN_IF_ERROR(r.F64(&timestamp));
     DOD_RETURN_IF_ERROR(r.U32(&block_dims));
     DOD_RETURN_IF_ERROR(r.U64(&num_points));
-    if (!std::isfinite(timestamp) || block_dims < 1 ||
-        block_dims > kMaxDimensions ||
-        (dims_ != 0 && num_points > 0 &&
-         block_dims != static_cast<uint32_t>(dims_))) {
+    if (block_dims < 1 || block_dims > kMaxDimensions) {
       return Status::IoError(
           "stream checkpoint: malformed reorder-buffer record");
     }
@@ -1257,24 +1275,21 @@ Status StreamingDetector::RestoreLatest() {
       DOD_RETURN_IF_ERROR(r.U32(&id));
       DOD_RETURN_IF_ERROR(
           r.Raw(coords, sizeof(double) * static_cast<size_t>(block_dims)));
-      for (uint32_t d = 0; d < block_dims; ++d) {
-        if (!std::isfinite(coords[d])) {
-          return Status::IoError(
-              "stream checkpoint: non-finite reorder-buffer coordinate");
-        }
-      }
-      if (id_to_slot_.count(id) != 0 || pending_ids_.count(id) != 0) {
-        return Status::IoError(
-            "stream checkpoint: duplicate reorder-buffer id " +
-            std::to_string(id));
-      }
-      pending_ids_.insert(id);
       block.Add(id, coords);
     }
     if (pending.arrival >= next_arrival_) {
       return Status::IoError(
           "stream checkpoint: reorder-buffer arrival sequence skew");
     }
+    // A buffered block is admitted without another check, so it must pass
+    // the arrival validation Ingest gave it, against the state restored so
+    // far and the blocks buffered before it.
+    const Status valid = ValidateArrival(block);
+    if (!valid.ok()) {
+      return Status::IoError("stream checkpoint: reorder-buffer block: " +
+                             valid.message());
+    }
+    pending_ids_.insert(block.ids.begin(), block.ids.end());
     pending.block = std::move(block);
     reorder_.push_back(std::move(pending));
   }

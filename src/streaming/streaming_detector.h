@@ -456,12 +456,15 @@ class StreamingDetector {
   // `expired_flagged`; returns the number of expired points.
   size_t ExpireBlocks(std::vector<PointId>* expired_flagged);
 
-  // One admitted round: the Feed body without the per-round checkpoint
-  // policy (Feed and the reorder drain wrap it with their own).
+  // One admitted round: the Feed body without the validation and the
+  // per-round checkpoint policy (Feed and the reorder drain wrap it with
+  // their own). `block` must have passed ValidateBlock (Feed) or
+  // ValidateArrival (Ingest and RestoreLatest, for buffered blocks).
   Result<OutlierDelta> AdmitBlock(const StreamBlock& block);
   // Arrival-time validation for the reorder stage: everything
-  // ValidateBlock checks, plus a finite timestamp and id uniqueness
-  // against the buffered blocks.
+  // ValidateBlock checks, plus a finite timestamp, id uniqueness against
+  // the buffered blocks and, while the window has no dims, dims that agree
+  // with theirs. What it accepts stays admissible until the drain.
   Status ValidateArrival(const StreamBlock& block) const;
   // min over live (non-idle) source clocks of clock - lateness; false
   // until a first arrival registered a source.

@@ -48,7 +48,6 @@ TEST(BinPackingTest, EmptyInput) {
     const PackingResult result = PackBins({}, 3, policy);
     EXPECT_TRUE(result.bin_of.empty());
     EXPECT_DOUBLE_EQ(result.Makespan(), 0.0);
-    EXPECT_DOUBLE_EQ(result.Imbalance(), 1.0);
   }
 }
 

@@ -79,7 +79,6 @@ TEST(BlockStoreTest, ByteAccounting) {
   const Dataset data = GenerateUniform(10, Rect::Cube(2, 0.0, 10.0), 8);
   BlockStore store(data, 2, 42);
   EXPECT_EQ(store.BytesPerRecord(), 2 * sizeof(double) + 8);
-  EXPECT_EQ(store.TotalBytes(), 10 * store.BytesPerRecord());
 }
 
 }  // namespace

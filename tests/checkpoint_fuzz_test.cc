@@ -405,7 +405,12 @@ StreamingConfig HostileRestoreConfig(const std::string& dir) {
 // (one source window of two isolated, flagged resident points with exact
 // zero counts, one buffered block).
 struct V4Knobs {
+  uint32_t window_dims = 2;
   std::vector<uint32_t> window_sources = {0};
+  // Whether the first source holds the block of resident ids 1 and 2, and
+  // resident 2's x coordinate.
+  bool residents = true;
+  double resident2_x = 50.0;
   // (count, saturated) of resident ids 1 and 2, and the flagged set.
   std::pair<uint32_t, uint8_t> summary1 = {0, 0};
   std::pair<uint32_t, uint8_t> summary2 = {0, 0};
@@ -416,6 +421,8 @@ struct V4Knobs {
   double pending_coord = 6.0;
   uint32_t pending_dims = 2;
   std::vector<uint32_t> pending_ids = {7};
+  // Dims of a second buffered block (id 8, arrival 1); 0 = none.
+  uint32_t second_pending_dims = 0;
 };
 
 std::string V4StreamPayload(const V4Knobs& k) {
@@ -423,20 +430,20 @@ std::string V4StreamPayload(const V4Knobs& k) {
   w.U32(4);  // version
   w.U64(1);  // round
   w.U64(1);  // next_seq
-  w.U32(2);  // dims
+  w.U32(k.window_dims);
   w.U64(k.window_sources.size());
   for (size_t s = 0; s < k.window_sources.size(); ++s) {
     w.U32(k.window_sources[s]);
     w.U8(1);      // saw_timestamp
     w.F64(8.0);   // high water
-    if (s == 0) {
+    if (s == 0 && k.residents) {
       // One block, two isolated resident points (ids 1 and 2).
       w.U64(1);
       w.U64(0);  // seq
       w.F64(8.0);
       w.U64(2);
       const double p1[2] = {0.0, 0.0};
-      const double p2[2] = {50.0, 50.0};
+      const double p2[2] = {k.resident2_x, 50.0};
       w.U32(1);
       w.Raw(p1, sizeof(p1));
       w.U32(k.summary1.first);
@@ -462,7 +469,7 @@ std::string V4StreamPayload(const V4Knobs& k) {
     w.U32(source);
     w.F64(clock);
   }
-  w.U64(1);  // one pending block
+  w.U64(k.second_pending_dims == 0 ? 1 : 2);  // pending blocks
   w.U64(k.pending_arrival);
   w.U32(0);  // source
   w.F64(k.pending_ts);
@@ -472,6 +479,16 @@ std::string V4StreamPayload(const V4Knobs& k) {
     w.U32(id);
     std::vector<double> coords(k.pending_dims == 0 ? 2 : k.pending_dims,
                                k.pending_coord);
+    w.Raw(coords.data(), sizeof(double) * coords.size());
+  }
+  if (k.second_pending_dims != 0) {
+    w.U64(1);  // arrival
+    w.U32(0);  // source
+    w.F64(9.5);
+    w.U32(k.second_pending_dims);
+    w.U64(1);
+    w.U32(8);
+    const std::vector<double> coords(k.second_pending_dims, 6.0);
     w.Raw(coords.data(), sizeof(double) * coords.size());
   }
   return w.Take();
@@ -501,6 +518,19 @@ TEST(StreamSnapshotFuzzTest, ValidV4PayloadRestores) {
   EXPECT_EQ(resumed.value()->arrivals(), 3u);
   EXPECT_EQ(resumed.value()->buffered_blocks(), 1u);
   EXPECT_EQ(resumed.value()->resident_points(), 2u);
+
+  // A window without dims may buffer blocks whose dims agree.
+  V4Knobs dimless;
+  dimless.window_dims = 0;
+  dimless.residents = false;
+  dimless.outliers = {};
+  dimless.second_pending_dims = 2;
+  CommitHostileSnapshot(dir.str(), StreamingDetector::JobKeyFor(base),
+                        V4StreamPayload(dimless));
+  auto dimless_resumed = StreamingDetector::Create(config);
+  ASSERT_TRUE(dimless_resumed.ok()) << dimless_resumed.status().ToString();
+  EXPECT_EQ(dimless_resumed.value()->buffered_blocks(), 2u);
+  EXPECT_EQ(dimless_resumed.value()->resident_points(), 0u);
 }
 
 TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
@@ -559,6 +589,35 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
     c.knobs.window_sources = {1, 1};
     cases.push_back(c);
   }
+  // Restored points get no later check: each needs an exact int32 cell
+  // key (r = 1, so the cell index is the coordinate).
+  const std::pair<const char*, double> keyless[] = {
+      {"resident point at x = 1e300", 1e300},
+      {"resident point at x = NaN", std::nan("")},
+      {"resident point 5e9 cells from the origin", 5e9}};
+  for (const auto& [name, x] : keyless) {
+    Case c{name, {}};
+    c.knobs.resident2_x = x;
+    cases.push_back(c);
+  }
+  {
+    Case c{"pending point beyond 2^30 cells", {}};
+    c.knobs.pending_coord = 5e9;
+    cases.push_back(c);
+  }
+  {
+    Case c{"resident points in a window without dims", {}};
+    c.knobs.window_dims = 0;
+    cases.push_back(c);
+  }
+  {
+    Case c{"pending blocks disagree on dims in a window without dims", {}};
+    c.knobs.window_dims = 0;
+    c.knobs.residents = false;
+    c.knobs.outliers = {};
+    c.knobs.second_pending_dims = 3;
+    cases.push_back(c);
+  }
 
   StreamTempDir dir("dod-ckfuzz-stream-hostile");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
@@ -570,7 +629,8 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
     config.resume = true;
     auto resumed = StreamingDetector::Create(config);
     ASSERT_FALSE(resumed.ok()) << c.name;
-    EXPECT_NE(resumed.status().code(), StatusCode::kOk);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kIoError)
+        << resumed.status().ToString();
   }
 }
 

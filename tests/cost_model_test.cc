@@ -114,8 +114,7 @@ TEST(SelectorTest, PlanningDoesNotTrustSparsePruning) {
   // whose randomized early exit has the same worst case but no indexing.
   const size_t n = 10000;
   EXPECT_TRUE(CellBasedSparseRegime(Stats(n, n / 0.02), Params()));
-  EXPECT_FALSE(CellBasedUltraSparseRegime(Stats(n, n / 0.02), Params()));
-  EXPECT_TRUE(CellBasedUltraSparseRegime(Stats(n, n / 0.004), Params()));
+  EXPECT_TRUE(CellBasedSparseRegime(Stats(n, n / 0.004), Params()));
   EXPECT_EQ(SelectAlgorithm(Stats(n, n / 0.02), Params()),
             AlgorithmKind::kNestedLoop);
   EXPECT_EQ(SelectAlgorithm(Stats(n, n / 0.004), Params()),

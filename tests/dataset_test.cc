@@ -48,16 +48,6 @@ TEST(DatasetTest, BoundsCoverAllPoints) {
   EXPECT_EQ(bounds.max(), (Point{2.0, 10.0}));
 }
 
-TEST(DatasetTest, SubsetPreservesOrder) {
-  Dataset data(1);
-  for (int i = 0; i < 10; ++i) data.Append(Point{static_cast<double>(i)});
-  const Dataset sub = data.Subset({7, 2, 9});
-  ASSERT_EQ(sub.size(), 3u);
-  EXPECT_EQ(sub[0][0], 7.0);
-  EXPECT_EQ(sub[1][0], 2.0);
-  EXPECT_EQ(sub[2][0], 9.0);
-}
-
 TEST(DatasetTest, ClearEmpties) {
   Dataset data(2);
   data.Append(Point{1.0, 1.0});

@@ -41,7 +41,6 @@ TEST(DistanceTest, EuclideanBasics) {
   const double a[2] = {0.0, 0.0};
   const double b[2] = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(SquaredEuclidean(a, b, 2), 25.0);
-  EXPECT_DOUBLE_EQ(Euclidean(a, b, 2), 5.0);
 }
 
 TEST(DistanceTest, WithinDistanceIsClosed) {
@@ -66,21 +65,17 @@ TEST(RectTest, EmptyRect) {
   EXPECT_FALSE(r.Contains(p));
 }
 
-TEST(RectTest, ContainsClosedVsHalfOpen) {
+TEST(RectTest, ContainsIsClosed) {
   const Rect r(Point{0.0, 0.0}, Point{1.0, 1.0});
   const double boundary[2] = {1.0, 0.5};
   EXPECT_TRUE(r.Contains(boundary));
-  EXPECT_FALSE(r.ContainsHalfOpen(boundary));
-  const double inside[2] = {0.5, 0.5};
-  EXPECT_TRUE(r.ContainsHalfOpen(inside));
+  const double outside[2] = {1.5, 0.5};
+  EXPECT_FALSE(r.Contains(outside));
 }
 
-TEST(RectTest, IntersectsAndCovers) {
+TEST(RectTest, Covers) {
   const Rect a(Point{0.0, 0.0}, Point{2.0, 2.0});
   const Rect b(Point{1.0, 1.0}, Point{3.0, 3.0});
-  const Rect c(Point{2.5, 2.5}, Point{4.0, 4.0});
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
   EXPECT_TRUE(a.Covers(Rect(Point{0.5, 0.5}, Point{1.5, 1.5})));
   EXPECT_FALSE(a.Covers(b));
 }
@@ -114,16 +109,6 @@ TEST(RectTest, Enlargement) {
   const Rect a(Point{0.0, 0.0}, Point{2.0, 2.0});
   EXPECT_DOUBLE_EQ(a.Enlargement(Rect(Point{0.5, 0.5}, Point{1.0, 1.0})), 0.0);
   EXPECT_DOUBLE_EQ(a.Enlargement(Rect(Point{0.0, 0.0}, Point{4.0, 2.0})), 4.0);
-}
-
-TEST(RectTest, MinDistanceTo) {
-  const Rect a(Point{0.0, 0.0}, Point{2.0, 2.0});
-  const double inside[2] = {1.0, 1.0};
-  EXPECT_DOUBLE_EQ(a.MinDistanceTo(inside), 0.0);
-  const double right[2] = {5.0, 1.0};
-  EXPECT_DOUBLE_EQ(a.MinDistanceTo(right), 3.0);
-  const double diag[2] = {5.0, 6.0};
-  EXPECT_DOUBLE_EQ(a.MinDistanceTo(diag), 5.0);
 }
 
 TEST(RectTest, AdjacencyIncludesTouchingAndOverlap) {

@@ -17,7 +17,6 @@
 
 #include "common/distance.h"
 #include "common/random.h"
-#include "core/parameter_advisor.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "data/tiger_like.h"
@@ -169,8 +168,6 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
         const int want_count = scalar.count_within_radius(
             soa, begin, end, q.data(), sq_radius, skip_slot, -1,
             &scalar_pairs);
-        std::vector<double> want_dists(data.size());
-        scalar.squared_distances(soa, q.data(), want_dists.data(), nullptr);
 
         for (const KernelOps* ops : impls) {
           SCOPED_TRACE(std::string("impl=") + ops->name);
@@ -191,13 +188,6 @@ TEST(DistanceKernelsTest, ImplsAgreeOnRandomData) {
             if (capped < cap) {
               EXPECT_EQ(capped, want_count);
             }
-          }
-          std::vector<double> dists(data.size());
-          ops->squared_distances(soa, q.data(), dists.data(), nullptr);
-          for (size_t j = 0; j < data.size(); ++j) {
-            EXPECT_TRUE(dists[j] == want_dists[j] ||
-                        (std::isnan(dists[j]) && std::isnan(want_dists[j])))
-                << "slot " << j;
           }
         }
       }
@@ -789,16 +779,28 @@ TEST(DistanceKernelsTest, TieAtExactlyRadiusIsANeighbor) {
     soa.Append(&coord, i);
   }
   const double q = 0.0;
+  const double below = std::nextafter(9.0, 0.0);
   for (const KernelOps* ops : AvailableImpls()) {
     SCOPED_TRACE(std::string("impl=") + ops->name);
     // r = 3: exactly one point at distance exactly 3, none closer.
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 9.0,
                                        kNoSkipSlot, -1, nullptr),
               1);
-    std::vector<double> dists(soa.size());
-    ops->squared_distances(soa, &q, dists.data(), nullptr);
-    EXPECT_EQ(dists[0], 9.0);
-    for (size_t j = 1; j < dists.size(); ++j) EXPECT_GT(dists[j], 9.0);
+    EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, below,
+                                       kNoSkipSlot, -1, nullptr),
+              0);
+    // The tile counts the tie too, and only in slot 0's column.
+    uint32_t row = 0;
+    std::vector<uint32_t> cols(soa.size(), 0);
+    ops->count_tile_within_radius(soa, 0, soa.size(), &q, 1, 9.0, &row,
+                                  cols.data());
+    EXPECT_EQ(row, 1u);
+    EXPECT_EQ(cols[0], 1u);
+    for (size_t j = 1; j < cols.size(); ++j) EXPECT_EQ(cols[j], 0u);
+    row = 0;
+    ops->count_tile_within_radius(soa, 0, soa.size(), &q, 1, below, &row,
+                                  nullptr);
+    EXPECT_EQ(row, 0u);
   }
 }
 
@@ -818,11 +820,22 @@ TEST(DistanceKernelsTest, NaNCoordinatesAreExcludedEverywhere) {
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), q, 1e300,
                                        kNoSkipSlot, -1, nullptr),
               1);
-    double dists[3];
-    ops->squared_distances(soa, q, dists, nullptr);
-    EXPECT_EQ(dists[0], 1.0);
-    EXPECT_TRUE(std::isnan(dists[1]));
-    EXPECT_EQ(dists[2], kInf);
+    // An infinite radius admits the +inf distance (inf <= inf) but never
+    // the NaN one.
+    EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), q, kInf,
+                                       kNoSkipSlot, -1, nullptr),
+              2);
+    for (const double sq_radius : {1e300, kInf}) {
+      uint32_t row = 0;
+      uint32_t cols[3] = {0, 0, 0};
+      ops->count_tile_within_radius(soa, 0, soa.size(), q, 1, sq_radius,
+                                    &row, cols);
+      const uint32_t inf_hit = sq_radius == kInf ? 1u : 0u;
+      EXPECT_EQ(row, 1u + inf_hit);
+      EXPECT_EQ(cols[0], 1u);
+      EXPECT_EQ(cols[1], 0u);
+      EXPECT_EQ(cols[2], inf_hit);
+    }
   }
 }
 
@@ -838,11 +851,28 @@ TEST(DistanceKernelsTest, NonFiniteQueryAgainstPadSlots) {
     EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, 1e300,
                                        kNoSkipSlot, -1, nullptr),
               0);
-    // Only the real slot's distance is written; the pads' stay unseen.
-    std::vector<double> dists(kSoaWidth, -1.0);
-    ops->squared_distances(soa, &q, dists.data(), nullptr);
-    EXPECT_EQ(dists[0], kInf);
-    for (size_t s = 1; s < kSoaWidth; ++s) EXPECT_EQ(dists[s], -1.0);
+    // At an infinite radius the real slot (distance +inf) counts and the
+    // pads (NaN) do not; the tile writes the real slot's column only.
+    EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &q, kInf,
+                                       kNoSkipSlot, -1, nullptr),
+              1);
+    uint32_t row = 0;
+    std::vector<uint32_t> cols(kSoaWidth, 7);
+    ops->count_tile_within_radius(soa, 0, soa.size(), &q, 1, kInf, &row,
+                                  cols.data());
+    EXPECT_EQ(row, 1u);
+    EXPECT_EQ(cols[0], 8u);
+    for (size_t s = 1; s < kSoaWidth; ++s) EXPECT_EQ(cols[s], 7u);
+    // A finite query puts the pads at +inf too, inside an infinite
+    // radius: only the range keeps them out.
+    const double origin = 0.0;
+    EXPECT_EQ(ops->count_within_radius(soa, 0, soa.size(), &origin, kInf,
+                                       kNoSkipSlot, -1, nullptr),
+              1);
+    row = 0;
+    ops->count_tile_within_radius(soa, 0, soa.size(), &origin, 1, kInf,
+                                  &row, nullptr);
+    EXPECT_EQ(row, 1u);
   }
 }
 
@@ -856,8 +886,6 @@ TEST(DistanceKernelsTest, DispatchAndParsing) {
   } else {
     EXPECT_STREQ(auto_ops.name, "blocked");
   }
-  // The avx512 table reuses avx2's entries, so it never stands alone.
-  EXPECT_TRUE(!Avx512KernelsAvailable() || Avx2KernelsAvailable());
   EXPECT_EQ(GetKernelOpsByName("avx2") != nullptr, Avx2KernelsAvailable());
   EXPECT_EQ(GetKernelOpsByName("avx512") != nullptr, Avx512KernelsAvailable());
   KernelMode mode;
@@ -911,12 +939,6 @@ TEST(KernelEquivalenceTest, DetectorsMatchScalarAcrossDims) {
       }
     }
   }
-}
-
-TEST(KernelEquivalenceTest, KDistanceMatchesScalar) {
-  const Dataset data = GenerateTigerLike(2500, 17);
-  EXPECT_EQ(KDistance(data, 3, 4, KernelMode::kScalar),
-            KDistance(data, 3, 4, KernelMode::kAuto));
 }
 
 // ---- pipeline-level determinism ----------------------------------------

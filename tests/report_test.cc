@@ -41,16 +41,6 @@ TEST(ReportTest, DomainRunReportsVerifyStage) {
   EXPECT_NE(report.find("off (verify job)"), std::string::npos);
 }
 
-TEST(ReportTest, SummaryIsOneLine) {
-  const Dataset data =
-      GenerateUniform(800, DomainForDensity(800, 0.05), 7);
-  DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
-  const DodResult result = RunSmall(config, data);
-  const std::string summary = FormatRunSummary(config, result, data.size());
-  EXPECT_EQ(summary.find('\n'), std::string::npos);
-  EXPECT_NE(summary.find("800 pts"), std::string::npos);
-}
-
 TEST(SamplerAdaptationTest, EffectiveRateFloorsSmallData) {
   SamplerOptions options;
   options.rate = 0.005;

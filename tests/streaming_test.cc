@@ -257,6 +257,25 @@ TEST(StreamingDetectorTest, CellSideWithAnOversizedRingIsRefused) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(StreamingDetectorTest, BlockUnlikeTheGridOriginIsRefusedOnArrival) {
+  // The drain admits buffered blocks without checking them again, so a
+  // block whose dims differ from a 2-D grid origin is refused by Ingest,
+  // not buffered and lost when the drain reaches it.
+  StreamingConfig config = BaseConfig(1.0, 2);
+  config.grid_origin = Point{0.0, 0.0};
+  config.watermark.enabled = true;
+  config.watermark.lateness = 1.0;
+  auto created = StreamingDetector::Create(config);
+  ASSERT_TRUE(created.ok());
+  StreamingDetector& detector = *created.value();
+  const auto three_d = detector.Ingest(MakeBlock({{1, {0.0, 0.0, 0.0}}}));
+  EXPECT_EQ(three_d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(detector.buffered_blocks(), 0u);
+  ASSERT_TRUE(detector.Ingest(MakeBlock({{2, {0.0, 0.0}}})).ok());
+  ASSERT_TRUE(detector.Flush().ok());
+  EXPECT_EQ(detector.resident_points(), 1u);
+}
+
 TEST(StreamingDetectorTest, ThreadCountPastTheCapIsRefused) {
   StreamingConfig config = BaseConfig(1.0, 2);
   config.num_threads = 1 << 20;

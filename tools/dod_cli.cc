@@ -24,7 +24,6 @@
 #include "data/generators.h"
 #include "data/geo_like.h"
 #include "data/tiger_like.h"
-#include "core/parameter_advisor.h"
 #include "io/binary.h"
 #include "io/csv.h"
 #include "kernels/kernel_mode.h"
@@ -71,9 +70,6 @@ Pipeline:
   --sample-rate Y        preprocessing sampling rate (default 0.05)
   --buckets B            mini buckets per dimension (default 64)
   --seed N               RNG seed (default 42)
-
-  --suggest-r F          derive r from the data targeting outlier
-                         fraction F (overrides --radius)
 
 Fault tolerance (simulation):
   --max_task_attempts N  retry budget per task (default 4)
@@ -216,8 +212,7 @@ dod::Result<dod::Dataset> LoadOrGenerate(const dod::FlagParser& flags) {
 }
 
 dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
-                                        const dod::Dataset& data) {
-  const size_t n = data.size();
+                                        size_t n) {
   auto radius = flags.GetDouble("radius", 5.0);
   if (!radius.ok()) return radius.status();
   if (!(radius.value() > 0.0)) {
@@ -231,22 +226,6 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   const std::string kernels = flags.GetStringOr("kernels", "auto");
   if (!dod::ParseKernelMode(kernels, &params.kernels)) {
     return dod::Status::InvalidArgument("--kernels must be scalar or auto");
-  }
-
-  // --suggest-r FRACTION derives r from the data so that roughly that
-  // fraction of points comes out as outliers (overrides --radius).
-  if (flags.HasFlag("suggest-r")) {
-    auto fraction = flags.GetDouble("suggest-r", 0.01);
-    if (!fraction.ok()) return fraction.status();
-    dod::AdvisorOptions advisor;
-    advisor.min_neighbors = params.min_neighbors;
-    advisor.target_outlier_fraction = fraction.value();
-    const dod::ParameterSuggestion suggestion =
-        dod::SuggestParameters(data, advisor);
-    params.radius = suggestion.params.radius;
-    std::printf("suggested r = %g (sampled k-distance %g at rate %g)\n",
-                params.radius, suggestion.sampled_k_distance,
-                suggestion.sampling_rate);
   }
 
   const std::string strategy_name = flags.GetStringOr("strategy", "dmt");
@@ -406,7 +385,7 @@ int main(int argc, char** argv) {
   if (!data.ok()) return Fail(data.status().ToString());
   if (data.value().empty()) return Fail("no input points");
 
-  auto config = BuildConfig(flags, data.value());
+  auto config = BuildConfig(flags, data.value().size());
   if (!config.ok()) return Fail(config.status().ToString());
 
   const bool verbose = flags.GetBoolOr("verbose", false);

@@ -3,8 +3,8 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: distance
 // kernels, grid hashing, router lookups (cache-resident and in the
 // detection map's scattered BlockStore order), the task arena's probe
-// build, Cell-Based's cell index, AF-tree insertion, and the centralized
-// detectors at fixed size.
+// build, Cell-Based's cell index, DSHC's bucket clustering, and the
+// centralized detectors at fixed size.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,7 @@
 #include "detection/grid.h"
 #include "detection/nested_loop.h"
 #include "detection/partition_view.h"
-#include "dshc/af_tree.h"
+#include "dshc/dshc.h"
 #include "io/block_store.h"
 #include "partition/partition_plan.h"
 #include "partition/strategies.h"
@@ -212,27 +212,31 @@ void BM_CellBasedIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_CellBasedIndex)->Arg(200)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-void BM_AfTreeClusterBuckets(benchmark::State& state) {
+// DSHC's bucket clustering on a side×side grid scanned row-major: 8×8
+// blocks alternating between two densities, no cost cap.
+void BM_ClusterMiniBuckets(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
+  const MiniBucketGrid grid(Rect::Cube(2, 0.0, side), side);
+  MergingCriteria criteria;
+  criteria.t_diff = 5.0;
+  criteria.t_max_points = 1e18;
   for (auto _ : state) {
-    AfTreeOptions options;
-    options.t_diff = 5.0;
-    options.t_max_points = 1e18;
-    AfTree tree(2, options);
+    BucketClusterer clusterer(grid, criteria);
+    CellCoord coord;
+    coord.dims = 2;
     for (int y = 0; y < side; ++y) {
       for (int x = 0; x < side; ++x) {
-        tree.InsertBucket(
-            Rect(Point{static_cast<double>(x), static_cast<double>(y)},
-                 Point{x + 1.0, y + 1.0}),
-            (x / 8 + y / 8) % 2 == 0 ? 4.0 : 40.0);
+        coord.c[0] = x;
+        coord.c[1] = y;
+        clusterer.InsertBucket(coord, (x / 8 + y / 8) % 2 == 0 ? 4.0 : 40.0);
       }
     }
-    benchmark::DoNotOptimize(tree.num_clusters());
+    benchmark::DoNotOptimize(clusterer.num_clusters());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * side *
                           side);
 }
-BENCHMARK(BM_AfTreeClusterBuckets)->Arg(32)->Arg(64);
+BENCHMARK(BM_ClusterMiniBuckets)->Arg(32)->Arg(64);
 
 void BM_NestedLoopDetector(benchmark::State& state) {
   const size_t n = 5000;

@@ -76,20 +76,6 @@ Rect Rect::UnionWith(const Point& p) const {
   return Rect(lo, hi);
 }
 
-double Rect::Enlargement(const Rect& other) const {
-  return UnionWith(other).Area() - Area();
-}
-
-bool Rect::IsAdjacentTo(const Rect& other, double eps) const {
-  DOD_CHECK(dims() == other.dims());
-  for (int i = 0; i < dims(); ++i) {
-    if (max_[i] < other.min_[i] - eps || other.max_[i] < min_[i] - eps) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string Rect::ToString() const {
   return "[" + min_.ToString() + " .. " + max_.ToString() + "]";
 }

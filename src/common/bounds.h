@@ -1,7 +1,7 @@
 // Copyright 2026 The DOD Authors.
 //
 // Axis-aligned hyper-rectangles. Used for the domain space, grid cells
-// (Def. 3.1), supporting areas (Def. 3.3), and AF-tree bounding boxes.
+// (Def. 3.1), supporting areas (Def. 3.3), and DSHC cluster boxes.
 
 #ifndef DOD_COMMON_BOUNDS_H_
 #define DOD_COMMON_BOUNDS_H_
@@ -57,19 +57,11 @@ class Rect {
   // dimension — the supporting-area extension of Def. 3.3.
   Rect Expanded(double margin) const;
 
-  // Smallest rect covering both this and `other` (R-tree node union).
+  // Smallest rect covering both this and `other`.
   Rect UnionWith(const Rect& other) const;
 
   // Smallest rect covering this rect and point `p`.
   Rect UnionWith(const Point& p) const;
-
-  // Increase in Area() if `other` were unioned in; the R-tree "least
-  // enlargement" heuristic.
-  double Enlargement(const Rect& other) const;
-
-  // True iff the two rects touch or overlap when each is treated as closed —
-  // i.e. they are spatially adjacent within tolerance `eps`.
-  bool IsAdjacentTo(const Rect& other, double eps = 1e-9) const;
 
   bool operator==(const Rect& other) const {
     return min_ == other.min_ && max_ == other.max_;

@@ -13,7 +13,6 @@
 
 #include "alloc/bin_packing.h"
 #include "detection/cost_model.h"
-#include "dshc/dshc.h"
 #include "durability/run_control.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/fault_injection.h"
@@ -57,7 +56,6 @@ struct DodConfig {
   int num_threads = 0;
 
   SamplerOptions sampler;
-  DshcOptions dshc;
   // LPT by default: Karmarkar–Karp balances the *estimates* more tightly,
   // but with imperfect cost estimates LPT's greedy slack realizes better
   // makespans (see bench/abl_allocation).

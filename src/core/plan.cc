@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "dshc/dshc.h"
 #include "partition/strategies.h"
 
 namespace dod {
@@ -106,7 +107,7 @@ MultiTacticPlan BuildBaselinePlan(const DistributionSketch& sketch,
 // reducers by estimated cost.
 MultiTacticPlan BuildDmtPlan(const DistributionSketch& sketch,
                              const DodConfig& config) {
-  DshcOptions dshc = config.dshc;
+  DshcOptions dshc;
   dshc.target_partitions = ResolveTargetPartitions(sketch, config);
   dshc.detection = config.params;
   std::vector<AggregateFeature> clusters = ClusterMiniBuckets(sketch, dshc);

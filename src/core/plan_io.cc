@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace dod {
 namespace {
@@ -21,71 +20,12 @@ const char* AlgorithmToken(AlgorithmKind kind) {
   return "unknown";
 }
 
-bool ParseAlgorithmToken(const std::string& token, AlgorithmKind* out) {
-  if (token == "nested_loop") {
-    *out = AlgorithmKind::kNestedLoop;
-  } else if (token == "cell_based") {
-    *out = AlgorithmKind::kCellBased;
-  } else if (token == "brute_force") {
-    *out = AlgorithmKind::kBruteForce;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void AppendCoords(std::string& out, const Point& p) {
   char buf[48];
   for (int d = 0; d < p.dims(); ++d) {
     std::snprintf(buf, sizeof(buf), " %.17g", p[d]);
     out += buf;
   }
-}
-
-// Token reader that skips '#' comments to end of line.
-class TokenReader {
- public:
-  explicit TokenReader(const std::string& text) : in_(text) {}
-
-  bool Next(std::string* token) {
-    while (in_ >> *token) {
-      if (!token->empty() && (*token)[0] == '#') {
-        std::string rest;
-        std::getline(in_, rest);
-        continue;
-      }
-      return true;
-    }
-    return false;
-  }
-
-  bool NextDouble(double* value) {
-    std::string token;
-    if (!Next(&token)) return false;
-    char* end = nullptr;
-    *value = std::strtod(token.c_str(), &end);
-    return end != token.c_str() && *end == '\0';
-  }
-
-  bool NextInt(long long* value) {
-    double d;
-    if (!NextDouble(&d)) return false;
-    *value = static_cast<long long>(d);
-    return true;
-  }
-
-  // Reads a literal keyword; false on mismatch or EOF.
-  bool Expect(const std::string& keyword) {
-    std::string token;
-    return Next(&token) && token == keyword;
-  }
-
- private:
-  std::istringstream in_;
-};
-
-Status ParseError(const std::string& what) {
-  return Status::InvalidArgument("plan parse error: " + what);
 }
 
 }  // namespace
@@ -116,92 +56,6 @@ std::string SerializePlan(const MultiTacticPlan& plan) {
     out += buf;
   }
   return out;
-}
-
-Result<MultiTacticPlan> DeserializePlan(const std::string& text) {
-  TokenReader reader(text);
-  if (!reader.Expect("dod-plan") || !reader.Expect("v1")) {
-    return ParseError("bad header");
-  }
-  long long dims = 0;
-  double radius = 0.0;
-  long long support = 1;
-  if (!reader.Expect("dims") || !reader.NextInt(&dims) ||
-      !reader.Expect("radius") || !reader.NextDouble(&radius) ||
-      !reader.Expect("support") || !reader.NextInt(&support)) {
-    return ParseError("bad dims/radius/support");
-  }
-  if (dims < 1 || dims > kMaxDimensions) return ParseError("bad dims value");
-  if (radius <= 0.0) return ParseError("bad radius value");
-
-  auto read_point = [&](Point* p) {
-    *p = Point(static_cast<int>(dims));
-    for (int d = 0; d < dims; ++d) {
-      if (!reader.NextDouble(&(*p)[d])) return false;
-    }
-    return true;
-  };
-
-  if (!reader.Expect("domain")) return ParseError("missing domain");
-  Point dlo(static_cast<int>(dims)), dhi(static_cast<int>(dims));
-  if (!read_point(&dlo) || !read_point(&dhi)) {
-    return ParseError("bad domain coords");
-  }
-  for (int d = 0; d < dims; ++d) {
-    if (dlo[d] > dhi[d]) return ParseError("inverted domain");
-  }
-
-  long long num_cells = 0;
-  if (!reader.Expect("cells") || !reader.NextInt(&num_cells) ||
-      num_cells < 1) {
-    return ParseError("bad cell count");
-  }
-
-  std::vector<Rect> bounds;
-  std::vector<AlgorithmKind> algorithms;
-  std::vector<int> allocation;
-  std::vector<double> costs;
-  for (long long i = 0; i < num_cells; ++i) {
-    if (!reader.Expect("cell")) return ParseError("missing cell");
-    Point lo(static_cast<int>(dims)), hi(static_cast<int>(dims));
-    if (!read_point(&lo) || !read_point(&hi)) {
-      return ParseError("bad cell coords");
-    }
-    for (int d = 0; d < dims; ++d) {
-      if (lo[d] > hi[d]) return ParseError("inverted cell");
-    }
-    bounds.push_back(Rect(lo, hi));
-    std::string token;
-    AlgorithmKind algorithm;
-    if (!reader.Expect("alg") || !reader.Next(&token) ||
-        !ParseAlgorithmToken(token, &algorithm)) {
-      return ParseError("bad algorithm");
-    }
-    algorithms.push_back(algorithm);
-    long long reducer = 0;
-    double cost = 0.0;
-    if (!reader.Expect("reducer") || !reader.NextInt(&reducer) ||
-        !reader.Expect("cost") || !reader.NextDouble(&cost) || reducer < 0) {
-      return ParseError("bad reducer/cost");
-    }
-    allocation.push_back(static_cast<int>(reducer));
-    costs.push_back(cost);
-  }
-
-  MultiTacticPlan plan;
-  plan.partition_plan =
-      PartitionPlan(Rect(dlo, dhi), radius, std::move(bounds));
-  plan.algorithm_plan = std::move(algorithms);
-  plan.allocation = std::move(allocation);
-  plan.estimated_cost = std::move(costs);
-  plan.uses_supporting_area = support != 0;
-
-  const Status valid = plan.partition_plan.Validate();
-  if (!valid.ok()) {
-    return Status::InvalidArgument("deserialized plan invalid: " +
-                                   valid.ToString());
-  }
-  return plan;
 }
 
 Status WritePlanFile(const MultiTacticPlan& plan, const std::string& path) {

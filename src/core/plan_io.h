@@ -3,10 +3,10 @@
 // Multi-tactic plan serialization. The preprocessing job's outputs — the
 // partition plan to the mappers, the algorithm plan to the reducers, the
 // allocation plan to the partitioner (Fig. 6) — are handed between jobs as
-// small artifacts. This module writes/reads them as a line-oriented text
-// format so plans can be inspected, diffed, archived, and replayed.
+// small artifacts. This module writes them as a line-oriented text format
+// so plans can be inspected, diffed and archived (dod_cli --plan-out).
 //
-// Format (one token stream, '#'-comments allowed):
+// Format:
 //   dod-plan v1
 //   dims <d> radius <r> support <0|1>
 //   domain <lo...> <hi...>
@@ -26,10 +26,6 @@ namespace dod {
 
 // Human-readable serialization of the full plan.
 std::string SerializePlan(const MultiTacticPlan& plan);
-
-// Parses a plan produced by SerializePlan. Validates structure (Def. 3.1)
-// before returning.
-Result<MultiTacticPlan> DeserializePlan(const std::string& text);
 
 // SerializePlan into the file at `path` (dod_cli --plan-out).
 Status WritePlanFile(const MultiTacticPlan& plan, const std::string& path);

@@ -4,10 +4,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/stats.h"
 
 namespace dod {
+namespace {
+
+// The automatic Tmax# is this many times the mean partition load.
+constexpr double kMaxCardinalityFactor = 8.0;
+// The cost cap is this many times the mean per-partition cost.
+constexpr double kMaxCostFactor = 4.0;
+
+}  // namespace
 
 DshcThresholds ResolveThresholds(const DistributionSketch& sketch,
                                  const DshcOptions& options) {
@@ -48,28 +58,25 @@ DshcThresholds ResolveThresholds(const DistributionSketch& sketch,
     const double total = sketch.EstimatedCardinality();
     const double per_partition =
         total / std::max<size_t>(1, options.target_partitions);
-    out.t_max_points =
-        std::max(1.0, options.max_cardinality_factor * per_partition);
+    out.t_max_points = std::max(1.0, kMaxCardinalityFactor * per_partition);
   }
 
-  if (options.cost_aware_cap) {
-    // Baseline total workload: every mini bucket costed on its own under
-    // its Corollary 4.3 algorithm. The cap is a multiple of the mean
-    // per-partition share of that total.
-    const double scale = sketch.Scale();
-    double total_cost = 0.0;
-    for (const MiniBucketGrid::Bucket& bucket : sketch.grid.buckets()) {
-      PartitionStats stats;
-      stats.dims = sketch.grid.dims();
-      stats.area = sketch.grid.BucketRect(bucket.coord).Area();
-      stats.cardinality = static_cast<size_t>(bucket.weight * scale + 0.5);
-      total_cost += PlanningCost(SelectAlgorithm(stats, options.detection),
-                                 stats, options.detection);
-    }
-    out.t_max_cost =
-        std::max(1.0, options.max_cost_factor * total_cost /
-                          std::max<size_t>(1, options.target_partitions));
+  // Baseline total workload: every mini bucket costed on its own under its
+  // Corollary 4.3 algorithm. The cap is a multiple of the mean
+  // per-partition share of that total.
+  const double scale = sketch.Scale();
+  double total_cost = 0.0;
+  for (const MiniBucketGrid::Bucket& bucket : sketch.grid.buckets()) {
+    PartitionStats stats;
+    stats.dims = sketch.grid.dims();
+    stats.area = sketch.grid.BucketRect(bucket.coord).Area();
+    stats.cardinality = static_cast<size_t>(bucket.weight * scale + 0.5);
+    total_cost += PlanningCost(SelectAlgorithm(stats, options.detection),
+                               stats, options.detection);
   }
+  out.t_max_cost =
+      std::max(1.0, kMaxCostFactor * total_cost /
+                        std::max<size_t>(1, options.target_partitions));
   return out;
 }
 
@@ -82,6 +89,138 @@ std::function<double(const AggregateFeature&)> ClusterCostFn(
     stats.cardinality = static_cast<size_t>(af.num_points + 0.5);
     return PlanningCost(SelectAlgorithm(stats, params), stats, params);
   };
+}
+
+BucketClusterer::BucketClusterer(const MiniBucketGrid& grid,
+                                 MergingCriteria criteria)
+    : grid_(grid),
+      criteria_(std::move(criteria)),
+      per_dim_(grid.buckets_per_dim()) {
+  DOD_CHECK_MSG(
+      std::pow(static_cast<double>(per_dim_), grid.dims()) <= kMaxDshcBuckets,
+      "mini-bucket grid too fine for exhaustive DSHC scan");
+  size_t buckets = 1;
+  for (int d = 0; d < grid.dims(); ++d) buckets *= per_dim_;
+  labels_.assign(buckets, kNoCluster);
+}
+
+size_t BucketClusterer::Index(const CellCoord& coord) const {
+  size_t index = 0;
+  for (int d = 0; d < grid_.dims(); ++d) index = index * per_dim_ + coord.c[d];
+  return index;
+}
+
+bool BucketClusterer::InGrid(const CellCoord& coord) const {
+  for (int d = 0; d < grid_.dims(); ++d) {
+    if (coord.c[d] < 0 || coord.c[d] >= per_dim_) return false;
+  }
+  return true;
+}
+
+uint32_t BucketClusterer::LabelAt(const CellCoord& coord) const {
+  return InGrid(coord) ? labels_[Index(coord)] : kNoCluster;
+}
+
+void BucketClusterer::InsertBucket(const CellCoord& coord,
+                                   double num_points) {
+  DOD_CHECK(coord.dims == grid_.dims() && InGrid(coord));
+  DOD_CHECK(labels_[Index(coord)] == kNoCluster);
+  uint32_t id;
+  if (free_.empty()) {
+    id = static_cast<uint32_t>(clusters_.size());
+    clusters_.emplace_back();
+  } else {
+    id = free_.back();
+    free_.pop_back();
+  }
+  clusters_[id] = Cluster{{num_points, grid_.BucketRect(coord)}, coord, coord,
+                          1};
+  labels_[Index(coord)] = id;
+  ++num_live_;
+  MergeRecursively(id);
+}
+
+void BucketClusterer::MergeRecursively(uint32_t id) {
+  const int dims = grid_.dims();
+  while (true) {
+    const Cluster& self = clusters_[id];
+    uint32_t best = kNoCluster;
+    double best_diff = std::numeric_limits<double>::infinity();
+    for (int d = 0; d < dims; ++d) {
+      for (const int32_t outside : {self.lo.c[d] - 1, self.hi.c[d] + 1}) {
+        CellCoord probe = self.lo;
+        probe.c[d] = outside;
+        const uint32_t other = LabelAt(probe);
+        if (other == kNoCluster) continue;
+        // Def. 5.3 on bucket boxes: equal extents off dimension d (they
+        // touch along d by construction). CanMerge's double-coordinate
+        // test agrees unless distinct bucket boundaries lie within its
+        // tolerance, e.g. where they round together.
+        const Cluster& candidate = clusters_[other];
+        bool same_face = true;
+        for (int j = 0; j < dims; ++j) {
+          same_face &= j == d || (candidate.lo.c[j] == self.lo.c[j] &&
+                                  candidate.hi.c[j] == self.hi.c[j]);
+        }
+        if (!same_face || !criteria_.CanMerge(self.af, candidate.af)) continue;
+        const double diff =
+            std::fabs(self.af.density() - candidate.af.density());
+        const bool better =
+            diff < best_diff ||
+            (diff == best_diff && best != kNoCluster &&
+             CellCoordLess{}(candidate.lo, clusters_[best].lo));
+        if (better) {
+          best = other;
+          best_diff = diff;
+        }
+      }
+    }
+    if (best == kNoCluster) return;
+    id = Merge(id, best);
+  }
+}
+
+uint32_t BucketClusterer::Merge(uint32_t a, uint32_t b) {
+  if (clusters_[a].buckets < clusters_[b].buckets) std::swap(a, b);
+  Cluster& keep = clusters_[a];
+  Cluster& gone = clusters_[b];
+  // Relabel gone's box, last dimension fastest.
+  const int dims = grid_.dims();
+  CellCoord coord = gone.lo;
+  while (true) {
+    labels_[Index(coord)] = a;
+    int d = dims - 1;
+    while (d >= 0 && ++coord.c[d] > gone.hi.c[d]) {
+      coord.c[d] = gone.lo.c[d];
+      --d;
+    }
+    if (d < 0) break;
+  }
+  keep.af = AggregateFeature::Merge(keep.af, gone.af);
+  keep.buckets += gone.buckets;
+  for (int d = 0; d < dims; ++d) {
+    keep.lo.c[d] = std::min(keep.lo.c[d], gone.lo.c[d]);
+    keep.hi.c[d] = std::max(keep.hi.c[d], gone.hi.c[d]);
+  }
+  gone.buckets = 0;
+  free_.push_back(b);
+  --num_live_;
+  return a;
+}
+
+std::vector<AggregateFeature> BucketClusterer::Clusters() const {
+  std::vector<const Cluster*> live;
+  live.reserve(num_live_);
+  for (const Cluster& cluster : clusters_) {
+    if (cluster.buckets > 0) live.push_back(&cluster);
+  }
+  std::sort(live.begin(), live.end(), [](const Cluster* a, const Cluster* b) {
+    return CellCoordLess{}(a->lo, b->lo);
+  });
+  std::vector<AggregateFeature> out;
+  out.reserve(live.size());
+  for (const Cluster* cluster : live) out.push_back(cluster->af);
+  return out;
 }
 
 namespace {
@@ -137,20 +276,12 @@ std::vector<AggregateFeature> ClusterMiniBuckets(
   const MiniBucketGrid& grid = sketch.grid;
   const int dims = grid.dims();
   const int per_dim = grid.buckets_per_dim();
-  DOD_CHECK_MSG(
-      std::pow(static_cast<double>(per_dim), dims) <= kMaxDshcBuckets,
-      "mini-bucket grid too fine for exhaustive DSHC scan");
-
   const DshcThresholds thresholds = ResolveThresholds(sketch, options);
-  AfTreeOptions tree_options;
-  tree_options.t_diff = thresholds.t_diff;
-  tree_options.t_max_points = thresholds.t_max_points;
-  if (options.cost_aware_cap) {
-    tree_options.cost_fn = ClusterCostFn(dims, options.detection);
-    tree_options.t_max_cost = thresholds.t_max_cost;
-  }
-  tree_options.max_fanout = options.max_fanout;
-  AfTree tree(dims, tree_options);
+  BucketClusterer clusterer(
+      grid, MergingCriteria{.t_diff = thresholds.t_diff,
+                            .t_max_points = thresholds.t_max_points,
+                            .cost_fn = ClusterCostFn(dims, options.detection),
+                            .t_max_cost = thresholds.t_max_cost});
 
   // Single scan over every bucket (empty ones included, so the clusters
   // tile the domain) in Morton (Z) order: the bucket coordinates' bits
@@ -165,9 +296,9 @@ std::vector<AggregateFeature> ClusterMiniBuckets(
   const double scale = sketch.Scale();
   for (uint64_t key : SortedMortonKeys(dims, per_dim, bits)) {
     const CellCoord coord = MortonCoord(key, dims, bits);
-    tree.InsertBucket(grid.BucketRect(coord), grid.WeightAt(coord) * scale);
+    clusterer.InsertBucket(coord, grid.WeightAt(coord) * scale);
   }
-  return tree.Clusters();
+  return clusterer.Clusters();
 }
 
 }  // namespace dod

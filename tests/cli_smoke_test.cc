@@ -1,10 +1,11 @@
 // Copyright 2026 The DOD Authors.
 //
 // End-to-end smoke tests of the dod_cli binary: exercises the flag paths,
-// CSV/binary I/O, plan export, and error handling through the real
-// executable — plus dod_stream_cli's closing summary line and
-// validate_trace's flag checks. The binary locations come from the
-// DOD_CLI_PATH / DOD_STREAM_CLI_PATH / DOD_VALIDATE_TRACE_PATH compile
+// CSV/binary I/O, plan export (byte for byte against the golden plans in
+// tests/data/), and error handling through the real executable — plus
+// dod_stream_cli's closing summary line and validate_trace's flag checks.
+// The binary and data locations come from the DOD_CLI_PATH /
+// DOD_STREAM_CLI_PATH / DOD_VALIDATE_TRACE_PATH / DOD_TEST_DATA_DIR compile
 // definitions set by CMake.
 
 #include <gtest/gtest.h>
@@ -27,6 +28,9 @@
 #endif
 #ifndef DOD_VALIDATE_TRACE_PATH
 #define DOD_VALIDATE_TRACE_PATH "build/tools/validate_trace"
+#endif
+#ifndef DOD_TEST_DATA_DIR
+#define DOD_TEST_DATA_DIR "tests/data"
 #endif
 
 namespace dod {
@@ -226,18 +230,25 @@ TEST(CliSmokeTest, ValidateTraceRejectsBadIntegerFlags) {
   }
 }
 
-TEST(CliSmokeTest, PlanExport) {
-  const std::string plan_path = testing::TempDir() + "/cli_smoke_plan.txt";
-  const CommandResult result = RunCommand(
-      "--generate uniform --n 2000 --plan-out " + plan_path);
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  FILE* f = fopen(plan_path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char header[16] = {0};
-  ASSERT_NE(fgets(header, sizeof(header), f), nullptr);
-  EXPECT_EQ(std::string(header).rfind("dod-plan", 0), 0u);
-  fclose(f);
-  std::remove(plan_path.c_str());
+// The plan writer's exact bytes on region:CA at 20000 points, seed 1, 8
+// target partitions. The DMT plan holds DSHC's clusters in lower-corner
+// order, none of them decided by a density tie.
+TEST(CliSmokeTest, PlanExportMatchesGoldenFiles) {
+  for (const char* strategy : {"cdriven", "dmt"}) {
+    SCOPED_TRACE(strategy);
+    const std::string plan_path =
+        testing::TempDir() + "/cli_smoke_golden_" + strategy + ".txt";
+    const CommandResult result = RunCommand(
+        std::string("--generate region:CA --n 20000 --seed 1 --partitions 8 "
+                    "--strategy ") +
+        strategy + " --plan-out " + plan_path);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    const std::string golden = ReadFile(std::string(DOD_TEST_DATA_DIR) +
+                                        "/plan_" + strategy + "_region_ca.txt");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(ReadFile(plan_path), golden);
+    std::remove(plan_path.c_str());
+  }
 }
 
 TEST(CliSmokeTest, TransientFaultInjectionStillSucceeds) {

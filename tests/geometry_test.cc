@@ -105,20 +105,6 @@ TEST(RectTest, UnionWithEmpty) {
   EXPECT_EQ(a.UnionWith(empty), a);
 }
 
-TEST(RectTest, Enlargement) {
-  const Rect a(Point{0.0, 0.0}, Point{2.0, 2.0});
-  EXPECT_DOUBLE_EQ(a.Enlargement(Rect(Point{0.5, 0.5}, Point{1.0, 1.0})), 0.0);
-  EXPECT_DOUBLE_EQ(a.Enlargement(Rect(Point{0.0, 0.0}, Point{4.0, 2.0})), 4.0);
-}
-
-TEST(RectTest, AdjacencyIncludesTouchingAndOverlap) {
-  const Rect a(Point{0.0, 0.0}, Point{1.0, 1.0});
-  EXPECT_TRUE(a.IsAdjacentTo(Rect(Point{1.0, 0.0}, Point{2.0, 1.0})));  // face
-  EXPECT_TRUE(a.IsAdjacentTo(Rect(Point{1.0, 1.0}, Point{2.0, 2.0})));  // corner
-  EXPECT_TRUE(a.IsAdjacentTo(Rect(Point{0.5, 0.5}, Point{2.0, 2.0})));  // overlap
-  EXPECT_FALSE(a.IsAdjacentTo(Rect(Point{1.1, 0.0}, Point{2.0, 1.0})));
-}
-
 TEST(BoundsAccumulatorTest, TracksMinMax) {
   BoundsAccumulator acc(2);
   EXPECT_TRUE(acc.empty());

@@ -2,7 +2,7 @@
 //
 // Cross-module integration: randomized end-to-end sweeps (pipeline vs
 // oracle under random configurations), CSV → pipeline → CSV round trips,
-// plan save/replay, and dimensionality sweeps for the detectors.
+// and dimensionality sweeps for the detectors.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "core/pipeline.h"
-#include "core/plan_io.h"
 #include "data/generators.h"
 #include "detection/brute_force.h"
 #include "detection/cell_based.h"
@@ -94,26 +93,6 @@ TEST(IntegrationTest, CsvToPipelineToCsv) {
   EXPECT_EQ(reread.value().size(), result.outliers.size());
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());
-}
-
-TEST(IntegrationTest, SerializedPlanDescribesTheRun) {
-  const Dataset data =
-      GenerateUniform(2000, DomainForDensity(2000, 0.05), 35);
-  DetectionParams params{5.0, 4};
-  DodConfig config = DodConfig::Dmt(params);
-  config.sampler.rate = 0.3;
-  const DodResult result = DodPipeline(config).RunOrDie(data);
-
-  Result<MultiTacticPlan> restored =
-      DeserializePlan(SerializePlan(result.plan));
-  ASSERT_TRUE(restored.ok());
-  // The restored plan routes points identically.
-  const PartitionRouter router_a(result.plan.partition_plan);
-  const PartitionRouter router_b(restored.value().partition_plan);
-  for (size_t i = 0; i < data.size(); i += 7) {
-    EXPECT_EQ(router_a.RouteCore(data[static_cast<PointId>(i)]),
-              router_b.RouteCore(data[static_cast<PointId>(i)]));
-  }
 }
 
 struct DimCase {

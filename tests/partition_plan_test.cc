@@ -28,6 +28,10 @@ TEST(PartitionPlanTest, ValidPlanPassesValidation) {
   EXPECT_EQ(plan.num_cells(), 4u);
 }
 
+TEST(PartitionPlanTest, PlanWithoutCellsFailsValidation) {
+  EXPECT_FALSE(PartitionPlan().Validate().ok());
+}
+
 TEST(PartitionPlanTest, OverlappingCellsFailValidation) {
   const Rect domain = Rect::Cube(2, 0.0, 10.0);
   std::vector<Rect> cells = {Rect(Point{0.0, 0.0}, Point{6.0, 10.0}),

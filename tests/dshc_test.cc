@@ -1,14 +1,10 @@
 // Copyright 2026 The DOD Authors.
 //
-// DSHC. BucketClusterer's Def. 5.2 merge/insert decisions, its tie rule and
-// its label grid, over hand-built and randomized bucket workloads: after
-// every insertion each label names the one cluster whose box holds the
-// bucket, and at the end the clusters partition the inserted weight, tile
-// the domain and leave no mergeable pair. End to end, clustering a
-// distribution sketch must tile the domain with rectangles, respect the
-// cardinality cap, and separate density bands; its Morton-order scan must
-// grow near-square clusters whose r-extensions are smaller than those of a
-// row-major scan.
+// DSHC end to end: clustering a distribution sketch must tile the domain
+// with rectangles, respect the cardinality cap, and separate density bands;
+// its Morton-order scan must grow near-square clusters whose r-extensions
+// are smaller than those of a row-major scan. BucketClusterer's own
+// decisions are tested in bucket_clusterer_test and bucket_clusterer_fuzz_test.
 
 #include "dshc/dshc.h"
 
@@ -16,11 +12,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/random.h"
+#include "bucket_clusterer_testing.h"
 #include "data/generators.h"
 #include "data/geo_like.h"
 #include "partition/partition_plan.h"
@@ -28,312 +23,6 @@
 
 namespace dod {
 namespace {
-
-Rect Box(double x0, double y0, double x1, double y1) {
-  return Rect(Point{x0, y0}, Point{x1, y1});
-}
-
-CellCoord At(int x, int y) {
-  CellCoord coord;
-  coord.dims = 2;
-  coord.c[0] = x;
-  coord.c[1] = y;
-  return coord;
-}
-
-MergingCriteria Criteria(double t_diff, double t_max_points = 1e18) {
-  MergingCriteria criteria;
-  criteria.t_diff = t_diff;
-  criteria.t_max_points = t_max_points;
-  return criteria;
-}
-
-void ExpectTilesDomain(const std::vector<AggregateFeature>& clusters,
-                       const Rect& domain) {
-  std::vector<Rect> rects;
-  for (const AggregateFeature& af : clusters) rects.push_back(af.bounds);
-  const PartitionPlan plan(domain, 1.0, rects);
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
-}
-
-// A side×side grid of unit buckets, (x, y) covering [x, x+1] x [y, y+1],
-// and a clusterer over it.
-struct UnitScan {
-  UnitScan(int side, const MergingCriteria& criteria)
-      : grid(Rect::Cube(2, 0.0, side), side), clusterer(grid, criteria) {}
-  void Insert(int x, int y, double weight) {
-    clusterer.InsertBucket(At(x, y), weight);
-  }
-  std::vector<AggregateFeature> Clusters() const {
-    return clusterer.Clusters();
-  }
-
-  MiniBucketGrid grid;
-  BucketClusterer clusterer;
-};
-
-// Every inserted bucket's label names the one cluster whose box holds it,
-// and cluster boxes hold inserted buckets only, without overlapping.
-testing::AssertionResult LabelsMatchClusters(const UnitScan& scan) {
-  const int side = scan.grid.buckets_per_dim();
-  const std::vector<AggregateFeature> clusters = scan.Clusters();
-  std::vector<int> owner(side * side, -1);
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    const Rect& box = clusters[i].bounds;
-    for (int x = box.lo(0); x < box.hi(0); ++x) {
-      for (int y = box.lo(1); y < box.hi(1); ++y) {
-        if (owner[x * side + y] >= 0) {
-          return testing::AssertionFailure() << "clusters overlap at " << x
-                                             << "," << y;
-        }
-        owner[x * side + y] = static_cast<int>(i);
-      }
-    }
-  }
-  std::map<uint32_t, int> cluster_of_label;
-  for (int x = 0; x < side; ++x) {
-    for (int y = 0; y < side; ++y) {
-      const uint32_t label = scan.clusterer.LabelAt(At(x, y));
-      const int held_by = owner[x * side + y];
-      if ((label == BucketClusterer::kNoCluster) != (held_by < 0) ||
-          (held_by >= 0 &&
-           cluster_of_label.try_emplace(label, held_by).first->second !=
-               held_by)) {
-        return testing::AssertionFailure()
-               << "bucket " << x << "," << y << " has label " << label
-               << " in cluster " << held_by;
-      }
-    }
-  }
-  if (cluster_of_label.size() != clusters.size() ||
-      scan.clusterer.num_clusters() != clusters.size()) {
-    return testing::AssertionFailure() << cluster_of_label.size()
-                                       << " labels, " << clusters.size()
-                                       << " clusters";
-  }
-  return testing::AssertionSuccess();
-}
-
-TEST(BucketClustererTest, FirstBucketBecomesOnlyCluster) {
-  UnitScan scan(4, Criteria(1.0));
-  scan.Insert(0, 0, 5.0);
-  ASSERT_EQ(scan.clusterer.num_clusters(), 1u);
-  EXPECT_DOUBLE_EQ(scan.Clusters()[0].num_points, 5.0);
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-}
-
-TEST(BucketClustererTest, SimilarAdjacentBucketsMerge) {
-  UnitScan scan(4, Criteria(1.0));
-  scan.Insert(0, 0, 5.0);
-  scan.Insert(1, 0, 5.0);
-  ASSERT_EQ(scan.clusterer.num_clusters(), 1u);
-  EXPECT_DOUBLE_EQ(scan.Clusters()[0].num_points, 10.0);
-  EXPECT_EQ(scan.Clusters()[0].bounds, Box(0, 0, 2, 1));
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-}
-
-TEST(BucketClustererTest, DissimilarDensityStaysSeparate) {
-  UnitScan scan(4, Criteria(/*t_diff=*/1.0));
-  scan.Insert(0, 0, 5.0);   // density 5
-  scan.Insert(1, 0, 50.0);  // density 50
-  EXPECT_EQ(scan.clusterer.num_clusters(), 2u);
-}
-
-TEST(BucketClustererTest, NonAdjacentBucketsStaySeparate) {
-  UnitScan scan(4, Criteria(10.0));
-  scan.Insert(0, 0, 5.0);
-  scan.Insert(3, 0, 5.0);  // gap of 2
-  scan.Insert(1, 1, 5.0);  // corner contact only
-  EXPECT_EQ(scan.clusterer.num_clusters(), 3u);
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-}
-
-TEST(BucketClustererTest, CardinalityCapStopsMerging) {
-  UnitScan scan(4, Criteria(10.0, /*t_max_points=*/12.0));
-  scan.Insert(0, 0, 5.0);
-  scan.Insert(1, 0, 5.0);  // merge → 10
-  scan.Insert(2, 0, 5.0);  // 10 + 5 >= 12 → new cluster
-  EXPECT_EQ(scan.clusterer.num_clusters(), 2u);
-}
-
-TEST(BucketClustererTest, RecursiveMergeFormsLargeRectangles) {
-  // A 4x4 block of equal-density buckets scanned row-major must collapse
-  // into a single cluster via recursive strip merging.
-  UnitScan scan(4, Criteria(1.0));
-  for (int y = 0; y < 4; ++y) {
-    for (int x = 0; x < 4; ++x) scan.Insert(x, y, 2.0);
-  }
-  ASSERT_EQ(scan.clusterer.num_clusters(), 1u);
-  EXPECT_EQ(scan.Clusters()[0].bounds, Box(0, 0, 4, 4));
-  EXPECT_DOUBLE_EQ(scan.Clusters()[0].num_points, 32.0);
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-}
-
-TEST(BucketClustererTest, TwoDensityPlateausYieldTwoClusters) {
-  // Left half dense, right half sparse → exactly two rectangular clusters.
-  UnitScan scan(8, Criteria(2.0));
-  for (int y = 0; y < 4; ++y) {
-    for (int x = 0; x < 8; ++x) scan.Insert(x, y, x < 4 ? 20.0 : 1.0);
-  }
-  EXPECT_EQ(scan.clusterer.num_clusters(), 2u);
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-}
-
-TEST(BucketClustererTest, MergesOnlyBoxesWhenBoundariesRoundTogether) {
-  // Four rows spanning two ulps at 1e12: row 0 rounds to zero height, so
-  // the column of rows 0-1 and the bucket beside row 1 have equal y bounds
-  // in doubles, and Def. 5.3's double test alone would merge them into a
-  // non-box. The integer face test refuses.
-  const double lo = 1e12;
-  const double ulp = std::nextafter(lo, 2e12) - lo;
-  const MiniBucketGrid grid(Rect(Point{0.0, lo}, Point{4.0, lo + 2 * ulp}), 4);
-  BucketClusterer clusterer(grid, Criteria(1e30));
-  clusterer.InsertBucket(At(0, 0), 1.0);
-  clusterer.InsertBucket(At(0, 1), 1.0);
-  ASSERT_EQ(clusterer.num_clusters(), 1u);
-  clusterer.InsertBucket(At(1, 1), 1.0);
-  EXPECT_EQ(clusterer.num_clusters(), 2u);
-}
-
-TEST(BucketClustererTest, TiesGoToTheLowestLowerCorner) {
-  // Bucket (1, 1) has two mergeable neighbours at |Δdensity| 0: (1, 0),
-  // inserted first, and (0, 1), whose lower corner sorts first. It joins
-  // (0, 1); the pair then shares no full face with (1, 0).
-  UnitScan square(2, Criteria(1.0));
-  square.Insert(1, 0, 5.0);
-  square.Insert(0, 1, 5.0);
-  square.Insert(1, 1, 5.0);
-  ASSERT_EQ(square.Clusters().size(), 2u);
-  EXPECT_EQ(square.Clusters()[0].bounds, Box(0, 1, 2, 2));
-  EXPECT_EQ(square.Clusters()[1].bounds, Box(1, 0, 2, 1));
-  // Along one dimension, with Tmax# admitting one merge only: (1, 0) joins
-  // its left neighbour, and the older cluster on its right stays alone.
-  UnitScan row(3, Criteria(1.0, /*t_max_points=*/12.0));
-  row.Insert(2, 0, 5.0);
-  row.Insert(0, 0, 5.0);
-  row.Insert(1, 0, 5.0);
-  ASSERT_EQ(row.Clusters().size(), 2u);
-  EXPECT_EQ(row.Clusters()[0].bounds, Box(0, 0, 2, 1));
-  EXPECT_EQ(row.Clusters()[1].bounds, Box(2, 0, 3, 1));
-}
-
-TEST(BucketClustererTest, StrictlyIncreasingDensitiesNeverMerge) {
-  UnitScan scan(10, Criteria(/*t_diff=*/0.001));
-  for (int i = 0; i < 60; ++i) {
-    scan.Insert(i % 10, i / 10, 10.0 + i);
-    ASSERT_TRUE(LabelsMatchClusters(scan)) << "after insert " << i;
-  }
-  EXPECT_EQ(scan.clusterer.num_clusters(), 60u);
-}
-
-TEST(BucketClustererTest, LabelsHoldUnderRandomizedWorkload) {
-  // Random densities drawn from two bands, random insertion order.
-  UnitScan scan(12, Criteria(/*t_diff=*/3.0));
-  Rng rng(7);
-  for (uint32_t index : RandomPermutation(12 * 12, rng)) {
-    scan.Insert(index % 12, index / 12, rng.NextBernoulli(0.5) ? 2.0 : 40.0);
-    ASSERT_TRUE(LabelsMatchClusters(scan));
-  }
-  EXPECT_GE(scan.clusterer.num_clusters(), 2u);
-}
-
-TEST(BucketClustererTest, ClustersPartitionTheWeightAndTileTheGrid) {
-  UnitScan scan(8, Criteria(5.0, 200.0));
-  Rng rng(11);
-  double total = 0.0;
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const double w = 1.0 + static_cast<double>(rng.NextBounded(30));
-      total += w;
-      scan.Insert(x, y, w);
-    }
-  }
-  double cluster_sum = 0.0;
-  for (const AggregateFeature& af : scan.Clusters()) {
-    cluster_sum += af.num_points;
-  }
-  EXPECT_NEAR(cluster_sum, total, 1e-9);
-  EXPECT_TRUE(LabelsMatchClusters(scan));
-  ExpectTilesDomain(scan.Clusters(), scan.grid.domain());
-}
-
-struct FuzzCase {
-  uint64_t seed;
-  int side;  // buckets per dimension
-  double t_diff;
-  double t_max_points;
-  bool cost_cap;
-};
-
-class BucketClustererFuzz : public testing::TestWithParam<FuzzCase> {};
-
-TEST_P(BucketClustererFuzz, LabelsMaximalityAndConservation) {
-  const FuzzCase& c = GetParam();
-  Rng rng(c.seed);
-  MergingCriteria criteria = Criteria(c.t_diff, c.t_max_points);
-  if (c.cost_cap) {
-    criteria.cost_fn = ClusterCostFn(2, DetectionParams{5.0, 4});
-    criteria.t_max_cost = 5e5;
-  }
-  UnitScan scan(c.side, criteria);
-
-  // Random density landscape: plateaus of three density bands with
-  // occasional spikes, inserted in random order (harder than row-major).
-  double total_weight = 0.0;
-  for (uint32_t index : RandomPermutation(c.side * c.side, rng)) {
-    double weight;
-    const double band = rng.NextDouble();
-    if (band < 0.5) {
-      weight = 0.0;
-    } else if (band < 0.8) {
-      weight = 5.0 + rng.NextUniform(0.0, 2.0);
-    } else if (band < 0.97) {
-      weight = 60.0 + rng.NextUniform(0.0, 10.0);
-    } else {
-      weight = 500.0;
-    }
-    total_weight += weight;
-    scan.Insert(index % c.side, index / c.side, weight);
-    ASSERT_TRUE(LabelsMatchClusters(scan)) << "after bucket " << index;
-  }
-
-  // Weight conservation and the cap.
-  const std::vector<AggregateFeature> clusters = scan.Clusters();
-  double cluster_weight = 0.0;
-  for (const AggregateFeature& af : clusters) {
-    cluster_weight += af.num_points;
-    if (c.t_max_points < 1e17) {
-      EXPECT_LT(af.num_points, c.t_max_points + 500.0);
-    }
-  }
-  EXPECT_NEAR(cluster_weight, total_weight, 1e-6);
-
-  // Maximality: no two final clusters may still merge (CanMerge includes
-  // Def. 5.3's shared-face test).
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    for (size_t j = i + 1; j < clusters.size(); ++j) {
-      EXPECT_FALSE(criteria.CanMerge(clusters[i], clusters[j]))
-          << clusters[i].ToString() << " and " << clusters[j].ToString();
-    }
-  }
-
-  // Tiling: clusters are disjoint rectangles covering the full domain.
-  ExpectTilesDomain(clusters, scan.grid.domain());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, BucketClustererFuzz,
-    testing::Values(FuzzCase{1, 12, 3.0, 1e18, false},
-                    FuzzCase{2, 16, 10.0, 1e18, false},
-                    FuzzCase{3, 16, 1.0, 1e18, false},
-                    FuzzCase{4, 12, 5.0, 800.0, false},
-                    FuzzCase{5, 16, 8.0, 1e18, true},
-                    FuzzCase{6, 20, 2.0, 2000.0, true},
-                    FuzzCase{7, 10, 1e9, 1e18, false},   // merge-everything
-                    FuzzCase{8, 10, 1e-9, 1e18, false}),  // merge-nothing
-    [](const testing::TestParamInfo<FuzzCase>& info) {
-      return "case" + std::to_string(info.param.seed);
-    });
 
 DistributionSketch SketchOf(const Dataset& data, int buckets = 32,
                             double rate = 0.5) {

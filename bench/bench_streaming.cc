@@ -1,6 +1,6 @@
 // Copyright 2026 The DOD Authors.
 //
-// Streaming benchmarks, three regimes:
+// Streaming benchmarks, five regimes:
 //
 // 1. Incremental vs from-scratch under localized traffic — the case for the
 //    dirty-cell rule. A sliding window of spatially localized blocks
@@ -16,10 +16,7 @@
 // 2. Incremental vs from-scratch under diffuse traffic — the case for
 //    carrying per-point neighbor counts across rounds. Blocks uniform over
 //    the whole domain make the dirty set approach every resident cell, yet
-//    the incremental round stays O(block × ring). A third service consumes
-//    the same schedule through a time-based window (timestamps = round
-//    index, window_seconds = window_blocks — the same resident set every
-//    round) to pin the time-window configuration to the same verdicts.
+//    the incremental round stays O(block × ring).
 //
 // 3. Reorder-buffer overhead — the price of out-of-order admission. The
 //    diffuse schedule is jitter-shuffled within a lateness bound and
@@ -126,8 +123,7 @@ struct Workload {
                            py + rng.NextDouble() * extent};
       block.Add(static_cast<PointId>(next_id++), p);
     }
-    // Round index as timestamp: with window_seconds == window_blocks the
-    // time-based window keeps exactly the count-based resident set.
+    // Round index as timestamp: the reorder regime orders arrivals by it.
     block.timestamp = static_cast<double>(round++);
     return block;
   }
@@ -172,24 +168,18 @@ struct ConfigResult {
 };
 
 // Regimes 1 and 2: one long-lived service advanced a block per round vs a
-// fresh service fed the whole window. Diffuse runs also feed a time-window
-// service that must agree every round.
+// fresh service fed the whole window.
 ConfigResult MeasureIncremental(size_t block_size, size_t window_points,
                                 int rounds, bool diffuse) {
   Workload workload(block_size, window_points, diffuse);
   auto created =
       StreamingDetector::Create(ServiceConfig(workload.window_blocks));
   StreamingDetector& incremental = Must(created);
-  StreamingConfig timed_config = ServiceConfig(/*window_blocks=*/0);
-  timed_config.window_seconds = static_cast<double>(workload.window_blocks);
-  auto timed_created = StreamingDetector::Create(timed_config);
-  StreamingDetector& timed = Must(timed_created);
 
   // Prefill the window (not measured).
   for (size_t b = 0; b < workload.window_blocks; ++b) {
     const StreamBlock block = workload.Advance();
     MustFeed(incremental, block);
-    if (diffuse) MustFeed(timed, block);
   }
 
   // Measured steady-state rounds: each Feed appends one block and expires
@@ -207,16 +197,6 @@ ConfigResult MeasureIncremental(size_t block_size, size_t window_points,
         MustFeed(incremental, block, &incremental_seconds);
     result.mean_dirty_fraction += delta.stats.dirty_fraction;
     result.mean_recounted += static_cast<double>(delta.stats.recounted_points);
-    if (diffuse) {
-      MustFeed(timed, block);
-      if (timed.outliers() != incremental.outliers()) {
-        std::fprintf(stderr,
-                     "FATAL: time-window service disagrees at round %d "
-                     "(block_size %zu)\n",
-                     round, block_size);
-        std::exit(1);
-      }
-    }
 
     if (round % 4 == 0) {
       auto scratch_created =
@@ -487,8 +467,7 @@ int main() {
       "Streaming: incremental neighbor-count summaries vs from-scratch",
       "Regime 1 (localized blocks) and regime 2 (diffuse blocks): one Feed\n"
       "per round updates only dirty cells vs a fresh detector counting the\n"
-      "whole window; regime 2 also pins a time-based-window service to the\n"
-      "same verdicts. Outlier sets asserted identical across paired rounds.",
+      "whole window. Outlier sets asserted identical across paired rounds.",
       dod::bench::TimeBase::kWallClock);
 
   std::vector<ConfigResult> results;

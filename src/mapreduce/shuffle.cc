@@ -14,16 +14,4 @@ const char* ShuffleModeName(ShuffleMode mode) {
   return "unknown";
 }
 
-bool ParseShuffleMode(std::string_view name, ShuffleMode* mode) {
-  if (name == "sorted") {
-    *mode = ShuffleMode::kSorted;
-    return true;
-  }
-  if (name == "columnar") {
-    *mode = ShuffleMode::kColumnar;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace dod

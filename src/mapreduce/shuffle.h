@@ -21,7 +21,7 @@
 //    Scattering in segment order is stable by construction, so groups come
 //    out in ascending key order with the exact within-group record order of
 //    the sorted path — reducers cannot tell the difference, which is what
-//    keeps job output byte-identical across the --shuffle escape hatch.
+//    keeps job output byte-identical whichever path a task takes.
 //
 // The columnar path is admitted by two guards: a density guard against
 // adversarially sparse key spaces (the key range much larger than the
@@ -41,7 +41,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -55,7 +54,7 @@
 namespace dod {
 
 // Reduce-side grouping strategy. kColumnar is the default; kSorted is the
-// escape hatch (and the only path for non-integral keys).
+// fallback (and the only path for non-integral keys).
 enum class ShuffleMode {
   kSorted,    // stable sort over (key, value) pairs
   kColumnar,  // counting sort into per-key value-column segments
@@ -63,9 +62,6 @@ enum class ShuffleMode {
 
 // "sorted" / "columnar".
 const char* ShuffleModeName(ShuffleMode mode);
-
-// Parses "sorted" / "columnar". Returns false on unknown names.
-bool ParseShuffleMode(std::string_view name, ShuffleMode* mode);
 
 namespace internal {
 

@@ -19,12 +19,12 @@
 namespace dod {
 namespace {
 
-// The one snapshot layout: per-source windows whose points carry their
+// The one snapshot layout: the resident blocks, whose points carry their
 // (count, saturated) summary, the flagged set, and the watermark/reorder
-// section (arrival counters, per-source clocks, buffered blocks). Any other
-// version fails with kFailedPrecondition: refusing a different writer's
-// state beats misparsing it.
-constexpr uint32_t kStreamStateVersion = 4;
+// section (arrival counters, the clock, buffered blocks). Any other version
+// fails with kFailedPrecondition: refusing a different writer's state beats
+// misparsing it.
+constexpr uint32_t kStreamStateVersion = 5;
 
 // Saturation slack: counting a point stops at min_neighbors + kSummarySlack
 // neighbors and the summary is carried as a certified lower bound from
@@ -118,9 +118,8 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
     return Status::InvalidArgument(
         "StreamingDetector: radius must be > 0 and min_neighbors >= 1");
   }
-  if (config.cell_side < 0.0 || config.window_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "StreamingDetector: cell_side and window_seconds must be >= 0");
+  if (config.cell_side < 0.0) {
+    return Status::InvalidArgument("StreamingDetector: cell_side must be >= 0");
   }
   if (config.num_threads > kMaxThreads) {
     return Status::InvalidArgument(
@@ -134,14 +133,10 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
                   config.cell_side > 0.0 ? config.cell_side
                                          : config.params.radius),
       std::max(1, config.grid_origin.dims())));
-  if (config.watermark.enabled &&
-      (!std::isfinite(config.watermark.lateness) ||
-       config.watermark.lateness < 0.0 ||
-       !std::isfinite(config.watermark.idle_timeout) ||
-       config.watermark.idle_timeout < 0.0)) {
+  if (config.watermark.enabled && (!std::isfinite(config.watermark.lateness) ||
+                                   config.watermark.lateness < 0.0)) {
     return Status::InvalidArgument(
-        "StreamingDetector: watermark lateness and idle_timeout must be "
-        "finite and >= 0");
+        "StreamingDetector: watermark lateness must be finite and >= 0");
   }
   if (config.resume && config.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
@@ -267,10 +262,8 @@ uint32_t StreamingDetector::OpenCell(const CellCoord& coord) {
 
 void StreamingDetector::AppendBlock(const StreamBlock& block) {
   if (block.points.empty()) return;
-  WindowBlock wb;
-  wb.seq = next_seq_++;
-  wb.timestamp = block.timestamp;
-  wb.slots.reserve(block.ids.size());
+  std::vector<uint32_t> slots;
+  slots.reserve(block.ids.size());
   for (size_t i = 0; i < block.ids.size(); ++i) {
     const double* p = block.points[static_cast<PointId>(i)];
     const uint32_t slot = AllocSlot(block.ids[i], p);
@@ -278,57 +271,39 @@ void StreamingDetector::AppendBlock(const StreamBlock& block) {
     CellState& cell = cell_states_[id];
     cell.slots.push_back(slot);
     ++cell.fresh;
-    wb.slots.push_back(slot);
+    slots.push_back(slot);
     buffers_.touched.push_back(RoundPoint{id, slot, /*evicted=*/false});
   }
-  windows_[block.source_id].blocks.push_back(std::move(wb));
+  blocks_.push_back(std::move(slots));
 }
 
 size_t StreamingDetector::ExpireBlocks(std::vector<PointId>* expired_flagged) {
   size_t expired_points = 0;
-  // Ascending source-id order keeps the eviction sequence — and therefore
-  // the evicted SoA segments and delta stats — deterministic. Emptied
-  // windows stay resident: their expiry clock must survive idle gaps.
-  for (auto& entry : windows_) {
-    SourceWindow& source = entry.second;
-    while (!source.blocks.empty()) {
-      const bool over_count = config_.window_blocks > 0 &&
-                              source.blocks.size() > config_.window_blocks;
-      const bool over_age =
-          config_.window_seconds > 0.0 && source.saw_timestamp &&
-          source.high_water - source.blocks.front().timestamp >=
-              config_.window_seconds;
-      if (!over_count && !over_age) break;
-      WindowBlock block = std::move(source.blocks.front());
-      source.blocks.pop_front();
-      for (uint32_t slot : block.slots) {
-        const SlotState& state = slots_[slot];
-        const CellCoord coord = KeyOf((*window_)[slot]);
-        const uint32_t id = FindCell(coord);
-        DOD_CHECK(id != CellIndex::kNone);
-        CellState& cell = cell_states_[id];
-        std::vector<uint32_t>& members = cell.slots;
-        const auto pos = std::find(members.begin(), members.end(), slot);
-        if (static_cast<size_t>(members.end() - pos) <= cell.fresh) {
-          // In the fresh suffix: this is the round's own appended block.
-          --cell.fresh;
-          buffers_.appended_expired = true;
-        }
-        members.erase(pos);
-        if (members.empty()) {
-          // An emptied cell's state is already clean (fresh counts only
-          // appended slots, all gone); its slot buffer stays for reuse.
-          cells_.Erase(coord, CellKeys{&cell_coords_});
-          free_cells_.push_back(id);
-        }
-        if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
-        if (state.saturated != 0) --saturated_count_;
-        id_to_slot_.erase(state.stream_id);
-        free_slots_.push_back(slot);
-        buffers_.touched.push_back(RoundPoint{id, slot, /*evicted=*/true});
-        ++expired_points;
+  // The round's own block is the newest one and window_blocks >= 1, so
+  // expiry only ever removes old residents: each cell's fresh suffix
+  // stays intact.
+  while (config_.window_blocks > 0 && blocks_.size() > config_.window_blocks) {
+    for (uint32_t slot : blocks_.front()) {
+      const SlotState& state = slots_[slot];
+      const CellCoord coord = KeyOf((*window_)[slot]);
+      const uint32_t id = FindCell(coord);
+      DOD_CHECK(id != CellIndex::kNone);
+      std::vector<uint32_t>& members = cell_states_[id].slots;
+      members.erase(std::find(members.begin(), members.end(), slot));
+      if (members.empty()) {
+        // An emptied cell held no appended slot, so its state is clean;
+        // its slot buffer stays for reuse.
+        cells_.Erase(coord, CellKeys{&cell_coords_});
+        free_cells_.push_back(id);
       }
+      if (state.flagged != 0) expired_flagged->push_back(state.stream_id);
+      if (state.saturated != 0) --saturated_count_;
+      id_to_slot_.erase(state.stream_id);
+      free_slots_.push_back(slot);
+      buffers_.touched.push_back(RoundPoint{id, slot, /*evicted=*/true});
+      ++expired_points;
     }
+    blocks_.pop_front();
   }
   return expired_points;
 }
@@ -452,11 +427,9 @@ Status StreamingDetector::SummaryUpdate(OutlierDelta* delta) {
     }
     // Every appended point now holds its neighbor count, exact below the
     // cap.
-    if (!buf.appended_expired) {
-      for (uint32_t a = 0; a < buf.appended_soa.size(); ++a) {
-        SetSummary(buf.appended_soa.IdAt(a), merged.first_counts[a], delta);
-        ++delta->stats.full_counted_points;
-      }
+    for (uint32_t a = 0; a < buf.appended_soa.size(); ++a) {
+      SetSummary(buf.appended_soa.IdAt(a), merged.first_counts[a], delta);
+      ++delta->stats.full_counted_points;
     }
     span.Arg("dirty_cells", static_cast<uint64_t>(num_dirty))
         .Arg("inc_pairs", delta->stats.insert_pairs)
@@ -476,9 +449,8 @@ void StreamingDetector::UpdateDirtyCells(size_t begin, size_t end,
   const KernelOps& ops = GetKernelOps(config_.params.kernels);
   const int k = config_.params.min_neighbors;
   const int cap = SaturationCap(k);
-  // Column hits credit the appended points only while they stay resident.
-  uint32_t* const col_counts =
-      buf.appended_expired ? nullptr : out->first_counts.data();
+  // Column hits credit the appended points' first counts.
+  uint32_t* const col_counts = out->first_counts.data();
   constexpr size_t kChunk = 64;
   double queries[kChunk * kMaxDimensions];
   uint32_t inc[kChunk];
@@ -508,8 +480,7 @@ void StreamingDetector::UpdateDirtyCells(size_t begin, size_t end,
         if (group.ins_begin != group.ins_end) {
           ops.count_tile_within_radius(
               buf.appended_soa, group.ins_begin, group.ins_end, queries, rows,
-              sq_radius, inc,
-              col_counts == nullptr ? nullptr : col_counts + group.ins_begin);
+              sq_radius, inc, col_counts + group.ins_begin);
         }
         if (group.ev_begin != group.ev_end) {
           ops.count_tile_within_radius(buf.evicted_soa, group.ev_begin,
@@ -722,13 +693,10 @@ void StreamingDetector::RecordRound(const OutlierDelta& delta) {
       metrics.Id("stream.watermark.reorder_admitted", MetricKind::kCounter);
   static const uint32_t kBuffered =
       metrics.Id("stream.watermark.buffered_blocks", MetricKind::kGauge);
-  static const uint32_t kSources =
-      metrics.Id("stream.watermark.sources", MetricKind::kGauge);
   (void)kLateDropped;
   (void)kAdvances;
   (void)kBuffered;
   if (config_.watermark.enabled) metrics.Increment(kReorderAdmitted);
-  metrics.SetMax(kSources, static_cast<double>(windows_.size()));
   metrics.Increment(kRounds);
   metrics.Increment(kDirtyCells, delta.stats.dirty_cells);
   metrics.Increment(kFlagged, delta.newly_flagged.size());
@@ -756,15 +724,7 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
   OutlierDelta delta;
   std::vector<PointId> expired_flagged;
   buffers_.touched.clear();
-  buffers_.appended_expired = false;
   AppendBlock(block);
-  if (config_.window_seconds > 0.0) {
-    SourceWindow& source = windows_[block.source_id];
-    source.high_water = source.saw_timestamp
-                            ? std::max(source.high_water, block.timestamp)
-                            : block.timestamp;
-    source.saw_timestamp = true;
-  }
   const size_t expired_points = ExpireBlocks(&expired_flagged);
   DOD_RETURN_IF_ERROR(SummaryUpdate(&delta));
 
@@ -848,25 +808,16 @@ Status StreamingDetector::ValidateArrival(const StreamBlock& block) const {
 
 bool StreamingDetector::CurrentWatermark(double* watermark) const {
   if (!saw_arrival_) return false;
-  // min over live sources of max_seen - L. A source lagging the global
-  // maximum by more than idle_timeout is excluded until it sends again;
-  // the source holding the global maximum lags by zero, so at least one
-  // clock always survives the filter.
-  bool any = false;
-  double min_clock = 0.0;
-  for (const auto& entry : wm_clocks_) {
-    if (config_.watermark.idle_timeout > 0.0 &&
-        global_max_ts_ - entry.second > config_.watermark.idle_timeout) {
-      continue;
-    }
-    if (!any || entry.second < min_clock) {
-      min_clock = entry.second;
-      any = true;
-    }
-  }
-  if (!any) return false;
-  *watermark = min_clock - config_.watermark.lateness;
+  *watermark = clock_ - config_.watermark.lateness;
   return true;
+}
+
+bool StreamingDetector::CanonicalOrder(const PendingBlock& a,
+                                       const PendingBlock& b) {
+  if (a.block.timestamp != b.block.timestamp) {
+    return a.block.timestamp < b.block.timestamp;
+  }
+  return a.arrival < b.arrival;
 }
 
 Status StreamingDetector::DrainReorderBuffer(double bound,
@@ -876,8 +827,7 @@ Status StreamingDetector::DrainReorderBuffer(double bound,
     reorder_.pop_front();
     for (PointId id : pending.block.ids) pending_ids_.erase(id);
     trace::Span span("stream", "reorder_admit");
-    span.Arg("source", static_cast<uint64_t>(pending.block.source_id))
-        .Arg("arrival", pending.arrival)
+    span.Arg("arrival", pending.arrival)
         .Arg("buffered", static_cast<uint64_t>(reorder_.size()));
     DOD_ASSIGN_OR_RETURN(OutlierDelta delta, AdmitBlock(pending.block));
     result->admitted.push_back(std::move(delta));
@@ -901,8 +851,6 @@ Result<IngestResult> StreamingDetector::Ingest(const StreamBlock& block) {
       metrics.Id("stream.watermark.advances", MetricKind::kCounter);
   static const uint32_t kBuffered =
       metrics.Id("stream.watermark.buffered_blocks", MetricKind::kGauge);
-  static const uint32_t kSources =
-      metrics.Id("stream.watermark.sources", MetricKind::kGauge);
 
   // Rejection is against the watermark *before* this arrival moves any
   // clock: buffered blocks at or beyond it are still unadmitted, so the
@@ -928,31 +876,16 @@ Result<IngestResult> StreamingDetector::Ingest(const StreamBlock& block) {
         "); rejected as late, window unchanged");
   }
 
-  // Register the arrival: advance its source clock and park the block at
-  // its canonical (timestamp, source, arrival) position. next_arrival_
-  // ticks monotonically, so equal (ts, source) pairs keep arrival order.
-  auto clock = wm_clocks_.find(block.source_id);
-  if (clock == wm_clocks_.end()) {
-    wm_clocks_.emplace(block.source_id, block.timestamp);
-  } else if (block.timestamp > clock->second) {
-    clock->second = block.timestamp;
-  }
-  if (!saw_arrival_ || block.timestamp > global_max_ts_) {
-    global_max_ts_ = block.timestamp;
-  }
+  // Register the arrival: advance the clock and park the block at its
+  // canonical (timestamp, arrival) position.
+  if (!saw_arrival_ || block.timestamp > clock_) clock_ = block.timestamp;
   saw_arrival_ = true;
   PendingBlock pending;
   pending.arrival = next_arrival_++;
   pending.block = block;
-  auto pos = std::upper_bound(
-      reorder_.begin(), reorder_.end(), pending,
-      [](const PendingBlock& a, const PendingBlock& b) {
-        if (a.block.timestamp != b.block.timestamp) {
-          return a.block.timestamp < b.block.timestamp;
-        }
-        return a.block.source_id < b.block.source_id;
-      });
-  reorder_.insert(pos, std::move(pending));
+  reorder_.insert(std::upper_bound(reorder_.begin(), reorder_.end(), pending,
+                                   CanonicalOrder),
+                  std::move(pending));
   pending_ids_.insert(block.ids.begin(), block.ids.end());
   ++arrivals_;
 
@@ -965,7 +898,6 @@ Result<IngestResult> StreamingDetector::Ingest(const StreamBlock& block) {
   }
   result.buffered = reorder_.size();
   metrics.SetMax(kBuffered, static_cast<double>(reorder_.size()));
-  metrics.SetMax(kSources, static_cast<double>(wm_clocks_.size()));
 
   // Checkpoint cadence counts arrivals, not rounds: the reorder buffer
   // changes on every accepted block, rounds only on admissions — a kill
@@ -999,7 +931,6 @@ std::string StreamingDetector::JobKey() const {
   w.U64(static_cast<uint64_t>(config_.params.min_neighbors));
   w.U64(config_.params.seed);
   w.U64(config_.window_blocks);
-  w.F64(config_.window_seconds);
   w.F64(side_);
   w.U64(static_cast<uint64_t>(config_.grid_origin.dims()));
   for (int i = 0; i < config_.grid_origin.dims(); ++i) {
@@ -1011,7 +942,6 @@ std::string StreamingDetector::JobKey() const {
   if (config_.watermark.enabled) {
     w.U8(1);
     w.F64(config_.watermark.lateness);
-    w.F64(config_.watermark.idle_timeout);
   }
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
@@ -1036,26 +966,16 @@ Status StreamingDetector::CommitCheckpoint() {
   PayloadWriter w;
   w.U32(kStreamStateVersion);
   w.U64(round_);
-  w.U64(next_seq_);
   w.U32(static_cast<uint32_t>(dims_));
-  // Per-source windows, ascending source id (map order).
-  w.U64(windows_.size());
-  for (const auto& entry : windows_) {
-    const SourceWindow& source = entry.second;
-    w.U32(entry.first);
-    w.U8(source.saw_timestamp ? 1 : 0);
-    w.F64(source.high_water);
-    w.U64(source.blocks.size());
-    for (const WindowBlock& block : source.blocks) {
-      w.U64(block.seq);
-      w.F64(block.timestamp);
-      w.U64(block.slots.size());
-      for (uint32_t slot : block.slots) {
-        w.U32(slots_[slot].stream_id);
-        w.Raw((*window_)[slot], sizeof(double) * static_cast<size_t>(dims_));
-        w.U32(slots_[slot].count);
-        w.U8(slots_[slot].saturated);
-      }
+  // Resident blocks, oldest first.
+  w.U64(blocks_.size());
+  for (const std::vector<uint32_t>& block : blocks_) {
+    w.U64(block.size());
+    for (uint32_t slot : block) {
+      w.U32(slots_[slot].stream_id);
+      w.Raw((*window_)[slot], sizeof(double) * static_cast<size_t>(dims_));
+      w.U32(slots_[slot].count);
+      w.U8(slots_[slot].saturated);
     }
   }
   w.U64(outliers_.size());
@@ -1065,17 +985,11 @@ Status StreamingDetector::CommitCheckpoint() {
   w.U64(arrivals_);
   w.U64(late_dropped_);
   w.U8(saw_arrival_ ? 1 : 0);
-  w.F64(global_max_ts_);
+  w.F64(clock_);
   w.U64(next_arrival_);
-  w.U64(wm_clocks_.size());
-  for (const auto& entry : wm_clocks_) {
-    w.U32(entry.first);
-    w.F64(entry.second);
-  }
   w.U64(reorder_.size());
   for (const PendingBlock& pending : reorder_) {
     w.U64(pending.arrival);
-    w.U32(pending.block.source_id);
     w.F64(pending.block.timestamp);
     // Buffered blocks carry their own dims: the window may not have
     // admitted a non-empty block yet (dims_ == 0) while arrivals wait.
@@ -1142,70 +1056,48 @@ Status StreamingDetector::RestoreLatest() {
         std::to_string(kStreamStateVersion));
   }
   DOD_RETURN_IF_ERROR(r.U64(&round_));
-  DOD_RETURN_IF_ERROR(r.U64(&next_seq_));
   uint32_t dims = 0;
   DOD_RETURN_IF_ERROR(r.U32(&dims));
   if (dims > 0) DOD_RETURN_IF_ERROR(InitDims(static_cast<int>(dims)));
 
-  uint64_t num_sources = 0;
-  DOD_RETURN_IF_ERROR(r.U64(&num_sources));
-  bool first = true;
-  uint32_t prev_source = 0;
-  for (uint64_t s = 0; s < num_sources; ++s) {
-    uint32_t source_id = 0;
-    DOD_RETURN_IF_ERROR(r.U32(&source_id));
-    if (!first && source_id <= prev_source) {
+  uint64_t num_blocks = 0;
+  DOD_RETURN_IF_ERROR(r.U64(&num_blocks));
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    uint64_t num_points = 0;
+    DOD_RETURN_IF_ERROR(r.U64(&num_points));
+    if (num_points > 0 && dims_ == 0) {
       return Status::IoError(
-          "stream checkpoint: source ids not strictly ascending");
+          "stream checkpoint: resident points in a window without dims");
     }
-    first = false;
-    prev_source = source_id;
-    SourceWindow& source = windows_[source_id];
-    uint8_t saw = 0;
-    DOD_RETURN_IF_ERROR(r.U8(&saw));
-    source.saw_timestamp = saw != 0;
-    DOD_RETURN_IF_ERROR(r.F64(&source.high_water));
-    uint64_t num_blocks = 0;
-    DOD_RETURN_IF_ERROR(r.U64(&num_blocks));
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-      WindowBlock wb;
-      DOD_RETURN_IF_ERROR(r.U64(&wb.seq));
-      DOD_RETURN_IF_ERROR(r.F64(&wb.timestamp));
-      uint64_t num_points = 0;
-      DOD_RETURN_IF_ERROR(r.U64(&num_points));
-      if (num_points > 0 && dims_ == 0) {
-        return Status::IoError(
-            "stream checkpoint: resident points in a window without dims");
+    std::vector<uint32_t> block;
+    double coords[kMaxDimensions];
+    for (uint64_t i = 0; i < num_points; ++i) {
+      uint32_t id = 0;
+      uint32_t count = 0;
+      uint8_t saturated = 0;
+      DOD_RETURN_IF_ERROR(r.U32(&id));
+      DOD_RETURN_IF_ERROR(
+          r.Raw(coords, sizeof(double) * static_cast<size_t>(dims_)));
+      DOD_RETURN_IF_ERROR(r.U32(&count));
+      DOD_RETURN_IF_ERROR(r.U8(&saturated));
+      if (id_to_slot_.count(id) != 0) {
+        return Status::IoError("stream checkpoint: duplicate resident id " +
+                               std::to_string(id));
       }
-      double coords[kMaxDimensions];
-      for (uint64_t i = 0; i < num_points; ++i) {
-        uint32_t id = 0;
-        uint32_t count = 0;
-        uint8_t saturated = 0;
-        DOD_RETURN_IF_ERROR(r.U32(&id));
-        DOD_RETURN_IF_ERROR(
-            r.Raw(coords, sizeof(double) * static_cast<size_t>(dims_)));
-        DOD_RETURN_IF_ERROR(r.U32(&count));
-        DOD_RETURN_IF_ERROR(r.U8(&saturated));
-        if (id_to_slot_.count(id) != 0) {
-          return Status::IoError("stream checkpoint: duplicate resident id " +
-                                 std::to_string(id));
-        }
-        CellCoord key;
-        if (!TryUniformCellKey(coords, dims_, origin_, side_, &key)) {
-          return Status::IoError("stream checkpoint: resident id " +
-                                 std::to_string(id) +
-                                 " lies more than 2^30 cells from the grid "
-                                 "origin");
-        }
-        const uint32_t slot = AllocSlot(id, coords);
-        slots_[slot].count = count;
-        slots_[slot].saturated = saturated != 0 ? 1 : 0;
-        cell_states_[OpenCell(key)].slots.push_back(slot);
-        wb.slots.push_back(slot);
+      CellCoord key;
+      if (!TryUniformCellKey(coords, dims_, origin_, side_, &key)) {
+        return Status::IoError("stream checkpoint: resident id " +
+                               std::to_string(id) +
+                               " lies more than 2^30 cells from the grid "
+                               "origin");
       }
-      source.blocks.push_back(std::move(wb));
+      const uint32_t slot = AllocSlot(id, coords);
+      slots_[slot].count = count;
+      slots_[slot].saturated = saturated != 0 ? 1 : 0;
+      cell_states_[OpenCell(key)].slots.push_back(slot);
+      block.push_back(slot);
     }
+    blocks_.push_back(std::move(block));
   }
 
   uint64_t num_outliers = 0;
@@ -1231,34 +1123,19 @@ Status StreamingDetector::RestoreLatest() {
   uint8_t saw_arrival = 0;
   DOD_RETURN_IF_ERROR(r.U8(&saw_arrival));
   saw_arrival_ = saw_arrival != 0;
-  DOD_RETURN_IF_ERROR(r.F64(&global_max_ts_));
-  DOD_RETURN_IF_ERROR(r.U64(&next_arrival_));
-  uint64_t num_clocks = 0;
-  DOD_RETURN_IF_ERROR(r.U64(&num_clocks));
-  first = true;
-  for (uint64_t i = 0; i < num_clocks; ++i) {
-    uint32_t source_id = 0;
-    double clock = 0.0;
-    DOD_RETURN_IF_ERROR(r.U32(&source_id));
-    DOD_RETURN_IF_ERROR(r.F64(&clock));
-    if ((!first && source_id <= prev_source) || !std::isfinite(clock)) {
-      return Status::IoError(
-          "stream checkpoint: malformed watermark clock record");
-    }
-    first = false;
-    prev_source = source_id;
-    wm_clocks_.emplace(source_id, clock);
+  DOD_RETURN_IF_ERROR(r.F64(&clock_));
+  if (!std::isfinite(clock_)) {
+    return Status::IoError("stream checkpoint: non-finite watermark clock");
   }
+  DOD_RETURN_IF_ERROR(r.U64(&next_arrival_));
   uint64_t num_pending = 0;
   DOD_RETURN_IF_ERROR(r.U64(&num_pending));
   for (uint64_t i = 0; i < num_pending; ++i) {
     PendingBlock pending;
     DOD_RETURN_IF_ERROR(r.U64(&pending.arrival));
-    uint32_t source_id = 0;
     double timestamp = 0.0;
     uint32_t block_dims = 0;
     uint64_t num_points = 0;
-    DOD_RETURN_IF_ERROR(r.U32(&source_id));
     DOD_RETURN_IF_ERROR(r.F64(&timestamp));
     DOD_RETURN_IF_ERROR(r.U32(&block_dims));
     DOD_RETURN_IF_ERROR(r.U64(&num_points));
@@ -1268,7 +1145,6 @@ Status StreamingDetector::RestoreLatest() {
     }
     StreamBlock block(static_cast<int>(block_dims));
     block.timestamp = timestamp;
-    block.source_id = source_id;
     double coords[kMaxDimensions];
     for (uint64_t p = 0; p < num_points; ++p) {
       uint32_t id = 0;
@@ -1293,19 +1169,9 @@ Status StreamingDetector::RestoreLatest() {
     pending.block = std::move(block);
     reorder_.push_back(std::move(pending));
   }
-  // Re-establish the canonical (timestamp, source, arrival) order instead
-  // of trusting record order — a hostile snapshot must not be able to
-  // force an out-of-order admission.
-  std::sort(reorder_.begin(), reorder_.end(),
-            [](const PendingBlock& a, const PendingBlock& b) {
-              if (a.block.timestamp != b.block.timestamp) {
-                return a.block.timestamp < b.block.timestamp;
-              }
-              if (a.block.source_id != b.block.source_id) {
-                return a.block.source_id < b.block.source_id;
-              }
-              return a.arrival < b.arrival;
-            });
+  // Re-establish the canonical order instead of trusting record order — a
+  // hostile snapshot must not be able to force an out-of-order admission.
+  std::sort(reorder_.begin(), reorder_.end(), CanonicalOrder);
   DOD_RETURN_IF_ERROR(r.ExpectDone());
 
   // Cross-validate the restored summaries against the flagged set: a

@@ -18,8 +18,8 @@
 //     neighbor-count state |N_r(p)| >= k each point carried out of its
 //     last evaluation.
 //
-//   * Feed(block) appends the block's points, expires blocks that fell out
-//     of the window (count-based, time-based, or both), and computes the
+//   * Feed(block) appends the block's points, expires the oldest blocks
+//     once more than window_blocks are resident, and computes the
 //     dirty-cell set: every resident cell within the supporting ring of a
 //     touched cell. With cell side s, a neighbor within distance r is at
 //     most ceil(r/s) cells away in Chebyshev distance, so updating the
@@ -47,25 +47,19 @@
 //     and per-round stats. Applying deltas in order reconstructs the
 //     current outlier set exactly.
 //
-// Out-of-order and multi-source input: real ingest is neither ordered
-// nor single-tenant. With a WatermarkPolicy enabled, Ingest(block) parks
-// arrivals in a reorder buffer instead of admitting them immediately.
-// Every source (StreamBlock::source_id) keeps a clock at the maximum
-// timestamp it has delivered; the global watermark is
+// Out-of-order input: real ingest is not ordered. With a WatermarkPolicy
+// enabled, Ingest(block) parks arrivals in a reorder buffer instead of
+// admitting them immediately. One clock holds the largest timestamp
+// delivered so far; the watermark is
 //
-//     min over non-idle sources of (max_seen_ts) − lateness
+//     clock − lateness
 //
 // and a buffered block is admitted — running the exact Feed round an
 // in-order delivery would have run — once the watermark passes strictly
-// beyond its timestamp, in canonical (timestamp, source, arrival) order.
-// A block arriving with ts < watermark is later than the lateness bound:
-// it is rejected with kOutOfRange and counted in stream.late_dropped,
-// never silently applied. A source that stops sending pins the watermark
-// at its last clock; idle_timeout > 0 excludes sources lagging the
-// global maximum by more than the timeout until they send again. The
-// window itself is per source (independent count budgets and time-based
-// expiry clocks) over one merged grid/verdict space, so multi-tenant
-// feeds share neighborhoods without sharing window schedules.
+// beyond its timestamp, in canonical (timestamp, arrival) order. A block
+// arriving with ts < watermark is later than the lateness bound: it is
+// rejected with kOutOfRange and counted in stream.late_dropped, never
+// silently applied.
 //
 // The correctness contract: every arrival permutation within the
 // lateness bound admits the same canonical block sequence, so the
@@ -73,15 +67,15 @@
 // byte-identical to in-order delivery (tests/streaming_order_test.cc
 // fuzzes this against the batch oracle).
 //
-// Durability: with checkpoint_dir set, the full window state (per-source
+// Durability: with checkpoint_dir set, the full window state (resident
 // blocks, ids, coordinates, count summaries, flagged set, round counter,
-// plus the reorder buffer and per-source clocks when a watermark policy is
+// plus the reorder buffer and the clock when a watermark policy is
 // active) is committed to a CheckpointStore every checkpoint_every rounds
 // (watermark mode: every checkpoint_every arrivals, so a kill mid-reorder
 // restores the buffered blocks too); Create(resume=true) restores the
 // latest committed round and the service replays the rest of the schedule
 // to the same verdicts and deltas as an uninterrupted run. The snapshot
-// has one layout (version 4); any other version is refused as version
+// has one layout (version 5); any other version is refused as version
 // skew.
 //
 // Observability: every round emits a "stream"/"round" trace span, one
@@ -96,7 +90,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -116,21 +109,16 @@
 
 namespace dod {
 
-// Bounded-lateness admission policy for out-of-order / multi-source
-// streams. Disabled (the default), Ingest admits every block immediately
-// in arrival order — the PR 7 in-order contract, byte for byte.
+// Bounded-lateness admission policy for out-of-order streams. Disabled
+// (the default), Ingest admits every block immediately in arrival order —
+// the PR 7 in-order contract, byte for byte.
 struct WatermarkPolicy {
   bool enabled = false;
   // Bounded lateness L, in timestamp units: a block is admissible while
-  // its timestamp is >= the current watermark (min over live sources of
-  // max-seen - L); anything older may already have admitted successors
-  // and is rejected with kOutOfRange. Must be >= 0 and finite.
+  // its timestamp is >= the current watermark (max-seen - L); anything
+  // older may already have admitted successors and is rejected with
+  // kOutOfRange. Must be >= 0 and finite.
   double lateness = 0.0;
-  // Idle-source timeout: a source whose clock lags the global maximum
-  // timestamp by more than this stops holding the watermark back until
-  // it delivers again. 0 disables (a silent source stalls the watermark
-  // forever — choose deliberately for strictly-complete streams).
-  double idle_timeout = 0.0;
 };
 
 struct StreamingConfig {
@@ -143,16 +131,10 @@ struct StreamingConfig {
   // for every thread count.
   int num_threads = 1;
 
-  // Count-based window: keep at most this many resident blocks *per
-  // source*; feeding past the limit expires that source's oldest blocks
-  // in the same round. 0 = off.
+  // Count-based window: keep at most this many resident (non-empty)
+  // blocks; feeding past the limit expires the oldest blocks in the same
+  // round. 0 = off: nothing ever expires.
   size_t window_blocks = 0;
-  // Time-based window on caller-provided block timestamps: a block expires
-  // once (newest timestamp its *source* has admitted) - (its timestamp)
-  // >= window_seconds. 0 = off. Both windows may be active; either can
-  // expire a block. Window clocks are per source so a fast tenant never
-  // expires a slow tenant's blocks.
-  double window_seconds = 0.0;
 
   // Out-of-order admission (see WatermarkPolicy above). Disabled keeps
   // the in-order Feed contract unchanged.
@@ -183,9 +165,8 @@ struct StreamingConfig {
 };
 
 // One ingested block: caller-assigned stable ids (unique among resident
-// points) plus their coordinates. source_id names the stream the block
-// belongs to — each source gets its own window clock and, under a
-// watermark policy, its own watermark contribution.
+// points) plus their coordinates. The timestamp orders arrivals under a
+// watermark policy; in-order Feed ignores it.
 struct StreamBlock {
   explicit StreamBlock(int dims) : points(dims) {}
 
@@ -197,7 +178,6 @@ struct StreamBlock {
   std::vector<PointId> ids;
   Dataset points;
   double timestamp = 0.0;
-  uint32_t source_id = 0;
 };
 
 // A resident point's neighbor-count summary: the exact |N_r(p)| (self
@@ -246,7 +226,7 @@ struct IngestResult {
   std::vector<OutlierDelta> admitted;
   size_t buffered = 0;        // blocks still parked in the reorder buffer
   bool has_watermark = false;  // false until the first arrival
-  double watermark = 0.0;      // min over live sources of clock - lateness
+  double watermark = 0.0;      // clock - lateness
 };
 
 class StreamingDetector {
@@ -268,10 +248,10 @@ class StreamingDetector {
   // a single-delta IngestResult. With the policy enabled the block joins
   // the reorder buffer (kInvalidArgument on bad blocks, kOutOfRange +
   // stream.late_dropped when its timestamp is already more than
-  // `lateness` behind its stream's clock; the window is unchanged on
-  // error), the watermark advances, and every buffered block the
-  // watermark passed is admitted in canonical (timestamp, source,
-  // arrival) order — their deltas come back in admission order.
+  // `lateness` behind the clock; the window is unchanged on error), the
+  // watermark advances, and every buffered block the watermark passed is
+  // admitted in canonical (timestamp, arrival) order — their deltas come
+  // back in admission order.
   Result<IngestResult> Ingest(const StreamBlock& block);
 
   // Drains the reorder buffer unconditionally (end of stream): every
@@ -389,12 +369,10 @@ class StreamingDetector {
   struct RoundBuffers {
     explicit RoundBuffers(int dims)
         : appended_soa(dims), evicted_soa(dims), ring_soa(dims) {}
-    // The round's appended and evicted points. The appended points all
-    // stay resident unless the round's expiry took their block too
-    // (appended_expired): then each is also an evicted point, and none
-    // gets a first count.
+    // The round's appended and evicted points. Expiry never takes the
+    // round's own block, so every appended point stays resident and gets
+    // a first count.
     std::vector<RoundPoint> touched;
-    bool appended_expired = false;
     // Touched groups in cell-id order, and their points laid out group by
     // group (SoA ids are window slots).
     std::vector<TouchedGroup> groups;
@@ -413,24 +391,13 @@ class StreamingDetector {
     SoABlock ring_soa;
     std::vector<uint32_t> recounts;
   };
-  struct WindowBlock {
-    uint64_t seq = 0;
-    double timestamp = 0.0;
-    std::vector<uint32_t> slots;
-  };
-  // One source's slice of the window: its resident blocks in admission
-  // order plus its own expiry clock. Single-source streams live entirely
-  // in source 0 and behave exactly like the pre-source-aware service.
-  struct SourceWindow {
-    std::deque<WindowBlock> blocks;
-    double high_water = 0.0;
-    bool saw_timestamp = false;
-  };
   // One arrival parked in the reorder stage, waiting for the watermark.
   struct PendingBlock {
-    uint64_t arrival = 0;  // global arrival sequence; canonical tiebreak
+    uint64_t arrival = 0;  // arrival sequence; canonical tiebreak
     StreamBlock block{1};
   };
+  // The canonical admission order: (timestamp, arrival).
+  static bool CanonicalOrder(const PendingBlock& a, const PendingBlock& b);
 
   explicit StreamingDetector(const StreamingConfig& config);
 
@@ -449,8 +416,8 @@ class StreamingDetector {
   // Appends the block's points into slots/cells (no detection) and
   // records each one in buffers_.touched.
   void AppendBlock(const StreamBlock& block);
-  // Pops expired blocks off every source window's front — sources scanned
-  // in ascending id order — recording each freed slot in buffers_.touched
+  // Pops the blocks past window_blocks off the window's front, recording
+  // each freed slot in buffers_.touched
   // (its window coordinates stay readable until the next round's appends
   // recycle it) and each flagged id leaving the window in
   // `expired_flagged`; returns the number of expired points.
@@ -466,8 +433,7 @@ class StreamingDetector {
   // the buffered blocks and, while the window has no dims, dims that agree
   // with theirs. What it accepts stays admissible until the drain.
   Status ValidateArrival(const StreamBlock& block) const;
-  // min over live (non-idle) source clocks of clock - lateness; false
-  // until a first arrival registered a source.
+  // clock - lateness; false until the first arrival.
   bool CurrentWatermark(double* watermark) const;
   // Admits every buffered block with timestamp < `bound` (canonical
   // order) and appends the deltas to `result`.
@@ -525,18 +491,15 @@ class StreamingDetector {
   std::vector<CellCoord> cell_coords_;
   std::vector<CellState> cell_states_;
   std::vector<uint32_t> free_cells_;
-  // Per-source window slices, ordered by source id so expiry scans (and
-  // the checkpoint codec) iterate deterministically.
-  std::map<uint32_t, SourceWindow> windows_;
-  uint64_t next_seq_ = 0;
+  // Resident blocks' slots, oldest first.
+  std::deque<std::vector<uint32_t>> blocks_;
   uint64_t round_ = 0;
   std::vector<PointId> outliers_;
 
   // Reorder stage (watermark mode; all empty/zero when disabled).
   std::deque<PendingBlock> reorder_;  // canonical admission order
   std::unordered_set<PointId> pending_ids_;  // ids parked in reorder_
-  std::map<uint32_t, double> wm_clocks_;  // per-source max timestamp seen
-  double global_max_ts_ = 0.0;
+  double clock_ = 0.0;  // largest timestamp seen (valid once saw_arrival_)
   bool saw_arrival_ = false;
   uint64_t next_arrival_ = 0;
   uint64_t arrivals_ = 0;

@@ -365,13 +365,13 @@ TEST(PayloadFuzzTest, FailedReaderStaysFailed) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile stream snapshots: the v4 codec's per-point summaries and
+// Hostile stream snapshots: the v5 codec's per-point summaries and
 // watermark/reorder section are attacker-controlled state a restore must
-// never trust. Every malformed record — duplicate ids, non-finite
-// clocks/timestamps/coordinates, dims skew, arrival-sequence skew,
-// source-order violations, summaries that contradict the flagged set,
-// truncations, random byte mutations — degrades into a structured Status,
-// never UB, a silently admitted out-of-order block, or a wrong verdict.
+// never trust. Every malformed record — duplicate ids, a non-finite clock,
+// non-finite timestamps/coordinates, dims skew, arrival-sequence skew,
+// summaries that contradict the flagged set, truncations, random byte
+// mutations — degrades into a structured Status, never UB, a silently
+// admitted out-of-order block, or a wrong verdict.
 
 namespace fs = std::filesystem;
 
@@ -401,21 +401,21 @@ StreamingConfig HostileRestoreConfig(const std::string& dir) {
   return config;
 }
 
-// Knobs for hand-crafting a v4 snapshot; the defaults produce a valid one
-// (one source window of two isolated, flagged resident points with exact
-// zero counts, one buffered block).
-struct V4Knobs {
+// Knobs for hand-crafting a v5 snapshot; the defaults produce a valid one
+// (one resident block of two isolated, flagged points with exact zero
+// counts, one buffered block).
+struct V5Knobs {
   uint32_t window_dims = 2;
-  std::vector<uint32_t> window_sources = {0};
-  // Whether the first source holds the block of resident ids 1 and 2, and
-  // resident 2's x coordinate.
+  // Whether the window holds the block of residents 1 and 2 (ids below),
+  // and resident 2's x coordinate.
   bool residents = true;
+  uint32_t resident2_id = 2;
   double resident2_x = 50.0;
-  // (count, saturated) of resident ids 1 and 2, and the flagged set.
+  // (count, saturated) of the two residents, and the flagged set.
   std::pair<uint32_t, uint8_t> summary1 = {0, 0};
   std::pair<uint32_t, uint8_t> summary2 = {0, 0};
   std::vector<uint32_t> outliers = {1, 2};
-  std::vector<std::pair<uint32_t, double>> clocks = {{0, 10.0}};
+  double clock = 10.0;
   uint64_t pending_arrival = 2;
   double pending_ts = 9.0;
   double pending_coord = 6.0;
@@ -425,36 +425,27 @@ struct V4Knobs {
   uint32_t second_pending_dims = 0;
 };
 
-std::string V4StreamPayload(const V4Knobs& k) {
+std::string V5StreamPayload(const V5Knobs& k) {
   PayloadWriter w;
-  w.U32(4);  // version
+  w.U32(5);  // version
   w.U64(1);  // round
-  w.U64(1);  // next_seq
   w.U32(k.window_dims);
-  w.U64(k.window_sources.size());
-  for (size_t s = 0; s < k.window_sources.size(); ++s) {
-    w.U32(k.window_sources[s]);
-    w.U8(1);      // saw_timestamp
-    w.F64(8.0);   // high water
-    if (s == 0 && k.residents) {
-      // One block, two isolated resident points (ids 1 and 2).
-      w.U64(1);
-      w.U64(0);  // seq
-      w.F64(8.0);
-      w.U64(2);
-      const double p1[2] = {0.0, 0.0};
-      const double p2[2] = {k.resident2_x, 50.0};
-      w.U32(1);
-      w.Raw(p1, sizeof(p1));
-      w.U32(k.summary1.first);
-      w.U8(k.summary1.second);
-      w.U32(2);
-      w.Raw(p2, sizeof(p2));
-      w.U32(k.summary2.first);
-      w.U8(k.summary2.second);
-    } else {
-      w.U64(0);  // later sources carry no blocks
-    }
+  if (k.residents) {
+    // One block, two isolated resident points.
+    w.U64(1);
+    w.U64(2);
+    const double p1[2] = {0.0, 0.0};
+    const double p2[2] = {k.resident2_x, 50.0};
+    w.U32(1);
+    w.Raw(p1, sizeof(p1));
+    w.U32(k.summary1.first);
+    w.U8(k.summary1.second);
+    w.U32(k.resident2_id);
+    w.Raw(p2, sizeof(p2));
+    w.U32(k.summary2.first);
+    w.U8(k.summary2.second);
+  } else {
+    w.U64(0);
   }
   w.U64(k.outliers.size());
   for (uint32_t id : k.outliers) w.U32(id);
@@ -462,16 +453,10 @@ std::string V4StreamPayload(const V4Knobs& k) {
   w.U64(3);   // arrivals
   w.U64(0);   // late_dropped
   w.U8(1);    // saw_arrival
-  w.F64(10.0);  // global max ts
+  w.F64(k.clock);
   w.U64(3);   // next_arrival
-  w.U64(k.clocks.size());
-  for (const auto& [source, clock] : k.clocks) {
-    w.U32(source);
-    w.F64(clock);
-  }
   w.U64(k.second_pending_dims == 0 ? 1 : 2);  // pending blocks
   w.U64(k.pending_arrival);
-  w.U32(0);  // source
   w.F64(k.pending_ts);
   w.U32(k.pending_dims);
   w.U64(k.pending_ids.size());
@@ -483,7 +468,6 @@ std::string V4StreamPayload(const V4Knobs& k) {
   }
   if (k.second_pending_dims != 0) {
     w.U64(1);  // arrival
-    w.U32(0);  // source
     w.F64(9.5);
     w.U32(k.second_pending_dims);
     w.U64(1);
@@ -504,11 +488,11 @@ void CommitHostileSnapshot(const std::string& dir, const std::string& key,
   ASSERT_TRUE(store.value()->CommitTask("latest", 0, latest.str()).ok());
 }
 
-TEST(StreamSnapshotFuzzTest, ValidV4PayloadRestores) {
+TEST(StreamSnapshotFuzzTest, ValidV5PayloadRestores) {
   StreamTempDir dir("dod-ckfuzz-stream-valid");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   CommitHostileSnapshot(dir.str(), StreamingDetector::JobKeyFor(base),
-                        V4StreamPayload(V4Knobs{}));
+                        V5StreamPayload(V5Knobs{}));
   StreamingConfig config = base;
   config.resume = true;
   auto resumed = StreamingDetector::Create(config);
@@ -520,13 +504,13 @@ TEST(StreamSnapshotFuzzTest, ValidV4PayloadRestores) {
   EXPECT_EQ(resumed.value()->resident_points(), 2u);
 
   // A window without dims may buffer blocks whose dims agree.
-  V4Knobs dimless;
+  V5Knobs dimless;
   dimless.window_dims = 0;
   dimless.residents = false;
   dimless.outliers = {};
   dimless.second_pending_dims = 2;
   CommitHostileSnapshot(dir.str(), StreamingDetector::JobKeyFor(base),
-                        V4StreamPayload(dimless));
+                        V5StreamPayload(dimless));
   auto dimless_resumed = StreamingDetector::Create(config);
   ASSERT_TRUE(dimless_resumed.ok()) << dimless_resumed.status().ToString();
   EXPECT_EQ(dimless_resumed.value()->buffered_blocks(), 2u);
@@ -536,7 +520,7 @@ TEST(StreamSnapshotFuzzTest, ValidV4PayloadRestores) {
 TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   struct Case {
     const char* name;
-    V4Knobs knobs;
+    V5Knobs knobs;
   };
   std::vector<Case> cases;
   {
@@ -575,18 +559,19 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
     cases.push_back(c);
   }
   {
-    Case c{"watermark clocks not strictly ascending", {}};
-    c.knobs.clocks = {{0, 10.0}, {0, 4.0}};
+    Case c{"NaN watermark clock", {}};
+    c.knobs.clock = std::nan("");
     cases.push_back(c);
   }
   {
-    Case c{"non-finite watermark clock", {}};
-    c.knobs.clocks = {{0, std::nan("")}};
+    Case c{"infinite watermark clock", {}};
+    c.knobs.clock = std::numeric_limits<double>::infinity();
     cases.push_back(c);
   }
   {
-    Case c{"window source ids not strictly ascending", {}};
-    c.knobs.window_sources = {1, 1};
+    Case c{"duplicate resident ids", {}};
+    c.knobs.resident2_id = 1;
+    c.knobs.outliers = {1};
     cases.push_back(c);
   }
   // Restored points get no later check: each needs an exact int32 cell
@@ -624,7 +609,7 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   const std::string key = StreamingDetector::JobKeyFor(base);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    CommitHostileSnapshot(dir.str(), key, V4StreamPayload(c.knobs));
+    CommitHostileSnapshot(dir.str(), key, V5StreamPayload(c.knobs));
     StreamingConfig config = base;
     config.resume = true;
     auto resumed = StreamingDetector::Create(config);
@@ -640,7 +625,7 @@ TEST(StreamSnapshotFuzzTest, SummariesContradictingVerdictsAreIoErrors) {
   // its exact count is below k. Anything else is a corrupt snapshot.
   struct Case {
     const char* name;
-    V4Knobs knobs;
+    V5Knobs knobs;
   };
   std::vector<Case> cases;
   {
@@ -666,7 +651,7 @@ TEST(StreamSnapshotFuzzTest, SummariesContradictingVerdictsAreIoErrors) {
   const std::string key = StreamingDetector::JobKeyFor(base);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    CommitHostileSnapshot(dir.str(), key, V4StreamPayload(c.knobs));
+    CommitHostileSnapshot(dir.str(), key, V5StreamPayload(c.knobs));
     StreamingConfig config = base;
     config.resume = true;
     auto resumed = StreamingDetector::Create(config);
@@ -676,10 +661,10 @@ TEST(StreamSnapshotFuzzTest, SummariesContradictingVerdictsAreIoErrors) {
   }
 }
 
-// 60 seeded truncations: every strict prefix of a valid v4 snapshot fails
+// 60 seeded truncations: every strict prefix of a valid v5 snapshot fails
 // somewhere in the fixed-width read sequence — never a partial restore.
 TEST(StreamSnapshotFuzzTest, TruncatedSnapshotsNeverRestore) {
-  const std::string payload = V4StreamPayload(V4Knobs{});
+  const std::string payload = V5StreamPayload(V5Knobs{});
   StreamTempDir dir("dod-ckfuzz-stream-trunc");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   const std::string key = StreamingDetector::JobKeyFor(base);
@@ -699,7 +684,7 @@ TEST(StreamSnapshotFuzzTest, TruncatedSnapshotsNeverRestore) {
 // flip landed in a value) or fails with a structured Status — never UB
 // (the ASan/UBSan CI leg runs this too).
 TEST(StreamSnapshotFuzzTest, MutatedSnapshotsAreStructuredOrStillValid) {
-  const std::string payload = V4StreamPayload(V4Knobs{});
+  const std::string payload = V5StreamPayload(V5Knobs{});
   StreamTempDir dir("dod-ckfuzz-stream-mut");
   const StreamingConfig base = HostileRestoreConfig(dir.str());
   const std::string key = StreamingDetector::JobKeyFor(base);

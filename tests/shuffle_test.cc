@@ -204,15 +204,9 @@ TEST(ShuffleGroupingTest, EmptyAndSingleKeyBuckets) {
   }
 }
 
-TEST(ShuffleGroupingTest, ModeNamesRoundTrip) {
+TEST(ShuffleGroupingTest, ModeNames) {
   EXPECT_STREQ(ShuffleModeName(ShuffleMode::kSorted), "sorted");
   EXPECT_STREQ(ShuffleModeName(ShuffleMode::kColumnar), "columnar");
-  ShuffleMode mode;
-  EXPECT_TRUE(ParseShuffleMode("sorted", &mode));
-  EXPECT_EQ(mode, ShuffleMode::kSorted);
-  EXPECT_TRUE(ParseShuffleMode("columnar", &mode));
-  EXPECT_EQ(mode, ShuffleMode::kColumnar);
-  EXPECT_FALSE(ParseShuffleMode("merge", &mode));
 }
 
 // ---------------------------------------------------------------------------
@@ -1259,6 +1253,35 @@ TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
   EXPECT_EQ(MetricCount(sorted, "mr.shuffle.sorted_tasks"), 4u);
   EXPECT_EQ(MetricCount(sorted, "mr.shuffle.columnar_tasks"), 0u);
   EXPECT_GT(MetricCount(sorted, "mr.spill.runs_merged"), 0u);
+}
+
+TEST(ShuffleSpillTest, SortedSpilledPipelineMatchesColumnarInMemory) {
+  // The whole pipeline through the sorted path with spilled runs must
+  // match the default columnar in-memory run. One map block of 200k points
+  // emits more than the 1 MiB threshold, so the map task really spills.
+  const Dataset data =
+      GenerateUniform(200000, DomainForDensity(200000, 0.05), /*seed=*/42);
+  DodConfig columnar_config =
+      DodConfig::Dmt(DetectionParams{/*radius=*/5.0, /*min_neighbors=*/4});
+  columnar_config.num_blocks = 1;
+  columnar_config.num_threads = 4;
+  DodConfig sorted_config = columnar_config;
+  sorted_config.shuffle = ShuffleMode::kSorted;
+  const std::string dir = FreshSpillDir("pipeline");
+  sorted_config.spill_dir = dir;
+  sorted_config.spill_threshold_mb = 1;
+
+  const DodResult columnar = DodPipeline(columnar_config).RunOrDie(data);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.Reset();
+  const DodResult sorted = DodPipeline(sorted_config).RunOrDie(data);
+  const std::vector<MetricSnapshot> snapshot = metrics.Snapshot();
+  EXPECT_GT(MetricCount(snapshot, "mr.spill.runs_written"), 0u);
+  EXPECT_GT(MetricCount(snapshot, "mr.shuffle.sorted_tasks"), 0u);
+  EXPECT_EQ(MetricCount(snapshot, "mr.shuffle.columnar_tasks"), 0u);
+  EXPECT_EQ(SpillFilesIn(dir), 0u);
+  ExpectSameRun(columnar, sorted, "sorted+spill vs columnar");
+  EXPECT_FALSE(columnar.outliers.empty());
 }
 
 // A sparse-key mapper: the density guard, not the budget or the spill

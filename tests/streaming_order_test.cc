@@ -2,16 +2,15 @@
 //
 // Out-of-order streaming conformance suite. The correctness contract under
 // test: with a bounded-lateness watermark policy, *any* arrival permutation
-// within lateness L admits the canonical (timestamp, source, arrival) block
+// within lateness L admits the canonical (timestamp, arrival) block
 // sequence, so the admitted-order delta stream — and the final flagged set
 // — is byte-identical to in-order delivery. The headline is a seeded
-// permutation-fuzz harness (>= 200 cases across threads x kernels x
-// count-/time-based windows, cross-checked against the batch pipeline
-// oracle); around it sit the admission edge cases (boundary timestamps,
-// duplicate timestamps across sources, idle-source stalls, late-block
-// rejection), kill->resume with a non-empty reorder buffer, the checkpoint
-// version matrix (every version but the current one is refused; the
-// current one round-trips), and the dod_stream_cli replay/oracle paths
+// permutation-fuzz harness (>= 200 cases across threads x kernels,
+// cross-checked against the batch pipeline oracle); around it sit the
+// admission edge cases (boundary timestamps, duplicate timestamps,
+// late-block rejection), kill->resume with a non-empty reorder buffer, the
+// checkpoint version matrix (every version but the current one is refused;
+// the current one round-trips), and the dod_stream_cli replay/oracle paths
 // through the real binary.
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -55,11 +55,10 @@ StreamingConfig BaseConfig(double radius, int k) {
 }
 
 StreamBlock MakeBlock(std::initializer_list<std::pair<PointId, Point>> points,
-                      double timestamp, uint32_t source_id = 0) {
+                      double timestamp) {
   StreamBlock block(points.begin()->second.dims());
   for (const auto& [id, p] : points) block.Add(id, p.data());
   block.timestamp = timestamp;
-  block.source_id = source_id;
   return block;
 }
 
@@ -119,13 +118,11 @@ std::string Describe(const RoundRecord& r) {
   return out.str();
 }
 
-// A multi-source replay schedule: block b carries timestamp b and belongs
-// to source b % num_sources, so canonical admission order is simply block
-// order while sources interleave.
+// A replay schedule: block b carries timestamp b, so canonical admission
+// order is simply block order.
 struct OrderSchedule {
   Dataset data = Dataset(2);
   size_t block_size = 15;
-  size_t num_sources = 2;
 
   size_t num_blocks() const { return data.size() / block_size; }
   StreamBlock Block(size_t b) const {
@@ -134,32 +131,18 @@ struct OrderSchedule {
       block.Add(static_cast<PointId>(i), data[static_cast<PointId>(i)]);
     }
     block.timestamp = static_cast<double>(b);
-    block.source_id = static_cast<uint32_t>(b % num_sources);
     return block;
   }
 };
 
-// From-scratch batch verdicts over the schedule's final window contents
-// (per-source count budget or per-source time-based expiry).
+// From-scratch batch verdicts over the schedule's final window contents:
+// its last window_blocks blocks.
 std::vector<PointId> FinalWindowOracle(const OrderSchedule& schedule,
                                        const StreamingConfig& config) {
   Dataset window(schedule.data.dims());
   std::vector<PointId> window_ids;
   for (size_t b = 0; b < schedule.num_blocks(); ++b) {
-    const size_t later_same_source =
-        (schedule.num_blocks() - 1 - b) / schedule.num_sources;
-    bool resident = true;
-    if (config.window_blocks > 0) {
-      resident = later_same_source < config.window_blocks;
-    }
-    if (config.window_seconds > 0.0) {
-      // The source's high-water clock is its last block's timestamp; the
-      // block expires once that clock outruns it by window_seconds.
-      const double age =
-          static_cast<double>(later_same_source * schedule.num_sources);
-      resident = resident && age < config.window_seconds;
-    }
-    if (!resident) continue;
+    if (schedule.num_blocks() - b > config.window_blocks) continue;
     for (size_t i = b * schedule.block_size;
          i < (b + 1) * schedule.block_size; ++i) {
       window.Append(schedule.data[static_cast<PointId>(i)]);
@@ -189,14 +172,11 @@ TEST(StreamingOrderFuzzTest, PermutationsWithinLatenessMatchInOrder) {
   struct Case {
     int threads;
     KernelMode kernels;
-    bool time_window;
   };
   std::vector<Case> cases;
   for (int threads : {1, 4}) {
     for (KernelMode kernels : {KernelMode::kScalar, KernelMode::kAuto}) {
-      for (bool time_window : {false, true}) {
-        cases.push_back({threads, kernels, time_window});
-      }
+      cases.push_back({threads, kernels});
     }
   }
 
@@ -205,13 +185,7 @@ TEST(StreamingOrderFuzzTest, PermutationsWithinLatenessMatchInOrder) {
     StreamingConfig config = BaseConfig(1.5, 4);
     config.params.kernels = cases[c].kernels;
     config.num_threads = cases[c].threads;
-    if (cases[c].time_window) {
-      // Sources see every other timestamp: 7.5 keeps 4 blocks resident per
-      // source, matching the count-based variant's budget.
-      config.window_seconds = 7.5;
-    } else {
-      config.window_blocks = 4;
-    }
+    config.window_blocks = 8;
 
     // In-order reference: watermark disabled, canonical delivery order.
     std::vector<RoundRecord> reference;
@@ -236,7 +210,7 @@ TEST(StreamingOrderFuzzTest, PermutationsWithinLatenessMatchInOrder) {
     shuffled_config.watermark.enabled = true;
     shuffled_config.watermark.lateness = kLateness;
 
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
       ++total_cases;
       SCOPED_TRACE("config=" + std::to_string(c) +
                    " seed=" + std::to_string(seed));
@@ -321,8 +295,7 @@ TEST(StreamingOrderTest, RejectsNonFiniteOrNegativeWatermarkPolicy) {
   config.watermark.lateness = std::nan("");
   EXPECT_EQ(StreamingDetector::Create(config).status().code(),
             StatusCode::kInvalidArgument);
-  config.watermark.lateness = 1.0;
-  config.watermark.idle_timeout = -0.5;
+  config.watermark.lateness = std::numeric_limits<double>::infinity();
   EXPECT_EQ(StreamingDetector::Create(config).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -369,7 +342,7 @@ TEST(StreamingOrderTest, BlockExactlyAtWatermarkIsBufferedNotLate) {
   EXPECT_EQ(detector.rounds(), 2u);
 }
 
-TEST(StreamingOrderTest, DuplicateTimestampsAcrossSourcesAdmitBySourceId) {
+TEST(StreamingOrderTest, DuplicateTimestampsAdmitInArrivalOrder) {
   StreamingConfig config = BaseConfig(1.0, 2);
   config.watermark.enabled = true;
   config.watermark.lateness = 5.0;
@@ -377,90 +350,24 @@ TEST(StreamingOrderTest, DuplicateTimestampsAcrossSourcesAdmitBySourceId) {
   ASSERT_TRUE(created.ok());
   StreamingDetector& detector = *created.value();
 
-  // Source 1's ts=3 block arrives *before* source 0's ts=3 block; the
-  // canonical (timestamp, source, arrival) order must still admit source 0
-  // first.
-  ASSERT_TRUE(detector.Ingest(MakeBlock({{11, {40.0, 40.0}}}, 3.0, 1)).ok());
-  ASSERT_TRUE(detector.Ingest(MakeBlock({{10, {-40.0, -40.0}}}, 3.0, 0)).ok());
+  // Two blocks share ts 3; the canonical (timestamp, arrival) order admits
+  // the first arrival first.
+  ASSERT_TRUE(detector.Ingest(MakeBlock({{11, {40.0, 40.0}}}, 3.0)).ok());
+  ASSERT_TRUE(detector.Ingest(MakeBlock({{10, {-40.0, -40.0}}}, 3.0)).ok());
   EXPECT_EQ(detector.buffered_blocks(), 2u);
 
-  // Advance both source clocks past 3 + L so the duplicate pair drains.
-  StreamBlock tick1(2);
-  tick1.timestamp = 9.0;
-  tick1.source_id = 1;
-  ASSERT_TRUE(detector.Ingest(tick1).ok());
-  StreamBlock tick0(2);
-  tick0.timestamp = 9.0;
-  tick0.source_id = 0;
-  auto drained = detector.Ingest(tick0);
+  // Advance the clock past 3 + L so the duplicate pair drains.
+  StreamBlock tick(2);
+  tick.timestamp = 9.0;
+  auto drained = detector.Ingest(tick);
   ASSERT_TRUE(drained.ok());
   EXPECT_TRUE(drained.value().has_watermark);
   EXPECT_EQ(drained.value().watermark, 4.0);
   ASSERT_EQ(drained.value().admitted.size(), 2u);
   EXPECT_EQ(drained.value().admitted[0].newly_flagged,
-            (std::vector<PointId>{10}));
-  EXPECT_EQ(drained.value().admitted[1].newly_flagged,
             (std::vector<PointId>{11}));
-}
-
-TEST(StreamingOrderTest, IdleSourceStallsWatermarkUntilTimeout) {
-  auto one_point_block = [](PointId id, double ts, uint32_t source) {
-    const double c = static_cast<double>(id) * 100.0;
-    StreamBlock block(2);
-    const double p[2] = {c, c};
-    block.Add(id, p);
-    block.timestamp = ts;
-    block.source_id = source;
-    return block;
-  };
-
-  // Without an idle timeout a silent source pins the watermark forever:
-  // nothing admits no matter how far source 0 runs ahead.
-  StreamingConfig config = BaseConfig(1.0, 2);
-  config.watermark.enabled = true;
-  config.watermark.lateness = 2.0;
-  {
-    auto created = StreamingDetector::Create(config);
-    ASSERT_TRUE(created.ok());
-    StreamingDetector& detector = *created.value();
-    ASSERT_TRUE(detector.Ingest(one_point_block(100, 0.0, 1)).ok());
-    for (PointId i = 1; i <= 10; ++i) {
-      auto ingested =
-          detector.Ingest(one_point_block(i, static_cast<double>(i), 0));
-      ASSERT_TRUE(ingested.ok());
-      EXPECT_TRUE(ingested.value().admitted.empty());
-    }
-    EXPECT_EQ(detector.rounds(), 0u);
-    EXPECT_EQ(detector.buffered_blocks(), 11u);
-  }
-
-  // With idle_timeout the lagging source drops out of the minimum once the
-  // global clock outruns it, the watermark unsticks, and its own buffered
-  // block is the first admission (canonical order).
-  config.watermark.idle_timeout = 3.0;
-  {
-    auto created = StreamingDetector::Create(config);
-    ASSERT_TRUE(created.ok());
-    StreamingDetector& detector = *created.value();
-    ASSERT_TRUE(detector.Ingest(one_point_block(100, 0.0, 1)).ok());
-    std::vector<RoundRecord> admitted;
-    for (PointId i = 1; i <= 10; ++i) {
-      auto ingested =
-          detector.Ingest(one_point_block(i, static_cast<double>(i), 0));
-      ASSERT_TRUE(ingested.ok());
-      for (const OutlierDelta& delta : ingested.value().admitted) {
-        admitted.push_back(Record(delta));
-      }
-    }
-    ASSERT_FALSE(admitted.empty());
-    EXPECT_EQ(admitted[0].flagged, (std::vector<PointId>{100}));
-    EXPECT_GT(detector.rounds(), 0u);
-    EXPECT_LT(detector.buffered_blocks(), 11u);
-    auto flushed = detector.Flush();
-    ASSERT_TRUE(flushed.ok());
-    EXPECT_EQ(detector.rounds(), 11u);
-    EXPECT_EQ(detector.buffered_blocks(), 0u);
-  }
+  EXPECT_EQ(drained.value().admitted[1].newly_flagged,
+            (std::vector<PointId>{10}));
 }
 
 // ---------------------------------------------------------------------------
@@ -589,8 +496,7 @@ TEST(StreamingOrderCheckpointTest, SaturatedGaugeMatchesRestoredSnapshots) {
 
   TempDir dir("dod-streaming-reorder-gauge");
   StreamingConfig config = BaseConfig(1.5, 4);
-  // Each source sees every other timestamp: 3 resident blocks per source.
-  config.window_seconds = 5.5;
+  config.window_blocks = 6;
   config.watermark.enabled = true;
   config.watermark.lateness = kLateness;
   config.checkpoint_dir = dir.str();
@@ -634,23 +540,23 @@ TEST(StreamingOrderCheckpointTest, SaturatedGaugeMatchesRestoredSnapshots) {
     absorb(ingested.value());
     expect_restored_gauge("after block " + std::to_string(b));
   }
-  // One empty block per source far in the future ages every schedule
-  // block out of its source's time window once the flush admits them.
-  for (uint32_t source = 0; source < schedule.num_sources; ++source) {
-    StreamBlock late(2);
-    late.timestamp = 1000.0;
-    late.source_id = source;
-    auto ingested = detector.Ingest(late);
+  // Far singletons after the schedule push every schedule block out of
+  // the count window once the flush admits them.
+  for (size_t i = 0; i < config.window_blocks; ++i) {
+    const double far = 1e4 * static_cast<double>(i + 1);
+    const PointId id = static_cast<PointId>(schedule.data.size() + i);
+    auto ingested = detector.Ingest(
+        MakeBlock({{id, {far, far}}}, 1000.0 + static_cast<double>(i)));
     ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
     absorb(ingested.value());
   }
   auto flushed = detector.Flush();
   ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
   absorb(flushed.value());
-  EXPECT_EQ(detector.rounds(), schedule.num_blocks() + schedule.num_sources);
+  EXPECT_EQ(detector.rounds(), schedule.num_blocks() + config.window_blocks);
   EXPECT_GT(peak, 0u);
   EXPECT_GT(recounted, 0u);
-  EXPECT_EQ(detector.resident_points(), 0u);
+  EXPECT_EQ(detector.resident_points(), config.window_blocks);
   EXPECT_EQ(detector.saturated_points(), 0u);
   expect_restored_gauge("after the final flush");
 }
@@ -675,7 +581,7 @@ void CommitStreamSnapshot(const std::string& dir, const std::string& job_key,
 TEST(StreamingVersionMatrixTest, FutureSnapshotVersionIsFailedPrecondition) {
   // The reader knows one layout: any other snapshot version — older or
   // newer — is refused with kFailedPrecondition instead of misparsed.
-  for (uint32_t version : {0u, 1u, 2u, 3u, 5u, 999u}) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 999u}) {
     TempDir dir("dod-streaming-vskew-" + std::to_string(version));
     StreamingConfig config = BaseConfig(1.0, 2);
     config.checkpoint_dir = dir.str();
@@ -693,22 +599,20 @@ TEST(StreamingVersionMatrixTest, FutureSnapshotVersionIsFailedPrecondition) {
   }
 }
 
-// A valid v4 snapshot of an empty window that has completed `rounds`
-// in-order rounds (arrivals == rounds, no sources, no reorder buffer).
+// A valid v5 snapshot of an empty window that has completed `rounds`
+// in-order rounds (arrivals == rounds, no blocks, no reorder buffer).
 std::string EmptyWindowSnapshot(uint64_t rounds) {
   PayloadWriter w;
-  w.U32(4);       // version
+  w.U32(5);       // version
   w.U64(rounds);  // round
-  w.U64(0);       // next block sequence
   w.U32(0);       // dims (no block admitted yet)
-  w.U64(0);       // source windows
+  w.U64(0);       // resident blocks
   w.U64(0);       // flagged ids
   w.U64(rounds);  // arrivals
   w.U64(0);       // late dropped
   w.U8(0);        // saw an arrival
-  w.F64(0.0);     // global max timestamp
+  w.F64(0.0);     // clock
   w.U64(0);       // next arrival sequence
-  w.U64(0);       // watermark clocks
   w.U64(0);       // buffered blocks
   return w.str();
 }
@@ -765,17 +669,17 @@ TEST(StreamingVersionMatrixTest, CheckpointIndexPastStoreLimitIsOutOfRange) {
   EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
 }
 
-TEST(StreamingVersionMatrixTest, V4RoundTripRestoresReorderState) {
-  // Sanity anchor for the matrix: a live v4 snapshot (watermark mode,
-  // non-empty buffer) restores byte-identically — buffer, clocks, late
+TEST(StreamingVersionMatrixTest, V5RoundTripRestoresReorderState) {
+  // Sanity anchor for the matrix: a live v5 snapshot (watermark mode,
+  // non-empty buffer) restores byte-identically — buffer, clock, late
   // counter and all. (The hostile-record fuzz lives in
   // checkpoint_fuzz_test.cc.)
-  TempDir dir("dod-streaming-v4-roundtrip");
+  TempDir dir("dod-streaming-v5-roundtrip");
   StreamingConfig config = BaseConfig(1.0, 2);
   config.checkpoint_dir = dir.str();
   config.watermark.enabled = true;
   config.watermark.lateness = 4.0;
-  config.job_tag = "v4-roundtrip";
+  config.job_tag = "v5-roundtrip";
   {
     auto created = StreamingDetector::Create(config);
     ASSERT_TRUE(created.ok());
@@ -879,11 +783,10 @@ TEST(StreamCliOrderTest, OracleSkipEmptyVerdictsStillMatch) {
 }
 
 TEST(StreamCliOrderTest, FlagValidationRejectsOrphans) {
-  // --oracle_skip_empty without --oracle, and --reorder_seed / --idle_timeout
-  // without --lateness, are configuration errors, not silent no-ops.
+  // --oracle_skip_empty without --oracle, and --reorder_seed without
+  // --lateness, are configuration errors, not silent no-ops.
   EXPECT_EQ(RunStreamCli("--n 100 --oracle_skip_empty").exit_code, 1);
   EXPECT_EQ(RunStreamCli("--n 100 --reorder_seed 3").exit_code, 1);
-  EXPECT_EQ(RunStreamCli("--n 100 --idle_timeout 2").exit_code, 1);
 }
 
 }  // namespace

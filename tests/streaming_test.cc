@@ -6,7 +6,7 @@
 // feeds), the saturation edge of the neighbor-count summaries, the central
 // oracle property — after every round the delta-reconstructed outlier set
 // is byte-identical to a from-scratch batch pipeline run over the window,
-// for every thread count × kernel mode × shuffle mode × window kind, including
+// for every thread count × kernel mode × shuffle mode, including
 // dense-patch schedules that drive saturated points through re-counts —
 // and checkpoint/resume reproducing the uninterrupted run's deltas exactly.
 
@@ -43,11 +43,9 @@ StreamingConfig BaseConfig(double radius, int k) {
   return config;
 }
 
-StreamBlock MakeBlock(std::initializer_list<std::pair<PointId, Point>> points,
-                      double timestamp = 0.0) {
+StreamBlock MakeBlock(std::initializer_list<std::pair<PointId, Point>> points) {
   StreamBlock block(points.begin()->second.dims());
   for (const auto& [id, p] : points) block.Add(id, p.data());
-  block.timestamp = timestamp;
   return block;
 }
 
@@ -380,149 +378,6 @@ TEST(StreamingDetectorTest, SaturatedPointWhoseNeighborsExpireFlipsSameRound) {
   EXPECT_EQ(detector.saturated_points(), 0u);
 }
 
-TEST(StreamingDetectorTest, BlockAppendedAndExpiredInOneRoundMatchesOracle) {
-  // A block that is older than its source's retained clock by
-  // window_seconds is appended and expired by the same Feed: the old
-  // residents meet it once as an increment and once as a decrement, it is
-  // never a resident itself, and the cells' fresh suffixes must be empty
-  // again for the next round. After every round the delta-reconstructed
-  // outlier set must equal a from-scratch batch run over the window, and
-  // every resident's (count, saturated) summary must agree with its
-  // brute-force count: equal when exact, a bound in [k, count] when
-  // saturated, and for a point counted this round the count clamped at
-  // the cap k + 32.
-  const double radius = 1.0;
-  const int k = 3;
-  const uint32_t cap = static_cast<uint32_t>(k) + 32;
-  Rng rng(0xA11E);
-  const auto scatter = [&](PointId first, size_t n, double x0, double y0,
-                           double extent, uint32_t source, double ts) {
-    StreamBlock block(2);
-    for (size_t i = 0; i < n; ++i) {
-      const double p[2] = {x0 + rng.NextDouble() * extent,
-                           y0 + rng.NextDouble() * extent};
-      block.Add(first + static_cast<PointId>(i), p);
-    }
-    block.source_id = source;
-    block.timestamp = ts;
-    return block;
-  };
-  // Source 1 stays resident throughout: a 40-point clump whose points
-  // saturate, inside a sparse spread. Source 0's first block expires once
-  // an empty block advances its clock to 100; its next block, at ts 50,
-  // expires the moment it is appended.
-  StreamBlock residents = scatter(0, 60, 0.0, 0.0, 8.0, 1, 0.0);
-  const StreamBlock clump = scatter(100, 40, 3.0, 3.0, 0.6, 1, 0.0);
-  for (size_t i = 0; i < clump.ids.size(); ++i) {
-    residents.Add(clump.ids[i], clump.points[static_cast<PointId>(i)]);
-  }
-  const StreamBlock early = scatter(200, 30, 0.0, 0.0, 8.0, 0, 0.0);
-  StreamBlock advance(2);
-  advance.timestamp = 100.0;
-  StreamBlock stale = scatter(300, 40, 0.0, 0.0, 8.0, 0, 50.0);
-  const StreamBlock stale_clump = scatter(340, 10, 3.0, 3.0, 0.6, 0, 50.0);
-  for (size_t i = 0; i < stale_clump.ids.size(); ++i) {
-    stale.Add(stale_clump.ids[i], stale_clump.points[static_cast<PointId>(i)]);
-  }
-  const StreamBlock later = scatter(400, 30, 2.0, 2.0, 3.0, 1, 5.0);
-
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    StreamingConfig config = BaseConfig(radius, k);
-    config.window_seconds = 10.0;
-    config.num_threads = threads;
-    auto created = StreamingDetector::Create(config);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    StreamingDetector& detector = *created.value();
-
-    std::map<PointId, std::vector<double>> window;
-    std::vector<PointId> running;
-    const auto feed = [&](const StreamBlock& block,
-                          const std::vector<PointId>& leaving) {
-      auto fed = detector.Feed(block);
-      EXPECT_TRUE(fed.ok()) << fed.status().ToString();
-      if (!fed.ok()) return OutlierDelta{};
-      for (size_t i = 0; i < block.ids.size(); ++i) {
-        const double* p = block.points[static_cast<PointId>(i)];
-        window[block.ids[i]] = std::vector<double>(p, p + 2);
-      }
-      for (PointId id : leaving) window.erase(id);
-      std::vector<PointId> next;
-      std::set_difference(running.begin(), running.end(),
-                          fed.value().newly_cleared.begin(),
-                          fed.value().newly_cleared.end(),
-                          std::back_inserter(next));
-      running.clear();
-      std::merge(next.begin(), next.end(), fed.value().newly_flagged.begin(),
-                 fed.value().newly_flagged.end(), std::back_inserter(running));
-
-      // The batch oracle over the window, and brute-force summaries.
-      Dataset points(2);
-      std::vector<PointId> ids;
-      for (const auto& [id, p] : window) {
-        points.Append(p.data());
-        ids.push_back(id);
-      }
-      std::vector<PointId> want;
-      if (!points.empty()) {
-        DodConfig oracle = DodConfig::Dmt(config.params);
-        oracle.seed = config.params.seed;
-        for (PointId local : DodPipeline(oracle).RunOrDie(points).outliers) {
-          want.push_back(ids[local]);
-        }
-      }
-      EXPECT_EQ(running, want);
-      EXPECT_EQ(detector.outliers(), want);
-      EXPECT_EQ(detector.resident_points(), window.size());
-      size_t saturated = 0;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        uint32_t count = 0;
-        for (size_t j = 0; j < ids.size(); ++j) {
-          const double dx = points[static_cast<PointId>(i)][0] -
-                            points[static_cast<PointId>(j)][0];
-          const double dy = points[static_cast<PointId>(i)][1] -
-                            points[static_cast<PointId>(j)][1];
-          count += i != j && dx * dx + dy * dy <= radius * radius ? 1 : 0;
-        }
-        const std::optional<NeighborCountSummary> summary =
-            detector.SummaryOf(ids[i]);
-        EXPECT_TRUE(summary.has_value()) << "id " << ids[i];
-        if (!summary.has_value()) continue;
-        if (std::count(block.ids.begin(), block.ids.end(), ids[i]) != 0) {
-          // A first count: exact below the cap, the cap at or above it.
-          EXPECT_EQ(summary->count, std::min(count, cap)) << "id " << ids[i];
-          EXPECT_EQ(summary->saturated, count >= cap) << "id " << ids[i];
-        } else if (summary->saturated) {
-          // A carried bound: certified, and never below k.
-          EXPECT_LE(summary->count, count) << "id " << ids[i];
-          EXPECT_GE(summary->count, static_cast<uint32_t>(k))
-              << "id " << ids[i];
-        } else {
-          EXPECT_EQ(summary->count, count) << "id " << ids[i];
-        }
-        saturated += summary->saturated ? 1 : 0;
-      }
-      EXPECT_EQ(detector.saturated_points(), saturated);
-      return fed.value();
-    };
-
-    feed(residents, {});
-    EXPECT_GT(detector.saturated_points(), 0u);
-    feed(early, {});
-    feed(advance, early.ids);
-    const OutlierDelta both = feed(stale, stale.ids);
-    EXPECT_EQ(both.stats.appended_points, stale.ids.size());
-    EXPECT_EQ(both.stats.expired_points, stale.ids.size());
-    EXPECT_EQ(both.stats.full_counted_points, 0u);
-    EXPECT_GT(both.stats.dirty_cells, 0u);
-    EXPECT_TRUE(both.newly_flagged.empty());
-    EXPECT_TRUE(both.newly_cleared.empty());
-    for (PointId id : stale.ids) EXPECT_FALSE(detector.SummaryOf(id));
-    const OutlierDelta after = feed(later, {});
-    EXPECT_EQ(after.stats.full_counted_points, later.ids.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Oracle property: after every round, outliers() must equal a from-scratch
 // batch pipeline run over the window contents, across configurations.
@@ -758,9 +613,9 @@ class TempDir {
 // ---------------------------------------------------------------------------
 // Summary maintenance vs the batch oracle: every round's delta-reconstructed
 // outlier set must equal a from-scratch batch run over the window — across
-// schedules, expiry patterns (count- and time-based windows) and runtime
-// configurations. Dense schedules also pin the incrementally kept
-// saturated_points() gauge to a recount from each round's snapshot.
+// schedules, expiry patterns and runtime configurations. Dense schedules
+// also pin the incrementally kept saturated_points() gauge to a recount
+// from each round's snapshot.
 
 // Dense patches: each patch receives two consecutive blocks uniform over a
 // side x side square (75 points on 3 x 3 is density ~8 per block), then a
@@ -968,118 +823,101 @@ TEST(StreamingPropertyTest, SummariesMatchBatchOracleAcrossConfigs) {
     const std::vector<StreamRoundStats> expected_stats =
         BruteForceRoundStats(schedule, radius, k);
 
-    for (bool time_window : {false, true}) {
-      for (size_t c = 0; c < cases.size(); ++c) {
-        SCOPED_TRACE("schedule=" + entry.name +
-                     " time_window=" + std::to_string(time_window) +
-                     " case=" + std::to_string(c));
-        StreamingConfig config = base;
-        config.params.kernels = cases[c].kernels;
-        config.num_threads = cases[c].threads;
-        if (time_window) {
-          // Timestamps are round indices: window_seconds == window_blocks
-          // keeps exactly the count-based resident set, expiring via the
-          // time rule instead.
-          config.window_seconds = static_cast<double>(schedule.window_blocks);
-        } else {
-          config.window_blocks = schedule.window_blocks;
-        }
-        // Dense schedules commit every round; a detector resumed from the
-        // store recounts saturated_points() from the snapshot's per-point
-        // bytes, which must equal the live, incrementally kept gauge.
-        std::optional<TempDir> dir;
-        if (entry.dense) {
-          dir.emplace("dod-streaming-gauge");
-          config.checkpoint_dir = dir->str();
-          config.checkpoint_every = 1;
-        }
-        StreamingConfig resume_config = config;
-        resume_config.resume = true;
-        auto created = StreamingDetector::Create(config);
-        ASSERT_TRUE(created.ok()) << created.status().ToString();
-        StreamingDetector& detector = *created.value();
-        const auto expect_restored_gauge = [&]() {
-          auto resumed = StreamingDetector::Create(resume_config);
-          ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-          ASSERT_EQ(resumed.value()->rounds(), detector.rounds());
-          EXPECT_EQ(resumed.value()->saturated_points(),
-                    detector.saturated_points())
-              << "round " << detector.rounds();
-        };
+    for (size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE("schedule=" + entry.name + " case=" + std::to_string(c));
+      StreamingConfig config = base;
+      config.params.kernels = cases[c].kernels;
+      config.num_threads = cases[c].threads;
+      config.window_blocks = schedule.window_blocks;
+      // Dense schedules commit every round; a detector resumed from the
+      // store recounts saturated_points() from the snapshot's per-point
+      // bytes, which must equal the live, incrementally kept gauge.
+      std::optional<TempDir> dir;
+      if (entry.dense) {
+        dir.emplace("dod-streaming-gauge");
+        config.checkpoint_dir = dir->str();
+        config.checkpoint_every = 1;
+      }
+      StreamingConfig resume_config = config;
+      resume_config.resume = true;
+      auto created = StreamingDetector::Create(config);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      StreamingDetector& detector = *created.value();
+      const auto expect_restored_gauge = [&]() {
+        auto resumed = StreamingDetector::Create(resume_config);
+        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+        ASSERT_EQ(resumed.value()->rounds(), detector.rounds());
+        EXPECT_EQ(resumed.value()->saturated_points(),
+                  detector.saturated_points())
+            << "round " << detector.rounds();
+      };
 
-        std::vector<PointId> running;  // delta-reconstructed outlier set
-        size_t recounted = 0;
-        bool saturated_expired = false;
-        for (size_t b = 0; b < schedule.num_blocks(); ++b) {
-          StreamBlock block(schedule.data.dims());
-          for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
-            block.Add(static_cast<PointId>(i),
-                      schedule.data[static_cast<PointId>(i)]);
-          }
-          block.timestamp = static_cast<double>(b);
-          const size_t saturated_before = detector.saturated_points();
-          auto fed = detector.Feed(block);
-          ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-          recounted += fed.value().stats.recounted_points;
-          // The gauge fell in a round that expired points: saturated
-          // points left the window or re-counted to exact counts.
-          saturated_expired = saturated_expired ||
-                              (fed.value().stats.expired_points > 0 &&
-                               detector.saturated_points() < saturated_before);
-          if (entry.dense) expect_restored_gauge();
-          const StreamRoundStats& stats = fed.value().stats;
-          const StreamRoundStats& want = expected_stats[b];
-          EXPECT_EQ(stats.dirty_cells, want.dirty_cells) << "round " << (b + 1);
-          EXPECT_EQ(stats.insert_pairs, want.insert_pairs)
-              << "round " << (b + 1);
-          EXPECT_EQ(stats.expiry_pairs, want.expiry_pairs)
-              << "round " << (b + 1);
-          EXPECT_EQ(stats.full_counted_points, want.full_counted_points)
-              << "round " << (b + 1);
-          EXPECT_EQ(stats.recounted_points, want.recounted_points)
-              << "round " << (b + 1);
-
-          std::vector<PointId> next;
-          std::set_difference(running.begin(), running.end(),
-                              fed.value().newly_cleared.begin(),
-                              fed.value().newly_cleared.end(),
-                              std::back_inserter(next));
-          running.clear();
-          std::merge(next.begin(), next.end(),
-                     fed.value().newly_flagged.begin(),
-                     fed.value().newly_flagged.end(),
-                     std::back_inserter(running));
-          ASSERT_EQ(running, oracle[b]) << "round " << (b + 1);
-          ASSERT_EQ(detector.outliers(), running) << "round " << (b + 1);
+      std::vector<PointId> running;  // delta-reconstructed outlier set
+      size_t recounted = 0;
+      bool saturated_expired = false;
+      for (size_t b = 0; b < schedule.num_blocks(); ++b) {
+        StreamBlock block(schedule.data.dims());
+        for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
+          block.Add(static_cast<PointId>(i),
+                    schedule.data[static_cast<PointId>(i)]);
         }
-        if (entry.dense) {
-          // Dense patches must leave saturated lower bounds behind and
-          // drive some of them back below k through expiry: the re-count
-          // path is exercised — and checked against the oracle above —
-          // not just the exact-count fold.
-          EXPECT_GT(detector.saturated_points(), 0u);
-          EXPECT_GT(recounted, 0u);
-          EXPECT_TRUE(saturated_expired);
+        const size_t saturated_before = detector.saturated_points();
+        auto fed = detector.Feed(block);
+        ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+        recounted += fed.value().stats.recounted_points;
+        // The gauge fell in a round that expired points: saturated
+        // points left the window or re-counted to exact counts.
+        saturated_expired = saturated_expired ||
+                            (fed.value().stats.expired_points > 0 &&
+                             detector.saturated_points() < saturated_before);
+        if (entry.dense) expect_restored_gauge();
+        const StreamRoundStats& stats = fed.value().stats;
+        const StreamRoundStats& want = expected_stats[b];
+        EXPECT_EQ(stats.dirty_cells, want.dirty_cells) << "round " << (b + 1);
+        EXPECT_EQ(stats.insert_pairs, want.insert_pairs)
+            << "round " << (b + 1);
+        EXPECT_EQ(stats.expiry_pairs, want.expiry_pairs)
+            << "round " << (b + 1);
+        EXPECT_EQ(stats.full_counted_points, want.full_counted_points)
+            << "round " << (b + 1);
+        EXPECT_EQ(stats.recounted_points, want.recounted_points)
+            << "round " << (b + 1);
 
-          // Expire everything — far singletons push the count window past
-          // every schedule block, an empty block far in the future ages
-          // the time window out — and the gauge must return to 0.
-          for (size_t b = 0; b < schedule.window_blocks; ++b) {
-            const double far = 1e4 * static_cast<double>(b + 1);
-            StreamBlock block =
-                time_window
-                    ? StreamBlock(2)
-                    : MakeBlock({{static_cast<PointId>(
-                                      schedule.data.size() + b),
-                                  {far, far}}});
-            block.timestamp = 1e3 * static_cast<double>(b + 1);
-            ASSERT_TRUE(detector.Feed(block).ok());
-          }
-          EXPECT_EQ(detector.resident_points(),
-                    time_window ? 0u : schedule.window_blocks);
-          EXPECT_EQ(detector.saturated_points(), 0u);
-          expect_restored_gauge();
+        std::vector<PointId> next;
+        std::set_difference(running.begin(), running.end(),
+                            fed.value().newly_cleared.begin(),
+                            fed.value().newly_cleared.end(),
+                            std::back_inserter(next));
+        running.clear();
+        std::merge(next.begin(), next.end(),
+                   fed.value().newly_flagged.begin(),
+                   fed.value().newly_flagged.end(),
+                   std::back_inserter(running));
+        ASSERT_EQ(running, oracle[b]) << "round " << (b + 1);
+        ASSERT_EQ(detector.outliers(), running) << "round " << (b + 1);
+      }
+      if (entry.dense) {
+        // Dense patches must leave saturated lower bounds behind and
+        // drive some of them back below k through expiry: the re-count
+        // path is exercised — and checked against the oracle above —
+        // not just the exact-count fold.
+        EXPECT_GT(detector.saturated_points(), 0u);
+        EXPECT_GT(recounted, 0u);
+        EXPECT_TRUE(saturated_expired);
+
+        // Expire everything — far singletons push the count window past
+        // every schedule block — and the gauge must return to 0.
+        for (size_t b = 0; b < schedule.window_blocks; ++b) {
+          const double far = 1e4 * static_cast<double>(b + 1);
+          ASSERT_TRUE(detector
+                          .Feed(MakeBlock({{static_cast<PointId>(
+                                                schedule.data.size() + b),
+                                            {far, far}}}))
+                          .ok());
         }
+        EXPECT_EQ(detector.resident_points(), schedule.window_blocks);
+        EXPECT_EQ(detector.saturated_points(), 0u);
+        expect_restored_gauge();
       }
     }
   }

@@ -64,9 +64,6 @@ Pipeline:
   --kernels MODE         distance kernels: auto (batched SIMD, default) |
                          scalar (per-pair reference); verdicts are
                          bit-identical either way
-  --shuffle MODE         reduce-side grouping: columnar (counting sort,
-                         default) | sorted (stable sort escape hatch);
-                         results are byte-identical either way
   --sample-rate Y        preprocessing sampling rate (default 0.05)
   --buckets B            mini buckets per dimension (default 64)
   --seed N               RNG seed (default 42)
@@ -290,10 +287,6 @@ dod::Result<dod::DodConfig> BuildConfig(const dod::FlagParser& flags,
   auto seed = flags.GetInt("seed", 42);
   if (!seed.ok()) return seed.status();
   config.seed = static_cast<uint64_t>(seed.value());
-  const std::string shuffle = flags.GetStringOr("shuffle", "columnar");
-  if (!dod::ParseShuffleMode(shuffle, &config.shuffle)) {
-    return dod::Status::InvalidArgument("--shuffle must be sorted or columnar");
-  }
 
   auto attempts = flags.GetIntInRange("max_task_attempts", 4, 1, kMaxInt);
   if (!attempts.ok()) return attempts.status();

@@ -86,10 +86,6 @@ Out-of-order admission:
                          lateness L (timestamp units = block indices);
                          blocks go through Ingest and admit once the
                          watermark passes them (default: disabled)
-  --idle_timeout T       exclude sources lagging the global clock by more
-                         than T from the watermark (default 0 = never)
-  --source_id N          label every replayed block with this source id
-                         (default 0)
   --reorder_seed N       shuffle the arrival order within the lateness
                          bound (seeded, deterministic; requires
                          --lateness > 0; default 0 = in-order arrival)
@@ -250,15 +246,12 @@ int main(int argc, char** argv) {
       flags.GetIntInRange("kill_after_round", 0, 0, kMaxLongLong);
   auto density_flag = flags.GetPositiveDouble("density", 0.05);
   auto lateness_flag = flags.GetDouble("lateness", -1.0);
-  auto idle_flag = flags.GetDouble("idle_timeout", 0.0);
-  auto source_flag = flags.GetIntInRange("source_id", 0, 0,
-                                         std::numeric_limits<uint32_t>::max());
   auto reorder_flag = flags.GetInt("reorder_seed", 0);
   for (const dod::Status& status :
        {n_flag.status(), seed_flag.status(), block_flag.status(),
         window_flag.status(), radius_flag.status(), k_flag.status(),
         threads_flag.status(), cell_side_flag.status(), every_flag.status(),
-        kill_flag.status(), density_flag.status(), lateness_flag.status(), idle_flag.status(), source_flag.status(),
+        kill_flag.status(), density_flag.status(), lateness_flag.status(),
         reorder_flag.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
@@ -304,12 +297,7 @@ int main(int argc, char** argv) {
   if (watermark) {
     config.watermark.enabled = true;
     config.watermark.lateness = lateness_flag.value();
-    if (idle_flag.value() < 0.0) return Fail("--idle_timeout must be >= 0");
-    config.watermark.idle_timeout = idle_flag.value();
-  } else if (idle_flag.value() != 0.0) {
-    return Fail("--idle_timeout requires --lateness");
   }
-  const uint32_t source_id = static_cast<uint32_t>(source_flag.value());
   const uint64_t reorder_seed =
       static_cast<uint64_t>(std::max(0LL, reorder_flag.value()));
   if (reorder_seed != 0 && (!watermark || lateness_flag.value() <= 0.0)) {
@@ -322,13 +310,12 @@ int main(int argc, char** argv) {
   config.checkpoint_every = static_cast<uint64_t>(every_flag.value());
   // The schedule's identity: resuming under a different workload would
   // silently replay the wrong blocks, so it is part of the job key. The
-  // arrival order (reorder seed, source label) is part of the schedule.
+  // arrival order (reorder seed) is part of the schedule.
   config.job_tag = kind + "/n=" + std::to_string(n) +
                    "/block=" + std::to_string(schedule.block_size) +
                    "/seed=" + std::to_string(seed);
   if (watermark) {
-    config.job_tag += "/reorder=" + std::to_string(reorder_seed) +
-                      "/source=" + std::to_string(source_id);
+    config.job_tag += "/reorder=" + std::to_string(reorder_seed);
   }
 
   // Oracle pipeline configuration (batch DMT over the window contents).
@@ -432,7 +419,6 @@ int main(int argc, char** argv) {
                 schedule.data[static_cast<dod::PointId>(i)]);
     }
     block.timestamp = static_cast<double>(b);
-    block.source_id = source_id;
     return block;
   };
 

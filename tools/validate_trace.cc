@@ -28,7 +28,7 @@
 // metrics dump must carry the stream.*, stream.summary.* and
 // stream.watermark.* schemas (round/delta/pair/late-drop counters,
 // dirty-fraction, round-latency and recount-queue histograms,
-// resident/saturated-point and buffered-block/source gauges) with at
+// resident/saturated-point and buffered-block gauges) with at
 // least one completed round.
 // Streaming runs pass --min_task_spans 0 --min_partitions 0 — the
 // incremental path counts cells directly, without MapReduce tasks or
@@ -139,7 +139,7 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
         ++round_spans;
       } else if (name == "reorder_admit") {
         ++reorder_admit_spans;
-        for (const char* key : {"source", "arrival", "buffered"}) {
+        for (const char* key : {"arrival", "buffered"}) {
           if (!event.Get("args").Get(key).is_number()) {
             return Fail(where + ": reorder_admit span missing numeric arg \"" +
                         key + "\"");
@@ -303,7 +303,7 @@ int ValidateStreamingMetrics(const dod::JsonValue& metrics) {
   }
   for (const char* name :
        {"stream.resident_points", "stream.summary.saturated_points",
-        "stream.watermark.buffered_blocks", "stream.watermark.sources"}) {
+        "stream.watermark.buffered_blocks"}) {
     const dod::JsonValue& gauge = metrics.Get("gauges").Get(name);
     if (!gauge.Get("count").is_number() || !gauge.Get("max").is_number()) {
       return Fail(std::string("metrics: missing gauge \"") + name + "\"");
